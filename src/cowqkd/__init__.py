@@ -19,17 +19,16 @@ from .detectors import (
     SnspdConfig,
     SpadConfig,
     correlation_histogram,
+    dark_exposure,
     snspd_detect,
     spad_detect,
     spad_preset,
 )
 from .distill import (
-    AlignmentError,
     ClassicalTranscript,
     DistillConfig,
     SiftedBits,
     SiftedKey,
-    align_clocks,
     compute_qber,
     disclose,
     form_blocks,
@@ -68,7 +67,6 @@ from .source import (
     LogicalBit,
     SourceConfig,
     channel_transmittance,
-    detection_probability,
     generate_frames,
 )
 from .timebase import (

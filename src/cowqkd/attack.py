@@ -12,13 +12,14 @@ which is evaluation machinery, not part of the attack.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detectors import Histogram
 from .distill import ClassicalTranscript, SiftedKey
 from .source import ConfigError
+from .timebase import write_csv
 
 
 class CalibrationError(RuntimeError):
@@ -566,20 +567,17 @@ def learning_metrics(inference: EveInference, retained: SiftedKey) -> LearningMe
 # Artifact writers.
 
 def write_inference_csv(inference: EveInference, path, header_lines: list[str] | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["eve_ts_ps", "folded_ps", "inferred_bit", "matched_bob_ts_ps", "correct"])
-        for i in range(len(inference)):
-            c = int(inference.correct[i])
-            w.writerow([
-                int(inference.eve_time_ps[i]),
-                int(inference.folded_ps[i]),
-                int(inference.bit[i]),
-                int(inference.matched_bob_ps[i]),
-                "unknown" if c < 0 else c,
-            ])
+    rows = (
+        (t, f, b, m, "unknown" if c < 0 else c)
+        for t, f, b, m, c in zip(
+            inference.eve_time_ps.tolist(),
+            inference.folded_ps.tolist(),
+            inference.bit.tolist(),
+            inference.matched_bob_ps.tolist(),
+            inference.correct.tolist(),
+        )
+    )
+    write_csv(path, header_lines, ["eve_ts_ps", "folded_ps", "inferred_bit", "matched_bob_ts_ps", "correct"], rows)
 
 
 def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | None = None) -> None:
@@ -589,11 +587,4 @@ def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | Non
         f"zero_boundary_ps={clusters.zero_boundary_ps} one_boundary_ps={clusters.one_boundary_ps}",
         f"zero_mode_ps={clusters.zero_mode_ps} one_mode_ps={clusters.one_mode_ps}",
     ]
-    with open(path, "w", newline="") as fh:
-        for line in (header_lines or []) + meta:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["bin_start_ps", "count", "normalized"])
-        peak = max(1, int(clusters.counts.max()))
-        for i, c in enumerate(clusters.counts.tolist()):
-            w.writerow([i * clusters.fold_bin_width_ps, c, f"{c / peak:.10g}"])
+    Histogram(0, clusters.fold_bin_width_ps, clusters.counts).write_csv(path, (header_lines or []) + meta)

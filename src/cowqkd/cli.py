@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 attack calibration or clock
-alignment failure, 4 the requested key rate clamped to zero (insecure).
+Exit codes: 0 success, 2 configuration error, 3 attack calibration failure,
+4 the requested key rate clamped to zero (insecure).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .attack import CalibrationError
-from .distill import AlignmentError
 from .experiment import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -70,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replicate-paper", help="run the reference tabletop configuration")
     common(p)
-    p.set_defaults(func=cmd_replicate)
+    p.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -126,10 +125,6 @@ def cmd_simulate(args, cfg: ExperimentConfig) -> int:
         print("key rate clamped to zero: leakage exceeds the distillable fraction", file=sys.stderr)
         return EXIT_INSECURE
     return EXIT_OK
-
-
-def cmd_replicate(args, cfg: ExperimentConfig) -> int:
-    return cmd_simulate(args, cfg)
 
 
 def cmd_sweep(args, cfg: ExperimentConfig) -> int:
@@ -198,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CalibrationError, AlignmentError) as exc:
+    except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
 

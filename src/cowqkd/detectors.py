@@ -9,7 +9,6 @@ collects.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -20,9 +19,9 @@ from .timebase import (
     PS_PER_S,
     DelayDistribution,
     DeviceRngs,
-    RngStream,
     poisson_event_times,
     sample_delay,
+    write_csv,
 )
 
 BOB = "bob"
@@ -86,11 +85,6 @@ class SpadConfig:
     @property
     def hold_off_ps(self) -> int:
         return int(round(self.hold_off_s * PS_PER_S))
-
-    @property
-    def dark_probability_per_gate(self) -> float:
-        """Dark-count probability while one gate is open."""
-        return self.dark_count_rate_cps * self.gate_width_ps / PS_PER_S
 
 
 def spad_preset(label: str, **overrides) -> SpadConfig:
@@ -161,14 +155,12 @@ class DetectionLog:
 
 
 def write_detections_csv(logs: list[DetectionLog], path, header_lines: list[str] | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["detector", "timestamp_ps", "cause"])
-        for log in logs:
-            for t, c in zip(log.time_ps.tolist(), log.cause.tolist()):
-                w.writerow([log.detector, t, CAUSE_NAMES[Cause(c)]])
+    rows = (
+        (log.detector, t, CAUSE_NAMES[c])
+        for log in logs
+        for t, c in zip(log.time_ps.tolist(), log.cause.tolist())
+    )
+    write_csv(path, header_lines, ["detector", "timestamp_ps", "cause"], rows)
 
 
 @dataclass
@@ -223,6 +215,43 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     return keep, dead
 
 
+def _dark_times(spad: SpadConfig, rngs: DeviceRngs, start_frame: int, n_gates: int) -> np.ndarray:
+    """Sorted dark-count candidates, thinned directly onto open gates."""
+    lam = spad.dark_count_rate_cps * n_gates * (spad.gate_width_ps / PS_PER_S)
+    n_dark = int(rngs.spad_dark.gen.poisson(lam)) if lam > 0 else 0
+    if not n_dark:
+        return np.empty(0, dtype=np.int64)
+    gate = rngs.spad_dark.gen.integers(0, n_gates, size=n_dark, dtype=np.int64)
+    off = rngs.spad_dark.gen.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
+    return np.sort((start_frame + gate) * spad.gate_period_ps + spad.gate_phase_ps + off)
+
+
+def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> BackflashEvents:
+    """Each accepted avalanche may emit one backflash photon.
+
+    The delay model is truncated at the gate width, which reshapes timing
+    but not the emission probability.
+    """
+    emits = rngs.backflash.gen.random(clicks_ps.size) < spad.backflash_probability
+    av = clicks_ps[emits]
+    if not av.size:
+        return BackflashEvents.empty()
+    eff_delay = spad.backflash_delay.truncated(spad.gate_width_ps)
+    return BackflashEvents(av, av + sample_delay(eff_delay, rngs.backflash, size=av.size))
+
+
+def dark_exposure(spad: SpadConfig, rngs: DeviceRngs, n_gates: int) -> tuple[np.ndarray, BackflashEvents]:
+    """Receiver clicks and backflash over ``n_gates`` gates with no input light.
+
+    Draws exactly what :func:`spad_detect` draws for its dark counts and
+    backflash, without sampling any pulse.
+    """
+    t = _dark_times(spad, rngs, 0, n_gates)
+    keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
+    clicks = t[keep]
+    return clicks, _backflash(clicks, spad, rngs)
+
+
 def spad_detect(
     frames: FrameBatch,
     source: SourceConfig,
@@ -230,21 +259,16 @@ def spad_detect(
     channel: ChannelConfig,
     rngs: DeviceRngs,
     dead_until_ps: int = 0,
-    mean_photon_override: float | None = None,
 ) -> SpadResult:
     """Detect one batch of frames.
 
     ``dead_until_ps`` carries hold-off state across consecutive batches.
-    ``mean_photon_override`` (e.g. 0 for a dark-count-only exposure) replaces
-    the source mean photon number without touching the frame layout.
     """
     g = frames.geometry
     if spad.gate_period_ps != g.frame_period_ps:
         raise ConfigError("gate period must match the frame period")
 
-    mu = source.mean_photon_number if mean_photon_override is None else float(mean_photon_override)
-    if mu < 0:
-        raise ConfigError("mean photon number must be >= 0")
+    mu = source.mean_photon_number
     t_ch = channel_transmittance(channel)
 
     pulses = frames.pulses()
@@ -260,16 +284,8 @@ def spad_detect(
     photon_t = arrival[cand_mask]
     photon_src = pulses["time_ps"][cand_mask]
 
-    # Dark candidates, thinned directly onto open gates.
     n_gates = len(frames)
-    lam = spad.dark_count_rate_cps * n_gates * (spad.gate_width_ps / PS_PER_S)
-    n_dark = int(rngs.spad_dark.gen.poisson(lam)) if lam > 0 else 0
-    if n_dark:
-        gate = rngs.spad_dark.gen.integers(0, n_gates, size=n_dark, dtype=np.int64)
-        off = rngs.spad_dark.gen.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
-        dark_t = (frames.start_frame + gate) * spad.gate_period_ps + spad.gate_phase_ps + off
-    else:
-        dark_t = np.empty(0, dtype=np.int64)
+    dark_t = _dark_times(spad, rngs, frames.start_frame, n_gates)
 
     t = np.concatenate([photon_t, dark_t])
     cause = np.concatenate([
@@ -283,24 +299,12 @@ def spad_detect(
     keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
     clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
 
-    # Each accepted avalanche may emit one backflash photon; the delay model
-    # is quenched at the gate edge, which reshapes timing but not probability.
-    n_clicks = len(clicks)
-    emits = rngs.backflash.gen.random(n_clicks) < spad.backflash_probability
-    av = clicks.time_ps[emits]
-    if av.size:
-        eff_delay = spad.backflash_delay.truncated(min(spad.backflash_delay.support_max_ps, spad.gate_width_ps))
-        delays = sample_delay(eff_delay, rngs.backflash, size=av.size)
-        bf = BackflashEvents(av, av + delays)
-    else:
-        bf = BackflashEvents.empty()
-
     reflected_mu = mu * t_ch * spad.facet_reflectance
     reflection_ps = arrival if spad.facet_reflectance > 0 else np.empty(0, dtype=np.int64)
 
     return SpadResult(
         clicks=clicks,
-        backflash=bf,
+        backflash=_backflash(clicks.time_ps, spad, rngs),
         reflection_ps=reflection_ps,
         reflected_mean_photon=reflected_mu,
         dead_until_ps=dead_after,
@@ -378,14 +382,9 @@ class Histogram:
         return float(np.sqrt(np.sum(self.counts * (self.centers_ps - m) ** 2) / n))
 
     def write_csv(self, path, header_lines: list[str] | None = None) -> None:
-        norm = self.normalized()
-        with open(path, "w", newline="") as fh:
-            for line in header_lines or []:
-                fh.write(f"# {line}\n")
-            w = csv.writer(fh)
-            w.writerow(["bin_start_ps", "count", "normalized"])
-            for b, c, v in zip(self.bin_starts_ps.tolist(), self.counts.tolist(), norm.tolist()):
-                w.writerow([b, c, f"{v:.10g}"])
+        norm = (f"{v:.10g}" for v in self.normalized().tolist())
+        rows = zip(self.bin_starts_ps.tolist(), self.counts.tolist(), norm)
+        write_csv(path, header_lines, ["bin_start_ps", "count", "normalized"], rows)
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, bin_width_ps: int, start_ps: int, stop_ps: int) -> "Histogram":

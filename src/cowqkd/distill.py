@@ -1,4 +1,4 @@
-"""Receiver-side key distillation: sifting, disclosure, and clock alignment.
+"""Receiver-side key distillation: sifting, block formation, and disclosure.
 
 A click is decoded by its position inside the frame: the first bin of a bit
 slot means zero, the second means one.  A fixed-size block of sifted bits is
@@ -9,35 +9,25 @@ channel, and a retained remainder that becomes key material.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detectors import DetectionLog
 from .source import ConfigError, FrameBatch, LogicalBit
-from .timebase import RngStream
-
-
-class AlignmentError(RuntimeError):
-    """No candidate clock shift reached the required match fraction."""
+from .timebase import RngStream, write_csv
 
 
 @dataclass(frozen=True)
 class DistillConfig:
     block_length: int = 20000
     disclosure_size: int = 2000
-    coincidence_window_ps: int = 1000
-    alignment_floor: float = 0.2
 
     def __post_init__(self) -> None:
         if self.block_length <= 0:
             raise ConfigError("block length must be positive")
         if not 0 <= self.disclosure_size < self.block_length:
             raise ConfigError("disclosure size must lie in [0, block length)")
-        if self.coincidence_window_ps <= 0:
-            raise ConfigError("coincidence window must be positive")
-        if not 0.0 < self.alignment_floor <= 1.0:
-            raise ConfigError("alignment floor must lie in (0, 1]")
 
 
 @dataclass
@@ -188,80 +178,16 @@ def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: RngStream) -> tuple
     return out, leftover
 
 
-@dataclass
-class AlignmentResult:
-    offset_ps: int
-    score: int
-    matched_fraction: float
-    ties: list[int] = field(default_factory=list)
-
-
-def _alignment_score(frames: FrameBatch, shifted_ps: np.ndarray, bits: np.ndarray) -> int:
-    """Disclosed samples landing in the pulse bin their bit occupies."""
-    g = frames.geometry
-    frame = shifted_ps // g.frame_period_ps
-    local = shifted_ps - frame * g.frame_period_ps
-    bin_idx = local // g.bin_width_ps
-    ok = (bin_idx < 2 * g.bits_per_frame) & (frame >= frames.start_frame) & (frame < frames.start_frame + len(frames))
-    if not np.any(ok):
-        return 0
-    sub = (bin_idx[ok] % 2).astype(np.int8)
-    slot = bin_idx[ok] // 2
-    alice = frames.bit_at(frame[ok], slot)
-    b = bits[ok]
-    return int(np.sum((sub == b) & (alice == b)))
-
-
-def align_clocks(frames: FrameBatch, transcript: ClassicalTranscript, cfg: DistillConfig) -> AlignmentResult:
-    """Recover the receiver clock offset from disclosed samples.
-
-    Scans candidate shifts over one full frame period each way, first at
-    bin-width granularity and then at 10 ps around the coarse peak.  Among
-    equal scores the smallest-magnitude shift wins and the rest are reported
-    as ties.
-    """
-    ts = transcript.disclosed_time_ps
-    bits = transcript.disclosed_bit
-    if ts.size == 0:
-        raise AlignmentError("no disclosed samples to align on")
-    g = frames.geometry
-    period = g.frame_period_ps
-
-    def best(candidates: np.ndarray) -> tuple[int, int, list[int]]:
-        scores = np.array([_alignment_score(frames, ts + int(s), bits) for s in candidates])
-        top = int(scores.max())
-        tied = [int(s) for s in candidates[scores == top]]
-        tied.sort(key=lambda s: (abs(s), s))
-        return tied[0], top, tied[1:]
-
-    coarse = np.arange(-period, period + 1, g.bin_width_ps, dtype=np.int64)
-    c_best, _, _ = best(coarse)
-    fine = np.arange(c_best - g.bin_width_ps, c_best + g.bin_width_ps + 1, 10, dtype=np.int64)
-    offset, score, ties = best(fine)
-
-    frac = score / ts.size
-    if frac < cfg.alignment_floor:
-        raise AlignmentError(
-            f"best shift {offset} ps matches only {frac:.3f} of disclosed samples "
-            f"(floor {cfg.alignment_floor})"
-        )
-    return AlignmentResult(offset_ps=int(offset), score=score, matched_fraction=frac, ties=ties)
-
-
 # ---------------------------------------------------------------------------
 # Artifact writers and readers.
 
 def write_transcript(transcript: ClassicalTranscript, path, header_lines: list[str] | None = None) -> None:
     """Line records: record_type,timestamp_ps,bit."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["record_type", "timestamp_ps", "bit"])
-        w.writerow(["block-start", transcript.block_id, transcript.block_length])
-        for t, b in zip(transcript.disclosed_time_ps.tolist(), transcript.disclosed_bit.tolist()):
-            w.writerow(["disclosed", t, b])
-        w.writerow(["qber", "", f"{transcript.announced_qber:.10g}"])
+    disclosed = zip(transcript.disclosed_time_ps.tolist(), transcript.disclosed_bit.tolist())
+    rows = [("block-start", transcript.block_id, transcript.block_length)]
+    rows += [("disclosed", t, b) for t, b in disclosed]
+    rows.append(("qber", "", f"{transcript.announced_qber:.10g}"))
+    write_csv(path, header_lines, ["record_type", "timestamp_ps", "bit"], rows)
 
 
 def read_transcript(path) -> ClassicalTranscript:

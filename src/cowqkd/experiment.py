@@ -21,15 +21,14 @@ from . import attack as attack_mod
 from . import distill as distill_mod
 from .attack import AttackConfig, CalibrationResult, EveInference, LearningMetrics
 from .detectors import (
-    BackflashEvents,
     Cause,
     DetectionLog,
     EveArrivals,
     Histogram,
     SnspdConfig,
     SpadConfig,
-    _dead_time_filter,
     correlation_histogram,
+    dark_exposure,
     snspd_detect,
     spad_detect,
     spad_preset,
@@ -48,7 +47,7 @@ from .rates import (
     p_sift_simple,
 )
 from .source import ChannelConfig, ConfigError, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
-from .timebase import PS_PER_S, DelayDistribution, DeviceRngs, check_time_range, sample_delay
+from .timebase import DelayDistribution, DeviceRngs, check_time_range, write_csv
 
 CHUNK_FRAMES = 1_000_000  # fixed so chunking never affects drawn sequences
 
@@ -524,22 +523,11 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
 
 
 def write_rates_csv(report: RateReport, path, header_lines: list[str] | None = None) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["name", "analytic", "empirical", "lo", "hi", "ok"])
-        for r in report.rows:
-            w.writerow([
-                r.name,
-                f"{r.analytic:.10g}",
-                "" if r.empirical is None else f"{r.empirical:.10g}",
-                "" if r.lo is None else f"{r.lo:.10g}",
-                "" if r.hi is None else f"{r.hi:.10g}",
-                int(r.ok),
-            ])
+    rows = (
+        (r.name, _csv_cell(r.analytic), _csv_cell(r.empirical), _csv_cell(r.lo), _csv_cell(r.hi), int(r.ok))
+        for r in report.rows
+    )
+    write_csv(path, header_lines, ["name", "analytic", "empirical", "lo", "hi", "ok"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +591,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
 
 
 def write_sweep_csv(rows: list[dict], path, header_lines: list[str] | None = None) -> None:
-    import csv
-
     cols = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in rows:
-            w.writerow([_csv_cell(row.get(c)) for c in cols])
+    write_csv(path, header_lines, cols, ([_csv_cell(row.get(c)) for c in cols] for row in rows))
 
 
 def _csv_cell(v) -> str:
@@ -651,24 +631,12 @@ def emit_timing_correlation(
         spad = replace(cfg.spad, gate_width_ps=int(w), hold_off_s=1e-6)
         rngs = DeviceRngs(cfg.seed, trial=int(w))
 
-        p_dark_gate = spad.dark_count_rate_cps * spad.gate_width_ps / PS_PER_S
+        p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
         n_gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
         span_ps = check_time_range(n_gates * spad.gate_period_ps)
 
-        lam = spad.dark_count_rate_cps * n_gates * (spad.gate_width_ps / PS_PER_S)
-        n_dark = int(rngs.spad_dark.gen.poisson(lam))
-        gate = rngs.spad_dark.gen.integers(0, n_gates, size=n_dark, dtype=np.int64)
-        off = rngs.spad_dark.gen.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
-        t = np.sort(gate * spad.gate_period_ps + spad.gate_phase_ps + off)
-
-        keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
-        clicks = t[keep]
-
-        emits = rngs.backflash.gen.random(clicks.size) < spad.backflash_probability
-        av = clicks[emits]
-        eff_delay = spad.backflash_delay.truncated(min(spad.backflash_delay.support_max_ps, spad.gate_width_ps))
-        delays = sample_delay(eff_delay, rngs.backflash, size=av.size) if av.size else np.empty(0, dtype=np.int64)
-        arrivals = EveArrivals(BackflashEvents(av, av + delays), np.empty(0, dtype=np.int64), 0.0)
+        clicks, backflash = dark_exposure(spad, rngs, n_gates)
+        arrivals = EveArrivals(backflash, np.empty(0, dtype=np.int64), 0.0)
         eve = snspd_detect(arrivals, cfg.snspd, (0, span_ps), rngs)
 
         hist = correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps)

@@ -9,13 +9,12 @@ occupies both.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .timebase import RngStream, check_time_range
+from .timebase import RngStream, check_time_range, write_csv
 
 PATTERN_ALTERNATING = "alternating"
 PATTERN_RANDOM = "random"
@@ -57,10 +56,6 @@ class FrameGeometry:
     @property
     def frame_rate_hz(self) -> float:
         return 1e12 / self.frame_period_ps
-
-    def slot_bin_ps(self, slot: int, sub_bin: int) -> int:
-        """Frame-local start of a slot's first (0) or second (1) bin."""
-        return (2 * slot + sub_bin) * self.bin_width_ps
 
 
 @dataclass(frozen=True)
@@ -119,24 +114,8 @@ def channel_transmittance(channel: ChannelConfig) -> float:
     return 10.0 ** (-total_db / 10.0)
 
 
-def detection_probability(mean_photon_number: float, efficiency: float) -> float:
-    """Click probability for a coherent pulse on a threshold detector."""
-    if mean_photon_number < 0 or efficiency < 0:
-        raise ConfigError("mean photon number and efficiency must be >= 0")
-    return 1.0 - float(np.exp(-mean_photon_number * efficiency))
-
-
-@dataclass(frozen=True)
-class PulseFrame:
-    """One frame: global start time, slot bits, occupied frame-local bins."""
-
-    start_ps: int
-    bits: tuple[int, ...]
-    pulse_bins_ps: tuple[int, ...]
-
-
 class FrameBatch:
-    """Columnar batch of frames; indexable as a sequence of PulseFrame."""
+    """Columnar batch of frames: one row of slot bits per frame."""
 
     def __init__(self, geometry: FrameGeometry, bits: np.ndarray, start_frame: int = 0):
         bits = np.asarray(bits, dtype=np.int8)
@@ -157,22 +136,6 @@ class FrameBatch:
     @property
     def end_ps(self) -> int:
         return (self.start_frame + len(self)) * self.geometry.frame_period_ps
-
-    def __getitem__(self, i: int) -> PulseFrame:
-        g = self.geometry
-        row = self.bits[i]
-        bins = []
-        for slot, b in enumerate(row):
-            if b == LogicalBit.DECOY:
-                bins.append(g.slot_bin_ps(slot, 0))
-                bins.append(g.slot_bin_ps(slot, 1))
-            else:
-                bins.append(g.slot_bin_ps(slot, int(b)))
-        return PulseFrame(
-            start_ps=(self.start_frame + i) * g.frame_period_ps,
-            bits=tuple(int(b) for b in row),
-            pulse_bins_ps=tuple(bins),
-        )
 
     def pulses(self) -> dict[str, np.ndarray]:
         """Flatten to one record per emitted pulse.
@@ -206,10 +169,6 @@ class FrameBatch:
             "bit": bit[order],
         }
 
-    def is_decoy(self, frame: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        local = np.asarray(frame, dtype=np.int64) - self.start_frame
-        return self.bits[local, np.asarray(slot, dtype=np.int64)] == LogicalBit.DECOY
-
     def bit_at(self, frame: np.ndarray, slot: np.ndarray) -> np.ndarray:
         local = np.asarray(frame, dtype=np.int64) - self.start_frame
         return self.bits[local, np.asarray(slot, dtype=np.int64)]
@@ -234,15 +193,15 @@ def generate_frames(cfg: SourceConfig, count: int, rng: RngStream, start_frame: 
 
 def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = None) -> None:
     """Frame log: one row per frame with its occupied frame-local bins."""
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        w = csv.writer(fh)
-        w.writerow(["frame_start_ps", "bits", "pulse_bins_ps"])
-        for i in range(len(batch)):
-            f = batch[i]
-            w.writerow([
-                f.start_ps,
-                "".join(str(b) for b in f.bits),
-                ";".join(str(p) for p in f.pulse_bins_ps),
-            ])
+    g = batch.geometry
+    occupied = {LogicalBit.ZERO: (0,), LogicalBit.ONE: (1,), LogicalBit.DECOY: (0, 1)}
+
+    def bins(row: list[int]) -> str:
+        return ";".join(str((2 * slot + sub) * g.bin_width_ps) for slot, b in enumerate(row) for sub in occupied[b])
+
+    starts = (batch.start_frame + np.arange(len(batch), dtype=np.int64)) * g.frame_period_ps
+    rows = (
+        (start, "".join(map(str, row)), bins(row))
+        for start, row in zip(starts.tolist(), batch.bits.tolist())
+    )
+    write_csv(path, header_lines, ["frame_start_ps", "bits", "pulse_bins_ps"], rows)

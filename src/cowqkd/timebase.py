@@ -1,4 +1,5 @@
-"""Integer-picosecond time base, per-device RNG streams, and delay models.
+"""Integer-picosecond time base, per-device RNG streams, delay models, and
+the CSV writer shared by every artifact.
 
 Every timestamp in the simulator is an integer count of picoseconds carried
 in int64 arrays.  Run extents are validated up front so that int64 arithmetic
@@ -7,6 +8,7 @@ stays far away from the wrap point; see :func:`check_time_range`.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -226,3 +228,13 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple[int, int], rng: RngS
     times = t0 + rng.gen.integers(0, t1 - t0, size=n, dtype=np.int64)
     times.sort()
     return times
+
+
+def write_csv(path, header_lines: list[str] | None, columns: list[str], rows) -> None:
+    """Artifact CSV: one ``# line`` comment per header line, then the rows."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines or []:
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(rows)

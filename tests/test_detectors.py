@@ -12,6 +12,7 @@ from cowqkd.detectors import (
     SpadConfig,
     _dead_time_filter,
     correlation_histogram,
+    dark_exposure,
     snspd_detect,
     spad_detect,
     spad_preset,
@@ -20,13 +21,13 @@ from cowqkd.source import ChannelConfig, ConfigError, SourceConfig, generate_fra
 from cowqkd.timebase import DeviceRngs
 
 
-def run_spad(n_frames=20_000, seed=0, source=None, spad=None, channel=None, mu_override=None):
+def run_spad(n_frames=20_000, seed=0, source=None, spad=None, channel=None, trial=0):
     source = source or SourceConfig(mean_photon_number=0.2)
     spad = spad or SpadConfig()
     channel = channel or ChannelConfig()
-    rngs = DeviceRngs(seed)
+    rngs = DeviceRngs(seed, trial=trial)
     batch = generate_frames(source, n_frames, rngs.bits)
-    res = spad_detect(batch, source, spad, channel, rngs, mean_photon_override=mu_override)
+    res = spad_detect(batch, source, spad, channel, rngs)
     return batch, res
 
 
@@ -86,13 +87,28 @@ def test_click_probability_matches_thinning():
     assert abs(n - 100_000 * p) < 3 * sigma
 
 def test_dark_rate_recovered():
-    spad = SpadConfig(hold_off_s=0.0, dark_count_rate_cps=100_000.0,
+    spad = SpadConfig(detection_efficiency=0.0, hold_off_s=0.0, dark_count_rate_cps=100_000.0,
                       backflash_probability=0.0, facet_reflectance=0.0)
-    _, res = run_spad(n_frames=50_000, spad=spad, mu_override=0.0, seed=3)
+    _, res = run_spad(n_frames=50_000, spad=spad, seed=3)
     lam = 100_000.0 * 50_000 * 4000 * 1e-12
     n = len(res.clicks)
     assert res.clicks.cause.tolist().count(int(Cause.PHOTON)) == 0
     assert abs(n - lam) < 3 * math.sqrt(lam)
+
+@pytest.mark.parametrize("seed,trial", [(3, 0), (8, 4000)])
+def test_dark_exposure_matches_spad_detect(seed, trial):
+    # One emitter: a dark-only exposure draws exactly what spad_detect draws
+    # for its dark counts, hold-off and backflash under the same RNG key.
+    spad = SpadConfig(detection_efficiency=0.0, dark_count_rate_cps=2e6, hold_off_s=1e-6,
+                      backflash_probability=0.5)
+    n = 20_000
+    _, res = run_spad(n_frames=n, spad=spad, seed=seed, trial=trial)
+    clicks, backflash = dark_exposure(spad, DeviceRngs(seed, trial=trial), n)
+    assert len(res.clicks) > 100 and len(backflash) > 50
+    assert np.all(res.clicks.cause == Cause.DARK)
+    assert clicks.tolist() == res.clicks.time_ps.tolist()
+    assert backflash.avalanche_ps.tolist() == res.backflash.avalanche_ps.tolist()
+    assert backflash.emission_ps.tolist() == res.backflash.emission_ps.tolist()
 
 def test_hold_off_enforced_across_chunks():
     spad = SpadConfig(hold_off_s=10e-6)

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from cowqkd.distill import (
-    AlignmentError,
     ClassicalTranscript,
     DistillConfig,
     SiftedBits,
-    align_clocks,
     compute_qber,
     disclose,
     form_blocks,
@@ -108,10 +106,6 @@ def test_config_validation():
         DistillConfig(block_length=0)
     with pytest.raises(ConfigError):
         DistillConfig(block_length=10, disclosure_size=10)
-    with pytest.raises(ConfigError):
-        DistillConfig(coincidence_window_ps=0)
-    with pytest.raises(ConfigError):
-        DistillConfig(alignment_floor=0.0)
 
 def test_form_blocks_and_leftover():
     cfg = DistillConfig(block_length=10, disclosure_size=2)
@@ -124,15 +118,10 @@ def test_form_blocks_and_leftover():
     assert blocks[1][1].time_ps.min() >= blocks[0][1].time_ps.max()
 
 
-# --- clock alignment -------------------------------------------------------
+# --- artifacts -------------------------------------------------------------
 
-def disclosed_from_truth(n_frames, delta_ps, seed=7):
-    """Perfect disclosed samples shifted by delta_ps.
-
-    A random pattern breaks the whole-frame degeneracy of the alternating
-    one, and sub-bin positions spanning [2, 997] pin the winning plateau to
-    a single 10 ps grid point.
-    """
+def disclosed_transcript(n_frames, seed=7):
+    """Disclosed samples inside the pulse bins of a random pattern."""
     frames = generate_frames(SourceConfig(pattern="random"), n_frames, DeviceRngs(seed).bits)
     pos = [2, 500, 997]
     t, bits = [], []
@@ -141,62 +130,17 @@ def disclosed_from_truth(n_frames, delta_ps, seed=7):
             b = int(frames.bits[f, k])
             t.append(32000 * f + 2000 * k + 1000 * b + pos[(2 * f + k) % 3])
             bits.append(b)
-    return frames, ClassicalTranscript(
+    return ClassicalTranscript(
         block_id=0,
         block_length=2 * n_frames,
-        disclosed_time_ps=np.array(t, dtype=np.int64) + delta_ps,
-        disclosed_bit=np.array(bits, dtype=np.int8),
-        announced_qber=0.0,
-    )
-
-@pytest.mark.parametrize("delta", [0, 40, -1250, 17730, -31990])
-def test_alignment_recovers_injected_shift(delta):
-    frames, transcript = disclosed_from_truth(100, delta)
-    res = align_clocks(frames, transcript, DistillConfig())
-    assert res.offset_ps == -delta
-    assert res.matched_fraction == 1.0
-
-def test_alignment_tolerates_periodic_pattern_plateau():
-    # alternating content with one fixed sub-bin position: every shift inside
-    # the bin fits equally well, so the smallest one wins and ties are listed
-    frames = alternating_frames(50)
-    t, bits = [], []
-    for f in range(50):
-        t += [32000 * f + 500, 32000 * f + 3500]
-        bits += [0, 1]
-    transcript = ClassicalTranscript(
-        block_id=0, block_length=100,
         disclosed_time_ps=np.array(t, dtype=np.int64),
         disclosed_bit=np.array(bits, dtype=np.int8),
         announced_qber=0.0,
     )
-    res = align_clocks(frames, transcript, DistillConfig())
-    assert res.offset_ps == 0
-    assert res.ties
 
-def test_alignment_floor_failure():
-    frames = alternating_frames(10)
-    transcript = ClassicalTranscript(
-        block_id=0, block_length=4,
-        disclosed_time_ps=np.full(4, 500, dtype=np.int64),
-        disclosed_bit=np.array([0, 1, 0, 1], dtype=np.int8),
-        announced_qber=0.0,
-    )
-    with pytest.raises(AlignmentError):
-        align_clocks(frames, transcript, DistillConfig(alignment_floor=0.9))
-
-def test_alignment_requires_samples():
-    frames = alternating_frames(2)
-    transcript = ClassicalTranscript(0, 0, np.empty(0, dtype=np.int64),
-                                     np.empty(0, dtype=np.int8), 0.0)
-    with pytest.raises(AlignmentError):
-        align_clocks(frames, transcript, DistillConfig())
-
-
-# --- artifacts -------------------------------------------------------------
 
 def test_transcript_roundtrip(tmp_path):
-    _, transcript = disclosed_from_truth(5, 0)
+    transcript = disclosed_transcript(5)
     transcript.announced_qber = 0.125
     path = tmp_path / "t.csv"
     write_transcript(transcript, path, ["config_hash=abc"])
