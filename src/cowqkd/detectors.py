@@ -9,6 +9,7 @@ collects.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -202,16 +203,47 @@ class SpadResult:
 
 
 def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -> tuple[np.ndarray, int]:
-    """Non-paralyzable dead time: suppressed candidates do not extend it."""
-    keep = np.zeros(times.size, dtype=bool)
+    """Non-paralyzable dead time: suppressed candidates do not extend it.
+
+    ``times`` must be sorted.  A candidate at or after ``dead_until_ps`` that
+    follows the previous candidate by at least the hold-off is always kept,
+    so those are accepted in bulk.  Only runs of closer candidates are
+    walked, by a binary search from each kept click to the first candidate
+    one hold-off later.
+    """
     dead = int(dead_until_ps)
     if hold_off_ps <= 0:
-        return ~keep, dead
-    tl = times.tolist()
-    for i, t in enumerate(tl):
-        if t >= dead:
-            keep[i] = True
-            dead = t + hold_off_ps
+        return np.ones(times.size, dtype=bool), dead
+    if not times.size:
+        return np.zeros(0, dtype=bool), dead
+    keep = np.empty(times.size, dtype=bool)
+    keep[0] = True
+    np.greater_equal(np.diff(times), hold_off_ps, out=keep[1:])
+    keep &= times >= dead
+
+    close = np.flatnonzero(~keep)
+    if close.size:
+        split = np.flatnonzero(np.diff(close) > 1) + 1
+        first = np.r_[0, split]
+        starts = close[first]
+        # A run is entered from the kept candidate just before it, or from
+        # dead_until_ps when it opens the batch.
+        entry_ps = times[np.maximum(starts - 1, 0)] + hold_off_ps
+        entry_ps[starts == 0] = dead
+        entry = np.searchsorted(times, entry_ps)
+        # Walk in positions of ``close``; run k holds positions [lo, hi).
+        close_ps = memoryview(times[close])
+        kept = []
+        for s, j, lo, hi in zip(starts.tolist(), entry.tolist(), first.tolist(), np.r_[split, close.size].tolist()):
+            j += lo - s
+            while j < hi:
+                kept.append(j)
+                j = bisect_left(close_ps, close_ps[j] + hold_off_ps, j, hi)
+        keep[close[kept]] = True
+
+    last = times.size - 1 - int(np.argmax(keep[::-1]))
+    if keep[last]:
+        dead = int(times[last]) + hold_off_ps
     return keep, dead
 
 
@@ -271,18 +303,17 @@ def spad_detect(
     mu = source.mean_photon_number
     t_ch = channel_transmittance(channel)
 
-    pulses = frames.pulses()
-    n_pulses = pulses["time_ps"].size
-    arrival = pulses["time_ps"] + rngs.arrival.gen.integers(
+    pulse_ps = frames.pulses()["time_ps"]
+    n_pulses = pulse_ps.size
+    arrival = pulse_ps + rngs.arrival.gen.integers(
         0, source.occupied_width_ps, size=n_pulses, dtype=np.int64
     )
 
     p_click = 1.0 - np.exp(-mu * t_ch * spad.detection_efficiency)
-    clicked = rngs.spad.gen.random(n_pulses) < p_click
-    in_gate = ((arrival - spad.gate_phase_ps) % spad.gate_period_ps) < spad.gate_width_ps
-    cand_mask = clicked & in_gate
-    photon_t = arrival[cand_mask]
-    photon_src = pulses["time_ps"][cand_mask]
+    clicked = np.flatnonzero(rngs.spad.gen.random(n_pulses) < p_click)
+    in_gate = clicked[((arrival[clicked] - spad.gate_phase_ps) % spad.gate_period_ps) < spad.gate_width_ps]
+    photon_t = arrival[in_gate]
+    photon_src = pulse_ps[in_gate]
 
     n_gates = len(frames)
     dark_t = _dark_times(spad, rngs, frames.start_frame, n_gates)

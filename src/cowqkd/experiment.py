@@ -183,6 +183,16 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
         sec_kwargs = {}
         for name, raw in vals.items():
             sec_kwargs[name] = _parse_field(type(obj), name, raw)
+        if sec == "spad" and "excess_bias_label" in sec_kwargs:
+            # The label selects a tabulated bias point; an efficiency or dark
+            # rate named in the same override set wins over the table.
+            point = spad_preset(str(sec_kwargs["excess_bias_label"]))
+            sec_kwargs = {
+                "detection_efficiency": point.detection_efficiency,
+                "dark_count_rate_cps": point.dark_count_rate_cps,
+                **sec_kwargs,
+                "excess_bias_label": point.excess_bias_label,
+            }
         kwargs[sec] = replace(obj, **sec_kwargs)
     for dotted, subs in delay_parts.items():
         sec, name = dotted.split(".")
@@ -620,8 +630,8 @@ def emit_timing_correlation(
 
     The source is blocked: every avalanche is dark-triggered, so the
     histogram profiles the backflash delay alone.  The delay support is
-    capped by the gate width (the avalanche is quenched when the gate
-    closes), which is what makes the spread grow with width until the
+    capped at one gate width after the avalanche (not at the time left in
+    the gate), which is what makes the spread grow with width until the
     intrinsic bound takes over.
     """
     if clicks_per_width < 1:

@@ -10,10 +10,9 @@ different convention can be swapped in one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, log2
+from math import ceil, exp, floor, log, log1p, log2, sqrt
 
 import numpy as np
-from scipy import stats
 
 
 def p_sift_simple(mu: float, eta: float, p_dark: float) -> float:
@@ -253,10 +252,32 @@ def count_interval(n: int, p: float) -> tuple[int, int]:
     """
     if n <= 0 or p <= 0:
         return 0, 0
-    p = min(p, 1.0)
-    lo = int(stats.binom.ppf(0.00135, n, p))
-    hi = int(stats.binom.ppf(0.99865, n, p))
-    return lo, hi
+    return _binom_quantile(0.00135, n, p), _binom_quantile(0.99865, n, p)
+
+
+def _binom_quantile(q: float, n: int, p: float) -> int:
+    """Smallest k with P(X <= k) >= q for X ~ Binomial(n, p), 0 < q < 1.
+
+    The pmf is built by its ratio recurrence over mean +/- 14 sigma (plus a
+    few counts for tiny means), which holds all but about 1e-40 of the
+    mass, and normalised over that window; lgamma at n ~ 1e7 would carry a
+    1e-7 relative error into the cdf.
+
+    >>> _binom_quantile(0.5, 10, 0.5), _binom_quantile(0.99865, 1, 1e-7), _binom_quantile(0.1, 7, 1.0)
+    (5, 0, 7)
+    """
+    if p >= 1.0:
+        return n
+    mean = n * p
+    sd = sqrt(mean * (1.0 - p))
+    lo = max(0, floor(mean - 14.0 * sd))
+    hi = min(n, ceil(mean + 14.0 * sd) + 20)
+    k = np.arange(lo + 1, hi + 1, dtype=float)
+    # log pmf(k) - log pmf(k - 1)
+    step = np.log((n - k + 1.0) / k) + (log(p) - log1p(-p))
+    log_pmf = np.concatenate([[0.0], np.cumsum(step)])
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    return lo + int(np.searchsorted(cdf, q * cdf[-1]))
 
 
 def compare(mc: McCounts, inputs: RateInputs) -> RateReport:

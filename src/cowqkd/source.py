@@ -138,36 +138,26 @@ class FrameBatch:
         return (self.start_frame + len(self)) * self.geometry.frame_period_ps
 
     def pulses(self) -> dict[str, np.ndarray]:
-        """Flatten to one record per emitted pulse.
+        """Global occupied-bin start ``time_ps`` of every emitted pulse, sorted.
 
-        Returns arrays ``time_ps`` (global occupied-bin start), ``frame``
-        (global frame index), ``slot`` and ``bit`` (slot's logical value;
-        decoy slots contribute two pulses tagged DECOY).
+        Pulses come frame by frame, slot by slot, in sub-bin order; a decoy
+        slot emits in sub-bin 0 and then in sub-bin 1.
         """
         g = self.geometry
         n, k = self.bits.shape
-        frame_idx = np.repeat(np.arange(n, dtype=np.int64), k)
-        slot_idx = np.tile(np.arange(k, dtype=np.int64), n)
-        flat = self.bits.reshape(-1)
-        is_decoy = flat == LogicalBit.DECOY
-        sub = np.where(is_decoy, 0, flat).astype(np.int64)
-
-        frame_idx = np.concatenate([frame_idx, frame_idx[is_decoy]])
-        slot_idx = np.concatenate([slot_idx, slot_idx[is_decoy]])
-        bit = np.concatenate([flat, flat[is_decoy]]).astype(np.int8)
-        sub = np.concatenate([sub, np.ones(int(is_decoy.sum()), dtype=np.int64)])
-
-        time_ps = (
-            (self.start_frame + frame_idx) * g.frame_period_ps
-            + (2 * slot_idx + sub) * g.bin_width_ps
-        )
-        order = np.argsort(time_ps, kind="stable")
-        return {
-            "time_ps": time_ps[order],
-            "frame": self.start_frame + frame_idx[order],
-            "slot": slot_idx[order],
-            "bit": bit[order],
-        }
+        # ZERO and DECOY open in sub-bin 0, ONE in sub-bin 1.
+        slot_ps = np.bitwise_and(self.bits, 1, dtype=np.int64)
+        slot_ps *= g.bin_width_ps
+        slot_ps += np.arange(k, dtype=np.int64) * (2 * g.bin_width_ps)
+        slot_ps += np.arange(self.start_frame, self.start_frame + n, dtype=np.int64)[:, None] * g.frame_period_ps
+        slot_ps = slot_ps.reshape(-1)
+        is_decoy = self.bits.reshape(-1) == LogicalBit.DECOY
+        if not is_decoy.any():
+            return {"time_ps": slot_ps}
+        per_slot = 1 + is_decoy
+        time_ps = np.repeat(slot_ps, per_slot)
+        time_ps[np.cumsum(per_slot)[is_decoy] - 1] += g.bin_width_ps
+        return {"time_ps": time_ps}
 
     def bit_at(self, frame: np.ndarray, slot: np.ndarray) -> np.ndarray:
         local = np.asarray(frame, dtype=np.int64) - self.start_frame

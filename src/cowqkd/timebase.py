@@ -163,8 +163,10 @@ class DelayDistribution:
     def truncated(self, support_max_ps: int) -> "DelayDistribution":
         """Distribution conditioned on delay <= support_max_ps.
 
-        Used to model the avalanche being quenched when the gate closes:
-        timing is reshaped, emission probability is unchanged.
+        The receiver caps the backflash delay at one gate width counted from
+        the avalanche, not at the time left in the gate, so a click late in
+        the gate can emit after the gate has closed.  Timing is reshaped;
+        the emission probability is unchanged.
         """
         cap = int(min(self.support_max_ps, support_max_ps))
         if cap >= self.support_max_ps:

@@ -1,0 +1,94 @@
+"""Reference implementations that the fast paths in ``cowqkd`` must match.
+
+They are the straightforward per-candidate and per-pulse versions: a
+sequential hold-off loop, a pulse list built by sorting, and a
+``spad_detect`` that tests gate membership on every pulse.  Each draws from
+the same RNG streams in the same order and size as the library, so under
+one RNG key the outputs must agree exactly.
+"""
+
+import numpy as np
+
+from cowqkd.detectors import (
+    BOB,
+    Cause,
+    DetectionLog,
+    SpadResult,
+    _backflash,
+    _dark_times,
+)
+from cowqkd.source import ConfigError, LogicalBit, channel_transmittance
+
+
+def sequential_dead_time(times, hold_off_ps, dead_until_ps):
+    """Visit every candidate; a kept one restarts the hold-off."""
+    keep = np.zeros(len(times), dtype=bool)
+    dead = int(dead_until_ps)
+    if hold_off_ps <= 0:
+        return ~keep, dead
+    for i, t in enumerate(np.asarray(times).tolist()):
+        if t >= dead:
+            keep[i] = True
+            dead = t + hold_off_ps
+    return keep, dead
+
+
+def sorted_pulse_times(batch):
+    """Occupied-bin start of every pulse, built per slot and then sorted."""
+    g = batch.geometry
+    n, k = batch.bits.shape
+    frame_idx = np.repeat(np.arange(n, dtype=np.int64), k)
+    slot_idx = np.tile(np.arange(k, dtype=np.int64), n)
+    flat = batch.bits.reshape(-1)
+    is_decoy = flat == LogicalBit.DECOY
+    sub = np.where(is_decoy, 0, flat).astype(np.int64)
+
+    frame_idx = np.concatenate([frame_idx, frame_idx[is_decoy]])
+    slot_idx = np.concatenate([slot_idx, slot_idx[is_decoy]])
+    sub = np.concatenate([sub, np.ones(int(is_decoy.sum()), dtype=np.int64)])
+    time_ps = (batch.start_frame + frame_idx) * g.frame_period_ps + (2 * slot_idx + sub) * g.bin_width_ps
+    return time_ps[np.argsort(time_ps, kind="stable")]
+
+
+def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
+    """Gate test on every pulse, one lexsort, then the sequential hold-off."""
+    g = frames.geometry
+    if spad.gate_period_ps != g.frame_period_ps:
+        raise ConfigError("gate period must match the frame period")
+    mu = source.mean_photon_number
+    t_ch = channel_transmittance(channel)
+
+    pulse_t = sorted_pulse_times(frames)
+    n_pulses = pulse_t.size
+    arrival = pulse_t + rngs.arrival.gen.integers(0, source.occupied_width_ps, size=n_pulses, dtype=np.int64)
+
+    p_click = 1.0 - np.exp(-mu * t_ch * spad.detection_efficiency)
+    clicked = rngs.spad.gen.random(n_pulses) < p_click
+    in_gate = ((arrival - spad.gate_phase_ps) % spad.gate_period_ps) < spad.gate_width_ps
+    cand = clicked & in_gate
+    photon_t = arrival[cand]
+    photon_src = pulse_t[cand]
+
+    n_gates = len(frames)
+    dark_t = _dark_times(spad, rngs, frames.start_frame, n_gates)
+
+    t = np.concatenate([photon_t, dark_t])
+    cause = np.concatenate([
+        np.full(photon_t.size, Cause.PHOTON, dtype=np.int8),
+        np.full(dark_t.size, Cause.DARK, dtype=np.int8),
+    ])
+    src = np.concatenate([photon_src, np.full(dark_t.size, -1, dtype=np.int64)])
+    order = np.lexsort((cause, t))
+    t, cause, src = t[order], cause[order], src[order]
+
+    keep, dead_after = sequential_dead_time(t, spad.hold_off_ps, dead_until_ps)
+    clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
+    reflection_ps = arrival if spad.facet_reflectance > 0 else np.empty(0, dtype=np.int64)
+    return SpadResult(
+        clicks=clicks,
+        backflash=_backflash(clicks.time_ps, spad, rngs),
+        reflection_ps=reflection_ps,
+        reflected_mean_photon=mu * t_ch * spad.facet_reflectance,
+        dead_until_ps=dead_after,
+        n_gates=n_gates,
+    )

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cowqkd
 
 from cowqkd.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_INSECURE, EXIT_OK, main
 
@@ -98,3 +104,10 @@ def test_config_file_loading(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "40000 frames" in out
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(cowqkd.__file__).resolve().parents[1])
+    probe = "import sys, cowqkd.cli; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert done.returncode == 0, done.stderr

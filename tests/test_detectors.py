@@ -17,8 +17,9 @@ from cowqkd.detectors import (
     spad_detect,
     spad_preset,
 )
-from cowqkd.source import ChannelConfig, ConfigError, SourceConfig, generate_frames
+from cowqkd.source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, generate_frames
 from cowqkd.timebase import DeviceRngs
+from oracles import dense_spad_detect, sequential_dead_time
 
 
 def run_spad(n_frames=20_000, seed=0, source=None, spad=None, channel=None, trial=0):
@@ -51,20 +52,45 @@ def test_dead_time_zero_keeps_all():
     keep, _ = _dead_time_filter(t, 0, 0)
     assert keep.sum() == 3
 
-@given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=0, max_size=60),
-       st.integers(min_value=1, max_value=3000))
-def test_dead_time_filter_matches_sequential_oracle(times, hold):
-    t = np.sort(np.array(times, dtype=np.int64))
-    keep, dead_until = _dead_time_filter(t, hold, 0)
-    kept = t[keep].tolist()
-    # independent sequential re-implementation
-    expect, dead = [], 0
-    for x in t.tolist():
-        if x >= dead:
-            expect.append(x)
-            dead = x + hold
-    assert kept == expect
-    assert dead_until == dead
+@st.composite
+def candidate_times(draw):
+    """Sorted candidates: spread out, duplicated, or packed into clusters."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    kind = draw(st.sampled_from(["spread", "duplicates", "clusters"]))
+    if kind == "spread":
+        values = draw(st.lists(st.integers(0, 10_000), min_size=n, max_size=n))
+    elif kind == "duplicates":
+        pool = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=8))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        centres = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=5))
+        values = [draw(st.sampled_from(centres)) + draw(st.integers(0, 40)) for _ in range(n)]
+    return np.sort(np.array(values, dtype=np.int64))
+
+
+@given(candidate_times(), st.integers(min_value=1, max_value=3000), st.integers(min_value=-500, max_value=12_000))
+def test_dead_time_filter_matches_sequential_oracle(t, hold, dead_until):
+    keep, dead_after = _dead_time_filter(t, hold, dead_until)
+    expect_keep, expect_dead = sequential_dead_time(t, hold, dead_until)
+    assert keep.tolist() == expect_keep.tolist()
+    assert dead_after == expect_dead
+
+def test_dead_time_filter_large_mixed_runs():
+    # 1e5 candidates: isolated clicks far apart interleaved with dense
+    # bursts, duplicates included, entered with a live hold-off.
+    rng = np.random.default_rng(21)
+    isolated = rng.integers(0, 10**10, size=50_000)
+    centres = rng.integers(0, 10**10, size=2_000)
+    burst = np.repeat(centres, 25) + rng.integers(0, 30_000, size=50_000)
+    t = np.sort(np.concatenate([isolated, burst])).astype(np.int64)
+    t[1::97] = t[0:-1:97]  # exact ties
+    assert t.size == 100_000
+    dead_until = int(t[10]) + 1
+    keep, dead_after = _dead_time_filter(t, 10_000, dead_until)
+    expect_keep, expect_dead = sequential_dead_time(t, 10_000, dead_until)
+    assert 0 < keep.sum() < t.size
+    assert np.array_equal(keep, expect_keep)
+    assert dead_after == expect_dead
 
 
 # --- gate membership and click statistics ---------------------------------
@@ -110,6 +136,55 @@ def test_dark_exposure_matches_spad_detect(seed, trial):
     assert backflash.avalanche_ps.tolist() == res.backflash.avalanche_ps.tolist()
     assert backflash.emission_ps.tolist() == res.backflash.emission_ps.tolist()
 
+DENSE_CASES = {
+    "alternating": dict(source=SourceConfig(mean_photon_number=0.3)),
+    "paper-hold-off": dict(source=SourceConfig(mean_photon_number=0.3), spad=SpadConfig()),
+    "random-decoy-0.3": dict(source=SourceConfig(mean_photon_number=0.3, pattern="random", decoy_probability=0.3)),
+    "all-decoy": dict(source=SourceConfig(mean_photon_number=0.3, pattern="random", decoy_probability=1.0)),
+    "one-slot": dict(source=SourceConfig(mean_photon_number=0.5, bits_per_frame=1, pattern="random",
+                                         decoy_probability=0.3)),
+    "three-slots-rz": dict(source=SourceConfig(mean_photon_number=0.3, bits_per_frame=3, encoding="rz",
+                                               pattern="random", decoy_probability=0.3)),
+    # the gate opens mid-pulse and closes before the last slot
+    "gate-cuts-pulses": dict(source=SourceConfig(mean_photon_number=0.4, pattern="random", decoy_probability=0.3),
+                             spad=SpadConfig(gate_phase_ps=700, gate_width_ps=2500, hold_off_s=1e-6,
+                                             dark_count_rate_cps=5e5)),
+    # 10 ps bins put many arrivals exactly on the gate edges
+    "gate-edge-ties": dict(source=SourceConfig(mean_photon_number=0.3, bin_width_ps=10, pattern="random",
+                                               decoy_probability=0.3),
+                           spad=SpadConfig(gate_phase_ps=3, gate_width_ps=25, hold_off_s=1e-7)),
+    "no-hold-off": dict(source=SourceConfig(mean_photon_number=0.3, pattern="random", decoy_probability=0.3),
+                        spad=SpadConfig(hold_off_s=0.0, dark_count_rate_cps=5e5)),
+    "short-hold-off-lossy": dict(source=SourceConfig(mean_photon_number=0.3, pattern="random"),
+                                 spad=SpadConfig(hold_off_s=2e-7, dark_count_rate_cps=2e6),
+                                 channel=ChannelConfig(length_km=10.0)),
+}
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_spad_detect_matches_dense_oracle(case):
+    # Two chained batches: the second starts mid-run and inherits hold-off.
+    kw = DENSE_CASES[case]
+    source = kw["source"]
+    spad = kw.get("spad", SpadConfig(hold_off_s=1e-6, dark_count_rate_cps=5e5))
+    channel = kw.get("channel", ChannelConfig())
+    fast, dense = DeviceRngs(31, trial=2), DeviceRngs(31, trial=2)
+    dead_fast = dead_dense = 0
+    for start in (0, 3_000):
+        batch = generate_frames(source, 3_000, fast.bits, start_frame=start)
+        assert np.array_equal(batch.bits, generate_frames(source, 3_000, dense.bits, start_frame=start).bits)
+        got = spad_detect(batch, source, spad, channel, fast, dead_until_ps=dead_fast)
+        want = dense_spad_detect(batch, source, spad, channel, dense, dead_until_ps=dead_dense)
+        assert len(got.clicks) >= 5
+        for name in ("time_ps", "cause", "source_ps"):
+            assert np.array_equal(getattr(got.clicks, name), getattr(want.clicks, name)), name
+        assert np.array_equal(got.backflash.avalanche_ps, want.backflash.avalanche_ps)
+        assert np.array_equal(got.backflash.emission_ps, want.backflash.emission_ps)
+        assert np.array_equal(got.reflection_ps, want.reflection_ps)
+        assert got.reflected_mean_photon == want.reflected_mean_photon
+        assert got.dead_until_ps == want.dead_until_ps
+        assert got.n_gates == want.n_gates
+        dead_fast, dead_dense = got.dead_until_ps, want.dead_until_ps
+
 def test_hold_off_enforced_across_chunks():
     spad = SpadConfig(hold_off_s=10e-6)
     src = SourceConfig(mean_photon_number=0.5)
@@ -152,6 +227,21 @@ def test_backflash_delay_capped_by_narrow_gate():
     delay = res.backflash.emission_ps - res.backflash.avalanche_ps
     assert delay.size > 100
     assert np.all(delay <= 2000)
+
+def test_backflash_cap_is_one_gate_width_after_the_avalanche():
+    # The delay cap runs from the avalanche, not from the gate's closing:
+    # a click late in the gate can leak after the gate has shut.
+    spad = SpadConfig(gate_width_ps=3500, hold_off_s=0.0, backflash_probability=1.0,
+                      dark_count_rate_cps=0.0)
+    batch = FrameBatch(SourceConfig().geometry, np.full((40_000, 2), 1, dtype=np.int8))
+    res = spad_detect(batch, SourceConfig(mean_photon_number=0.5), spad, ChannelConfig(), DeviceRngs(14))
+    av, em = res.backflash.avalanche_ps, res.backflash.emission_ps
+    late = (av % spad.gate_period_ps) >= 3000
+    gate_close = av - av % spad.gate_period_ps + spad.gate_width_ps
+    assert late.sum() > 100
+    assert np.any(em[late] > gate_close[late])
+    assert np.all(em - av <= spad.gate_width_ps)
+    assert np.all(em >= av)
 
 def test_reflections_track_every_pulse():
     _, res = run_spad(n_frames=1000, seed=7)

@@ -72,6 +72,25 @@ class TestConfigMapping:
         assert out.trials == 2
         assert cfg.spad.detection_efficiency == 0.07  # original untouched
 
+    def test_bias_label_sets_efficiency_and_dark_rate(self):
+        out = apply_overrides(preset_config("paper"), {"spad.excess_bias_label": "7v"})
+        assert out.spad.excess_bias_label == "7v"
+        assert out.spad.detection_efficiency == 0.25
+        assert out.spad.dark_count_rate_cps == 350.0
+
+    def test_bias_label_yields_to_explicit_keys(self):
+        out = apply_overrides(preset_config("paper"), {
+            "spad.excess_bias_label": "7v",
+            "spad.detection_efficiency": "0.3",
+        })
+        assert out.spad.excess_bias_label == "7v"
+        assert out.spad.detection_efficiency == 0.3
+        assert out.spad.dark_count_rate_cps == 350.0
+
+    def test_unknown_bias_label_rejected(self):
+        with pytest.raises(ConfigError):
+            apply_overrides(preset_config("paper"), {"spad.excess_bias_label": "9v"})
+
     def test_override_delay_subkeys(self):
         cfg = preset_config("2v")
         out = apply_overrides(cfg, {"spad.backflash_delay.scale_ps": "800"})

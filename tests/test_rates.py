@@ -200,6 +200,32 @@ class TestCountInterval:
         assert lo < 1000 < hi
 
 
+class TestCountIntervalMatchesScipy:
+    # Every (n, p) that compare() built for the 2v, 5v and 7v presets at
+    # seed 0 and for paper at seeds 0 and 11.
+    PRESET_ROWS = [
+        (1_000_000, 0.0026012693852468945), (2597, 2.8371078946533135e-05),
+        (1_000_000, 0.0029585550812545203), (2971, 1.9602266656727193e-05),
+        (1_000_000, 0.003002970478713454), (3004, 2.7305049275007882e-05),
+        (7_800_000, 0.003072134885079856), (23993, 9.605232818807394e-06),
+        (24005, 9.605232818807394e-06), (18000, 0.08879999999999999),
+        (6_501_896, 0.00027280557779509117), (6_498_646, 0.00027280557779509117),
+    ]
+    EDGES = [(1, 1e-7), (1, 0.5), (1, 1.0), (7, 1.0), (2, 0.999999), (40_000_000, 1.0)]
+    GRID = [
+        (n, p)
+        for n in (1, 2, 5, 17, 100, 2597, 18000, 1_000_000, 7_800_000, 40_000_000)
+        for p in (1e-7, 1e-5, 3e-4, 0.003072, 0.0888, 0.5, 0.9, 0.999999)
+    ]
+
+    @pytest.mark.parametrize("n,p", PRESET_ROWS + EDGES + GRID)
+    def test_equals_scipy_ppf(self, n, p):
+        from scipy import stats
+
+        expect = (int(stats.binom.ppf(0.00135, n, p)), int(stats.binom.ppf(0.99865, n, p)))
+        assert count_interval(n, p) == expect
+
+
 class TestCompare:
     def make_inputs(self, **kw):
         return RateInputs(mu=MU, eta=ETA, p_dark=PD, **kw)
