@@ -70,7 +70,6 @@ from .source import (
     generate_frames,
 )
 from .timebase import (
-    DelayDistribution,
     DeviceRngs,
     RngStream,
     TimeRangeError,

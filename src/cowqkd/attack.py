@@ -166,10 +166,6 @@ class ClusterMap:
     one_mode_ps: int
     run_summary: list[dict] = field(default_factory=list)
 
-    @property
-    def backflash_end_ps(self) -> int:
-        return (self.backflash_start_ps + self.backflash_len_ps) % self.frame_period_ps
-
     def arc_position(self, folded_ps: np.ndarray) -> np.ndarray:
         return (folded_ps - self.backflash_start_ps) % self.frame_period_ps
 
@@ -280,8 +276,8 @@ def fold_and_cluster(
     if t.size == 0:
         raise CalibrationError("nothing to fold")
     folded = t % period
-    nbins = -(-period // cfg.fold_bin_width_ps)
-    counts = np.bincount(folded // cfg.fold_bin_width_ps, minlength=nbins).astype(np.int64)
+    counts = Histogram.from_samples(folded, cfg.fold_bin_width_ps, 0, period).counts
+    nbins = counts.size
 
     sm = _circular_smooth(counts, cfg.smooth_bins // 2)
     peak = sm.max()

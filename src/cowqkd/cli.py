@@ -25,6 +25,7 @@ from .experiment import (
 )
 from .rates import McCounts, compare, p_err, p_sift_simple
 from .source import ConfigError
+from .timebase import TimeRangeError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         default = "paper" if args.command == "replicate-paper" else None
         cfg = load_config(args, default_preset=default)
         return args.func(args, cfg)
-    except ConfigError as exc:
+    except (ConfigError, TimeRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CalibrationError as exc:

@@ -10,20 +10,13 @@ collects.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from .source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, channel_transmittance
-from .timebase import (
-    PS_PER_S,
-    DelayDistribution,
-    DeviceRngs,
-    poisson_event_times,
-    sample_delay,
-    write_csv,
-)
+from .timebase import PS_PER_S, DeviceRngs, poisson_event_times, sample_delay, write_csv
 
 BOB = "bob"
 EVE = "eve"
@@ -46,10 +39,6 @@ SPAD_BIAS_TABLE = {
 }
 
 
-def _default_delay() -> DelayDistribution:
-    return DelayDistribution.truncated_exponential(scale_ps=600.0, support_max_ps=5000)
-
-
 @dataclass(frozen=True)
 class SpadConfig:
     """Gated receiver detector."""
@@ -62,7 +51,9 @@ class SpadConfig:
     hold_off_s: float = 10e-6
     excess_bias_label: str = "5v"
     backflash_probability: float = 0.12
-    backflash_delay: DelayDistribution = field(default_factory=_default_delay)
+    # Avalanche-to-emission delay: exponential of this scale, truncated at max.
+    backflash_delay_scale_ps: float = 600.0
+    backflash_delay_max_ps: int = 5000
     facet_reflectance: float = 1e-2
 
     def __post_init__(self) -> None:
@@ -80,6 +71,10 @@ class SpadConfig:
             raise ConfigError("hold-off must be >= 0")
         if not 0.0 <= self.backflash_probability <= 1.0:
             raise ConfigError("backflash probability must lie in [0, 1]")
+        if self.backflash_delay_max_ps < 0:
+            raise ConfigError("backflash delay max must be >= 0")
+        if self.backflash_delay_max_ps > 0 and self.backflash_delay_scale_ps <= 0:
+            raise ConfigError("backflash delay scale must be positive")
         if not 0.0 <= self.facet_reflectance <= 1.0:
             raise ConfigError("facet reflectance must lie in [0, 1]")
 
@@ -261,15 +256,17 @@ def _dark_times(spad: SpadConfig, rngs: DeviceRngs, start_frame: int, n_gates: i
 def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> BackflashEvents:
     """Each accepted avalanche may emit one backflash photon.
 
-    The delay model is truncated at the gate width, which reshapes timing
-    but not the emission probability.
+    The delay is truncated at ``min(backflash_delay_max_ps, gate_width_ps)``,
+    which reshapes timing but not the emission probability.  The cap is one
+    gate width after the avalanche, not the time left in the gate, so a click
+    late in the gate can emit after the gate has closed.
     """
     emits = rngs.backflash.gen.random(clicks_ps.size) < spad.backflash_probability
     av = clicks_ps[emits]
     if not av.size:
         return BackflashEvents.empty()
-    eff_delay = spad.backflash_delay.truncated(spad.gate_width_ps)
-    return BackflashEvents(av, av + sample_delay(eff_delay, rngs.backflash, size=av.size))
+    cap = min(spad.backflash_delay_max_ps, spad.gate_width_ps)
+    return BackflashEvents(av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size))
 
 
 def dark_exposure(spad: SpadConfig, rngs: DeviceRngs, n_gates: int) -> tuple[np.ndarray, BackflashEvents]:

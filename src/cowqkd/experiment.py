@@ -43,11 +43,10 @@ from .rates import (
     composite_efficiency,
     dark_probability_per_gate,
     gate_mean_photon,
-    p_err,
-    p_sift_simple,
+    p_sift_holdoff,
 )
 from .source import ChannelConfig, ConfigError, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
-from .timebase import DelayDistribution, DeviceRngs, check_time_range, write_csv
+from .timebase import DeviceRngs, check_time_range, write_csv
 
 CHUNK_FRAMES = 1_000_000  # fixed so chunking never affects drawn sequences
 
@@ -61,7 +60,6 @@ class ExperimentConfig:
     distill: DistillConfig = field(default_factory=DistillConfig)
     attack: AttackConfig = field(default_factory=AttackConfig)
     seed: int = 0
-    seeds: tuple[int, ...] | None = None
     trials: int = 1
     frames_per_trial: int = 7_800_000
     workers: int = 1
@@ -75,8 +73,6 @@ class ExperimentConfig:
             raise ConfigError("frames_per_trial must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.seeds is not None and len(self.seeds) != self.trials:
-            raise ConfigError("seeds list must have one entry per trial")
         if self.export_frames < 0:
             raise ConfigError("export_frames must be >= 0")
         if self.spad.gate_period_ps != self.source.frame_period_ps:
@@ -89,9 +85,6 @@ class ExperimentConfig:
                     f"expected {expected:.0f} sifted detections cannot fill a "
                     f"{self.distill.block_length}-bit block; add frames or shrink the block"
                 )
-
-    def trial_seed(self, trial: int) -> int:
-        return self.seeds[trial] if self.seeds is not None else self.seed
 
     def rate_inputs(self, qber: float | None = None) -> RateInputs:
         eta = composite_efficiency(channel_transmittance(self.channel), self.spad.detection_efficiency)
@@ -107,8 +100,7 @@ class ExperimentConfig:
 
     def analytic_p_sift(self) -> float:
         r = self.rate_inputs()
-        q = p_sift_simple(r.mu, r.eta, r.p_dark)
-        return q / (1.0 + r.opportunity_rate_hz * q * r.hold_off_s)
+        return p_sift_holdoff(r.mu, r.eta, r.p_dark, r.opportunity_rate_hz, r.hold_off_s)
 
 
 # ---------------------------------------------------------------------------
@@ -125,17 +117,7 @@ def config_to_flat(cfg: ExperimentConfig) -> dict[str, str]:
     for sec in _SECTIONS:
         obj = getattr(cfg, sec)
         for f in dataclasses.fields(obj):
-            v = getattr(obj, f.name)
-            if isinstance(v, DelayDistribution):
-                flat[f"{sec}.{f.name}.kind"] = v.kind
-                flat[f"{sec}.{f.name}.support_max_ps"] = str(v.support_max_ps)
-                if v.kind == "truncated-exponential":
-                    flat[f"{sec}.{f.name}.scale_ps"] = _fmt(v.scale_ps)
-                else:
-                    flat[f"{sec}.{f.name}.bin_edges_ps"] = ";".join(str(x) for x in v.bin_edges_ps)
-                    flat[f"{sec}.{f.name}.weights"] = ";".join(_fmt(x) for x in v.weights)
-            else:
-                flat[f"{sec}.{f.name}"] = _fmt(v)
+            flat[f"{sec}.{f.name}"] = _fmt(getattr(obj, f.name))
     return flat
 
 
@@ -146,8 +128,6 @@ def _fmt(v) -> str:
         return "none"
     if isinstance(v, float):
         return f"{v:.12g}"
-    if isinstance(v, tuple):
-        return ";".join(str(x) for x in v)
     return str(v)
 
 
@@ -155,7 +135,6 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
     """Return a new config with dotted-key overrides applied."""
     by_section: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
     top: dict[str, str] = {}
-    delay_parts: dict[str, dict[str, str]] = {}
     for key, raw in overrides.items():
         parts = key.split(".")
         if len(parts) == 1:
@@ -167,9 +146,6 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
             if sec not in _SECTIONS:
                 raise ConfigError(f"unknown config section {sec!r}")
             by_section[sec][name] = raw
-        elif len(parts) == 3:
-            sec, name, sub = parts
-            delay_parts.setdefault(f"{sec}.{name}", {})[sub] = raw
         else:
             raise ConfigError(f"malformed config key {key!r}")
 
@@ -194,13 +170,6 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
                 "excess_bias_label": point.excess_bias_label,
             }
         kwargs[sec] = replace(obj, **sec_kwargs)
-    for dotted, subs in delay_parts.items():
-        sec, name = dotted.split(".")
-        base = kwargs.get(sec, getattr(cfg, sec))
-        current = getattr(base, name)
-        if not isinstance(current, DelayDistribution):
-            raise ConfigError(f"{dotted} is not a delay distribution")
-        kwargs[sec] = replace(base, **{name: _parse_delay(current, subs)})
     return replace(cfg, **kwargs)
 
 
@@ -223,8 +192,6 @@ def _parse_value(type_str, raw: str, name: str):
             return False
         raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
     try:
-        if "tuple" in t:
-            return tuple(int(x) for x in raw.split(";") if x)
         if "int" in t:
             return int(raw)
         if "float" in t:
@@ -232,24 +199,6 @@ def _parse_value(type_str, raw: str, name: str):
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {raw!r}") from exc
     return raw
-
-
-def _parse_delay(current: DelayDistribution, subs: dict[str, str]) -> DelayDistribution:
-    kind = subs.get("kind", current.kind)
-    if kind == "truncated-exponential":
-        scale = float(subs.get("scale_ps", current.scale_ps or 600.0))
-        support = int(subs.get("support_max_ps", current.support_max_ps))
-        return DelayDistribution.truncated_exponential(scale, support)
-    if kind == "empirical-histogram":
-        if "bin_edges_ps" in subs:
-            edges = [int(x) for x in subs["bin_edges_ps"].split(";") if x]
-            weights = [float(x) for x in subs.get("weights", "").split(";") if x]
-        elif current.kind == "empirical-histogram":
-            edges, weights = current.bin_edges_ps, current.weights
-        else:
-            raise ConfigError("empirical-histogram needs bin_edges_ps and weights")
-        return DelayDistribution.empirical(edges, weights)
-    raise ConfigError(f"unknown delay model kind {kind!r}")
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -329,7 +278,7 @@ class TrialResult:
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
-    rngs = DeviceRngs(cfg.trial_seed(trial), trial=trial)
+    rngs = DeviceRngs(cfg.seed, trial=trial)
     period = cfg.source.frame_period_ps
 
     sift_parts: list[SiftedBits] = []
@@ -395,7 +344,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
 
     return TrialResult(
         trial=trial,
-        seed=cfg.trial_seed(trial),
+        seed=cfg.seed,
         n_frames=cfg.frames_per_trial,
         sifted=sifted,
         bob_log=bob_log,
@@ -430,10 +379,6 @@ class RunResult:
     report: RateReport
     manifest: dict
 
-    @property
-    def hash(self) -> str:
-        return self.manifest["config_hash"]
-
 
 def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
     if cfg.workers > 1 and cfg.trials > 1:
@@ -464,7 +409,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     manifest = {
         "config_hash": config_hash(cfg),
         "config": config_to_flat(cfg),
-        "seeds": [cfg.trial_seed(i) for i in range(cfg.trials)],
+        "seeds": [cfg.seed] * cfg.trials,
         "counts": dataclasses.asdict(counts),
         "qber": counts.n_err / counts.n_sift if counts.n_sift else 0.0,
         "leftover_bits": sum(t.leftover for t in trials),
@@ -521,7 +466,7 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
             art["inference"] = p.name
 
     if cfg.export_frames > 0:
-        rngs = DeviceRngs(cfg.trial_seed(0), trial=0)
+        rngs = DeviceRngs(cfg.seed, trial=0)
         n = min(cfg.export_frames, cfg.frames_per_trial, CHUNK_FRAMES)
         batch = generate_frames(cfg.source, n, rngs.bits, start_frame=0)
         p = out_dir / "frames.csv"
@@ -543,25 +488,21 @@ def write_rates_csv(report: RateReport, path, header_lines: list[str] | None = N
 # ---------------------------------------------------------------------------
 # Sweeps.
 
-SWEEP_AXES = ("distance", "bias", "mu", "backflash-probability")
+_AXIS_KEYS = {
+    "distance": "channel.length_km",
+    "bias": "spad.excess_bias_label",
+    "mu": "source.mean_photon_number",
+    "backflash-probability": "spad.backflash_probability",
+}
+SWEEP_AXES = tuple(_AXIS_KEYS)
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "distance":
-        return replace(cfg, channel=replace(cfg.channel, length_km=float(value)))
-    if axis == "bias":
-        label = value if isinstance(value, str) else f"{int(float(value))}v"
-        spad = spad_preset(label, **{
-            f.name: getattr(cfg.spad, f.name)
-            for f in dataclasses.fields(SpadConfig)
-            if f.name not in ("detection_efficiency", "dark_count_rate_cps", "excess_bias_label")
-        })
-        return replace(cfg, spad=spad)
-    if axis == "mu":
-        return replace(cfg, source=replace(cfg.source, mean_photon_number=float(value)))
-    if axis == "backflash-probability":
-        return replace(cfg, spad=replace(cfg.spad, backflash_probability=float(value)))
-    raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis not in _AXIS_KEYS:
+        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+    if axis == "bias" and not isinstance(value, str):
+        value = f"{int(float(value))}v"
+    return apply_overrides(cfg, {_AXIS_KEYS[axis]: str(value)})
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Path | None = None) -> list[dict]:
@@ -571,17 +512,13 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
     rows = []
     for value in values:
         point = _apply_axis(cfg, axis, value)
-        analytic_inputs = point.rate_inputs()
-        q1 = p_sift_simple(analytic_inputs.mu, analytic_inputs.eta, analytic_inputs.p_dark)
-        qber_analytic = p_err(analytic_inputs.mu, analytic_inputs.eta, analytic_inputs.p_dark, q1)
-
         run = run_simulation(point)
         row = {
             "distance_km": point.channel.length_km,
             "bias_v": point.spad.excess_bias_label,
             "axis": axis,
             "value": value,
-            "qber_analytic": qber_analytic,
+            "qber_analytic": run.report.row("p_err").analytic,
             "config_hash": config_hash(point),
         }
         for r in run.report.rows:

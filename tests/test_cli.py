@@ -69,6 +69,19 @@ def test_exit_config_on_malformed_set(capsys):
     code = main(["simulate", "--preset", "5v", "--set", "spad.gate_width_ps"])
     assert code == EXIT_CONFIG
 
+@pytest.mark.parametrize("args", [
+    ["--set", "spad.backflash_delay_scale_ps=-5"],
+    ["--set", "spad.backflash_delay_max_ps=-1"],
+    ["--set", "spad.backflash_delay.scale_ps=800"],
+    ["--set", "spad.backflash_delay.support_max_ps=-1"],
+    ["--set", "spad.backflash_delay.weights=1"],
+    ["--frames", "200000000000000000"],
+])
+def test_exit_config_on_bad_delay_or_run_length(capsys, args):
+    code = main(["simulate", "--preset", "5v", *args])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
 def test_exit_calibration_without_eavesdropper_light(capsys):
     code = main(["simulate", *SMALL,
                  "--set", "spad.backflash_probability=0",

@@ -228,6 +228,21 @@ def test_backflash_delay_capped_by_narrow_gate():
     assert delay.size > 100
     assert np.all(delay <= 2000)
 
+def test_backflash_delay_keys_are_honoured():
+    # A support shorter than the gate caps the delay; a shorter scale pulls
+    # the mean in.
+    spad = SpadConfig(hold_off_s=0.0, backflash_delay_max_ps=1000)
+    _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
+    delay = res.backflash.emission_ps - res.backflash.avalanche_ps
+    assert delay.size > 100
+    assert np.all(delay <= 1000)
+    assert delay.max() > 900
+    spad = SpadConfig(hold_off_s=0.0, backflash_delay_scale_ps=100.0)
+    _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
+    delay = res.backflash.emission_ps - res.backflash.avalanche_ps
+    assert delay.size > 100
+    assert 80 < float(delay.mean()) < 120
+
 def test_backflash_cap_is_one_gate_width_after_the_avalanche():
     # The delay cap runs from the avalanche, not from the gate's closing:
     # a click late in the gate can leak after the gate has shut.

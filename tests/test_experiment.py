@@ -49,8 +49,9 @@ class TestConfigMapping:
         assert flat["seed"] == "0"
         assert flat["attack_enabled"] == "false"
         assert flat["source.mean_photon_number"] == "0.2"
-        assert flat["spad.backflash_delay.kind"] == "truncated-exponential"
-        assert flat["spad.backflash_delay.scale_ps"] == "600"
+        assert flat["spad.backflash_delay_scale_ps"] == "600"
+        assert flat["spad.backflash_delay_max_ps"] == "5000"
+        assert not any(k.startswith("spad.backflash_delay.") for k in flat)
         assert flat["attack.boundary"] == "midpoint"
 
     def test_roundtrip_through_overrides(self):
@@ -93,16 +94,16 @@ class TestConfigMapping:
 
     def test_override_delay_subkeys(self):
         cfg = preset_config("2v")
-        out = apply_overrides(cfg, {"spad.backflash_delay.scale_ps": "800"})
-        assert out.spad.backflash_delay.scale_ps == 800.0
-        assert out.spad.backflash_delay.kind == "truncated-exponential"
         out = apply_overrides(cfg, {
-            "spad.backflash_delay.kind": "empirical-histogram",
-            "spad.backflash_delay.bin_edges_ps": "0;100;300",
-            "spad.backflash_delay.weights": "1;2",
+            "spad.backflash_delay_scale_ps": "800",
+            "spad.backflash_delay_max_ps": "3000",
         })
-        assert out.spad.backflash_delay.kind == "empirical-histogram"
-        assert tuple(out.spad.backflash_delay.bin_edges_ps) == (0, 100, 300)
+        assert out.spad.backflash_delay_scale_ps == 800.0
+        assert out.spad.backflash_delay_max_ps == 3000
+        # the old three-part delay keys are malformed now
+        for sub in ("kind", "scale_ps", "support_max_ps", "bin_edges_ps", "weights"):
+            with pytest.raises(ConfigError):
+                apply_overrides(cfg, {f"spad.backflash_delay.{sub}": "1"})
 
     @pytest.mark.parametrize("key", ["nope", "spad.nope", "nope.x", "a.b.c.d"])
     def test_unknown_keys_rejected(self, key):
@@ -167,16 +168,13 @@ class TestConfigValidation:
             ExperimentConfig(workers=0, attack_enabled=False)
         with pytest.raises(ConfigError):
             ExperimentConfig(export_frames=-1, attack_enabled=False)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(seeds=(1, 2), trials=3, attack_enabled=False)
 
     def test_trial_seeds(self):
-        cfg = ExperimentConfig(seeds=(5, 7), trials=2, attack_enabled=False,
-                               frames_per_trial=1000)
-        assert cfg.trial_seed(0) == 5
-        assert cfg.trial_seed(1) == 7
-        cfg = ExperimentConfig(seed=9, attack_enabled=False, frames_per_trial=1000)
-        assert cfg.trial_seed(0) == 9
+        # Every trial keys its streams with the one seed; trials differ by index.
+        cfg = ExperimentConfig(seed=9, trials=2, attack_enabled=False, frames_per_trial=1000)
+        run = run_simulation(cfg)
+        assert [t.seed for t in run.trials] == [9, 9]
+        assert run.manifest["seeds"] == [9, 9]
 
     def test_rate_inputs_oracle(self):
         cfg = preset_config("5v")
@@ -226,6 +224,13 @@ class TestRuns:
         parallel = run_simulation(apply_overrides(base, {"workers": "2"}))
         assert serial.counts == parallel.counts
         assert serial.manifest["learning"] == parallel.manifest["learning"]
+
+    @pytest.mark.parametrize("offset", [12345, -20000])
+    def test_clock_offset_is_calibrated_away(self, offset):
+        base = run_simulation(small_attack_cfg())
+        shifted = run_simulation(small_attack_cfg(attack=AttackConfig(corr_floor=0.005, clock_offset_ps=offset)))
+        assert shifted.manifest["calibration_offsets_ps"] == [base.manifest["calibration_offsets_ps"][0] - offset]
+        assert shifted.counts.n_eve_correct == base.counts.n_eve_correct > 0
 
     def test_runs_are_reproducible(self):
         a = run_simulation(small_attack_cfg())

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cowqkd.detectors import SpadConfig, _backflash
+from cowqkd.source import ConfigError
 from cowqkd.timebase import (
     MAX_TIME_PS,
-    DelayDistribution,
-    DelayModelError,
     DeviceRngs,
     RngStream,
     Stream,
@@ -60,10 +60,10 @@ class TestTimeRange:
 
 
 class TestDelayDistribution:
+    """The backflash delay law: an exponential truncated at a cap."""
+
     def test_truncated_exponential_sample_mean(self):
-        dist = DelayDistribution.truncated_exponential(800.0, 5000)
-        rng = RngStream(1, Stream.AUX)
-        x = sample_delay(dist, rng, size=200_000)
+        x = sample_delay(800.0, 5000, RngStream(1, Stream.AUX), 200_000)
         expected = trunc_exp_mean(800.0, 5000)
         assert expected == pytest.approx(790.33, abs=0.01)
         # 3 sigma of the sample mean
@@ -71,55 +71,51 @@ class TestDelayDistribution:
         assert abs(float(np.mean(x)) - expected) < 3 * sd / math.sqrt(x.size)
 
     def test_support_bound_holds(self):
-        dist = DelayDistribution.truncated_exponential(600.0, 5000)
-        x = sample_delay(dist, RngStream(2, Stream.AUX), size=50_000)
+        x = sample_delay(600.0, 5000, RngStream(2, Stream.AUX), 50_000)
+        assert x.dtype == np.int64
         assert x.min() >= 0
         assert x.max() <= 5000
 
     def test_truncated_tightens_support(self):
-        dist = DelayDistribution.truncated_exponential(600.0, 5000)
-        tight = dist.truncated(2000)
-        x = sample_delay(tight, RngStream(3, Stream.AUX), size=20_000)
+        x = sample_delay(600.0, 2000, RngStream(3, Stream.AUX), 20_000)
         assert x.max() <= 2000
         # conditional truncation renormalizes rather than clumping at the edge
         edge = np.sum(x >= 1990) / x.size
         interior = np.sum((x >= 990) & (x < 1000)) / x.size
         assert edge < 5 * interior + 0.01
+        assert float(np.mean(x)) == pytest.approx(trunc_exp_mean(600.0, 2000), rel=0.02)
 
     def test_truncated_wider_is_noop(self):
-        dist = DelayDistribution.truncated_exponential(600.0, 2000)
-        assert dist.truncated(5000) == dist
-
-    def test_empirical_histogram_sampling(self):
-        dist = DelayDistribution.empirical([0, 100, 200, 400], [1.0, 0.0, 1.0])
-        x = sample_delay(dist, RngStream(4, Stream.AUX), size=50_000)
-        assert np.all((x < 100) | (x >= 200))
-        # second bin is twice as wide but equally weighted
-        frac_hi = np.sum(x >= 200) / x.size
-        assert frac_hi == pytest.approx(0.5, abs=0.02)
-
-    def test_scalar_draw(self):
-        dist = DelayDistribution.truncated_exponential(600.0, 5000)
-        d = sample_delay(dist, RngStream(5, Stream.AUX))
-        assert isinstance(d, int)
-        assert 0 <= d < 5000
+        # A gate wider than the delay support leaves the law untouched: the
+        # receiver draws exactly what the untruncated support gives.
+        spad = SpadConfig(gate_width_ps=6000, backflash_probability=1.0)
+        clicks = np.arange(0, 2000 * spad.gate_period_ps, spad.gate_period_ps, dtype=np.int64)
+        bf = _backflash(clicks, spad, DeviceRngs(12))
+        rng = DeviceRngs(12).backflash
+        rng.gen.random(clicks.size)  # the emission draws
+        want = sample_delay(600.0, 5000, rng, clicks.size)
+        assert np.array_equal(bf.emission_ps - bf.avalanche_ps, want)
 
     def test_degenerate_zero_support(self):
-        dist = DelayDistribution.truncated_exponential(600.0, 5000).truncated(0)
-        assert sample_delay(dist, RngStream(6, Stream.AUX)) == 0
+        rng = RngStream(6, Stream.AUX)
+        x = sample_delay(600.0, 0, rng, 7)
+        assert np.array_equal(x, np.zeros(7, dtype=np.int64))
+        # no draw is spent on a zero support
+        assert rng.gen.random() == RngStream(6, Stream.AUX).gen.random()
 
     def test_validation(self):
-        with pytest.raises(DelayModelError):
-            DelayDistribution.truncated_exponential(-1.0, 5000)
-        with pytest.raises(DelayModelError):
-            DelayDistribution.empirical([0, 100], [-1.0])
-        with pytest.raises(DelayModelError):
-            DelayDistribution.empirical([100, 0], [1.0])
+        with pytest.raises(ConfigError):
+            SpadConfig(backflash_delay_scale_ps=-1.0)
+        with pytest.raises(ConfigError):
+            SpadConfig(backflash_delay_scale_ps=0.0)
+        with pytest.raises(ConfigError):
+            SpadConfig(backflash_delay_max_ps=-1)
+        # a zero support needs no scale
+        assert SpadConfig(backflash_delay_scale_ps=0.0, backflash_delay_max_ps=0).backflash_delay_max_ps == 0
 
     @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=99))
     def test_sampled_delays_respect_cap(self, cap, seed):
-        dist = DelayDistribution.truncated_exponential(600.0, 5000).truncated(cap)
-        x = sample_delay(dist, RngStream(seed, Stream.AUX), size=500)
+        x = sample_delay(600.0, cap, RngStream(seed, Stream.AUX), 500)
         assert np.all(x >= 0)
         assert np.all(x <= cap)
 
