@@ -38,7 +38,6 @@ class AttackConfig:
     smooth_bins: int = 5
     mode_min_separation_ps: int = 1500
     boundary: str = "midpoint"
-    boundary_cut_ps: int | None = None
     match_window_ps: int = 6000
     clock_offset_ps: int = 0
 
@@ -47,10 +46,8 @@ class AttackConfig:
             raise ConfigError("fold bin width and calibration window must be positive")
         if not 0.0 < self.calibration_floor <= 1.0:
             raise ConfigError("calibration floor must lie in (0, 1]")
-        if self.boundary not in ("midpoint", "valley", "cut"):
+        if self.boundary not in ("midpoint", "valley"):
             raise ConfigError(f"unknown boundary mode {self.boundary!r}")
-        if self.boundary == "cut" and self.boundary_cut_ps is None:
-            raise ConfigError("boundary mode 'cut' needs boundary_cut_ps")
 
 
 @dataclass
@@ -71,9 +68,22 @@ class CalibrationResult:
 
 
 def _match_count(eve_sorted: np.ndarray, disclosed: np.ndarray, shift: int, window: int) -> int:
+    """How many disclosed times, moved back by ``shift``, have a count within ``window``."""
     lo = np.searchsorted(eve_sorted, disclosed - shift - window, side="left")
     hi = np.searchsorted(eve_sorted, disclosed - shift + window, side="right")
     return int(np.sum(hi > lo))
+
+
+def _nearest(sorted_ref: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest ``sorted_ref`` entry to each ``x`` (ties go left)
+    and its distance; ``sorted_ref`` must not be empty."""
+    pos = np.searchsorted(sorted_ref, x)
+    left = np.clip(pos - 1, 0, sorted_ref.size - 1)
+    right = np.clip(pos, 0, sorted_ref.size - 1)
+    d_left = np.abs(x - sorted_ref[left])
+    d_right = np.abs(sorted_ref[right] - x)
+    use_left = d_left <= d_right
+    return np.where(use_left, left, right), np.where(use_left, d_left, d_right)
 
 
 def calibrate(
@@ -118,18 +128,11 @@ def calibrate(
         )
 
     # Median refinement over the pairs matched at the argmax shift.
-    target = disclosed - s0
-    right = np.searchsorted(eve, target, side="left")
-    left = np.clip(right - 1, 0, eve.size - 1)
-    right = np.clip(right, 0, eve.size - 1)
-    d_left = np.abs(target - eve[left])
-    d_right = np.abs(eve[right] - target)
-    nearest = np.where(d_left <= d_right, eve[left], eve[right])
-    dist = np.minimum(d_left, d_right)
+    nearest, dist = _nearest(eve, disclosed - s0)
     matched = dist <= cfg.calibration_window_ps
     if not np.any(matched):
         raise CalibrationError("no matched pairs at the best shift")
-    offset = int(np.median(disclosed[matched] - nearest[matched]))
+    offset = int(np.median(disclosed[matched] - eve[nearest[matched]]))
 
     return CalibrationResult(
         offset_ps=offset,
@@ -297,13 +300,11 @@ def fold_and_cluster(
         # in unfolded time.  Backflash trails the receiver's avalanches, so
         # its clusters score near the per-click leak probability; reflection
         # clusters track transmitted pulses and score near accidental level.
+        if disclosed.size == 0:
+            return 0.0
         s, ln = run
         mt = np.sort(t[(bin_idx - s) % nbins < ln])
-        if mt.size == 0 or disclosed.size == 0:
-            return 0.0
-        lo = np.searchsorted(mt, disclosed - cfg.corr_window_ps, side="left")
-        hi = np.searchsorted(mt, disclosed + cfg.corr_window_ps, side="right")
-        return float(np.mean(hi > lo))
+        return _match_count(mt, disclosed, 0, cfg.corr_window_ps) / disclosed.size
 
     summary = []
     corr_runs, other_runs = [], []
@@ -348,7 +349,7 @@ def fold_and_cluster(
        _circular_dist(m_first_ps, one_ref, period) + _circular_dist(m_second_ps, zero_ref, period):
         zero_mode_ps, one_mode_ps = one_mode_ps, zero_mode_ps
 
-    if zero_mode_ps == one_mode_ps and cfg.boundary != "cut":
+    if zero_mode_ps == one_mode_ps:
         # Single mode: the whole window carries whichever bit the disclosed
         # references place nearer, instead of defaulting to zero.
         if _circular_dist(zero_mode_ps, one_ref, period) < _circular_dist(zero_mode_ps, zero_ref, period):
@@ -356,7 +357,7 @@ def fold_and_cluster(
         else:
             zero_boundary, one_boundary = bf_start, (bf_start + bf_len) % period
     else:
-        cut_ps = _decision_cut(sm, zero_mode_ps, one_mode_ps, bf_start, bf_len, period, cfg)
+        cut_ps = _decision_cut(sm, zero_mode_ps, one_mode_ps, bf_start, period, cfg)
 
         # Region starts: the arc runs [window start .. cut .. window end); the
         # mode nearer the window start owns the first region.
@@ -427,12 +428,9 @@ def _find_modes(sm: np.ndarray, start_bin: int, len_bin: int, nbins: int, cfg: A
     return int(idx[a]), int(idx[b])
 
 
-def _decision_cut(sm, zero_mode_ps, one_mode_ps, bf_start, bf_len, period, cfg) -> int:
-    if cfg.boundary == "cut":
-        return int(cfg.boundary_cut_ps) % period
+def _decision_cut(sm, zero_mode_ps, one_mode_ps, bf_start, period, cfg) -> int:
+    """Folded position of the cut between two distinct modes."""
     a0, a1 = sorted((_arc(zero_mode_ps, bf_start, period), _arc(one_mode_ps, bf_start, period)))
-    if a0 == a1:
-        return (bf_start + bf_len) % period  # single mode: one region only
     if cfg.boundary == "midpoint":
         return (bf_start + (a0 + a1) // 2) % period
     # valley: minimum of the smoothed histogram strictly between the modes
@@ -511,14 +509,7 @@ def infer_bits(
     matched = np.full(t.size, -1, dtype=np.int64)
     correct = np.full(t.size, -1, dtype=np.int8)
     if bob_sorted.size and t.size:
-        pos = np.searchsorted(bob_sorted, t)
-        left = np.clip(pos - 1, 0, bob_sorted.size - 1)
-        right = np.clip(pos, 0, bob_sorted.size - 1)
-        d_left = np.abs(t - bob_sorted[left])
-        d_right = np.abs(bob_sorted[right] - t)
-        use_left = d_left <= d_right
-        nearest = np.where(use_left, left, right)
-        dist = np.where(use_left, d_left, d_right)
+        nearest, dist = _nearest(bob_sorted, t)
         hit = dist <= cfg.match_window_ps
         matched[hit] = bob_sorted[nearest[hit]]
         correct[hit] = (bits[hit] == bob_bits_sorted[nearest[hit]]).astype(np.int8)

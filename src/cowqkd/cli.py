@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .attack import CalibrationError
@@ -23,7 +22,7 @@ from .experiment import (
     run_simulation,
     run_sweep,
 )
-from .rates import McCounts, compare, p_err, p_sift_simple
+from .rates import McCounts, compare
 from .source import ConfigError
 from .timebase import TimeRangeError
 
@@ -161,11 +160,7 @@ def _cell(v) -> str:
 
 
 def cmd_rates(args, cfg: ExperimentConfig) -> int:
-    inputs = cfg.rate_inputs(qber=args.qber)
-    if inputs.qber is None:
-        q1 = p_sift_simple(inputs.mu, inputs.eta, inputs.p_dark)
-        inputs = replace(inputs, qber=p_err(inputs.mu, inputs.eta, inputs.p_dark, q1))
-    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), inputs)
+    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs(qber=args.qber))
     _print_report(report)
     if report.insecure:
         print("key rate clamped to zero: leakage exceeds the distillable fraction", file=sys.stderr)

@@ -191,7 +191,6 @@ class SpadResult:
     reflection_ps: np.ndarray
     reflected_mean_photon: float
     dead_until_ps: int
-    n_gates: int
 
     def eve_arrivals(self) -> EveArrivals:
         return EveArrivals(self.backflash, self.reflection_ps, self.reflected_mean_photon)
@@ -242,13 +241,13 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     return keep, dead
 
 
-def _dark_times(spad: SpadConfig, rngs: DeviceRngs, start_frame: int, n_gates: int) -> np.ndarray:
-    """Sorted dark-count candidates, thinned directly onto open gates."""
-    lam = spad.dark_count_rate_cps * n_gates * (spad.gate_width_ps / PS_PER_S)
+def _dark_times(spad: SpadConfig, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
+    """Sorted dark-count candidates, thinned directly onto ``gates`` open gates."""
+    lam = spad.dark_count_rate_cps * gates * (spad.gate_width_ps / PS_PER_S)
     n_dark = int(rngs.spad_dark.gen.poisson(lam)) if lam > 0 else 0
     if not n_dark:
         return np.empty(0, dtype=np.int64)
-    gate = rngs.spad_dark.gen.integers(0, n_gates, size=n_dark, dtype=np.int64)
+    gate = rngs.spad_dark.gen.integers(0, gates, size=n_dark, dtype=np.int64)
     off = rngs.spad_dark.gen.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
     return np.sort((start_frame + gate) * spad.gate_period_ps + spad.gate_phase_ps + off)
 
@@ -269,13 +268,13 @@ def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> Bac
     return BackflashEvents(av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size))
 
 
-def dark_exposure(spad: SpadConfig, rngs: DeviceRngs, n_gates: int) -> tuple[np.ndarray, BackflashEvents]:
-    """Receiver clicks and backflash over ``n_gates`` gates with no input light.
+def dark_exposure(spad: SpadConfig, rngs: DeviceRngs, gates: int) -> tuple[np.ndarray, BackflashEvents]:
+    """Receiver clicks and backflash over ``gates`` gates with no input light.
 
     Draws exactly what :func:`spad_detect` draws for its dark counts and
     backflash, without sampling any pulse.
     """
-    t = _dark_times(spad, rngs, 0, n_gates)
+    t = _dark_times(spad, rngs, 0, gates)
     keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
     clicks = t[keep]
     return clicks, _backflash(clicks, spad, rngs)
@@ -312,8 +311,7 @@ def spad_detect(
     photon_t = arrival[in_gate]
     photon_src = pulse_ps[in_gate]
 
-    n_gates = len(frames)
-    dark_t = _dark_times(spad, rngs, frames.start_frame, n_gates)
+    dark_t = _dark_times(spad, rngs, frames.start_frame, len(frames))
 
     t = np.concatenate([photon_t, dark_t])
     cause = np.concatenate([
@@ -336,7 +334,6 @@ def spad_detect(
         reflection_ps=reflection_ps,
         reflected_mean_photon=reflected_mu,
         dead_until_ps=dead_after,
-        n_gates=n_gates,
     )
 
 
@@ -428,36 +425,20 @@ class Histogram:
 def correlation_histogram(
     start_ps: np.ndarray,
     stop_ps: np.ndarray,
-    bin_width_ps: int = 10,
-    range_ps: int | tuple[int, int] = 6000,
+    bin_width_ps: int,
+    range_ps: tuple[int, int],
 ) -> Histogram:
     """Start-stop histogram: every stop within range of every start counts.
 
-    ``range_ps`` may be an upper bound (lower bound 0) or an explicit
-    (lo, hi) pair; differences d satisfy lo <= d < hi.
+    ``range_ps`` is a (lo, hi) pair; differences d satisfy lo <= d < hi.
     """
-    if isinstance(range_ps, tuple):
-        lo, hi = int(range_ps[0]), int(range_ps[1])
-    else:
-        lo, hi = 0, int(range_ps)
-    if bin_width_ps <= 0 or hi <= lo:
-        raise ConfigError("need positive bin width and lo < hi")
-    nbins = -(-(hi - lo) // bin_width_ps)
-
+    lo, hi = int(range_ps[0]), int(range_ps[1])
     starts = np.sort(np.asarray(start_ps, dtype=np.int64))
     stops = np.sort(np.asarray(stop_ps, dtype=np.int64))
-    if starts.size == 0 or stops.size == 0:
-        return Histogram(lo, int(bin_width_ps), np.zeros(nbins, dtype=np.int64))
-
     i_lo = np.searchsorted(stops, starts + lo, side="left")
     i_hi = np.searchsorted(stops, starts + hi, side="left")
     reps = i_hi - i_lo
-    total = int(reps.sum())
-    if total == 0:
-        return Histogram(lo, int(bin_width_ps), np.zeros(nbins, dtype=np.int64))
     cum = np.cumsum(reps)
-    within = np.arange(total, dtype=np.int64) - np.repeat(cum - reps, reps)
-    sel = stops[np.repeat(i_lo, reps) + within]
-    d = sel - np.repeat(starts, reps)
-    counts = np.bincount((d - lo) // bin_width_ps, minlength=nbins)
-    return Histogram(lo, int(bin_width_ps), counts.astype(np.int64))
+    within = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(cum - reps, reps)
+    d = stops[np.repeat(i_lo, reps) + within] - np.repeat(starts, reps)
+    return Histogram.from_samples(d, int(bin_width_ps), lo, hi)

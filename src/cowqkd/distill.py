@@ -8,12 +8,10 @@ channel, and a retained remainder that becomes key material.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import DetectionLog
 from .source import ConfigError, FrameBatch, LogicalBit
 from .timebase import RngStream, write_csv
 
@@ -66,13 +64,13 @@ class SiftedBits:
         )
 
 
-def sift(clicks: DetectionLog | np.ndarray, frames: FrameBatch) -> SiftedBits:
-    """Decode clicks into sifted bits for one batch of frames.
+def sift(time_ps: np.ndarray, frames: FrameBatch) -> SiftedBits:
+    """Decode click times into sifted bits for one batch of frames.
 
     Clicks outside any bit slot are dropped and counted, as are clicks on
     decoy slots (announced by the transmitter after the fact).
     """
-    t = clicks.time_ps if isinstance(clicks, DetectionLog) else np.asarray(clicks, dtype=np.int64)
+    t = np.asarray(time_ps, dtype=np.int64)
     g = frames.geometry
     frame = t // g.frame_period_ps
     local = t - frame * g.frame_period_ps
@@ -179,7 +177,7 @@ def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: RngStream) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Artifact writers and readers.
+# Artifact writers.
 
 def write_transcript(transcript: ClassicalTranscript, path, header_lines: list[str] | None = None) -> None:
     """Line records: record_type,timestamp_ps,bit."""
@@ -188,32 +186,6 @@ def write_transcript(transcript: ClassicalTranscript, path, header_lines: list[s
     rows += [("disclosed", t, b) for t, b in disclosed]
     rows.append(("qber", "", f"{transcript.announced_qber:.10g}"))
     write_csv(path, header_lines, ["record_type", "timestamp_ps", "bit"], rows)
-
-
-def read_transcript(path) -> ClassicalTranscript:
-    block_id = 0
-    block_length = 0
-    times: list[int] = []
-    bits: list[int] = []
-    qber = 0.0
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    for row in rows[1:]:
-        kind = row[0]
-        if kind == "block-start":
-            block_id, block_length = int(row[1]), int(row[2])
-        elif kind == "disclosed":
-            times.append(int(row[1]))
-            bits.append(int(row[2]))
-        elif kind == "qber":
-            qber = float(row[2])
-    return ClassicalTranscript(
-        block_id=block_id,
-        block_length=block_length,
-        disclosed_time_ps=np.asarray(times, dtype=np.int64),
-        disclosed_bit=np.asarray(bits, dtype=np.int8),
-        announced_qber=qber,
-    )
 
 
 def write_key_file(key: SiftedKey, path, header_lines: list[str] | None = None) -> None:

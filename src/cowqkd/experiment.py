@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -62,17 +62,16 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 1
     frames_per_trial: int = 7_800_000
-    workers: int = 1
     attack_enabled: bool = True
     export_frames: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.frames_per_trial < 1:
             raise ConfigError("frames_per_trial must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.export_frames < 0:
             raise ConfigError("export_frames must be >= 0")
         if self.spad.gate_period_ps != self.source.frame_period_ps:
@@ -107,7 +106,7 @@ class ExperimentConfig:
 # Flat dotted-key config mapping (config files and --set overrides).
 
 _SECTIONS = ("source", "channel", "spad", "snspd", "distill", "attack")
-_TOP_FIELDS = ("seed", "trials", "frames_per_trial", "workers", "attack_enabled", "export_frames")
+_TOP_FIELDS = ("seed", "trials", "frames_per_trial", "attack_enabled", "export_frames")
 
 
 def config_to_flat(cfg: ExperimentConfig) -> dict[str, str]:
@@ -124,8 +123,6 @@ def config_to_flat(cfg: ExperimentConfig) -> dict[str, str]:
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v is None:
-        return "none"
     if isinstance(v, float):
         return f"{v:.12g}"
     return str(v)
@@ -183,8 +180,6 @@ def _parse_field(cls, name: str, raw: str):
 def _parse_value(type_str, raw: str, name: str):
     raw = raw.strip()
     t = str(type_str)
-    if raw.lower() == "none":
-        return None
     if "bool" in t:
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -194,10 +189,12 @@ def _parse_value(type_str, raw: str, name: str):
     try:
         if "int" in t:
             return int(raw)
-        if "float" in t:
-            return float(raw)
+        if "float" in t and math.isfinite(value := float(raw)):
+            return value
     except ValueError as exc:
         raise ConfigError(f"{name}: cannot parse {raw!r}") from exc
+    if "float" in t:
+        raise ConfigError(f"{name}: expected a finite number, got {raw!r}")
     return raw
 
 
@@ -292,7 +289,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         res = spad_detect(batch, cfg.source, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
         dead_until = res.dead_until_ps
         bob_parts.append(res.clicks)
-        sift_parts.append(sift(res.clicks, batch))
+        sift_parts.append(sift(res.clicks.time_ps, batch))
         if cfg.attack_enabled:
             window = (batch.start_ps, batch.end_ps)
             eve_parts.append(snspd_detect(res.eve_arrivals(), cfg.snspd, window, rngs))
@@ -381,12 +378,7 @@ class RunResult:
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
-    if cfg.workers > 1 and cfg.trials > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            trials = list(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
-    else:
-        trials = [run_trial(cfg, i) for i in range(cfg.trials)]
-    trials.sort(key=lambda t: t.trial)
+    trials = [run_trial(cfg, i) for i in range(cfg.trials)]
 
     n_frames = sum(t.n_frames for t in trials)
     n_sift = sum(len(t.sifted) for t in trials)
@@ -501,6 +493,8 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis not in _AXIS_KEYS:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     if axis == "bias" and not isinstance(value, str):
+        if not float(value).is_integer():
+            raise ConfigError(f"bias value {value!r} is not a whole number of volts")
         value = f"{int(float(value))}v"
     return apply_overrides(cfg, {_AXIS_KEYS[axis]: str(value)})
 
@@ -579,10 +573,10 @@ def emit_timing_correlation(
         rngs = DeviceRngs(cfg.seed, trial=int(w))
 
         p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
-        n_gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-        span_ps = check_time_range(n_gates * spad.gate_period_ps)
+        gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
+        span_ps = check_time_range(gates * spad.gate_period_ps)
 
-        clicks, backflash = dark_exposure(spad, rngs, n_gates)
+        clicks, backflash = dark_exposure(spad, rngs, gates)
         arrivals = EveArrivals(backflash, np.empty(0, dtype=np.int64), 0.0)
         eve = snspd_detect(arrivals, cfg.snspd, (0, span_ps), rngs)
 

@@ -55,19 +55,6 @@ def p_err(mu: float, eta: float, p_dark: float, p_sift: float) -> float:
     return exp(-mu * eta) * (1.0 - p_dark) * p_dark / p_sift
 
 
-def p_backflash(n_eve: int, n_sift: int) -> float:
-    """Leak probability per sifted detection, from observed counts.
-
-    >>> round(p_backflash(1598, 18000), 5)
-    0.08878
-    """
-    if n_sift <= 0:
-        raise ValueError("n_sift must be positive")
-    if n_eve < 0 or n_eve > n_sift:
-        raise ValueError("n_eve must lie in [0, n_sift]")
-    return n_eve / n_sift
-
-
 def p_learn(p_b: float, p_sift: float) -> float:
     """Probability per opportunity that the eavesdropper learns a key bit.
 
@@ -288,7 +275,7 @@ def compare(mc: McCounts, inputs: RateInputs) -> RateReport:
     err = p_err(inputs.mu, inputs.eta, inputs.p_dark, q1)
     qber = inputs.qber
     if qber is None:
-        qber = mc.n_err / mc.n_sift if mc.n_sift else 0.0
+        qber = mc.n_err / mc.n_sift if mc.n_sift else err
     learn = p_learn(inputs.p_b, sift)
 
     rows = []

@@ -90,5 +90,4 @@ def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
         reflection_ps=reflection_ps,
         reflected_mean_photon=mu * t_ch * spad.facet_reflectance,
         dead_until_ps=dead_after,
-        n_gates=n_gates,
     )

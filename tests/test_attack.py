@@ -12,6 +12,7 @@ from cowqkd.attack import (
     _circular_dist,
     _circular_runs,
     _merge_runs,
+    _nearest,
     _span_covering,
     calibrate,
     fold_and_cluster,
@@ -78,10 +79,16 @@ def test_attack_config_validation():
         AttackConfig(boundary="nearest")
     with pytest.raises(ConfigError):
         AttackConfig(boundary="cut")
-    AttackConfig(boundary="cut", boundary_cut_ps=2500)
 
 
 # --- calibration -----------------------------------------------------------
+
+def test_nearest_breaks_ties_to_the_left():
+    ref = np.array([0, 10, 20], dtype=np.int64)
+    idx, dist = _nearest(ref, np.array([5, 15, -3, 25, 10], dtype=np.int64))
+    assert idx.tolist() == [0, 1, 0, 2, 1]
+    assert dist.tolist() == [5, 5, 3, 5, 0]
+
 
 class TestCalibrate:
     def test_exact_on_clean_copy(self):
@@ -206,8 +213,7 @@ class TestFoldAndCluster:
         assert cmap.classify(np.array([20100]))[0] == -2
         assert cmap.classify(np.array([15000]))[0] == -1
 
-    @pytest.mark.parametrize("boundary,extra", [("midpoint", {}), ("valley", {}),
-                                                ("cut", {"boundary_cut_ps": 2500})])
+    @pytest.mark.parametrize("boundary,extra", [("midpoint", {}), ("valley", {})])
     def test_boundary_modes_all_separate_the_clusters(self, boundary, extra):
         transcript, retained, eve_t, _ = make_scene()
         cfg = AttackConfig(boundary=boundary, **extra)
@@ -234,6 +240,19 @@ class TestFoldAndCluster:
         assert len(cmap.run_summary) >= 2
         corr = sorted(r["correlation"] for r in cmap.run_summary)
         assert corr[0] < 0.02 <= corr[-1]
+
+    @pytest.mark.parametrize("window", [300, 6000, 13000])
+    def test_run_correlation_counts_disclosed_clicks_within_the_window(self, window):
+        transcript, _, eve_t, _ = make_scene()
+        cfg = AttackConfig(corr_window_ps=window)
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
+        bw, nbins = cfg.fold_bin_width_ps, PERIOD // cfg.fold_bin_width_ps
+        disclosed = transcript.disclosed_time_ps
+        for run in cmap.run_summary:
+            s, ln = run["start_ps"] // bw, run["len_ps"] // bw
+            members = eve_t[((eve_t % PERIOD) // bw - s) % nbins < ln]
+            near = np.abs(disclosed[:, None] - members[None, :]) <= window
+            assert run["correlation"] == np.mean(near.any(axis=1))
 
 
 @given(st.integers(min_value=0, max_value=40))

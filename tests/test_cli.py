@@ -76,6 +76,17 @@ def test_exit_config_on_malformed_set(capsys):
     ["--set", "spad.backflash_delay.support_max_ps=-1"],
     ["--set", "spad.backflash_delay.weights=1"],
     ["--frames", "200000000000000000"],
+    ["--set", "spad.gate_width_ps=none"],
+    ["--set", "seed=none"],
+    ["--set", "spad.hold_off_s=inf"],
+    ["--set", "spad.hold_off_s=nan"],
+    ["--set", "channel.length_km=nan"],
+    ["--set", "channel.length_km=inf"],
+    ["--set", "spad.dark_count_rate_cps=inf"],
+    ["--set", "spad.backflash_delay_scale_ps=nan"],
+    ["--seed", "-1"],
+    ["--set", "attack.boundary=cut"],
+    ["--set", "workers=2"],
 ])
 def test_exit_config_on_bad_delay_or_run_length(capsys, args):
     code = main(["simulate", "--preset", "5v", *args])

@@ -10,6 +10,7 @@ from cowqkd.detectors import SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
+    _apply_axis,
     apply_overrides,
     config_hash,
     config_to_flat,
@@ -165,7 +166,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(trials=0, attack_enabled=False)
         with pytest.raises(ConfigError):
-            ExperimentConfig(workers=0, attack_enabled=False)
+            ExperimentConfig(seed=-1, attack_enabled=False)
         with pytest.raises(ConfigError):
             ExperimentConfig(export_frames=-1, attack_enabled=False)
 
@@ -216,14 +217,6 @@ class TestRuns:
         assert run.report.row("p_b").analytic == 0.0
         assert run.report.row("p_learn").analytic == 0.0
         assert run.manifest["calibration_offsets_ps"] == []
-
-    def test_serial_equals_parallel(self):
-        base = small_attack_cfg(trials=2, frames_per_trial=300_000,
-                                distill=DistillConfig(block_length=300, disclosure_size=100))
-        serial = run_simulation(base)
-        parallel = run_simulation(apply_overrides(base, {"workers": "2"}))
-        assert serial.counts == parallel.counts
-        assert serial.manifest["learning"] == parallel.manifest["learning"]
 
     @pytest.mark.parametrize("offset", [12345, -20000])
     def test_clock_offset_is_calibrated_away(self, offset):
@@ -302,6 +295,10 @@ class TestSweeps:
             run_sweep(self.quick(), "voltage", [1])
         with pytest.raises(ConfigError):
             run_sweep(self.quick(), "distance", [])
+        with pytest.raises(ConfigError):
+            run_sweep(self.quick(), "bias", [2.5])
+        two_volt = _apply_axis(self.quick(), "bias", "2v")
+        assert _apply_axis(self.quick(), "bias", 2) == _apply_axis(self.quick(), "bias", 2.0) == two_volt
 
     def test_write_sweep_csv_handles_missing_cells(self, tmp_path):
         rows = [{"a": 1, "b": None, "c": True}, {"a": 2.5, "b": 3.0, "c": False}]

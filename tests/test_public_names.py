@@ -1,0 +1,49 @@
+"""Every public top-level function and class in the package is used somewhere.
+
+A name counts as used when the package (apart from ``__init__.py``), the
+scripts or the benchmark harness refer to it in code: as a bare name, as an
+attribute or in an import.  Tests and docstrings do not count, so a function
+that only its own tests call is reported.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cowqkd"
+
+
+def _modules() -> list[Path]:
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def public_definitions() -> dict[str, str]:
+    """Public top-level def/class name -> defining module."""
+    out = {}
+    for path in _modules():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out[node.name] = path.name
+    return out
+
+
+def referenced_names() -> set[str]:
+    files = _modules() + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_every_public_name_is_used():
+    defs = public_definitions()
+    used = referenced_names()
+    # Guard against a vacuous pass when the paths above stop matching.
+    assert defs["run_simulation"] == "experiment.py" and "run_simulation" in used
+    dead = sorted(f"{module}:{name}" for name, module in defs.items() if name not in used)
+    assert not dead, f"public names nothing outside the tests uses: {dead}"

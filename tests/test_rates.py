@@ -15,7 +15,6 @@ from cowqkd.rates import (
     count_interval,
     dark_probability_per_gate,
     gate_mean_photon,
-    p_backflash,
     p_err,
     p_learn,
     p_sec,
@@ -73,18 +72,6 @@ class TestSiftAndError:
 
 
 class TestLeakage:
-    def test_backflash_reference_counts(self):
-        assert p_backflash(1598, 18000) == pytest.approx(1598 / 18000)
-        assert round(p_backflash(1598, 18000), 5) == 0.08878
-
-    def test_backflash_validation(self):
-        with pytest.raises(ValueError):
-            p_backflash(5, 0)
-        with pytest.raises(ValueError):
-            p_backflash(11, 10)
-        with pytest.raises(ValueError):
-            p_backflash(-1, 10)
-
     def test_learn_is_product(self):
         assert p_learn(0.08878, 0.0030721) == pytest.approx(0.08878 * 0.0030721)
 
@@ -259,6 +246,19 @@ class TestCompare:
         base = compare(McCounts(0, 0, 0), self.make_inputs(qber=0.0))
         hot = compare(McCounts(0, 0, 0), self.make_inputs(qber=0.05))
         assert hot.row("p_sec").analytic < base.row("p_sec").analytic
+
+    def test_no_sifted_counts_use_the_analytic_qber(self):
+        # With nothing sifted the secure rates take the closed-form error
+        # rate, exactly as if it had been passed in.
+        empty = McCounts(n_frames=1000, n_sift=0, n_err=0)
+        err = compare(empty, self.make_inputs()).row("p_err").analytic
+        assert err > 0
+        implicit = compare(empty, self.make_inputs())
+        explicit = compare(empty, self.make_inputs(qber=err))
+        for name in ("p_sec", "p_sec_finite"):
+            assert implicit.row(name).analytic == explicit.row(name).analytic
+        error_free = compare(empty, self.make_inputs(qber=0.0))
+        assert implicit.row("p_sec_finite").analytic < error_free.row("p_sec_finite").analytic
 
     def test_insecure_flag_propagates(self):
         report = compare(McCounts(0, 0, 0), self.make_inputs(qber=0.3))
