@@ -9,6 +9,7 @@ collects.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
@@ -16,7 +17,7 @@ from enum import IntEnum
 import numpy as np
 
 from .source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, channel_transmittance
-from .timebase import PS_PER_S, DeviceRngs, poisson_event_times, sample_delay, write_csv
+from .timebase import PS_PER_S, DeviceRngs, RngStream, poisson_event_times, sample_delay, write_csv
 
 BOB = "bob"
 EVE = "eve"
@@ -186,6 +187,13 @@ class EveArrivals:
 
 @dataclass
 class SpadResult:
+    """Receiver clicks plus the light it sends back toward the line.
+
+    ``reflection_ps`` lists only the pulses that return at least one photon
+    from the facet, each with probability 1 - exp(-reflected_mean_photon),
+    at the pulse's arrival time.
+    """
+
     clicks: DetectionLog
     backflash: BackflashEvents
     reflection_ps: np.ndarray
@@ -280,6 +288,58 @@ def dark_exposure(spad: SpadConfig, rngs: DeviceRngs, gates: int) -> tuple[np.nd
     return clicks, _backflash(clicks, spad, rngs)
 
 
+def _bernoulli_indices(p: float, n: int, rng: RngStream) -> np.ndarray:
+    """Sorted indices in [0, n), each present independently with probability ``p``.
+
+    The gaps between present indices are Geometric(p), so the cost grows with
+    the number of indices returned rather than with ``n``.  A gap longer
+    than ``n`` only ends the walk, so gaps are clipped at ``n + 1`` (numpy
+    saturates them at the int64 maximum for tiny ``p``).  Draws past ``n``
+    are dropped and a new call restarts the walk, which is exact because the
+    geometric law is memoryless.
+    """
+    if p <= 0 or n <= 0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1
+    while True:
+        mean = (n - 1 - last) * p
+        gaps = rng.gen.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
+        np.minimum(gaps, n + 1, out=gaps)
+        idx = last + np.cumsum(gaps)
+        if idx[-1] >= n:
+            parts.append(idx[: np.searchsorted(idx, n)])
+            return np.concatenate(parts)
+        parts.append(idx)
+        last = int(idx[-1])
+
+
+def _reflection_times(
+    frames: FrameBatch,
+    reflected_mu: float,
+    occupied_ps: int,
+    click_idx: np.ndarray,
+    click_offset_ps: np.ndarray,
+    rngs: DeviceRngs,
+) -> np.ndarray:
+    """Arrival times at the facet of the pulses that send a photon back.
+
+    Each pulse returns at least one photon with probability
+    1 - exp(-reflected_mu).  A returning pulse that also drew a click candidate arrived at that
+    candidate's offset; every other one draws its offset on the reflection
+    stream, so reflections never shift a receiver draw.
+    """
+    idx = _bernoulli_indices(-math.expm1(-reflected_mu), frames.n_pulses(), rngs.reflection)
+    at = np.searchsorted(click_idx, idx)
+    clicked = at < click_idx.size
+    clicked[clicked] = click_idx[at[clicked]] == idx[clicked]
+    offset = np.empty(idx.size, dtype=np.int64)
+    offset[clicked] = click_offset_ps[at[clicked]]
+    n_other = idx.size - int(np.count_nonzero(clicked))
+    offset[~clicked] = rngs.reflection.gen.integers(0, occupied_ps, size=n_other, dtype=np.int64)
+    return frames.pulse_times(idx) + offset
+
+
 def spad_detect(
     frames: FrameBatch,
     source: SourceConfig,
@@ -290,6 +350,10 @@ def spad_detect(
 ) -> SpadResult:
     """Detect one batch of frames.
 
+    Every pulse draws a click candidate on its own with probability
+    1 - exp(-mu t eta), and a candidate counts if its arrival falls in the
+    gate.  Only candidates are sampled: their pulse indices come from
+    geometric skips and their arrival offsets are drawn one per candidate.
     ``dead_until_ps`` carries hold-off state across consecutive batches.
     """
     g = frames.geometry
@@ -299,34 +363,27 @@ def spad_detect(
     mu = source.mean_photon_number
     t_ch = channel_transmittance(channel)
 
-    pulse_ps = frames.pulses()["time_ps"]
-    n_pulses = pulse_ps.size
-    arrival = pulse_ps + rngs.arrival.gen.integers(
-        0, source.occupied_width_ps, size=n_pulses, dtype=np.int64
-    )
-
-    p_click = 1.0 - np.exp(-mu * t_ch * spad.detection_efficiency)
-    clicked = np.flatnonzero(rngs.spad.gen.random(n_pulses) < p_click)
-    in_gate = clicked[((arrival[clicked] - spad.gate_phase_ps) % spad.gate_period_ps) < spad.gate_width_ps]
+    p_click = -math.expm1(-mu * t_ch * spad.detection_efficiency)
+    cand = _bernoulli_indices(p_click, frames.n_pulses(), rngs.spad)
+    pulse_ps = frames.pulse_times(cand)
+    offset = rngs.arrival.gen.integers(0, source.occupied_width_ps, size=cand.size, dtype=np.int64)
+    arrival = pulse_ps + offset
+    in_gate = ((arrival - spad.gate_phase_ps) % spad.gate_period_ps) < spad.gate_width_ps
     photon_t = arrival[in_gate]
-    photon_src = pulse_ps[in_gate]
 
+    # Photon and dark times are each sorted: insert the darks after any
+    # photon at the same time, which is the (time, cause) order.
     dark_t = _dark_times(spad, rngs, frames.start_frame, len(frames))
-
-    t = np.concatenate([photon_t, dark_t])
-    cause = np.concatenate([
-        np.full(photon_t.size, Cause.PHOTON, dtype=np.int8),
-        np.full(dark_t.size, Cause.DARK, dtype=np.int8),
-    ])
-    src = np.concatenate([photon_src, np.full(dark_t.size, -1, dtype=np.int64)])
-    order = np.lexsort((cause, t))
-    t, cause, src = t[order], cause[order], src[order]
+    at = np.searchsorted(photon_t, dark_t, side="right")
+    t = np.insert(photon_t, at, dark_t)
+    cause = np.insert(np.full(photon_t.size, Cause.PHOTON, dtype=np.int8), at, Cause.DARK)
+    src = np.insert(pulse_ps[in_gate], at, -1)
 
     keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
     clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
 
     reflected_mu = mu * t_ch * spad.facet_reflectance
-    reflection_ps = arrival if spad.facet_reflectance > 0 else np.empty(0, dtype=np.int64)
+    reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
 
     return SpadResult(
         clicks=clicks,
@@ -343,16 +400,24 @@ def snspd_detect(
     window_ps: tuple[int, int],
     rngs: DeviceRngs,
 ) -> DetectionLog:
-    """Thin arriving light onto the eavesdropper's detector and add darks."""
+    """Thin arriving light onto the eavesdropper's detector and add darks.
+
+    ``arrivals.reflection_ps`` lists only the pulses that sent at least one
+    photon back, which each pulse does with probability 1 - exp(-m) for a
+    reflected mean photon number m.  Each is detected with the conditional
+    probability (1 - exp(-m eta)) / (1 - exp(-m)), so a pulse gives a
+    reflection count with probability 1 - exp(-m eta) in all.
+    """
     eff = snspd.detection_efficiency
     bf = arrivals.backflash
     got_bf = rngs.snspd.gen.random(len(bf)) < eff
     bf_t = bf.emission_ps[got_bf]
     bf_src = bf.avalanche_ps[got_bf]
 
-    p_refl = 1.0 - float(np.exp(-arrivals.reflected_mean_photon * eff))
-    got_r = rngs.snspd.gen.random(arrivals.reflection_ps.size) < p_refl
-    refl_t = arrivals.reflection_ps[got_r]
+    refl_t = arrivals.reflection_ps
+    if refl_t.size:
+        m = arrivals.reflected_mean_photon
+        refl_t = refl_t[rngs.snspd.gen.random(refl_t.size) < math.expm1(-m * eff) / math.expm1(-m)]
 
     dark_t = poisson_event_times(snspd.dark_count_rate_cps, window_ps, rngs.snspd)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -137,27 +138,37 @@ class FrameBatch:
     def end_ps(self) -> int:
         return (self.start_frame + len(self)) * self.geometry.frame_period_ps
 
-    def pulses(self) -> dict[str, np.ndarray]:
-        """Global occupied-bin start ``time_ps`` of every emitted pulse, sorted.
+    @cached_property
+    def _decoy_second_pulses(self) -> np.ndarray:
+        """Pulse index of the sub-bin-1 pulse of every decoy slot, ascending."""
+        slots = np.flatnonzero(self.bits.reshape(-1) == LogicalBit.DECOY)
+        return slots + np.arange(1, slots.size + 1, dtype=np.int64)
 
-        Pulses come frame by frame, slot by slot, in sub-bin order; a decoy
-        slot emits in sub-bin 0 and then in sub-bin 1.
+    def n_pulses(self) -> int:
+        """Number of emitted pulses: one per slot, two per decoy slot."""
+        return self.bits.size + self._decoy_second_pulses.size
+
+    def pulse_times(self, idx: np.ndarray) -> np.ndarray:
+        """Global occupied-bin start ``time_ps`` of the pulses at ``idx``.
+
+        Pulses are numbered frame by frame, slot by slot, in sub-bin order; a
+        decoy slot emits in sub-bin 0 and then in sub-bin 1.  Sorted indices
+        give sorted times.
         """
         g = self.geometry
-        n, k = self.bits.shape
+        idx = np.asarray(idx, dtype=np.int64)
+        slot = idx
+        second = self._decoy_second_pulses
+        if second.size:
+            before = np.searchsorted(second, idx, side="right")
+            slot = idx - before
+            is_second = (before > 0) & (second[np.maximum(before - 1, 0)] == idx)
         # ZERO and DECOY open in sub-bin 0, ONE in sub-bin 1.
-        slot_ps = np.bitwise_and(self.bits, 1, dtype=np.int64)
-        slot_ps *= g.bin_width_ps
-        slot_ps += np.arange(k, dtype=np.int64) * (2 * g.bin_width_ps)
-        slot_ps += np.arange(self.start_frame, self.start_frame + n, dtype=np.int64)[:, None] * g.frame_period_ps
-        slot_ps = slot_ps.reshape(-1)
-        is_decoy = self.bits.reshape(-1) == LogicalBit.DECOY
-        if not is_decoy.any():
-            return {"time_ps": slot_ps}
-        per_slot = 1 + is_decoy
-        time_ps = np.repeat(slot_ps, per_slot)
-        time_ps[np.cumsum(per_slot)[is_decoy] - 1] += g.bin_width_ps
-        return {"time_ps": time_ps}
+        sub = np.bitwise_and(self.bits.reshape(-1)[slot], 1, dtype=np.int64)
+        if second.size:
+            sub[is_second] = 1
+        frame, k = np.divmod(slot, g.bits_per_frame)
+        return (self.start_frame + frame) * g.frame_period_ps + (2 * k + sub) * g.bin_width_ps
 
     def bit_at(self, frame: np.ndarray, slot: np.ndarray) -> np.ndarray:
         local = np.asarray(frame, dtype=np.int64) - self.start_frame

@@ -49,6 +49,7 @@ class Stream(IntEnum):
     SNSPD = 5
     DISCLOSE = 6
     AUX = 7
+    REFLECTION = 8
 
 
 class RngStream:
@@ -82,6 +83,7 @@ class DeviceRngs:
     snspd: RngStream = field(init=False)
     disclose: RngStream = field(init=False)
     aux: RngStream = field(init=False)
+    reflection: RngStream = field(init=False)
 
     def __post_init__(self) -> None:
         self.bits = RngStream(self.seed, Stream.BITS, self.trial)
@@ -92,6 +94,7 @@ class DeviceRngs:
         self.snspd = RngStream(self.seed, Stream.SNSPD, self.trial)
         self.disclose = RngStream(self.seed, Stream.DISCLOSE, self.trial)
         self.aux = RngStream(self.seed, Stream.AUX, self.trial)
+        self.reflection = RngStream(self.seed, Stream.REFLECTION, self.trial)
 
 
 def sample_delay(scale_ps: float, support_max_ps: int, rng: RngStream, size: int) -> np.ndarray:

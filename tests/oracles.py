@@ -2,9 +2,12 @@
 
 They are the straightforward per-candidate and per-pulse versions: a
 sequential hold-off loop, a pulse list built by sorting, and a
-``spad_detect`` that tests gate membership on every pulse.  Each draws from
-the same RNG streams in the same order and size as the library, so under
-one RNG key the outputs must agree exactly.
+``spad_detect`` that draws a click, an arrival offset and a reflection for
+every pulse.  The first two must agree with the library exactly.  The dense
+``spad_detect`` is a distributional reference: the library draws only the
+pulses that click or reflect, so the two agree in law, not draw for draw,
+except where no pulse can click, when their dark counts, hold-off and
+backflash still agree exactly under one RNG key.
 """
 
 import numpy as np
@@ -51,7 +54,9 @@ def sorted_pulse_times(batch):
 
 
 def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
-    """Gate test on every pulse, one lexsort, then the sequential hold-off."""
+    """Click, gate and reflection draws on every pulse, one lexsort, then the
+    sequential hold-off; ``reflection_ps`` keeps the pulses that send a photon
+    back, as the library's does."""
     g = frames.geometry
     if spad.gate_period_ps != g.frame_period_ps:
         raise ConfigError("gate period must match the frame period")
@@ -83,11 +88,12 @@ def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
 
     keep, dead_after = sequential_dead_time(t, spad.hold_off_ps, dead_until_ps)
     clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
-    reflection_ps = arrival if spad.facet_reflectance > 0 else np.empty(0, dtype=np.int64)
+    reflected_mu = mu * t_ch * spad.facet_reflectance
+    returned = rngs.reflection.gen.random(n_pulses) < 1.0 - np.exp(-reflected_mu)
     return SpadResult(
         clicks=clicks,
         backflash=_backflash(clicks.time_ps, spad, rngs),
-        reflection_ps=reflection_ps,
-        reflected_mean_photon=mu * t_ch * spad.facet_reflectance,
+        reflection_ps=arrival[returned],
+        reflected_mean_photon=reflected_mu,
         dead_until_ps=dead_after,
     )

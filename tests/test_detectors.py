@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from cowqkd.detectors import (
     Cause,
@@ -10,6 +12,7 @@ from cowqkd.detectors import (
     Histogram,
     SnspdConfig,
     SpadConfig,
+    _bernoulli_indices,
     _dead_time_filter,
     correlation_histogram,
     dark_exposure,
@@ -18,7 +21,7 @@ from cowqkd.detectors import (
     spad_preset,
 )
 from cowqkd.source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, generate_frames
-from cowqkd.timebase import DeviceRngs
+from cowqkd.timebase import DeviceRngs, RngStream, Stream
 from oracles import dense_spad_detect, sequential_dead_time
 
 
@@ -102,15 +105,27 @@ def test_all_clicks_inside_gates():
     assert np.all(local < 3000)
 
 def test_click_probability_matches_thinning():
-    # hold-off disabled so clicks are iid per frame
+    # hold-off disabled, so each of the 2e5 pulses clicks on its own
     spad = SpadConfig(hold_off_s=0.0, dark_count_rate_cps=0.0, facet_reflectance=0.0,
                       backflash_probability=0.0)
     src = SourceConfig(mean_photon_number=0.2)
     _, res = run_spad(n_frames=100_000, spad=spad, source=src, seed=2)
-    p = 1 - math.exp(-2 * 0.2 * 0.20)  # both pulses of a frame fall in one gate
+    p = 1 - math.exp(-0.2 * 0.20)
     n = len(res.clicks)
-    sigma = math.sqrt(100_000 * p * (1 - p))
-    assert abs(n - 100_000 * p) < 3 * sigma
+    sigma = math.sqrt(200_000 * p * (1 - p))
+    assert abs(n - 200_000 * p) < 3 * sigma
+
+def test_clicks_are_ordered_by_time_then_cause():
+    # 1 ps bins and a 1 ps gate put every in-gate photon and every dark on
+    # the gate's first picosecond, so photon and dark clicks tie often; a
+    # photon sorts before a dark at the same time.
+    src = SourceConfig(mean_photon_number=0.9, bin_width_ps=1)
+    spad = SpadConfig(gate_width_ps=1, hold_off_s=0.0, dark_count_rate_cps=1e11, facet_reflectance=0.0)
+    _, res = run_spad(n_frames=10_000, source=src, spad=spad, seed=16)
+    c = res.clicks
+    tied = np.flatnonzero(np.diff(c.time_ps) == 0)
+    assert np.sum(c.cause[tied] != c.cause[tied + 1]) > 50
+    assert np.array_equal(np.lexsort((c.cause, c.time_ps)), np.arange(len(c)))
 
 def test_dark_rate_recovered():
     spad = SpadConfig(detection_efficiency=0.0, hold_off_s=0.0, dark_count_rate_cps=100_000.0,
@@ -160,12 +175,81 @@ DENSE_CASES = {
                                  channel=ChannelConfig(length_km=10.0)),
 }
 
-@pytest.mark.parametrize("case", sorted(DENSE_CASES))
-def test_spad_detect_matches_dense_oracle(case):
-    # Two chained batches: the second starts mid-run and inherits hold-off.
+# Distributional comparison with the dense oracle.  Thresholds are fixed in
+# advance: a family-wise false alarm rate of 1e-3, Bonferroni-split over every
+# comparison of every case.
+DENSE_SEEDS = 20
+DENSE_CHECKS = 7
+DENSE_ALPHA = 1e-3 / (len(DENSE_CASES) * DENSE_CHECKS)
+
+
+def _pooled_run(case, sampler, seeds):
+    """Per-cause counts, in-gate photon offsets, click gaps and Eve's
+    reflection counts over two chained 3000-frame batches per seed."""
     kw = DENSE_CASES[case]
     source = kw["source"]
     spad = kw.get("spad", SpadConfig(hold_off_s=1e-6, dark_count_rate_cps=5e5))
+    channel = kw.get("channel", ChannelConfig())
+    snspd = SnspdConfig(dark_count_rate_cps=0.0)
+    out = dict(photon=0, dark=0, backflash=0, eve_reflection=0, pulses=0, offsets=[], gaps=[])
+    for seed in seeds:
+        rngs = DeviceRngs(seed, trial=2)
+        dead = 0
+        times = []
+        for start in (0, 3_000):
+            batch = generate_frames(source, 3_000, rngs.bits, start_frame=start)
+            res = sampler(batch, source, spad, channel, rngs, dead_until_ps=dead)
+            dead = res.dead_until_ps
+            c = res.clicks
+            out["photon"] += int(np.sum(c.cause == Cause.PHOTON))
+            out["dark"] += int(np.sum(c.cause == Cause.DARK))
+            out["backflash"] += len(res.backflash)
+            photon_t = c.time_ps[c.cause == Cause.PHOTON]
+            out["offsets"].append((photon_t - spad.gate_phase_ps) % spad.gate_period_ps)
+            times.append(c.time_ps)
+            eve = snspd_detect(res.eve_arrivals(), snspd, (batch.start_ps, batch.end_ps), rngs)
+            out["eve_reflection"] += int(np.sum(eve.cause == Cause.REFLECTION))
+            out["pulses"] += batch.n_pulses()
+        out["gaps"].append(np.diff(np.concatenate(times)))
+    out["offsets"] = np.concatenate(out["offsets"])
+    out["gaps"] = np.concatenate(out["gaps"])
+    out["m_eve"] = res.reflected_mean_photon * snspd.detection_efficiency
+    return out
+
+
+def _equal_rate_pvalue(a, b):
+    """Exact conditional test that two counts share one Poisson mean; it is
+    conservative for the under-dispersed counts that hold-off produces."""
+    return stats.binomtest(a, a + b, 0.5).pvalue if a + b else 1.0
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_spad_detect_matches_dense_oracle(case):
+    # Independent seeds for the two samplers, so the pools are independent.
+    fast = _pooled_run(case, spad_detect, range(DENSE_SEEDS))
+    dense = _pooled_run(case, dense_spad_detect, range(1000, 1000 + DENSE_SEEDS))
+    assert fast["photon"] >= 100 and dense["photon"] >= 100
+    pvalues = {
+        cause: _equal_rate_pvalue(fast[cause], dense[cause])
+        for cause in ("photon", "dark", "backflash", "eve_reflection")
+    }
+    # Each pulse gives Eve a reflection count with probability 1 - exp(-m eta).
+    pvalues["eve_reflection_exact"] = stats.binomtest(
+        fast["eve_reflection"], fast["pulses"], -math.expm1(-fast["m_eve"])).pvalue
+    pvalues["offset_ks"] = stats.ks_2samp(fast["offsets"], dense["offsets"]).pvalue
+    pvalues["gap_ks"] = stats.ks_2samp(fast["gaps"], dense["gaps"]).pvalue
+    assert len(pvalues) == DENSE_CHECKS
+    assert min(pvalues.values()) > DENSE_ALPHA, pvalues
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
+    # With zero efficiency no pulse can click, so darks, hold-off and
+    # backflash are the same draws as the oracle's; about 0.02 darks per gate.
+    kw = DENSE_CASES[case]
+    source = kw["source"]
+    spad = kw.get("spad", SpadConfig(hold_off_s=1e-6))
+    spad = replace(spad, detection_efficiency=0.0, dark_count_rate_cps=2e10 / spad.gate_width_ps)
     channel = kw.get("channel", ChannelConfig())
     fast, dense = DeviceRngs(31, trial=2), DeviceRngs(31, trial=2)
     dead_fast = dead_dense = 0
@@ -179,10 +263,44 @@ def test_spad_detect_matches_dense_oracle(case):
             assert np.array_equal(getattr(got.clicks, name), getattr(want.clicks, name)), name
         assert np.array_equal(got.backflash.avalanche_ps, want.backflash.avalanche_ps)
         assert np.array_equal(got.backflash.emission_ps, want.backflash.emission_ps)
-        assert np.array_equal(got.reflection_ps, want.reflection_ps)
         assert got.reflected_mean_photon == want.reflected_mean_photon
         assert got.dead_until_ps == want.dead_until_ps
         dead_fast, dead_dense = got.dead_until_ps, want.dead_until_ps
+
+
+# --- the geometric skip ----------------------------------------------------
+
+def test_bernoulli_indices_empty_cases_draw_nothing():
+    rng = RngStream(3, Stream.AUX)
+    assert _bernoulli_indices(0.0, 1000, rng).size == 0
+    assert _bernoulli_indices(0.5, 0, rng).size == 0
+    assert rng.gen.random() == RngStream(3, Stream.AUX).gen.random()
+
+@given(st.floats(min_value=1e-6, max_value=1.0), st.integers(min_value=0, max_value=5000),
+       st.integers(min_value=0, max_value=2**32))
+def test_bernoulli_indices_increase_within_range(p, n, seed):
+    idx = _bernoulli_indices(p, n, RngStream(seed, Stream.AUX))
+    assert idx.dtype == np.int64
+    assert np.all(np.diff(idx) > 0)
+    assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < n)
+    if p == 1.0:
+        assert idx.tolist() == list(range(n))
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 0.9])
+def test_bernoulli_indices_are_unbiased_per_position(p):
+    # Every position of a 12-long row is present with probability p, and
+    # the total over a long row is Binomial(n, p); 13 exact tests share a
+    # 1e-4 false alarm rate.
+    rng = RngStream(17, Stream.AUX)
+    reps, n = 4000, 12
+    hits = np.zeros(n, dtype=np.int64)
+    for _ in range(reps):
+        hits[_bernoulli_indices(p, n, rng)] += 1
+    pvalues = [stats.binomtest(int(h), reps, p).pvalue for h in hits]
+    big = 2_000_000
+    pvalues.append(stats.binomtest(_bernoulli_indices(p, big, rng).size, big, p).pvalue)
+    assert min(pvalues) > 1e-4 / 13, pvalues
+
 
 def test_hold_off_enforced_across_chunks():
     spad = SpadConfig(hold_off_s=10e-6)
@@ -257,10 +375,41 @@ def test_backflash_cap_is_one_gate_width_after_the_avalanche():
     assert np.all(em - av <= spad.gate_width_ps)
     assert np.all(em >= av)
 
-def test_reflections_track_every_pulse():
-    _, res = run_spad(n_frames=1000, seed=7)
-    assert res.reflection_ps.size == 2 * 1000
-    assert res.reflected_mean_photon == pytest.approx(0.2 * 1.0 * 1e-2)
+def test_reflections_return_from_a_binomial_share_of_pulses():
+    # Each of the 4e5 pulses sends a photon back with probability 1 - exp(-m).
+    batch, res = run_spad(n_frames=200_000, seed=7)
+    m = 0.2 * 1.0 * 1e-2
+    assert res.reflected_mean_photon == pytest.approx(m)
+    p = -math.expm1(-m)
+    lo, hi = stats.binom.ppf([0.00135, 0.99865], batch.n_pulses(), p)
+    assert lo <= res.reflection_ps.size <= hi
+    assert np.all(np.diff(res.reflection_ps) > 0)
+    local = res.reflection_ps % 32000
+    assert np.all(local < batch.geometry.signal_window_ps)
+
+def test_reflectance_leaves_receiver_draws_alone():
+    # Reflections draw on their own stream: Bob's clicks and backflash are
+    # bit-identical with and without a reflecting facet.
+    _, with_r = run_spad(n_frames=50_000, seed=8)
+    _, without = run_spad(n_frames=50_000, spad=SpadConfig(facet_reflectance=0.0), seed=8)
+    assert with_r.reflection_ps.size > 50 and without.reflection_ps.size == 0
+    for name in ("time_ps", "cause", "source_ps"):
+        assert np.array_equal(getattr(with_r.clicks, name), getattr(without.clicks, name)), name
+    assert np.array_equal(with_r.backflash.avalanche_ps, without.backflash.avalanche_ps)
+    assert np.array_equal(with_r.backflash.emission_ps, without.backflash.emission_ps)
+    assert with_r.dead_until_ps == without.dead_until_ps
+
+def test_clicked_reflections_reuse_the_click_arrival():
+    # A pulse that both clicks and reflects arrives once: with a reflectance
+    # of 1 and a near-unit click probability, almost every click source is a
+    # reflected pulse, and its reflection time equals the click time.
+    spad = SpadConfig(detection_efficiency=1.0, facet_reflectance=1.0, hold_off_s=0.0,
+                      dark_count_rate_cps=0.0)
+    _, res = run_spad(n_frames=2_000, spad=spad, source=SourceConfig(mean_photon_number=0.99), seed=15)
+    both = np.intersect1d(res.clicks.time_ps, res.reflection_ps)
+    shared_src = np.intersect1d(res.clicks.source_ps, res.reflection_ps - res.reflection_ps % 1000)
+    assert both.size > 1000
+    assert both.size == shared_src.size
 
 def test_reflectance_zero_disables_reflections():
     spad = SpadConfig(facet_reflectance=0.0)

@@ -16,6 +16,7 @@ from cowqkd.source import (
     write_frames_csv,
 )
 from cowqkd.timebase import RngStream, Stream
+from oracles import sorted_pulse_times
 
 
 def make_rng(seed=0):
@@ -80,17 +81,18 @@ def test_decoy_rate():
 
 def test_pulse_positions_encode_bits():
     # bit 0 -> first bin of the slot, bit 1 -> second, decoy -> both
-    cfg = SourceConfig(pattern="alternating")
-    batch = generate_frames(cfg, 3, make_rng())
-    assert batch.pulses()["time_ps"].tolist() == [0, 3000, 32000, 35000, 64000, 67000]
+    batch = FrameBatch(SourceConfig().geometry, np.array([[0, 1], [2, 1], [1, 0]]))
+    assert batch.n_pulses() == 7
+    assert batch.pulse_times(np.arange(7)).tolist() == [0, 3000, 32000, 33000, 35000, 65000, 66000]
+    assert batch.pulse_times(np.array([2, 3, 6])).tolist() == [32000, 33000, 66000]
 
 
 def test_decoy_contributes_two_pulses():
     cfg = SourceConfig(decoy_probability=1.0)
     batch = generate_frames(cfg, 4, make_rng())
-    pulses = batch.pulses()
-    assert pulses["time_ps"].size == 4 * 2 * 2
-    assert np.all(np.diff(pulses["time_ps"]) >= 0)
+    t = batch.pulse_times(np.arange(batch.n_pulses()))
+    assert t.size == 4 * 2 * 2
+    assert np.all(np.diff(t) >= 0)
 
 
 def test_bit_at_and_is_decoy():
@@ -102,7 +104,7 @@ def test_bit_at_and_is_decoy():
 
 def test_pulses_within_signal_window():
     batch = generate_frames(SourceConfig(pattern="random"), 500, make_rng(9))
-    t = batch.pulses()["time_ps"]
+    t = batch.pulse_times(np.arange(batch.n_pulses()))
     offset = t - (t // 32000) * 32000
     assert np.all(offset >= 0)
     assert np.all(offset < 4000)
@@ -111,9 +113,26 @@ def test_pulses_within_signal_window():
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=30))
 def test_pulse_count_matches_bits(n, seed):
     batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.2), n, make_rng(seed))
-    p = batch.pulses()
     expected = int(np.sum(batch.bits == LogicalBit.DECOY)) * 2 + int(np.sum(batch.bits != LogicalBit.DECOY))
-    assert p["time_ps"].size == expected
+    assert batch.n_pulses() == expected
+    assert batch.pulse_times(np.arange(batch.n_pulses())).size == expected
+
+
+@given(
+    st.integers(min_value=0, max_value=300),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["nrz", "rz"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=30),
+)
+def test_pulse_times_match_sorted_oracle(n, decoy, bits_per_frame, encoding, start_frame, seed):
+    cfg = SourceConfig(pattern="random", decoy_probability=decoy, bits_per_frame=bits_per_frame,
+                       encoding=encoding)
+    batch = generate_frames(cfg, n, make_rng(seed), start_frame=start_frame)
+    want = sorted_pulse_times(batch)
+    assert batch.n_pulses() == want.size
+    assert batch.pulse_times(np.arange(batch.n_pulses())).tolist() == want.tolist()
 
 
 def test_channel_transmittance_oracles():

@@ -42,7 +42,7 @@ class TestRngStreams:
 
     def test_device_rngs_exposes_all_streams(self):
         rngs = DeviceRngs(7, trial=2)
-        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "aux"]
+        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "aux", "reflection"]
         draws = [getattr(rngs, n).gen.random() for n in names]
         assert len(set(draws)) == len(draws)
 
