@@ -397,7 +397,7 @@ def spad_detect(
 def snspd_detect(
     arrivals: EveArrivals,
     snspd: SnspdConfig,
-    window_ps: tuple[int, int],
+    window_ps: tuple,
     rngs: DeviceRngs,
 ) -> DetectionLog:
     """Thin arriving light onto the eavesdropper's detector and add darks.
@@ -407,6 +407,11 @@ def snspd_detect(
     reflected mean photon number m.  Each is detected with the conditional
     probability (1 - exp(-m eta)) / (1 - exp(-m)), so a pulse gives a
     reflection count with probability 1 - exp(-m eta) in all.
+
+    Dark counts are drawn only inside ``window_ps``, passed on to
+    :func:`poisson_event_times`: one interval (t0, t1), or sorted arrays
+    ``(starts, ends)`` of disjoint windows when only the darks there can
+    matter, as in a start-stop histogram.
     """
     eff = snspd.detection_efficiency
     bf = arrivals.backflash
@@ -496,14 +501,24 @@ def correlation_histogram(
     """Start-stop histogram: every stop within range of every start counts.
 
     ``range_ps`` is a (lo, hi) pair; differences d satisfy lo <= d < hi.
+    Each stop is searched into the starts, the ones in (stop - hi, stop - lo],
+    so the cost grows with the number of stops and the pairs found.  An input
+    is sorted only if it is not sorted already.
     """
     lo, hi = int(range_ps[0]), int(range_ps[1])
-    starts = np.sort(np.asarray(start_ps, dtype=np.int64))
-    stops = np.sort(np.asarray(stop_ps, dtype=np.int64))
-    i_lo = np.searchsorted(stops, starts + lo, side="left")
-    i_hi = np.searchsorted(stops, starts + hi, side="left")
-    reps = i_hi - i_lo
+    starts = _sorted(start_ps)
+    stops = _sorted(stop_ps)
+    j_lo = np.searchsorted(starts, stops - hi, side="right")
+    reps = np.searchsorted(starts, stops - lo, side="right") - j_lo
     cum = np.cumsum(reps)
     within = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(cum - reps, reps)
-    d = stops[np.repeat(i_lo, reps) + within] - np.repeat(starts, reps)
+    d = np.repeat(stops, reps) - starts[np.repeat(j_lo, reps) + within]
     return Histogram.from_samples(d, int(bin_width_ps), lo, hi)
+
+
+def _sorted(times) -> np.ndarray:
+    """``times`` as int64, sorted by a copy only when it is out of order."""
+    t = np.asarray(times, dtype=np.int64)
+    if t.size > 1 and np.any(t[1:] < t[:-1]):
+        return np.sort(t)
+    return t

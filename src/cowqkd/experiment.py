@@ -567,13 +567,19 @@ def emit_timing_correlation(
     capped at one gate width after the avalanche (not at the time left in
     the gate), which is what makes the spread grow with width until the
     intrinsic bound takes over.
+
+    The eavesdropper's dark counts are drawn only where a stop can count,
+    within ``range_ps`` after some click.  A Poisson process restricted to a
+    set is Poisson on that set, so the histogram's law is that of darks over
+    the whole exposure, at a cost that grows with the clicks, not the
+    exposure time.
     """
     if clicks_per_width < 1:
         raise ConfigError("clicks_per_width must be >= 1")
     out: dict[int, Histogram] = {}
     for w in gate_widths_ps:
         spad = replace(cfg.spad, gate_width_ps=int(w), hold_off_s=1e-6)
-        rngs = DeviceRngs(cfg.seed, trial=int(w))
+        rngs = _correlation_rngs(cfg.seed, int(w))
 
         p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
         gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
@@ -581,7 +587,7 @@ def emit_timing_correlation(
 
         clicks, backflash = dark_exposure(spad, rngs, gates)
         arrivals = EveArrivals(backflash, np.empty(0, dtype=np.int64), 0.0)
-        eve = snspd_detect(arrivals, cfg.snspd, (0, span_ps), rngs)
+        eve = snspd_detect(arrivals, cfg.snspd, _stop_windows(clicks, range_ps, span_ps), rngs)
 
         hist = correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps)
         out[int(w)] = hist
@@ -590,3 +596,29 @@ def emit_timing_correlation(
             path.mkdir(parents=True, exist_ok=True)
             hist.write_csv(path / f"correlation_w{int(w)}.csv", _headers(cfg) + [f"gate_width_ps={int(w)}"])
     return out
+
+
+def _correlation_rngs(seed: int, gate_width_ps: int) -> DeviceRngs:
+    """The streams of the dark-exposure study at one gate width."""
+    return DeviceRngs(seed, trial=gate_width_ps)
+
+
+def _stop_windows(clicks_ps: np.ndarray, range_ps: tuple[int, int], span_ps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted disjoint windows covering [click + lo, click + hi) for every
+    click, within the exposure [0, span_ps).
+
+    ``clicks_ps`` is sorted, so the starts and the ends each stay sorted.
+    Windows are merged only when some window reaches past the next one's
+    start, which a range no wider than the hold-off never gives.
+    """
+    lo, hi = int(range_ps[0]), int(range_ps[1])
+    starts = clicks_ps + lo
+    np.clip(starts, 0, span_ps, out=starts)
+    ends = clicks_ps + hi
+    np.clip(ends, 0, span_ps, out=ends)
+    if np.any(starts[1:] < ends[:-1]):
+        # Ends are sorted, so a merged window ends where its last member does.
+        first = np.flatnonzero(starts[1:] >= ends[:-1]) + 1
+        starts = starts[np.r_[0, first]]
+        ends = ends[np.r_[first - 1, ends.size - 1]]
+    return starts, ends

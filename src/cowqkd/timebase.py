@@ -107,22 +107,42 @@ def sample_delay(scale_ps: float, support_max_ps: int, rng: RngStream, size: int
     return np.clip(np.rint(x).astype(np.int64), 0, support_max_ps)
 
 
-def poisson_event_times(rate_per_s: float, window_ps: tuple[int, int], rng: RngStream) -> np.ndarray:
-    """Sorted int64 event times of a homogeneous Poisson process on [t0, t1).
+def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: RngStream) -> np.ndarray:
+    """Sorted int64 event times of a homogeneous Poisson process on a union
+    of windows.
 
-    Zero rate or an empty window yields an empty array.
+    ``window_ps`` is a pair ``(starts, ends)`` of sorted int64 arrays that
+    describe the disjoint half-open windows [starts[i], ends[i]); a pair of
+    integers is one window.  The count is drawn once for the total length
+    and each event is one uniform draw over that length, mapped to its
+    window through the cumulative lengths, so the cost grows with the number
+    of windows and events, not with the time they span.  One window gives
+    the same draws as the single-interval process on [t0, t1).  Zero rate
+    or zero total length draws nothing.
     """
     if rate_per_s < 0:
         raise ValueError("rate must be >= 0")
-    t0, t1 = int(window_ps[0]), int(window_ps[1])
-    check_time_range(max(t1, t0))
-    if rate_per_s == 0 or t1 <= t0:
+    starts = np.atleast_1d(np.asarray(window_ps[0], dtype=np.int64))
+    ends = np.atleast_1d(np.asarray(window_ps[1], dtype=np.int64))
+    if not ends.size:
         return np.empty(0, dtype=np.int64)
-    duration_s = (t1 - t0) / PS_PER_S
-    n = int(rng.gen.poisson(rate_per_s * duration_s))
-    times = t0 + rng.gen.integers(0, t1 - t0, size=n, dtype=np.int64)
-    times.sort()
-    return times
+    check_time_range(max(int(starts[-1]), int(ends[-1])))
+    if rate_per_s == 0:
+        return np.empty(0, dtype=np.int64)
+    cum = ends - starts
+    np.maximum(cum, 0, out=cum)
+    total = int(cum.sum())
+    if total <= 0:
+        return np.empty(0, dtype=np.int64)
+    n = int(rng.gen.poisson(rate_per_s * (total / PS_PER_S)))
+    u = rng.gen.integers(0, total, size=n, dtype=np.int64)
+    if not n:
+        return u
+    u.sort()
+    # Window k holds u in [cum[k-1], cum[k]) and ends where cum[k] does.
+    np.cumsum(cum, out=cum)
+    k = np.searchsorted(cum, u, side="right")
+    return ends[k] - cum[k] + u
 
 
 def write_csv(path, header_lines: list[str] | None, columns: list[str], rows) -> None:

@@ -8,7 +8,15 @@ every pulse.  The first two must agree with the library exactly.  The dense
 pulses that click or reflect, so the two agree in law, not draw for draw,
 except where no pulse can click, when their dark counts, hold-off and
 backflash still agree exactly under one RNG key.
+
+The single-interval Poisson sampler must match the library's one-window
+draws exactly.  The full-exposure correlation study draws the
+eavesdropper's darks over the whole exposure and histograms them by
+searching every start into the stops; the library draws darks only where a
+stop can count, so the two agree in law.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,11 +24,15 @@ from cowqkd.detectors import (
     BOB,
     Cause,
     DetectionLog,
+    Histogram,
     SpadResult,
     _backflash,
     _dark_times,
+    dark_exposure,
 )
+from cowqkd.rates import dark_probability_per_gate
 from cowqkd.source import ConfigError, LogicalBit, channel_transmittance
+from cowqkd.timebase import PS_PER_S, check_time_range
 
 
 def sequential_dead_time(times, hold_off_ps, dead_until_ps):
@@ -97,3 +109,48 @@ def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
         reflected_mean_photon=reflected_mu,
         dead_until_ps=dead_after,
     )
+
+
+def single_interval_poisson_times(rate_per_s, window_ps, rng):
+    """Poisson event times on one interval [t0, t1): a count, that many
+    uniform offsets, then a sort of the times."""
+    if rate_per_s < 0:
+        raise ValueError("rate must be >= 0")
+    t0, t1 = int(window_ps[0]), int(window_ps[1])
+    check_time_range(max(t1, t0))
+    if rate_per_s == 0 or t1 <= t0:
+        return np.empty(0, dtype=np.int64)
+    duration_s = (t1 - t0) / PS_PER_S
+    n = int(rng.gen.poisson(rate_per_s * duration_s))
+    times = t0 + rng.gen.integers(0, t1 - t0, size=n, dtype=np.int64)
+    times.sort()
+    return times
+
+
+def start_search_correlation_histogram(start_ps, stop_ps, bin_width_ps, range_ps):
+    """Start-stop histogram that sorts both inputs and searches every start
+    into the stops."""
+    lo, hi = int(range_ps[0]), int(range_ps[1])
+    starts = np.sort(np.asarray(start_ps, dtype=np.int64))
+    stops = np.sort(np.asarray(stop_ps, dtype=np.int64))
+    i_lo = np.searchsorted(stops, starts + lo, side="left")
+    i_hi = np.searchsorted(stops, starts + hi, side="left")
+    reps = i_hi - i_lo
+    cum = np.cumsum(reps)
+    within = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(cum - reps, reps)
+    d = stops[np.repeat(i_lo, reps) + within] - np.repeat(starts, reps)
+    return Histogram.from_samples(d, int(bin_width_ps), lo, hi)
+
+
+def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, bin_width_ps, range_ps, rngs):
+    """One gate width of the dark-exposure study, with the eavesdropper's
+    darks drawn over the whole exposure [0, span)."""
+    spad = replace(cfg.spad, gate_width_ps=int(gate_width_ps), hold_off_s=1e-6)
+    p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
+    gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
+    span_ps = gates * spad.gate_period_ps
+    clicks, backflash = dark_exposure(spad, rngs, gates)
+    got = rngs.snspd.gen.random(len(backflash)) < cfg.snspd.detection_efficiency
+    dark = single_interval_poisson_times(cfg.snspd.dark_count_rate_cps, (0, span_ps), rngs.snspd)
+    stops = np.concatenate([backflash.emission_ps[got], dark])
+    return start_search_correlation_histogram(clicks, stops, bin_width_ps, range_ps)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from cowqkd.detectors import (
@@ -526,6 +526,38 @@ def test_correlation_histogram_negative_range():
     assert h.total() == 2
     assert h.counts[(40 - 100 - -100) // 20] == 1
     assert h.counts[(120 - 100 - -100) // 20] == 1
+
+def brute_force_correlation(starts, stops, bin_width_ps, lo, hi):
+    counts = np.zeros(-(-(hi - lo) // bin_width_ps), dtype=np.int64)
+    for s in starts:
+        for p in stops:
+            if lo <= p - s < hi:
+                counts[(p - s - lo) // bin_width_ps] += 1
+    return counts.tolist()
+
+DENSE = list(range(0, 3000, 7))
+SPARSE = [1500, 40, 2990]
+
+@given(
+    starts=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
+    stops=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
+    lo=st.integers(min_value=-600, max_value=600),
+    width=st.integers(min_value=1, max_value=900),
+    bin_width=st.integers(min_value=1, max_value=70),
+)
+@example(starts=DENSE, stops=SPARSE, lo=-40, width=300, bin_width=10)
+@example(starts=SPARSE, stops=DENSE, lo=-40, width=300, bin_width=10)
+@example(starts=[5, 5, 3], stops=[5, 3, 5, 8], lo=0, width=6, bin_width=2)
+@example(starts=[], stops=[1, 2], lo=0, width=10, bin_width=1)
+@example(starts=[1, 2], stops=[], lo=-5, width=10, bin_width=1)
+def test_correlation_histogram_matches_brute_force_property(starts, stops, lo, width, bin_width):
+    # Unsorted inputs, tied times, negative lo, empty sides and lopsided sizes.
+    a = np.array(starts, dtype=np.int64)
+    b = np.array(stops, dtype=np.int64)
+    h = correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
+    assert h.start_ps == lo
+    assert h.counts.tolist() == brute_force_correlation(starts, stops, bin_width, lo, lo + width)
+    assert a.tolist() == starts and b.tolist() == stops
 
 def test_histogram_write_csv(tmp_path):
     h = Histogram.from_samples(np.array([5, 25]), 10, 0, 30)

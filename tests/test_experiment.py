@@ -1,6 +1,7 @@
 import filecmp
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
     _apply_axis,
+    _correlation_rngs,
+    _stop_windows,
     apply_overrides,
     config_hash,
     config_to_flat,
@@ -24,6 +27,11 @@ from cowqkd.experiment import (
 )
 from cowqkd.rates import count_interval
 from cowqkd.source import ChannelConfig, ConfigError, SourceConfig
+from cowqkd.detectors import SnspdConfig
+from cowqkd.timebase import RngStream, Stream
+from hypothesis import given, strategies as st
+from oracles import full_exposure_correlation
+from scipy import stats
 
 
 def small_attack_cfg(**kw):
@@ -331,3 +339,60 @@ class TestTimingCorrelation:
     def test_clicks_validation(self):
         with pytest.raises(ConfigError):
             emit_timing_correlation(small_attack_cfg(), [2000], clicks_per_width=0)
+
+    # Family-wise alpha 1e-3 over the four checks below, fixed before the
+    # first run: an exact conditional binomial test of the dark-stop counts
+    # and a two-sample KS test of their delays, for a range inside the 1 us
+    # hold-off and for one that makes the windows overlap.
+    LAW_ALPHA = 1e-3 / 4
+
+    @pytest.mark.parametrize("range_ps,bin_width_ps", [((0, 6000), 1), ((0, 3_000_000), 1)])
+    def test_window_darks_match_full_exposure_darks(self, range_ps, bin_width_ps):
+        # At 1e7 dark counts/s the windows catch darks.  Without backflash
+        # every stop is a dark.  Both arms share each seed's clicks, and
+        # their SNSPD streams are independent.  Clicks lie at least one
+        # hold-off apart, so a dark is at most one hold-off after one click.
+        # Delays below the hold-off therefore count each dark once, and
+        # their count is Poisson with the same mean in both arms.
+        w, hold_off = 4000, 1_000_000
+        cfg = ExperimentConfig(
+            spad=spad_preset("5v", dark_count_rate_cps=1e7, backflash_probability=0.0),
+            snspd=SnspdConfig(dark_count_rate_cps=1e7),
+            attack_enabled=False,
+        )
+        new, old = [], []
+        for seed in range(10):
+            cfg_s = replace(cfg, seed=seed)
+            h = emit_timing_correlation(cfg_s, [w], clicks_per_width=2000, bin_width_ps=bin_width_ps,
+                                        range_ps=range_ps)[w]
+            rngs = _correlation_rngs(seed, w)
+            rngs.snspd = RngStream(10_000 + seed, Stream.SNSPD)
+            h_old = full_exposure_correlation(cfg_s, w, 2000, bin_width_ps, range_ps, rngs)
+            for out, hist in ((new, h), (old, h_old)):
+                once = hist.bin_starts_ps < range_ps[0] + hold_off
+                out.append(np.repeat(hist.bin_starts_ps[once], hist.counts[once]))
+        new, old = np.concatenate(new), np.concatenate(old)
+        assert new.size > 500 and old.size > 500
+        assert stats.binomtest(new.size, new.size + old.size, 0.5).pvalue > self.LAW_ALPHA
+        assert stats.ks_2samp(new, old).pvalue > self.LAW_ALPHA
+
+
+@given(
+    gaps=st.lists(st.integers(min_value=0, max_value=4000), max_size=30),
+    lo=st.integers(min_value=-3000, max_value=3000),
+    width=st.integers(min_value=1, max_value=6000),
+    span=st.integers(min_value=1, max_value=60_000),
+)
+def test_stop_windows_cover_exactly_the_click_windows(gaps, lo, width, span):
+    clicks = np.cumsum(np.array(gaps, dtype=np.int64))
+    starts, ends = _stop_windows(clicks, (lo, lo + width), span)
+    covered = np.zeros(span, dtype=bool)
+    for c in clicks.tolist():
+        covered[max(c + lo, 0):max(min(c + lo + width, span), 0)] = True
+    merged = np.zeros(span, dtype=bool)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        assert 0 <= a <= b <= span
+        assert not merged[a:b].any()
+        merged[a:b] = True
+    assert merged.tolist() == covered.tolist()
+    assert np.all(starts[1:] >= ends[:-1])

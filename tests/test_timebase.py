@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from cowqkd.detectors import SpadConfig, _backflash
 from cowqkd.source import ConfigError
@@ -16,6 +17,7 @@ from cowqkd.timebase import (
     poisson_event_times,
     sample_delay,
 )
+from oracles import single_interval_poisson_times
 
 
 def trunc_exp_mean(scale, cap):
@@ -141,3 +143,71 @@ class TestPoissonTimes:
             assert np.all(np.diff(t) >= 0)
             assert t.min() >= 1000
             assert t.max() < 10**9
+
+    @pytest.mark.parametrize("as_arrays", [False, True])
+    @given(
+        rate=st.floats(min_value=0.0, max_value=1e7),
+        t0=st.integers(min_value=0, max_value=10**15),
+        length=st.integers(min_value=-3, max_value=10**9),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_one_window_matches_single_interval_oracle(self, as_arrays, rate, t0, length, seed):
+        window = (t0, t0 + length)
+        if as_arrays:
+            window = (np.array([t0], dtype=np.int64), np.array([t0 + length], dtype=np.int64))
+        a, b = RngStream(seed, Stream.SNSPD), RngStream(seed, Stream.SNSPD)
+        got = poisson_event_times(rate, window, a)
+        want = single_interval_poisson_times(rate, (t0, t0 + length), b)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        # Both leave the stream at the same point.
+        assert a.gen.random() == b.gen.random()
+
+
+class TestPoissonTimesOnWindows:
+    """Several disjoint windows: one count for the total length, each event
+    in the window its uniform draw falls in."""
+
+    STARTS = np.array([0, 5_000_000, 9_000_000, 9_000_000, 20_000_000], dtype=np.int64)
+    ENDS = np.array([1_000_000, 8_000_000, 9_000_000, 11_000_000, 24_000_000], dtype=np.int64)
+
+    def test_count_and_window_shares(self):
+        # Thresholds fixed before the first run: the count lies in the exact
+        # central 1 - 1e-4 Poisson interval, and the chi-square test of the
+        # per-window shares against the lengths gives p > 1e-4.
+        rate = 2e9  # 1e7 ps in all, so 20,000 events expected
+        t = poisson_event_times(rate, (self.STARTS, self.ENDS), RngStream(21, Stream.SNSPD))
+        lengths = self.ENDS - self.STARTS
+        lam = rate * int(lengths.sum()) / 1e12
+        lo, hi = stats.poisson.interval(1 - 1e-4, lam)
+        assert lo <= t.size <= hi
+        k = np.searchsorted(self.ENDS, t, side="right")
+        counts = np.bincount(k, minlength=lengths.size)
+        assert counts[lengths == 0].sum() == 0
+        live = lengths > 0
+        expected = t.size * lengths[live] / lengths.sum()
+        assert stats.chisquare(counts[live], expected).pvalue > 1e-4
+
+    @given(
+        gaps=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12),
+        lengths=st.lists(st.integers(min_value=0, max_value=10**6), min_size=12, max_size=12),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    def test_times_sorted_and_inside_their_windows(self, gaps, lengths, seed):
+        starts = np.cumsum(np.array(gaps, dtype=np.int64)) + np.r_[0, np.cumsum(lengths[: len(gaps) - 1])]
+        ends = starts + np.array(lengths[: len(gaps)], dtype=np.int64)
+        t = poisson_event_times(5e9, (starts, ends), RngStream(seed, Stream.AUX))
+        assert np.all(np.diff(t) >= 0)
+        k = np.searchsorted(ends, t, side="right")
+        assert np.all(k < ends.size)
+        assert np.all((starts[k] <= t) & (t < ends[k]))
+
+    @pytest.mark.parametrize("starts,ends", [
+        ([3, 10, 10], [3, 10, 10]),
+        ([], []),
+    ])
+    def test_zero_total_length_draws_nothing(self, starts, ends):
+        rng = RngStream(22, Stream.AUX)
+        t = poisson_event_times(1e12, (np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)), rng)
+        assert t.size == 0 and t.dtype == np.int64
+        assert rng.gen.random() == RngStream(22, Stream.AUX).gen.random()
