@@ -46,7 +46,7 @@ from .rates import (
     p_sift_holdoff,
 )
 from .source import ChannelConfig, ConfigError, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
-from .timebase import DeviceRngs, check_time_range, write_csv
+from .timebase import TIMING_CORRELATION_STUDY, DeviceRngs, check_time_range, write_csv
 
 # Fixed so chunking never affects drawn sequences.  The detectors draw per
 # event, but generate_frames still draws one float64 per slot for decoys:
@@ -599,8 +599,9 @@ def emit_timing_correlation(
 
 
 def _correlation_rngs(seed: int, gate_width_ps: int) -> DeviceRngs:
-    """The streams of the dark-exposure study at one gate width."""
-    return DeviceRngs(seed, trial=gate_width_ps)
+    """The streams of the dark-exposure study at one gate width, apart from
+    those of every trial."""
+    return DeviceRngs(seed, trial=gate_width_ps, study=TIMING_CORRELATION_STUDY)
 
 
 def _stop_windows(clicks_ps: np.ndarray, range_ps: tuple[int, int], span_ps: int) -> tuple[np.ndarray, np.ndarray]:

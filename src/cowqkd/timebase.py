@@ -52,29 +52,40 @@ class Stream(IntEnum):
     REFLECTION = 8
 
 
+# Spawn-key tag of the dark-exposure timing study.  A trial's spawn key ends
+# in its Stream id and this tag is no Stream id, so no trial index, however
+# large, reproduces the study's draws.
+TIMING_CORRELATION_STUDY = (2**32 - 1,)
+
+
 class RngStream:
-    """Deterministic generator keyed by (seed, trial, stream id).
+    """Deterministic generator keyed by (seed, trial, stream id), followed by
+    ``study`` for a run that is not a trial.
 
     Identical keys reproduce bit-identical draw sequences.
     """
 
-    def __init__(self, seed: int, stream_id: int, trial: int = 0):
+    def __init__(self, seed: int, stream_id: int, trial: int = 0, study: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self.trial = int(trial)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.trial, self.stream_id))
+        self.study = tuple(int(x) for x in study)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.trial, self.stream_id, *self.study))
         self.gen = np.random.Generator(np.random.Philox(ss))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, trial={self.trial})"
+        return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, trial={self.trial}, "
+                f"study={self.study})")
 
 
 @dataclass
 class DeviceRngs:
-    """One independent stream per device for a single trial."""
+    """One independent stream per device for a single trial, or for one
+    setting of a study (see :data:`TIMING_CORRELATION_STUDY`)."""
 
     seed: int
     trial: int = 0
+    study: tuple[int, ...] = ()
     bits: RngStream = field(init=False)
     arrival: RngStream = field(init=False)
     spad: RngStream = field(init=False)
@@ -86,15 +97,15 @@ class DeviceRngs:
     reflection: RngStream = field(init=False)
 
     def __post_init__(self) -> None:
-        self.bits = RngStream(self.seed, Stream.BITS, self.trial)
-        self.arrival = RngStream(self.seed, Stream.ARRIVAL, self.trial)
-        self.spad = RngStream(self.seed, Stream.SPAD, self.trial)
-        self.spad_dark = RngStream(self.seed, Stream.SPAD_DARK, self.trial)
-        self.backflash = RngStream(self.seed, Stream.BACKFLASH, self.trial)
-        self.snspd = RngStream(self.seed, Stream.SNSPD, self.trial)
-        self.disclose = RngStream(self.seed, Stream.DISCLOSE, self.trial)
-        self.aux = RngStream(self.seed, Stream.AUX, self.trial)
-        self.reflection = RngStream(self.seed, Stream.REFLECTION, self.trial)
+        self.bits = RngStream(self.seed, Stream.BITS, self.trial, self.study)
+        self.arrival = RngStream(self.seed, Stream.ARRIVAL, self.trial, self.study)
+        self.spad = RngStream(self.seed, Stream.SPAD, self.trial, self.study)
+        self.spad_dark = RngStream(self.seed, Stream.SPAD_DARK, self.trial, self.study)
+        self.backflash = RngStream(self.seed, Stream.BACKFLASH, self.trial, self.study)
+        self.snspd = RngStream(self.seed, Stream.SNSPD, self.trial, self.study)
+        self.disclose = RngStream(self.seed, Stream.DISCLOSE, self.trial, self.study)
+        self.aux = RngStream(self.seed, Stream.AUX, self.trial, self.study)
+        self.reflection = RngStream(self.seed, Stream.REFLECTION, self.trial, self.study)
 
 
 def sample_delay(scale_ps: float, support_max_ps: int, rng: RngStream, size: int) -> np.ndarray:

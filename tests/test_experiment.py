@@ -28,7 +28,7 @@ from cowqkd.experiment import (
 from cowqkd.rates import count_interval
 from cowqkd.source import ChannelConfig, ConfigError, SourceConfig
 from cowqkd.detectors import SnspdConfig
-from cowqkd.timebase import RngStream, Stream
+from cowqkd.timebase import TIMING_CORRELATION_STUDY, DeviceRngs, RngStream, Stream
 from hypothesis import given, strategies as st
 from oracles import full_exposure_correlation
 from scipy import stats
@@ -335,6 +335,17 @@ class TestTimingCorrelation:
             assert hists[w].mean_ps() == pytest.approx(mean, abs=30)
         assert (tmp_path / "correlation_w2000.csv").exists()
         assert (tmp_path / "correlation_w4000.csv").exists()
+
+    def test_study_keys_its_own_streams(self):
+        # With no SNSPD darks the histogram is a fixed function of the RNG
+        # key: the study's own key reproduces it and trial w's key does not.
+        cfg = small_attack_cfg(snspd=SnspdConfig(dark_count_rate_cps=0.0))
+        w = 2000
+        got = emit_timing_correlation(cfg, [w], clicks_per_width=5000)[w].counts.tolist()
+        study = DeviceRngs(cfg.seed, trial=w, study=TIMING_CORRELATION_STUDY)
+        assert got == full_exposure_correlation(cfg, w, 5000, 10, (0, 6000), study).counts.tolist()
+        trial = DeviceRngs(cfg.seed, trial=w)
+        assert got != full_exposure_correlation(cfg, w, 5000, 10, (0, 6000), trial).counts.tolist()
 
     def test_clicks_validation(self):
         with pytest.raises(ConfigError):

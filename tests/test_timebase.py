@@ -9,6 +9,7 @@ from cowqkd.detectors import SpadConfig, _backflash
 from cowqkd.source import ConfigError
 from cowqkd.timebase import (
     MAX_TIME_PS,
+    TIMING_CORRELATION_STUDY,
     DeviceRngs,
     RngStream,
     Stream,
@@ -47,6 +48,18 @@ class TestRngStreams:
         names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "aux", "reflection"]
         draws = [getattr(rngs, n).gen.random() for n in names]
         assert len(set(draws)) == len(draws)
+
+
+    @pytest.mark.parametrize("seed,w", [(5, 2000), (5, 4000), (0, 6000)])
+    def test_study_streams_differ_from_the_trial_of_the_same_index(self, seed, w):
+        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "aux", "reflection"]
+        study = DeviceRngs(seed, trial=w, study=TIMING_CORRELATION_STUDY)
+        trial = DeviceRngs(seed, trial=w)
+        for n in names:
+            assert not np.array_equal(getattr(study, n).gen.random(8), getattr(trial, n).gen.random(8)), n
+        # An empty study key is the trial's key.
+        assert np.array_equal(DeviceRngs(seed, trial=w, study=()).snspd.gen.random(8),
+                              DeviceRngs(seed, trial=w).snspd.gen.random(8))
 
 
 class TestTimeRange:
