@@ -123,13 +123,14 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: RngStream) -> 
     of windows.
 
     ``window_ps`` is a pair ``(starts, ends)`` of sorted int64 arrays that
-    describe the disjoint half-open windows [starts[i], ends[i]); a pair of
-    integers is one window.  The count is drawn once for the total length
-    and each event is one uniform draw over that length, mapped to its
-    window through the cumulative lengths, so the cost grows with the number
-    of windows and events, not with the time they span.  One window gives
-    the same draws as the single-interval process on [t0, t1).  Zero rate
-    or zero total length draws nothing.
+    describe the disjoint half-open windows [starts[i], ends[i]), each with
+    starts[i] <= ends[i].  A pair of integers (t0, t1) is one window, empty
+    when t1 <= t0.  The count is drawn once for the total length and each
+    event is one uniform draw over that length, mapped to its window through
+    the cumulative lengths, so the cost grows with the number of windows and
+    events, not with the time they span.  One window gives the same draws as
+    the single-interval process on [t0, t1).  Zero rate or zero total length
+    draws nothing.
     """
     if rate_per_s < 0:
         raise ValueError("rate must be >= 0")
@@ -141,7 +142,6 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: RngStream) -> 
     if rate_per_s == 0:
         return np.empty(0, dtype=np.int64)
     cum = ends - starts
-    np.maximum(cum, 0, out=cum)
     total = int(cum.sum())
     if total <= 0:
         return np.empty(0, dtype=np.int64)

@@ -215,6 +215,15 @@ class TestPoissonTimesOnWindows:
         assert np.all(k < ends.size)
         assert np.all((starts[k] <= t) & (t < ends[k]))
 
+    def test_events_fill_every_picosecond_of_short_windows(self):
+        # About 30 events per ps: every ps of every window, both ends
+        # included, is hit, and nothing falls outside.
+        starts = np.array([0, 3, 3, 10, 12], dtype=np.int64)
+        ends = np.array([2, 3, 7, 11, 13], dtype=np.int64)
+        t = poisson_event_times(3e13, (starts, ends), RngStream(23, Stream.AUX))
+        assert np.all(np.diff(t) >= 0)
+        assert sorted(set(t.tolist())) == [0, 1, 3, 4, 5, 6, 10, 12]
+
     @pytest.mark.parametrize("starts,ends", [
         ([3, 10, 10], [3, 10, 10]),
         ([], []),
