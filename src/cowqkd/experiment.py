@@ -579,7 +579,7 @@ def emit_timing_correlation(
     out: dict[int, Histogram] = {}
     for w in gate_widths_ps:
         spad = replace(cfg.spad, gate_width_ps=int(w), hold_off_s=1e-6)
-        rngs = _correlation_rngs(cfg.seed, int(w))
+        rngs = DeviceRngs(cfg.seed, trial=int(w), study=TIMING_CORRELATION_STUDY)
 
         p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
         gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
@@ -596,12 +596,6 @@ def emit_timing_correlation(
             path.mkdir(parents=True, exist_ok=True)
             hist.write_csv(path / f"correlation_w{int(w)}.csv", _headers(cfg) + [f"gate_width_ps={int(w)}"])
     return out
-
-
-def _correlation_rngs(seed: int, gate_width_ps: int) -> DeviceRngs:
-    """The streams of the dark-exposure study at one gate width, apart from
-    those of every trial."""
-    return DeviceRngs(seed, trial=gate_width_ps, study=TIMING_CORRELATION_STUDY)
 
 
 def _stop_windows(clicks_ps: np.ndarray, range_ps: tuple[int, int], span_ps: int) -> tuple[np.ndarray, np.ndarray]:

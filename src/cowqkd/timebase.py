@@ -139,11 +139,9 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: RngStream) -> 
     if not ends.size:
         return np.empty(0, dtype=np.int64)
     check_time_range(max(int(starts[-1]), int(ends[-1])))
-    if rate_per_s == 0:
-        return np.empty(0, dtype=np.int64)
     cum = ends - starts
     total = int(cum.sum())
-    if total <= 0:
+    if rate_per_s == 0 or total <= 0:
         return np.empty(0, dtype=np.int64)
     n = int(rng.gen.poisson(rate_per_s * (total / PS_PER_S)))
     u = rng.gen.integers(0, total, size=n, dtype=np.int64)
