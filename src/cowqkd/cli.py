@@ -142,7 +142,7 @@ def cmd_sweep(args, cfg: ExperimentConfig) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         out_path = args.out / f"sweep_{args.axis}.csv"
     rows = run_sweep(cfg, args.axis, values, out_path)
-    cols = ["value", "p_sift", "p_err", "p_b", "p_learn", "p_sec", "p_sec_finite"]
+    cols = ["value", "p_sift", "p_err", "p_b", "p_learn", "p_sec"]
     print("  ".join(f"{c:>13}" for c in cols))
     for row in rows:
         print("  ".join(f"{_cell(row.get(c)):>13}" for c in cols))

@@ -84,19 +84,13 @@ class SpadConfig:
         return int(round(self.hold_off_s * PS_PER_S))
 
 
-def spad_preset(label: str, **overrides) -> SpadConfig:
+def spad_preset(label: str) -> SpadConfig:
     """SpadConfig for one of the tabulated excess-bias points (2v/5v/7v)."""
     key = label.lower()
     if key not in SPAD_BIAS_TABLE:
         raise ConfigError(f"unknown bias preset {label!r}; expected one of {sorted(SPAD_BIAS_TABLE)}")
     eff, dcr = SPAD_BIAS_TABLE[key]
-    params = dict(
-        detection_efficiency=eff,
-        dark_count_rate_cps=dcr,
-        excess_bias_label=key,
-    )
-    params.update(overrides)
-    return SpadConfig(**params)
+    return SpadConfig(detection_efficiency=eff, dark_count_rate_cps=dcr, excess_bias_label=key)
 
 
 @dataclass(frozen=True)
@@ -483,8 +477,7 @@ class Histogram:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, bin_width_ps: int, start_ps: int, stop_ps: int) -> "Histogram":
-        if bin_width_ps <= 0 or stop_ps <= start_ps:
-            raise ConfigError("histogram needs positive bin width and a non-empty range")
+        _check_bins(bin_width_ps, start_ps, stop_ps)
         nbins = -(-(stop_ps - start_ps) // bin_width_ps)
         s = np.asarray(samples, dtype=np.int64)
         s = s[(s >= start_ps) & (s < stop_ps)]
@@ -506,6 +499,7 @@ def correlation_histogram(
     is sorted only if it is not sorted already.
     """
     lo, hi = int(range_ps[0]), int(range_ps[1])
+    _check_bins(bin_width_ps, lo, hi)
     starts = _sorted(start_ps)
     stops = _sorted(stop_ps)
     j_lo = np.searchsorted(starts, stops - hi, side="right")
@@ -514,6 +508,11 @@ def correlation_histogram(
     within = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(cum - reps, reps)
     d = np.repeat(stops, reps) - starts[np.repeat(j_lo, reps) + within]
     return Histogram.from_samples(d, int(bin_width_ps), lo, hi)
+
+
+def _check_bins(bin_width_ps: int, start_ps: int, stop_ps: int) -> None:
+    if bin_width_ps <= 0 or stop_ps <= start_ps:
+        raise ConfigError("histogram needs positive bin width and a non-empty range")
 
 
 def _sorted(times) -> np.ndarray:

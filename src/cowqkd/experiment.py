@@ -515,7 +515,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
             "bias_v": point.spad.excess_bias_label,
             "axis": axis,
             "value": value,
-            "qber_analytic": run.report.row("p_err").analytic,
             "config_hash": config_hash(point),
         }
         for r in run.report.rows:

@@ -9,10 +9,13 @@ different convention can be swapped in one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, exp, floor, log, log1p, log2, sqrt
 
 import numpy as np
+
+# Error-correction leak per sifted bit, as a multiple of h(qber).
+RECONCILIATION_INEFFICIENCY = 1.15
 
 
 def p_sift_simple(mu: float, eta: float, p_dark: float) -> float:
@@ -81,58 +84,20 @@ def binary_entropy(e: float) -> float:
     return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
 
 
-def p_sec(p_sift: float, p_b: float, qber: float, reconciliation_inefficiency: float = 1.15) -> tuple[float, bool]:
+def p_sec(p_sift: float, p_b: float, qber: float) -> tuple[float, bool]:
     """Asymptotic secure fraction, clamped at zero.
 
-    Returns (rate, insecure) where ``insecure`` marks a negative raw value.
+    Error correction leaks ``RECONCILIATION_INEFFICIENCY`` times the Shannon
+    limit h(qber).  Returns (rate, insecure) where ``insecure`` marks a
+    negative raw value.
 
-    >>> rate, insecure = p_sec(0.003096, 0.089, 0.0)
-    >>> round(rate / 0.003096, 3), insecure
-    (0.911, False)
+    >>> rate, insecure = p_sec(0.00307213, 0.0888, 9.60523e-06)
+    >>> round(rate, 8), insecure
+    (0.00279871, False)
     """
     _check_prob("p_sift", p_sift)
     _check_prob("p_b", p_b)
-    if reconciliation_inefficiency < 1.0:
-        raise ValueError("reconciliation inefficiency must be >= 1")
-    raw = p_sift * (1.0 - p_b - reconciliation_inefficiency * binary_entropy(qber))
-    if raw < 0.0:
-        return 0.0, True
-    return raw, False
-
-
-@dataclass(frozen=True)
-class FiniteSizeInputs:
-    """Finite-block correction terms, all expressed as key fractions.
-
-    ``leak_ec`` defaults to the reconciliation leakage f*H(e) when None.
-    The security parameters default to negligible contributions; they are
-    deployment inputs, not derived quantities.
-    """
-
-    leak_ec: float | None = None
-    beta_ec: float = 1e-10
-    beta_pa: float = 1e-10
-
-
-def p_sec_finite(
-    p_sift: float,
-    qber: float,
-    finite: FiniteSizeInputs = FiniteSizeInputs(),
-    reconciliation_inefficiency: float = 1.15,
-) -> tuple[float, bool]:
-    """Finite-size secure fraction, clamped at zero.
-
-    >>> rate, _ = p_sec_finite(1.0, 0.02, FiniteSizeInputs(beta_ec=1e-2, beta_pa=1e-2))
-    >>> round(rate, 5)
-    0.81734
-    """
-    _check_prob("p_sift", p_sift)
-    leak = finite.leak_ec
-    if leak is None:
-        leak = reconciliation_inefficiency * binary_entropy(qber)
-    if leak < 0 or finite.beta_ec < 0 or finite.beta_pa < 0:
-        raise ValueError("finite-size terms must be >= 0")
-    raw = p_sift * (1.0 - leak - finite.beta_ec - finite.beta_pa)
+    raw = p_sift * (1.0 - p_b - RECONCILIATION_INEFFICIENCY * binary_entropy(qber))
     if raw < 0.0:
         return 0.0, True
     return raw, False
@@ -171,12 +136,10 @@ class RateInputs:
     mu: float
     eta: float
     p_dark: float
-    opportunity_rate_hz: float = 31.25e6
-    hold_off_s: float = 10e-6
-    p_b: float = 0.0888
+    opportunity_rate_hz: float
+    hold_off_s: float
+    p_b: float
     qber: float | None = None
-    reconciliation_inefficiency: float = 1.15
-    finite: FiniteSizeInputs = field(default_factory=FiniteSizeInputs)
 
 
 @dataclass(frozen=True)
@@ -212,7 +175,6 @@ class RateRow:
 class RateReport:
     rows: list[RateRow]
     insecure: bool
-    insecure_finite: bool
 
     def row(self, name: str) -> RateRow:
         for r in self.rows:
@@ -227,7 +189,6 @@ class RateReport:
         return {
             "rows": [vars(r) for r in self.rows],
             "insecure": self.insecure,
-            "insecure_finite": self.insecure_finite,
         }
 
 
@@ -297,9 +258,7 @@ def compare(mc: McCounts, inputs: RateInputs) -> RateReport:
     add_count_row("p_b", inputs.p_b, mc.n_eve_backflash, mc.n_retained)
     add_count_row("p_learn", learn, mc.n_eve_backflash_blocks, covered)
 
-    sec, insecure = p_sec(sift, inputs.p_b, qber, inputs.reconciliation_inefficiency)
-    sec_f, insecure_f = p_sec_finite(sift, qber, inputs.finite, inputs.reconciliation_inefficiency)
+    sec, insecure = p_sec(sift, inputs.p_b, qber)
     rows.append(RateRow("p_sec", sec, None, None, None, True))
-    rows.append(RateRow("p_sec_finite", sec_f, None, None, None, True))
 
-    return RateReport(rows=rows, insecure=insecure, insecure_finite=insecure_f)
+    return RateReport(rows=rows, insecure=insecure)

@@ -48,7 +48,7 @@ class Stream(IntEnum):
     BACKFLASH = 4
     SNSPD = 5
     DISCLOSE = 6
-    AUX = 7
+    AUX = 7  # no device draws from it; free for scratch streams
     REFLECTION = 8
 
 
@@ -93,7 +93,6 @@ class DeviceRngs:
     backflash: RngStream = field(init=False)
     snspd: RngStream = field(init=False)
     disclose: RngStream = field(init=False)
-    aux: RngStream = field(init=False)
     reflection: RngStream = field(init=False)
 
     def __post_init__(self) -> None:
@@ -104,7 +103,6 @@ class DeviceRngs:
         self.backflash = RngStream(self.seed, Stream.BACKFLASH, self.trial, self.study)
         self.snspd = RngStream(self.seed, Stream.SNSPD, self.trial, self.study)
         self.disclose = RngStream(self.seed, Stream.DISCLOSE, self.trial, self.study)
-        self.aux = RngStream(self.seed, Stream.AUX, self.trial, self.study)
         self.reflection = RngStream(self.seed, Stream.REFLECTION, self.trial, self.study)
 
 

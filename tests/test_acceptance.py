@@ -129,7 +129,7 @@ def test_c4_bias_sweep_learning_trend(capsys):
     failures = []
     emp = [r["p_learn_mc"] for r in rows]
     ana = [r["p_learn"] for r in rows]
-    qber = [r["qber_analytic"] for r in rows]
+    qber = [r["p_err"] for r in rows]
     if not (emp[0] < emp[1] < emp[2]):
         failures.append(f"simulated learning rate not increasing: {emp}")
     if not (ana[0] < ana[1] < ana[2]):

@@ -47,8 +47,10 @@ def test_rates_closed_forms_only(capsys):
     code = main(["rates", "--preset", "5v"])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "p_sec_finite" in out
+    assert "p_sec" in out
     assert "-" in out  # no empirical columns without a run
+    names = [line.split()[0] for line in out.splitlines()[1:]]
+    assert names == ["p_sift", "p_err", "p_b", "p_learn", "p_sec"]
 
 def test_rates_insecure_exit(capsys):
     code = main(["rates", "--preset", "5v", "--qber", "0.3"])

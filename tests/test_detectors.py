@@ -432,10 +432,6 @@ def test_bias_presets():
     with pytest.raises(ConfigError):
         spad_preset("9v")
 
-def test_preset_overrides():
-    s = spad_preset("5v", backflash_probability=0.5)
-    assert s.backflash_probability == 0.5
-    assert s.excess_bias_label == "5v"
 
 
 # --- eavesdropper detector -------------------------------------------------
@@ -526,6 +522,12 @@ def test_correlation_histogram_negative_range():
     assert h.total() == 2
     assert h.counts[(40 - 100 - -100) // 20] == 1
     assert h.counts[(120 - 100 - -100) // 20] == 1
+
+@pytest.mark.parametrize("bin_width,range_ps", [(10, (60, 0)), (10, (60, 60)), (0, (0, 100))])
+def test_correlation_histogram_rejects_empty_bins(bin_width, range_ps):
+    # The same ConfigError the histogram gives, before any array work.
+    with pytest.raises(ConfigError, match="non-empty range"):
+        correlation_histogram([0, 100], [50], bin_width, range_ps)
 
 def brute_force_correlation(starts, stops, bin_width_ps, lo, hi):
     counts = np.zeros(-(-(hi - lo) // bin_width_ps), dtype=np.int64)

@@ -279,10 +279,13 @@ class TestSweeps:
         rows = run_sweep(self.quick(), "distance", [0.0, 25.0], out_path=out)
         assert [r["distance_km"] for r in rows] == [0.0, 25.0]
         assert rows[0]["p_sift"] > rows[1]["p_sift"]  # loss reduces sifting
-        assert all("p_sift_mc" in r and "qber_analytic" in r for r in rows)
+        assert all("p_sift_mc" in r and "p_err" in r for r in rows)
         head = out.read_text().splitlines()
         assert head[0].startswith("# config_hash=")
-        assert head[1].split(",")[0] == "distance_km"
+        cols = head[1].split(",")
+        assert cols[0] == "distance_km"
+        assert "p_sec" in cols
+        assert not [c for c in cols if c.startswith("p_sec_finite") or c == "qber_analytic"]
         assert len(head) == 2 + len(rows)
 
     def test_bias_sweep_applies_presets(self):
@@ -365,7 +368,7 @@ class TestTimingCorrelation:
         # their count is Poisson with the same mean in both arms.
         w, hold_off = 4000, 1_000_000
         cfg = ExperimentConfig(
-            spad=spad_preset("5v", dark_count_rate_cps=1e7, backflash_probability=0.0),
+            spad=replace(spad_preset("5v"), dark_count_rate_cps=1e7, backflash_probability=0.0),
             snspd=SnspdConfig(dark_count_rate_cps=1e7),
             attack_enabled=False,
         )

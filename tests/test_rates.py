@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cowqkd.rates import (
-    FiniteSizeInputs,
     McCounts,
     RateInputs,
     binary_entropy,
@@ -18,7 +17,6 @@ from cowqkd.rates import (
     p_err,
     p_learn,
     p_sec,
-    p_sec_finite,
     p_sift_holdoff,
     p_sift_simple,
 )
@@ -120,7 +118,7 @@ class TestSecureRate:
         e, pb, f, ps = 0.005, 0.089, 1.15, 0.0030721
         h = -e * math.log2(e) - (1 - e) * math.log2(1 - e)
         want = ps * (1.0 - pb - f * h)
-        rate, insecure = p_sec(ps, pb, e, f)
+        rate, insecure = p_sec(ps, pb, e)
         assert rate == pytest.approx(want)
         assert not insecure
 
@@ -129,30 +127,6 @@ class TestSecureRate:
         assert rate == 0.0
         assert insecure
 
-    def test_inefficiency_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            p_sec(0.01, 0.1, 0.01, reconciliation_inefficiency=0.9)
-
-    def test_finite_default_leak_matches_asymptotic_shape(self):
-        e, ps = 0.02, 0.5
-        h = -e * math.log2(e) - (1 - e) * math.log2(1 - e)
-        rate, insecure = p_sec_finite(ps, e)
-        want = ps * (1.0 - 1.15 * h - 1e-10 - 1e-10)
-        assert rate == pytest.approx(want)
-        assert not insecure
-
-    def test_finite_leak_override(self):
-        rate, _ = p_sec_finite(1.0, 0.3, FiniteSizeInputs(leak_ec=0.25))
-        assert rate == pytest.approx(1.0 - 0.25 - 2e-10)
-
-    def test_finite_clamp(self):
-        rate, insecure = p_sec_finite(1.0, 0.0, FiniteSizeInputs(leak_ec=2.0))
-        assert rate == 0.0
-        assert insecure
-
-    def test_finite_negative_terms_rejected(self):
-        with pytest.raises(ValueError):
-            p_sec_finite(1.0, 0.0, FiniteSizeInputs(beta_ec=-1e-3))
 
 
 class TestConversions:
@@ -215,7 +189,7 @@ class TestCountIntervalMatchesScipy:
 
 class TestCompare:
     def make_inputs(self, **kw):
-        return RateInputs(mu=MU, eta=ETA, p_dark=PD, **kw)
+        return RateInputs(mu=MU, eta=ETA, p_dark=PD, opportunity_rate_hz=N0, hold_off_s=THOLD, p_b=0.0888, **kw)
 
     def expected_sift(self):
         q = 1.0 - math.exp(-MU * ETA) * (1.0 - PD)
@@ -255,15 +229,13 @@ class TestCompare:
         assert err > 0
         implicit = compare(empty, self.make_inputs())
         explicit = compare(empty, self.make_inputs(qber=err))
-        for name in ("p_sec", "p_sec_finite"):
-            assert implicit.row(name).analytic == explicit.row(name).analytic
+        assert implicit.row("p_sec").analytic == explicit.row("p_sec").analytic
         error_free = compare(empty, self.make_inputs(qber=0.0))
-        assert implicit.row("p_sec_finite").analytic < error_free.row("p_sec_finite").analytic
+        assert implicit.row("p_sec").analytic < error_free.row("p_sec").analytic
 
     def test_insecure_flag_propagates(self):
         report = compare(McCounts(0, 0, 0), self.make_inputs(qber=0.3))
         assert report.insecure
-        assert report.insecure_finite
 
     def test_covered_denominator_used_for_learning(self):
         n = 100_000
@@ -276,6 +248,10 @@ class TestCompare:
         assert row.empirical == pytest.approx(leaks / (n // 2))
         assert row.ok
 
+    def test_one_row_per_quantity(self):
+        report = compare(McCounts(0, 0, 0), self.make_inputs())
+        assert [r.name for r in report.rows] == ["p_sift", "p_err", "p_b", "p_learn", "p_sec"]
+
     def test_row_lookup_raises(self):
         report = compare(McCounts(0, 0, 0), self.make_inputs())
         with pytest.raises(KeyError):
@@ -283,5 +259,5 @@ class TestCompare:
 
     def test_as_dict_shape(self):
         d = compare(McCounts(0, 0, 0), self.make_inputs()).as_dict()
-        assert {"rows", "insecure", "insecure_finite"} <= d.keys()
+        assert d.keys() == {"rows", "insecure"}
         assert d["rows"][0]["name"] == "p_sift"

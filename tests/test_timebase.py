@@ -45,14 +45,14 @@ class TestRngStreams:
 
     def test_device_rngs_exposes_all_streams(self):
         rngs = DeviceRngs(7, trial=2)
-        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "aux", "reflection"]
+        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "reflection"]
         draws = [getattr(rngs, n).gen.random() for n in names]
         assert len(set(draws)) == len(draws)
 
 
     @pytest.mark.parametrize("seed,w", [(5, 2000), (5, 4000), (0, 6000)])
     def test_study_streams_differ_from_the_trial_of_the_same_index(self, seed, w):
-        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "aux", "reflection"]
+        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "reflection"]
         study = DeviceRngs(seed, trial=w, study=TIMING_CORRELATION_STUDY)
         trial = DeviceRngs(seed, trial=w)
         for n in names:
