@@ -67,11 +67,40 @@ class CalibrationResult:
     ties: list[int] = field(default_factory=list)
 
 
-def _match_count(eve_sorted: np.ndarray, disclosed: np.ndarray, shift: int, window: int) -> int:
-    """How many disclosed times, moved back by ``shift``, have a count within ``window``."""
-    lo = np.searchsorted(eve_sorted, disclosed - shift - window, side="left")
-    hi = np.searchsorted(eve_sorted, disclosed - shift + window, side="right")
-    return int(np.sum(hi > lo))
+def _coincidence_scores(
+    eve_sorted: np.ndarray, disclosed: np.ndarray, window: int, start: int, step: int, n: int,
+) -> np.ndarray:
+    """For each shift s = start + i*step, i < n: how many disclosed times d
+    have a count e with |d - s - e| <= ``window``.
+
+    That holds exactly when d - s lies in U, the union of [e - window,
+    e + window] over the counts, built here as sorted disjoint intervals.
+    Each d meets the intervals of U within the scanned span, and each one
+    gives a contiguous run of shift indices; for one d the runs are
+    disjoint, so a difference array summed once scores every shift.  The
+    cost grows with the counts, the disclosed times and the intervals they
+    meet, not with the product of shifts and disclosed times.
+    """
+    if eve_sorted.size == 0:
+        return np.zeros(n, dtype=np.int64)
+    # U's intervals: a gap wider than 2*window between counts separates two.
+    breaks = np.flatnonzero(np.diff(eve_sorted) > 2 * window) + 1
+    lo = eve_sorted[np.r_[0, breaks]] - window
+    hi = eve_sorted[np.r_[breaks - 1, eve_sorted.size - 1]] + window
+    # Intervals that reach the span: d - s in [lo, hi] for some scanned s.
+    last = start + (n - 1) * step
+    k_lo = np.searchsorted(hi, disclosed - last, side="left")
+    reps = np.searchsorted(lo, disclosed - start, side="right") - k_lo
+    cum = np.cumsum(reps)
+    within = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(cum - reps, reps)
+    k = np.repeat(k_lo, reps) + within
+    d = np.repeat(disclosed, reps)
+    # Shift indices with start + i*step in [d - hi, d - lo], clipped to the grid.
+    first = np.maximum(-((start - d + hi[k]) // step), 0)
+    stop = np.minimum((d - lo[k] - start) // step, n - 1) + 1
+    run = first < stop
+    diff = np.bincount(first[run], minlength=n + 1) - np.bincount(stop[run], minlength=n + 1)
+    return np.cumsum(diff[:n])
 
 
 def _nearest(sorted_ref: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,17 +138,17 @@ def calibrate(
     coarse_window = max(cfg.calibration_window_ps, bin_width_ps)
     scanned: list[tuple[int, int]] = []
 
-    def best(candidates: np.ndarray, window: int) -> tuple[int, int, list[int]]:
-        scores = np.array([_match_count(eve, disclosed, int(s), window) for s in candidates])
+    def best(candidates: np.ndarray, step: int, window: int) -> tuple[int, int, list[int]]:
+        scores = _coincidence_scores(eve, disclosed, window, int(candidates[0]), step, candidates.size)
         scanned.extend(zip(candidates.tolist(), scores.tolist()))
         top = int(scores.max())
         tied = sorted((int(s) for s in candidates[scores == top]), key=lambda s: (abs(s), s))
         return tied[0], top, tied[1:]
 
     coarse = np.arange(-period, period + 1, bin_width_ps, dtype=np.int64)
-    c_best, _, _ = best(coarse, coarse_window)
+    c_best, _, _ = best(coarse, bin_width_ps, coarse_window)
     fine = np.arange(c_best - bin_width_ps, c_best + bin_width_ps + 1, 10, dtype=np.int64)
-    s0, score, ties = best(fine, cfg.calibration_window_ps)
+    s0, score, ties = best(fine, 10, cfg.calibration_window_ps)
 
     frac = score / disclosed.size
     if frac < cfg.calibration_floor:
@@ -304,7 +333,7 @@ def fold_and_cluster(
             return 0.0
         s, ln = run
         mt = np.sort(t[(bin_idx - s) % nbins < ln])
-        return _match_count(mt, disclosed, 0, cfg.corr_window_ps) / disclosed.size
+        return int(_coincidence_scores(mt, disclosed, cfg.corr_window_ps, 0, 1, 1)[0]) / disclosed.size
 
     summary = []
     corr_runs, other_runs = [], []
@@ -554,17 +583,9 @@ def learning_metrics(inference: EveInference, retained: SiftedKey) -> LearningMe
 # Artifact writers.
 
 def write_inference_csv(inference: EveInference, path, header_lines: list[str] | None = None) -> None:
-    rows = (
-        (t, f, b, m, "unknown" if c < 0 else c)
-        for t, f, b, m, c in zip(
-            inference.eve_time_ps.tolist(),
-            inference.folded_ps.tolist(),
-            inference.bit.tolist(),
-            inference.matched_bob_ps.tolist(),
-            inference.correct.tolist(),
-        )
-    )
-    write_csv(path, header_lines, ["eve_ts_ps", "folded_ps", "inferred_bit", "matched_bob_ts_ps", "correct"], rows)
+    correct = np.array(["unknown", "0", "1"], dtype=object)[inference.correct + 1]
+    cols = [inference.eve_time_ps, inference.folded_ps, inference.bit, inference.matched_bob_ps, correct]
+    write_csv(path, header_lines, ["eve_ts_ps", "folded_ps", "inferred_bit", "matched_bob_ts_ps", "correct"], cols)
 
 
 def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | None = None) -> None:

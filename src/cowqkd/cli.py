@@ -15,12 +15,14 @@ from .experiment import (
     SWEEP_AXES,
     ExperimentConfig,
     apply_overrides,
+    artifact_headers,
     config_hash,
     emit_timing_correlation,
     preset_config,
     read_config_file,
     run_simulation,
     run_sweep,
+    write_rates_csv,
 )
 from .rates import McCounts, compare
 from .source import ConfigError
@@ -162,6 +164,11 @@ def _cell(v) -> str:
 def cmd_rates(args, cfg: ExperimentConfig) -> int:
     report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs(qber=args.qber))
     _print_report(report)
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        out_path = args.out / "rates.csv"
+        write_rates_csv(report, out_path, artifact_headers(cfg))
+        print(f"wrote {out_path}")
     if report.insecure:
         print("key rate clamped to zero: leakage exceeds the distillable fraction", file=sys.stderr)
         return EXIT_INSECURE

@@ -146,12 +146,13 @@ class DetectionLog:
 
 
 def write_detections_csv(logs: list[DetectionLog], path, header_lines: list[str] | None = None) -> None:
-    rows = (
-        (log.detector, t, CAUSE_NAMES[c])
-        for log in logs
-        for t, c in zip(log.time_ps.tolist(), log.cause.tolist())
-    )
-    write_csv(path, header_lines, ["detector", "timestamp_ps", "cause"], rows)
+    names = np.array([CAUSE_NAMES[c] for c in Cause], dtype=object)
+    cols = [
+        np.repeat(np.array([log.detector for log in logs], dtype=object), [len(log) for log in logs]),
+        np.concatenate([log.time_ps for log in logs]),
+        names[np.concatenate([log.cause for log in logs])],
+    ]
+    write_csv(path, header_lines, ["detector", "timestamp_ps", "cause"], cols)
 
 
 @dataclass
@@ -471,9 +472,8 @@ class Histogram:
         return float(np.sqrt(np.sum(self.counts * (self.centers_ps - m) ** 2) / n))
 
     def write_csv(self, path, header_lines: list[str] | None = None) -> None:
-        norm = (f"{v:.10g}" for v in self.normalized().tolist())
-        rows = zip(self.bin_starts_ps.tolist(), self.counts.tolist(), norm)
-        write_csv(path, header_lines, ["bin_start_ps", "count", "normalized"], rows)
+        norm = [f"{v:.10g}" for v in self.normalized().tolist()]
+        write_csv(path, header_lines, ["bin_start_ps", "count", "normalized"], [self.bin_starts_ps, self.counts, norm])
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, bin_width_ps: int, start_ps: int, stop_ps: int) -> "Histogram":

@@ -181,11 +181,13 @@ def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: RngStream) -> tuple
 
 def write_transcript(transcript: ClassicalTranscript, path, header_lines: list[str] | None = None) -> None:
     """Line records: record_type,timestamp_ps,bit."""
-    disclosed = zip(transcript.disclosed_time_ps.tolist(), transcript.disclosed_bit.tolist())
-    rows = [("block-start", transcript.block_id, transcript.block_length)]
-    rows += [("disclosed", t, b) for t, b in disclosed]
-    rows.append(("qber", "", f"{transcript.announced_qber:.10g}"))
-    write_csv(path, header_lines, ["record_type", "timestamp_ps", "bit"], rows)
+    n = transcript.disclosed_time_ps.size
+    cols = [
+        ["block-start"] + ["disclosed"] * n + ["qber"],
+        [transcript.block_id, *transcript.disclosed_time_ps.tolist(), ""],
+        [transcript.block_length, *transcript.disclosed_bit.tolist(), f"{transcript.announced_qber:.10g}"],
+    ]
+    write_csv(path, header_lines, ["record_type", "timestamp_ps", "bit"], cols)
 
 
 def write_key_file(key: SiftedKey, path, header_lines: list[str] | None = None) -> None:
@@ -193,4 +195,4 @@ def write_key_file(key: SiftedKey, path, header_lines: list[str] | None = None) 
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         fh.write(f"# block_id={key.block_id} qber={key.qber:.10g} n={len(key)}\n")
-        fh.write("".join(str(int(b)) for b in key.bit) + "\n")
+        fh.write((key.bit.astype(np.uint8) + 48).tobytes().decode() + "\n")

@@ -27,6 +27,7 @@ from .detectors import (
     Histogram,
     SnspdConfig,
     SpadConfig,
+    _check_bins,
     correlation_histogram,
     dark_exposure,
     snspd_detect,
@@ -425,14 +426,15 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     return result
 
 
-def _headers(cfg: ExperimentConfig) -> list[str]:
+def artifact_headers(cfg: ExperimentConfig) -> list[str]:
+    """The ``#`` comment lines that head every artifact of a run of ``cfg``."""
     return [f"config_hash={config_hash(cfg)} seed={cfg.seed}"]
 
 
 def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = result.config
-    heads = _headers(cfg)
+    heads = artifact_headers(cfg)
     art: dict[str, str] = {}
 
     p = out_dir / "rates.csv"
@@ -473,11 +475,8 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
 
 
 def write_rates_csv(report: RateReport, path, header_lines: list[str] | None = None) -> None:
-    rows = (
-        (r.name, _csv_cell(r.analytic), _csv_cell(r.empirical), _csv_cell(r.lo), _csv_cell(r.hi), int(r.ok))
-        for r in report.rows
-    )
-    write_csv(path, header_lines, ["name", "analytic", "empirical", "lo", "hi", "ok"], rows)
+    cols = ["name", "analytic", "empirical", "lo", "hi", "ok"]
+    write_csv(path, header_lines, cols, [[_csv_cell(getattr(r, c)) for r in report.rows] for c in cols])
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +528,13 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
         )
         rows.append(row)
     if out_path is not None:
-        write_sweep_csv(rows, out_path, _headers(cfg))
+        write_sweep_csv(rows, out_path, artifact_headers(cfg))
     return rows
 
 
 def write_sweep_csv(rows: list[dict], path, header_lines: list[str] | None = None) -> None:
     cols = list(rows[0].keys())
-    write_csv(path, header_lines, cols, ([_csv_cell(row.get(c)) for c in cols] for row in rows))
+    write_csv(path, header_lines, cols, [[_csv_cell(row.get(c)) for row in rows] for c in cols])
 
 
 def _csv_cell(v) -> str:
@@ -575,6 +574,7 @@ def emit_timing_correlation(
     """
     if clicks_per_width < 1:
         raise ConfigError("clicks_per_width must be >= 1")
+    _check_bins(bin_width_ps, int(range_ps[0]), int(range_ps[1]))
     out: dict[int, Histogram] = {}
     for w in gate_widths_ps:
         spad = replace(cfg.spad, gate_width_ps=int(w), hold_off_s=1e-6)
@@ -593,7 +593,7 @@ def emit_timing_correlation(
         if out_dir is not None:
             path = Path(out_dir)
             path.mkdir(parents=True, exist_ok=True)
-            hist.write_csv(path / f"correlation_w{int(w)}.csv", _headers(cfg) + [f"gate_width_ps={int(w)}"])
+            hist.write_csv(path / f"correlation_w{int(w)}.csv", artifact_headers(cfg) + [f"gate_width_ps={int(w)}"])
     return out
 
 

@@ -195,14 +195,15 @@ def generate_frames(cfg: SourceConfig, count: int, rng: RngStream, start_frame: 
 def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = None) -> None:
     """Frame log: one row per frame with its occupied frame-local bins."""
     g = batch.geometry
-    occupied = {LogicalBit.ZERO: (0,), LogicalBit.ONE: (1,), LogicalBit.DECOY: (0, 1)}
-
-    def bins(row: list[int]) -> str:
-        return ";".join(str((2 * slot + sub) * g.bin_width_ps) for slot, b in enumerate(row) for sub in occupied[b])
-
-    starts = (batch.start_frame + np.arange(len(batch), dtype=np.int64)) * g.frame_period_ps
-    rows = (
-        (start, "".join(map(str, row)), bins(row))
-        for start, row in zip(starts.tolist(), batch.bits.tolist())
-    )
-    write_csv(path, header_lines, ["frame_start_ps", "bits", "pulse_bins_ps"], rows)
+    n, k = batch.bits.shape
+    # bins[j][b]: the occupied bins of slot j holding logical bit b.
+    bins = [
+        np.array([str(a), str(a + g.bin_width_ps), f"{a};{a + g.bin_width_ps}"], dtype=object)
+        for a in (2 * j * g.bin_width_ps for j in range(k))
+    ]
+    pulse_bins = bins[0][batch.bits[:, 0]]
+    for j in range(1, k):
+        pulse_bins = pulse_bins + (";" + bins[j])[batch.bits[:, j]]
+    digits = np.ascontiguousarray(batch.bits.astype(np.uint8) + 48).view(f"S{k}")[:, 0].astype(f"U{k}")
+    starts = (batch.start_frame + np.arange(n, dtype=np.int64)) * g.frame_period_ps
+    write_csv(path, header_lines, ["frame_start_ps", "bits", "pulse_bins_ps"], [starts, digits, pulse_bins])

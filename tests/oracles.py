@@ -14,8 +14,13 @@ draws exactly.  The full-exposure correlation study draws the
 eavesdropper's darks over the whole exposure and histograms them by
 searching every start into the stops; the library draws darks only where a
 stop can count, so the two agree in law.
+
+The row-at-a-time ``csv.writer`` artifact writer and the per-shift
+coincidence count must match the library's columnar writer and its
+interval-union calibration scan exactly.
 """
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -154,3 +159,25 @@ def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, bin_width_ps
     dark = single_interval_poisson_times(cfg.snspd.dark_count_rate_cps, (0, span_ps), rngs.snspd)
     stops = np.concatenate([backflash.emission_ps[got], dark])
     return start_search_correlation_histogram(clicks, stops, bin_width_ps, range_ps)
+
+
+def csv_writer_rows(path, header_lines, columns, rows):
+    """Artifact CSV through ``csv.writer``: the ``# line`` comments, the
+    column names, then one row tuple at a time."""
+    with open(path, "w", newline="") as fh:
+        for line in header_lines or []:
+            fh.write(f"# {line}\n")
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows(rows)
+
+
+def per_shift_scores(eve_sorted, disclosed, window, shifts):
+    """For each shift, how many disclosed times, moved back by it, have a
+    count within ``window``: two searches of every disclosed time per shift."""
+    out = []
+    for s in shifts:
+        lo = np.searchsorted(eve_sorted, disclosed - s - window, side="left")
+        hi = np.searchsorted(eve_sorted, disclosed - s + window, side="right")
+        out.append(int(np.sum(hi > lo)))
+    return out

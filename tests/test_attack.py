@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cowqkd.attack import (
     AttackConfig,
@@ -11,6 +11,7 @@ from cowqkd.attack import (
     _circular_center,
     _circular_dist,
     _circular_runs,
+    _coincidence_scores,
     _merge_runs,
     _nearest,
     _span_covering,
@@ -23,6 +24,7 @@ from cowqkd.attack import (
 )
 from cowqkd.distill import ClassicalTranscript, SiftedKey
 from cowqkd.source import ConfigError
+from oracles import per_shift_scores
 
 PERIOD = 32000
 
@@ -131,6 +133,43 @@ class TestCalibrate:
         eve = transcript.disclosed_time_ps[:2]
         with pytest.raises(CalibrationError):
             calibrate(eve, transcript, PERIOD, 1000, AttackConfig(calibration_floor=0.9))
+
+    def test_scan_scores_match_the_per_shift_count(self):
+        transcript, _, eve_t, _ = make_scene(300)
+        res = calibrate(eve_t, transcript, PERIOD, 1000, AttackConfig())
+        shifts = [s for s, _ in res.candidate_scores]
+        assert len(shifts) == 65 + 201
+        eve, disclosed = np.sort(eve_t), np.sort(transcript.disclosed_time_ps)
+        coarse = per_shift_scores(eve, disclosed, 1000, shifts[:65])
+        fine = per_shift_scores(eve, disclosed, 1000, shifts[65:])
+        assert [score for _, score in res.candidate_scores] == coarse + fine
+
+
+# Times on a 25 ps lattice make |d - s - e| == window exact in many draws.
+LATTICE = st.integers(min_value=-80, max_value=80).map(lambda x: 25 * x)
+
+
+@settings(max_examples=200)
+@given(
+    eve=st.lists(LATTICE, max_size=30),
+    disclosed=st.lists(LATTICE, max_size=30),
+    window=st.one_of(st.integers(min_value=0, max_value=12).map(lambda x: 25 * x),
+                     st.integers(min_value=0, max_value=400), st.just(10**12)),
+    start=st.integers(min_value=-120, max_value=120).map(lambda x: 25 * x),
+    step=st.one_of(st.integers(min_value=1, max_value=8).map(lambda x: 25 * x), st.integers(min_value=1, max_value=300)),
+    n=st.integers(min_value=1, max_value=40),
+)
+@example(eve=[0, 0, 0], disclosed=[0, 0], window=0, start=-1, step=1, n=3)
+@example(eve=[0, 50], disclosed=[100], window=50, start=0, step=50, n=3)
+@example(eve=[-10**6, 10**6], disclosed=[0, 7], window=10**12, start=-10**6, step=1000, n=5)
+def test_coincidence_scores_match_per_shift_count(eve, disclosed, window, start, step, n):
+    # Ties, window 0, counts exactly one window away and a window wider than
+    # every span; the per-shift count is the reference.
+    e = np.sort(np.array(eve, dtype=np.int64))
+    d = np.sort(np.array(disclosed, dtype=np.int64))
+    shifts = [start + i * step for i in range(n)]
+    got = _coincidence_scores(e, d, window, start, step, n)
+    assert got.tolist() == per_shift_scores(e, d, window, shifts)
 
 
 # --- circular helpers ------------------------------------------------------

@@ -52,6 +52,16 @@ def test_rates_closed_forms_only(capsys):
     names = [line.split()[0] for line in out.splitlines()[1:]]
     assert names == ["p_sift", "p_err", "p_b", "p_learn", "p_sec"]
 
+def test_rates_out_writes_rates_csv(capsys, tmp_path):
+    code = main(["rates", "--preset", "5v", "--qber", "0.005", "--out", str(tmp_path / "r")])
+    assert code == EXIT_OK
+    lines = (tmp_path / "r" / "rates.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "name,analytic,empirical,lo,hi,ok"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [r[0] for r in rows] == ["p_sift", "p_err", "p_b", "p_learn", "p_sec"]
+    assert all(r[2:5] == ["", "", ""] for r in rows)
+
 def test_rates_insecure_exit(capsys):
     code = main(["rates", "--preset", "5v", "--qber", "0.3"])
     err = capsys.readouterr().err

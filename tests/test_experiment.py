@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
+from cowqkd import attack, detectors, distill, experiment, source
 from cowqkd.attack import AttackConfig
 from cowqkd.detectors import SnspdConfig, SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
@@ -29,7 +30,7 @@ from cowqkd.experiment import (
 from cowqkd.rates import count_interval
 from cowqkd.source import ChannelConfig, ConfigError, SourceConfig
 from cowqkd.timebase import TIMING_CORRELATION_STUDY, DeviceRngs, RngStream, Stream
-from oracles import full_exposure_correlation
+from oracles import csv_writer_rows, full_exposure_correlation
 
 
 def small_attack_cfg(**kw):
@@ -268,6 +269,47 @@ class TestArtifacts:
         assert not mismatch and not errors
 
 
+    def test_every_artifact_matches_the_row_writer(self, tmp_path, monkeypatch):
+        # The runs write each artifact twice: through the columnar writer,
+        # then through csv.writer fed the same cells one row at a time.
+        def runs(out):
+            out.mkdir()
+            attack_run = run_simulation(small_attack_cfg(), out_dir=out / "attack")
+            random = apply_overrides(preset_config("5v"), {
+                "frames_per_trial": "20000", "source.pattern": "random",
+                "source.decoy_probability": "0.2", "export_frames": "500",
+            })
+            run_simulation(random, out_dir=out / "random")
+            quick = apply_overrides(preset_config("5v"), {"frames_per_trial": "20000"})
+            run_sweep(quick, "bias", ["2v", "7v"], out / "sweep_bias.csv")
+            emit_timing_correlation(small_attack_cfg(), [2000], clicks_per_width=10_000, out_dir=out / "corr")
+            return attack_run
+
+        attack_run = runs(tmp_path / "columns")
+
+        def row_writer(path, header_lines, columns, cols):
+            rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in cols])
+            csv_writer_rows(path, header_lines, columns, rows)
+
+        for module in (attack, detectors, distill, experiment, source):
+            monkeypatch.setattr(module, "write_csv", row_writer)
+        runs(tmp_path / "rows")
+
+        cols, rows = tmp_path / "columns", tmp_path / "rows"
+        files = sorted(p.relative_to(cols).as_posix() for p in cols.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(rows).as_posix() for p in rows.rglob("*") if p.is_file())
+        assert {
+            "attack/detections.csv", "attack/transcript_block0.csv", "attack/attack_histogram_block0.csv",
+            "attack/inference_block0.csv", "attack/rates.csv", "random/frames.csv", "sweep_bias.csv",
+            "corr/correlation_w2000.csv",
+        } <= set(files)
+        for f in files:
+            assert (cols / f).read_bytes() == (rows / f).read_bytes(), f
+        key = attack_run.trials[0].blocks[0].retained
+        digits = (cols / "attack/key_block0.txt").read_text().splitlines()[-1]
+        assert digits == "".join(str(int(b)) for b in key.bit)
+
+
 # --- sweeps ----------------------------------------------------------------
 
 class TestSweeps:
@@ -351,6 +393,16 @@ class TestTimingCorrelation:
     def test_clicks_validation(self):
         with pytest.raises(ConfigError):
             emit_timing_correlation(small_attack_cfg(), [2000], clicks_per_width=0)
+
+    @pytest.mark.parametrize("range_ps,bin_width_ps", [((6000, 0), 10), ((0, 0), 10), ((0, 6000), 0)])
+    def test_bins_checked_before_any_draw(self, monkeypatch, range_ps, bin_width_ps):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("dark exposure drawn for an invalid histogram")
+
+        monkeypatch.setattr(experiment, "dark_exposure", no_draw)
+        with pytest.raises(ConfigError):
+            emit_timing_correlation(small_attack_cfg(), [2000], clicks_per_width=1000,
+                                    bin_width_ps=bin_width_ps, range_ps=range_ps)
 
     # Family-wise alpha 1e-3 over the four checks below, fixed before the
     # first run: an exact conditional binomial test of the dark-stop counts

@@ -1,13 +1,16 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cowqkd.detectors import SpadConfig, _backflash
 from cowqkd.source import ConfigError
 from cowqkd.timebase import (
+    CSV_SLICE_ROWS,
     MAX_TIME_PS,
     TIMING_CORRELATION_STUDY,
     DeviceRngs,
@@ -17,8 +20,9 @@ from cowqkd.timebase import (
     check_time_range,
     poisson_event_times,
     sample_delay,
+    write_csv,
 )
-from oracles import single_interval_poisson_times
+from oracles import csv_writer_rows, single_interval_poisson_times
 
 
 def trunc_exp_mean(scale, cap):
@@ -233,3 +237,53 @@ class TestPoissonTimesOnWindows:
         t = poisson_event_times(1e12, (np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)), rng)
         assert t.size == 0 and t.dtype == np.int64
         assert rng.gen.random() == RngStream(22, Stream.AUX).gen.random()
+
+
+# --- artifact CSV writer ---------------------------------------------------
+
+# Cells that csv.writer quotes (",", '"', "\r", "\n", and "" alone in a
+# row) next to ones it leaves bare.
+CELL_TEXT = st.text(alphabet=["a", "Z", "0", " ", "-", ",", '"', "\r", "\n", "\u00e9"], max_size=4)
+ROW_COUNTS = [0, 1, 2, CSV_SLICE_ROWS - 1, CSV_SLICE_ROWS, CSV_SLICE_ROWS + 1]
+
+
+@st.composite
+def csv_table(draw):
+    """Column names and columns of one row count: int arrays, str lists,
+    object arrays of str, and lists that mix str, int and float cells."""
+    n = draw(st.sampled_from(ROW_COUNTS))
+    kinds = draw(st.lists(st.sampled_from(["int64", "int8", "str", "object", "mixed"]), min_size=1, max_size=4))
+    cols = []
+    for kind in kinds:
+        if kind.startswith("int"):
+            info = np.iinfo(kind)
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            cols.append(rng.integers(info.min, info.max, size=n, dtype=kind, endpoint=True))
+            continue
+        cell = CELL_TEXT if kind != "mixed" else st.one_of(CELL_TEXT, st.integers(), st.floats())
+        pool = draw(st.lists(cell, min_size=1, max_size=6))
+        offset = draw(st.integers(0, 5))
+        col = [pool[(i + offset) % len(pool)] for i in range(n)]
+        cols.append(np.array(col, dtype=object) if kind == "object" else col)
+    names = draw(st.lists(CELL_TEXT, min_size=len(cols), max_size=len(cols)))
+    headers = draw(st.lists(st.text(alphabet=["a", " ", ",", "="], max_size=8), max_size=2))
+    return headers, names, cols
+
+
+@settings(max_examples=80)
+@given(csv_table())
+def test_write_csv_matches_csv_writer_rows(table):
+    headers, names, cols = table
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in cols])
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d) / "got.csv", Path(d) / "want.csv"
+        write_csv(got, headers, names, cols)
+        csv_writer_rows(want, headers, names, rows)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "x.csv", None, ["a", "b"], [np.arange(3), ["x", "y"]])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "x.csv", None, ["a", "b"], [np.arange(3)])
