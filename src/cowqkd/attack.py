@@ -26,24 +26,25 @@ class CalibrationError(RuntimeError):
     """Offset recovery or cluster identification failed."""
 
 
+# The attacker's fixed analysis settings.
+FOLD_BIN_WIDTH_PS = 100
+CALIBRATION_WINDOW_PS = 1000
+CLUSTER_THRESHOLD = 0.05  # of the smoothed folded peak
+CLUSTER_MIN_GAP_PS = 1000
+SMOOTH_BINS = 5
+MODE_MIN_SEPARATION_PS = 1500
+
+
 @dataclass(frozen=True)
 class AttackConfig:
-    fold_bin_width_ps: int = 100
-    calibration_window_ps: int = 1000
     calibration_floor: float = 0.01
     corr_window_ps: int = 6000
     corr_floor: float = 0.02
-    cluster_threshold: float = 0.05
-    cluster_min_gap_ps: int = 1000
-    smooth_bins: int = 5
-    mode_min_separation_ps: int = 1500
     boundary: str = "midpoint"
     match_window_ps: int = 6000
     clock_offset_ps: int = 0
 
     def __post_init__(self) -> None:
-        if self.fold_bin_width_ps <= 0 or self.calibration_window_ps <= 0:
-            raise ConfigError("fold bin width and calibration window must be positive")
         if not 0.0 < self.calibration_floor <= 1.0:
             raise ConfigError("calibration floor must lie in (0, 1]")
         if self.boundary not in ("midpoint", "valley"):
@@ -135,7 +136,7 @@ def calibrate(
         raise CalibrationError("empty eavesdropper stream or transcript")
 
     period = int(frame_period_ps)
-    coarse_window = max(cfg.calibration_window_ps, bin_width_ps)
+    coarse_window = max(CALIBRATION_WINDOW_PS, bin_width_ps)
     scanned: list[tuple[int, int]] = []
 
     def best(candidates: np.ndarray, step: int, window: int) -> tuple[int, int, list[int]]:
@@ -148,7 +149,7 @@ def calibrate(
     coarse = np.arange(-period, period + 1, bin_width_ps, dtype=np.int64)
     c_best, _, _ = best(coarse, bin_width_ps, coarse_window)
     fine = np.arange(c_best - bin_width_ps, c_best + bin_width_ps + 1, 10, dtype=np.int64)
-    s0, score, ties = best(fine, 10, cfg.calibration_window_ps)
+    s0, score, ties = best(fine, 10, CALIBRATION_WINDOW_PS)
 
     frac = score / disclosed.size
     if frac < cfg.calibration_floor:
@@ -158,7 +159,7 @@ def calibrate(
 
     # Median refinement over the pairs matched at the argmax shift.
     nearest, dist = _nearest(eve, disclosed - s0)
-    matched = dist <= cfg.calibration_window_ps
+    matched = dist <= CALIBRATION_WINDOW_PS
     if not np.any(matched):
         raise CalibrationError("no matched pairs at the best shift")
     offset = int(np.median(disclosed[matched] - eve[nearest[matched]]))
@@ -179,14 +180,13 @@ def calibrate(
 class ClusterMap:
     """Folded histogram with the windows and boundaries the attacker uses.
 
-    Windows are half-open circular arcs (start, length) on [0, frame
-    period).  ``zero_boundary_ps`` and ``one_boundary_ps`` are the arc
-    positions where the zero and one decision regions begin inside the
-    backflash window.
+    ``counts`` has one bin per ``FOLD_BIN_WIDTH_PS``.  Windows are half-open
+    circular arcs (start, length) on [0, frame period).  ``zero_boundary_ps``
+    and ``one_boundary_ps`` are the arc positions where the zero and one
+    decision regions begin inside the backflash window.
     """
 
     frame_period_ps: int
-    fold_bin_width_ps: int
     counts: np.ndarray
     backflash_start_ps: int
     backflash_len_ps: int
@@ -308,21 +308,21 @@ def fold_and_cluster(
     if t.size == 0:
         raise CalibrationError("nothing to fold")
     folded = t % period
-    counts = Histogram.from_samples(folded, cfg.fold_bin_width_ps, 0, period).counts
+    counts = Histogram.from_samples(folded, FOLD_BIN_WIDTH_PS, 0, period).counts
     nbins = counts.size
 
-    sm = _circular_smooth(counts, cfg.smooth_bins // 2)
+    sm = _circular_smooth(counts, SMOOTH_BINS // 2)
     peak = sm.max()
     if peak <= 0:
         raise CalibrationError("empty folded histogram")
-    active = sm >= max(cfg.cluster_threshold * peak, 1e-12)
-    gap_bins = max(1, cfg.cluster_min_gap_ps // cfg.fold_bin_width_ps)
+    active = sm >= max(CLUSTER_THRESHOLD * peak, 1e-12)
+    gap_bins = max(1, CLUSTER_MIN_GAP_PS // FOLD_BIN_WIDTH_PS)
     runs = _merge_runs(_circular_runs(active), nbins, gap_bins)
     if not runs:
         raise CalibrationError("no clusters found")
 
     disclosed = np.sort(transcript.disclosed_time_ps)
-    bin_idx = folded // cfg.fold_bin_width_ps
+    bin_idx = folded // FOLD_BIN_WIDTH_PS
 
     def correlation(run: tuple[int, int]) -> float:
         # Fraction of disclosed receiver clicks with a cluster member nearby
@@ -341,8 +341,8 @@ def fold_and_cluster(
         c = correlation(run)
         mass = int(_run_mass(counts, run, nbins))
         summary.append({
-            "start_ps": run[0] * cfg.fold_bin_width_ps,
-            "len_ps": run[1] * cfg.fold_bin_width_ps,
+            "start_ps": run[0] * FOLD_BIN_WIDTH_PS,
+            "len_ps": run[1] * FOLD_BIN_WIDTH_PS,
             "mass": mass,
             "correlation": c,
         })
@@ -352,8 +352,8 @@ def fold_and_cluster(
         raise CalibrationError("no cluster correlates with the disclosed samples")
 
     bf_start_bin, bf_len_bin = _span_covering([r for r, _ in corr_runs], nbins)
-    bf_start = bf_start_bin * cfg.fold_bin_width_ps
-    bf_len = min(bf_len_bin * cfg.fold_bin_width_ps, period)
+    bf_start = bf_start_bin * FOLD_BIN_WIDTH_PS
+    bf_len = min(bf_len_bin * FOLD_BIN_WIDTH_PS, period)
 
     refl_start = refl_len = None
     outside = [
@@ -362,12 +362,12 @@ def fold_and_cluster(
     ]
     if outside:
         run, _ = max(outside, key=lambda rm: rm[1])
-        refl_start = run[0] * cfg.fold_bin_width_ps
-        refl_len = run[1] * cfg.fold_bin_width_ps
+        refl_start = run[0] * FOLD_BIN_WIDTH_PS
+        refl_len = run[1] * FOLD_BIN_WIDTH_PS
 
-    zero_mode, one_mode = _find_modes(sm, bf_start_bin, bf_len_bin, nbins, cfg)
-    zero_mode_ps = zero_mode * cfg.fold_bin_width_ps
-    one_mode_ps = one_mode * cfg.fold_bin_width_ps
+    zero_mode, one_mode = _find_modes(sm, bf_start_bin, bf_len_bin, nbins)
+    zero_mode_ps = zero_mode * FOLD_BIN_WIDTH_PS
+    one_mode_ps = one_mode * FOLD_BIN_WIDTH_PS
 
     # Which mode carries which bit comes from the disclosed samples: the
     # attacker knows where the receiver's zero and one clicks fold to.
@@ -398,7 +398,6 @@ def fold_and_cluster(
 
     return ClusterMap(
         frame_period_ps=period,
-        fold_bin_width_ps=cfg.fold_bin_width_ps,
         counts=counts,
         backflash_start_ps=int(bf_start),
         backflash_len_ps=int(bf_len),
@@ -441,11 +440,11 @@ def _circular_center(values: np.ndarray, period: int) -> int:
     return int(np.median(rolled)) % period
 
 
-def _find_modes(sm: np.ndarray, start_bin: int, len_bin: int, nbins: int, cfg: AttackConfig) -> tuple[int, int]:
+def _find_modes(sm: np.ndarray, start_bin: int, len_bin: int, nbins: int) -> tuple[int, int]:
     idx = (start_bin + np.arange(len_bin)) % nbins
     vals = sm[idx]
     first = int(np.argmax(vals))
-    sep = max(1, cfg.mode_min_separation_ps // cfg.fold_bin_width_ps)
+    sep = max(1, MODE_MIN_SEPARATION_PS // FOLD_BIN_WIDTH_PS)
     masked = vals.copy()
     lo = max(0, first - sep)
     masked[lo: first + sep + 1] = -1.0
@@ -463,16 +462,16 @@ def _decision_cut(sm, zero_mode_ps, one_mode_ps, bf_start, period, cfg) -> int:
     if cfg.boundary == "midpoint":
         return (bf_start + (a0 + a1) // 2) % period
     # valley: minimum of the smoothed histogram strictly between the modes
-    b0 = a0 // cfg.fold_bin_width_ps
-    b1 = a1 // cfg.fold_bin_width_ps
+    b0 = a0 // FOLD_BIN_WIDTH_PS
+    b1 = a1 // FOLD_BIN_WIDTH_PS
     if b1 - b0 < 2:
         return (bf_start + (a0 + a1) // 2) % period
     nbins = sm.size
-    idx = (bf_start // cfg.fold_bin_width_ps + np.arange(b0 + 1, b1)) % nbins
+    idx = (bf_start // FOLD_BIN_WIDTH_PS + np.arange(b0 + 1, b1)) % nbins
     vals = sm[idx]
     argmins = np.flatnonzero(vals == vals.min())
     pick = int(argmins[len(argmins) // 2])
-    return (bf_start + (b0 + 1 + pick) * cfg.fold_bin_width_ps) % period
+    return (bf_start + (b0 + 1 + pick) * FOLD_BIN_WIDTH_PS) % period
 
 
 # ---------------------------------------------------------------------------
@@ -595,4 +594,4 @@ def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | Non
         f"zero_boundary_ps={clusters.zero_boundary_ps} one_boundary_ps={clusters.one_boundary_ps}",
         f"zero_mode_ps={clusters.zero_mode_ps} one_mode_ps={clusters.one_mode_ps}",
     ]
-    Histogram(0, clusters.fold_bin_width_ps, clusters.counts).write_csv(path, (header_lines or []) + meta)
+    Histogram(0, FOLD_BIN_WIDTH_PS, clusters.counts).write_csv(path, (header_lines or []) + meta)

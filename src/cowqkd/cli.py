@@ -176,7 +176,12 @@ def cmd_rates(args, cfg: ExperimentConfig) -> int:
 
 
 def cmd_correlate(args, cfg: ExperimentConfig) -> int:
-    widths = [int(float(t)) for t in args.widths.split(",") if t.strip()]
+    widths = []
+    for tok in filter(None, map(str.strip, args.widths.split(","))):
+        try:
+            widths.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"gate width {tok!r} is not a number") from None
     hists = emit_timing_correlation(cfg, widths, clicks_per_width=args.clicks, out_dir=args.out)
     print(f"{'gate_width_ps':>14}{'stops':>10}{'mean_ps':>10}{'std_ps':>10}")
     for w, h in hists.items():

@@ -1,9 +1,9 @@
 """Receiver SPAD, eavesdropper SNSPD, and start-stop timing histograms.
 
-The SPAD is gated once per frame.  Each avalanche (photon- or dark-triggered)
-may emit a backflash photon toward the line after a bounded delay, and every
-incident pulse is partially reflected at the fiber facet regardless of
-whether it produced a click.  Both leak paths are what the eavesdropper
+The SPAD is gated once per frame of the source clock.  Each avalanche
+(photon- or dark-triggered) may emit a backflash photon toward the line
+after a bounded delay, and every incident pulse is partially reflected at
+the fiber facet regardless of whether it produced a click.  Both leak paths are what the eavesdropper
 collects.
 """
 
@@ -16,7 +16,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, channel_transmittance
+from .source import ChannelConfig, ConfigError, FrameBatch, channel_transmittance
 from .timebase import PS_PER_S, DeviceRngs, RngStream, poisson_event_times, sample_delay, write_csv
 
 BOB = "bob"
@@ -42,12 +42,16 @@ SPAD_BIAS_TABLE = {
 
 @dataclass(frozen=True)
 class SpadConfig:
-    """Gated receiver detector."""
+    """Gated receiver detector.
+
+    The gate opens once per source frame, ``gate_phase_ps`` after the frame
+    starts, for ``gate_width_ps``; both must fit in the frame period, which
+    :class:`cowqkd.experiment.ExperimentConfig` checks.
+    """
 
     detection_efficiency: float = 0.20
     dark_count_rate_cps: float = 200.0
     gate_width_ps: int = 4000
-    gate_period_ps: int = 32000
     gate_phase_ps: int = 0
     hold_off_s: float = 10e-6
     excess_bias_label: str = "5v"
@@ -62,12 +66,10 @@ class SpadConfig:
             raise ConfigError("detection efficiency must lie in [0, 1]")
         if self.dark_count_rate_cps < 0:
             raise ConfigError("dark count rate must be >= 0")
-        if self.gate_width_ps <= 0 or self.gate_period_ps <= 0:
-            raise ConfigError("gate width and period must be positive")
-        if self.gate_width_ps > self.gate_period_ps:
-            raise ConfigError("gate width cannot exceed the gate period")
-        if not 0 <= self.gate_phase_ps < self.gate_period_ps:
-            raise ConfigError("gate phase must lie in [0, gate period)")
+        if self.gate_width_ps <= 0:
+            raise ConfigError("gate width must be positive")
+        if self.gate_phase_ps < 0:
+            raise ConfigError("gate phase must be >= 0")
         if self.hold_off_s < 0:
             raise ConfigError("hold-off must be >= 0")
         if not 0.0 <= self.backflash_probability <= 1.0:
@@ -173,7 +175,12 @@ class BackflashEvents:
 
 @dataclass
 class EveArrivals:
-    """Light leaving the receiver toward the line."""
+    """Light leaving the receiver toward the line.
+
+    ``reflection_ps`` lists only the pulses that return at least one photon
+    from the facet, each with probability 1 - exp(-reflected_mean_photon),
+    at the pulse's arrival time.
+    """
 
     backflash: BackflashEvents
     reflection_ps: np.ndarray
@@ -182,21 +189,11 @@ class EveArrivals:
 
 @dataclass
 class SpadResult:
-    """Receiver clicks plus the light it sends back toward the line.
-
-    ``reflection_ps`` lists only the pulses that return at least one photon
-    from the facet, each with probability 1 - exp(-reflected_mean_photon),
-    at the pulse's arrival time.
-    """
+    """Receiver clicks plus the light it sends back toward the line."""
 
     clicks: DetectionLog
-    backflash: BackflashEvents
-    reflection_ps: np.ndarray
-    reflected_mean_photon: float
+    eve: EveArrivals
     dead_until_ps: int
-
-    def eve_arrivals(self) -> EveArrivals:
-        return EveArrivals(self.backflash, self.reflection_ps, self.reflected_mean_photon)
 
 
 def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -> tuple[np.ndarray, int]:
@@ -244,15 +241,16 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     return keep, dead
 
 
-def _dark_times(spad: SpadConfig, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
-    """Sorted dark-count candidates, thinned directly onto ``gates`` open gates."""
+def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
+    """Sorted dark-count candidates, thinned directly onto ``gates`` open
+    gates, one per frame period ``period_ps``."""
     lam = spad.dark_count_rate_cps * gates * (spad.gate_width_ps / PS_PER_S)
     n_dark = int(rngs.spad_dark.gen.poisson(lam)) if lam > 0 else 0
     if not n_dark:
         return np.empty(0, dtype=np.int64)
     gate = rngs.spad_dark.gen.integers(0, gates, size=n_dark, dtype=np.int64)
     off = rngs.spad_dark.gen.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
-    return np.sort((start_frame + gate) * spad.gate_period_ps + spad.gate_phase_ps + off)
+    return np.sort((start_frame + gate) * period_ps + spad.gate_phase_ps + off)
 
 
 def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> BackflashEvents:
@@ -271,13 +269,16 @@ def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> Bac
     return BackflashEvents(av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size))
 
 
-def dark_exposure(spad: SpadConfig, rngs: DeviceRngs, gates: int) -> tuple[np.ndarray, BackflashEvents]:
-    """Receiver clicks and backflash over ``gates`` gates with no input light.
+def dark_exposure(
+    spad: SpadConfig, period_ps: int, rngs: DeviceRngs, gates: int,
+) -> tuple[np.ndarray, BackflashEvents]:
+    """Receiver clicks and backflash over ``gates`` gates, one per frame
+    period ``period_ps``, with no input light.
 
     Draws exactly what :func:`spad_detect` draws for its dark counts and
     backflash, without sampling any pulse.
     """
-    t = _dark_times(spad, rngs, 0, gates)
+    t = _dark_times(spad, period_ps, rngs, 0, gates)
     keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
     clicks = t[keep]
     return clicks, _backflash(clicks, spad, rngs)
@@ -337,13 +338,12 @@ def _reflection_times(
 
 def spad_detect(
     frames: FrameBatch,
-    source: SourceConfig,
     spad: SpadConfig,
     channel: ChannelConfig,
     rngs: DeviceRngs,
     dead_until_ps: int = 0,
 ) -> SpadResult:
-    """Detect one batch of frames.
+    """Detect one batch of frames; the gate opens once per frame.
 
     Every pulse draws a click candidate on its own with probability
     1 - exp(-mu t eta), and a candidate counts if its arrival falls in the
@@ -351,10 +351,7 @@ def spad_detect(
     geometric skips and their arrival offsets are drawn one per candidate.
     ``dead_until_ps`` carries hold-off state across consecutive batches.
     """
-    g = frames.geometry
-    if spad.gate_period_ps != g.frame_period_ps:
-        raise ConfigError("gate period must match the frame period")
-
+    source = frames.source
     mu = source.mean_photon_number
     t_ch = channel_transmittance(channel)
 
@@ -363,12 +360,12 @@ def spad_detect(
     pulse_ps = frames.pulse_times(cand)
     offset = rngs.arrival.gen.integers(0, source.occupied_width_ps, size=cand.size, dtype=np.int64)
     arrival = pulse_ps + offset
-    in_gate = ((arrival - spad.gate_phase_ps) % spad.gate_period_ps) < spad.gate_width_ps
+    in_gate = ((arrival - spad.gate_phase_ps) % source.frame_period_ps) < spad.gate_width_ps
     photon_t = arrival[in_gate]
 
     # Photon and dark times are each sorted: insert the darks after any
     # photon at the same time, which is the (time, cause) order.
-    dark_t = _dark_times(spad, rngs, frames.start_frame, len(frames))
+    dark_t = _dark_times(spad, source.frame_period_ps, rngs, frames.start_frame, len(frames))
     at = np.searchsorted(photon_t, dark_t, side="right")
     t = np.insert(photon_t, at, dark_t)
     cause = np.insert(np.full(photon_t.size, Cause.PHOTON, dtype=np.int8), at, Cause.DARK)
@@ -380,13 +377,8 @@ def spad_detect(
     reflected_mu = mu * t_ch * spad.facet_reflectance
     reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
 
-    return SpadResult(
-        clicks=clicks,
-        backflash=_backflash(clicks.time_ps, spad, rngs),
-        reflection_ps=reflection_ps,
-        reflected_mean_photon=reflected_mu,
-        dead_until_ps=dead_after,
-    )
+    eve = EveArrivals(_backflash(clicks.time_ps, spad, rngs), reflection_ps, reflected_mu)
+    return SpadResult(clicks=clicks, eve=eve, dead_until_ps=dead_after)
 
 
 def snspd_detect(

@@ -71,12 +71,12 @@ def sift(time_ps: np.ndarray, frames: FrameBatch) -> SiftedBits:
     decoy slots (announced by the transmitter after the fact).
     """
     t = np.asarray(time_ps, dtype=np.int64)
-    g = frames.geometry
-    frame = t // g.frame_period_ps
-    local = t - frame * g.frame_period_ps
-    bin_idx = local // g.bin_width_ps
+    source = frames.source
+    frame = t // source.frame_period_ps
+    local = t - frame * source.frame_period_ps
+    bin_idx = local // source.bin_width_ps
 
-    in_window = bin_idx < 2 * g.bits_per_frame
+    in_window = bin_idx < 2 * source.bits_per_frame
     in_range = (frame >= frames.start_frame) & (frame < frames.start_frame + len(frames))
     ok = in_window & in_range
     excluded_outside = int(np.sum(~ok))

@@ -78,8 +78,11 @@ class ExperimentConfig:
             raise ConfigError("frames_per_trial must be >= 1")
         if self.export_frames < 0:
             raise ConfigError("export_frames must be >= 0")
-        if self.spad.gate_period_ps != self.source.frame_period_ps:
-            raise ConfigError("SPAD gate period must equal the source frame period")
+        # The SPAD gate opens once per source frame.
+        if self.spad.gate_width_ps > self.source.frame_period_ps:
+            raise ConfigError("SPAD gate width cannot exceed the source frame period")
+        if self.spad.gate_phase_ps >= self.source.frame_period_ps:
+            raise ConfigError("SPAD gate phase must lie in [0, source frame period)")
         check_time_range(self.frames_per_trial * self.source.frame_period_ps + 10**9)
         if self.attack_enabled:
             expected = self.trials * self.frames_per_trial * self.analytic_p_sift()
@@ -95,7 +98,7 @@ class ExperimentConfig:
             mu=gate_mean_photon(self.source.mean_photon_number, self.source.bits_per_frame),
             eta=eta,
             p_dark=dark_probability_per_gate(self.spad.dark_count_rate_cps, self.spad.gate_width_ps),
-            opportunity_rate_hz=self.source.geometry.frame_rate_hz,
+            opportunity_rate_hz=self.source.frame_rate_hz,
             hold_off_s=self.spad.hold_off_s,
             p_b=self.spad.backflash_probability * self.snspd.detection_efficiency,
             qber=qber,
@@ -290,13 +293,13 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     while done < cfg.frames_per_trial:
         n = min(CHUNK_FRAMES, cfg.frames_per_trial - done)
         batch = generate_frames(cfg.source, n, rngs.bits, start_frame=done)
-        res = spad_detect(batch, cfg.source, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
+        res = spad_detect(batch, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
         dead_until = res.dead_until_ps
         bob_parts.append(res.clicks)
         sift_parts.append(sift(res.clicks.time_ps, batch))
         if cfg.attack_enabled:
             window = (batch.start_ps, batch.end_ps)
-            eve_parts.append(snspd_detect(res.eve_arrivals(), cfg.snspd, window, rngs))
+            eve_parts.append(snspd_detect(res.eve, cfg.snspd, window, rngs))
         done += n
 
     sifted = SiftedBits.concat(sift_parts)
@@ -575,25 +578,34 @@ def emit_timing_correlation(
     if clicks_per_width < 1:
         raise ConfigError("clicks_per_width must be >= 1")
     _check_bins(bin_width_ps, int(range_ps[0]), int(range_ps[1]))
-    out: dict[int, Histogram] = {}
+    # Every width is checked against the frame period before any draw.
+    period = cfg.source.frame_period_ps
+    if not gate_widths_ps:
+        raise ConfigError("the timing correlation needs at least one gate width")
+    if len(set(gate_widths_ps)) != len(gate_widths_ps):
+        raise ConfigError(f"gate widths repeat: {list(gate_widths_ps)}")
     for w in gate_widths_ps:
-        spad = replace(cfg.spad, gate_width_ps=int(w), hold_off_s=1e-6)
-        rngs = DeviceRngs(cfg.seed, trial=int(w), study=TIMING_CORRELATION_STUDY)
+        if not 0 < w <= period or w != int(w):
+            raise ConfigError(f"gate width {w:g} must be a whole number of ps in (0, {period}]")
+    out: dict[int, Histogram] = {}
+    for w in map(int, gate_widths_ps):
+        spad = replace(cfg.spad, gate_width_ps=w, hold_off_s=1e-6)
+        rngs = DeviceRngs(cfg.seed, trial=w, study=TIMING_CORRELATION_STUDY)
 
         p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
         gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-        span_ps = check_time_range(gates * spad.gate_period_ps)
+        span_ps = check_time_range(gates * period)
 
-        clicks, backflash = dark_exposure(spad, rngs, gates)
+        clicks, backflash = dark_exposure(spad, period, rngs, gates)
         arrivals = EveArrivals(backflash, np.empty(0, dtype=np.int64), 0.0)
         eve = snspd_detect(arrivals, cfg.snspd, _stop_windows(clicks, range_ps, span_ps), rngs)
 
         hist = correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps)
-        out[int(w)] = hist
+        out[w] = hist
         if out_dir is not None:
             path = Path(out_dir)
             path.mkdir(parents=True, exist_ok=True)
-            hist.write_csv(path / f"correlation_w{int(w)}.csv", artifact_headers(cfg) + [f"gate_width_ps={int(w)}"])
+            hist.write_csv(path / f"correlation_w{w}.csv", artifact_headers(cfg) + [f"gate_width_ps={w}"])
     return out
 
 

@@ -35,33 +35,8 @@ class LogicalBit(IntEnum):
 
 
 @dataclass(frozen=True)
-class FrameGeometry:
-    """Static layout of a frame in integer picoseconds."""
-
-    bin_width_ps: int = 1000
-    frame_period_ps: int = 32000
-    bits_per_frame: int = 2
-
-    def __post_init__(self) -> None:
-        if self.bin_width_ps <= 0 or self.frame_period_ps <= 0:
-            raise ConfigError("bin width and frame period must be positive")
-        if self.bits_per_frame < 1:
-            raise ConfigError("need at least one bit slot per frame")
-        if self.signal_window_ps > self.frame_period_ps:
-            raise ConfigError("signal window does not fit in the frame period")
-
-    @property
-    def signal_window_ps(self) -> int:
-        return 2 * self.bits_per_frame * self.bin_width_ps
-
-    @property
-    def frame_rate_hz(self) -> float:
-        return 1e12 / self.frame_period_ps
-
-
-@dataclass(frozen=True)
 class SourceConfig:
-    """Transmitter settings."""
+    """Transmitter settings and the frame layout, in integer picoseconds."""
 
     mean_photon_number: float = 0.2
     bin_width_ps: int = 1000
@@ -80,11 +55,20 @@ class SourceConfig:
             raise ConfigError(f"unknown pattern {self.pattern!r}")
         if not 0.0 <= self.decoy_probability <= 1.0:
             raise ConfigError("decoy probability must lie in [0, 1]")
-        self.geometry  # validate layout
+        if self.bin_width_ps <= 0 or self.frame_period_ps <= 0:
+            raise ConfigError("bin width and frame period must be positive")
+        if self.bits_per_frame < 1:
+            raise ConfigError("need at least one bit slot per frame")
+        if self.signal_window_ps > self.frame_period_ps:
+            raise ConfigError("signal window does not fit in the frame period")
 
     @property
-    def geometry(self) -> FrameGeometry:
-        return FrameGeometry(self.bin_width_ps, self.frame_period_ps, self.bits_per_frame)
+    def signal_window_ps(self) -> int:
+        return 2 * self.bits_per_frame * self.bin_width_ps
+
+    @property
+    def frame_rate_hz(self) -> float:
+        return 1e12 / self.frame_period_ps
 
     @property
     def occupied_width_ps(self) -> int:
@@ -116,27 +100,27 @@ def channel_transmittance(channel: ChannelConfig) -> float:
 
 
 class FrameBatch:
-    """Columnar batch of frames: one row of slot bits per frame."""
+    """Columnar batch of frames laid out by ``source``: one row of slot bits per frame."""
 
-    def __init__(self, geometry: FrameGeometry, bits: np.ndarray, start_frame: int = 0):
+    def __init__(self, source: SourceConfig, bits: np.ndarray, start_frame: int = 0):
         bits = np.asarray(bits, dtype=np.int8)
-        if bits.ndim != 2 or bits.shape[1] != geometry.bits_per_frame:
+        if bits.ndim != 2 or bits.shape[1] != source.bits_per_frame:
             raise ConfigError("bits array must be (n_frames, bits_per_frame)")
-        self.geometry = geometry
+        self.source = source
         self.bits = bits
         self.start_frame = int(start_frame)
-        check_time_range((self.start_frame + len(bits) + 1) * geometry.frame_period_ps)
+        check_time_range((self.start_frame + len(bits) + 1) * source.frame_period_ps)
 
     def __len__(self) -> int:
         return self.bits.shape[0]
 
     @property
     def start_ps(self) -> int:
-        return self.start_frame * self.geometry.frame_period_ps
+        return self.start_frame * self.source.frame_period_ps
 
     @property
     def end_ps(self) -> int:
-        return (self.start_frame + len(self)) * self.geometry.frame_period_ps
+        return (self.start_frame + len(self)) * self.source.frame_period_ps
 
     @cached_property
     def _decoy_second_pulses(self) -> np.ndarray:
@@ -155,7 +139,7 @@ class FrameBatch:
         decoy slot emits in sub-bin 0 and then in sub-bin 1.  Sorted indices
         give sorted times.
         """
-        g = self.geometry
+        cfg = self.source
         idx = np.asarray(idx, dtype=np.int64)
         slot = idx
         second = self._decoy_second_pulses
@@ -167,8 +151,8 @@ class FrameBatch:
         sub = np.bitwise_and(self.bits.reshape(-1)[slot], 1, dtype=np.int64)
         if second.size:
             sub[is_second] = 1
-        frame, k = np.divmod(slot, g.bits_per_frame)
-        return (self.start_frame + frame) * g.frame_period_ps + (2 * k + sub) * g.bin_width_ps
+        frame, k = np.divmod(slot, cfg.bits_per_frame)
+        return (self.start_frame + frame) * cfg.frame_period_ps + (2 * k + sub) * cfg.bin_width_ps
 
     def bit_at(self, frame: np.ndarray, slot: np.ndarray) -> np.ndarray:
         local = np.asarray(frame, dtype=np.int64) - self.start_frame
@@ -179,8 +163,7 @@ def generate_frames(cfg: SourceConfig, count: int, rng: RngStream, start_frame: 
     """Draw ``count`` frames starting at global frame index ``start_frame``."""
     if count < 0:
         raise ConfigError("frame count must be >= 0")
-    g = cfg.geometry
-    k = g.bits_per_frame
+    k = cfg.bits_per_frame
     if cfg.pattern == PATTERN_ALTERNATING:
         row = np.arange(k, dtype=np.int8) % 2
         bits = np.tile(row, (count, 1))
@@ -189,21 +172,21 @@ def generate_frames(cfg: SourceConfig, count: int, rng: RngStream, start_frame: 
     if cfg.decoy_probability > 0 and count > 0:
         decoy = rng.gen.random(size=(count, k)) < cfg.decoy_probability
         bits[decoy] = LogicalBit.DECOY
-    return FrameBatch(g, bits, start_frame=start_frame)
+    return FrameBatch(cfg, bits, start_frame=start_frame)
 
 
 def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = None) -> None:
     """Frame log: one row per frame with its occupied frame-local bins."""
-    g = batch.geometry
+    cfg = batch.source
     n, k = batch.bits.shape
     # bins[j][b]: the occupied bins of slot j holding logical bit b.
     bins = [
-        np.array([str(a), str(a + g.bin_width_ps), f"{a};{a + g.bin_width_ps}"], dtype=object)
-        for a in (2 * j * g.bin_width_ps for j in range(k))
+        np.array([str(a), str(a + cfg.bin_width_ps), f"{a};{a + cfg.bin_width_ps}"], dtype=object)
+        for a in (2 * j * cfg.bin_width_ps for j in range(k))
     ]
     pulse_bins = bins[0][batch.bits[:, 0]]
     for j in range(1, k):
         pulse_bins = pulse_bins + (";" + bins[j])[batch.bits[:, j]]
     digits = np.ascontiguousarray(batch.bits.astype(np.uint8) + 48).view(f"S{k}")[:, 0].astype(f"U{k}")
-    starts = (batch.start_frame + np.arange(n, dtype=np.int64)) * g.frame_period_ps
+    starts = (batch.start_frame + np.arange(n, dtype=np.int64)) * cfg.frame_period_ps
     write_csv(path, header_lines, ["frame_start_ps", "bits", "pulse_bins_ps"], [starts, digits, pulse_bins])

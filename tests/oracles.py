@@ -29,6 +29,7 @@ from cowqkd.detectors import (
     BOB,
     Cause,
     DetectionLog,
+    EveArrivals,
     Histogram,
     SpadResult,
     _backflash,
@@ -36,7 +37,7 @@ from cowqkd.detectors import (
     dark_exposure,
 )
 from cowqkd.rates import dark_probability_per_gate
-from cowqkd.source import ConfigError, LogicalBit, channel_transmittance
+from cowqkd.source import LogicalBit, channel_transmittance
 from cowqkd.timebase import PS_PER_S, check_time_range
 
 
@@ -55,7 +56,7 @@ def sequential_dead_time(times, hold_off_ps, dead_until_ps):
 
 def sorted_pulse_times(batch):
     """Occupied-bin start of every pulse, built per slot and then sorted."""
-    g = batch.geometry
+    source = batch.source
     n, k = batch.bits.shape
     frame_idx = np.repeat(np.arange(n, dtype=np.int64), k)
     slot_idx = np.tile(np.arange(k, dtype=np.int64), n)
@@ -66,17 +67,15 @@ def sorted_pulse_times(batch):
     frame_idx = np.concatenate([frame_idx, frame_idx[is_decoy]])
     slot_idx = np.concatenate([slot_idx, slot_idx[is_decoy]])
     sub = np.concatenate([sub, np.ones(int(is_decoy.sum()), dtype=np.int64)])
-    time_ps = (batch.start_frame + frame_idx) * g.frame_period_ps + (2 * slot_idx + sub) * g.bin_width_ps
+    time_ps = (batch.start_frame + frame_idx) * source.frame_period_ps + (2 * slot_idx + sub) * source.bin_width_ps
     return time_ps[np.argsort(time_ps, kind="stable")]
 
 
-def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
+def dense_spad_detect(frames, spad, channel, rngs, dead_until_ps=0):
     """Click, gate and reflection draws on every pulse, one lexsort, then the
     sequential hold-off; ``reflection_ps`` keeps the pulses that send a photon
     back, as the library's does."""
-    g = frames.geometry
-    if spad.gate_period_ps != g.frame_period_ps:
-        raise ConfigError("gate period must match the frame period")
+    source = frames.source
     mu = source.mean_photon_number
     t_ch = channel_transmittance(channel)
 
@@ -86,13 +85,13 @@ def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
 
     p_click = 1.0 - np.exp(-mu * t_ch * spad.detection_efficiency)
     clicked = rngs.spad.gen.random(n_pulses) < p_click
-    in_gate = ((arrival - spad.gate_phase_ps) % spad.gate_period_ps) < spad.gate_width_ps
+    in_gate = ((arrival - spad.gate_phase_ps) % source.frame_period_ps) < spad.gate_width_ps
     cand = clicked & in_gate
     photon_t = arrival[cand]
     photon_src = pulse_t[cand]
 
     n_gates = len(frames)
-    dark_t = _dark_times(spad, rngs, frames.start_frame, n_gates)
+    dark_t = _dark_times(spad, source.frame_period_ps, rngs, frames.start_frame, n_gates)
 
     t = np.concatenate([photon_t, dark_t])
     cause = np.concatenate([
@@ -107,13 +106,8 @@ def dense_spad_detect(frames, source, spad, channel, rngs, dead_until_ps=0):
     clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
     reflected_mu = mu * t_ch * spad.facet_reflectance
     returned = rngs.reflection.gen.random(n_pulses) < 1.0 - np.exp(-reflected_mu)
-    return SpadResult(
-        clicks=clicks,
-        backflash=_backflash(clicks.time_ps, spad, rngs),
-        reflection_ps=arrival[returned],
-        reflected_mean_photon=reflected_mu,
-        dead_until_ps=dead_after,
-    )
+    eve = EveArrivals(_backflash(clicks.time_ps, spad, rngs), arrival[returned], reflected_mu)
+    return SpadResult(clicks=clicks, eve=eve, dead_until_ps=dead_after)
 
 
 def single_interval_poisson_times(rate_per_s, window_ps, rng):
@@ -153,8 +147,9 @@ def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, bin_width_ps
     spad = replace(cfg.spad, gate_width_ps=int(gate_width_ps), hold_off_s=1e-6)
     p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
     gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-    span_ps = gates * spad.gate_period_ps
-    clicks, backflash = dark_exposure(spad, rngs, gates)
+    period = cfg.source.frame_period_ps
+    span_ps = gates * period
+    clicks, backflash = dark_exposure(spad, period, rngs, gates)
     got = rngs.snspd.gen.random(len(backflash)) < cfg.snspd.detection_efficiency
     dark = single_interval_poisson_times(cfg.snspd.dark_count_rate_cps, (0, span_ps), rngs.snspd)
     stops = np.concatenate([backflash.emission_ps[got], dark])

@@ -226,11 +226,11 @@ def test_c7_property_gate(tmp_path, capsys):
     rngs = DeviceRngs(9)
     source = SourceConfig(mean_photon_number=0.2)
     batch = generate_frames(source, 30_000, rngs.bits)
-    res = spad_detect(batch, source, spad, ChannelConfig(), rngs)
-    phase = (res.clicks.time_ps - spad.gate_phase_ps) % spad.gate_period_ps
+    res = spad_detect(batch, spad, ChannelConfig(), rngs)
+    phase = (res.clicks.time_ps - spad.gate_phase_ps) % source.frame_period_ps
     if not np.all(phase < spad.gate_width_ps):
         failures.append("click outside gate")
-    delays = res.backflash.emission_ps - res.backflash.avalanche_ps
+    delays = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
     if delays.size == 0:
         failures.append("no backflashes drawn")
     elif np.any(delays < 0) or np.any(delays > min(5000, spad.gate_width_ps)):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cowqkd.attack import (
+    FOLD_BIN_WIDTH_PS,
     AttackConfig,
     CalibrationError,
     EveInference,
@@ -73,8 +74,6 @@ def make_scene(n_frames=400, reflect=True, seed=0, swap_positions=False, disclos
 # --- config ----------------------------------------------------------------
 
 def test_attack_config_validation():
-    with pytest.raises(ConfigError):
-        AttackConfig(fold_bin_width_ps=0)
     with pytest.raises(ConfigError):
         AttackConfig(calibration_floor=0.0)
     with pytest.raises(ConfigError):
@@ -285,7 +284,7 @@ class TestFoldAndCluster:
         transcript, _, eve_t, _ = make_scene()
         cfg = AttackConfig(corr_window_ps=window)
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
-        bw, nbins = cfg.fold_bin_width_ps, PERIOD // cfg.fold_bin_width_ps
+        bw, nbins = FOLD_BIN_WIDTH_PS, PERIOD // FOLD_BIN_WIDTH_PS
         disclosed = transcript.disclosed_time_ps
         for run in cmap.run_summary:
             s, ln = run["start_ps"] // bw, run["len_ps"] // bw

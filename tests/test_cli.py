@@ -77,6 +77,15 @@ def test_exit_config_on_invalid_geometry(capsys):
     code = main(["simulate", "--preset", "5v", "--set", "spad.gate_width_ps=40000"])
     assert code == EXIT_CONFIG
 
+def test_exit_config_on_gate_phase_past_the_frame(capsys):
+    code = main(["simulate", "--preset", "5v", "--set", "spad.gate_phase_ps=32000"])
+    assert code == EXIT_CONFIG
+
+def test_frame_period_sets_the_gate_period(capsys):
+    code = main(["simulate", "--preset", "5v", "--frames", "200000", "--set", "source.frame_period_ps=16000"])
+    assert code == EXIT_OK
+    assert "200000 frames" in capsys.readouterr().out
+
 def test_exit_config_on_malformed_set(capsys):
     code = main(["simulate", "--preset", "5v", "--set", "spad.gate_width_ps"])
     assert code == EXIT_CONFIG
@@ -132,6 +141,14 @@ def test_correlate_smoke(capsys, tmp_path):
     assert code == EXIT_OK
     assert "gate_width_ps" in out
     assert (tmp_path / "correlation_w2000.csv").exists()
+
+@pytest.mark.parametrize("widths", ["2000,abc", ",", "2500.7", "2000,2000", "40000", "2000,40000"])
+def test_correlate_rejects_bad_widths_before_any_draw(capsys, tmp_path, widths):
+    out = tmp_path / "corr"
+    code = main(["correlate", "--widths", widths, "--clicks", "3000", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_config_file_loading(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"

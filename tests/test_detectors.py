@@ -31,7 +31,7 @@ def run_spad(n_frames=20_000, seed=0, source=None, spad=None, channel=None, tria
     channel = channel or ChannelConfig()
     rngs = DeviceRngs(seed, trial=trial)
     batch = generate_frames(source, n_frames, rngs.bits)
-    res = spad_detect(batch, source, spad, channel, rngs)
+    res = spad_detect(batch, spad, channel, rngs)
     return batch, res
 
 
@@ -144,12 +144,12 @@ def test_dark_exposure_matches_spad_detect(seed, trial):
                       backflash_probability=0.5)
     n = 20_000
     _, res = run_spad(n_frames=n, spad=spad, seed=seed, trial=trial)
-    clicks, backflash = dark_exposure(spad, DeviceRngs(seed, trial=trial), n)
+    clicks, backflash = dark_exposure(spad, SourceConfig().frame_period_ps, DeviceRngs(seed, trial=trial), n)
     assert len(res.clicks) > 100 and len(backflash) > 50
     assert np.all(res.clicks.cause == Cause.DARK)
     assert clicks.tolist() == res.clicks.time_ps.tolist()
-    assert backflash.avalanche_ps.tolist() == res.backflash.avalanche_ps.tolist()
-    assert backflash.emission_ps.tolist() == res.backflash.emission_ps.tolist()
+    assert backflash.avalanche_ps.tolist() == res.eve.backflash.avalanche_ps.tolist()
+    assert backflash.emission_ps.tolist() == res.eve.backflash.emission_ps.tolist()
 
 DENSE_CASES = {
     "alternating": dict(source=SourceConfig(mean_photon_number=0.3)),
@@ -198,22 +198,22 @@ def _pooled_run(case, sampler, seeds):
         times = []
         for start in (0, 3_000):
             batch = generate_frames(source, 3_000, rngs.bits, start_frame=start)
-            res = sampler(batch, source, spad, channel, rngs, dead_until_ps=dead)
+            res = sampler(batch, spad, channel, rngs, dead_until_ps=dead)
             dead = res.dead_until_ps
             c = res.clicks
             out["photon"] += int(np.sum(c.cause == Cause.PHOTON))
             out["dark"] += int(np.sum(c.cause == Cause.DARK))
-            out["backflash"] += len(res.backflash)
+            out["backflash"] += len(res.eve.backflash)
             photon_t = c.time_ps[c.cause == Cause.PHOTON]
-            out["offsets"].append((photon_t - spad.gate_phase_ps) % spad.gate_period_ps)
+            out["offsets"].append((photon_t - spad.gate_phase_ps) % source.frame_period_ps)
             times.append(c.time_ps)
-            eve = snspd_detect(res.eve_arrivals(), snspd, (batch.start_ps, batch.end_ps), rngs)
+            eve = snspd_detect(res.eve, snspd, (batch.start_ps, batch.end_ps), rngs)
             out["eve_reflection"] += int(np.sum(eve.cause == Cause.REFLECTION))
             out["pulses"] += batch.n_pulses()
         out["gaps"].append(np.diff(np.concatenate(times)))
     out["offsets"] = np.concatenate(out["offsets"])
     out["gaps"] = np.concatenate(out["gaps"])
-    out["m_eve"] = res.reflected_mean_photon * snspd.detection_efficiency
+    out["m_eve"] = res.eve.reflected_mean_photon * snspd.detection_efficiency
     return out
 
 
@@ -256,14 +256,14 @@ def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
     for start in (0, 3_000):
         batch = generate_frames(source, 3_000, fast.bits, start_frame=start)
         assert np.array_equal(batch.bits, generate_frames(source, 3_000, dense.bits, start_frame=start).bits)
-        got = spad_detect(batch, source, spad, channel, fast, dead_until_ps=dead_fast)
-        want = dense_spad_detect(batch, source, spad, channel, dense, dead_until_ps=dead_dense)
+        got = spad_detect(batch, spad, channel, fast, dead_until_ps=dead_fast)
+        want = dense_spad_detect(batch, spad, channel, dense, dead_until_ps=dead_dense)
         assert len(got.clicks) >= 5
         for name in ("time_ps", "cause", "source_ps"):
             assert np.array_equal(getattr(got.clicks, name), getattr(want.clicks, name)), name
-        assert np.array_equal(got.backflash.avalanche_ps, want.backflash.avalanche_ps)
-        assert np.array_equal(got.backflash.emission_ps, want.backflash.emission_ps)
-        assert got.reflected_mean_photon == want.reflected_mean_photon
+        assert np.array_equal(got.eve.backflash.avalanche_ps, want.eve.backflash.avalanche_ps)
+        assert np.array_equal(got.eve.backflash.emission_ps, want.eve.backflash.emission_ps)
+        assert got.eve.reflected_mean_photon == want.eve.reflected_mean_photon
         assert got.dead_until_ps == want.dead_until_ps
         dead_fast, dead_dense = got.dead_until_ps, want.dead_until_ps
 
@@ -310,19 +310,19 @@ def test_hold_off_enforced_across_chunks():
     all_clicks = []
     for chunk in range(3):
         batch = generate_frames(src, 5000, rngs.bits, start_frame=chunk * 5000)
-        res = spad_detect(batch, src, spad, ChannelConfig(), rngs, dead_until_ps=dead)
+        res = spad_detect(batch, spad, ChannelConfig(), rngs, dead_until_ps=dead)
         dead = res.dead_until_ps
         all_clicks.append(res.clicks.time_ps)
     t = np.concatenate(all_clicks)
     assert np.all(np.diff(t) >= spad.hold_off_ps)
 
-def test_gate_period_must_match_frame():
-    src = SourceConfig()
-    spad = SpadConfig(gate_period_ps=16000)
-    rngs = DeviceRngs(0)
-    batch = generate_frames(src, 10, rngs.bits)
+def test_gate_width_and_phase_bounds():
+    # The upper bounds need the frame period; ExperimentConfig checks those.
     with pytest.raises(ConfigError):
-        spad_detect(batch, src, spad, ChannelConfig(), rngs)
+        SpadConfig(gate_width_ps=0)
+    with pytest.raises(ConfigError):
+        SpadConfig(gate_phase_ps=-1)
+    SpadConfig(gate_width_ps=1, gate_phase_ps=0)
 
 
 # --- backflash and reflection leak paths ----------------------------------
@@ -331,17 +331,17 @@ def test_backflash_probability_and_causality():
     spad = SpadConfig(hold_off_s=0.0, backflash_probability=0.12)
     _, res = run_spad(n_frames=100_000, spad=spad, seed=5)
     n_clicks = len(res.clicks)
-    n_bf = res.backflash.avalanche_ps.size
+    n_bf = res.eve.backflash.avalanche_ps.size
     sigma = math.sqrt(n_clicks * 0.12 * 0.88)
     assert abs(n_bf - 0.12 * n_clicks) < 3 * sigma
-    delay = res.backflash.emission_ps - res.backflash.avalanche_ps
+    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
     assert np.all(delay >= 0)
     assert np.all(delay <= min(5000, spad.gate_width_ps))
 
 def test_backflash_delay_capped_by_narrow_gate():
     spad = SpadConfig(hold_off_s=0.0, gate_width_ps=2000)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.backflash.emission_ps - res.backflash.avalanche_ps
+    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
     assert delay.size > 100
     assert np.all(delay <= 2000)
 
@@ -350,13 +350,13 @@ def test_backflash_delay_keys_are_honoured():
     # the mean in.
     spad = SpadConfig(hold_off_s=0.0, backflash_delay_max_ps=1000)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.backflash.emission_ps - res.backflash.avalanche_ps
+    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
     assert delay.size > 100
     assert np.all(delay <= 1000)
     assert delay.max() > 900
     spad = SpadConfig(hold_off_s=0.0, backflash_delay_scale_ps=100.0)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.backflash.emission_ps - res.backflash.avalanche_ps
+    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
     assert delay.size > 100
     assert 80 < float(delay.mean()) < 120
 
@@ -365,11 +365,12 @@ def test_backflash_cap_is_one_gate_width_after_the_avalanche():
     # a click late in the gate can leak after the gate has shut.
     spad = SpadConfig(gate_width_ps=3500, hold_off_s=0.0, backflash_probability=1.0,
                       dark_count_rate_cps=0.0)
-    batch = FrameBatch(SourceConfig().geometry, np.full((40_000, 2), 1, dtype=np.int8))
-    res = spad_detect(batch, SourceConfig(mean_photon_number=0.5), spad, ChannelConfig(), DeviceRngs(14))
-    av, em = res.backflash.avalanche_ps, res.backflash.emission_ps
-    late = (av % spad.gate_period_ps) >= 3000
-    gate_close = av - av % spad.gate_period_ps + spad.gate_width_ps
+    batch = FrameBatch(SourceConfig(mean_photon_number=0.5), np.full((40_000, 2), 1, dtype=np.int8))
+    res = spad_detect(batch, spad, ChannelConfig(), DeviceRngs(14))
+    av, em = res.eve.backflash.avalanche_ps, res.eve.backflash.emission_ps
+    period = batch.source.frame_period_ps
+    late = (av % period) >= 3000
+    gate_close = av - av % period + spad.gate_width_ps
     assert late.sum() > 100
     assert np.any(em[late] > gate_close[late])
     assert np.all(em - av <= spad.gate_width_ps)
@@ -379,24 +380,24 @@ def test_reflections_return_from_a_binomial_share_of_pulses():
     # Each of the 4e5 pulses sends a photon back with probability 1 - exp(-m).
     batch, res = run_spad(n_frames=200_000, seed=7)
     m = 0.2 * 1.0 * 1e-2
-    assert res.reflected_mean_photon == pytest.approx(m)
+    assert res.eve.reflected_mean_photon == pytest.approx(m)
     p = -math.expm1(-m)
     lo, hi = stats.binom.ppf([0.00135, 0.99865], batch.n_pulses(), p)
-    assert lo <= res.reflection_ps.size <= hi
-    assert np.all(np.diff(res.reflection_ps) > 0)
-    local = res.reflection_ps % 32000
-    assert np.all(local < batch.geometry.signal_window_ps)
+    assert lo <= res.eve.reflection_ps.size <= hi
+    assert np.all(np.diff(res.eve.reflection_ps) > 0)
+    local = res.eve.reflection_ps % 32000
+    assert np.all(local < batch.source.signal_window_ps)
 
 def test_reflectance_leaves_receiver_draws_alone():
     # Reflections draw on their own stream: Bob's clicks and backflash are
     # bit-identical with and without a reflecting facet.
     _, with_r = run_spad(n_frames=50_000, seed=8)
     _, without = run_spad(n_frames=50_000, spad=SpadConfig(facet_reflectance=0.0), seed=8)
-    assert with_r.reflection_ps.size > 50 and without.reflection_ps.size == 0
+    assert with_r.eve.reflection_ps.size > 50 and without.eve.reflection_ps.size == 0
     for name in ("time_ps", "cause", "source_ps"):
         assert np.array_equal(getattr(with_r.clicks, name), getattr(without.clicks, name)), name
-    assert np.array_equal(with_r.backflash.avalanche_ps, without.backflash.avalanche_ps)
-    assert np.array_equal(with_r.backflash.emission_ps, without.backflash.emission_ps)
+    assert np.array_equal(with_r.eve.backflash.avalanche_ps, without.eve.backflash.avalanche_ps)
+    assert np.array_equal(with_r.eve.backflash.emission_ps, without.eve.backflash.emission_ps)
     assert with_r.dead_until_ps == without.dead_until_ps
 
 def test_clicked_reflections_reuse_the_click_arrival():
@@ -406,20 +407,20 @@ def test_clicked_reflections_reuse_the_click_arrival():
     spad = SpadConfig(detection_efficiency=1.0, facet_reflectance=1.0, hold_off_s=0.0,
                       dark_count_rate_cps=0.0)
     _, res = run_spad(n_frames=2_000, spad=spad, source=SourceConfig(mean_photon_number=0.99), seed=15)
-    both = np.intersect1d(res.clicks.time_ps, res.reflection_ps)
-    shared_src = np.intersect1d(res.clicks.source_ps, res.reflection_ps - res.reflection_ps % 1000)
+    both = np.intersect1d(res.clicks.time_ps, res.eve.reflection_ps)
+    shared_src = np.intersect1d(res.clicks.source_ps, res.eve.reflection_ps - res.eve.reflection_ps % 1000)
     assert both.size > 1000
     assert both.size == shared_src.size
 
 def test_reflectance_zero_disables_reflections():
     spad = SpadConfig(facet_reflectance=0.0)
     _, res = run_spad(n_frames=1000, spad=spad, seed=8)
-    assert res.reflection_ps.size == 0
+    assert res.eve.reflection_ps.size == 0
 
 def test_reflected_power_scales_with_channel():
     ch = ChannelConfig(length_km=50.0)  # 10 dB
     _, res = run_spad(n_frames=100, channel=ch, seed=9)
-    assert res.reflected_mean_photon == pytest.approx(0.2 * 0.1 * 1e-2)
+    assert res.eve.reflected_mean_photon == pytest.approx(0.2 * 0.1 * 1e-2)
 
 
 # --- presets ---------------------------------------------------------------
@@ -440,9 +441,9 @@ def test_snspd_thins_backflash():
     spad = SpadConfig(hold_off_s=0.0)
     batch, res = run_spad(n_frames=200_000, spad=spad, seed=10)
     rngs = DeviceRngs(10)
-    log = snspd_detect(res.eve_arrivals(), SnspdConfig(dark_count_rate_cps=0.0),
+    log = snspd_detect(res.eve, SnspdConfig(dark_count_rate_cps=0.0),
                        (batch.start_ps, batch.end_ps), rngs)
-    n_emitted = res.backflash.emission_ps.size
+    n_emitted = res.eve.backflash.emission_ps.size
     n_detected = int(np.sum(log.cause == Cause.BACKFLASH))
     sigma = math.sqrt(n_emitted * 0.74 * 0.26)
     assert abs(n_detected - 0.74 * n_emitted) < 3 * sigma
@@ -457,7 +458,7 @@ def test_snspd_dark_rate():
 
 def test_snspd_log_sorted():
     _, res = run_spad(n_frames=50_000, seed=12)
-    log = snspd_detect(res.eve_arrivals(), SnspdConfig(), (0, 50_000 * 32000), DeviceRngs(12))
+    log = snspd_detect(res.eve, SnspdConfig(), (0, 50_000 * 32000), DeviceRngs(12))
     assert np.all(np.diff(log.time_ps) >= 0)
 
 

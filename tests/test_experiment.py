@@ -1,7 +1,9 @@
+import dataclasses
 import filecmp
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +63,28 @@ class TestConfigMapping:
         assert flat["spad.backflash_delay_max_ps"] == "5000"
         assert not any(k.startswith("spad.backflash_delay.") for k in flat)
         assert flat["attack.boundary"] == "midpoint"
+
+    def test_flat_holds_exactly_every_field(self):
+        # A field added to a config dataclass cannot be left out of the hash.
+        cfg = preset_config("paper")
+        want = set()
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if dataclasses.is_dataclass(value):
+                want |= {f"{f.name}.{g.name}" for g in dataclasses.fields(value)}
+            else:
+                want.add(f.name)
+        assert set(config_to_flat(cfg)) == want
+
+    def test_readme_common_keys_exist(self):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("Commonly adjusted keys:\n\n", 1)[1].split("\n\n", 1)[0]
+        keys = []
+        for line in block.splitlines():
+            if line.startswith("    ") and not line.startswith("     "):
+                keys += [k.strip() for k in line.strip().split("  ")[0].split(",")]
+        assert {"source.mean_photon_number", "attack.boundary", "seed"} <= set(keys)
+        assert set(keys) <= set(config_to_flat(preset_config("paper")))
 
     def test_roundtrip_through_overrides(self):
         cfg = preset_config("paper")
@@ -158,9 +182,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             preset_config("3v")
 
-    def test_geometry_mismatch_rejected(self):
+    def test_gate_fits_in_the_frame_period(self):
+        # The gate opens once per source frame: its width and phase are
+        # bounded by the frame period, which is set in one place.
+        kw = dict(attack_enabled=False)
         with pytest.raises(ConfigError):
-            ExperimentConfig(spad=SpadConfig(gate_period_ps=16000), attack_enabled=False)
+            ExperimentConfig(spad=SpadConfig(gate_width_ps=32001), **kw)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(spad=SpadConfig(gate_phase_ps=32000), **kw)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(source=SourceConfig(frame_period_ps=16000), spad=SpadConfig(gate_phase_ps=16000), **kw)
+        ExperimentConfig(spad=SpadConfig(gate_width_ps=32000, gate_phase_ps=31999), **kw)
+        cfg = ExperimentConfig(source=SourceConfig(frame_period_ps=16000), **kw)
+        assert cfg.rate_inputs().opportunity_rate_hz == pytest.approx(62.5e6)
 
     def test_infeasible_block_rejected_only_with_attack(self):
         kw = dict(distill=DistillConfig(block_length=20000, disclosure_size=2000),

@@ -8,7 +8,6 @@ from cowqkd.source import (
     ChannelConfig,
     ConfigError,
     FrameBatch,
-    FrameGeometry,
     LogicalBit,
     SourceConfig,
     channel_transmittance,
@@ -24,7 +23,7 @@ def make_rng(seed=0):
 
 
 def test_geometry_defaults():
-    g = FrameGeometry()
+    g = SourceConfig()
     assert g.bin_width_ps == 1000
     assert g.frame_period_ps == 32000
     assert g.signal_window_ps == 4000
@@ -81,7 +80,7 @@ def test_decoy_rate():
 
 def test_pulse_positions_encode_bits():
     # bit 0 -> first bin of the slot, bit 1 -> second, decoy -> both
-    batch = FrameBatch(SourceConfig().geometry, np.array([[0, 1], [2, 1], [1, 0]]))
+    batch = FrameBatch(SourceConfig(), np.array([[0, 1], [2, 1], [1, 0]]))
     assert batch.n_pulses() == 7
     assert batch.pulse_times(np.arange(7)).tolist() == [0, 3000, 32000, 33000, 35000, 65000, 66000]
     assert batch.pulse_times(np.array([2, 3, 6])).tolist() == [32000, 33000, 66000]
@@ -144,8 +143,7 @@ def test_channel_transmittance_oracles():
 
 
 def test_write_frames_csv(tmp_path):
-    geometry = SourceConfig().geometry
-    batch = FrameBatch(geometry, np.array([[2, 0], [0, 1], [1, 2]]), start_frame=4)
+    batch = FrameBatch(SourceConfig(), np.array([[2, 0], [0, 1], [1, 2]]), start_frame=4)
     out = tmp_path / "frames.csv"
     write_frames_csv(batch, out, ["hdr=1"])
     assert out.read_bytes() == (

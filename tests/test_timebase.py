@@ -108,7 +108,7 @@ class TestDelayDistribution:
         # A gate wider than the delay support leaves the law untouched: the
         # receiver draws exactly what the untruncated support gives.
         spad = SpadConfig(gate_width_ps=6000, backflash_probability=1.0)
-        clicks = np.arange(0, 2000 * spad.gate_period_ps, spad.gate_period_ps, dtype=np.int64)
+        clicks = np.arange(0, 2000 * 32000, 32000, dtype=np.int64)
         bf = _backflash(clicks, spad, DeviceRngs(12))
         rng = DeviceRngs(12).backflash
         rng.gen.random(clicks.size)  # the emission draws
