@@ -1,26 +1,20 @@
 #!/usr/bin/env python3
-"""Run the reference tabletop configuration and print the headline numbers."""
+"""Run the reference tabletop configuration and print the headline numbers.
 
-import argparse
-from pathlib import Path
+This is ``cowqkd replicate-paper --seed 11 --out out/replicate``; any flag
+of that command given here wins over those defaults.  For example,
+``--set spad.facet_reflectance=0`` disables facet reflections so the
+eavesdropper sees only avalanche light.
+"""
 
-from cowqkd.experiment import preset_config, run_simulation
-from dataclasses import replace
+import sys
+
+from cowqkd import cli
+
+DEFAULTS = ["replicate-paper", "--seed", "11", "--out", "out/replicate"]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--out", type=Path, default=Path("out/replicate"))
-    ap.add_argument("--pure-backflash", action="store_true",
-                    help="disable facet reflections so the eavesdropper sees only avalanche light")
-    args = ap.parse_args()
-
-    cfg = replace(preset_config("paper"), seed=args.seed)
-    if args.pure_backflash:
-        cfg = replace(cfg, spad=replace(cfg.spad, facet_reflectance=0.0))
-    res = run_simulation(cfg, out_dir=args.out)
-
+def summary(args, cfg, res) -> None:
     c = res.counts
     print(f"sifted detections      {c.n_sift}")
     print(f"retained key bits      {c.n_retained}")
@@ -36,4 +30,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.main(DEFAULTS + sys.argv[1:], show=summary))

@@ -1,29 +1,23 @@
 #!/usr/bin/env python3
-"""Sweep the detector excess-bias points and tabulate rates plus attack yield."""
+"""Sweep the detector excess-bias points and tabulate rates plus attack yield.
 
-import argparse
-from dataclasses import replace
-from pathlib import Path
+This is ``cowqkd sweep --preset paper --axis bias --values 2v,5v,7v`` with
+seed 2, 4000-bit blocks and ``--out out``; any flag of that command given
+here wins over those defaults.
+"""
 
-from cowqkd.distill import DistillConfig
-from cowqkd.experiment import preset_config, run_sweep
+import sys
+
+from cowqkd import cli
+
+DEFAULTS = [
+    "sweep", "--preset", "paper", "--axis", "bias", "--values", "2v,5v,7v",
+    "--seed", "2", "--frames", "7800000", "--out", "out",
+    "--set", "distill.block_length=4000", "--set", "distill.disclosure_size=400",
+]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=2)
-    ap.add_argument("--frames", type=int, default=7_800_000)
-    ap.add_argument("--out", type=Path, default=Path("out"))
-    args = ap.parse_args()
-
-    base = replace(
-        preset_config("paper"),
-        seed=args.seed,
-        frames_per_trial=args.frames,
-        distill=DistillConfig(block_length=4000, disclosure_size=400),
-    )
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = run_sweep(base, "bias", ["2v", "5v", "7v"], args.out / "sweep_bias.csv")
+def summary(args, cfg, rows) -> None:
     for row in rows:
         print(f"{row['bias_v']}: p_sift={row['p_sift_mc']:.3e} qber={row['p_err_mc']:.3e} "
               f"learning={row['learning_rate_mc']:.4f} p_sec={row['p_sec']:.3e}")
@@ -31,4 +25,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.main(DEFAULTS + sys.argv[1:], show=summary))

@@ -1,32 +1,23 @@
 #!/usr/bin/env python3
-"""Key rates versus fiber length, analytic columns plus Monte Carlo checks."""
+"""Key rates versus fiber length, analytic columns plus Monte Carlo checks.
 
-import argparse
-from dataclasses import replace
-from pathlib import Path
+This is ``cowqkd sweep --preset 5v --axis distance --values 0,10,25,50,75``
+with seed 3, 2e6 frames, 1000-bit blocks and ``--out out``; any flag of that
+command given here wins over those defaults, e.g. ``--values 0,10,25,50``.
+"""
 
-from cowqkd.distill import DistillConfig
-from cowqkd.experiment import preset_config, run_sweep
+import sys
+
+from cowqkd import cli
+
+DEFAULTS = [
+    "sweep", "--preset", "5v", "--axis", "distance", "--values", "0,10,25,50,75",
+    "--seed", "3", "--frames", "2000000", "--out", "out",
+    "--set", "distill.block_length=1000", "--set", "distill.disclosure_size=100",
+]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--frames", type=int, default=2_000_000)
-    ap.add_argument("--km", default="0,10,25,50,75",
-                    help="comma-separated fiber lengths in km")
-    ap.add_argument("--out", type=Path, default=Path("out"))
-    args = ap.parse_args()
-
-    base = replace(
-        preset_config("5v"),
-        seed=args.seed,
-        frames_per_trial=args.frames,
-        distill=DistillConfig(block_length=1000, disclosure_size=100),
-    )
-    values = [float(v) for v in args.km.split(",") if v.strip()]
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = run_sweep(base, "distance", values, args.out / "sweep_distance.csv")
+def summary(args, cfg, rows) -> None:
     for row in rows:
         print(f"{row['distance_km']:6.1f} km  p_sift={row['p_sift']:.3e} "
               f"(mc {row['p_sift_mc']:.3e})  p_sec={row['p_sec']:.3e}  insecure={row['insecure']}")
@@ -34,4 +25,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.main(DEFAULTS + sys.argv[1:], show=summary))

@@ -3,25 +3,21 @@
 
 With the source blocked, every receiver click is dark-triggered, so the
 click-to-leak delay histogram profiles the backflash emission alone.
+
+This is ``cowqkd correlate --widths 2000,4000,6000 --clicks 200000 --seed 5
+--out out/correlation``; any flag of that command given here wins over those
+defaults.
 """
 
-import argparse
-from pathlib import Path
+import sys
 
-from cowqkd.experiment import ExperimentConfig, emit_timing_correlation
+from cowqkd import cli
+
+DEFAULTS = ["correlate", "--widths", "2000,4000,6000", "--clicks", "200000",
+            "--seed", "5", "--out", "out/correlation"]
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--widths", default="2000,4000,6000")
-    ap.add_argument("--clicks", type=int, default=200_000)
-    ap.add_argument("--seed", type=int, default=5)
-    ap.add_argument("--out", type=Path, default=Path("out/correlation"))
-    args = ap.parse_args()
-
-    cfg = ExperimentConfig(seed=args.seed)
-    widths = [int(w) for w in args.widths.split(",") if w.strip()]
-    hists = emit_timing_correlation(cfg, widths, clicks_per_width=args.clicks, out_dir=args.out)
+def summary(args, cfg, hists) -> None:
     prev = None
     for w, h in hists.items():
         growth = "" if prev is None else f"  ({100 * (h.std_ps() - prev) / prev:+.1f}% vs previous)"
@@ -31,4 +27,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.main(DEFAULTS + sys.argv[1:], show=summary))

@@ -505,10 +505,6 @@ class EveInference:
     def incorrect_count(self) -> int:
         return int(np.sum(self.correct == 0))
 
-    @property
-    def unmatched_count(self) -> int:
-        return int(np.sum(self.correct == -1))
-
     def bit_tallies(self) -> tuple[int, int]:
         return int(np.sum(self.bit == 0)), int(np.sum(self.bit == 1))
 

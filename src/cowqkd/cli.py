@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one entry path of the study scripts.
 
 Exit codes: 0 success, 2 configuration error, 3 attack calibration failure,
 4 the requested key rate clamped to zero (insecure).
@@ -24,7 +24,7 @@ from .experiment import (
     run_sweep,
     write_rates_csv,
 )
-from .rates import McCounts, compare
+from .rates import McCounts, RateReport, compare
 from .source import ConfigError
 from .timebase import TimeRangeError
 
@@ -38,119 +38,97 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cowqkd", description="COW-QKD backflash side-channel simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help_text: str, run, show, runs_frames: bool) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="flat key = value config file")
         p.add_argument("--preset", choices=["2v", "5v", "7v", "paper"], help="named starting configuration")
         p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--trials", type=int, help="independent repetitions")
-        p.add_argument("--frames", type=int, help="frames per trial")
+        if runs_frames:
+            p.add_argument("--trials", type=int, help="independent repetitions")
+            p.add_argument("--frames", type=int, help="frames per trial")
         p.add_argument("--out", type=Path, help="artifact directory")
         p.add_argument("--set", dest="sets", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-key override, repeatable")
+        p.set_defaults(run=run, show=show)
+        return p
 
-    p = sub.add_parser("simulate", help="run the Monte Carlo pipeline")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    command("simulate", "run the Monte Carlo pipeline", _simulate, _show_simulate, True)
 
-    p = sub.add_parser("sweep", help="sweep one axis and tabulate rates")
-    common(p)
+    p = command("sweep", "sweep one axis and tabulate rates", _sweep, _show_sweep, True)
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated axis values")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("rates", help="print closed-form rates for a configuration")
-    common(p)
+    p = command("rates", "print closed-form rates for a configuration", _rates, _show_rates, False)
     p.add_argument("--qber", type=float, help="override the error rate used for key rates")
-    p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("correlate", help="dark-exposure start-stop timing histograms")
-    common(p)
+    p = command("correlate", "dark-exposure start-stop timing histograms", _correlate, _show_correlate, False)
     p.add_argument("--widths", default="2000,4000,6000", help="comma-separated gate widths in ps")
     p.add_argument("--clicks", type=int, default=100_000, help="target receiver clicks per width")
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("replicate-paper", help="run the reference tabletop configuration")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
-
+    command("replicate-paper", "run the reference tabletop configuration", _simulate, _show_simulate, True)
     return parser
 
 
 def load_config(args, default_preset: str | None = None) -> ExperimentConfig:
-    if getattr(args, "preset", None):
-        cfg = preset_config(args.preset)
-    elif default_preset:
-        cfg = preset_config(default_preset)
-    else:
-        cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = apply_overrides(cfg, read_config_file(args.config))
-    overrides: dict[str, str] = {}
+    """The config of parsed ``args``, validated once.
+
+    The preset is the base.  The config file, each ``--set``, then
+    ``--seed``, ``--trials`` and ``--frames`` fill one dict, a later source
+    winning on a repeated key, and ``apply_overrides`` applies it in one pass.
+    """
+    preset = getattr(args, "preset", None) or default_preset
+    cfg = preset_config(preset) if preset else ExperimentConfig()
+    overrides = read_config_file(args.config) if getattr(args, "config", None) else {}
     for item in getattr(args, "sets", []):
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    direct: dict[str, str] = {}
-    if getattr(args, "seed", None) is not None:
-        direct["seed"] = str(args.seed)
-    if getattr(args, "trials", None) is not None:
-        direct["trials"] = str(args.trials)
-    if getattr(args, "frames", None) is not None:
-        direct["frames_per_trial"] = str(args.frames)
-    if direct:
-        cfg = apply_overrides(cfg, direct)
-    return cfg
+    for flag, key in (("seed", "seed"), ("trials", "trials"), ("frames", "frames_per_trial")):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = str(getattr(args, flag))
+    return apply_overrides(cfg, overrides)
 
 
-def _print_report(report, stream=None) -> None:
-    stream = stream or sys.stdout
-    print(f"{'name':<14}{'analytic':>14}{'empirical':>14}{'lo':>12}{'hi':>12}  ok", file=stream)
+def _print_report(report) -> None:
+    print(f"{'name':<14}{'analytic':>14}{'empirical':>14}{'lo':>12}{'hi':>12}  ok")
     for r in report.rows:
         emp = "-" if r.empirical is None else f"{r.empirical:.6g}"
         lo = "-" if r.lo is None else f"{r.lo:.5g}"
         hi = "-" if r.hi is None else f"{r.hi:.5g}"
-        print(f"{r.name:<14}{r.analytic:>14.6g}{emp:>14}{lo:>12}{hi:>12}  {'yes' if r.ok else 'NO'}", file=stream)
+        print(f"{r.name:<14}{r.analytic:>14.6g}{emp:>14}{lo:>12}{hi:>12}  {'yes' if r.ok else 'NO'}")
 
 
-def cmd_simulate(args, cfg: ExperimentConfig) -> int:
-    result = run_simulation(cfg, out_dir=args.out)
+def _simulate(args, cfg: ExperimentConfig):
+    return run_simulation(cfg, out_dir=args.out)
+
+
+def _show_simulate(args, cfg: ExperimentConfig, result) -> None:
     print(f"config {config_hash(cfg)}: {cfg.trials} trial(s) x {cfg.frames_per_trial} frames")
     print(f"sifted {result.counts.n_sift}  errors {result.counts.n_err}  "
           f"retained {result.counts.n_retained}  eve-backflash {result.counts.n_eve_backflash}")
     _print_report(result.report)
     if args.out:
         print(f"artifacts written to {args.out}")
-    if result.report.insecure:
-        print("key rate clamped to zero: leakage exceeds the distillable fraction", file=sys.stderr)
-        return EXIT_INSECURE
-    return EXIT_OK
 
 
-def cmd_sweep(args, cfg: ExperimentConfig) -> int:
+def _sweep(args, cfg: ExperimentConfig) -> list[dict]:
     values: list = []
-    for tok in args.values.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in filter(None, map(str.strip, args.values.split(","))):
         try:
             values.append(float(tok))
         except ValueError:
             values.append(tok)
-    out_path = None
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        out_path = args.out / f"sweep_{args.axis}.csv"
-    rows = run_sweep(cfg, args.axis, values, out_path)
+    return run_sweep(cfg, args.axis, values, args.out / f"sweep_{args.axis}.csv" if args.out else None)
+
+
+def _show_sweep(args, cfg: ExperimentConfig, rows: list[dict]) -> None:
     cols = ["value", "p_sift", "p_err", "p_b", "p_learn", "p_sec"]
     print("  ".join(f"{c:>13}" for c in cols))
     for row in rows:
         print("  ".join(f"{_cell(row.get(c)):>13}" for c in cols))
-    if out_path:
-        print(f"wrote {out_path}")
-    return EXIT_OK
+    if args.out:
+        print(f"wrote {args.out / f'sweep_{args.axis}.csv'}")
 
 
 def _cell(v) -> str:
@@ -161,49 +139,60 @@ def _cell(v) -> str:
     return str(v)
 
 
-def cmd_rates(args, cfg: ExperimentConfig) -> int:
+def _rates(args, cfg: ExperimentConfig) -> RateReport:
     report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs(qber=args.qber))
-    _print_report(report)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        out_path = args.out / "rates.csv"
-        write_rates_csv(report, out_path, artifact_headers(cfg))
-        print(f"wrote {out_path}")
-    if report.insecure:
-        print("key rate clamped to zero: leakage exceeds the distillable fraction", file=sys.stderr)
-        return EXIT_INSECURE
-    return EXIT_OK
+        write_rates_csv(report, args.out / "rates.csv", artifact_headers(cfg))
+    return report
 
 
-def cmd_correlate(args, cfg: ExperimentConfig) -> int:
+def _show_rates(args, cfg: ExperimentConfig, report: RateReport) -> None:
+    _print_report(report)
+    if args.out:
+        print(f"wrote {args.out / 'rates.csv'}")
+
+
+def _correlate(args, cfg: ExperimentConfig) -> dict:
     widths = []
     for tok in filter(None, map(str.strip, args.widths.split(","))):
         try:
             widths.append(float(tok))
         except ValueError:
             raise ConfigError(f"gate width {tok!r} is not a number") from None
-    hists = emit_timing_correlation(cfg, widths, clicks_per_width=args.clicks, out_dir=args.out)
+    return emit_timing_correlation(cfg, widths, clicks_per_width=args.clicks, out_dir=args.out)
+
+
+def _show_correlate(args, cfg: ExperimentConfig, hists: dict) -> None:
     print(f"{'gate_width_ps':>14}{'stops':>10}{'mean_ps':>10}{'std_ps':>10}")
     for w, h in hists.items():
         print(f"{w:>14}{h.total():>10}{h.mean_ps():>10.1f}{h.std_ps():>10.1f}")
     if args.out:
         print(f"artifacts written to {args.out}")
-    return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: list[str] | None = None, show=None) -> int:
+    """Run one command and return its exit code.
+
+    ``show(args, cfg, result)`` prints the result in place of the command's
+    own printout; each script in ``scripts/`` passes its summary.
+    """
+    args = build_parser().parse_args(argv)
     try:
-        default = "paper" if args.command == "replicate-paper" else None
-        cfg = load_config(args, default_preset=default)
-        return args.func(args, cfg)
+        cfg = load_config(args, default_preset="paper" if args.command == "replicate-paper" else None)
+        result = args.run(args, cfg)
     except (ConfigError, TimeRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
+    (show or args.show)(args, cfg, result)
+    report = getattr(result, "report", result)
+    if isinstance(report, RateReport) and report.insecure:
+        print("key rate clamped to zero: leakage exceeds the distillable fraction", file=sys.stderr)
+        return EXIT_INSECURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .source import ConfigError, FrameBatch, LogicalBit
+from .source import DECOY, ConfigError, FrameBatch
 from .timebase import RngStream, write_csv
 
 
@@ -86,7 +86,7 @@ def sift(time_ps: np.ndarray, frames: FrameBatch) -> SiftedBits:
     bit = (bin_idx % 2).astype(np.int8)
     alice = frames.bit_at(frame, slot).astype(np.int8)
 
-    decoy = alice == LogicalBit.DECOY
+    decoy = alice == DECOY
     excluded_decoy = int(np.sum(decoy))
     keep = ~decoy
     return SiftedBits(

@@ -84,13 +84,6 @@ class ExperimentConfig:
         if self.spad.gate_phase_ps >= self.source.frame_period_ps:
             raise ConfigError("SPAD gate phase must lie in [0, source frame period)")
         check_time_range(self.frames_per_trial * self.source.frame_period_ps + 10**9)
-        if self.attack_enabled:
-            expected = self.trials * self.frames_per_trial * self.analytic_p_sift()
-            if expected < self.distill.block_length:
-                raise ConfigError(
-                    f"expected {expected:.0f} sifted detections cannot fill a "
-                    f"{self.distill.block_length}-bit block; add frames or shrink the block"
-                )
 
     def rate_inputs(self, qber: float | None = None) -> RateInputs:
         eta = composite_efficiency(channel_transmittance(self.channel), self.spad.detection_efficiency)
@@ -207,8 +200,12 @@ def _parse_value(type_str, raw: str, name: str):
 
 def read_config_file(path) -> dict[str, str]:
     """Flat dotted-key file: one ``key = value`` per line, '#' comments."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
@@ -385,6 +382,15 @@ class RunResult:
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
+    # The attack reads one full block; a run that cannot fill it stops
+    # before any draw.
+    if cfg.attack_enabled:
+        expected = cfg.trials * cfg.frames_per_trial * cfg.analytic_p_sift()
+        if expected < cfg.distill.block_length:
+            raise ConfigError(
+                f"expected {expected:.0f} sifted detections cannot fill a "
+                f"{cfg.distill.block_length}-bit block; add frames or shrink the block"
+            )
     trials = [run_trial(cfg, i) for i in range(cfg.trials)]
 
     n_frames = sum(t.n_frames for t in trials)
@@ -508,9 +514,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
     """One row per value; Monte Carlo columns are filled when trials run."""
     if not values:
         raise ConfigError("sweep needs at least one value")
+    # Every value is checked before the first point runs.
+    points = [_apply_axis(cfg, axis, value) for value in values]
     rows = []
-    for value in values:
-        point = _apply_axis(cfg, axis, value)
+    for value, point in zip(values, points):
         run = run_simulation(point)
         row = {
             "distance_km": point.channel.length_km,
@@ -531,6 +538,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
         )
         rows.append(row)
     if out_path is not None:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         write_sweep_csv(rows, out_path, artifact_headers(cfg))
     return rows
 
@@ -589,7 +597,9 @@ def emit_timing_correlation(
             raise ConfigError(f"gate width {w:g} must be a whole number of ps in (0, {period}]")
     out: dict[int, Histogram] = {}
     for w in map(int, gate_widths_ps):
-        spad = replace(cfg.spad, gate_width_ps=w, hold_off_s=1e-6)
+        # The config that ran: this width and a 1 us hold-off.
+        ran = replace(cfg, spad=replace(cfg.spad, gate_width_ps=w, hold_off_s=1e-6))
+        spad = ran.spad
         rngs = DeviceRngs(cfg.seed, trial=w, study=TIMING_CORRELATION_STUDY)
 
         p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
@@ -605,7 +615,7 @@ def emit_timing_correlation(
         if out_dir is not None:
             path = Path(out_dir)
             path.mkdir(parents=True, exist_ok=True)
-            hist.write_csv(path / f"correlation_w{w}.csv", artifact_headers(cfg) + [f"gate_width_ps={w}"])
+            hist.write_csv(path / f"correlation_w{w}.csv", artifact_headers(ran) + [f"gate_width_ps={w}"])
     return out
 
 

@@ -182,9 +182,6 @@ class RateReport:
                 return r
         raise KeyError(name)
 
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
     def as_dict(self) -> dict:
         return {
             "rows": [vars(r) for r in self.rows],

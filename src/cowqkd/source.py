@@ -10,7 +10,6 @@ occupies both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
@@ -28,10 +27,8 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-class LogicalBit(IntEnum):
-    ZERO = 0
-    ONE = 1
-    DECOY = 2
+# Alice's value for a decoy slot; the logical bits are 0 and 1.
+DECOY = 2
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ class FrameBatch:
     @cached_property
     def _decoy_second_pulses(self) -> np.ndarray:
         """Pulse index of the sub-bin-1 pulse of every decoy slot, ascending."""
-        slots = np.flatnonzero(self.bits.reshape(-1) == LogicalBit.DECOY)
+        slots = np.flatnonzero(self.bits.reshape(-1) == DECOY)
         return slots + np.arange(1, slots.size + 1, dtype=np.int64)
 
     def n_pulses(self) -> int:
@@ -147,7 +144,7 @@ class FrameBatch:
             before = np.searchsorted(second, idx, side="right")
             slot = idx - before
             is_second = (before > 0) & (second[np.maximum(before - 1, 0)] == idx)
-        # ZERO and DECOY open in sub-bin 0, ONE in sub-bin 1.
+        # Bit 0 and a decoy open in sub-bin 0, bit 1 in sub-bin 1.
         sub = np.bitwise_and(self.bits.reshape(-1)[slot], 1, dtype=np.int64)
         if second.size:
             sub[is_second] = 1
@@ -171,7 +168,7 @@ def generate_frames(cfg: SourceConfig, count: int, rng: RngStream, start_frame: 
         bits = rng.gen.integers(0, 2, size=(count, k), dtype=np.int8)
     if cfg.decoy_probability > 0 and count > 0:
         decoy = rng.gen.random(size=(count, k)) < cfg.decoy_probability
-        bits[decoy] = LogicalBit.DECOY
+        bits[decoy] = DECOY
     return FrameBatch(cfg, bits, start_frame=start_frame)
 
 

@@ -47,7 +47,7 @@ class Stream(IntEnum):
     BACKFLASH = 4
     SNSPD = 5
     DISCLOSE = 6
-    AUX = 7  # no device draws from it; free for scratch streams
+    # 7 is no device's stream.
     REFLECTION = 8
 
 

@@ -37,8 +37,11 @@ from cowqkd.detectors import (
     dark_exposure,
 )
 from cowqkd.rates import dark_probability_per_gate
-from cowqkd.source import LogicalBit, channel_transmittance
+from cowqkd.source import DECOY, channel_transmittance
 from cowqkd.timebase import PS_PER_S, check_time_range
+
+# A stream id no device draws from, for scratch draws in tests.
+SCRATCH_STREAM = 7
 
 
 def sequential_dead_time(times, hold_off_ps, dead_until_ps):
@@ -61,7 +64,7 @@ def sorted_pulse_times(batch):
     frame_idx = np.repeat(np.arange(n, dtype=np.int64), k)
     slot_idx = np.tile(np.arange(k, dtype=np.int64), n)
     flat = batch.bits.reshape(-1)
-    is_decoy = flat == LogicalBit.DECOY
+    is_decoy = flat == DECOY
     sub = np.where(is_decoy, 0, flat).astype(np.int64)
 
     frame_idx = np.concatenate([frame_idx, frame_idx[is_decoy]])

@@ -317,7 +317,7 @@ class TestInference:
         assert inf.discarded_outside == 0
         # backflashes on disclosed frames have no retained partner, and the
         # nearest other click sits a whole frame away
-        assert inf.unmatched_count == len(transcript)
+        assert np.sum(inf.correct == -1) == len(transcript)
         assert inf.correct_count + inf.incorrect_count == len(inf) - len(transcript)
 
     def test_unmatched_when_key_has_gaps(self):
@@ -326,7 +326,7 @@ class TestInference:
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, cmap_cfg)
         inf = infer_bits(eve_t, cmap, retained, cmap_cfg)
         # delays are 200..800 ps, so a 100 ps window matches nothing
-        assert inf.unmatched_count == len(inf)
+        assert np.sum(inf.correct == -1) == len(inf)
         assert inf.correct_count == 0
 
     def test_bit_tallies_balanced_for_alternating_truth(self):

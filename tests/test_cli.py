@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import cowqkd
 
-from cowqkd.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_INSECURE, EXIT_OK, main
+from cowqkd.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_INSECURE, EXIT_OK, build_parser, load_config, main
+from cowqkd.detectors import spad_preset
+from cowqkd.experiment import ExperimentConfig, apply_overrides, config_hash
 
 SMALL = [
     "--frames", "600000",
@@ -159,8 +162,98 @@ def test_config_file_loading(capsys, tmp_path):
     assert "40000 frames" in out
 
 
+def test_unreadable_config_file_is_a_configuration_error(capsys, tmp_path):
+    assert main(["rates", "--config", str(tmp_path / "missing.cfg")]) == EXIT_CONFIG
+    assert "configuration error: cannot read config file" in capsys.readouterr().err
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(cowqkd.__file__).resolve().parents[1])
     probe = "import sys, cowqkd.cli; sys.exit('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, capture_output=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--trials", "3"],
+    ["correlate", "--frames", "1000"],
+    ["rates", "--frames", "5"],
+    ["rates", "--trials", "2"],
+])
+def test_run_length_flags_only_on_commands_that_run_frames(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_rates_ignores_the_block_fill_of_an_attack_it_never_runs(capsys):
+    assert main(["rates", "--preset", "paper", "--set", "frames_per_trial=1000"]) == EXIT_OK
+
+
+def test_infeasible_block_still_rejected_where_the_attack_runs(capsys):
+    for argv in (["simulate", "--preset", "paper", "--frames", "1000"],
+                 ["sweep", "--preset", "paper", "--frames", "1000", "--axis", "bias", "--values", "5v"]):
+        assert main(argv) == EXIT_CONFIG
+        assert "cannot fill" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("file_text, argv", [
+    # Each source alone gives an invalid config; merged, they are valid.
+    ("spad.gate_width_ps = 40000\n",
+     ["--preset", "5v", "--frames", "50000", "--set", "source.frame_period_ps=64000"]),
+    ("frames_per_trial = 300000\n",
+     ["--preset", "paper", "--set", "distill.block_length=500", "--set", "distill.disclosure_size=100"]),
+])
+def test_sources_are_validated_once_merged(capsys, tmp_path, file_text, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(file_text)
+    assert main(["simulate", "--config", str(cfg), *argv]) == EXIT_OK
+
+
+def test_precedence_and_bias_label_rule(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 4\nspad.detection_efficiency = 0.3\nspad.hold_off_s = 2e-6\n")
+    args = build_parser().parse_args([
+        "simulate", "--preset", "2v", "--config", str(cfg), "--seed", "9",
+        "--set", "spad.excess_bias_label=7v", "--set", "spad.hold_off_s=3e-6"])
+    got = load_config(args)
+    seven = spad_preset("7v")
+    assert got.seed == 9 and got.spad.hold_off_s == 3e-6
+    # The label sets what is not given explicitly, in any source.
+    assert got.spad.excess_bias_label == "7v"
+    assert got.spad.detection_efficiency == 0.3
+    assert got.spad.dark_count_rate_cps == seven.dark_count_rate_cps
+
+
+def test_correlation_files_carry_the_hash_of_the_config_that_ran(capsys, tmp_path):
+    code = main(["correlate", "--widths", "2000,4000", "--clicks", "2000", "--seed", "1",
+                 "--set", "spad.hold_off_s=5e-6", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    base = apply_overrides(ExperimentConfig(), {"seed": "1"})
+    hashes = []
+    for w in (2000, 4000):
+        ran = replace(base, spad=replace(base.spad, gate_width_ps=w, hold_off_s=1e-6))
+        head = (tmp_path / f"correlation_w{w}.csv").read_text().splitlines()[:2]
+        assert head == [f"# config_hash={config_hash(ran)} seed=1", f"# gate_width_ps={w}"]
+        hashes.append(config_hash(ran))
+    assert hashes[0] != hashes[1]
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, args", [
+    ("timing_correlation.py", ["--widths", "2000,abc"]),
+    ("timing_correlation.py", ["--widths", "40000"]),
+    ("sweep_distance.py", ["--values", "-5"]),
+])
+def test_scripts_exit_with_the_cli_message(tmp_path, script, args):
+    src = str(Path(cowqkd.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, str(SCRIPTS / script), *args], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert done.returncode == EXIT_CONFIG
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: ")
+    assert not any(tmp_path.iterdir())

@@ -196,13 +196,6 @@ class TestConfigValidation:
         cfg = ExperimentConfig(source=SourceConfig(frame_period_ps=16000), **kw)
         assert cfg.rate_inputs().opportunity_rate_hz == pytest.approx(62.5e6)
 
-    def test_infeasible_block_rejected_only_with_attack(self):
-        kw = dict(distill=DistillConfig(block_length=20000, disclosure_size=2000),
-                  frames_per_trial=10_000)
-        with pytest.raises(ConfigError):
-            ExperimentConfig(attack_enabled=True, **kw)
-        ExperimentConfig(attack_enabled=False, **kw)
-
     def test_scalar_bounds(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(trials=0, attack_enabled=False)
@@ -233,6 +226,16 @@ class TestConfigValidation:
 # --- runs ------------------------------------------------------------------
 
 class TestRuns:
+    def test_infeasible_block_rejected_only_with_attack(self, monkeypatch):
+        kw = dict(distill=DistillConfig(block_length=20000, disclosure_size=2000),
+                  frames_per_trial=10_000)
+        with monkeypatch.context() as m:
+            # Rejected before any draw: no trial may start.
+            m.setattr(experiment, "run_trial", lambda *a: pytest.fail("a trial ran"))
+            with pytest.raises(ConfigError):
+                run_simulation(ExperimentConfig(attack_enabled=True, **kw))
+        run_simulation(ExperimentConfig(attack_enabled=False, **kw))
+
     def test_trial_counts_match_analytic(self):
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "200000"})
         t = run_trial(cfg, 0)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cowqkd.source import (
+    DECOY,
     ChannelConfig,
     ConfigError,
     FrameBatch,
-    LogicalBit,
     SourceConfig,
     channel_transmittance,
     generate_frames,
@@ -68,13 +68,13 @@ def test_random_pattern_balance():
 
 def test_decoy_probability_zero_by_default():
     batch = generate_frames(SourceConfig(), 1000, make_rng())
-    assert not np.any(batch.bits == LogicalBit.DECOY)
+    assert not np.any(batch.bits == DECOY)
 
 
 def test_decoy_rate():
     cfg = SourceConfig(decoy_probability=0.25)
     batch = generate_frames(cfg, 10_000, make_rng(5))
-    frac = np.mean(batch.bits == LogicalBit.DECOY)
+    frac = np.mean(batch.bits == DECOY)
     assert frac == pytest.approx(0.25, abs=3 * 0.433 / 100)
 
 
@@ -112,7 +112,7 @@ def test_pulses_within_signal_window():
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=30))
 def test_pulse_count_matches_bits(n, seed):
     batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.2), n, make_rng(seed))
-    expected = int(np.sum(batch.bits == LogicalBit.DECOY)) * 2 + int(np.sum(batch.bits != LogicalBit.DECOY))
+    expected = int(np.sum(batch.bits == DECOY)) * 2 + int(np.sum(batch.bits != DECOY))
     assert batch.n_pulses() == expected
     assert batch.pulse_times(np.arange(batch.n_pulses())).size == expected
 

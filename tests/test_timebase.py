@@ -22,7 +22,7 @@ from cowqkd.timebase import (
     sample_delay,
     write_csv,
 )
-from oracles import csv_writer_rows, single_interval_poisson_times
+from oracles import SCRATCH_STREAM, csv_writer_rows, single_interval_poisson_times
 
 
 def trunc_exp_mean(scale, cap):
@@ -82,7 +82,7 @@ class TestDelayDistribution:
     """The backflash delay law: an exponential truncated at a cap."""
 
     def test_truncated_exponential_sample_mean(self):
-        x = sample_delay(800.0, 5000, RngStream(1, Stream.AUX), 200_000)
+        x = sample_delay(800.0, 5000, RngStream(1, SCRATCH_STREAM), 200_000)
         expected = trunc_exp_mean(800.0, 5000)
         assert expected == pytest.approx(790.33, abs=0.01)
         # 3 sigma of the sample mean
@@ -90,13 +90,13 @@ class TestDelayDistribution:
         assert abs(float(np.mean(x)) - expected) < 3 * sd / math.sqrt(x.size)
 
     def test_support_bound_holds(self):
-        x = sample_delay(600.0, 5000, RngStream(2, Stream.AUX), 50_000)
+        x = sample_delay(600.0, 5000, RngStream(2, SCRATCH_STREAM), 50_000)
         assert x.dtype == np.int64
         assert x.min() >= 0
         assert x.max() <= 5000
 
     def test_truncated_tightens_support(self):
-        x = sample_delay(600.0, 2000, RngStream(3, Stream.AUX), 20_000)
+        x = sample_delay(600.0, 2000, RngStream(3, SCRATCH_STREAM), 20_000)
         assert x.max() <= 2000
         # conditional truncation renormalizes rather than clumping at the edge
         edge = np.sum(x >= 1990) / x.size
@@ -116,11 +116,11 @@ class TestDelayDistribution:
         assert np.array_equal(bf.emission_ps - bf.avalanche_ps, want)
 
     def test_degenerate_zero_support(self):
-        rng = RngStream(6, Stream.AUX)
+        rng = RngStream(6, SCRATCH_STREAM)
         x = sample_delay(600.0, 0, rng, 7)
         assert np.array_equal(x, np.zeros(7, dtype=np.int64))
         # no draw is spent on a zero support
-        assert rng.gen.random() == RngStream(6, Stream.AUX).gen.random()
+        assert rng.gen.random() == RngStream(6, SCRATCH_STREAM).gen.random()
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -134,7 +134,7 @@ class TestDelayDistribution:
 
     @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=99))
     def test_sampled_delays_respect_cap(self, cap, seed):
-        x = sample_delay(600.0, cap, RngStream(seed, Stream.AUX), 500)
+        x = sample_delay(600.0, cap, RngStream(seed, SCRATCH_STREAM), 500)
         assert np.all(x >= 0)
         assert np.all(x <= cap)
 
@@ -142,20 +142,20 @@ class TestDelayDistribution:
 class TestPoissonTimes:
     def test_rate_recovered(self):
         window = (0, 10**12)  # one second
-        t = poisson_event_times(5000.0, window, RngStream(8, Stream.AUX))
+        t = poisson_event_times(5000.0, window, RngStream(8, SCRATCH_STREAM))
         assert abs(t.size - 5000) < 3 * math.sqrt(5000)
         assert np.all(np.diff(t) >= 0)
         assert t.min() >= window[0] and t.max() < window[1]
 
     def test_zero_rate(self):
-        assert poisson_event_times(0.0, (0, 10**9), RngStream(9, Stream.AUX)).size == 0
+        assert poisson_event_times(0.0, (0, 10**9), RngStream(9, SCRATCH_STREAM)).size == 0
 
     def test_empty_window(self):
-        assert poisson_event_times(100.0, (5, 5), RngStream(10, Stream.AUX)).size == 0
+        assert poisson_event_times(100.0, (5, 5), RngStream(10, SCRATCH_STREAM)).size == 0
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.integers(min_value=0, max_value=50))
     def test_sorted_and_in_window(self, rate, seed):
-        t = poisson_event_times(rate, (1000, 10**9), RngStream(seed, Stream.AUX))
+        t = poisson_event_times(rate, (1000, 10**9), RngStream(seed, SCRATCH_STREAM))
         if t.size:
             assert np.all(np.diff(t) >= 0)
             assert t.min() >= 1000
@@ -213,7 +213,7 @@ class TestPoissonTimesOnWindows:
     def test_times_sorted_and_inside_their_windows(self, gaps, lengths, seed):
         starts = np.cumsum(np.array(gaps, dtype=np.int64)) + np.r_[0, np.cumsum(lengths[: len(gaps) - 1])]
         ends = starts + np.array(lengths[: len(gaps)], dtype=np.int64)
-        t = poisson_event_times(5e9, (starts, ends), RngStream(seed, Stream.AUX))
+        t = poisson_event_times(5e9, (starts, ends), RngStream(seed, SCRATCH_STREAM))
         assert np.all(np.diff(t) >= 0)
         k = np.searchsorted(ends, t, side="right")
         assert np.all(k < ends.size)
@@ -224,7 +224,7 @@ class TestPoissonTimesOnWindows:
         # included, is hit, and nothing falls outside.
         starts = np.array([0, 3, 3, 10, 12], dtype=np.int64)
         ends = np.array([2, 3, 7, 11, 13], dtype=np.int64)
-        t = poisson_event_times(3e13, (starts, ends), RngStream(23, Stream.AUX))
+        t = poisson_event_times(3e13, (starts, ends), RngStream(23, SCRATCH_STREAM))
         assert np.all(np.diff(t) >= 0)
         assert sorted(set(t.tolist())) == [0, 1, 3, 4, 5, 6, 10, 12]
 
@@ -233,10 +233,10 @@ class TestPoissonTimesOnWindows:
         ([], []),
     ])
     def test_zero_total_length_draws_nothing(self, starts, ends):
-        rng = RngStream(22, Stream.AUX)
+        rng = RngStream(22, SCRATCH_STREAM)
         t = poisson_event_times(1e12, (np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)), rng)
         assert t.size == 0 and t.dtype == np.int64
-        assert rng.gen.random() == RngStream(22, Stream.AUX).gen.random()
+        assert rng.gen.random() == RngStream(22, SCRATCH_STREAM).gen.random()
 
 
 # --- artifact CSV writer ---------------------------------------------------
