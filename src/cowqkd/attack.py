@@ -29,6 +29,9 @@ class CalibrationError(RuntimeError):
 # The attacker's fixed analysis settings.
 FOLD_BIN_WIDTH_PS = 100
 CALIBRATION_WINDOW_PS = 1000
+CALIBRATION_FLOOR = 0.01  # least matched fraction of the disclosed samples
+CORR_WINDOW_PS = 6000  # reach of a cluster's correlation with the disclosed clicks
+MATCH_WINDOW_PS = 6000  # reach of scoring an inferred bit against the retained key
 CLUSTER_THRESHOLD = 0.05  # of the smoothed folded peak
 CLUSTER_MIN_GAP_PS = 1000
 SMOOTH_BINS = 5
@@ -37,16 +40,11 @@ MODE_MIN_SEPARATION_PS = 1500
 
 @dataclass(frozen=True)
 class AttackConfig:
-    calibration_floor: float = 0.01
-    corr_window_ps: int = 6000
     corr_floor: float = 0.02
     boundary: str = "midpoint"
-    match_window_ps: int = 6000
     clock_offset_ps: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.calibration_floor <= 1.0:
-            raise ConfigError("calibration floor must lie in (0, 1]")
         if self.boundary not in ("midpoint", "valley"):
             raise ConfigError(f"unknown boundary mode {self.boundary!r}")
 
@@ -121,7 +119,6 @@ def calibrate(
     transcript: ClassicalTranscript,
     frame_period_ps: int,
     bin_width_ps: int,
-    cfg: AttackConfig,
 ) -> CalibrationResult:
     """Scan clock shifts against the disclosed samples and refine the best.
 
@@ -152,9 +149,9 @@ def calibrate(
     s0, score, ties = best(fine, 10, CALIBRATION_WINDOW_PS)
 
     frac = score / disclosed.size
-    if frac < cfg.calibration_floor:
+    if frac < CALIBRATION_FLOOR:
         raise CalibrationError(
-            f"best shift matches {frac:.4f} of disclosed samples (floor {cfg.calibration_floor})"
+            f"best shift matches {frac:.4f} of disclosed samples (floor {CALIBRATION_FLOOR})"
         )
 
     # Median refinement over the pairs matched at the argmax shift.
@@ -333,7 +330,7 @@ def fold_and_cluster(
             return 0.0
         s, ln = run
         mt = np.sort(t[(bin_idx - s) % nbins < ln])
-        return int(_coincidence_scores(mt, disclosed, cfg.corr_window_ps, 0, 1, 1)[0]) / disclosed.size
+        return int(_coincidence_scores(mt, disclosed, CORR_WINDOW_PS, 0, 1, 1)[0]) / disclosed.size
 
     summary = []
     corr_runs, other_runs = [], []
@@ -513,7 +510,6 @@ def infer_bits(
     calibrated_ps: np.ndarray,
     clusters: ClusterMap,
     retained: SiftedKey,
-    cfg: AttackConfig,
 ) -> EveInference:
     """Assign a bit to every count in the backflash window and score it."""
     t = np.asarray(calibrated_ps, dtype=np.int64)
@@ -534,7 +530,7 @@ def infer_bits(
     correct = np.full(t.size, -1, dtype=np.int8)
     if bob_sorted.size and t.size:
         nearest, dist = _nearest(bob_sorted, t)
-        hit = dist <= cfg.match_window_ps
+        hit = dist <= MATCH_WINDOW_PS
         matched[hit] = bob_sorted[nearest[hit]]
         correct[hit] = (bits[hit] == bob_bits_sorted[nearest[hit]]).astype(np.int8)
 

@@ -17,7 +17,7 @@ from enum import IntEnum
 import numpy as np
 
 from .source import ChannelConfig, ConfigError, FrameBatch, channel_transmittance
-from .timebase import PS_PER_S, DeviceRngs, RngStream, poisson_event_times, sample_delay, write_csv
+from .timebase import PS_PER_S, DeviceRngs, poisson_event_times, sample_delay, write_csv
 
 BOB = "bob"
 EVE = "eve"
@@ -245,11 +245,11 @@ def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame:
     """Sorted dark-count candidates, thinned directly onto ``gates`` open
     gates, one per frame period ``period_ps``."""
     lam = spad.dark_count_rate_cps * gates * (spad.gate_width_ps / PS_PER_S)
-    n_dark = int(rngs.spad_dark.gen.poisson(lam)) if lam > 0 else 0
+    n_dark = int(rngs.spad_dark.poisson(lam)) if lam > 0 else 0
     if not n_dark:
         return np.empty(0, dtype=np.int64)
-    gate = rngs.spad_dark.gen.integers(0, gates, size=n_dark, dtype=np.int64)
-    off = rngs.spad_dark.gen.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
+    gate = rngs.spad_dark.integers(0, gates, size=n_dark, dtype=np.int64)
+    off = rngs.spad_dark.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
     return np.sort((start_frame + gate) * period_ps + spad.gate_phase_ps + off)
 
 
@@ -261,7 +261,7 @@ def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> Bac
     gate width after the avalanche, not the time left in the gate, so a click
     late in the gate can emit after the gate has closed.
     """
-    emits = rngs.backflash.gen.random(clicks_ps.size) < spad.backflash_probability
+    emits = rngs.backflash.random(clicks_ps.size) < spad.backflash_probability
     av = clicks_ps[emits]
     if not av.size:
         return BackflashEvents.empty()
@@ -284,7 +284,7 @@ def dark_exposure(
     return clicks, _backflash(clicks, spad, rngs)
 
 
-def _bernoulli_indices(p: float, n: int, rng: RngStream) -> np.ndarray:
+def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices in [0, n), each present independently with probability ``p``.
 
     The gaps between present indices are Geometric(p), so the cost grows with
@@ -300,7 +300,7 @@ def _bernoulli_indices(p: float, n: int, rng: RngStream) -> np.ndarray:
     last = -1
     while True:
         mean = (n - 1 - last) * p
-        gaps = rng.gen.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
+        gaps = rng.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
         np.minimum(gaps, n + 1, out=gaps)
         idx = last + np.cumsum(gaps)
         if idx[-1] >= n:
@@ -332,7 +332,7 @@ def _reflection_times(
     offset = np.empty(idx.size, dtype=np.int64)
     offset[clicked] = click_offset_ps[at[clicked]]
     n_other = idx.size - int(np.count_nonzero(clicked))
-    offset[~clicked] = rngs.reflection.gen.integers(0, occupied_ps, size=n_other, dtype=np.int64)
+    offset[~clicked] = rngs.reflection.integers(0, occupied_ps, size=n_other, dtype=np.int64)
     return frames.pulse_times(idx) + offset
 
 
@@ -358,7 +358,7 @@ def spad_detect(
     p_click = -math.expm1(-mu * t_ch * spad.detection_efficiency)
     cand = _bernoulli_indices(p_click, frames.n_pulses(), rngs.spad)
     pulse_ps = frames.pulse_times(cand)
-    offset = rngs.arrival.gen.integers(0, source.occupied_width_ps, size=cand.size, dtype=np.int64)
+    offset = rngs.arrival.integers(0, source.occupied_width_ps, size=cand.size, dtype=np.int64)
     arrival = pulse_ps + offset
     in_gate = ((arrival - spad.gate_phase_ps) % source.frame_period_ps) < spad.gate_width_ps
     photon_t = arrival[in_gate]
@@ -402,14 +402,14 @@ def snspd_detect(
     """
     eff = snspd.detection_efficiency
     bf = arrivals.backflash
-    got_bf = rngs.snspd.gen.random(len(bf)) < eff
+    got_bf = rngs.snspd.random(len(bf)) < eff
     bf_t = bf.emission_ps[got_bf]
     bf_src = bf.avalanche_ps[got_bf]
 
     refl_t = arrivals.reflection_ps
     if refl_t.size:
         m = arrivals.reflected_mean_photon
-        refl_t = refl_t[rngs.snspd.gen.random(refl_t.size) < math.expm1(-m * eff) / math.expm1(-m)]
+        refl_t = refl_t[rngs.snspd.random(refl_t.size) < math.expm1(-m * eff) / math.expm1(-m)]
 
     dark_t = poisson_event_times(snspd.dark_count_rate_cps, window_ps, rngs.snspd)
 

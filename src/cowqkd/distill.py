@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .source import DECOY, ConfigError, FrameBatch
-from .timebase import RngStream, write_csv
+from .timebase import write_csv
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,12 @@ class SiftedKey:
         return self.time_ps.size
 
 
-def disclose(block: SiftedBits, cfg: DistillConfig, rng: RngStream, block_id: int = 0) -> tuple[ClassicalTranscript, SiftedKey]:
+def disclose(block: SiftedBits, cfg: DistillConfig, rng: np.random.Generator, block_id: int = 0) -> tuple[ClassicalTranscript, SiftedKey]:
     """Split one full block into a public transcript and retained key."""
     n = len(block)
     if n != cfg.block_length:
         raise ConfigError(f"block has {n} bits, expected {cfg.block_length}")
-    pick = rng.gen.choice(n, size=cfg.disclosure_size, replace=False)
+    pick = rng.choice(n, size=cfg.disclosure_size, replace=False)
     mask = np.zeros(n, dtype=bool)
     mask[pick] = True
 
@@ -164,7 +164,7 @@ def disclose(block: SiftedBits, cfg: DistillConfig, rng: RngStream, block_id: in
     return transcript, retained
 
 
-def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: RngStream) -> tuple[list[tuple[ClassicalTranscript, SiftedKey]], int]:
+def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: np.random.Generator) -> tuple[list[tuple[ClassicalTranscript, SiftedKey]], int]:
     """Cut the sifted stream into full blocks; returns (blocks, leftover bits)."""
     out = []
     n_full = len(sifted) // cfg.block_length

@@ -46,7 +46,7 @@ from .rates import (
     gate_mean_photon,
     p_sift_holdoff,
 )
-from .source import ChannelConfig, ConfigError, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
+from .source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
 from .timebase import TIMING_CORRELATION_STUDY, DeviceRngs, check_time_range, write_csv
 
 # Fixed so chunking never affects drawn sequences.  The detectors draw per
@@ -265,6 +265,7 @@ class TrialResult:
     trial: int
     seed: int
     n_frames: int
+    frames: FrameBatch | None  # the first export_frames frames drawn, when set
     sifted: SiftedBits
     bob_log: DetectionLog
     eve_log: DetectionLog
@@ -282,6 +283,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     rngs = DeviceRngs(cfg.seed, trial=trial)
     period = cfg.source.frame_period_ps
 
+    frames = None
     sift_parts: list[SiftedBits] = []
     bob_parts: list[DetectionLog] = []
     eve_parts: list[DetectionLog] = []
@@ -290,6 +292,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     while done < cfg.frames_per_trial:
         n = min(CHUNK_FRAMES, cfg.frames_per_trial - done)
         batch = generate_frames(cfg.source, n, rngs.bits, start_frame=done)
+        if frames is None and cfg.export_frames:
+            frames = FrameBatch(cfg.source, batch.bits[:cfg.export_frames].copy())
         res = spad_detect(batch, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
         dead_until = res.dead_until_ps
         bob_parts.append(res.clicks)
@@ -317,9 +321,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         if not blocks:
             raise attack_mod.CalibrationError("no full block available for the attack pipeline")
         eve_raw = eve_log.time_ps + cfg.attack.clock_offset_ps
-        calibration = attack_mod.calibrate(
-            eve_raw, blocks[0].transcript, period, cfg.source.bin_width_ps, cfg.attack
-        )
+        calibration = attack_mod.calibrate(eve_raw, blocks[0].transcript, period, cfg.source.bin_width_ps)
         calibrated = eve_raw + calibration.offset_ps
 
         av = eve_log.source_ps[eve_log.cause == Cause.BACKFLASH]
@@ -339,7 +341,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
             if sub.size == 0:
                 continue
             b.clusters = attack_mod.fold_and_cluster(sub, b.transcript, period, cfg.attack)
-            b.inference = attack_mod.infer_bits(sub, b.clusters, b.retained, cfg.attack)
+            b.inference = attack_mod.infer_bits(sub, b.clusters, b.retained)
             b.metrics = attack_mod.learning_metrics(b.inference, b.retained)
             n_eve_correct += b.inference.correct_count
 
@@ -347,6 +349,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         trial=trial,
         seed=cfg.seed,
         n_frames=cfg.frames_per_trial,
+        frames=frames,
         sifted=sifted,
         bob_log=bob_log,
         eve_log=eve_log,
@@ -381,16 +384,20 @@ class RunResult:
     manifest: dict
 
 
-def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
-    # The attack reads one full block; a run that cannot fill it stops
-    # before any draw.
+def _check_block_fill(cfg: ExperimentConfig) -> None:
+    """The attack reads each trial's first full block, so every trial must
+    expect to fill one; checked before any draw."""
     if cfg.attack_enabled:
-        expected = cfg.trials * cfg.frames_per_trial * cfg.analytic_p_sift()
+        expected = cfg.frames_per_trial * cfg.analytic_p_sift()
         if expected < cfg.distill.block_length:
             raise ConfigError(
-                f"expected {expected:.0f} sifted detections cannot fill a "
+                f"expected {expected:.0f} sifted detections per trial cannot fill a "
                 f"{cfg.distill.block_length}-bit block; add frames or shrink the block"
             )
+
+
+def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
+    _check_block_fill(cfg)
     trials = [run_trial(cfg, i) for i in range(cfg.trials)]
 
     n_frames = sum(t.n_frames for t in trials)
@@ -471,12 +478,9 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
             attack_mod.write_inference_csv(b.inference, p, heads)
             art["inference"] = p.name
 
-    if cfg.export_frames > 0:
-        rngs = DeviceRngs(cfg.seed, trial=0)
-        n = min(cfg.export_frames, cfg.frames_per_trial, CHUNK_FRAMES)
-        batch = generate_frames(cfg.source, n, rngs.bits, start_frame=0)
+    if t0.frames is not None:
         p = out_dir / "frames.csv"
-        write_frames_csv(batch, p, heads)
+        write_frames_csv(t0.frames, p, heads)
         art["frames"] = p.name
 
     result.manifest["artifacts"] = art
@@ -514,8 +518,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
     """One row per value; Monte Carlo columns are filled when trials run."""
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # Every value is checked before the first point runs.
+    # Every value and its block fill are checked before the first point runs.
     points = [_apply_axis(cfg, axis, value) for value in values]
+    for point in points:
+        _check_block_fill(point)
     rows = []
     for value, point in zip(values, points):
         run = run_simulation(point)

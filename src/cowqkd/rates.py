@@ -176,12 +176,6 @@ class RateReport:
     rows: list[RateRow]
     insecure: bool
 
-    def row(self, name: str) -> RateRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def as_dict(self) -> dict:
         return {
             "rows": [vars(r) for r in self.rows],

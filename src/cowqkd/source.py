@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .timebase import RngStream, check_time_range, write_csv
+from .timebase import check_time_range, write_csv
 
 PATTERN_ALTERNATING = "alternating"
 PATTERN_RANDOM = "random"
@@ -156,7 +156,7 @@ class FrameBatch:
         return self.bits[local, np.asarray(slot, dtype=np.int64)]
 
 
-def generate_frames(cfg: SourceConfig, count: int, rng: RngStream, start_frame: int = 0) -> FrameBatch:
+def generate_frames(cfg: SourceConfig, count: int, rng: np.random.Generator, start_frame: int = 0) -> FrameBatch:
     """Draw ``count`` frames starting at global frame index ``start_frame``."""
     if count < 0:
         raise ConfigError("frame count must be >= 0")
@@ -165,9 +165,9 @@ def generate_frames(cfg: SourceConfig, count: int, rng: RngStream, start_frame: 
         row = np.arange(k, dtype=np.int8) % 2
         bits = np.tile(row, (count, 1))
     else:
-        bits = rng.gen.integers(0, 2, size=(count, k), dtype=np.int8)
+        bits = rng.integers(0, 2, size=(count, k), dtype=np.int8)
     if cfg.decoy_probability > 0 and count > 0:
-        decoy = rng.gen.random(size=(count, k)) < cfg.decoy_probability
+        decoy = rng.random(size=(count, k)) < cfg.decoy_probability
         bits[decoy] = DECOY
     return FrameBatch(cfg, bits, start_frame=start_frame)
 

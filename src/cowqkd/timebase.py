@@ -1,5 +1,5 @@
-"""Integer-picosecond time base, per-device RNG streams, the backflash delay
-sampler, and the CSV writer shared by every artifact.
+"""Integer-picosecond time base, per-device random generators, the backflash
+delay sampler, and the CSV writer shared by every artifact.
 
 Every timestamp in the simulator is an integer count of picoseconds carried
 in int64 arrays.  Run extents are validated up front so that int64 arithmetic
@@ -57,65 +57,53 @@ class Stream(IntEnum):
 TIMING_CORRELATION_STUDY = (2**32 - 1,)
 
 
-class RngStream:
-    """Deterministic generator keyed by (seed, trial, stream id), followed by
-    ``study`` for a run that is not a trial.
-
-    Identical keys reproduce bit-identical draw sequences.
-    """
-
-    def __init__(self, seed: int, stream_id: int, trial: int = 0, study: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self.trial = int(trial)
-        self.study = tuple(int(x) for x in study)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.trial, self.stream_id, *self.study))
-        self.gen = np.random.Generator(np.random.Philox(ss))
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"RngStream(seed={self.seed}, stream_id={self.stream_id}, trial={self.trial}, "
-                f"study={self.study})")
-
-
 @dataclass
 class DeviceRngs:
-    """One independent stream per device for a single trial, or for one
-    setting of a study (see :data:`TIMING_CORRELATION_STUDY`)."""
+    """One independent Philox generator per device for a single trial, or for
+    one setting of a study (see :data:`TIMING_CORRELATION_STUDY`).
+
+    Each is keyed by ``SeedSequence(seed, spawn_key=(trial, stream, *study))``,
+    so identical keys reproduce bit-identical draw sequences.
+    """
 
     seed: int
     trial: int = 0
     study: tuple[int, ...] = ()
-    bits: RngStream = field(init=False)
-    arrival: RngStream = field(init=False)
-    spad: RngStream = field(init=False)
-    spad_dark: RngStream = field(init=False)
-    backflash: RngStream = field(init=False)
-    snspd: RngStream = field(init=False)
-    disclose: RngStream = field(init=False)
-    reflection: RngStream = field(init=False)
+    bits: np.random.Generator = field(init=False)
+    arrival: np.random.Generator = field(init=False)
+    spad: np.random.Generator = field(init=False)
+    spad_dark: np.random.Generator = field(init=False)
+    backflash: np.random.Generator = field(init=False)
+    snspd: np.random.Generator = field(init=False)
+    disclose: np.random.Generator = field(init=False)
+    reflection: np.random.Generator = field(init=False)
 
     def __post_init__(self) -> None:
-        self.bits = RngStream(self.seed, Stream.BITS, self.trial, self.study)
-        self.arrival = RngStream(self.seed, Stream.ARRIVAL, self.trial, self.study)
-        self.spad = RngStream(self.seed, Stream.SPAD, self.trial, self.study)
-        self.spad_dark = RngStream(self.seed, Stream.SPAD_DARK, self.trial, self.study)
-        self.backflash = RngStream(self.seed, Stream.BACKFLASH, self.trial, self.study)
-        self.snspd = RngStream(self.seed, Stream.SNSPD, self.trial, self.study)
-        self.disclose = RngStream(self.seed, Stream.DISCLOSE, self.trial, self.study)
-        self.reflection = RngStream(self.seed, Stream.REFLECTION, self.trial, self.study)
+        def generator(stream: Stream) -> np.random.Generator:
+            key = (int(self.trial), int(stream), *map(int, self.study))
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(self.seed), spawn_key=key)))
+
+        self.bits = generator(Stream.BITS)
+        self.arrival = generator(Stream.ARRIVAL)
+        self.spad = generator(Stream.SPAD)
+        self.spad_dark = generator(Stream.SPAD_DARK)
+        self.backflash = generator(Stream.BACKFLASH)
+        self.snspd = generator(Stream.SNSPD)
+        self.disclose = generator(Stream.DISCLOSE)
+        self.reflection = generator(Stream.REFLECTION)
 
 
-def sample_delay(scale_ps: float, support_max_ps: int, rng: RngStream, size: int) -> np.ndarray:
+def sample_delay(scale_ps: float, support_max_ps: int, rng: np.random.Generator, size: int) -> np.ndarray:
     """Integer-ps delays from an exponential of ``scale_ps`` renormalized to
     [0, support_max_ps], drawn by inverse CDF; no draw when the support is 0."""
     if support_max_ps == 0:
         return np.zeros(size, dtype=np.int64)
-    u = rng.gen.random(size)
+    u = rng.random(size)
     x = -scale_ps * np.log1p(-u * (1.0 - math.exp(-support_max_ps / scale_ps)))
     return np.clip(np.rint(x).astype(np.int64), 0, support_max_ps)
 
 
-def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: RngStream) -> np.ndarray:
+def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: np.random.Generator) -> np.ndarray:
     """Sorted int64 event times of a homogeneous Poisson process on a union
     of windows.
 
@@ -140,8 +128,8 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: RngStream) -> 
     total = int(cum.sum())
     if rate_per_s == 0 or total <= 0:
         return np.empty(0, dtype=np.int64)
-    n = int(rng.gen.poisson(rate_per_s * (total / PS_PER_S)))
-    u = rng.gen.integers(0, total, size=n, dtype=np.int64)
+    n = int(rng.poisson(rate_per_s * (total / PS_PER_S)))
+    u = rng.integers(0, total, size=n, dtype=np.int64)
     if not n:
         return u
     u.sort()

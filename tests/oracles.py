@@ -44,6 +44,12 @@ from cowqkd.timebase import PS_PER_S, check_time_range
 SCRATCH_STREAM = 7
 
 
+def stream_rng(seed, stream_id=SCRATCH_STREAM, trial=0):
+    """The Philox generator keyed by (seed, trial, stream id), as
+    ``DeviceRngs`` keys each device's generator in a trial."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(trial, int(stream_id)))))
+
+
 def sequential_dead_time(times, hold_off_ps, dead_until_ps):
     """Visit every candidate; a kept one restarts the hold-off."""
     keep = np.zeros(len(times), dtype=bool)
@@ -84,10 +90,10 @@ def dense_spad_detect(frames, spad, channel, rngs, dead_until_ps=0):
 
     pulse_t = sorted_pulse_times(frames)
     n_pulses = pulse_t.size
-    arrival = pulse_t + rngs.arrival.gen.integers(0, source.occupied_width_ps, size=n_pulses, dtype=np.int64)
+    arrival = pulse_t + rngs.arrival.integers(0, source.occupied_width_ps, size=n_pulses, dtype=np.int64)
 
     p_click = 1.0 - np.exp(-mu * t_ch * spad.detection_efficiency)
-    clicked = rngs.spad.gen.random(n_pulses) < p_click
+    clicked = rngs.spad.random(n_pulses) < p_click
     in_gate = ((arrival - spad.gate_phase_ps) % source.frame_period_ps) < spad.gate_width_ps
     cand = clicked & in_gate
     photon_t = arrival[cand]
@@ -108,7 +114,7 @@ def dense_spad_detect(frames, spad, channel, rngs, dead_until_ps=0):
     keep, dead_after = sequential_dead_time(t, spad.hold_off_ps, dead_until_ps)
     clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
     reflected_mu = mu * t_ch * spad.facet_reflectance
-    returned = rngs.reflection.gen.random(n_pulses) < 1.0 - np.exp(-reflected_mu)
+    returned = rngs.reflection.random(n_pulses) < 1.0 - np.exp(-reflected_mu)
     eve = EveArrivals(_backflash(clicks.time_ps, spad, rngs), arrival[returned], reflected_mu)
     return SpadResult(clicks=clicks, eve=eve, dead_until_ps=dead_after)
 
@@ -123,8 +129,8 @@ def single_interval_poisson_times(rate_per_s, window_ps, rng):
     if rate_per_s == 0 or t1 <= t0:
         return np.empty(0, dtype=np.int64)
     duration_s = (t1 - t0) / PS_PER_S
-    n = int(rng.gen.poisson(rate_per_s * duration_s))
-    times = t0 + rng.gen.integers(0, t1 - t0, size=n, dtype=np.int64)
+    n = int(rng.poisson(rate_per_s * duration_s))
+    times = t0 + rng.integers(0, t1 - t0, size=n, dtype=np.int64)
     times.sort()
     return times
 
@@ -153,7 +159,7 @@ def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, bin_width_ps
     period = cfg.source.frame_period_ps
     span_ps = gates * period
     clicks, backflash = dark_exposure(spad, period, rngs, gates)
-    got = rngs.snspd.gen.random(len(backflash)) < cfg.snspd.detection_efficiency
+    got = rngs.snspd.random(len(backflash)) < cfg.snspd.detection_efficiency
     dark = single_interval_poisson_times(cfg.snspd.dark_count_rate_cps, (0, span_ps), rngs.snspd)
     stops = np.concatenate([backflash.emission_ps[got], dark])
     return start_search_correlation_histogram(clicks, stops, bin_width_ps, range_ps)

@@ -69,7 +69,7 @@ def test_c1_closed_form_rate_agreement(capsys):
     for name in ("2v", "5v", "7v"):
         res = run_simulation(preset_config(name))
         for row_name in ("p_sift", "p_err"):
-            row = res.report.row(row_name)
+            row = next(r for r in res.report.rows if r.name == row_name)
             if not row.ok:
                 failures.append(
                     f"{name} {row_name}={row.empirical:.3g} outside [{row.lo:.3g}, {row.hi:.3g}]"
@@ -160,7 +160,6 @@ def test_c5_offset_recovery(capsys):
     idx = np.arange(0, n_frames, 3)
     transcript = ClassicalTranscript(0, n_frames, truth[idx], bits[idx], 0.0)
     span = n_frames * PERIOD
-    cfg = AttackConfig()
 
     worst = 0
     failures = []
@@ -168,7 +167,7 @@ def test_c5_offset_recovery(capsys):
         delta = int(rng.integers(-PERIOD, PERIOD + 1))
         spurious = rng.integers(0, span, n_frames // 5)
         eve = np.sort(np.concatenate([truth - delta, spurious]))
-        res = calibrate(eve, transcript, PERIOD, 1000, cfg)
+        res = calibrate(eve, transcript, PERIOD, 1000)
         err = abs(res.offset_ps - delta)
         worst = max(worst, err)
         if err > 500:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cowqkd import attack
 from cowqkd.attack import (
     FOLD_BIN_WIDTH_PS,
     AttackConfig,
@@ -75,8 +76,6 @@ def make_scene(n_frames=400, reflect=True, seed=0, swap_positions=False, disclos
 
 def test_attack_config_validation():
     with pytest.raises(ConfigError):
-        AttackConfig(calibration_floor=0.0)
-    with pytest.raises(ConfigError):
         AttackConfig(boundary="nearest")
     with pytest.raises(ConfigError):
         AttackConfig(boundary="cut")
@@ -96,7 +95,7 @@ class TestCalibrate:
         transcript, _, _, _ = make_scene(200)
         for delta in (0, 37, -4444, 15000, -31993):
             eve = transcript.disclosed_time_ps - delta
-            res = calibrate(eve, transcript, PERIOD, 1000, AttackConfig())
+            res = calibrate(eve, transcript, PERIOD, 1000)
             assert res.offset_ps == delta
             assert res.matched_fraction == 1.0
 
@@ -108,12 +107,12 @@ class TestCalibrate:
         for delta in (123, -9871):
             spurious = rng.integers(0, span, size=n // 5)
             eve = np.concatenate([transcript.disclosed_time_ps - delta, spurious])
-            res = calibrate(eve, transcript, PERIOD, 1000, AttackConfig())
+            res = calibrate(eve, transcript, PERIOD, 1000)
             assert abs(res.offset_ps - delta) <= 500
 
     def test_scan_record_kept(self):
         transcript, _, _, _ = make_scene(50)
-        res = calibrate(transcript.disclosed_time_ps, transcript, PERIOD, 1000, AttackConfig())
+        res = calibrate(transcript.disclosed_time_ps, transcript, PERIOD, 1000)
         shifts = [s for s, _ in res.candidate_scores]
         assert -PERIOD in shifts and PERIOD in shifts
         assert max(score for _, score in res.candidate_scores) == res.score
@@ -121,21 +120,22 @@ class TestCalibrate:
     def test_empty_inputs_raise(self):
         transcript, _, _, _ = make_scene(10)
         with pytest.raises(CalibrationError):
-            calibrate(np.empty(0, dtype=np.int64), transcript, PERIOD, 1000, AttackConfig())
+            calibrate(np.empty(0, dtype=np.int64), transcript, PERIOD, 1000)
         empty = ClassicalTranscript(0, 0, np.empty(0, dtype=np.int64),
                                     np.empty(0, dtype=np.int8), 0.0)
         with pytest.raises(CalibrationError):
-            calibrate(np.array([5]), empty, PERIOD, 1000, AttackConfig())
+            calibrate(np.array([5]), empty, PERIOD, 1000)
 
-    def test_floor_failure(self):
+    def test_floor_failure(self, monkeypatch):
         transcript, _, _, _ = make_scene(100)
         eve = transcript.disclosed_time_ps[:2]
+        monkeypatch.setattr(attack, "CALIBRATION_FLOOR", 0.9)
         with pytest.raises(CalibrationError):
-            calibrate(eve, transcript, PERIOD, 1000, AttackConfig(calibration_floor=0.9))
+            calibrate(eve, transcript, PERIOD, 1000)
 
     def test_scan_scores_match_the_per_shift_count(self):
         transcript, _, eve_t, _ = make_scene(300)
-        res = calibrate(eve_t, transcript, PERIOD, 1000, AttackConfig())
+        res = calibrate(eve_t, transcript, PERIOD, 1000)
         shifts = [s for s, _ in res.candidate_scores]
         assert len(shifts) == 65 + 201
         eve, disclosed = np.sort(eve_t), np.sort(transcript.disclosed_time_ps)
@@ -256,7 +256,7 @@ class TestFoldAndCluster:
         transcript, retained, eve_t, _ = make_scene()
         cfg = AttackConfig(boundary=boundary, **extra)
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
-        inf = infer_bits(eve_t, cmap, retained, cfg)
+        inf = infer_bits(eve_t, cmap, retained)
         m = learning_metrics(inf, retained)
         assert m.accuracy_matched == 1.0
 
@@ -280,10 +280,10 @@ class TestFoldAndCluster:
         assert corr[0] < 0.02 <= corr[-1]
 
     @pytest.mark.parametrize("window", [300, 6000, 13000])
-    def test_run_correlation_counts_disclosed_clicks_within_the_window(self, window):
+    def test_run_correlation_counts_disclosed_clicks_within_the_window(self, window, monkeypatch):
         transcript, _, eve_t, _ = make_scene()
-        cfg = AttackConfig(corr_window_ps=window)
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
+        monkeypatch.setattr(attack, "CORR_WINDOW_PS", window)
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
         bw, nbins = FOLD_BIN_WIDTH_PS, PERIOD // FOLD_BIN_WIDTH_PS
         disclosed = transcript.disclosed_time_ps
         for run in cmap.run_summary:
@@ -310,7 +310,7 @@ class TestInference:
         transcript, retained, eve_t, truth = make_scene()
         cfg = AttackConfig()
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
-        inf = infer_bits(eve_t, cmap, retained, cfg)
+        inf = infer_bits(eve_t, cmap, retained)
         # every backflash is kept, every reflection discarded
         assert len(inf) == truth["backflash_t"].size
         assert inf.discarded_reflection > 0
@@ -320,11 +320,11 @@ class TestInference:
         assert np.sum(inf.correct == -1) == len(transcript)
         assert inf.correct_count + inf.incorrect_count == len(inf) - len(transcript)
 
-    def test_unmatched_when_key_has_gaps(self):
-        cmap_cfg = AttackConfig(match_window_ps=100)
+    def test_unmatched_when_key_has_gaps(self, monkeypatch):
+        monkeypatch.setattr(attack, "MATCH_WINDOW_PS", 100)
         transcript, retained, eve_t, truth = make_scene()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, cmap_cfg)
-        inf = infer_bits(eve_t, cmap, retained, cmap_cfg)
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        inf = infer_bits(eve_t, cmap, retained)
         # delays are 200..800 ps, so a 100 ps window matches nothing
         assert np.sum(inf.correct == -1) == len(inf)
         assert inf.correct_count == 0
@@ -333,7 +333,7 @@ class TestInference:
         transcript, retained, eve_t, _ = make_scene()
         cfg = AttackConfig()
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
-        inf = infer_bits(eve_t, cmap, retained, cfg)
+        inf = infer_bits(eve_t, cmap, retained)
         zeros, ones = inf.bit_tallies()
         assert zeros + ones == len(inf)
         assert abs(zeros - ones) <= 2
@@ -371,7 +371,7 @@ def test_inference_csv(tmp_path):
     transcript, retained, eve_t, _ = make_scene(50)
     cfg = AttackConfig()
     cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
-    inf = infer_bits(eve_t, cmap, retained, cfg)
+    inf = infer_bits(eve_t, cmap, retained)
     path = tmp_path / "inf.csv"
     write_inference_csv(inf, path, ["seed=50"])
     lines = path.read_text().splitlines()

@@ -9,6 +9,7 @@ import pytest
 
 import cowqkd
 
+from cowqkd import experiment
 from cowqkd.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_INSECURE, EXIT_OK, build_parser, load_config, main
 from cowqkd.detectors import spad_preset
 from cowqkd.experiment import ExperimentConfig, apply_overrides, config_hash
@@ -196,6 +197,20 @@ def test_infeasible_block_still_rejected_where_the_attack_runs(capsys):
                  ["sweep", "--preset", "paper", "--frames", "1000", "--axis", "bias", "--values", "5v"]):
         assert main(argv) == EXIT_CONFIG
         assert "cannot fill" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    # Two trials fill one block between them, but each trial needs its own.
+    ["simulate", "--preset", "paper", "--trials", "2", "--frames", "4000000", "--seed", "11"],
+    # The 0 km point fills a 500-bit block; the 100 km point cannot.
+    ["sweep", "--preset", "paper", "--axis", "distance", "--values", "0,100", "--frames", "300000",
+     "--set", "distill.block_length=500", "--set", "distill.disclosure_size=100"],
+])
+def test_block_fill_is_checked_per_trial_before_any_trial_runs(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setattr(experiment, "run_trial", lambda *a: pytest.fail("a trial ran"))
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "per trial cannot fill" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("file_text, argv", [

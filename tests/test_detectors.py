@@ -21,8 +21,8 @@ from cowqkd.detectors import (
     spad_preset,
 )
 from cowqkd.source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, generate_frames
-from cowqkd.timebase import DeviceRngs, RngStream
-from oracles import SCRATCH_STREAM, dense_spad_detect, sequential_dead_time
+from cowqkd.timebase import DeviceRngs
+from oracles import dense_spad_detect, sequential_dead_time, stream_rng
 
 
 def run_spad(n_frames=20_000, seed=0, source=None, spad=None, channel=None, trial=0):
@@ -271,15 +271,15 @@ def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
 # --- the geometric skip ----------------------------------------------------
 
 def test_bernoulli_indices_empty_cases_draw_nothing():
-    rng = RngStream(3, SCRATCH_STREAM)
+    rng = stream_rng(3)
     assert _bernoulli_indices(0.0, 1000, rng).size == 0
     assert _bernoulli_indices(0.5, 0, rng).size == 0
-    assert rng.gen.random() == RngStream(3, SCRATCH_STREAM).gen.random()
+    assert rng.random() == stream_rng(3).random()
 
 @given(st.floats(min_value=1e-6, max_value=1.0), st.integers(min_value=0, max_value=5000),
        st.integers(min_value=0, max_value=2**32))
 def test_bernoulli_indices_increase_within_range(p, n, seed):
-    idx = _bernoulli_indices(p, n, RngStream(seed, SCRATCH_STREAM))
+    idx = _bernoulli_indices(p, n, stream_rng(seed))
     assert idx.dtype == np.int64
     assert np.all(np.diff(idx) > 0)
     assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < n)
@@ -291,7 +291,7 @@ def test_bernoulli_indices_are_unbiased_per_position(p):
     # Every position of a 12-long row is present with probability p, and
     # the total over a long row is Binomial(n, p); 13 exact tests share a
     # 1e-4 false alarm rate.
-    rng = RngStream(17, SCRATCH_STREAM)
+    rng = stream_rng(17)
     reps, n = 4000, 12
     hits = np.zeros(n, dtype=np.int64)
     for _ in range(reps):

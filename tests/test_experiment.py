@@ -15,10 +15,12 @@ from cowqkd.attack import AttackConfig
 from cowqkd.detectors import SnspdConfig, SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
+    CHUNK_FRAMES,
     ExperimentConfig,
     _apply_axis,
     _stop_windows,
     apply_overrides,
+    artifact_headers,
     config_hash,
     config_to_flat,
     emit_timing_correlation,
@@ -30,9 +32,9 @@ from cowqkd.experiment import (
     write_sweep_csv,
 )
 from cowqkd.rates import count_interval
-from cowqkd.source import ChannelConfig, ConfigError, SourceConfig
-from cowqkd.timebase import TIMING_CORRELATION_STUDY, DeviceRngs, RngStream, Stream
-from oracles import csv_writer_rows, full_exposure_correlation
+from cowqkd.source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, generate_frames, write_frames_csv
+from cowqkd.timebase import TIMING_CORRELATION_STUDY, DeviceRngs, Stream
+from oracles import csv_writer_rows, full_exposure_correlation, stream_rng
 
 
 def small_attack_cfg(**kw):
@@ -246,8 +248,8 @@ class TestRuns:
 
     def test_attack_run_end_to_end(self):
         run = run_simulation(small_attack_cfg())
-        assert run.report.row("p_sift").ok
-        assert run.report.row("p_b").ok
+        assert next(r for r in run.report.rows if r.name == "p_sift").ok
+        assert next(r for r in run.report.rows if r.name == "p_b").ok
         assert run.counts.n_retained > 0
         assert run.counts.n_frames_covered < run.counts.n_frames
         assert run.manifest["blocks"] >= 1
@@ -258,8 +260,8 @@ class TestRuns:
     def test_attack_disabled_zeroes_leak_rates(self):
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "50000"})
         run = run_simulation(cfg)
-        assert run.report.row("p_b").analytic == 0.0
-        assert run.report.row("p_learn").analytic == 0.0
+        assert next(r for r in run.report.rows if r.name == "p_b").analytic == 0.0
+        assert next(r for r in run.report.rows if r.name == "p_learn").analytic == 0.0
         assert run.manifest["calibration_offsets_ps"] == []
 
     @pytest.mark.parametrize("offset", [12345, -20000])
@@ -305,6 +307,18 @@ class TestArtifacts:
         assert sorted(match) == files
         assert not mismatch and not errors
 
+    @pytest.mark.parametrize("overrides", [
+        {"source.pattern": "random", "source.decoy_probability": "0.2"},
+        {"source.pattern": "random"},
+        {},
+    ])
+    def test_frames_csv_shows_the_frames_the_run_drew(self, tmp_path, overrides):
+        cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "20000", "export_frames": "1000", **overrides})
+        run_simulation(cfg, out_dir=tmp_path / "run")
+        drawn = generate_frames(cfg.source, min(cfg.frames_per_trial, CHUNK_FRAMES), DeviceRngs(cfg.seed).bits)
+        want = FrameBatch(cfg.source, drawn.bits[:cfg.export_frames])
+        write_frames_csv(want, tmp_path / "want.csv", artifact_headers(cfg))
+        assert (tmp_path / "run" / "frames.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_every_artifact_matches_the_row_writer(self, tmp_path, monkeypatch):
         # The runs write each artifact twice: through the columnar writer,
@@ -466,7 +480,7 @@ class TestTimingCorrelation:
             cfg_s = replace(cfg, seed=seed)
             h = emit_timing_correlation(cfg_s, [w], clicks_per_width=2000, bin_width_ps=1, range_ps=range_ps)[w]
             rngs = DeviceRngs(seed, trial=w, study=TIMING_CORRELATION_STUDY)
-            rngs.snspd = RngStream(10_000 + seed, Stream.SNSPD)
+            rngs.snspd = stream_rng(10_000 + seed, Stream.SNSPD)
             h_old = full_exposure_correlation(cfg_s, w, 2000, 1, range_ps, rngs)
             for out, hist in ((new, h), (old, h_old)):
                 once = hist.bin_starts_ps < range_ps[0] + hold_off

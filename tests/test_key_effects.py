@@ -41,8 +41,7 @@ PERTURB = {
     "spad.backflash_delay_max_ps": "1500", "spad.facet_reflectance": "0.02",
     "snspd.detection_efficiency": "0.6", "snspd.dark_count_rate_cps": "1e6",
     "distill.block_length": "250", "distill.disclosure_size": "80",
-    "attack.calibration_floor": "0.9", "attack.corr_window_ps": "50", "attack.corr_floor": "0.5",
-    "attack.boundary": "midpoint", "attack.match_window_ps": "3000", "attack.clock_offset_ps": "1234",
+    "attack.corr_floor": "0.5", "attack.boundary": "midpoint", "attack.clock_offset_ps": "1234",
 }
 
 COMMANDS = {
@@ -51,8 +50,7 @@ COMMANDS = {
     "correlate": ["correlate", "--widths", "2000", "--clicks", "1000"],
 }
 
-ATTACKER = {"attack.calibration_floor", "attack.corr_window_ps", "attack.corr_floor", "attack.boundary",
-            "attack.match_window_ps", "attack.clock_offset_ps"}
+ATTACKER = {"attack.corr_floor", "attack.boundary", "attack.clock_offset_ps"}
 INERT = {
     "simulate": set(),
     "rates": {
@@ -114,7 +112,7 @@ def signature(command: str, key: str | None = None):
 def test_every_key_is_perturbed_to_a_new_value():
     base = config_to_flat(apply_overrides(preset_config("paper"), BASE))
     assert PERTURB.keys() == base.keys() == config_to_flat(ExperimentConfig()).keys()
-    assert len(PERTURB) == 35
+    assert len(PERTURB) == 32
     for key, value in PERTURB.items():
         assert config_to_flat(apply_overrides(preset_config("paper"), {**BASE, key: value}))[key] != base[key]
     # The simulate base runs the attack to the end.

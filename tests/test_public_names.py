@@ -2,9 +2,11 @@
 
 That covers top-level functions and classes, and in each class its methods,
 properties and enum members.  A name counts as used when the package (apart from ``__init__.py``), the
-scripts or the benchmark harness refer to it in code: as a bare name, as an
-attribute or in an import.  Tests and docstrings do not count, so a function
-that only its own tests call is reported.
+scripts or the benchmark harness refer to it in code: a top-level name as a
+bare name, an attribute or in an import, a member only as an attribute or in
+an import, so a local variable of the same name does not count.  Tests and
+docstrings do not count, so a function that only its own tests call is
+reported.
 """
 import ast
 from pathlib import Path
@@ -50,13 +52,15 @@ def public_members() -> dict[str, str]:
     return out
 
 
-def referenced_names() -> set[str]:
+def referenced_names(bare: bool = True) -> set[str]:
+    """Names referred to in code; ``bare=False`` leaves out bare names."""
     files = _modules() + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
+                if bare:
+                    names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, ast.alias):
@@ -75,7 +79,7 @@ def test_every_public_name_is_used():
 
 def test_every_public_member_is_used():
     members = public_members()
-    used = referenced_names()
+    used = referenced_names(bare=False)
     # Guard against a vacuous pass: a method, a property and an enum member.
     assert {"counts_by_cause", "signal_window_ps", "BACKFLASH"} <= members.keys()
     dead = sorted(f"{owner}.{name}" for name, owner in members.items() if name not in used)

@@ -14,12 +14,12 @@ from cowqkd.source import (
     generate_frames,
     write_frames_csv,
 )
-from cowqkd.timebase import RngStream, Stream
+from cowqkd.timebase import DeviceRngs
 from oracles import sorted_pulse_times
 
 
 def make_rng(seed=0):
-    return RngStream(seed, Stream.BITS)
+    return DeviceRngs(seed).bits
 
 
 def test_geometry_defaults():

@@ -14,7 +14,6 @@ from cowqkd.timebase import (
     MAX_TIME_PS,
     TIMING_CORRELATION_STUDY,
     DeviceRngs,
-    RngStream,
     Stream,
     TimeRangeError,
     check_time_range,
@@ -22,7 +21,7 @@ from cowqkd.timebase import (
     sample_delay,
     write_csv,
 )
-from oracles import SCRATCH_STREAM, csv_writer_rows, single_interval_poisson_times
+from oracles import csv_writer_rows, single_interval_poisson_times, stream_rng
 
 
 def trunc_exp_mean(scale, cap):
@@ -33,24 +32,26 @@ def trunc_exp_mean(scale, cap):
 
 class TestRngStreams:
     def test_same_key_same_sequence(self):
-        a = RngStream(42, Stream.SPAD, trial=3).gen.random(100)
-        b = RngStream(42, Stream.SPAD, trial=3).gen.random(100)
+        a = DeviceRngs(42, trial=3).spad.random(100)
+        b = DeviceRngs(42, trial=3).spad.random(100)
         assert np.array_equal(a, b)
+        # The key is SeedSequence(seed, spawn_key=(trial, stream id)).
+        assert np.array_equal(a, stream_rng(42, Stream.SPAD, trial=3).random(100))
 
     def test_streams_differ(self):
-        a = RngStream(42, Stream.SPAD).gen.random(100)
-        b = RngStream(42, Stream.SNSPD).gen.random(100)
+        a = DeviceRngs(42).spad.random(100)
+        b = DeviceRngs(42).snspd.random(100)
         assert not np.array_equal(a, b)
 
     def test_trials_differ(self):
-        a = RngStream(42, Stream.SPAD, trial=0).gen.random(100)
-        b = RngStream(42, Stream.SPAD, trial=1).gen.random(100)
+        a = DeviceRngs(42, trial=0).spad.random(100)
+        b = DeviceRngs(42, trial=1).spad.random(100)
         assert not np.array_equal(a, b)
 
     def test_device_rngs_exposes_all_streams(self):
         rngs = DeviceRngs(7, trial=2)
         names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "reflection"]
-        draws = [getattr(rngs, n).gen.random() for n in names]
+        draws = [getattr(rngs, n).random() for n in names]
         assert len(set(draws)) == len(draws)
 
 
@@ -60,10 +61,10 @@ class TestRngStreams:
         study = DeviceRngs(seed, trial=w, study=TIMING_CORRELATION_STUDY)
         trial = DeviceRngs(seed, trial=w)
         for n in names:
-            assert not np.array_equal(getattr(study, n).gen.random(8), getattr(trial, n).gen.random(8)), n
+            assert not np.array_equal(getattr(study, n).random(8), getattr(trial, n).random(8)), n
         # An empty study key is the trial's key.
-        assert np.array_equal(DeviceRngs(seed, trial=w, study=()).snspd.gen.random(8),
-                              DeviceRngs(seed, trial=w).snspd.gen.random(8))
+        assert np.array_equal(DeviceRngs(seed, trial=w, study=()).snspd.random(8),
+                              DeviceRngs(seed, trial=w).snspd.random(8))
 
 
 class TestTimeRange:
@@ -82,7 +83,7 @@ class TestDelayDistribution:
     """The backflash delay law: an exponential truncated at a cap."""
 
     def test_truncated_exponential_sample_mean(self):
-        x = sample_delay(800.0, 5000, RngStream(1, SCRATCH_STREAM), 200_000)
+        x = sample_delay(800.0, 5000, stream_rng(1), 200_000)
         expected = trunc_exp_mean(800.0, 5000)
         assert expected == pytest.approx(790.33, abs=0.01)
         # 3 sigma of the sample mean
@@ -90,13 +91,13 @@ class TestDelayDistribution:
         assert abs(float(np.mean(x)) - expected) < 3 * sd / math.sqrt(x.size)
 
     def test_support_bound_holds(self):
-        x = sample_delay(600.0, 5000, RngStream(2, SCRATCH_STREAM), 50_000)
+        x = sample_delay(600.0, 5000, stream_rng(2), 50_000)
         assert x.dtype == np.int64
         assert x.min() >= 0
         assert x.max() <= 5000
 
     def test_truncated_tightens_support(self):
-        x = sample_delay(600.0, 2000, RngStream(3, SCRATCH_STREAM), 20_000)
+        x = sample_delay(600.0, 2000, stream_rng(3), 20_000)
         assert x.max() <= 2000
         # conditional truncation renormalizes rather than clumping at the edge
         edge = np.sum(x >= 1990) / x.size
@@ -111,16 +112,16 @@ class TestDelayDistribution:
         clicks = np.arange(0, 2000 * 32000, 32000, dtype=np.int64)
         bf = _backflash(clicks, spad, DeviceRngs(12))
         rng = DeviceRngs(12).backflash
-        rng.gen.random(clicks.size)  # the emission draws
+        rng.random(clicks.size)  # the emission draws
         want = sample_delay(600.0, 5000, rng, clicks.size)
         assert np.array_equal(bf.emission_ps - bf.avalanche_ps, want)
 
     def test_degenerate_zero_support(self):
-        rng = RngStream(6, SCRATCH_STREAM)
+        rng = stream_rng(6)
         x = sample_delay(600.0, 0, rng, 7)
         assert np.array_equal(x, np.zeros(7, dtype=np.int64))
         # no draw is spent on a zero support
-        assert rng.gen.random() == RngStream(6, SCRATCH_STREAM).gen.random()
+        assert rng.random() == stream_rng(6).random()
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -134,7 +135,7 @@ class TestDelayDistribution:
 
     @given(st.integers(min_value=1, max_value=5000), st.integers(min_value=0, max_value=99))
     def test_sampled_delays_respect_cap(self, cap, seed):
-        x = sample_delay(600.0, cap, RngStream(seed, SCRATCH_STREAM), 500)
+        x = sample_delay(600.0, cap, stream_rng(seed), 500)
         assert np.all(x >= 0)
         assert np.all(x <= cap)
 
@@ -142,20 +143,20 @@ class TestDelayDistribution:
 class TestPoissonTimes:
     def test_rate_recovered(self):
         window = (0, 10**12)  # one second
-        t = poisson_event_times(5000.0, window, RngStream(8, SCRATCH_STREAM))
+        t = poisson_event_times(5000.0, window, stream_rng(8))
         assert abs(t.size - 5000) < 3 * math.sqrt(5000)
         assert np.all(np.diff(t) >= 0)
         assert t.min() >= window[0] and t.max() < window[1]
 
     def test_zero_rate(self):
-        assert poisson_event_times(0.0, (0, 10**9), RngStream(9, SCRATCH_STREAM)).size == 0
+        assert poisson_event_times(0.0, (0, 10**9), stream_rng(9)).size == 0
 
     def test_empty_window(self):
-        assert poisson_event_times(100.0, (5, 5), RngStream(10, SCRATCH_STREAM)).size == 0
+        assert poisson_event_times(100.0, (5, 5), stream_rng(10)).size == 0
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.integers(min_value=0, max_value=50))
     def test_sorted_and_in_window(self, rate, seed):
-        t = poisson_event_times(rate, (1000, 10**9), RngStream(seed, SCRATCH_STREAM))
+        t = poisson_event_times(rate, (1000, 10**9), stream_rng(seed))
         if t.size:
             assert np.all(np.diff(t) >= 0)
             assert t.min() >= 1000
@@ -172,13 +173,13 @@ class TestPoissonTimes:
         window = (t0, t0 + length)
         if as_arrays:
             window = (np.array([t0], dtype=np.int64), np.array([t0 + length], dtype=np.int64))
-        a, b = RngStream(seed, Stream.SNSPD), RngStream(seed, Stream.SNSPD)
+        a, b = stream_rng(seed, Stream.SNSPD), stream_rng(seed, Stream.SNSPD)
         got = poisson_event_times(rate, window, a)
         want = single_interval_poisson_times(rate, (t0, t0 + length), b)
         assert got.dtype == np.int64
         assert got.tolist() == want.tolist()
         # Both leave the stream at the same point.
-        assert a.gen.random() == b.gen.random()
+        assert a.random() == b.random()
 
 
 class TestPoissonTimesOnWindows:
@@ -193,7 +194,7 @@ class TestPoissonTimesOnWindows:
         # central 1 - 1e-4 Poisson interval, and the chi-square test of the
         # per-window shares against the lengths gives p > 1e-4.
         rate = 2e9  # 1e7 ps in all, so 20,000 events expected
-        t = poisson_event_times(rate, (self.STARTS, self.ENDS), RngStream(21, Stream.SNSPD))
+        t = poisson_event_times(rate, (self.STARTS, self.ENDS), stream_rng(21, Stream.SNSPD))
         lengths = self.ENDS - self.STARTS
         lam = rate * int(lengths.sum()) / 1e12
         lo, hi = stats.poisson.interval(1 - 1e-4, lam)
@@ -213,7 +214,7 @@ class TestPoissonTimesOnWindows:
     def test_times_sorted_and_inside_their_windows(self, gaps, lengths, seed):
         starts = np.cumsum(np.array(gaps, dtype=np.int64)) + np.r_[0, np.cumsum(lengths[: len(gaps) - 1])]
         ends = starts + np.array(lengths[: len(gaps)], dtype=np.int64)
-        t = poisson_event_times(5e9, (starts, ends), RngStream(seed, SCRATCH_STREAM))
+        t = poisson_event_times(5e9, (starts, ends), stream_rng(seed))
         assert np.all(np.diff(t) >= 0)
         k = np.searchsorted(ends, t, side="right")
         assert np.all(k < ends.size)
@@ -224,7 +225,7 @@ class TestPoissonTimesOnWindows:
         # included, is hit, and nothing falls outside.
         starts = np.array([0, 3, 3, 10, 12], dtype=np.int64)
         ends = np.array([2, 3, 7, 11, 13], dtype=np.int64)
-        t = poisson_event_times(3e13, (starts, ends), RngStream(23, SCRATCH_STREAM))
+        t = poisson_event_times(3e13, (starts, ends), stream_rng(23))
         assert np.all(np.diff(t) >= 0)
         assert sorted(set(t.tolist())) == [0, 1, 3, 4, 5, 6, 10, 12]
 
@@ -233,10 +234,10 @@ class TestPoissonTimesOnWindows:
         ([], []),
     ])
     def test_zero_total_length_draws_nothing(self, starts, ends):
-        rng = RngStream(22, SCRATCH_STREAM)
+        rng = stream_rng(22)
         t = poisson_event_times(1e12, (np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)), rng)
         assert t.size == 0 and t.dtype == np.int64
-        assert rng.gen.random() == RngStream(22, SCRATCH_STREAM).gen.random()
+        assert rng.random() == stream_rng(22).random()
 
 
 # --- artifact CSV writer ---------------------------------------------------
