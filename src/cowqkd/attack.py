@@ -18,8 +18,7 @@ import numpy as np
 
 from .detectors import Histogram
 from .distill import ClassicalTranscript, SiftedKey
-from .source import ConfigError
-from .timebase import write_csv
+from .timebase import ConfigError, write_csv
 
 
 class CalibrationError(RuntimeError):

@@ -25,8 +25,7 @@ from .experiment import (
     write_rates_csv,
 )
 from .rates import McCounts, RateReport, compare
-from .source import ConfigError
-from .timebase import TimeRangeError
+from .timebase import ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -181,7 +180,7 @@ def main(argv: list[str] | None = None, show=None) -> int:
     try:
         cfg = load_config(args, default_preset="paper" if args.command == "replicate-paper" else None)
         result = args.run(args, cfg)
-    except (ConfigError, TimeRangeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CalibrationError as exc:

@@ -16,8 +16,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .source import ChannelConfig, ConfigError, FrameBatch, channel_transmittance
-from .timebase import PS_PER_S, DeviceRngs, poisson_event_times, sample_delay, write_csv
+from .source import ChannelConfig, FrameBatch, channel_transmittance
+from .timebase import PS_PER_S, ConfigError, DeviceRngs, poisson_event_times, sample_delay, write_csv
 
 BOB = "bob"
 EVE = "eve"
@@ -158,31 +158,17 @@ def write_detections_csv(logs: list[DetectionLog], path, header_lines: list[str]
 
 
 @dataclass
-class BackflashEvents:
-    """Avalanche times and the emission times they produced."""
-
-    avalanche_ps: np.ndarray
-    emission_ps: np.ndarray
-
-    def __len__(self) -> int:
-        return self.avalanche_ps.size
-
-    @classmethod
-    def empty(cls) -> "BackflashEvents":
-        z = np.empty(0, dtype=np.int64)
-        return cls(z, z.copy())
-
-
-@dataclass
 class EveArrivals:
     """Light leaving the receiver toward the line.
 
-    ``reflection_ps`` lists only the pulses that return at least one photon
-    from the facet, each with probability 1 - exp(-reflected_mean_photon),
-    at the pulse's arrival time.
+    Backflash photon ``i`` leaves at ``backflash_ps[i]``, emitted by the
+    avalanche at ``avalanche_ps[i]``.  ``reflection_ps`` lists only the
+    pulses that return at least one photon from the facet, each with
+    probability 1 - exp(-reflected_mean_photon), at the pulse's arrival time.
     """
 
-    backflash: BackflashEvents
+    avalanche_ps: np.ndarray
+    backflash_ps: np.ndarray
     reflection_ps: np.ndarray
     reflected_mean_photon: float
 
@@ -253,8 +239,9 @@ def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame:
     return np.sort((start_frame + gate) * period_ps + spad.gate_phase_ps + off)
 
 
-def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> BackflashEvents:
-    """Each accepted avalanche may emit one backflash photon.
+def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> tuple[np.ndarray, np.ndarray]:
+    """Each accepted avalanche may emit one backflash photon: the emitting
+    avalanches' times and their emission times.
 
     The delay is truncated at ``min(backflash_delay_max_ps, gate_width_ps)``,
     which reshapes timing but not the emission probability.  The cap is one
@@ -263,17 +250,16 @@ def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> Bac
     """
     emits = rngs.backflash.random(clicks_ps.size) < spad.backflash_probability
     av = clicks_ps[emits]
-    if not av.size:
-        return BackflashEvents.empty()
     cap = min(spad.backflash_delay_max_ps, spad.gate_width_ps)
-    return BackflashEvents(av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size))
+    return av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size)
 
 
 def dark_exposure(
     spad: SpadConfig, period_ps: int, rngs: DeviceRngs, gates: int,
-) -> tuple[np.ndarray, BackflashEvents]:
-    """Receiver clicks and backflash over ``gates`` gates, one per frame
-    period ``period_ps``, with no input light.
+) -> tuple[np.ndarray, EveArrivals]:
+    """Receiver clicks and the backflash they send toward the line over
+    ``gates`` gates, one per frame period ``period_ps``, with no input light
+    and so no reflection.
 
     Draws exactly what :func:`spad_detect` draws for its dark counts and
     backflash, without sampling any pulse.
@@ -281,7 +267,7 @@ def dark_exposure(
     t = _dark_times(spad, period_ps, rngs, 0, gates)
     keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
     clicks = t[keep]
-    return clicks, _backflash(clicks, spad, rngs)
+    return clicks, EveArrivals(*_backflash(clicks, spad, rngs), np.empty(0, dtype=np.int64), 0.0)
 
 
 def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -377,7 +363,7 @@ def spad_detect(
     reflected_mu = mu * t_ch * spad.facet_reflectance
     reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
 
-    eve = EveArrivals(_backflash(clicks.time_ps, spad, rngs), reflection_ps, reflected_mu)
+    eve = EveArrivals(*_backflash(clicks.time_ps, spad, rngs), reflection_ps, reflected_mu)
     return SpadResult(clicks=clicks, eve=eve, dead_until_ps=dead_after)
 
 
@@ -401,10 +387,9 @@ def snspd_detect(
     matter, as in a start-stop histogram.
     """
     eff = snspd.detection_efficiency
-    bf = arrivals.backflash
-    got_bf = rngs.snspd.random(len(bf)) < eff
-    bf_t = bf.emission_ps[got_bf]
-    bf_src = bf.avalanche_ps[got_bf]
+    got_bf = rngs.snspd.random(arrivals.backflash_ps.size) < eff
+    bf_t = arrivals.backflash_ps[got_bf]
+    bf_src = arrivals.avalanche_ps[got_bf]
 
     refl_t = arrivals.reflection_ps
     if refl_t.size:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .source import DECOY, ConfigError, FrameBatch
-from .timebase import write_csv
+from .source import DECOY, FrameBatch
+from .timebase import ConfigError, write_csv
 
 
 @dataclass(frozen=True)

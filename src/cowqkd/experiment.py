@@ -23,7 +23,6 @@ from .attack import AttackConfig, CalibrationResult, EveInference, LearningMetri
 from .detectors import (
     Cause,
     DetectionLog,
-    EveArrivals,
     Histogram,
     SnspdConfig,
     SpadConfig,
@@ -46,12 +45,18 @@ from .rates import (
     gate_mean_photon,
     p_sift_holdoff,
 )
-from .source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
-from .timebase import TIMING_CORRELATION_STUDY, DeviceRngs, check_time_range, write_csv
+from .source import ChannelConfig, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
+from .timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, check_time_range, write_csv
 
-# Fixed so chunking never affects drawn sequences.  The detectors draw per
-# event, but generate_frames still draws one float64 per slot for decoys:
-# unchunked, that is about 500 MB on a 31.2e6-frame run.
+# Fixed so chunking never affects drawn sequences.  Chunks bound memory on
+# every pattern, not only where generate_frames draws a float64 per slot
+# for decoys.  Peak RSS of `replicate-paper --seed 11`, chunked against one
+# chunk per run (Python 3.11, numpy 2.4): 47.1 against 104.1 MB; 57.3
+# against 295.2 MB at 31.2e6 frames; 63.8 against 184.4 MB with random bits
+# and 5% decoys.  Unchunked, spad_detect alone peaks at 45.2 MB (5.8 MB
+# chunked, tracemalloc): 14.9 MB for the per-slot decoy scan in
+# FrameBatch.n_pulses, up to 23 MB for int64 arrays over the 611,713 click
+# candidates in FrameBatch.pulse_times.
 CHUNK_FRAMES = 1_000_000
 
 
@@ -76,8 +81,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.frames_per_trial < 1:
             raise ConfigError("frames_per_trial must be >= 1")
-        if self.export_frames < 0:
-            raise ConfigError("export_frames must be >= 0")
+        if not 0 <= self.export_frames <= self.frames_per_trial:
+            raise ConfigError("export_frames must lie in [0, frames_per_trial]")
         # The SPAD gate opens once per source frame.
         if self.spad.gate_width_ps > self.source.frame_period_ps:
             raise ConfigError("SPAD gate width cannot exceed the source frame period")
@@ -283,7 +288,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     rngs = DeviceRngs(cfg.seed, trial=trial)
     period = cfg.source.frame_period_ps
 
-    frames = None
+    export_parts: list[np.ndarray] = []
     sift_parts: list[SiftedBits] = []
     bob_parts: list[DetectionLog] = []
     eve_parts: list[DetectionLog] = []
@@ -292,8 +297,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     while done < cfg.frames_per_trial:
         n = min(CHUNK_FRAMES, cfg.frames_per_trial - done)
         batch = generate_frames(cfg.source, n, rngs.bits, start_frame=done)
-        if frames is None and cfg.export_frames:
-            frames = FrameBatch(cfg.source, batch.bits[:cfg.export_frames].copy())
+        if done < cfg.export_frames:
+            export_parts.append(batch.bits[:cfg.export_frames - done].copy())
         res = spad_detect(batch, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
         dead_until = res.dead_until_ps
         bob_parts.append(res.clicks)
@@ -303,6 +308,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
             eve_parts.append(snspd_detect(res.eve, cfg.snspd, window, rngs))
         done += n
 
+    frames = FrameBatch(cfg.source, np.concatenate(export_parts)) if export_parts else None
     sifted = SiftedBits.concat(sift_parts)
     bob_log = DetectionLog.merge(bob_parts)
     eve_log = DetectionLog.merge(eve_parts) if cfg.attack_enabled else DetectionLog.empty("eve")
@@ -612,8 +618,7 @@ def emit_timing_correlation(
         gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
         span_ps = check_time_range(gates * period)
 
-        clicks, backflash = dark_exposure(spad, period, rngs, gates)
-        arrivals = EveArrivals(backflash, np.empty(0, dtype=np.int64), 0.0)
+        clicks, arrivals = dark_exposure(spad, period, rngs, gates)
         eve = snspd_detect(arrivals, cfg.snspd, _stop_windows(clicks, range_ps, span_ps), rngs)
 
         hist = correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps)

@@ -14,6 +14,8 @@ from math import ceil, exp, floor, log, log1p, log2, sqrt
 
 import numpy as np
 
+from .timebase import ConfigError
+
 # Error-correction leak per sifted bit, as a multiple of h(qber).
 RECONCILIATION_INEFFICIENCY = 1.15
 
@@ -26,7 +28,7 @@ def p_sift_simple(mu: float, eta: float, p_dark: float) -> float:
     """
     _check_prob("p_dark", p_dark)
     if mu < 0 or eta < 0:
-        raise ValueError("mu and eta must be >= 0")
+        raise ConfigError("mu and eta must be >= 0")
     return 1.0 - exp(-mu * eta) * (1.0 - p_dark)
 
 
@@ -37,7 +39,7 @@ def p_sift_holdoff(mu: float, eta: float, p_dark: float, opportunity_rate_hz: fl
     0.003096
     """
     if opportunity_rate_hz < 0 or hold_off_s < 0:
-        raise ValueError("rate and hold-off must be >= 0")
+        raise ConfigError("rate and hold-off must be >= 0")
     q = p_sift_simple(mu, eta, p_dark)
     return q / (1.0 + opportunity_rate_hz * q * hold_off_s)
 
@@ -54,7 +56,7 @@ def p_err(mu: float, eta: float, p_dark: float, p_sift: float) -> float:
     """
     _check_prob("p_dark", p_dark)
     if p_sift <= 0:
-        raise ValueError("p_sift must be positive")
+        raise ConfigError("p_sift must be positive")
     return exp(-mu * eta) * (1.0 - p_dark) * p_dark / p_sift
 
 
@@ -78,7 +80,7 @@ def binary_entropy(e: float) -> float:
     0.0
     """
     if not 0.0 <= e <= 1.0:
-        raise ValueError("probability must lie in [0, 1]")
+        raise ConfigError("probability must lie in [0, 1]")
     if e in (0.0, 1.0):
         return 0.0
     return -e * log2(e) - (1.0 - e) * log2(1.0 - e)
@@ -105,7 +107,7 @@ def p_sec(p_sift: float, p_b: float, qber: float) -> tuple[float, bool]:
 
 def _check_prob(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .timebase import check_time_range, write_csv
+from .timebase import ConfigError, check_time_range, write_csv
 
 PATTERN_ALTERNATING = "alternating"
 PATTERN_RANDOM = "random"
 
 ENCODING_NRZ = "nrz"
 ENCODING_RZ = "rz"
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent configuration."""
 
 
 # Alice's value for a decoy slot; the logical bits are 0 and 1.

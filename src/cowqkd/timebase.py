@@ -1,5 +1,6 @@
 """Integer-picosecond time base, per-device random generators, the backflash
-delay sampler, and the CSV writer shared by every artifact.
+delay sampler, the CSV writer shared by every artifact, and the one
+configuration error every module raises.
 
 Every timestamp in the simulator is an integer count of picoseconds carried
 in int64 arrays.  Run extents are validated up front so that int64 arithmetic
@@ -21,13 +22,14 @@ PS_PER_S = 10**12
 MAX_TIME_PS = 2**62
 
 
-class TimeRangeError(ValueError):
-    """A requested run extent would overflow the integer time base."""
+class ConfigError(ValueError):
+    """Invalid or inconsistent configuration, a run extent past the time base
+    included."""
 
 
 def check_time_range(extent_ps: int) -> int:
     if not 0 <= extent_ps < MAX_TIME_PS:
-        raise TimeRangeError(
+        raise ConfigError(
             f"time extent {extent_ps} ps outside supported range [0, 2**62)"
         )
     return int(extent_ps)

@@ -115,7 +115,7 @@ def dense_spad_detect(frames, spad, channel, rngs, dead_until_ps=0):
     clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
     reflected_mu = mu * t_ch * spad.facet_reflectance
     returned = rngs.reflection.random(n_pulses) < 1.0 - np.exp(-reflected_mu)
-    eve = EveArrivals(_backflash(clicks.time_ps, spad, rngs), arrival[returned], reflected_mu)
+    eve = EveArrivals(*_backflash(clicks.time_ps, spad, rngs), arrival[returned], reflected_mu)
     return SpadResult(clicks=clicks, eve=eve, dead_until_ps=dead_after)
 
 
@@ -158,10 +158,10 @@ def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, bin_width_ps
     gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
     period = cfg.source.frame_period_ps
     span_ps = gates * period
-    clicks, backflash = dark_exposure(spad, period, rngs, gates)
-    got = rngs.snspd.random(len(backflash)) < cfg.snspd.detection_efficiency
+    clicks, arrivals = dark_exposure(spad, period, rngs, gates)
+    got = rngs.snspd.random(arrivals.backflash_ps.size) < cfg.snspd.detection_efficiency
     dark = single_interval_poisson_times(cfg.snspd.dark_count_rate_cps, (0, span_ps), rngs.snspd)
-    stops = np.concatenate([backflash.emission_ps[got], dark])
+    stops = np.concatenate([arrivals.backflash_ps[got], dark])
     return start_search_correlation_histogram(clicks, stops, bin_width_ps, range_ps)
 
 

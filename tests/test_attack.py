@@ -25,7 +25,7 @@ from cowqkd.attack import (
     write_inference_csv,
 )
 from cowqkd.distill import ClassicalTranscript, SiftedKey
-from cowqkd.source import ConfigError
+from cowqkd.timebase import ConfigError
 from oracles import per_shift_scores
 
 PERIOD = 32000

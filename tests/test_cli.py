@@ -101,6 +101,7 @@ def test_exit_config_on_malformed_set(capsys):
     ["--set", "spad.backflash_delay.support_max_ps=-1"],
     ["--set", "spad.backflash_delay.weights=1"],
     ["--frames", "200000000000000000"],
+    ["--frames", "1000", "--set", "export_frames=1001"],
     ["--set", "spad.gate_width_ps=none"],
     ["--set", "seed=none"],
     ["--set", "spad.hold_off_s=inf"],
@@ -117,6 +118,19 @@ def test_exit_config_on_bad_delay_or_run_length(capsys, args):
     code = main(["simulate", "--preset", "5v", *args])
     assert code == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--preset", "5v", "--qber", "2"],
+    ["rates", "--preset", "5v", "--qber", "nan"],
+    ["rates", "--preset", "5v", "--set", "spad.dark_count_rate_cps=1e9"],
+    ["simulate", "--preset", "5v", "--frames", "1000",
+     "--set", "spad.detection_efficiency=0", "--set", "spad.dark_count_rate_cps=0"],
+])
+def test_inputs_the_closed_forms_reject_are_configuration_errors(capsys, argv):
+    # A qber outside [0, 1], more than one dark count per gate, a receiver
+    # that never clicks: each is bad input, not a traceback.
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 def test_exit_calibration_without_eavesdropper_light(capsys):
     code = main(["simulate", *SMALL,
@@ -256,6 +270,19 @@ def test_correlation_files_carry_the_hash_of_the_config_that_ran(capsys, tmp_pat
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_run_past_the_time_base_is_one_configuration_error(tmp_path):
+    # 1e17 frames of 32 ns reach past 2**62 ps: exit 2, one line, no traceback.
+    src = str(Path(cowqkd.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "cowqkd.cli", "simulate", "--preset", "paper", "--frames", "100000000000000000"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_CONFIG
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: time extent ")
 
 
 @pytest.mark.parametrize("script, args", [

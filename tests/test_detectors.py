@@ -20,8 +20,8 @@ from cowqkd.detectors import (
     spad_detect,
     spad_preset,
 )
-from cowqkd.source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, generate_frames
-from cowqkd.timebase import DeviceRngs
+from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames
+from cowqkd.timebase import ConfigError, DeviceRngs
 from oracles import dense_spad_detect, sequential_dead_time, stream_rng
 
 
@@ -144,12 +144,13 @@ def test_dark_exposure_matches_spad_detect(seed, trial):
                       backflash_probability=0.5)
     n = 20_000
     _, res = run_spad(n_frames=n, spad=spad, seed=seed, trial=trial)
-    clicks, backflash = dark_exposure(spad, SourceConfig().frame_period_ps, DeviceRngs(seed, trial=trial), n)
-    assert len(res.clicks) > 100 and len(backflash) > 50
+    clicks, arrivals = dark_exposure(spad, SourceConfig().frame_period_ps, DeviceRngs(seed, trial=trial), n)
+    assert len(res.clicks) > 100 and arrivals.backflash_ps.size > 50
     assert np.all(res.clicks.cause == Cause.DARK)
     assert clicks.tolist() == res.clicks.time_ps.tolist()
-    assert backflash.avalanche_ps.tolist() == res.eve.backflash.avalanche_ps.tolist()
-    assert backflash.emission_ps.tolist() == res.eve.backflash.emission_ps.tolist()
+    assert arrivals.avalanche_ps.tolist() == res.eve.avalanche_ps.tolist()
+    assert arrivals.backflash_ps.tolist() == res.eve.backflash_ps.tolist()
+    assert arrivals.reflection_ps.size == 0
 
 DENSE_CASES = {
     "alternating": dict(source=SourceConfig(mean_photon_number=0.3)),
@@ -203,7 +204,7 @@ def _pooled_run(case, sampler, seeds):
             c = res.clicks
             out["photon"] += int(np.sum(c.cause == Cause.PHOTON))
             out["dark"] += int(np.sum(c.cause == Cause.DARK))
-            out["backflash"] += len(res.eve.backflash)
+            out["backflash"] += res.eve.backflash_ps.size
             photon_t = c.time_ps[c.cause == Cause.PHOTON]
             out["offsets"].append((photon_t - spad.gate_phase_ps) % source.frame_period_ps)
             times.append(c.time_ps)
@@ -261,8 +262,8 @@ def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
         assert len(got.clicks) >= 5
         for name in ("time_ps", "cause", "source_ps"):
             assert np.array_equal(getattr(got.clicks, name), getattr(want.clicks, name)), name
-        assert np.array_equal(got.eve.backflash.avalanche_ps, want.eve.backflash.avalanche_ps)
-        assert np.array_equal(got.eve.backflash.emission_ps, want.eve.backflash.emission_ps)
+        assert np.array_equal(got.eve.avalanche_ps, want.eve.avalanche_ps)
+        assert np.array_equal(got.eve.backflash_ps, want.eve.backflash_ps)
         assert got.eve.reflected_mean_photon == want.eve.reflected_mean_photon
         assert got.dead_until_ps == want.dead_until_ps
         dead_fast, dead_dense = got.dead_until_ps, want.dead_until_ps
@@ -331,17 +332,17 @@ def test_backflash_probability_and_causality():
     spad = SpadConfig(hold_off_s=0.0, backflash_probability=0.12)
     _, res = run_spad(n_frames=100_000, spad=spad, seed=5)
     n_clicks = len(res.clicks)
-    n_bf = res.eve.backflash.avalanche_ps.size
+    n_bf = res.eve.avalanche_ps.size
     sigma = math.sqrt(n_clicks * 0.12 * 0.88)
     assert abs(n_bf - 0.12 * n_clicks) < 3 * sigma
-    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
+    delay = res.eve.backflash_ps - res.eve.avalanche_ps
     assert np.all(delay >= 0)
     assert np.all(delay <= min(5000, spad.gate_width_ps))
 
 def test_backflash_delay_capped_by_narrow_gate():
     spad = SpadConfig(hold_off_s=0.0, gate_width_ps=2000)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
+    delay = res.eve.backflash_ps - res.eve.avalanche_ps
     assert delay.size > 100
     assert np.all(delay <= 2000)
 
@@ -350,13 +351,13 @@ def test_backflash_delay_keys_are_honoured():
     # the mean in.
     spad = SpadConfig(hold_off_s=0.0, backflash_delay_max_ps=1000)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
+    delay = res.eve.backflash_ps - res.eve.avalanche_ps
     assert delay.size > 100
     assert np.all(delay <= 1000)
     assert delay.max() > 900
     spad = SpadConfig(hold_off_s=0.0, backflash_delay_scale_ps=100.0)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.eve.backflash.emission_ps - res.eve.backflash.avalanche_ps
+    delay = res.eve.backflash_ps - res.eve.avalanche_ps
     assert delay.size > 100
     assert 80 < float(delay.mean()) < 120
 
@@ -367,7 +368,7 @@ def test_backflash_cap_is_one_gate_width_after_the_avalanche():
                       dark_count_rate_cps=0.0)
     batch = FrameBatch(SourceConfig(mean_photon_number=0.5), np.full((40_000, 2), 1, dtype=np.int8))
     res = spad_detect(batch, spad, ChannelConfig(), DeviceRngs(14))
-    av, em = res.eve.backflash.avalanche_ps, res.eve.backflash.emission_ps
+    av, em = res.eve.avalanche_ps, res.eve.backflash_ps
     period = batch.source.frame_period_ps
     late = (av % period) >= 3000
     gate_close = av - av % period + spad.gate_width_ps
@@ -396,8 +397,8 @@ def test_reflectance_leaves_receiver_draws_alone():
     assert with_r.eve.reflection_ps.size > 50 and without.eve.reflection_ps.size == 0
     for name in ("time_ps", "cause", "source_ps"):
         assert np.array_equal(getattr(with_r.clicks, name), getattr(without.clicks, name)), name
-    assert np.array_equal(with_r.eve.backflash.avalanche_ps, without.eve.backflash.avalanche_ps)
-    assert np.array_equal(with_r.eve.backflash.emission_ps, without.eve.backflash.emission_ps)
+    assert np.array_equal(with_r.eve.avalanche_ps, without.eve.avalanche_ps)
+    assert np.array_equal(with_r.eve.backflash_ps, without.eve.backflash_ps)
     assert with_r.dead_until_ps == without.dead_until_ps
 
 def test_clicked_reflections_reuse_the_click_arrival():
@@ -443,14 +444,15 @@ def test_snspd_thins_backflash():
     rngs = DeviceRngs(10)
     log = snspd_detect(res.eve, SnspdConfig(dark_count_rate_cps=0.0),
                        (batch.start_ps, batch.end_ps), rngs)
-    n_emitted = res.eve.backflash.emission_ps.size
+    n_emitted = res.eve.backflash_ps.size
     n_detected = int(np.sum(log.cause == Cause.BACKFLASH))
     sigma = math.sqrt(n_emitted * 0.74 * 0.26)
     assert abs(n_detected - 0.74 * n_emitted) < 3 * sigma
 
 def test_snspd_dark_rate():
-    from cowqkd.detectors import EveArrivals, BackflashEvents
-    arrivals = EveArrivals(BackflashEvents.empty(), np.empty(0, dtype=np.int64), 0.0)
+    from cowqkd.detectors import EveArrivals
+    none = np.empty(0, dtype=np.int64)
+    arrivals = EveArrivals(none, none, none, 0.0)
     window = (0, 10**12)  # one second
     log = snspd_detect(arrivals, SnspdConfig(), window, DeviceRngs(11))
     lam = 16.4

@@ -12,8 +12,8 @@ from cowqkd.distill import (
     write_key_file,
     write_transcript,
 )
-from cowqkd.source import ConfigError, SourceConfig, generate_frames
-from cowqkd.timebase import DeviceRngs
+from cowqkd.source import SourceConfig, generate_frames
+from cowqkd.timebase import ConfigError, DeviceRngs
 
 
 def alternating_frames(n=10):

@@ -12,10 +12,9 @@ from scipy import stats
 
 from cowqkd import attack, detectors, distill, experiment, source
 from cowqkd.attack import AttackConfig
-from cowqkd.detectors import SnspdConfig, SpadConfig, spad_preset
+from cowqkd.detectors import Cause, SnspdConfig, SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
-    CHUNK_FRAMES,
     ExperimentConfig,
     _apply_axis,
     _stop_windows,
@@ -32,8 +31,8 @@ from cowqkd.experiment import (
     write_sweep_csv,
 )
 from cowqkd.rates import count_interval
-from cowqkd.source import ChannelConfig, ConfigError, FrameBatch, SourceConfig, generate_frames, write_frames_csv
-from cowqkd.timebase import TIMING_CORRELATION_STUDY, DeviceRngs, Stream
+from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames, write_frames_csv
+from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream
 from oracles import csv_writer_rows, full_exposure_correlation, stream_rng
 
 
@@ -205,6 +204,9 @@ class TestConfigValidation:
             ExperimentConfig(seed=-1, attack_enabled=False)
         with pytest.raises(ConfigError):
             ExperimentConfig(export_frames=-1, attack_enabled=False)
+        ExperimentConfig(frames_per_trial=1000, export_frames=1000, attack_enabled=False)
+        with pytest.raises(ConfigError, match="export_frames"):
+            ExperimentConfig(frames_per_trial=1000, export_frames=1001, attack_enabled=False)
 
     def test_trial_seeds(self):
         # Every trial keys its streams with the one seed; trials differ by index.
@@ -256,6 +258,20 @@ class TestRuns:
         assert run.manifest["calibration_offsets_ps"]
         metrics = run.manifest["learning"]
         assert metrics and all(m["accuracy_matched"] > 0.7 for m in metrics)
+
+    def test_leak_tallies_recount_with_sets(self):
+        # Each backflash count Eve logs names its avalanche.  The tallies count
+        # those whose avalanche is a retained click, and a click in any block.
+        run = run_simulation(small_attack_cfg(trials=2))
+        want_retained = want_blocks = 0
+        for t in run.trials:
+            retained = {x for b in t.blocks for x in b.retained.time_ps.tolist()}
+            in_blocks = retained | {x for b in t.blocks for x in b.transcript.disclosed_time_ps.tolist()}
+            avalanches = t.eve_log.source_ps[t.eve_log.cause == Cause.BACKFLASH].tolist()
+            want_retained += sum(a in retained for a in avalanches)
+            want_blocks += sum(a in in_blocks for a in avalanches)
+        assert run.counts.n_eve_backflash == want_retained > 0
+        assert run.counts.n_eve_backflash_blocks == want_blocks > want_retained
 
     def test_attack_disabled_zeroes_leak_rates(self):
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "50000"})
@@ -312,13 +328,18 @@ class TestArtifacts:
         {"source.pattern": "random"},
         {},
     ])
-    def test_frames_csv_shows_the_frames_the_run_drew(self, tmp_path, overrides):
-        cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "20000", "export_frames": "1000", **overrides})
+    def test_frames_csv_shows_the_frames_the_run_drew(self, tmp_path, monkeypatch, overrides):
+        # export_frames above one chunk takes the frames of every chunk it reaches.
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 3000)
+        cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "20000", "export_frames": "7500", **overrides})
         run_simulation(cfg, out_dir=tmp_path / "run")
-        drawn = generate_frames(cfg.source, min(cfg.frames_per_trial, CHUNK_FRAMES), DeviceRngs(cfg.seed).bits)
-        want = FrameBatch(cfg.source, drawn.bits[:cfg.export_frames])
+        rng = DeviceRngs(cfg.seed).bits
+        drawn = [generate_frames(cfg.source, 3000, rng, start_frame=s).bits for s in (0, 3000, 6000)]
+        want = FrameBatch(cfg.source, np.concatenate(drawn)[:cfg.export_frames])
         write_frames_csv(want, tmp_path / "want.csv", artifact_headers(cfg))
-        assert (tmp_path / "run" / "frames.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        got = (tmp_path / "run" / "frames.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + cfg.export_frames
+        assert got == (tmp_path / "want.csv").read_bytes()
 
     def test_every_artifact_matches_the_row_writer(self, tmp_path, monkeypatch):
         # The runs write each artifact twice: through the columnar writer,

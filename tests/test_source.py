@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 from cowqkd.source import (
     DECOY,
     ChannelConfig,
-    ConfigError,
     FrameBatch,
     SourceConfig,
     channel_transmittance,
     generate_frames,
     write_frames_csv,
 )
-from cowqkd.timebase import DeviceRngs
+from cowqkd.timebase import ConfigError, DeviceRngs
 from oracles import sorted_pulse_times
 
 
