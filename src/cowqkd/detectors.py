@@ -234,9 +234,15 @@ def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame:
     n_dark = int(rngs.spad_dark.poisson(lam)) if lam > 0 else 0
     if not n_dark:
         return np.empty(0, dtype=np.int64)
-    gate = rngs.spad_dark.integers(0, gates, size=n_dark, dtype=np.int64)
+    # In place on the gate draw: the offsets are the only other array held.
+    t = rngs.spad_dark.integers(0, gates, size=n_dark, dtype=np.int64)
     off = rngs.spad_dark.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
-    return np.sort((start_frame + gate) * period_ps + spad.gate_phase_ps + off)
+    t += start_frame
+    t *= period_ps
+    t += spad.gate_phase_ps
+    t += off
+    t.sort()
+    return t
 
 
 def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> tuple[np.ndarray, np.ndarray]:
@@ -267,6 +273,8 @@ def dark_exposure(
     t = _dark_times(spad, period_ps, rngs, 0, gates)
     keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
     clicks = t[keep]
+    # Only the clicks stay held while the backflash draws.
+    del t, keep
     return clicks, EveArrivals(*_backflash(clicks, spad, rngs), np.empty(0, dtype=np.int64), 0.0)
 
 
@@ -388,8 +396,6 @@ def snspd_detect(
     """
     eff = snspd.detection_efficiency
     got_bf = rngs.snspd.random(arrivals.backflash_ps.size) < eff
-    bf_t = arrivals.backflash_ps[got_bf]
-    bf_src = arrivals.avalanche_ps[got_bf]
 
     refl_t = arrivals.reflection_ps
     if refl_t.size:
@@ -398,13 +404,10 @@ def snspd_detect(
 
     dark_t = poisson_event_times(snspd.dark_count_rate_cps, window_ps, rngs.snspd)
 
-    t = np.concatenate([bf_t, refl_t, dark_t])
-    cause = np.concatenate([
-        np.full(bf_t.size, Cause.BACKFLASH, dtype=np.int8),
-        np.full(refl_t.size, Cause.REFLECTION, dtype=np.int8),
-        np.full(dark_t.size, Cause.DARK, dtype=np.int8),
-    ])
-    src = np.concatenate([bf_src, refl_t, np.full(dark_t.size, -1, dtype=np.int64)])
+    sizes = [int(np.count_nonzero(got_bf)), refl_t.size, dark_t.size]
+    t = np.concatenate([arrivals.backflash_ps[got_bf], refl_t, dark_t])
+    cause = np.repeat(np.array([Cause.BACKFLASH, Cause.REFLECTION, Cause.DARK], dtype=np.int8), sizes)
+    src = np.concatenate([arrivals.avalanche_ps[got_bf], refl_t, np.full(dark_t.size, -1, dtype=np.int64)])
     order = np.lexsort((cause, t))
     return DetectionLog(EVE, t[order], cause[order], src[order])
 

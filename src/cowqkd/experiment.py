@@ -390,9 +390,17 @@ class RunResult:
     manifest: dict
 
 
-def _check_block_fill(cfg: ExperimentConfig) -> None:
-    """The attack reads each trial's first full block, so every trial must
-    expect to fill one; checked before any draw."""
+def _run_rate_inputs(cfg: ExperimentConfig) -> RateInputs:
+    """The closed forms' inputs for a run of ``cfg``: no leak without the attack."""
+    inputs = cfg.rate_inputs()
+    return inputs if cfg.attack_enabled else replace(inputs, p_b=0.0)
+
+
+def _check_before_draw(cfg: ExperimentConfig) -> None:
+    """What a run of ``cfg`` must pass before any draw: the closed forms take
+    its inputs, and, since the attack reads each trial's first full block,
+    every trial expects to fill one."""
+    compare(McCounts(n_frames=0, n_sift=0, n_err=0), _run_rate_inputs(cfg))
     if cfg.attack_enabled:
         expected = cfg.frames_per_trial * cfg.analytic_p_sift()
         if expected < cfg.distill.block_length:
@@ -403,7 +411,7 @@ def _check_block_fill(cfg: ExperimentConfig) -> None:
 
 
 def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> RunResult:
-    _check_block_fill(cfg)
+    _check_before_draw(cfg)
     trials = [run_trial(cfg, i) for i in range(cfg.trials)]
 
     n_frames = sum(t.n_frames for t in trials)
@@ -419,10 +427,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         n_eve_correct=sum(t.n_eve_correct for t in trials),
         n_frames_covered=round(n_frames * n_in_blocks / n_sift) if n_sift else 0,
     )
-    inputs = cfg.rate_inputs()
-    if not cfg.attack_enabled:
-        inputs = replace(inputs, p_b=0.0)
-    report = compare(counts, inputs)
+    report = compare(counts, _run_rate_inputs(cfg))
 
     manifest = {
         "config_hash": config_hash(cfg),
@@ -524,10 +529,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
     """One row per value; Monte Carlo columns are filled when trials run."""
     if not values:
         raise ConfigError("sweep needs at least one value")
-    # Every value and its block fill are checked before the first point runs.
+    # Every value, its rate inputs and its block fill are checked before the
+    # first point runs.
     points = [_apply_axis(cfg, axis, value) for value in values]
     for point in points:
-        _check_block_fill(point)
+        _check_before_draw(point)
     rows = []
     for value, point in zip(values, points):
         run = run_simulation(point)
@@ -590,10 +596,15 @@ def emit_timing_correlation(
     intrinsic bound takes over.
 
     The eavesdropper's dark counts are drawn only where a stop can count,
-    within ``range_ps`` after some click.  A Poisson process restricted to a
-    set is Poisson on that set, so the histogram's law is that of darks over
-    the whole exposure, at a cost that grows with the clicks, not the
-    exposure time.
+    within ``range_ps`` after some click (see :func:`_stop_windows`).  A
+    Poisson process restricted to a set is Poisson on that set, so the
+    histogram's law is that of darks over the whole exposure, at a cost that
+    grows with the clicks, not the exposure time.
+
+    Widths run one at a time, each in its own call, so a width's click-sized
+    arrays are released before the next one draws: at most three (the
+    clicks and the two window bounds) are held at once.  Each width has its
+    own RNG key, so the order of the widths changes no histogram.
     """
     if clicks_per_width < 1:
         raise ConfigError("clicks_per_width must be >= 1")
@@ -611,17 +622,7 @@ def emit_timing_correlation(
     for w in map(int, gate_widths_ps):
         # The config that ran: this width and a 1 us hold-off.
         ran = replace(cfg, spad=replace(cfg.spad, gate_width_ps=w, hold_off_s=1e-6))
-        spad = ran.spad
-        rngs = DeviceRngs(cfg.seed, trial=w, study=TIMING_CORRELATION_STUDY)
-
-        p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
-        gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-        span_ps = check_time_range(gates * period)
-
-        clicks, arrivals = dark_exposure(spad, period, rngs, gates)
-        eve = snspd_detect(arrivals, cfg.snspd, _stop_windows(clicks, range_ps, span_ps), rngs)
-
-        hist = correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps)
+        hist = _width_correlation(ran, clicks_per_width, bin_width_ps, range_ps)
         out[w] = hist
         if out_dir is not None:
             path = Path(out_dir)
@@ -630,22 +631,38 @@ def emit_timing_correlation(
     return out
 
 
-def _stop_windows(clicks_ps: np.ndarray, range_ps: tuple[int, int], span_ps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted disjoint windows covering [click + lo, click + hi) for every
-    click, within the exposure [0, span_ps).
+def _width_correlation(
+    ran: ExperimentConfig, clicks_per_width: int, bin_width_ps: int, range_ps: tuple[int, int],
+) -> Histogram:
+    """One width of :func:`emit_timing_correlation`, at the gate width of
+    ``ran.spad``."""
+    spad = ran.spad
+    period = ran.source.frame_period_ps
+    rngs = DeviceRngs(ran.seed, trial=spad.gate_width_ps, study=TIMING_CORRELATION_STUDY)
 
-    ``clicks_ps`` is sorted, so the starts and the ends each stay sorted.
-    Windows are merged only when some window reaches past the next one's
-    start, which a range no wider than the hold-off never gives.
+    p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
+    gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
+    span_ps = check_time_range(gates * period)
+
+    clicks, arrivals = dark_exposure(spad, period, rngs, gates)
+    eve = snspd_detect(arrivals, ran.snspd, _stop_windows(clicks, range_ps, span_ps), rngs)
+    return correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps)
+
+
+def _stop_windows(clicks_ps: np.ndarray, range_ps: tuple[int, int], span_ps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted disjoint windows whose union is that of [click + lo, click + hi)
+    over every click, within the exposure [0, span_ps): one piece per click.
+
+    With s and e the clipped window bounds, click i's piece is
+    [s[i], min(e[i], s[i+1])), the part of its window before the next one
+    starts, and the last click keeps its whole window.  ``clicks_ps`` is
+    sorted, so s and e each stay sorted and the pieces are disjoint and in
+    order; a piece is empty where the next window starts at the same time.
     """
     lo, hi = int(range_ps[0]), int(range_ps[1])
     starts = clicks_ps + lo
     np.clip(starts, 0, span_ps, out=starts)
     ends = clicks_ps + hi
     np.clip(ends, 0, span_ps, out=ends)
-    if np.any(starts[1:] < ends[:-1]):
-        # Ends are sorted, so a merged window ends where its last member does.
-        first = np.flatnonzero(starts[1:] >= ends[:-1]) + 1
-        starts = starts[np.r_[0, first]]
-        ends = ends[np.r_[first - 1, ends.size - 1]]
+    np.minimum(ends[:-1], starts[1:], out=ends[:-1])
     return starts, ends

@@ -105,6 +105,11 @@ def sample_delay(scale_ps: float, support_max_ps: int, rng: np.random.Generator,
     return np.clip(np.rint(x).astype(np.int64), 0, support_max_ps)
 
 
+# Windows whose lengths ``poisson_event_times`` sums or prefix-sums per pass:
+# its temporaries are this many int64s, however many windows it is given.
+WINDOW_BLOCK = 2**13
+
+
 def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: np.random.Generator) -> np.ndarray:
     """Sorted int64 event times of a homogeneous Poisson process on a union
     of windows.
@@ -113,11 +118,13 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: np.random.Gene
     describe the disjoint half-open windows [starts[i], ends[i]), each with
     starts[i] <= ends[i].  A pair of integers (t0, t1) is one window, empty
     when t1 <= t0.  The count is drawn once for the total length and each
-    event is one uniform draw over that length, mapped to its window through
-    the cumulative lengths, so the cost grows with the number of windows and
-    events, not with the time they span.  One window gives the same draws as
-    the single-interval process on [t0, t1).  Zero rate or zero total length
-    draws nothing.
+    event is one uniform draw over that length, mapped to the window it
+    falls in when the windows are laid end to end in order.  The total is
+    summed and the windows are prefix-summed :data:`WINDOW_BLOCK` windows at
+    a time, the latter only in blocks that hold an event, so no array as
+    long as the windows is built and a draw of no event costs one pass of
+    sums.  One window gives the same draws as the single-interval process on
+    [t0, t1).  Zero rate or zero total length draws nothing.
     """
     if rate_per_s < 0:
         raise ValueError("rate must be >= 0")
@@ -126,8 +133,9 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: np.random.Gene
     if not ends.size:
         return np.empty(0, dtype=np.int64)
     check_time_range(max(int(starts[-1]), int(ends[-1])))
-    cum = ends - starts
-    total = int(cum.sum())
+    blocks = range(0, ends.size, WINDOW_BLOCK)
+    block_len = [int((ends[i:i + WINDOW_BLOCK] - starts[i:i + WINDOW_BLOCK]).sum()) for i in blocks]
+    total = sum(block_len)
     if rate_per_s == 0 or total <= 0:
         return np.empty(0, dtype=np.int64)
     n = int(rng.poisson(rate_per_s * (total / PS_PER_S)))
@@ -135,10 +143,21 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: np.random.Gene
     if not n:
         return u
     u.sort()
-    # Window k holds u in [cum[k-1], cum[k]) and ends where cum[k] does.
-    np.cumsum(cum, out=cum)
-    k = np.searchsorted(cum, u, side="right")
-    return ends[k] - cum[k] + u
+    # Block b holds u in [offset, offset + block_len[b]); within it, window k
+    # holds u in [cum[k-1], cum[k]) and ends where cum[k] does.
+    block_stop = np.searchsorted(u, np.cumsum(block_len), side="left").tolist()
+    done = offset = 0
+    for i, length, stop in zip(blocks, block_len, block_stop):
+        if stop > done:
+            b_ends = ends[i:i + WINDOW_BLOCK]
+            cum = b_ends - starts[i:i + WINDOW_BLOCK]
+            np.cumsum(cum, out=cum)
+            cum += offset
+            k = np.searchsorted(cum, u[done:stop], side="right")
+            u[done:stop] += b_ends[k] - cum[k]
+            done = stop
+        offset += length
+    return u
 
 
 # Rows formatted and written per pass of ``write_csv``'s loop.  The slice's

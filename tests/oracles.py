@@ -10,10 +10,12 @@ except where no pulse can click, when their dark counts, hold-off and
 backflash still agree exactly under one RNG key.
 
 The single-interval Poisson sampler must match the library's one-window
-draws exactly.  The full-exposure correlation study draws the
-eavesdropper's darks over the whole exposure and histograms them by
-searching every start into the stops; the library draws darks only where a
-stop can count, so the two agree in law.
+draws exactly, and the sampler that prefix-sums every window's length, fed
+the click windows with overlaps merged, must match the library's blockwise
+sampler on its per-click window pieces.  The full-exposure correlation
+study draws the eavesdropper's darks over the whole exposure and histograms
+them by searching every start into the stops; the library draws darks only
+where a stop can count, so the two agree in law.
 
 The row-at-a-time ``csv.writer`` artifact writer and the per-shift
 coincidence count must match the library's columnar writer and its
@@ -133,6 +135,45 @@ def single_interval_poisson_times(rate_per_s, window_ps, rng):
     times = t0 + rng.integers(0, t1 - t0, size=n, dtype=np.int64)
     times.sort()
     return times
+
+
+def merged_stop_windows(clicks_ps, range_ps, span_ps):
+    """The windows [click + lo, click + hi) of every sorted click, clipped to
+    [0, span_ps), with each run of overlapping windows merged into one."""
+    lo, hi = int(range_ps[0]), int(range_ps[1])
+    starts = np.clip(clicks_ps + lo, 0, span_ps)
+    ends = np.clip(clicks_ps + hi, 0, span_ps)
+    if np.any(starts[1:] < ends[:-1]):
+        # Ends are sorted, so a merged window ends where its last member does.
+        first = np.flatnonzero(starts[1:] >= ends[:-1]) + 1
+        starts = starts[np.r_[0, first]]
+        ends = ends[np.r_[first - 1, ends.size - 1]]
+    return starts, ends
+
+
+def prefix_sum_poisson_times(rate_per_s, window_ps, rng):
+    """Poisson event times on sorted disjoint windows (or one (t0, t1) pair):
+    a count for the total length, that many uniform draws over it, each
+    placed through one prefix sum of every window's length."""
+    if rate_per_s < 0:
+        raise ValueError("rate must be >= 0")
+    starts = np.atleast_1d(np.asarray(window_ps[0], dtype=np.int64))
+    ends = np.atleast_1d(np.asarray(window_ps[1], dtype=np.int64))
+    if not ends.size:
+        return np.empty(0, dtype=np.int64)
+    check_time_range(max(int(starts[-1]), int(ends[-1])))
+    cum = ends - starts
+    total = int(cum.sum())
+    if rate_per_s == 0 or total <= 0:
+        return np.empty(0, dtype=np.int64)
+    n = int(rng.poisson(rate_per_s * (total / PS_PER_S)))
+    u = rng.integers(0, total, size=n, dtype=np.int64)
+    if not n:
+        return u
+    u.sort()
+    np.cumsum(cum, out=cum)
+    k = np.searchsorted(cum, u, side="right")
+    return ends[k] - cum[k] + u
 
 
 def start_search_correlation_histogram(start_ps, stop_ps, bin_width_ps, range_ps):

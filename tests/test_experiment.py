@@ -2,15 +2,17 @@ import dataclasses
 import filecmp
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from cowqkd import attack, detectors, distill, experiment, source
+from cowqkd import attack, detectors, distill, experiment, source, timebase
 from cowqkd.attack import AttackConfig
 from cowqkd.detectors import Cause, SnspdConfig, SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
@@ -32,8 +34,14 @@ from cowqkd.experiment import (
 )
 from cowqkd.rates import count_interval
 from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames, write_frames_csv
-from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream
-from oracles import csv_writer_rows, full_exposure_correlation, stream_rng
+from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream, poisson_event_times
+from oracles import (
+    csv_writer_rows,
+    full_exposure_correlation,
+    merged_stop_windows,
+    prefix_sum_poisson_times,
+    stream_rng,
+)
 
 
 def small_attack_cfg(**kw):
@@ -239,6 +247,25 @@ class TestRuns:
             with pytest.raises(ConfigError):
                 run_simulation(ExperimentConfig(attack_enabled=True, **kw))
         run_simulation(ExperimentConfig(attack_enabled=False, **kw))
+
+    def test_rate_inputs_are_checked_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("frames drawn for inputs the closed forms reject")
+
+        monkeypatch.setattr(experiment, "generate_frames", no_draw)
+        # More than one dark count per gate, with the attack (and so the
+        # block-fill check) off.
+        cfg = apply_overrides(preset_config("5v"), {"spad.dark_count_rate_cps": "1e9"})
+        assert not cfg.attack_enabled
+        with pytest.raises(ConfigError, match="p_dark must lie in"):
+            run_simulation(cfg)
+        with pytest.raises(ConfigError, match="p_dark must lie in"):
+            run_sweep(cfg, "distance", [0, 10])
+        # Only the last point fails: at 1e5 km no photon arrives, and with no
+        # darks the receiver never clicks.  The 0 km point must not run.
+        dark_free = apply_overrides(preset_config("5v"), {"spad.dark_count_rate_cps": "0"})
+        with pytest.raises(ConfigError, match="p_sift must be positive"):
+            run_sweep(dark_free, "distance", [0, 1e5])
 
     def test_trial_counts_match_analytic(self):
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "200000"})
@@ -511,6 +538,47 @@ class TestTimingCorrelation:
         assert stats.binomtest(new.size, new.size + old.size, 0.5).pvalue > self.LAW_ALPHA
         assert stats.ks_2samp(new, old).pvalue > self.LAW_ALPHA
 
+    # The bound, fixed before the first run: three click-sized int64 arrays
+    # (the clicks and the two stop-window bounds) and less than one more for
+    # all the rest (the backflash arrivals and the eavesdropper's log, about
+    # a tenth of the clicks each, the bool masks and the block temporaries).
+    PEAK_CLICK_ARRAYS = 4.0
+
+    @pytest.mark.parametrize("snspd_dark_cps", [0.0, 2e6])
+    def test_one_width_peaks_below_four_click_arrays(self, monkeypatch, snspd_dark_cps):
+        # At 2e6 counts/s the ~2e5 windows of 6 ns catch about 2,500 darks,
+        # spread over every block of windows.
+        cfg = ExperimentConfig(
+            spad=spad_preset("5v"),
+            snspd=SnspdConfig(dark_count_rate_cps=snspd_dark_cps),
+            attack_enabled=False,
+            seed=5,
+        )
+        n_clicks = []
+
+        def counted(*args, **kwargs):
+            clicks, arrivals = detectors.dark_exposure(*args, **kwargs)
+            n_clicks.append(clicks.size)
+            return clicks, arrivals
+
+        # The first draw imports modules (numpy's SeedSequence imports
+        # secrets); they are no part of the study's peak.
+        emit_timing_correlation(cfg, [4000], clicks_per_width=100)
+        monkeypatch.setattr(experiment, "dark_exposure", counted)
+        tracemalloc.start()
+        try:
+            hist = emit_timing_correlation(cfg, [4000], clicks_per_width=200_000)[4000]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        monkeypatch.undo()
+        assert n_clicks[0] > 190_000
+        assert peak / (8 * n_clicks[0]) < self.PEAK_CLICK_ARRAYS
+        if snspd_dark_cps:
+            no_dark = replace(cfg, snspd=SnspdConfig(dark_count_rate_cps=0.0))
+            no_dark_stops = emit_timing_correlation(no_dark, [4000], clicks_per_width=200_000)[4000].total()
+            assert hist.total() - no_dark_stops > 1000
+
 
 @given(
     gaps=st.lists(st.integers(min_value=0, max_value=4000), max_size=30),
@@ -531,3 +599,31 @@ def test_stop_windows_cover_exactly_the_click_windows(gaps, lo, width, span):
         merged[a:b] = True
     assert merged.tolist() == covered.tolist()
     assert np.all(starts[1:] >= ends[:-1])
+
+
+@given(
+    gaps=st.lists(st.integers(min_value=0, max_value=4000), min_size=1, max_size=40),
+    lo=st.integers(min_value=-3000, max_value=3000),
+    width=st.integers(min_value=1, max_value=6000),
+    span=st.integers(min_value=1, max_value=60_000),
+    # From no event to several per window: 40 windows of up to 6 ns hold up
+    # to 240 ns, about 2,400 events at 1e10 counts/s.
+    rate=st.sampled_from([0.0, 1e6, 1e8, 1e9, 1e10]),
+    # Blocks of one, two, three and seven windows put block edges inside
+    # every run of windows; the library's own size holds them all in one.
+    block=st.sampled_from([1, 2, 3, 7, timebase.WINDOW_BLOCK]),
+    seed=st.integers(min_value=0, max_value=50),
+)
+def test_window_pieces_draw_what_merged_windows_drew(gaps, lo, width, span, rate, block, seed):
+    # Widths above the gaps overlap, a negative lo clips at 0 and a short
+    # span clips the last windows.  Empty and reversed single windows are
+    # drawn in test_timebase's test_one_window_matches_single_interval_oracle.
+    clicks = np.cumsum(np.array(gaps, dtype=np.int64))
+    range_ps = (lo, lo + width)
+    a, b = stream_rng(seed, Stream.SNSPD), stream_rng(seed, Stream.SNSPD)
+    with mock.patch.object(timebase, "WINDOW_BLOCK", block):
+        got = poisson_event_times(rate, _stop_windows(clicks, range_ps, span), a)
+    want = prefix_sum_poisson_times(rate, merged_stop_windows(clicks, range_ps, span), b)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert a.random() == b.random()

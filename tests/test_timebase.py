@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from cowqkd import timebase
 from cowqkd.detectors import SpadConfig, _backflash
 from cowqkd.timebase import (
     CSV_SLICE_ROWS,
@@ -20,7 +21,7 @@ from cowqkd.timebase import (
     sample_delay,
     write_csv,
 )
-from oracles import csv_writer_rows, single_interval_poisson_times, stream_rng
+from oracles import csv_writer_rows, prefix_sum_poisson_times, single_interval_poisson_times, stream_rng
 
 
 def trunc_exp_mean(scale, cap):
@@ -227,6 +228,16 @@ class TestPoissonTimesOnWindows:
         t = poisson_event_times(3e13, (starts, ends), stream_rng(23))
         assert np.all(np.diff(t) >= 0)
         assert sorted(set(t.tolist())) == [0, 1, 3, 4, 5, 6, 10, 12]
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_events_at_block_edges_land_where_one_prefix_sum_puts_them(self, monkeypatch, block):
+        # At about 30 events per ps, events fall on the first and last ps of
+        # every block of windows, and on the empty windows between.
+        monkeypatch.setattr(timebase, "WINDOW_BLOCK", block)
+        starts = np.array([0, 3, 3, 10, 12], dtype=np.int64)
+        ends = np.array([2, 3, 7, 11, 13], dtype=np.int64)
+        t = poisson_event_times(3e13, (starts, ends), stream_rng(23))
+        assert t.tolist() == prefix_sum_poisson_times(3e13, (starts, ends), stream_rng(23)).tolist()
 
     @pytest.mark.parametrize("starts,ends", [
         ([3, 10, 10], [3, 10, 10]),
