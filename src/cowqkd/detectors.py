@@ -17,7 +17,16 @@ from enum import IntEnum
 import numpy as np
 
 from .source import ChannelConfig, FrameBatch, channel_transmittance
-from .timebase import PS_PER_S, ConfigError, DeviceRngs, poisson_event_times, sample_delay, write_csv
+from .timebase import (
+    MAX_TIME_PS,
+    PS_PER_S,
+    ConfigError,
+    DeviceRngs,
+    check_time_range,
+    poisson_event_times,
+    sample_delay,
+    write_csv,
+)
 
 BOB = "bob"
 EVE = "eve"
@@ -227,21 +236,33 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     return keep, dead
 
 
+# Dark candidates that ``_dark_times`` maps onto the gates per step.
+DARK_BLOCK = 2**16
+
+
 def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
-    """Sorted dark-count candidates, thinned directly onto ``gates`` open
-    gates, one per frame period ``period_ps``."""
-    lam = spad.dark_count_rate_cps * gates * (spad.gate_width_ps / PS_PER_S)
-    n_dark = int(rngs.spad_dark.poisson(lam)) if lam > 0 else 0
-    if not n_dark:
-        return np.empty(0, dtype=np.int64)
-    # In place on the gate draw: the offsets are the only other array held.
-    t = rngs.spad_dark.integers(0, gates, size=n_dark, dtype=np.int64)
-    off = rngs.spad_dark.integers(0, spad.gate_width_ps, size=n_dark, dtype=np.int64)
-    t += start_frame
-    t *= period_ps
-    t += spad.gate_phase_ps
-    t += off
-    t.sort()
+    """Sorted dark-count candidates on ``gates`` open gates, one per frame
+    period ``period_ps``, from frame ``start_frame`` on.
+
+    Each of the ``gates * gate_width_ps`` open-gate picoseconds holds a dark
+    with probability ``dark_count_rate_cps / PS_PER_S``, so a gate holds
+    rate * width darks on average (``dark_probability_per_gate``).  The darks
+    are geometric skips over that lattice: open-gate picosecond k lies in
+    gate k // w at offset k % w, and the times come out sorted as drawn, one
+    exponential draw per dark.  Two darks cannot share a picosecond: any
+    hold-off above zero would merge them into one click anyway, and only a
+    hold-off of 0 would have kept both.
+    """
+    w = spad.gate_width_ps
+    t = _bernoulli_indices(spad.dark_count_rate_cps / PS_PER_S, gates * w, rngs.spad_dark)
+    # k + (k // w) * (period - w) is gate k // w's opening plus offset k % w,
+    # mapped in place a block at a time so no second dark-sized array is held.
+    for lo in range(0, t.size, DARK_BLOCK):
+        block = t[lo: lo + DARK_BLOCK]
+        shift = block // w
+        shift *= period_ps - w
+        shift += start_frame * period_ps + spad.gate_phase_ps
+        block += shift
     return t
 
 
@@ -249,13 +270,14 @@ def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> tup
     """Each accepted avalanche may emit one backflash photon: the emitting
     avalanches' times and their emission times.
 
-    The delay is truncated at ``min(backflash_delay_max_ps, gate_width_ps)``,
-    which reshapes timing but not the emission probability.  The cap is one
-    gate width after the avalanche, not the time left in the gate, so a click
+    The emitters are geometric skips over the clicks, so only the clicks
+    that emit cost a draw, and a probability of 1 costs none.  The delay is
+    truncated at ``min(backflash_delay_max_ps, gate_width_ps)``, which
+    reshapes timing but not the emission probability.  The cap is one gate
+    width after the avalanche, not the time left in the gate, so a click
     late in the gate can emit after the gate has closed.
     """
-    emits = rngs.backflash.random(clicks_ps.size) < spad.backflash_probability
-    av = clicks_ps[emits]
+    av = clicks_ps[_bernoulli_indices(spad.backflash_probability, clicks_ps.size, rngs.backflash)]
     cap = min(spad.backflash_delay_max_ps, spad.gate_width_ps)
     return av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size)
 
@@ -268,7 +290,11 @@ def dark_exposure(
     and so no reflection.
 
     Draws exactly what :func:`spad_detect` draws for its dark counts and
-    backflash, without sampling any pulse.
+    backflash, without sampling any pulse: darks are skips over the
+    ``gates * gate_width_ps`` open-gate picoseconds and emitters skips over
+    the clicks (:func:`_dark_times`, :func:`_backflash`), so the cost grows
+    with the events, not the exposure.  A picosecond holds at most one dark,
+    so with a hold-off of 0 two darks never share a click time.
     """
     t = _dark_times(spad, period_ps, rngs, 0, gates)
     keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
@@ -281,25 +307,42 @@ def dark_exposure(
 def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices in [0, n), each present independently with probability ``p``.
 
-    The gaps between present indices are Geometric(p), so the cost grows with
-    the number of indices returned rather than with ``n``.  A gap longer
-    than ``n`` only ends the walk, so gaps are clipped at ``n + 1`` (numpy
-    saturates them at the int64 maximum for tiny ``p``).  Draws past ``n``
-    are dropped and a new call restarts the walk, which is exact because the
-    geometric law is memoryless.
+    The gaps between present indices are Geometric(p), drawn by inversion
+    as ceil(E / -log1p(-p)) with E ~ Exp(1) (Devroye 1986, X.2), so the cost
+    grows with the number of indices returned rather than with ``n``.  For
+    p < 1/3 this is numpy's own ``geometric``, draw for draw; p = 1 returns
+    every index and spends no draw.  Each pass draws a batch of gaps and
+    ends at the first partial sum at or past ``n``; a new pass restarts the
+    walk, which is exact because the geometric law is memoryless.
+
+    Gaps are clipped at ``MAX_TIME_PS`` (2**62), which ends the walk for any
+    ``n`` below it.  The partial sums up to the first one at or past ``n``
+    then stay below 2**63; later ones may wrap in int64 and are dropped.
     """
     if p <= 0 or n <= 0:
         return np.empty(0, dtype=np.int64)
+    if p >= 1:
+        return np.arange(n, dtype=np.int64)
+    check_time_range(n)
+    scale = -math.log1p(-p)
     parts = []
     last = -1
     while True:
         mean = (n - 1 - last) * p
-        gaps = rng.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
-        np.minimum(gaps, n + 1, out=gaps)
-        idx = last + np.cumsum(gaps)
-        if idx[-1] >= n:
-            parts.append(idx[: np.searchsorted(idx, n)])
-            return np.concatenate(parts)
+        gaps = rng.standard_exponential(int(mean + 4.0 * math.sqrt(mean)) + 16)
+        # A tiny p sends a gap to inf, which the clip below ends the walk on.
+        with np.errstate(over="ignore"):
+            gaps /= scale
+        np.ceil(gaps, out=gaps)
+        np.minimum(gaps, MAX_TIME_PS, out=gaps)
+        idx = gaps.astype(np.int64)
+        del gaps
+        idx[0] += last
+        np.cumsum(idx, out=idx)
+        end = int(np.argmax(idx >= n))
+        if idx[end] >= n:
+            parts.append(idx[:end])
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
         parts.append(idx)
         last = int(idx[-1])
 
@@ -343,7 +386,11 @@ def spad_detect(
     1 - exp(-mu t eta), and a candidate counts if its arrival falls in the
     gate.  Only candidates are sampled: their pulse indices come from
     geometric skips and their arrival offsets are drawn one per candidate.
-    ``dead_until_ps`` carries hold-off state across consecutive batches.
+    Dark candidates are skips over the open-gate picoseconds and backflash
+    emitters skips over the kept clicks, as in :func:`dark_exposure`; a
+    picosecond holds at most one dark, so with a hold-off of 0 two darks
+    never share a click time.  ``dead_until_ps`` carries hold-off state
+    across consecutive batches.
     """
     source = frames.source
     mu = source.mean_photon_number

@@ -9,6 +9,13 @@ pulses that click or reflect, so the two agree in law, not draw for draw,
 except where no pulse can click, when their dark counts, hold-off and
 backflash still agree exactly under one RNG key.
 
+The geometric skip through ``rng.geometric`` must match the library's
+skip through exponential draws exactly, stream position included, for
+p < 1/3, where numpy's ``geometric`` inverts an exponential too; above
+that the two agree in law.  The dark counts drawn as a Poisson count of
+uniform times, sorted, agree in law with the library's skips over the
+open-gate picoseconds, which never put two darks on one picosecond.
+
 The single-interval Poisson sampler must match the library's one-window
 draws exactly, and the sampler that prefix-sums every window's length, fed
 the click windows with overlaps merged, must match the library's blockwise
@@ -23,6 +30,7 @@ interval-union calibration scan exactly.
 """
 
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -63,6 +71,37 @@ def sequential_dead_time(times, hold_off_ps, dead_until_ps):
             keep[i] = True
             dead = t + hold_off_ps
     return keep, dead
+
+
+def geometric_bernoulli_indices(p, n, rng):
+    """Sorted indices in [0, n), each present with probability ``p``: gaps
+    from ``rng.geometric``, a cumulative sum per pass, and the walk cut where
+    a sum reaches n.  The sums are Python integers, so none wraps however
+    long the gaps are."""
+    if p <= 0 or n <= 0:
+        return np.empty(0, dtype=np.int64)
+    parts = []
+    last = -1
+    while True:
+        mean = (n - 1 - last) * p
+        gaps = rng.geometric(p, size=int(mean + 4.0 * math.sqrt(mean)) + 16)
+        idx = last + np.cumsum(gaps.astype(object))
+        if idx[-1] >= n:
+            parts.append(idx[: np.searchsorted(idx, n)].astype(np.int64))
+            return np.concatenate(parts)
+        parts.append(idx)
+        last = int(idx[-1])
+
+
+def poisson_dark_times(spad, period_ps, rng, start_frame, gates):
+    """Dark counts on ``gates`` open gates: a Poisson count for the whole
+    exposure, a uniform gate and a uniform in-gate offset for each, then a
+    sort."""
+    lam = spad.dark_count_rate_cps * gates * (spad.gate_width_ps / PS_PER_S)
+    n = int(rng.poisson(lam)) if lam > 0 else 0
+    gate = rng.integers(0, gates, size=n, dtype=np.int64)
+    offset = rng.integers(0, spad.gate_width_ps, size=n, dtype=np.int64)
+    return np.sort((start_frame + gate) * period_ps + spad.gate_phase_ps + offset)
 
 
 def sorted_pulse_times(batch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
+from cowqkd import detectors
 from cowqkd.detectors import (
     Cause,
     DetectionLog,
@@ -13,6 +15,7 @@ from cowqkd.detectors import (
     SnspdConfig,
     SpadConfig,
     _bernoulli_indices,
+    _dark_times,
     _dead_time_filter,
     correlation_histogram,
     dark_exposure,
@@ -22,7 +25,13 @@ from cowqkd.detectors import (
 )
 from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames
 from cowqkd.timebase import ConfigError, DeviceRngs
-from oracles import dense_spad_detect, sequential_dead_time, stream_rng
+from oracles import (
+    dense_spad_detect,
+    geometric_bernoulli_indices,
+    poisson_dark_times,
+    sequential_dead_time,
+    stream_rng,
+)
 
 
 def run_spad(n_frames=20_000, seed=0, source=None, spad=None, channel=None, trial=0):
@@ -151,6 +160,68 @@ def test_dark_exposure_matches_spad_detect(seed, trial):
     assert arrivals.avalanche_ps.tolist() == res.eve.avalanche_ps.tolist()
     assert arrivals.backflash_ps.tolist() == res.eve.backflash_ps.tolist()
     assert arrivals.reflection_ps.size == 0
+
+@pytest.mark.parametrize("block", [1, 2, 5, 7, 2**16])
+def test_dark_lattice_at_one_fills_every_open_gate_picosecond(monkeypatch, block):
+    # At one dark per picosecond, open-gate picosecond k lands at gate
+    # k // w's opening plus k % w, from frame start_frame on, whatever
+    # blocks the darks are mapped in.
+    monkeypatch.setattr(detectors, "DARK_BLOCK", block)
+    spad = SpadConfig(gate_width_ps=3, gate_phase_ps=2, dark_count_rate_cps=1e12)
+    rng = DeviceRngs(1)
+    got = _dark_times(spad, 10, rng, 5, 4)
+    assert got.tolist() == [f * 10 + 2 + o for f in range(5, 9) for o in range(3)]
+    assert rng.spad_dark.random() == DeviceRngs(1).spad_dark.random()
+
+def test_dark_lattice_has_the_poisson_oracles_law():
+    # 2e5 gates of 1 ns at 0.05 darks per gate: about 1e4 darks each from
+    # the lattice and from the oracle's Poisson count of uniform times.  Five
+    # tests (the count against its binomial law and against the oracle's,
+    # in-gate offsets against uniform and against the oracle's, gate indices
+    # against the oracle's) share a 1e-3 false alarm rate.
+    spad = SpadConfig(gate_width_ps=1000, gate_phase_ps=700, dark_count_rate_cps=5e7)
+    period, start, gates = 32000, 12_345, 200_000
+    got = _dark_times(spad, period, DeviceRngs(9), start, gates)
+    want = poisson_dark_times(spad, period, stream_rng(9), start, gates)
+    assert got.dtype == np.int64
+    assert np.all(np.diff(got) > 0)
+    gate = (got - spad.gate_phase_ps) // period - start
+    offset = (got - spad.gate_phase_ps) % period
+    assert np.all((gate >= 0) & (gate < gates)) and np.all(offset < spad.gate_width_ps)
+    want_gate = (want - spad.gate_phase_ps) // period - start
+    want_offset = (want - spad.gate_phase_ps) % period
+    p = spad.dark_count_rate_cps / 1e12
+    pvalues = [
+        stats.binomtest(got.size, gates * spad.gate_width_ps, p).pvalue,
+        stats.binomtest(got.size, got.size + want.size, 0.5).pvalue,
+        stats.chisquare(np.bincount(offset // 50, minlength=20)).pvalue,
+        stats.ks_2samp(offset, want_offset).pvalue,
+        stats.ks_2samp(gate, want_gate).pvalue,
+    ]
+    assert min(pvalues) > 1e-3 / 5, pvalues
+
+def test_dark_exposure_on_a_lattice_near_two_to_the_sixty_does_not_wrap():
+    # correlate --widths 32000 --clicks 1 at 1e-6 darks/s: 3.3e13 open gates
+    # of 32000 ps, 1.05e18 lattice points and about 1.05 darks per exposure.
+    # Gaps of up to 2**62 wrap an int64 cumulative sum after the walk ends;
+    # a wrapped sum taken for an index draws hundreds of unsorted clicks.
+    spad = SpadConfig(gate_width_ps=32000, dark_count_rate_cps=1e-6, hold_off_s=1e-6)
+    period = 32000
+    gates = int(1 / (spad.dark_count_rate_cps * spad.gate_width_ps / 1e12) * 1.05) + 1
+    span = gates * period
+    assert 1.0e18 < gates * spad.gate_width_ps < 2**62
+    total = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for trial in range(40):
+            clicks, _ = dark_exposure(spad, period, DeviceRngs(5, trial=trial), gates)
+            assert np.all(np.diff(clicks) > 0)
+            assert clicks.size == 0 or (clicks[0] >= 0 and clicks[-1] < span)
+            total += clicks.size
+    # The 40 counts sum to Poisson(40 * 1.05) (two-sided, alpha 1e-3).
+    lam = 40 * gates * spad.gate_width_ps * spad.dark_count_rate_cps / 1e12
+    tail = min(stats.poisson.cdf(total, lam), stats.poisson.sf(total - 1, lam))
+    assert 2 * tail > 1e-3, (total, lam)
 
 DENSE_CASES = {
     "alternating": dict(source=SourceConfig(mean_photon_number=0.3)),
@@ -287,7 +358,62 @@ def test_bernoulli_indices_increase_within_range(p, n, seed):
     if p == 1.0:
         assert idx.tolist() == list(range(n))
 
-@pytest.mark.parametrize("p", [0.05, 0.3, 0.9])
+@st.composite
+def skip_walks(draw):
+    """A p below 1/3 and an n from 0 to just under 2**62, with p * n small
+    enough to draw; p is often tiny, so some gaps run past n."""
+    n = draw(st.integers(min_value=0, max_value=5000) | st.integers(min_value=0, max_value=2**62 - 1))
+    p_max = min(1 / 3, 20_000 / max(n, 1))
+    p = draw(st.floats(min_value=0.0, max_value=p_max, exclude_max=True) | st.sampled_from([1e-300, 5e-324]))
+    return p, n
+
+@given(skip_walks(), st.integers(min_value=0, max_value=2**32))
+@example((float(np.nextafter(1 / 3, 0)), 4000), 0)
+@example((1e-18, 1_050_000_000_000_000_000), 5)
+def test_bernoulli_indices_match_numpy_geometric_below_one_third(walk, seed):
+    # numpy's geometric inverts one exponential per draw for p < 1/3, so the
+    # exponential skip gives the same indices and leaves the stream where
+    # rng.geometric leaves it.
+    p, n = walk
+    got_rng, want_rng = stream_rng(seed), stream_rng(seed)
+    got = _bernoulli_indices(p, n, got_rng)
+    want = geometric_bernoulli_indices(p, n, want_rng)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+    assert got_rng.random(8).tolist() == want_rng.random(8).tolist()
+
+def test_bernoulli_indices_at_one_take_every_index_without_a_draw():
+    rng = stream_rng(4)
+    assert _bernoulli_indices(1.0, 1000, rng).tolist() == list(range(1000))
+    assert rng.random(8).tolist() == stream_rng(4).random(8).tolist()
+
+@pytest.mark.parametrize("p", [1 / 3, 0.5, 0.8, 0.99])
+def test_bernoulli_gaps_above_one_third_are_geometric(p):
+    # numpy's geometric searches a uniform above 1/3, so there the skip and
+    # the oracle agree in law only.  Over 3e5 positions each one's gaps are
+    # tested against the Geometric(p) law, and the two gap histograms
+    # against each other; four tests share a 1e-4 false alarm rate.
+    n = 300_000
+    gaps = {}
+    for name, draw in (("skip", _bernoulli_indices), ("oracle", geometric_bernoulli_indices)):
+        idx = draw(p, n, stream_rng(21))
+        gaps[name] = np.diff(idx, prepend=-1)
+    # Gap values 1..k-1 each, and k or more in one tail bin; each bin
+    # expects at least 20 gaps.
+    k = 1 + int(math.log(20 / (n * p)) / math.log1p(-p))
+    pmf = p * (1 - p) ** np.arange(k - 1)
+    pmf = np.r_[pmf, 1 - pmf.sum()]
+    pvalues = []
+    table = []
+    for g in gaps.values():
+        counts = np.bincount(np.minimum(g, k) - 1, minlength=k)
+        table.append(counts)
+        pvalues.append(stats.chisquare(counts, pmf * counts.sum()).pvalue)
+    pvalues.append(stats.chi2_contingency(np.array(table)).pvalue)
+    pvalues.append(stats.binomtest(int(gaps["skip"].size), n, p).pvalue)
+    assert min(pvalues) > 1e-4 / 4, pvalues
+
+@pytest.mark.parametrize("p", [0.05, 0.3, 1 / 3, 0.5, 0.9, 1 - 1e-9])
 def test_bernoulli_indices_are_unbiased_per_position(p):
     # Every position of a 12-long row is present with probability p, and
     # the total over a long row is Binomial(n, p); 13 exact tests share a

@@ -462,7 +462,7 @@ class TestSweeps:
 class TestTimingCorrelation:
     def test_width_controls_spread(self, tmp_path):
         cfg = small_attack_cfg()
-        hists = emit_timing_correlation(cfg, [2000, 4000], clicks_per_width=20_000,
+        hists = emit_timing_correlation(cfg, [2000, 4000], clicks_per_width=100_000,
                                         out_dir=tmp_path)
         assert set(hists) == {2000, 4000}
         assert hists[2000].std_ps() < hists[4000].std_ps()
@@ -470,11 +470,16 @@ class TestTimingCorrelation:
         centers = hists[2000].centers_ps
         late = hists[2000].counts[centers > 2100]
         assert int(late.sum()) == 0
+        # The mean delay is that of an exponential of scale s truncated at
+        # the width a, within four standard errors of its standard deviation.
         s = 600.0
         for w in (2000, 4000):
             a = float(w)
-            mean = (s - (a + s) * math.exp(-a / s)) / (1 - math.exp(-a / s))
-            assert hists[w].mean_ps() == pytest.approx(mean, abs=30)
+            tail = math.exp(-a / s)
+            mean = (s - (a + s) * tail) / (1 - tail)
+            sd = math.sqrt(s * s - a * a * tail / (1 - tail) ** 2)
+            stops = hists[w].total()
+            assert abs(hists[w].mean_ps() - mean) < 4 * sd / math.sqrt(stops), (w, hists[w].mean_ps(), mean, stops)
         assert (tmp_path / "correlation_w2000.csv").exists()
         assert (tmp_path / "correlation_w4000.csv").exists()
 

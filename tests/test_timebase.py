@@ -111,9 +111,8 @@ class TestDelayDistribution:
         spad = SpadConfig(gate_width_ps=6000, backflash_probability=1.0)
         clicks = np.arange(0, 2000 * 32000, 32000, dtype=np.int64)
         avalanche_ps, backflash_ps = _backflash(clicks, spad, DeviceRngs(12))
-        rng = DeviceRngs(12).backflash
-        rng.random(clicks.size)  # the emission draws
-        want = sample_delay(600.0, 5000, rng, clicks.size)
+        # Every click emits, so no emission draw precedes the delays.
+        want = sample_delay(600.0, 5000, DeviceRngs(12).backflash, clicks.size)
         assert np.array_equal(backflash_ps - avalanche_ps, want)
 
     def test_degenerate_zero_support(self):
