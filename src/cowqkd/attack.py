@@ -585,4 +585,4 @@ def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | Non
         f"zero_boundary_ps={clusters.zero_boundary_ps} one_boundary_ps={clusters.one_boundary_ps}",
         f"zero_mode_ps={clusters.zero_mode_ps} one_mode_ps={clusters.one_mode_ps}",
     ]
-    Histogram(0, FOLD_BIN_WIDTH_PS, clusters.counts).write_csv(path, (header_lines or []) + meta)
+    Histogram(0, FOLD_BIN_WIDTH_PS, clusters.counts, clusters.frame_period_ps).write_csv(path, (header_lines or []) + meta)

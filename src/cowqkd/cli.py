@@ -14,6 +14,7 @@ from .attack import CalibrationError
 from .experiment import (
     SWEEP_AXES,
     ExperimentConfig,
+    _run_rate_inputs,
     apply_overrides,
     artifact_headers,
     config_hash,
@@ -139,7 +140,7 @@ def _cell(v) -> str:
 
 
 def _rates(args, cfg: ExperimentConfig) -> RateReport:
-    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs(qber=args.qber))
+    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), _run_rate_inputs(cfg, args.qber))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         write_rates_csv(report, args.out / "rates.csv", artifact_headers(cfg))

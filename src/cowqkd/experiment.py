@@ -44,6 +44,7 @@ from .rates import (
     dark_probability_per_gate,
     gate_mean_photon,
     p_sift_holdoff,
+    stops_per_start,
 )
 from .source import ChannelConfig, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
 from .timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, check_time_range, write_csv
@@ -390,9 +391,10 @@ class RunResult:
     manifest: dict
 
 
-def _run_rate_inputs(cfg: ExperimentConfig) -> RateInputs:
-    """The closed forms' inputs for a run of ``cfg``: no leak without the attack."""
-    inputs = cfg.rate_inputs()
+def _run_rate_inputs(cfg: ExperimentConfig, qber: float | None = None) -> RateInputs:
+    """The closed forms' inputs for a run of ``cfg``, with error rate ``qber``
+    when given: no leak without the attack."""
+    inputs = cfg.rate_inputs(qber)
     return inputs if cfg.attack_enabled else replace(inputs, p_b=0.0)
 
 
@@ -599,7 +601,12 @@ def emit_timing_correlation(
     within ``range_ps`` after some click (see :func:`_stop_windows`).  A
     Poisson process restricted to a set is Poisson on that set, so the
     histogram's law is that of darks over the whole exposure, at a cost that
-    grows with the clicks, not the exposure time.
+    grows with the clicks, not the exposure time.  The clicks lie a hold-off
+    (1 us) apart, so when ``range_ps`` spans at most that, as the default
+    (0, 6000) does, each stop has at most one click in range and
+    :func:`correlation_histogram` finds it with one search per stop; a wider
+    range takes its two-search path.  :func:`correlation_law` is the
+    histogram's closed-form law.
 
     Widths run one at a time, each in its own call, so a width's click-sized
     arrays are released before the next one draws: at most three (the
@@ -620,9 +627,8 @@ def emit_timing_correlation(
             raise ConfigError(f"gate width {w:g} must be a whole number of ps in (0, {period}]")
     out: dict[int, Histogram] = {}
     for w in map(int, gate_widths_ps):
-        # The config that ran: this width and a 1 us hold-off.
-        ran = replace(cfg, spad=replace(cfg.spad, gate_width_ps=w, hold_off_s=1e-6))
-        hist = _width_correlation(ran, clicks_per_width, bin_width_ps, range_ps)
+        ran = _width_config(cfg, w)
+        hist, _ = _width_correlation(ran, clicks_per_width, bin_width_ps, range_ps)
         out[w] = hist
         if out_dir is not None:
             path = Path(out_dir)
@@ -631,11 +637,17 @@ def emit_timing_correlation(
     return out
 
 
+def _width_config(cfg: ExperimentConfig, gate_width_ps: int) -> ExperimentConfig:
+    """The config that runs one width of :func:`emit_timing_correlation`:
+    that gate width and a 1 us hold-off."""
+    return replace(cfg, spad=replace(cfg.spad, gate_width_ps=int(gate_width_ps), hold_off_s=1e-6))
+
+
 def _width_correlation(
     ran: ExperimentConfig, clicks_per_width: int, bin_width_ps: int, range_ps: tuple[int, int],
-) -> Histogram:
+) -> tuple[Histogram, int]:
     """One width of :func:`emit_timing_correlation`, at the gate width of
-    ``ran.spad``."""
+    ``ran.spad``: its histogram and its number of clicks."""
     spad = ran.spad
     period = ran.source.frame_period_ps
     rngs = DeviceRngs(ran.seed, trial=spad.gate_width_ps, study=TIMING_CORRELATION_STUDY)
@@ -646,7 +658,30 @@ def _width_correlation(
 
     clicks, arrivals = dark_exposure(spad, period, rngs, gates)
     eve = snspd_detect(arrivals, ran.snspd, _stop_windows(clicks, range_ps, span_ps), rngs)
-    return correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps)
+    return correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps), clicks.size
+
+
+def correlation_law(cfg: ExperimentConfig, gate_width_ps: int, hist: Histogram) -> np.ndarray:
+    """Closed-form expected stops per click in each bin of ``hist``, one
+    width's histogram from :func:`emit_timing_correlation`
+    (:func:`cowqkd.rates.stops_per_start`), with the backflash delay capped
+    at ``min(backflash_delay_max_ps, gate_width_ps)`` as the run caps it.
+
+    The law needs each stop to pair with its own click alone.  The clicks
+    lie a hold-off (1 us) apart, so that holds when the bins lie in [0,
+    hold-off] and the cap is below the hold-off; other bins are refused.
+    """
+    spad = _width_config(cfg, gate_width_ps).spad
+    cap = min(spad.backflash_delay_max_ps, spad.gate_width_ps)
+    if hist.start_ps < 0 or hist.stop_ps > spad.hold_off_ps or cap >= spad.hold_off_ps:
+        raise ConfigError(
+            f"the stop law needs bins within [0, {spad.hold_off_ps}] ps and a delay cap below it, "
+            f"not [{hist.start_ps}, {hist.stop_ps}) and {cap}"
+        )
+    return stops_per_start(
+        spad.backflash_probability, cfg.snspd.detection_efficiency, cfg.snspd.dark_count_rate_cps,
+        spad.backflash_delay_scale_ps, cap, hist.edges_ps,
+    )
 
 
 def _stop_windows(clicks_ps: np.ndarray, range_ps: tuple[int, int], span_ps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Acceptance gate for the release: eight checks, one printed verdict each.
+"""Acceptance gate for the release: eight checks, one printed verdict each,
+and a second verdict for C8 that holds its histograms to the delay law.
 
 Every test prints a single [PASS]/[FAIL] line to the terminal (bypassing
 pytest capture) and then asserts, so the gate is readable from the raw
@@ -11,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cowqkd.attack import AttackConfig, calibrate, fold_and_cluster
 from cowqkd.detectors import (
@@ -23,7 +25,10 @@ from cowqkd.detectors import (
 from cowqkd.distill import ClassicalTranscript, DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
+    _width_config,
+    _width_correlation,
     apply_overrides,
+    correlation_law,
     emit_timing_correlation,
     preset_config,
     run_simulation,
@@ -299,3 +304,50 @@ def test_c8_stop_histogram_spread(capsys):
         failures,
         f"std {std[2000]:.0f}/{std[4000]:.0f}/{std[6000]:.0f} ps, last step {change:.2%}",
     )
+
+
+# The delay-law check below tests, at each of the three widths, the
+# histogram's shape (a chi-square) and its stop count (an exact binomial
+# band): six tests that share a family-wise false alarm rate of 1%.  The
+# alpha, its split and the bin merging were fixed before the first run.
+C8_LAW_ALPHA = 0.01 / 6
+
+
+def _merge_below_five(observed, expected):
+    """Adjacent bins pooled in order until each group expects at least 5
+    stops; a short last group joins the one before it."""
+    obs, exp, o, e = [], [], 0, 0.0
+    for oi, ei in zip(observed.tolist(), expected.tolist()):
+        o, e = o + oi, e + ei
+        if e >= 5:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0, 0.0
+    if e and exp:
+        obs[-1], exp[-1] = obs[-1] + o, exp[-1] + e
+    return np.array(obs), np.array(exp)
+
+
+def test_c8_stop_histogram_follows_the_delay_law(capsys):
+    cfg = ExperimentConfig(
+        spad=spad_preset("5v"),
+        source=SourceConfig(mean_photon_number=0.2),
+        attack_enabled=False,
+        seed=5,
+    )
+    failures, detail = [], []
+    for w in (2000, 4000, 6000):
+        hist, clicks = _width_correlation(_width_config(cfg, w), 400_000, 10, (0, 6000))
+        law = correlation_law(cfg, w, hist)
+        # The shape, given the stop count: rint'ed truncated exponential
+        # delays plus darks uniform over the range.
+        obs, exp = _merge_below_five(hist.counts, hist.total() * law / law.sum())
+        p = stats.chi2.sf(float(np.sum((obs - exp) ** 2 / exp)), obs.size - 1)
+        # The count: Binomial(clicks, stops per click).
+        lo, hi = stats.binom.ppf([C8_LAW_ALPHA / 2, 1 - C8_LAW_ALPHA / 2], clicks, law.sum())
+        if p < C8_LAW_ALPHA:
+            failures.append(f"w={w}: delay law rejected, p = {p:.2g}")
+        if not lo <= hist.total() <= hi:
+            failures.append(f"w={w}: {hist.total()} stops outside [{lo:.0f}, {hi:.0f}]")
+        detail.append(f"p={p:.2f} n={hist.total()} in [{lo:.0f}, {hi:.0f}]")
+    _verdict(capsys, "C8 stop histogram against the delay law", failures, "; ".join(detail))

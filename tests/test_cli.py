@@ -299,3 +299,26 @@ def test_scripts_exit_with_the_cli_message(tmp_path, script, args):
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sets, gate_line", [
+    # No backflash and no SNSPD darks: no stop and no law to print.
+    pytest.param(["spad.backflash_probability=0", "snspd.dark_count_rate_cps=0"],
+                 "0 stops, spread nan ps  (+nan% vs previous)", id="no-stops"),
+    # Every delay 0 and no darks: a spread of 0, with no growth from it.
+    pytest.param(["spad.backflash_delay_max_ps=0", "snspd.dark_count_rate_cps=0"],
+                 "stops, spread 0 ps (law 0 ps)", id="zero-spread"),
+])
+def test_timing_correlation_script_with_degenerate_stops(tmp_path, sets, gate_line):
+    # The summary runs with a RuntimeWarning an error, as CI runs the scripts.
+    src = str(Path(cowqkd.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "timing_correlation.py"), "--clicks", "2000", "--out", "corr",
+         *(arg for kv in sets for arg in ("--set", kv))],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "error::RuntimeWarning"},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    gates = [line for line in done.stdout.splitlines() if line.startswith("gate ")]
+    assert len(gates) == 3
+    assert all(line.endswith(gate_line) for line in gates[1:]), gates

@@ -30,6 +30,7 @@ from oracles import (
     geometric_bernoulli_indices,
     poisson_dark_times,
     sequential_dead_time,
+    start_search_correlation_histogram,
     stream_rng,
 )
 
@@ -689,6 +690,51 @@ def test_correlation_histogram_matches_brute_force_property(starts, stops, lo, w
     assert h.start_ps == lo
     assert h.counts.tolist() == brute_force_correlation(starts, stops, bin_width, lo, lo + width)
     assert a.tolist() == starts and b.tolist() == stops
+
+@st.composite
+def spaced_starts(draw):
+    """(starts, stops, lo, width, bin_width): starts whose least spacing is
+    the range width plus a small offset (below, at or above the width) or
+    any spacing at all, with ties, in any order, either side possibly
+    empty, and stops near and between the starts."""
+    lo = draw(st.integers(min_value=-600, max_value=600))
+    width = draw(st.integers(min_value=1, max_value=900))
+    least = max(0, width + draw(st.integers(min_value=-3, max_value=3) | st.integers(min_value=-900, max_value=900)))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=2 * width), max_size=30))
+    gaps = [least] + [least + e for e in extra]
+    first = draw(st.integers(min_value=-3000, max_value=3000))
+    starts = draw(st.permutations((first + np.cumsum([0] + gaps)).tolist())) if draw(st.booleans()) else []
+    near = st.sampled_from(starts) if starts else st.just(first)
+    offset = st.integers(min_value=-2 * width - abs(lo), max_value=2 * width + abs(lo))
+    stops = draw(st.lists(st.builds(int.__add__, near, offset), max_size=40))
+    bin_width = draw(st.integers(min_value=1, max_value=70))
+    return starts, stops, lo, width, bin_width
+
+
+@given(case=spaced_starts())
+@example(case=([0, 100, 200], [0, 50, 100, 150, 250, 300], 0, 100, 10))
+@example(case=([0, 99, 198], [99, 100, 150, 198, 250], 0, 100, 10))
+@example(case=([300, 0, 100, 200], [350, 120, 5, 150], -50, 100, 7))
+@example(case=([5, 5, 105], [5, 6, 104, 105], 0, 100, 1))
+@example(case=([7], [7, 8, 106, 107, -5], 0, 100, 10))
+def test_correlation_histogram_matches_start_search_oracle(case):
+    # Starts spaced at least the range width apart take the one-search path;
+    # closer ones take the two-search path, and both must count every pair.
+    starts, stops, lo, width, bin_width = case
+    a = np.array(starts, dtype=np.int64)
+    b = np.array(stops, dtype=np.int64)
+    h = correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
+    want = start_search_correlation_histogram(starts, stops, bin_width, (lo, lo + width))
+    assert (h.start_ps, h.bin_width_ps) == (want.start_ps, want.bin_width_ps)
+    assert h.counts.tolist() == want.counts.tolist()
+    assert a.tolist() == starts and b.tolist() == stops
+
+def test_histogram_edges_end_at_its_stop():
+    # 25 ps in 10 ps bins: the last bin is [20, 25), cut at the stop.
+    h = Histogram.from_samples(np.array([0, 19, 20, 24, 25]), 10, 0, 25)
+    assert h.edges_ps.tolist() == [0, 10, 20, 25]
+    assert h.counts.tolist() == [1, 1, 2]
+
 
 def test_histogram_write_csv(tmp_path):
     h = Histogram.from_samples(np.array([5, 25]), 10, 0, 30)

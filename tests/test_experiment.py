@@ -14,7 +14,7 @@ from scipy import stats
 
 from cowqkd import attack, detectors, distill, experiment, source, timebase
 from cowqkd.attack import AttackConfig
-from cowqkd.detectors import Cause, SnspdConfig, SpadConfig, spad_preset
+from cowqkd.detectors import Cause, Histogram, SnspdConfig, SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
@@ -24,6 +24,7 @@ from cowqkd.experiment import (
     artifact_headers,
     config_hash,
     config_to_flat,
+    correlation_law,
     emit_timing_correlation,
     preset_config,
     read_config_file,
@@ -493,6 +494,18 @@ class TestTimingCorrelation:
         assert got == full_exposure_correlation(cfg, w, 5000, 10, (0, 6000), study).counts.tolist()
         trial = DeviceRngs(cfg.seed, trial=w)
         assert got != full_exposure_correlation(cfg, w, 5000, 10, (0, 6000), trial).counts.tolist()
+
+    @pytest.mark.parametrize("lo, hi, set_", [
+        (-10, 6000, {}),
+        (0, 1_000_010, {}),
+        (0, 6000, {"source.frame_period_ps": "2000000", "spad.backflash_delay_max_ps": "1000000"}),
+    ])
+    def test_correlation_law_refuses_bins_where_a_stop_meets_another_click(self, lo, hi, set_):
+        # Clicks 1 us apart: a range past [0, 1 us] or a delay cap of 1 us
+        # lets a stop pair with a click other than its own.
+        cfg = apply_overrides(small_attack_cfg(), set_)
+        with pytest.raises(ConfigError, match="stop law"):
+            correlation_law(cfg, 1_000_000 if set_ else 2000, Histogram.from_samples([], 10, lo, hi))
 
     def test_clicks_validation(self):
         with pytest.raises(ConfigError):

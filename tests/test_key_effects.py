@@ -63,9 +63,8 @@ INERT = {
         # and the eavesdropper's darks are not leaks.
         "spad.backflash_delay_scale_ps", "spad.backflash_delay_max_ps", "spad.facet_reflectance",
         "snspd.dark_count_rate_cps",
-        # Gaps in the closed forms: no decoy term, and the leak rows
-        # assume the attack runs.
-        "source.decoy_probability", "attack_enabled",
+        # A gap in the closed forms: no decoy term.
+        "source.decoy_probability",
     },
     "correlate": {
         # No trial, sifting or attack runs.

@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
+from cowqkd.detectors import Histogram
 from cowqkd.rates import (
     McCounts,
     RateInputs,
@@ -19,7 +22,11 @@ from cowqkd.rates import (
     p_sec,
     p_sift_holdoff,
     p_sift_simple,
+    stop_delay_bins,
+    stops_per_start,
 )
+from cowqkd.timebase import ConfigError, sample_delay
+from oracles import stream_rng
 
 MU, ETA, PD = 0.4, 0.2, 3.2e-8
 N0, THOLD = 31.25e6, 10e-6
@@ -257,3 +264,62 @@ class TestCompare:
         d = compare(McCounts(0, 0, 0), self.make_inputs()).as_dict()
         assert d.keys() == {"rows", "insecure"}
         assert d["rows"][0]["name"] == "p_sift"
+
+
+# --- dark-exposure stop law ------------------------------------------------
+
+def delay_pmf(d, scale, cap):
+    """P(rint(x) = d) for x exponential of ``scale`` truncated to [0, cap]."""
+    if cap == 0:
+        return float(d == 0)
+    if not 0 <= d <= cap:
+        return 0.0
+    cdf = lambda x: (1.0 - math.exp(-x / scale)) / (1.0 - math.exp(-cap / scale))
+    return cdf(min(d + 0.5, cap)) - cdf(max(d - 0.5, 0.0))
+
+
+@given(
+    scale=st.floats(min_value=1.0, max_value=5000.0),
+    cap=st.integers(min_value=0, max_value=400),
+    bin_width=st.integers(min_value=1, max_value=60),
+    lo=st.integers(min_value=-50, max_value=300),
+    width=st.integers(min_value=1, max_value=500),
+)
+def test_stop_delay_bins_sum_the_rounded_delay_pmf(scale, cap, bin_width, lo, width):
+    law = stop_delay_bins(scale, cap, Histogram.from_samples([], bin_width, lo, lo + width).edges_ps)
+    want = [sum(delay_pmf(d, scale, cap) for d in range(a, min(a + bin_width, lo + width)))
+            for a in range(lo, lo + width, bin_width)]
+    assert law.tolist() == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 600, 2000, 5000])
+def test_stop_delay_bins_are_the_law_of_sample_delay(cap):
+    # Counts of 200,000 draws in the bins that expect at least 5, plus one
+    # bin for the rest: a chi-square at 1e-3 over the six caps, fixed before
+    # the first run.
+    d = sample_delay(600.0, cap, stream_rng(cap), 200_000)
+    law = stop_delay_bins(600.0, cap, np.arange(-20, 6001, 10))
+    assert law.sum() == pytest.approx(1.0)
+    counts = np.bincount((d + 20) // 10, minlength=law.size)
+    big = law * d.size >= 5
+    obs = np.r_[counts[big], counts[~big].sum()]
+    exp = np.r_[law[big], law[~big].sum()] * d.size
+    if big.sum() == 1:
+        assert obs.tolist() == [d.size, 0]
+    else:
+        assert stats.chisquare(obs[exp > 0], exp[exp > 0]).pvalue > 1e-3 / 6
+
+
+def test_stops_per_start_adds_uniform_darks_to_thinned_backflash():
+    edges = Histogram.from_samples([], 7, 0, 6000).edges_ps
+    law = stops_per_start(0.12, 0.74, 16.4, 600.0, 5000, edges)
+    delay = stop_delay_bins(600.0, 5000, edges)
+    widths = np.r_[np.full(law.size - 1, 7), 6000 - 7 * (law.size - 1)]
+    assert law == pytest.approx(0.12 * 0.74 * delay + 16.4e-12 * widths, rel=1e-12)
+    assert law.sum() == pytest.approx(0.12 * 0.74 + 16.4 * 6000e-12)
+
+
+@pytest.mark.parametrize("scale, cap", [(600.0, -1), (0.0, 10)])
+def test_stop_delay_bins_reject_bad_inputs(scale, cap):
+    with pytest.raises(ConfigError):
+        stop_delay_bins(scale, cap, np.array([0, 10, 20]))
