@@ -573,7 +573,7 @@ def learning_metrics(inference: EveInference, retained: SiftedKey) -> LearningMe
 # Artifact writers.
 
 def write_inference_csv(inference: EveInference, path, header_lines: list[str] | None = None) -> None:
-    correct = np.array(["unknown", "0", "1"], dtype=object)[inference.correct + 1]
+    correct = np.array(["unknown", "0", "1"], dtype="S")[inference.correct + 1]
     cols = [inference.eve_time_ps, inference.folded_ps, inference.bit, inference.matched_bob_ps, correct]
     write_csv(path, header_lines, ["eve_ts_ps", "folded_ps", "inferred_bit", "matched_bob_ts_ps", "correct"], cols)
 

@@ -157,9 +157,9 @@ class DetectionLog:
 
 
 def write_detections_csv(logs: list[DetectionLog], path, header_lines: list[str] | None = None) -> None:
-    names = np.array([CAUSE_NAMES[c] for c in Cause], dtype=object)
+    names = np.array([CAUSE_NAMES[c] for c in Cause], dtype="S")
     cols = [
-        np.repeat(np.array([log.detector for log in logs], dtype=object), [len(log) for log in logs]),
+        np.repeat(np.array([log.detector for log in logs], dtype="S"), [len(log) for log in logs]),
         np.concatenate([log.time_ps for log in logs]),
         names[np.concatenate([log.cause for log in logs])],
     ]

@@ -191,7 +191,7 @@ def write_transcript(transcript: ClassicalTranscript, path, header_lines: list[s
 
 
 def write_key_file(key: SiftedKey, path, header_lines: list[str] | None = None) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         fh.write(f"# block_id={key.block_id} qber={key.qber:.10g} n={len(key)}\n")

@@ -207,8 +207,8 @@ def _parse_value(type_str, raw: str, name: str):
 def read_config_file(path) -> dict[str, str]:
     """Flat dotted-key file: one ``key = value`` per line, '#' comments."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -497,7 +497,9 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
         art["frames"] = p.name
 
     result.manifest["artifacts"] = art
-    (out_dir / "manifest.json").write_text(json.dumps(result.manifest, indent=2, sort_keys=True) + "\n")
+    (out_dir / "manifest.json").write_text(
+        json.dumps(result.manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
 
 
 def write_rates_csv(report: RateReport, path, header_lines: list[str] | None = None) -> None:

@@ -172,14 +172,15 @@ def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = N
     """Frame log: one row per frame with its occupied frame-local bins."""
     cfg = batch.source
     n, k = batch.bits.shape
-    # bins[j][b]: the occupied bins of slot j holding logical bit b.
+    # bins[j][b]: the occupied bins of slot j holding logical bit b, after
+    # the ";" that follows slot j - 1.
     bins = [
-        np.array([str(a), str(a + cfg.bin_width_ps), f"{a};{a + cfg.bin_width_ps}"], dtype=object)
-        for a in (2 * j * cfg.bin_width_ps for j in range(k))
+        np.array([f"{sep}{a}", f"{sep}{a + cfg.bin_width_ps}", f"{sep}{a};{a + cfg.bin_width_ps}"], dtype="S")
+        for sep, a in ((";" if j else "", 2 * j * cfg.bin_width_ps) for j in range(k))
     ]
     pulse_bins = bins[0][batch.bits[:, 0]]
     for j in range(1, k):
-        pulse_bins = pulse_bins + (";" + bins[j])[batch.bits[:, j]]
-    digits = np.ascontiguousarray(batch.bits.astype(np.uint8) + 48).view(f"S{k}")[:, 0].astype(f"U{k}")
+        pulse_bins = np.char.add(pulse_bins, bins[j][batch.bits[:, j]])
+    digits = np.ascontiguousarray(batch.bits.astype(np.uint8) + 48).view(f"S{k}")[:, 0]
     starts = (batch.start_frame + np.arange(n, dtype=np.int64)) * cfg.frame_period_ps
     write_csv(path, header_lines, ["frame_start_ps", "bits", "pulse_bins_ps"], [starts, digits, pulse_bins])

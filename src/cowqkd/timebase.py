@@ -9,6 +9,7 @@ stays far away from the wrap point; see :func:`check_time_range`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -160,24 +161,48 @@ def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: np.random.Gene
     return u
 
 
-# Rows formatted and written per pass of ``write_csv``'s loop.  The slice's
-# cell strings (about 60 bytes each) add to a run's peak memory: on `paper`,
-# 2**13 rows added 4 MB and 2**9 rows 0.2 MB, at the same speed.
-CSV_SLICE_ROWS = 2**9
+# Rows formatted and written per pass of ``write_csv``'s loop.  A pass makes
+# about twenty numpy calls a column, so short slices pay for the calls: at
+# 2**9 rows `paper`'s artifacts took about 1.6 times as long as at 2**12 and
+# up.  The slice's byte matrices and masks take about 90 bytes a row:
+# writing `paper`'s artifacts peaks 1.9 MB above the live data at 2**13
+# rows and 2.7 MB at 2**14 (tracemalloc), where it began to set the run's
+# peak RSS.
+CSV_SLICE_ROWS = 2**13
 
 # A cell holding one of these is quoted, as csv.writer's minimal quoting does.
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
+@functools.cache  # built on first use: set-up time counts on every run
+def _digit_groups() -> np.ndarray:
+    """The four ASCII digits of every number q below 10**4, one 4-byte cell
+    each: zero-filled at q, with leading zeros as NUL (0 all NUL) at
+    10**4 + q, and so again with 0 as "0" at 2 * 10**4 + q.  The cells are
+    little-endian, so their first byte holds the thousands digit."""
+    q = np.arange(10**4, dtype="<u4")
+    full = np.zeros(10**4, dtype="<u4")
+    lead = np.zeros(10**4, dtype="<u4")
+    for byte, place in enumerate((1000, 100, 10, 1)):
+        digit = (q // place % 10 + ord("0")) << (8 * byte)
+        full |= digit
+        np.bitwise_or(lead, digit, out=lead, where=q >= place)
+    units = lead.copy()
+    units[0] = ord("0") << 24
+    return np.concatenate([full, lead, units])
+
+
 def _csv_cells(col, lone: bool) -> list[str]:
     """One column slice as csv.writer's cells (excel dialect, minimal quoting).
 
-    Cells are str, int or float, and an object array holds str; int arrays
-    need no quoting check.  ``lone`` marks a one-column file, where
-    csv.writer also quotes an empty cell.
+    Cells are str, int or float; an object array holds str and an ``S``
+    array UTF-8 bytes.  Int arrays need no quoting check.  ``lone`` marks a
+    one-column file, where csv.writer also quotes an empty cell.
     """
     is_array = isinstance(col, np.ndarray)
-    if is_array and col.dtype == object:
+    if is_array and col.dtype.kind == "S":
+        cells = [c.decode() for c in col.tolist()]
+    elif is_array and col.dtype == object:
         cells = col.tolist()
     else:
         cells = list(map(str, col.tolist() if is_array else col))
@@ -192,14 +217,86 @@ def _csv_cells(col, lone: bool) -> list[str]:
     return cells
 
 
+def _int_matrix(col: np.ndarray) -> np.ndarray:
+    """An integer column slice as ASCII decimals, right-aligned in one
+    ``(rows, width)`` uint8 matrix padded with NUL bytes; when a cell is
+    negative, a first column holds the signs."""
+    neg = col < 0
+    rest = col.astype(np.uint64)
+    np.negative(rest, out=rest, where=neg)  # wraps to |x|, int64's minimum too
+    top = len(str(int(rest.max(initial=0))))
+    groups = -(-top // 4)
+    table = _digit_groups()
+    out = np.empty((len(col), groups), dtype=table.dtype)
+    for k in range(groups):  # least significant four digits first
+        high = rest // 10**4
+        rest -= high * 10**4
+        # The row's leading group: no zero fill, and "0" for a value of 0.
+        np.add(rest, 10**4 if k else 2 * 10**4, out=rest, where=high == 0)
+        out[:, groups - 1 - k] = table.take(rest)
+        rest = high
+    digits = out.view(np.uint8)[:, 4 * groups - top:]
+    if not neg.any():
+        return digits
+    return np.concatenate([(neg * ord("-")).astype(np.uint8)[:, None], digits], axis=1)
+
+
+def _text_matrix(col, lone: bool) -> np.ndarray | None:
+    """A text column slice as csv.writer's UTF-8 cells, left-aligned in one
+    ``(rows, width)`` uint8 matrix with NUL bytes after each cell; None when
+    a cell holds a NUL.
+
+    An ``S`` array is used as it is unless a cell needs quoting or holds a
+    NUL; everything else goes through :func:`_csv_cells`.
+    """
+    if isinstance(col, np.ndarray) and col.dtype.kind == "S":
+        m = np.ascontiguousarray(col).view(np.uint8).reshape(len(col), col.dtype.itemsize)
+        lengths = np.char.str_len(col)  # up to the trailing NULs
+        raw = m.tobytes()
+        if not (any(ch.encode() in raw for ch in _CSV_SPECIAL) or np.count_nonzero(m) != lengths.sum()
+                or (lone and not lengths.all())):
+            return m
+    cells = _csv_cells(col, lone)
+    if "\0" in "".join(cells):
+        return None
+    cells = np.array([c.encode() for c in cells], dtype="S")
+    return cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)
+
+
+def _slice_bytes(cols, lone: bool):
+    r"""The csv.writer rows of one slice of ``cols``: each column's cell
+    matrix, joined by ``,`` and ``\r\n`` columns, with the NUL padding
+    dropped.  A slice with no integer or ``S`` array, or with a NUL in a
+    text cell, is joined as str."""
+    mats = None
+    if any(isinstance(c, np.ndarray) and c.dtype.kind in "iuS" for c in cols):
+        mats = [
+            _int_matrix(c) if isinstance(c, np.ndarray) and c.dtype.kind in "iu" else _text_matrix(c, lone)
+            for c in cols
+        ]
+    if mats is None or any(m is None for m in mats):
+        str_cols = [_csv_cells(c, lone) for c in cols]
+        return ("\r\n".join(map(",".join, zip(*str_cols))) + "\r\n").encode()
+    rows = np.full((len(mats[0]), sum(m.shape[1] + 1 for m in mats) + 1), ord(","), dtype=np.uint8)
+    at = 0
+    for m in mats:
+        rows[:, at:at + m.shape[1]] = m
+        at += m.shape[1] + 1
+    rows[:, -2] = ord("\r")
+    rows[:, -1] = ord("\n")
+    flat = rows.reshape(-1)
+    return flat[flat != 0]
+
+
 def write_csv(path, header_lines: list[str] | None, columns: list[str], cols) -> None:
-    r"""Artifact CSV: one ``# line`` comment per header line, the column names,
-    then one row per index of ``cols``.
+    r"""Artifact CSV in UTF-8: one ``# line`` comment per header line, the
+    column names, then one row per index of ``cols``.
 
     ``cols`` holds one array or list per column, all of one length.  The
     bytes are those of ``csv.writer`` with its defaults (``\r\n`` after every
     row, a cell quoted when it holds ``,``, ``"``, ``\r`` or ``\n``), written
-    :data:`CSV_SLICE_ROWS` rows at a time.
+    :data:`CSV_SLICE_ROWS` rows at a time.  An ``S`` array's cells are their
+    UTF-8 text.
     """
     if len(cols) != len(columns):
         raise ValueError(f"{len(columns)} column names for {len(cols)} columns")
@@ -207,10 +304,8 @@ def write_csv(path, header_lines: list[str] | None, columns: list[str], cols) ->
     if any(len(c) != n for c in cols):
         raise ValueError("columns differ in length")
     lone = len(columns) == 1
-    with open(path, "w", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(_csv_cells(columns, lone)) + "\r\n")
+    head = "".join(f"# {line}\n" for line in header_lines or []) + ",".join(_csv_cells(columns, lone)) + "\r\n"
+    with open(path, "wb") as fh:
+        fh.write(head.encode("utf-8"))
         for i in range(0, n, CSV_SLICE_ROWS):
-            str_cols = [_csv_cells(c[i:i + CSV_SLICE_ROWS], lone) for c in cols]
-            fh.write("\r\n".join(map(",".join, zip(*str_cols))) + "\r\n")
+            fh.write(_slice_bytes([c[i:i + CSV_SLICE_ROWS] for c in cols], lone))

@@ -246,14 +246,15 @@ def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, bin_width_ps
 
 
 def csv_writer_rows(path, header_lines, columns, rows):
-    """Artifact CSV through ``csv.writer``: the ``# line`` comments, the
-    column names, then one row tuple at a time."""
-    with open(path, "w", newline="") as fh:
+    """Artifact CSV in UTF-8 through ``csv.writer``: the ``# line`` comments,
+    the column names, then one row tuple at a time.  A bytes cell is written
+    as its UTF-8 text."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         w = csv.writer(fh)
         w.writerow(columns)
-        w.writerows(rows)
+        w.writerows([c.decode() if isinstance(c, bytes) else c for c in row] for row in rows)
 
 
 def per_shift_scores(eve_sorted, disclosed, window, shifts):

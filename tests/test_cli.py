@@ -182,6 +182,29 @@ def test_unreadable_config_file_is_a_configuration_error(capsys, tmp_path):
     assert "configuration error: cannot read config file" in capsys.readouterr().err
 
 
+def test_config_file_not_in_utf8_is_a_configuration_error(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# r\u00e9glage\nseed = 3\n".encode("latin-1"))
+    assert main(["rates", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "configuration error: cannot read config file" in capsys.readouterr().err
+
+
+def test_run_names_the_encoding_of_every_file(tmp_path):
+    # Config file and artifacts are UTF-8 whatever the locale: with
+    # EncodingWarning an error, any of them opened in the locale's default
+    # encoding fails the run.
+    (tmp_path / "run.cfg").write_text("# r\u00e9glage\nsource.mean_photon_number = 0.2\n", encoding="utf-8")
+    src = str(Path(cowqkd.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "cowqkd.cli",
+         "simulate", *SMALL, "--config", "run.cfg", "--out", "out"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    written = {p.name for p in (tmp_path / "out").iterdir()}
+    assert {"manifest.json", "detections.csv", "key_block0.txt", "inference_block0.csv"} <= written
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(cowqkd.__file__).resolve().parents[1])
     probe = "import sys, cowqkd.cli; sys.exit('scipy' in sys.modules)"

@@ -259,13 +259,15 @@ ROW_COUNTS = [0, 1, 2, CSV_SLICE_ROWS - 1, CSV_SLICE_ROWS, CSV_SLICE_ROWS + 1]
 
 @st.composite
 def csv_table(draw):
-    """Column names and columns of one row count: int arrays, str lists,
-    object arrays of str, and lists that mix str, int and float cells."""
+    """Column names and columns of one row count: int and uint8 arrays, str
+    lists, object arrays of str, ``S`` arrays of UTF-8 bytes, and lists that
+    mix str, int and float cells."""
     n = draw(st.sampled_from(ROW_COUNTS))
-    kinds = draw(st.lists(st.sampled_from(["int64", "int8", "str", "object", "mixed"]), min_size=1, max_size=4))
+    kinds = draw(st.lists(st.sampled_from(["int64", "int8", "uint8", "str", "object", "bytes", "mixed"]),
+                          min_size=1, max_size=4))
     cols = []
     for kind in kinds:
-        if kind.startswith("int"):
+        if "int" in kind:
             info = np.iinfo(kind)
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
             cols.append(rng.integers(info.min, info.max, size=n, dtype=kind, endpoint=True))
@@ -274,6 +276,8 @@ def csv_table(draw):
         pool = draw(st.lists(cell, min_size=1, max_size=6))
         offset = draw(st.integers(0, 5))
         col = [pool[(i + offset) % len(pool)] for i in range(n)]
+        if kind == "bytes":
+            col = np.array([c.encode() for c in col], dtype="S")
         cols.append(np.array(col, dtype=object) if kind == "object" else col)
     names = draw(st.lists(CELL_TEXT, min_size=len(cols), max_size=len(cols)))
     headers = draw(st.lists(st.text(alphabet=["a", " ", ",", "="], max_size=8), max_size=2))
@@ -290,6 +294,43 @@ def test_write_csv_matches_csv_writer_rows(table):
         write_csv(got, headers, names, cols)
         csv_writer_rows(want, headers, names, rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+def assert_writes_as_csv_writer(tmp_path, names, cols):
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in cols])
+    write_csv(tmp_path / "got.csv", ["h"], names, cols)
+    csv_writer_rows(tmp_path / "want.csv", ["h"], names, rows)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_csv_integers_at_every_digit_count(tmp_path):
+    # Each side of every power of ten an int64 holds, both signs, the int64
+    # extremes, and uint64 values past them.
+    edges = [v for k in range(19) for m in (10**k - 1, 10**k) for v in (m, -m)]
+    info = np.iinfo(np.int64)
+    signed = np.array(edges + [info.min, info.max, info.min + 1], dtype=np.int64)
+    assert_writes_as_csv_writer(tmp_path, ["v"], [signed])
+    assert_writes_as_csv_writer(tmp_path, ["v", "w"], [signed, signed[::-1].copy()])
+    unsigned = np.array([0, 9, 10**19 - 1, 10**19, 2**64 - 1], dtype=np.uint64)
+    assert_writes_as_csv_writer(tmp_path, ["u"], [unsigned])
+    # A slice whose cells are all shorter than its widest has no sign.
+    assert_writes_as_csv_writer(tmp_path, ["b"], [np.array([1, 0, 100, 7], dtype=np.uint8)])
+
+
+@pytest.mark.parametrize("names, cols", [
+    # One column: csv.writer quotes an empty cell, and any cell holding a
+    # special character, from an S array as from a str list.
+    (["c"], [np.array([b"a", b"", b"x,y", b'q"', b"\r", b"\n", "\u00e9".encode()], dtype="S")]),
+    (["c"], [np.array([b"", b""], dtype="S")]),
+    (["c"], [["a", "", "x,y"]]),
+    # Two columns: an empty cell stays bare.
+    (["c", "d"], [np.array([b"a", b"", b"x,y"], dtype="S"), np.array([-1, 0, 12], dtype=np.int64)]),
+    # A NUL inside a cell, from an S array or a str list, is written.
+    (["c", "d"], [np.array([b"a\0b", b"c"], dtype="S"), np.array([5, -6])]),
+    (["c", "d"], [["x\0", "y"], np.array([5, -6])]),
+])
+def test_write_csv_text_cells(tmp_path, names, cols):
+    assert_writes_as_csv_writer(tmp_path, names, cols)
 
 
 def test_write_csv_rejects_ragged_columns(tmp_path):
