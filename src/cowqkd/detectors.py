@@ -23,7 +23,6 @@ from .timebase import (
     ConfigError,
     DeviceRngs,
     check_time_range,
-    poisson_event_times,
     sample_delay,
     write_csv,
 )
@@ -73,8 +72,7 @@ class SpadConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.detection_efficiency <= 1.0:
             raise ConfigError("detection efficiency must lie in [0, 1]")
-        if self.dark_count_rate_cps < 0:
-            raise ConfigError("dark count rate must be >= 0")
+        _check_dark_rate(self.dark_count_rate_cps)
         if self.gate_width_ps <= 0:
             raise ConfigError("gate width must be positive")
         if self.gate_phase_ps < 0:
@@ -93,6 +91,12 @@ class SpadConfig:
     @property
     def hold_off_ps(self) -> int:
         return int(round(self.hold_off_s * PS_PER_S))
+
+
+def _check_dark_rate(rate_cps: float) -> None:
+    # Darks are skips over picoseconds, each of which holds at most one.
+    if not 0 <= rate_cps <= PS_PER_S:
+        raise ConfigError(f"dark count rate must lie in [0, 1e12] counts/s, got {rate_cps:g}")
 
 
 def spad_preset(label: str) -> SpadConfig:
@@ -114,8 +118,7 @@ class SnspdConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.detection_efficiency <= 1.0:
             raise ConfigError("detection efficiency must lie in [0, 1]")
-        if self.dark_count_rate_cps < 0:
-            raise ConfigError("dark count rate must be >= 0")
+        _check_dark_rate(self.dark_count_rate_cps)
 
 
 @dataclass
@@ -425,7 +428,8 @@ def spad_detect(
 def snspd_detect(
     arrivals: EveArrivals,
     snspd: SnspdConfig,
-    window_ps: tuple,
+    window_starts_ps: np.ndarray,
+    window_ps: int,
     rngs: DeviceRngs,
 ) -> DetectionLog:
     """Thin arriving light onto the eavesdropper's detector and add darks.
@@ -436,10 +440,15 @@ def snspd_detect(
     probability (1 - exp(-m eta)) / (1 - exp(-m)), so a pulse gives a
     reflection count with probability 1 - exp(-m eta) in all.
 
-    Dark counts are drawn only inside ``window_ps``, passed on to
-    :func:`poisson_event_times`: one interval (t0, t1), or sorted arrays
-    ``(starts, ends)`` of disjoint windows when only the darks there can
-    matter, as in a start-stop histogram.
+    Dark counts are drawn only in the windows [s, s + window_ps) for each s
+    in ``window_starts_ps``, which must be sorted and at least ``window_ps``
+    apart: a trial passes its chunk as one window, the start-stop study the
+    window after each click where a stop can count.  They are drawn as the
+    receiver's are (:func:`_dark_times`), on their own stream: each of the
+    windows' picoseconds holds a dark with probability
+    ``dark_count_rate_cps / PS_PER_S``, picosecond k lies in window
+    k // window_ps at offset k % window_ps, and the skips over them come out
+    sorted, one exponential draw per dark.
     """
     eff = snspd.detection_efficiency
     got_bf = rngs.snspd.random(arrivals.backflash_ps.size) < eff
@@ -449,7 +458,9 @@ def snspd_detect(
         m = arrivals.reflected_mean_photon
         refl_t = refl_t[rngs.snspd.random(refl_t.size) < math.expm1(-m * eff) / math.expm1(-m)]
 
-    dark_t = poisson_event_times(snspd.dark_count_rate_cps, window_ps, rngs.snspd)
+    starts = np.asarray(window_starts_ps, dtype=np.int64)
+    k = _bernoulli_indices(snspd.dark_count_rate_cps / PS_PER_S, starts.size * window_ps, rngs.snspd_dark)
+    dark_t = starts[k // window_ps] + k % window_ps
 
     sizes = [int(np.count_nonzero(got_bf)), refl_t.size, dark_t.size]
     t = np.concatenate([arrivals.backflash_ps[got_bf], refl_t, dark_t])
@@ -528,49 +539,30 @@ def correlation_histogram(
     """Start-stop histogram: every stop within range of every start counts.
 
     ``range_ps`` is a (lo, hi) pair; differences d satisfy lo <= d < hi, so
-    a stop pairs with the starts in (stop - hi, stop - lo].  One pass of
-    differences over the starts tells whether they are sorted and at least
-    ``hi - lo`` apart.  If they are, that interval holds at most one start,
-    the last one at or before stop - lo: one search per stop and one gather
-    find every pair, and differences past the range drop out of the bins.
-    The C8 study's clicks are a hold-off (1 us) apart against a 6 ns range.
-    Otherwise each stop is searched twice into the starts and its pairs are
-    expanded, an input being sorted only if it is out of order.  Both paths
-    cost one pass over the starts; past that, the first costs one search
-    per stop, the second two searches per stop and a pass over the pairs.
+    a stop pairs with the starts in (stop - hi, stop - lo].  The starts must
+    be sorted and at least ``hi - lo`` apart, as the C8 study's clicks are:
+    a hold-off (1 us) apart against a 6 ns range.  Then that interval holds
+    at most one start, the last one at or before stop - lo, so one search
+    per stop and one gather find every pair, and differences past the range
+    drop out of the bins.  One pass of differences over the starts checks
+    them and raises ValueError when they are out of order or closer; the
+    stops may come in any order.
     """
     lo, hi = int(range_ps[0]), int(range_ps[1])
     _check_bins(bin_width_ps, lo, hi)
     starts = np.asarray(start_ps, dtype=np.int64)
     stops = np.asarray(stop_ps, dtype=np.int64)
+    if starts.size > 1 and int(np.diff(starts).min()) < hi - lo:
+        raise ValueError(f"starts must be sorted and at least the range, {hi - lo} ps, apart")
     if not starts.size:
         return Histogram.from_samples(starts, int(bin_width_ps), lo, hi)
-    gap = int(np.diff(starts).min()) if starts.size > 1 else hi - lo
-    if gap >= hi - lo:
-        j = np.searchsorted(starts, stops - lo, side="right")
-        # A stop before every start + lo gets j = -1 and reads the last
-        # start, so its difference lies below lo and drops out of the bins.
-        j -= 1
-        return Histogram.from_samples(stops - starts[j], int(bin_width_ps), lo, hi)
-    if gap < 0:
-        starts = np.sort(starts)
-    stops = _sorted(stops)
-    j_lo = np.searchsorted(starts, stops - hi, side="right")
-    reps = np.searchsorted(starts, stops - lo, side="right") - j_lo
-    cum = np.cumsum(reps)
-    within = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(cum - reps, reps)
-    d = np.repeat(stops, reps) - starts[np.repeat(j_lo, reps) + within]
-    return Histogram.from_samples(d, int(bin_width_ps), lo, hi)
+    j = np.searchsorted(starts, stops - lo, side="right")
+    # A stop before every start + lo gets j = -1 and reads the last start,
+    # so its difference lies below lo and drops out of the bins.
+    j -= 1
+    return Histogram.from_samples(stops - starts[j], int(bin_width_ps), lo, hi)
 
 
 def _check_bins(bin_width_ps: int, start_ps: int, stop_ps: int) -> None:
     if bin_width_ps <= 0 or stop_ps <= start_ps:
         raise ConfigError("histogram needs positive bin width and a non-empty range")
-
-
-def _sorted(times) -> np.ndarray:
-    """``times`` as int64, sorted by a copy only when it is out of order."""
-    t = np.asarray(times, dtype=np.int64)
-    if t.size > 1 and np.any(t[1:] < t[:-1]):
-        return np.sort(t)
-    return t

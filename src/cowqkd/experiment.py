@@ -26,7 +26,6 @@ from .detectors import (
     Histogram,
     SnspdConfig,
     SpadConfig,
-    _check_bins,
     correlation_histogram,
     dark_exposure,
     snspd_detect,
@@ -305,8 +304,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         bob_parts.append(res.clicks)
         sift_parts.append(sift(res.clicks.time_ps, batch))
         if cfg.attack_enabled:
-            window = (batch.start_ps, batch.end_ps)
-            eve_parts.append(snspd_detect(res.eve, cfg.snspd, window, rngs))
+            eve_parts.append(snspd_detect(res.eve, cfg.snspd, [batch.start_ps], batch.end_ps - batch.start_ps, rngs))
         done += n
 
     frames = FrameBatch(cfg.source, np.concatenate(export_parts)) if export_parts else None
@@ -583,12 +581,16 @@ def _csv_cell(v) -> str:
 # ---------------------------------------------------------------------------
 # Dark-exposure timing correlation (no input light).
 
+# The C8 start-stop histogram: delays from a click to a stop in
+# [0, CORRELATION_WINDOW_PS), in bins of CORRELATION_BIN_PS.
+CORRELATION_WINDOW_PS = 6000
+CORRELATION_BIN_PS = 10
+
+
 def emit_timing_correlation(
     cfg: ExperimentConfig,
     gate_widths_ps: list[int],
     clicks_per_width: int = 100_000,
-    bin_width_ps: int = 10,
-    range_ps: tuple[int, int] = (0, 6000),
     out_dir: str | Path | None = None,
 ) -> dict[int, Histogram]:
     """Start-stop histograms between receiver clicks and leaked photons.
@@ -599,25 +601,24 @@ def emit_timing_correlation(
     the gate), which is what makes the spread grow with width until the
     intrinsic bound takes over.
 
-    The eavesdropper's dark counts are drawn only where a stop can count,
-    within ``range_ps`` after some click (see :func:`_stop_windows`).  A
-    Poisson process restricted to a set is Poisson on that set, so the
-    histogram's law is that of darks over the whole exposure, at a cost that
-    grows with the clicks, not the exposure time.  The clicks lie a hold-off
-    (1 us) apart, so when ``range_ps`` spans at most that, as the default
-    (0, 6000) does, each stop has at most one click in range and
-    :func:`correlation_histogram` finds it with one search per stop; a wider
-    range takes its two-search path.  :func:`correlation_law` is the
-    histogram's closed-form law.
+    The eavesdropper's dark counts are drawn only where a stop can count:
+    in the window of :data:`CORRELATION_WINDOW_PS` after each click, whose
+    starts are the clicks themselves.  A Poisson process restricted to a set
+    is Poisson on that set, so the histogram's law is that of darks over the
+    whole exposure, at a cost that grows with the clicks, not the exposure
+    time.  The clicks lie a hold-off (1 us) apart, so the windows are
+    disjoint, each stop has at most one click in range, and
+    :func:`correlation_histogram` finds it with one search per stop.
+    :func:`correlation_law` is the histogram's closed-form law.
 
     Widths run one at a time, each in its own call, so a width's click-sized
-    arrays are released before the next one draws: at most three (the
-    clicks and the two window bounds) are held at once.  Each width has its
-    own RNG key, so the order of the widths changes no histogram.
+    arrays are released before the next one draws: at most two are held at
+    once (the dark candidates and the clicks kept from them, then the clicks
+    and their spacings).  Each width has its own RNG key, so the order of
+    the widths changes no histogram.
     """
     if clicks_per_width < 1:
         raise ConfigError("clicks_per_width must be >= 1")
-    _check_bins(bin_width_ps, int(range_ps[0]), int(range_ps[1]))
     # Every width is checked against the frame period before any draw.
     period = cfg.source.frame_period_ps
     if not gate_widths_ps:
@@ -630,7 +631,7 @@ def emit_timing_correlation(
     out: dict[int, Histogram] = {}
     for w in map(int, gate_widths_ps):
         ran = _width_config(cfg, w)
-        hist, _ = _width_correlation(ran, clicks_per_width, bin_width_ps, range_ps)
+        hist, _ = _width_correlation(ran, clicks_per_width)
         out[w] = hist
         if out_dir is not None:
             path = Path(out_dir)
@@ -645,9 +646,7 @@ def _width_config(cfg: ExperimentConfig, gate_width_ps: int) -> ExperimentConfig
     return replace(cfg, spad=replace(cfg.spad, gate_width_ps=int(gate_width_ps), hold_off_s=1e-6))
 
 
-def _width_correlation(
-    ran: ExperimentConfig, clicks_per_width: int, bin_width_ps: int, range_ps: tuple[int, int],
-) -> tuple[Histogram, int]:
+def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Histogram, int]:
     """One width of :func:`emit_timing_correlation`, at the gate width of
     ``ran.spad``: its histogram and its number of clicks."""
     spad = ran.spad
@@ -656,11 +655,12 @@ def _width_correlation(
 
     p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
     gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-    span_ps = check_time_range(gates * period)
+    check_time_range(gates * period)
 
     clicks, arrivals = dark_exposure(spad, period, rngs, gates)
-    eve = snspd_detect(arrivals, ran.snspd, _stop_windows(clicks, range_ps, span_ps), rngs)
-    return correlation_histogram(clicks, eve.time_ps, bin_width_ps, range_ps), clicks.size
+    eve = snspd_detect(arrivals, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs)
+    hist = correlation_histogram(clicks, eve.time_ps, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
+    return hist, clicks.size
 
 
 def correlation_law(cfg: ExperimentConfig, gate_width_ps: int, hist: Histogram) -> np.ndarray:
@@ -684,22 +684,3 @@ def correlation_law(cfg: ExperimentConfig, gate_width_ps: int, hist: Histogram) 
         spad.backflash_probability, cfg.snspd.detection_efficiency, cfg.snspd.dark_count_rate_cps,
         spad.backflash_delay_scale_ps, cap, hist.edges_ps,
     )
-
-
-def _stop_windows(clicks_ps: np.ndarray, range_ps: tuple[int, int], span_ps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted disjoint windows whose union is that of [click + lo, click + hi)
-    over every click, within the exposure [0, span_ps): one piece per click.
-
-    With s and e the clipped window bounds, click i's piece is
-    [s[i], min(e[i], s[i+1])), the part of its window before the next one
-    starts, and the last click keeps its whole window.  ``clicks_ps`` is
-    sorted, so s and e each stay sorted and the pieces are disjoint and in
-    order; a piece is empty where the next window starts at the same time.
-    """
-    lo, hi = int(range_ps[0]), int(range_ps[1])
-    starts = clicks_ps + lo
-    np.clip(starts, 0, span_ps, out=starts)
-    ends = clicks_ps + hi
-    np.clip(ends, 0, span_ps, out=ends)
-    np.minimum(ends[:-1], starts[1:], out=ends[:-1])
-    return starts, ends

@@ -168,8 +168,28 @@ def generate_frames(cfg: SourceConfig, count: int, rng: np.random.Generator, sta
     return FrameBatch(cfg, bits, start_frame=start_frame)
 
 
+class _SliceColumn:
+    """A column of ``n`` cells whose slices ``cells(lo, hi)`` builds only when
+    asked, so ``write_csv`` holds one slice of it at a time."""
+
+    def __init__(self, n: int, cells) -> None:
+        self.n = n
+        self.cells = cells
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(self.n)
+        return self.cells(lo, hi)
+
+
 def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = None) -> None:
-    """Frame log: one row per frame with its occupied frame-local bins."""
+    """Frame log: one row per frame with its occupied frame-local bins.
+
+    Each column is built one slice of rows at a time, as the writer asks for
+    it, so memory does not grow with the number of frames.
+    """
     cfg = batch.source
     n, k = batch.bits.shape
     # bins[j][b]: the occupied bins of slot j holding logical bit b, after
@@ -178,9 +198,19 @@ def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = N
         np.array([f"{sep}{a}", f"{sep}{a + cfg.bin_width_ps}", f"{sep}{a};{a + cfg.bin_width_ps}"], dtype="S")
         for sep, a in ((";" if j else "", 2 * j * cfg.bin_width_ps) for j in range(k))
     ]
-    pulse_bins = bins[0][batch.bits[:, 0]]
-    for j in range(1, k):
-        pulse_bins = np.char.add(pulse_bins, bins[j][batch.bits[:, j]])
-    digits = np.ascontiguousarray(batch.bits.astype(np.uint8) + 48).view(f"S{k}")[:, 0]
-    starts = (batch.start_frame + np.arange(n, dtype=np.int64)) * cfg.frame_period_ps
-    write_csv(path, header_lines, ["frame_start_ps", "bits", "pulse_bins_ps"], [starts, digits, pulse_bins])
+
+    def starts(lo: int, hi: int) -> np.ndarray:
+        return (batch.start_frame + np.arange(lo, hi, dtype=np.int64)) * cfg.frame_period_ps
+
+    def digits(lo: int, hi: int) -> np.ndarray:
+        return np.ascontiguousarray(batch.bits[lo:hi].astype(np.uint8) + 48).view(f"S{k}")[:, 0]
+
+    def pulse_bins(lo: int, hi: int) -> np.ndarray:
+        bits = batch.bits[lo:hi]
+        out = bins[0][bits[:, 0]]
+        for j in range(1, k):
+            out = np.char.add(out, bins[j][bits[:, j]])
+        return out
+
+    cols = [_SliceColumn(n, cells) for cells in (starts, digits, pulse_bins)]
+    write_csv(path, header_lines, ["frame_start_ps", "bits", "pulse_bins_ps"], cols)

@@ -39,8 +39,9 @@ def check_time_range(extent_ps: int) -> int:
 class Stream(IntEnum):
     """Stable stream ids, one per physical device or random mechanism.
 
-    Draws on one stream never perturb another, so e.g. disabling dark counts
-    leaves the photon click sequence bit-identical.
+    Draws on one stream never perturb another.  Each detector's dark counts
+    have a stream of their own, so a change of either dark rate leaves every
+    photon, backflash and reflection draw bit-identical.
     """
 
     BITS = 0
@@ -52,6 +53,7 @@ class Stream(IntEnum):
     DISCLOSE = 6
     # 7 is no device's stream.
     REFLECTION = 8
+    SNSPD_DARK = 9
 
 
 # Spawn-key tag of the dark-exposure timing study.  A trial's spawn key ends
@@ -62,11 +64,14 @@ TIMING_CORRELATION_STUDY = (2**32 - 1,)
 
 @dataclass
 class DeviceRngs:
-    """One independent Philox generator per device for a single trial, or for
-    one setting of a study (see :data:`TIMING_CORRELATION_STUDY`).
+    """One independent Philox generator per :class:`Stream` for a single
+    trial, or for one setting of a study (see :data:`TIMING_CORRELATION_STUDY`).
 
     Each is keyed by ``SeedSequence(seed, spawn_key=(trial, stream, *study))``,
-    so identical keys reproduce bit-identical draw sequences.
+    so identical keys reproduce bit-identical draw sequences.  A detector's
+    dark counts draw apart from its other draws: ``spad_dark`` and
+    ``snspd_dark`` hold the darks, ``spad`` the photon clicks and ``snspd``
+    the thinning of the light that reaches the eavesdropper.
     """
 
     seed: int
@@ -80,6 +85,7 @@ class DeviceRngs:
     snspd: np.random.Generator = field(init=False)
     disclose: np.random.Generator = field(init=False)
     reflection: np.random.Generator = field(init=False)
+    snspd_dark: np.random.Generator = field(init=False)
 
     def __post_init__(self) -> None:
         def generator(stream: Stream) -> np.random.Generator:
@@ -94,6 +100,7 @@ class DeviceRngs:
         self.snspd = generator(Stream.SNSPD)
         self.disclose = generator(Stream.DISCLOSE)
         self.reflection = generator(Stream.REFLECTION)
+        self.snspd_dark = generator(Stream.SNSPD_DARK)
 
 
 def sample_delay(scale_ps: float, support_max_ps: int, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -104,61 +111,6 @@ def sample_delay(scale_ps: float, support_max_ps: int, rng: np.random.Generator,
     u = rng.random(size)
     x = -scale_ps * np.log1p(-u * (1.0 - math.exp(-support_max_ps / scale_ps)))
     return np.clip(np.rint(x).astype(np.int64), 0, support_max_ps)
-
-
-# Windows whose lengths ``poisson_event_times`` sums or prefix-sums per pass:
-# its temporaries are this many int64s, however many windows it is given.
-WINDOW_BLOCK = 2**13
-
-
-def poisson_event_times(rate_per_s: float, window_ps: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Sorted int64 event times of a homogeneous Poisson process on a union
-    of windows.
-
-    ``window_ps`` is a pair ``(starts, ends)`` of sorted int64 arrays that
-    describe the disjoint half-open windows [starts[i], ends[i]), each with
-    starts[i] <= ends[i].  A pair of integers (t0, t1) is one window, empty
-    when t1 <= t0.  The count is drawn once for the total length and each
-    event is one uniform draw over that length, mapped to the window it
-    falls in when the windows are laid end to end in order.  The total is
-    summed and the windows are prefix-summed :data:`WINDOW_BLOCK` windows at
-    a time, the latter only in blocks that hold an event, so no array as
-    long as the windows is built and a draw of no event costs one pass of
-    sums.  One window gives the same draws as the single-interval process on
-    [t0, t1).  Zero rate or zero total length draws nothing.
-    """
-    if rate_per_s < 0:
-        raise ValueError("rate must be >= 0")
-    starts = np.atleast_1d(np.asarray(window_ps[0], dtype=np.int64))
-    ends = np.atleast_1d(np.asarray(window_ps[1], dtype=np.int64))
-    if not ends.size:
-        return np.empty(0, dtype=np.int64)
-    check_time_range(max(int(starts[-1]), int(ends[-1])))
-    blocks = range(0, ends.size, WINDOW_BLOCK)
-    block_len = [int((ends[i:i + WINDOW_BLOCK] - starts[i:i + WINDOW_BLOCK]).sum()) for i in blocks]
-    total = sum(block_len)
-    if rate_per_s == 0 or total <= 0:
-        return np.empty(0, dtype=np.int64)
-    n = int(rng.poisson(rate_per_s * (total / PS_PER_S)))
-    u = rng.integers(0, total, size=n, dtype=np.int64)
-    if not n:
-        return u
-    u.sort()
-    # Block b holds u in [offset, offset + block_len[b]); within it, window k
-    # holds u in [cum[k-1], cum[k]) and ends where cum[k] does.
-    block_stop = np.searchsorted(u, np.cumsum(block_len), side="left").tolist()
-    done = offset = 0
-    for i, length, stop in zip(blocks, block_len, block_stop):
-        if stop > done:
-            b_ends = ends[i:i + WINDOW_BLOCK]
-            cum = b_ends - starts[i:i + WINDOW_BLOCK]
-            np.cumsum(cum, out=cum)
-            cum += offset
-            k = np.searchsorted(cum, u[done:stop], side="right")
-            u[done:stop] += b_ends[k] - cum[k]
-            done = stop
-        offset += length
-    return u
 
 
 # Rows formatted and written per pass of ``write_csv``'s loop.  A pass makes
@@ -292,7 +244,8 @@ def write_csv(path, header_lines: list[str] | None, columns: list[str], cols) ->
     r"""Artifact CSV in UTF-8: one ``# line`` comment per header line, the
     column names, then one row per index of ``cols``.
 
-    ``cols`` holds one array or list per column, all of one length.  The
+    ``cols`` holds one column per name, all of one length: an array, a
+    list, or any sized column whose slices are arrays or lists.  The
     bytes are those of ``csv.writer`` with its defaults (``\r\n`` after every
     row, a cell quoted when it holds ``,``, ``"``, ``\r`` or ``\n``), written
     :data:`CSV_SLICE_ROWS` rows at a time.  An ``S`` array's cells are their

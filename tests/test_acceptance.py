@@ -337,7 +337,7 @@ def test_c8_stop_histogram_follows_the_delay_law(capsys):
     )
     failures, detail = [], []
     for w in (2000, 4000, 6000):
-        hist, clicks = _width_correlation(_width_config(cfg, w), 400_000, 10, (0, 6000))
+        hist, clicks = _width_correlation(_width_config(cfg, w), 400_000)
         law = correlation_law(cfg, w, hist)
         # The shape, given the stop count: rint'ed truncated exponential
         # delays plus darks uniform over the range.

@@ -168,6 +168,15 @@ def test_correlate_rejects_bad_widths_before_any_draw(capsys, tmp_path, widths):
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
+@pytest.mark.parametrize("key", ["snspd.dark_count_rate_cps", "spad.dark_count_rate_cps"])
+def test_correlate_rejects_more_than_one_dark_per_picosecond(capsys, tmp_path, key):
+    # Darks are skips over picoseconds, and a picosecond holds one.
+    out = tmp_path / "corr"
+    code = main(["correlate", "--widths", "2000", "--clicks", "1000", "--set", f"{key}=5e12", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "dark count rate must lie in [0, 1e12]" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_config_file_loading(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("frames_per_trial = 40000\nattack_enabled = false\n")

@@ -280,7 +280,7 @@ def _pooled_run(case, sampler, seeds):
             photon_t = c.time_ps[c.cause == Cause.PHOTON]
             out["offsets"].append((photon_t - spad.gate_phase_ps) % source.frame_period_ps)
             times.append(c.time_ps)
-            eve = snspd_detect(res.eve, snspd, (batch.start_ps, batch.end_ps), rngs)
+            eve = snspd_detect(res.eve, snspd, [batch.start_ps], batch.end_ps - batch.start_ps, rngs)
             out["eve_reflection"] += int(np.sum(eve.cause == Cause.REFLECTION))
             out["pulses"] += batch.n_pulses()
         out["gaps"].append(np.diff(np.concatenate(times)))
@@ -452,6 +452,14 @@ def test_gate_width_and_phase_bounds():
         SpadConfig(gate_phase_ps=-1)
     SpadConfig(gate_width_ps=1, gate_phase_ps=0)
 
+@pytest.mark.parametrize("config", [SpadConfig, SnspdConfig])
+def test_dark_rate_bounds(config):
+    # Darks are skips over picoseconds: at most one per picosecond.
+    assert config(dark_count_rate_cps=1e12).dark_count_rate_cps == 1e12
+    for rate in (-1.0, 1.000001e12, 5e12):
+        with pytest.raises(ConfigError, match="dark count rate"):
+            config(dark_count_rate_cps=rate)
+
 
 # --- backflash and reflection leak paths ----------------------------------
 
@@ -570,7 +578,7 @@ def test_snspd_thins_backflash():
     batch, res = run_spad(n_frames=200_000, spad=spad, seed=10)
     rngs = DeviceRngs(10)
     log = snspd_detect(res.eve, SnspdConfig(dark_count_rate_cps=0.0),
-                       (batch.start_ps, batch.end_ps), rngs)
+                       [batch.start_ps], batch.end_ps - batch.start_ps, rngs)
     n_emitted = res.eve.backflash_ps.size
     n_detected = int(np.sum(log.cause == Cause.BACKFLASH))
     sigma = math.sqrt(n_emitted * 0.74 * 0.26)
@@ -580,14 +588,13 @@ def test_snspd_dark_rate():
     from cowqkd.detectors import EveArrivals
     none = np.empty(0, dtype=np.int64)
     arrivals = EveArrivals(none, none, none, 0.0)
-    window = (0, 10**12)  # one second
-    log = snspd_detect(arrivals, SnspdConfig(), window, DeviceRngs(11))
+    log = snspd_detect(arrivals, SnspdConfig(), [0], 10**12, DeviceRngs(11))  # one second
     lam = 16.4
     assert abs(len(log) - lam) < 3 * math.sqrt(lam) + 1
 
 def test_snspd_log_sorted():
     _, res = run_spad(n_frames=50_000, seed=12)
-    log = snspd_detect(res.eve, SnspdConfig(), (0, 50_000 * 32000), DeviceRngs(12))
+    log = snspd_detect(res.eve, SnspdConfig(), [0], 50_000 * 32000, DeviceRngs(12))
     assert np.all(np.diff(log.time_ps) >= 0)
 
 
@@ -634,8 +641,9 @@ def test_histogram_normalized_peak_is_one():
 
 def test_correlation_histogram_against_brute_force():
     rng = np.random.default_rng(1)
-    starts = np.sort(rng.integers(0, 10**6, size=300))
-    stops = np.sort(rng.integers(0, 10**6, size=400))
+    # Starts at least the 5000 ps range apart, as the study's clicks are.
+    starts = np.cumsum(5000 + rng.integers(0, 3000, size=300))
+    stops = np.sort(rng.integers(0, int(starts[-1]) + 5000, size=400))
     h = correlation_histogram(starts, stops, bin_width_ps=50, range_ps=(0, 5000))
     brute = np.zeros(100, dtype=int)
     for s in starts:
@@ -643,7 +651,12 @@ def test_correlation_histogram_against_brute_force():
             d = p - s
             if 0 <= d < 5000:
                 brute[d // 50] += 1
+    assert h.total() > 100
     assert h.counts.tolist() == brute.tolist()
+    # 300 starts over 1e6 ps lie closer than the range.
+    close = np.sort(rng.integers(0, 10**6, size=300))
+    with pytest.raises(ValueError, match="apart"):
+        correlation_histogram(close, stops, bin_width_ps=50, range_ps=(0, 5000))
 
 def test_correlation_histogram_negative_range():
     starts = np.array([100])
@@ -668,7 +681,13 @@ def brute_force_correlation(starts, stops, bin_width_ps, lo, hi):
     return counts.tolist()
 
 DENSE = list(range(0, 3000, 7))
-SPARSE = [1500, 40, 2990]
+SPARSE = [40, 1500, 2990]
+
+
+def spaced(starts, width):
+    """Whether ``starts`` are in order and at least ``width`` apart."""
+    return all(b - a >= width for a, b in zip(starts, starts[1:]))
+
 
 @given(
     starts=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
@@ -677,15 +696,20 @@ SPARSE = [1500, 40, 2990]
     width=st.integers(min_value=1, max_value=900),
     bin_width=st.integers(min_value=1, max_value=70),
 )
-@example(starts=DENSE, stops=SPARSE, lo=-40, width=300, bin_width=10)
+@example(starts=DENSE, stops=SPARSE[::-1], lo=-3, width=7, bin_width=2)
 @example(starts=SPARSE, stops=DENSE, lo=-40, width=300, bin_width=10)
 @example(starts=[5, 5, 3], stops=[5, 3, 5, 8], lo=0, width=6, bin_width=2)
 @example(starts=[], stops=[1, 2], lo=0, width=10, bin_width=1)
 @example(starts=[1, 2], stops=[], lo=-5, width=10, bin_width=1)
 def test_correlation_histogram_matches_brute_force_property(starts, stops, lo, width, bin_width):
-    # Unsorted inputs, tied times, negative lo, empty sides and lopsided sizes.
+    # Stops in any order, tied times, negative lo, empty sides and lopsided
+    # sizes; starts out of order or closer than the range raise.
     a = np.array(starts, dtype=np.int64)
     b = np.array(stops, dtype=np.int64)
+    if not spaced(starts, width):
+        with pytest.raises(ValueError, match="apart"):
+            correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
+        return
     h = correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
     assert h.start_ps == lo
     assert h.counts.tolist() == brute_force_correlation(starts, stops, bin_width, lo, lo + width)
@@ -718,11 +742,15 @@ def spaced_starts(draw):
 @example(case=([5, 5, 105], [5, 6, 104, 105], 0, 100, 1))
 @example(case=([7], [7, 8, 106, 107, -5], 0, 100, 10))
 def test_correlation_histogram_matches_start_search_oracle(case):
-    # Starts spaced at least the range width apart take the one-search path;
-    # closer ones take the two-search path, and both must count every pair.
+    # Starts in order and at least the range width apart must count every
+    # pair; starts out of order or closer raise.
     starts, stops, lo, width, bin_width = case
     a = np.array(starts, dtype=np.int64)
     b = np.array(stops, dtype=np.int64)
+    if not spaced(starts, width):
+        with pytest.raises(ValueError, match="apart"):
+            correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
+        return
     h = correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
     want = start_search_correlation_histogram(starts, stops, bin_width, (lo, lo + width))
     assert (h.start_ps, h.bin_width_ps) == (want.start_ps, want.bin_width_ps)

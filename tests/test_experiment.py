@@ -5,21 +5,18 @@ import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy import stats
 
-from cowqkd import attack, detectors, distill, experiment, source, timebase
+from cowqkd import attack, detectors, distill, experiment, source
 from cowqkd.attack import AttackConfig
 from cowqkd.detectors import Cause, Histogram, SnspdConfig, SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
     _apply_axis,
-    _stop_windows,
     apply_overrides,
     artifact_headers,
     config_hash,
@@ -35,14 +32,8 @@ from cowqkd.experiment import (
 )
 from cowqkd.rates import count_interval
 from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames, write_frames_csv
-from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream, poisson_event_times
-from oracles import (
-    csv_writer_rows,
-    full_exposure_correlation,
-    merged_stop_windows,
-    prefix_sum_poisson_times,
-    stream_rng,
-)
+from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream
+from oracles import csv_writer_rows, full_exposure_correlation, stream_rng
 
 
 def small_attack_cfg(**kw):
@@ -276,6 +267,21 @@ class TestRuns:
         assert np.all(np.diff(t.bob_log.time_ps) >= cfg.spad.hold_off_ps)
         assert len(t.eve_log) == 0  # attack disabled
 
+    def test_eve_dark_rate_leaves_her_light_counts(self, monkeypatch):
+        # Her darks draw on their own stream, so over three chunks the
+        # backflash and reflection counts she logs are the same at every
+        # dark rate.
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 200_000)
+        light, darks = [], []
+        for rate in (0.0, 16.4, 1000.0):
+            log = run_trial(small_attack_cfg(snspd=SnspdConfig(dark_count_rate_cps=rate)), 0).eve_log
+            lit = log.cause != Cause.DARK
+            light.append([log.time_ps[lit].tolist(), log.cause[lit].tolist(), log.source_ps[lit].tolist()])
+            darks.append(len(log) - int(lit.sum()))
+        assert light[0] == light[1] == light[2]
+        assert Cause.BACKFLASH in light[0][1] and Cause.REFLECTION in light[0][1]
+        assert darks[0] == 0 and darks[2] > 5
+
     def test_attack_run_end_to_end(self):
         run = run_simulation(small_attack_cfg())
         assert next(r for r in run.report.rows if r.name == "p_sift").ok
@@ -388,6 +394,7 @@ class TestArtifacts:
         attack_run = runs(tmp_path / "columns")
 
         def row_writer(path, header_lines, columns, cols):
+            cols = [c[:len(c)] for c in cols]  # whole, also a column that builds its slices when asked
             rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in cols])
             csv_writer_rows(path, header_lines, columns, rows)
 
@@ -491,9 +498,9 @@ class TestTimingCorrelation:
         w = 2000
         got = emit_timing_correlation(cfg, [w], clicks_per_width=5000)[w].counts.tolist()
         study = DeviceRngs(cfg.seed, trial=w, study=TIMING_CORRELATION_STUDY)
-        assert got == full_exposure_correlation(cfg, w, 5000, 10, (0, 6000), study).counts.tolist()
+        assert got == full_exposure_correlation(cfg, w, 5000, study).counts.tolist()
         trial = DeviceRngs(cfg.seed, trial=w)
-        assert got != full_exposure_correlation(cfg, w, 5000, 10, (0, 6000), trial).counts.tolist()
+        assert got != full_exposure_correlation(cfg, w, 5000, trial).counts.tolist()
 
     @pytest.mark.parametrize("lo, hi, set_", [
         (-10, 6000, {}),
@@ -511,31 +518,18 @@ class TestTimingCorrelation:
         with pytest.raises(ConfigError):
             emit_timing_correlation(small_attack_cfg(), [2000], clicks_per_width=0)
 
-    @pytest.mark.parametrize("range_ps,bin_width_ps", [((6000, 0), 10), ((0, 0), 10), ((0, 6000), 0)])
-    def test_bins_checked_before_any_draw(self, monkeypatch, range_ps, bin_width_ps):
-        def no_draw(*args, **kwargs):
-            raise AssertionError("dark exposure drawn for an invalid histogram")
-
-        monkeypatch.setattr(experiment, "dark_exposure", no_draw)
-        with pytest.raises(ConfigError):
-            emit_timing_correlation(small_attack_cfg(), [2000], clicks_per_width=1000,
-                                    bin_width_ps=bin_width_ps, range_ps=range_ps)
-
-    # Family-wise alpha 1e-3 over the four checks below, fixed before the
-    # first run: an exact conditional binomial test of the dark-stop counts
-    # and a two-sample KS test of their delays, for a range inside the 1 us
-    # hold-off and for one that makes the windows overlap.
+    # Alpha 2.5e-4 for each of the two checks below, fixed before the first
+    # run: an exact conditional binomial test of the dark-stop counts and a
+    # two-sample KS test of their delays.
     LAW_ALPHA = 1e-3 / 4
 
-    @pytest.mark.parametrize("range_ps", [(0, 6000), (0, 3_000_000)])
-    def test_window_darks_match_full_exposure_darks(self, range_ps):
+    def test_window_darks_match_full_exposure_darks(self):
         # At 1e7 dark counts/s the windows catch darks.  Without backflash
         # every stop is a dark.  Both arms share each seed's clicks, and
-        # their SNSPD streams are independent.  Clicks lie at least one
-        # hold-off apart, so a dark is at most one hold-off after one click.
-        # Delays below the hold-off therefore count each dark once, and
-        # their count is Poisson with the same mean in both arms.
-        w, hold_off = 4000, 1_000_000
+        # their SNSPD dark streams are independent.  Clicks lie a hold-off
+        # (1 us) apart, so a dark pairs with one click at most, and the
+        # dark-stop count is Poisson with the same mean in both arms.
+        w = 4000
         cfg = ExperimentConfig(
             spad=replace(spad_preset("5v"), dark_count_rate_cps=1e7, backflash_probability=0.0),
             snspd=SnspdConfig(dark_count_rate_cps=1e7),
@@ -544,28 +538,27 @@ class TestTimingCorrelation:
         new, old = [], []
         for seed in range(10):
             cfg_s = replace(cfg, seed=seed)
-            h = emit_timing_correlation(cfg_s, [w], clicks_per_width=2000, bin_width_ps=1, range_ps=range_ps)[w]
+            h = emit_timing_correlation(cfg_s, [w], clicks_per_width=2000)[w]
             rngs = DeviceRngs(seed, trial=w, study=TIMING_CORRELATION_STUDY)
-            rngs.snspd = stream_rng(10_000 + seed, Stream.SNSPD)
-            h_old = full_exposure_correlation(cfg_s, w, 2000, 1, range_ps, rngs)
+            rngs.snspd_dark = stream_rng(10_000 + seed, Stream.SNSPD_DARK)
+            h_old = full_exposure_correlation(cfg_s, w, 2000, rngs)
             for out, hist in ((new, h), (old, h_old)):
-                once = hist.bin_starts_ps < range_ps[0] + hold_off
-                out.append(np.repeat(hist.bin_starts_ps[once], hist.counts[once]))
+                out.append(np.repeat(hist.bin_starts_ps, hist.counts))
         new, old = np.concatenate(new), np.concatenate(old)
         assert new.size > 500 and old.size > 500
         assert stats.binomtest(new.size, new.size + old.size, 0.5).pvalue > self.LAW_ALPHA
         assert stats.ks_2samp(new, old).pvalue > self.LAW_ALPHA
 
-    # The bound, fixed before the first run: three click-sized int64 arrays
-    # (the clicks and the two stop-window bounds) and less than one more for
-    # all the rest (the backflash arrivals and the eavesdropper's log, about
-    # a tenth of the clicks each, the bool masks and the block temporaries).
-    PEAK_CLICK_ARRAYS = 4.0
+    # The bound, fixed before the first run: two click-sized int64 arrays
+    # (the dark candidates and the clicks kept from them, then the clicks
+    # and their spacings) and less than one more for all the rest (the
+    # backflash arrivals and the eavesdropper's log, about a tenth of the
+    # clicks each, and the bool masks).
+    PEAK_CLICK_ARRAYS = 3.0
 
     @pytest.mark.parametrize("snspd_dark_cps", [0.0, 2e6])
-    def test_one_width_peaks_below_four_click_arrays(self, monkeypatch, snspd_dark_cps):
-        # At 2e6 counts/s the ~2e5 windows of 6 ns catch about 2,500 darks,
-        # spread over every block of windows.
+    def test_one_width_peaks_below_three_click_arrays(self, monkeypatch, snspd_dark_cps):
+        # At 2e6 counts/s the ~2e5 windows of 6 ns catch about 2,500 darks.
         cfg = ExperimentConfig(
             spad=spad_preset("5v"),
             snspd=SnspdConfig(dark_count_rate_cps=snspd_dark_cps),
@@ -596,52 +589,3 @@ class TestTimingCorrelation:
             no_dark = replace(cfg, snspd=SnspdConfig(dark_count_rate_cps=0.0))
             no_dark_stops = emit_timing_correlation(no_dark, [4000], clicks_per_width=200_000)[4000].total()
             assert hist.total() - no_dark_stops > 1000
-
-
-@given(
-    gaps=st.lists(st.integers(min_value=0, max_value=4000), max_size=30),
-    lo=st.integers(min_value=-3000, max_value=3000),
-    width=st.integers(min_value=1, max_value=6000),
-    span=st.integers(min_value=1, max_value=60_000),
-)
-def test_stop_windows_cover_exactly_the_click_windows(gaps, lo, width, span):
-    clicks = np.cumsum(np.array(gaps, dtype=np.int64))
-    starts, ends = _stop_windows(clicks, (lo, lo + width), span)
-    covered = np.zeros(span, dtype=bool)
-    for c in clicks.tolist():
-        covered[max(c + lo, 0):max(min(c + lo + width, span), 0)] = True
-    merged = np.zeros(span, dtype=bool)
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        assert 0 <= a <= b <= span
-        assert not merged[a:b].any()
-        merged[a:b] = True
-    assert merged.tolist() == covered.tolist()
-    assert np.all(starts[1:] >= ends[:-1])
-
-
-@given(
-    gaps=st.lists(st.integers(min_value=0, max_value=4000), min_size=1, max_size=40),
-    lo=st.integers(min_value=-3000, max_value=3000),
-    width=st.integers(min_value=1, max_value=6000),
-    span=st.integers(min_value=1, max_value=60_000),
-    # From no event to several per window: 40 windows of up to 6 ns hold up
-    # to 240 ns, about 2,400 events at 1e10 counts/s.
-    rate=st.sampled_from([0.0, 1e6, 1e8, 1e9, 1e10]),
-    # Blocks of one, two, three and seven windows put block edges inside
-    # every run of windows; the library's own size holds them all in one.
-    block=st.sampled_from([1, 2, 3, 7, timebase.WINDOW_BLOCK]),
-    seed=st.integers(min_value=0, max_value=50),
-)
-def test_window_pieces_draw_what_merged_windows_drew(gaps, lo, width, span, rate, block, seed):
-    # Widths above the gaps overlap, a negative lo clips at 0 and a short
-    # span clips the last windows.  Empty and reversed single windows are
-    # drawn in test_timebase's test_one_window_matches_single_interval_oracle.
-    clicks = np.cumsum(np.array(gaps, dtype=np.int64))
-    range_ps = (lo, lo + width)
-    a, b = stream_rng(seed, Stream.SNSPD), stream_rng(seed, Stream.SNSPD)
-    with mock.patch.object(timebase, "WINDOW_BLOCK", block):
-        got = poisson_event_times(rate, _stop_windows(clicks, range_ps, span), a)
-    want = prefix_sum_poisson_times(rate, merged_stop_windows(clicks, range_ps, span), b)
-    assert got.dtype == np.int64
-    assert got.tolist() == want.tolist()
-    assert a.random() == b.random()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,3 +153,23 @@ def test_write_frames_csv(tmp_path):
         b"160000,01,0;3000\r\n"
         b"192000,12,1000;2000;3000\r\n"
     )
+
+
+@pytest.mark.parametrize("pattern,decoy", [("alternating", 0.0), ("random", 0.2)])
+def test_write_frames_csv_in_bounded_memory(tmp_path, pattern, decoy):
+    # The bound, fixed before the first run: writing 1e6 frames peaks below
+    # 4 MB above the live frames.  Columns built for every frame at once
+    # peaked at 32 MB.
+    source = SourceConfig(pattern=pattern, decoy_probability=decoy)
+    # The first write builds the writer's digit table, which stays cached.
+    write_frames_csv(generate_frames(source, 10, make_rng()), tmp_path / "warm.csv")
+    batch = generate_frames(source, 1_000_000, make_rng())
+    tracemalloc.start()
+    try:
+        write_frames_csv(batch, tmp_path / "frames.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    with open(tmp_path / "frames.csv", "rb") as fh:
+        assert sum(1 for _ in fh) == 1 + len(batch)

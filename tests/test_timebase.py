@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from cowqkd import timebase
-from cowqkd.detectors import SpadConfig, _backflash
+from cowqkd.detectors import Cause, EveArrivals, SnspdConfig, SpadConfig, _backflash, snspd_detect
 from cowqkd.timebase import (
     CSV_SLICE_ROWS,
     MAX_TIME_PS,
@@ -17,11 +16,10 @@ from cowqkd.timebase import (
     DeviceRngs,
     Stream,
     check_time_range,
-    poisson_event_times,
     sample_delay,
     write_csv,
 )
-from oracles import csv_writer_rows, prefix_sum_poisson_times, single_interval_poisson_times, stream_rng
+from oracles import csv_writer_rows, stream_rng
 
 
 def trunc_exp_mean(scale, cap):
@@ -50,14 +48,14 @@ class TestRngStreams:
 
     def test_device_rngs_exposes_all_streams(self):
         rngs = DeviceRngs(7, trial=2)
-        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "reflection"]
+        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "reflection", "snspd_dark"]
         draws = [getattr(rngs, n).random() for n in names]
         assert len(set(draws)) == len(draws)
 
 
     @pytest.mark.parametrize("seed,w", [(5, 2000), (5, 4000), (0, 6000)])
     def test_study_streams_differ_from_the_trial_of_the_same_index(self, seed, w):
-        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "reflection"]
+        names = ["bits", "arrival", "spad", "spad_dark", "backflash", "snspd", "disclose", "reflection", "snspd_dark"]
         study = DeviceRngs(seed, trial=w, study=TIMING_CORRELATION_STUDY)
         trial = DeviceRngs(seed, trial=w)
         for n in names:
@@ -139,114 +137,97 @@ class TestDelayDistribution:
         assert np.all(x <= cap)
 
 
+def window_darks(rate, starts, window_ps, seed):
+    """The eavesdropper's dark counts on the windows [s, s + window_ps),
+    with no light arriving, and the generator they were drawn from."""
+    none = np.empty(0, dtype=np.int64)
+    rngs = DeviceRngs(seed)
+    log = snspd_detect(EveArrivals(none, none, none, 0.0), SnspdConfig(dark_count_rate_cps=rate),
+                       np.array(starts, dtype=np.int64), window_ps, rngs)
+    assert np.all(log.cause == Cause.DARK) and np.all(log.source_ps == -1)
+    return log.time_ps, rngs.snspd_dark
+
+
 class TestPoissonTimes:
+    """The eavesdropper's darks in one window: each picosecond holds one with
+    probability rate / 1e12, drawn as skips on the ``snspd_dark`` stream."""
+
     def test_rate_recovered(self):
-        window = (0, 10**12)  # one second
-        t = poisson_event_times(5000.0, window, stream_rng(8))
+        t, _ = window_darks(5000.0, [0], 10**12, 8)  # one second
         assert abs(t.size - 5000) < 3 * math.sqrt(5000)
-        assert np.all(np.diff(t) >= 0)
-        assert t.min() >= window[0] and t.max() < window[1]
+        assert np.all(np.diff(t) > 0)
+        assert t.min() >= 0 and t.max() < 10**12
 
     def test_zero_rate(self):
-        assert poisson_event_times(0.0, (0, 10**9), stream_rng(9)).size == 0
+        t, rng = window_darks(0.0, [0], 10**9, 9)
+        assert t.size == 0
+        assert rng.random() == DeviceRngs(9).snspd_dark.random()
 
     def test_empty_window(self):
-        assert poisson_event_times(100.0, (5, 5), stream_rng(10)).size == 0
+        t, rng = window_darks(100.0, [5], 0, 10)
+        assert t.size == 0
+        assert rng.random() == DeviceRngs(10).snspd_dark.random()
 
     @given(st.floats(min_value=0.0, max_value=1e6), st.integers(min_value=0, max_value=50))
     def test_sorted_and_in_window(self, rate, seed):
-        t = poisson_event_times(rate, (1000, 10**9), stream_rng(seed))
+        t, _ = window_darks(rate, [1000], 10**9 - 1000, seed)
+        assert t.dtype == np.int64
         if t.size:
-            assert np.all(np.diff(t) >= 0)
+            assert np.all(np.diff(t) > 0)
             assert t.min() >= 1000
             assert t.max() < 10**9
 
-    @pytest.mark.parametrize("as_arrays", [False, True])
-    @given(
-        rate=st.floats(min_value=0.0, max_value=1e7),
-        t0=st.integers(min_value=0, max_value=10**15),
-        length=st.integers(min_value=-3, max_value=10**9),
-        seed=st.integers(min_value=0, max_value=50),
-    )
-    def test_one_window_matches_single_interval_oracle(self, as_arrays, rate, t0, length, seed):
-        window = (t0, t0 + length)
-        if as_arrays:
-            window = (np.array([t0], dtype=np.int64), np.array([t0 + length], dtype=np.int64))
-        a, b = stream_rng(seed, Stream.SNSPD), stream_rng(seed, Stream.SNSPD)
-        got = poisson_event_times(rate, window, a)
-        want = single_interval_poisson_times(rate, (t0, t0 + length), b)
-        assert got.dtype == np.int64
-        assert got.tolist() == want.tolist()
-        # Both leave the stream at the same point.
-        assert a.random() == b.random()
-
 
 class TestPoissonTimesOnWindows:
-    """Several disjoint windows: one count for the total length, each event
-    in the window its uniform draw falls in."""
+    """Several disjoint windows of one length: window k // L holds lattice
+    picosecond k at offset k % L."""
 
-    STARTS = np.array([0, 5_000_000, 9_000_000, 9_000_000, 20_000_000], dtype=np.int64)
-    ENDS = np.array([1_000_000, 8_000_000, 9_000_000, 11_000_000, 24_000_000], dtype=np.int64)
+    # Two of the windows touch: 11e6 is where the one at 9e6 ends.
+    STARTS = np.array([0, 5_000_000, 9_000_000, 11_000_000, 20_000_000], dtype=np.int64)
+    WINDOW_PS = 2_000_000
 
     def test_count_and_window_shares(self):
         # Thresholds fixed before the first run: the count lies in the exact
-        # central 1 - 1e-4 Poisson interval, and the chi-square test of the
-        # per-window shares against the lengths gives p > 1e-4.
+        # central 1 - 1e-4 binomial interval, and the chi-square test of the
+        # per-window counts against equal shares gives p > 1e-4.
         rate = 2e9  # 1e7 ps in all, so 20,000 events expected
-        t = poisson_event_times(rate, (self.STARTS, self.ENDS), stream_rng(21, Stream.SNSPD))
-        lengths = self.ENDS - self.STARTS
-        lam = rate * int(lengths.sum()) / 1e12
-        lo, hi = stats.poisson.interval(1 - 1e-4, lam)
+        t, _ = window_darks(rate, self.STARTS, self.WINDOW_PS, 21)
+        lo, hi = stats.binom.interval(1 - 1e-4, self.STARTS.size * self.WINDOW_PS, rate / 1e12)
         assert lo <= t.size <= hi
-        k = np.searchsorted(self.ENDS, t, side="right")
-        counts = np.bincount(k, minlength=lengths.size)
-        assert counts[lengths == 0].sum() == 0
-        live = lengths > 0
-        expected = t.size * lengths[live] / lengths.sum()
-        assert stats.chisquare(counts[live], expected).pvalue > 1e-4
+        k = np.searchsorted(self.STARTS, t, side="right") - 1
+        assert np.all(t - self.STARTS[k] < self.WINDOW_PS)
+        assert stats.chisquare(np.bincount(k, minlength=self.STARTS.size)).pvalue > 1e-4
 
     @given(
         gaps=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12),
-        lengths=st.lists(st.integers(min_value=0, max_value=10**6), min_size=12, max_size=12),
+        window_ps=st.integers(min_value=0, max_value=10**6),
         seed=st.integers(min_value=0, max_value=50),
     )
-    def test_times_sorted_and_inside_their_windows(self, gaps, lengths, seed):
-        starts = np.cumsum(np.array(gaps, dtype=np.int64)) + np.r_[0, np.cumsum(lengths[: len(gaps) - 1])]
-        ends = starts + np.array(lengths[: len(gaps)], dtype=np.int64)
-        t = poisson_event_times(5e9, (starts, ends), stream_rng(seed))
-        assert np.all(np.diff(t) >= 0)
-        k = np.searchsorted(ends, t, side="right")
-        assert np.all(k < ends.size)
-        assert np.all((starts[k] <= t) & (t < ends[k]))
+    def test_times_sorted_and_inside_their_windows(self, gaps, window_ps, seed):
+        starts = np.cumsum(np.array(gaps, dtype=np.int64) + window_ps) - window_ps
+        t, _ = window_darks(5e9, starts, window_ps, seed)
+        assert np.all(np.diff(t) > 0)
+        k = np.searchsorted(starts, t, side="right") - 1
+        assert np.all(k >= 0)
+        assert np.all((starts[k] <= t) & (t < starts[k] + window_ps))
 
     def test_events_fill_every_picosecond_of_short_windows(self):
-        # About 30 events per ps: every ps of every window, both ends
-        # included, is hit, and nothing falls outside.
-        starts = np.array([0, 3, 3, 10, 12], dtype=np.int64)
-        ends = np.array([2, 3, 7, 11, 13], dtype=np.int64)
-        t = poisson_event_times(3e13, (starts, ends), stream_rng(23))
-        assert np.all(np.diff(t) >= 0)
-        assert sorted(set(t.tolist())) == [0, 1, 3, 4, 5, 6, 10, 12]
-
-    @pytest.mark.parametrize("block", [1, 2, 3])
-    def test_events_at_block_edges_land_where_one_prefix_sum_puts_them(self, monkeypatch, block):
-        # At about 30 events per ps, events fall on the first and last ps of
-        # every block of windows, and on the empty windows between.
-        monkeypatch.setattr(timebase, "WINDOW_BLOCK", block)
-        starts = np.array([0, 3, 3, 10, 12], dtype=np.int64)
-        ends = np.array([2, 3, 7, 11, 13], dtype=np.int64)
-        t = poisson_event_times(3e13, (starts, ends), stream_rng(23))
-        assert t.tolist() == prefix_sum_poisson_times(3e13, (starts, ends), stream_rng(23)).tolist()
+        # At one dark per ps every ps of every window, both ends included,
+        # holds one, touching windows too, nothing falls outside, and no
+        # draw is spent.
+        t, rng = window_darks(1e12, [0, 3, 5, 10, 12], 2, 23)
+        assert t.tolist() == [0, 1, 3, 4, 5, 6, 10, 11, 12, 13]
+        assert rng.random() == DeviceRngs(23).snspd_dark.random()
 
     @pytest.mark.parametrize("starts,ends", [
         ([3, 10, 10], [3, 10, 10]),
         ([], []),
     ])
     def test_zero_total_length_draws_nothing(self, starts, ends):
-        rng = stream_rng(22)
-        t = poisson_event_times(1e12, (np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)), rng)
+        window_ps = ends[0] - starts[0] if starts else 6000
+        t, rng = window_darks(1e9, starts, window_ps, 22)
         assert t.size == 0 and t.dtype == np.int64
-        assert rng.random() == stream_rng(22).random()
+        assert rng.random() == DeviceRngs(22).snspd_dark.random()
 
 
 # --- artifact CSV writer ---------------------------------------------------
