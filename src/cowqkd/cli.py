@@ -12,9 +12,9 @@ from pathlib import Path
 
 from .attack import CalibrationError
 from .experiment import (
+    PRESETS,
     SWEEP_AXES,
     ExperimentConfig,
-    _run_rate_inputs,
     apply_overrides,
     artifact_headers,
     config_hash,
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, help_text: str, run, show, runs_frames: bool) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="flat key = value config file")
-        p.add_argument("--preset", choices=["2v", "5v", "7v", "paper"], help="named starting configuration")
+        p.add_argument("--preset", choices=PRESETS, help="named starting configuration")
         p.add_argument("--seed", type=int, help="base RNG seed")
         if runs_frames:
             p.add_argument("--trials", type=int, help="independent repetitions")
@@ -140,7 +140,7 @@ def _cell(v) -> str:
 
 
 def _rates(args, cfg: ExperimentConfig) -> RateReport:
-    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), _run_rate_inputs(cfg, args.qber))
+    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs(args.qber))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         write_rates_csv(report, args.out / "rates.csv", artifact_headers(cfg))

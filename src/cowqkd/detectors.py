@@ -126,8 +126,10 @@ class DetectionLog:
     """Columnar click record for one detector.
 
     ``source_ps`` is ground truth provenance (originating avalanche or pulse
-    time, -1 for dark counts); it is kept out of exported transcripts and is
-    only read by tests and diagnostics.
+    time, -1 for dark counts); it is kept out of exported transcripts.  The
+    leak tallies behind ``p_b`` and ``p_learn`` read it on the
+    eavesdropper's log, to find the click behind each backflash count;
+    otherwise only tests and diagnostics read it.
     """
 
     detector: str
@@ -145,15 +147,14 @@ class DetectionLog:
 
     @classmethod
     def merge(cls, parts: list["DetectionLog"]) -> "DetectionLog":
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return cls.empty(BOB)
-        det = parts[0].detector
+        """One log in (time, cause) order from one detector's chunk logs;
+        ``parts`` holds at least one.  A chunk's backflash can leave after
+        the next chunk's first counts, so the parts are sorted together."""
         t = np.concatenate([p.time_ps for p in parts])
         c = np.concatenate([p.cause for p in parts])
         s = np.concatenate([p.source_ps for p in parts])
         order = np.lexsort((c, t))
-        return cls(det, t[order], c[order], s[order])
+        return cls(parts[0].detector, t[order], c[order], s[order])
 
     def counts_by_cause(self) -> dict[str, int]:
         return {CAUSE_NAMES[c]: int(np.sum(self.cause == c)) for c in Cause}

@@ -46,15 +46,9 @@ class SiftedBits:
         return self.time_ps.size
 
     @classmethod
-    def empty(cls) -> "SiftedBits":
-        z = np.empty(0, dtype=np.int64)
-        b = np.empty(0, dtype=np.int8)
-        return cls(z, b, b.copy())
-
-    @classmethod
     def concat(cls, parts: list["SiftedBits"]) -> "SiftedBits":
-        if not parts:
-            return cls.empty()
+        """One run of sifted bits from a trial's chunk parts, in order;
+        ``parts`` holds at least one."""
         return cls(
             np.concatenate([p.time_ps for p in parts]),
             np.concatenate([p.bit for p in parts]),

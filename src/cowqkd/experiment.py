@@ -91,6 +91,8 @@ class ExperimentConfig:
         check_time_range(self.frames_per_trial * self.source.frame_period_ps + 10**9)
 
     def rate_inputs(self, qber: float | None = None) -> RateInputs:
+        """The closed forms' inputs for a run of this config, with error rate
+        ``qber`` when given: no leak (``p_b`` = 0) without the attack."""
         eta = composite_efficiency(channel_transmittance(self.channel), self.spad.detection_efficiency)
         return RateInputs(
             mu=gate_mean_photon(self.source.mean_photon_number, self.source.bits_per_frame),
@@ -98,7 +100,7 @@ class ExperimentConfig:
             p_dark=dark_probability_per_gate(self.spad.dark_count_rate_cps, self.spad.gate_width_ps),
             opportunity_rate_hz=self.source.frame_rate_hz,
             hold_off_s=self.spad.hold_off_s,
-            p_b=self.spad.backflash_probability * self.snspd.detection_efficiency,
+            p_b=self.spad.backflash_probability * self.snspd.detection_efficiency if self.attack_enabled else 0.0,
             qber=qber,
         )
 
@@ -229,15 +231,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # Presets.
 
+PRESETS = ("2v", "5v", "7v", "paper")
+
+
 def preset_config(name: str) -> ExperimentConfig:
     key = name.lower()
-    if key in ("2v", "5v", "7v"):
-        return ExperimentConfig(
-            spad=spad_preset(key),
-            source=SourceConfig(mean_photon_number=0.1),
-            frames_per_trial=1_000_000,
-            attack_enabled=False,
-        )
+    if key not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; expected {', '.join(PRESETS[:-1])} or {PRESETS[-1]}")
     if key == "paper":
         # Reference tabletop run: 5 V bias point, zero-length channel,
         # alternating pattern, one full disclosure block.
@@ -250,7 +250,12 @@ def preset_config(name: str) -> ExperimentConfig:
             frames_per_trial=7_800_000,
             attack_enabled=True,
         )
-    raise ConfigError(f"unknown preset {name!r}; expected 2v, 5v, 7v or paper")
+    return ExperimentConfig(
+        spad=spad_preset(key),
+        source=SourceConfig(mean_photon_number=0.1),
+        frames_per_trial=1_000_000,
+        attack_enabled=False,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +273,6 @@ class BlockOutcome:
 @dataclass
 class TrialResult:
     trial: int
-    seed: int
-    n_frames: int
     frames: FrameBatch | None  # the first export_frames frames drawn, when set
     sifted: SiftedBits
     bob_log: DetectionLog
@@ -277,18 +280,16 @@ class TrialResult:
     blocks: list[BlockOutcome]
     leftover: int
     calibration: CalibrationResult | None
-    n_err: int
-    n_retained: int
-    n_eve_backflash_retained: int
-    n_eve_backflash_blocks: int
-    n_eve_correct: int
+    counts: McCounts  # this trial's tallies; n_frames_covered is left unset
 
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     rngs = DeviceRngs(cfg.seed, trial=trial)
     period = cfg.source.frame_period_ps
 
-    export_parts: list[np.ndarray] = []
+    # The export is filled chunk by chunk, so it is held once.
+    export_shape = (cfg.export_frames, cfg.source.bits_per_frame)
+    frames = FrameBatch(cfg.source, np.empty(export_shape, dtype=np.int8)) if cfg.export_frames else None
     sift_parts: list[SiftedBits] = []
     bob_parts: list[DetectionLog] = []
     eve_parts: list[DetectionLog] = []
@@ -298,7 +299,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         n = min(CHUNK_FRAMES, cfg.frames_per_trial - done)
         batch = generate_frames(cfg.source, n, rngs.bits, start_frame=done)
         if done < cfg.export_frames:
-            export_parts.append(batch.bits[:cfg.export_frames - done].copy())
+            frames.bits[done:done + n] = batch.bits[:cfg.export_frames - done]
         res = spad_detect(batch, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
         dead_until = res.dead_until_ps
         bob_parts.append(res.clicks)
@@ -307,21 +308,15 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
             eve_parts.append(snspd_detect(res.eve, cfg.snspd, [batch.start_ps], batch.end_ps - batch.start_ps, rngs))
         done += n
 
-    frames = FrameBatch(cfg.source, np.concatenate(export_parts)) if export_parts else None
     sifted = SiftedBits.concat(sift_parts)
     bob_log = DetectionLog.merge(bob_parts)
     eve_log = DetectionLog.merge(eve_parts) if cfg.attack_enabled else DetectionLog.empty("eve")
-    n_err = int(np.sum(sifted.bit != sifted.alice_bit))
 
     pairs, leftover = distill_mod.form_blocks(sifted, cfg.distill, rngs.disclose)
     blocks = [BlockOutcome(transcript=t, retained=r) for t, r in pairs]
 
     calibration = None
-    n_retained = sum(len(b.retained) for b in blocks)
-    n_eve_bf_retained = 0
-    n_eve_bf_blocks = 0
-    n_eve_correct = 0
-
+    n_eve_backflash = n_eve_backflash_blocks = n_eve_correct = 0
     if cfg.attack_enabled:
         if not blocks:
             raise attack_mod.CalibrationError("no full block available for the attack pipeline")
@@ -329,19 +324,19 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         calibration = attack_mod.calibrate(eve_raw, blocks[0].transcript, period, cfg.source.bin_width_ps)
         calibrated = eve_raw + calibration.offset_ps
 
+        # Eve's backflash counts whose avalanche is a retained click, and a
+        # click in any block (retained or disclosed).
         av = eve_log.source_ps[eve_log.cause == Cause.BACKFLASH]
-        if n_retained:
-            retained_all = np.sort(np.concatenate([b.retained.time_ps for b in blocks]))
-            n_eve_bf_retained = _member_count(retained_all, av)
-            block_all = np.sort(np.concatenate(
-                [b.retained.time_ps for b in blocks] + [b.transcript.disclosed_time_ps for b in blocks]
-            ))
-            n_eve_bf_blocks = _member_count(block_all, av)
+        retained = np.concatenate([b.retained.time_ps for b in blocks])
+        in_blocks = np.concatenate([retained] + [b.transcript.disclosed_time_ps for b in blocks])
+        n_eve_backflash = int(np.isin(av, retained).sum())
+        n_eve_backflash_blocks = int(np.isin(av, in_blocks).sum())
 
         margin = 2 * period
         for b in blocks:
-            lo = int(b.retained.time_ps.min()) - margin if len(b.retained) else 0
-            hi = int(b.retained.time_ps.max()) + margin if len(b.retained) else 0
+            # A block retains at least one bit: disclosure_size < block_length.
+            lo = int(b.retained.time_ps.min()) - margin
+            hi = int(b.retained.time_ps.max()) + margin
             sub = calibrated[(calibrated >= lo) & (calibrated <= hi)]
             if sub.size == 0:
                 continue
@@ -350,31 +345,16 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
             b.metrics = attack_mod.learning_metrics(b.inference, b.retained)
             n_eve_correct += b.inference.correct_count
 
-    return TrialResult(
-        trial=trial,
-        seed=cfg.seed,
+    counts = McCounts(
         n_frames=cfg.frames_per_trial,
-        frames=frames,
-        sifted=sifted,
-        bob_log=bob_log,
-        eve_log=eve_log,
-        blocks=blocks,
-        leftover=leftover,
-        calibration=calibration,
-        n_err=n_err,
-        n_retained=n_retained,
-        n_eve_backflash_retained=n_eve_bf_retained,
-        n_eve_backflash_blocks=n_eve_bf_blocks,
+        n_sift=len(sifted),
+        n_err=int(np.sum(sifted.bit != sifted.alice_bit)),
+        n_retained=sum(len(b.retained) for b in blocks),
+        n_eve_backflash=n_eve_backflash,
+        n_eve_backflash_blocks=n_eve_backflash_blocks,
         n_eve_correct=n_eve_correct,
     )
-
-
-def _member_count(sorted_ref: np.ndarray, values: np.ndarray) -> int:
-    """How many values appear exactly in the sorted reference array."""
-    if sorted_ref.size == 0 or values.size == 0:
-        return 0
-    pos = np.clip(np.searchsorted(sorted_ref, values), 0, sorted_ref.size - 1)
-    return int(np.sum(sorted_ref[pos] == values))
+    return TrialResult(trial, frames, sifted, bob_log, eve_log, blocks, leftover, calibration, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -389,18 +369,11 @@ class RunResult:
     manifest: dict
 
 
-def _run_rate_inputs(cfg: ExperimentConfig, qber: float | None = None) -> RateInputs:
-    """The closed forms' inputs for a run of ``cfg``, with error rate ``qber``
-    when given: no leak without the attack."""
-    inputs = cfg.rate_inputs(qber)
-    return inputs if cfg.attack_enabled else replace(inputs, p_b=0.0)
-
-
 def _check_before_draw(cfg: ExperimentConfig) -> None:
     """What a run of ``cfg`` must pass before any draw: the closed forms take
     its inputs, and, since the attack reads each trial's first full block,
     every trial expects to fill one."""
-    compare(McCounts(n_frames=0, n_sift=0, n_err=0), _run_rate_inputs(cfg))
+    compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs())
     if cfg.attack_enabled:
         expected = cfg.frames_per_trial * cfg.analytic_p_sift()
         if expected < cfg.distill.block_length:
@@ -414,20 +387,16 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     _check_before_draw(cfg)
     trials = [run_trial(cfg, i) for i in range(cfg.trials)]
 
-    n_frames = sum(t.n_frames for t in trials)
-    n_sift = sum(len(t.sifted) for t in trials)
+    # The run's tallies are the trials' summed field by field; the frames
+    # covered by blocks are a share of the summed frames.
+    total = {
+        f.name: sum(getattr(t.counts, f.name) for t in trials)
+        for f in dataclasses.fields(McCounts) if f.name != "n_frames_covered"
+    }
     n_in_blocks = sum(len(b.retained) + len(b.transcript) for t in trials for b in t.blocks)
-    counts = McCounts(
-        n_frames=n_frames,
-        n_sift=n_sift,
-        n_err=sum(t.n_err for t in trials),
-        n_retained=sum(t.n_retained for t in trials),
-        n_eve_backflash=sum(t.n_eve_backflash_retained for t in trials),
-        n_eve_backflash_blocks=sum(t.n_eve_backflash_blocks for t in trials),
-        n_eve_correct=sum(t.n_eve_correct for t in trials),
-        n_frames_covered=round(n_frames * n_in_blocks / n_sift) if n_sift else 0,
-    )
-    report = compare(counts, _run_rate_inputs(cfg))
+    covered = round(total["n_frames"] * n_in_blocks / total["n_sift"]) if total["n_sift"] else 0
+    counts = McCounts(**total, n_frames_covered=covered)
+    report = compare(counts, cfg.rate_inputs())
 
     manifest = {
         "config_hash": config_hash(cfg),
@@ -612,10 +581,12 @@ def emit_timing_correlation(
     :func:`correlation_law` is the histogram's closed-form law.
 
     Widths run one at a time, each in its own call, so a width's click-sized
-    arrays are released before the next one draws: at most two are held at
-    once (the dark candidates and the clicks kept from them, then the clicks
-    and their spacings).  Each width has its own RNG key, so the order of
-    the widths changes no histogram.
+    arrays are released before the next one draws.  The peak stays below
+    three click-sized int64 arrays: two held at once (the dark candidates
+    and the clicks kept from them, then the clicks and their spacings) and
+    less than one more for the rest (the backflash arrivals, the
+    eavesdropper's log and the masks).  Each width has its own RNG key, so
+    the order of the widths changes no histogram.
     """
     if clicks_per_width < 1:
         raise ConfigError("clicks_per_width must be >= 1")

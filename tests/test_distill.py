@@ -48,14 +48,14 @@ def test_sift_excludes_decoy_slots():
     assert len(out) == 0
     assert out.excluded_decoy == 4
 
-def test_sifted_concat_and_empty():
+def test_sifted_concat():
     frames = alternating_frames(2)
-    a = sift(np.array([500], dtype=np.int64), frames)
+    a = sift(np.array([500, 40_000], dtype=np.int64), frames)
     b = sift(np.array([3500], dtype=np.int64), frames)
     both = SiftedBits.concat([a, b])
     assert both.bit.tolist() == [0, 1]
-    assert len(SiftedBits.concat([])) == 0
-    assert len(SiftedBits.empty()) == 0
+    assert both.excluded_outside == 1
+    assert len(SiftedBits.concat([b])) == 1
 
 
 # --- QBER ------------------------------------------------------------------

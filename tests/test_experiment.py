@@ -12,7 +12,7 @@ from scipy import stats
 
 from cowqkd import attack, detectors, distill, experiment, source
 from cowqkd.attack import AttackConfig
-from cowqkd.detectors import Cause, Histogram, SnspdConfig, SpadConfig, spad_preset
+from cowqkd.detectors import Cause, DetectionLog, Histogram, SnspdConfig, SpadConfig, spad_preset
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
@@ -30,7 +30,7 @@ from cowqkd.experiment import (
     run_trial,
     write_sweep_csv,
 )
-from cowqkd.rates import count_interval
+from cowqkd.rates import McCounts, count_interval
 from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames, write_frames_csv
 from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream
 from oracles import csv_writer_rows, full_exposure_correlation, stream_rng
@@ -212,7 +212,7 @@ class TestConfigValidation:
         # Every trial keys its streams with the one seed; trials differ by index.
         cfg = ExperimentConfig(seed=9, trials=2, attack_enabled=False, frames_per_trial=1000)
         run = run_simulation(cfg)
-        assert [t.seed for t in run.trials] == [9, 9]
+        assert [t.trial for t in run.trials] == [0, 1]
         assert run.manifest["seeds"] == [9, 9]
 
     def test_rate_inputs_oracle(self):
@@ -221,7 +221,8 @@ class TestConfigValidation:
         assert r.mu == pytest.approx(0.2)       # two pulses of 0.1 per gate
         assert r.eta == pytest.approx(0.20)     # zero-length channel
         assert r.p_dark == pytest.approx(200.0 * 4000e-12)
-        assert r.p_b == pytest.approx(0.12 * 0.74)
+        assert not cfg.attack_enabled and r.p_b == 0.0  # no leak without the attack
+        assert replace(cfg, attack_enabled=True).rate_inputs().p_b == pytest.approx(0.12 * 0.74)
         q = 1 - math.exp(-r.mu * r.eta) * (1 - r.p_dark)
         want = q / (1 + 31.25e6 * q * 10e-6)
         assert cfg.analytic_p_sift() == pytest.approx(want)
@@ -307,6 +308,52 @@ class TestRuns:
         assert run.counts.n_eve_backflash == want_retained > 0
         assert run.counts.n_eve_backflash_blocks == want_blocks > want_retained
 
+    def test_run_counts_sum_the_trials(self):
+        run = run_simulation(small_attack_cfg(trials=3))
+        total = {
+            f.name: sum(getattr(t.counts, f.name) for t in run.trials)
+            for f in dataclasses.fields(McCounts) if f.name != "n_frames_covered"
+        }
+        in_blocks = run.manifest["blocks"] * run.config.distill.block_length
+        covered = round(total["n_frames"] * in_blocks / total["n_sift"])
+        assert run.counts == McCounts(**total, n_frames_covered=covered)
+        assert run.manifest["counts"] == dataclasses.asdict(run.counts)
+        for t in run.trials:
+            assert t.counts.n_frames == run.config.frames_per_trial
+            assert t.counts.n_sift == len(t.sifted) and t.counts.n_frames_covered is None
+            assert t.counts.n_eve_backflash > 0 and t.counts.n_eve_correct > 0
+
+    def test_merged_logs_hold_backflash_that_leaves_after_its_chunk(self, monkeypatch):
+        # The gate opens 1 ns before each frame ends, so a chunk's last gate
+        # runs 3 ns into the next chunk.  It holds a dark about one time in
+        # three, no hold-off parts the clicks, and every avalanche emits: an
+        # avalanche near the end of a chunk's last frame sends backflash past
+        # the chunk's end, and the parts of both logs interleave in time.
+        chunk = 100
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", chunk)
+        parts = {}
+        merge = DetectionLog.merge.__func__
+
+        def recording(cls, logs):
+            parts[logs[0].detector] = logs
+            return merge(cls, logs)
+
+        monkeypatch.setattr(DetectionLog, "merge", classmethod(recording))
+        spad = replace(spad_preset("5v"), dark_count_rate_cps=1e8, gate_phase_ps=31_000,
+                       backflash_probability=1.0, hold_off_s=0.0)
+        cfg = small_attack_cfg(spad=spad, frames_per_trial=100_000)
+        t = run_trial(cfg, 0)
+
+        chunk_ps = chunk * cfg.source.frame_period_ps
+        eve = t.eve_log
+        backflash = eve.cause == Cause.BACKFLASH
+        assert np.sum(backflash & (eve.time_ps // chunk_ps > eve.source_ps // chunk_ps)) > 0
+        for log in (t.bob_log, eve):
+            joined = np.concatenate([p.time_ps for p in parts[log.detector]])
+            assert np.any(np.diff(joined) < 0)  # the parts' times interleave
+            assert np.array_equal(np.sort(joined), log.time_ps)
+            assert np.array_equal(np.lexsort((log.cause, log.time_ps)), np.arange(len(log)))
+
     def test_attack_disabled_zeroes_leak_rates(self):
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "50000"})
         run = run_simulation(cfg)
@@ -374,6 +421,27 @@ class TestArtifacts:
         got = (tmp_path / "run" / "frames.csv").read_bytes()
         assert got.count(b"\r\n") == 1 + cfg.export_frames
         assert got == (tmp_path / "want.csv").read_bytes()
+
+    # The bound, fixed before the first run: the export adds its own array
+    # and less than half as much again to a trial's peak.
+    EXPORT_PEAK_ARRAYS = 1.5
+
+    def test_export_is_held_once(self, monkeypatch):
+        # Chunks of 20,000 frames keep every other array small next to the
+        # 4 MB export of 2e6 frames.
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 20_000)
+        cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "2000000"})
+        run_trial(replace(cfg, frames_per_trial=20_000, export_frames=10), 0)  # imports, outside the peaks
+        peaks = []
+        for export in (0, cfg.frames_per_trial):
+            tracemalloc.start()
+            try:
+                run_trial(replace(cfg, export_frames=export), 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        export_bytes = cfg.frames_per_trial * cfg.source.bits_per_frame
+        assert (peaks[1] - peaks[0]) / export_bytes < self.EXPORT_PEAK_ARRAYS
 
     def test_every_artifact_matches_the_row_writer(self, tmp_path, monkeypatch):
         # The runs write each artifact twice: through the columnar writer,
