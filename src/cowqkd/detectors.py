@@ -16,7 +16,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .source import ChannelConfig, FrameBatch, channel_transmittance
+from .source import DARK_BLOCK, ChannelConfig, FrameBatch, channel_transmittance
 from .timebase import (
     MAX_TIME_PS,
     PS_PER_S,
@@ -240,10 +240,6 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     return keep, dead
 
 
-# Dark candidates that ``_dark_times`` maps onto the gates per step.
-DARK_BLOCK = 2**16
-
-
 def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
     """Sorted dark-count candidates on ``gates`` open gates, one per frame
     period ``period_ps``, from frame ``start_frame`` on.
@@ -255,17 +251,22 @@ def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame:
     gate k // w at offset k % w, and the times come out sorted as drawn, one
     exponential draw per dark.  Two darks cannot share a picosecond: any
     hold-off above zero would merge them into one click anyway, and only a
-    hold-off of 0 would have kept both.
+    hold-off of 0 would have kept both.  A gate that runs ``tail`` ps past
+    its frame's end opens that frame's first ``tail`` ps instead.
     """
-    w = spad.gate_width_ps
+    w, phase = spad.gate_width_ps, spad.gate_phase_ps
+    tail = max(0, phase + w - period_ps)
     t = _bernoulli_indices(spad.dark_count_rate_cps / PS_PER_S, gates * w, rngs.spad_dark)
-    # k + (k // w) * (period - w) is gate k // w's opening plus offset k % w,
-    # mapped in place a block at a time so no second dark-sized array is held.
+    # k + (k // w) * (period - w) is frame k // w's start plus offset j = k % w,
+    # and an offset j >= tail moves up by phase - tail.  Mapped in place a block
+    # at a time so no second dark-sized array is held.
     for lo in range(0, t.size, DARK_BLOCK):
         block = t[lo: lo + DARK_BLOCK]
         shift = block // w
         shift *= period_ps - w
-        shift += start_frame * period_ps + spad.gate_phase_ps
+        shift += start_frame * period_ps + phase - tail
+        if tail:
+            shift[block % w < tail] -= phase - tail
         block += shift
     return t
 

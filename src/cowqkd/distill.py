@@ -45,21 +45,9 @@ class SiftedBits:
     def __len__(self) -> int:
         return self.time_ps.size
 
-    @classmethod
-    def concat(cls, parts: list["SiftedBits"]) -> "SiftedBits":
-        """One run of sifted bits from a trial's chunk parts, in order;
-        ``parts`` holds at least one."""
-        return cls(
-            np.concatenate([p.time_ps for p in parts]),
-            np.concatenate([p.bit for p in parts]),
-            np.concatenate([p.alice_bit for p in parts]),
-            sum(p.excluded_outside for p in parts),
-            sum(p.excluded_decoy for p in parts),
-        )
-
 
 def sift(time_ps: np.ndarray, frames: FrameBatch) -> SiftedBits:
-    """Decode click times into sifted bits for one batch of frames.
+    """Decode click times into sifted bits against the emission of ``frames``.
 
     Clicks outside any bit slot are dropped and counted, as are clicks on
     decoy slots (announced by the transmitter after the fact).
@@ -70,15 +58,13 @@ def sift(time_ps: np.ndarray, frames: FrameBatch) -> SiftedBits:
     local = t - frame * source.frame_period_ps
     bin_idx = local // source.bin_width_ps
 
-    in_window = bin_idx < 2 * source.bits_per_frame
-    in_range = (frame >= frames.start_frame) & (frame < frames.start_frame + len(frames))
-    ok = in_window & in_range
+    ok = bin_idx < 2 * source.bits_per_frame
     excluded_outside = int(np.sum(~ok))
 
     frame, bin_idx, t_ok = frame[ok], bin_idx[ok], t[ok]
     slot = bin_idx // 2
     bit = (bin_idx % 2).astype(np.int8)
-    alice = frames.bit_at(frame, slot).astype(np.int8)
+    alice = frames.values(frame * source.bits_per_frame + slot)
 
     decoy = alice == DECOY
     excluded_decoy = int(np.sum(decoy))

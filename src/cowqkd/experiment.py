@@ -48,15 +48,11 @@ from .rates import (
 from .source import ChannelConfig, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
 from .timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, check_time_range, write_csv
 
-# Fixed so chunking never affects drawn sequences.  Chunks bound memory on
-# every pattern, not only where generate_frames draws a float64 per slot
-# for decoys.  Peak RSS of `replicate-paper --seed 11`, chunked against one
-# chunk per run (Python 3.11, numpy 2.4): 47.1 against 104.1 MB; 57.3
-# against 295.2 MB at 31.2e6 frames; 63.8 against 184.4 MB with random bits
-# and 5% decoys.  Unchunked, spad_detect alone peaks at 45.2 MB (5.8 MB
-# chunked, tracemalloc): 14.9 MB for the per-slot decoy scan in
-# FrameBatch.n_pulses, up to 23 MB for int64 arrays over the 611,713 click
-# candidates in FrameBatch.pulse_times.
+# Fixed so chunking never affects drawn sequences.  Chunks bound the arrays
+# over click candidates: peak RSS of `replicate-paper --seed 11`, chunked
+# against one chunk per run (2-vCPU Xeon, Python 3.11, numpy 2.4), is 44.2
+# against 86.8 MB; 54.4 against 235.9 MB at 31.2e6 frames; 45.9 against
+# 103.1 MB with random bits and 5% decoys; the unchunked runs are slower.
 CHUNK_FRAMES = 1_000_000
 
 
@@ -273,7 +269,7 @@ class BlockOutcome:
 @dataclass
 class TrialResult:
     trial: int
-    frames: FrameBatch | None  # the first export_frames frames drawn, when set
+    frames: FrameBatch | None  # the emission's first export_frames frames, when set
     sifted: SiftedBits
     bob_log: DetectionLog
     eve_log: DetectionLog
@@ -287,30 +283,23 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     rngs = DeviceRngs(cfg.seed, trial=trial)
     period = cfg.source.frame_period_ps
 
-    # The export is filled chunk by chunk, so it is held once.
-    export_shape = (cfg.export_frames, cfg.source.bits_per_frame)
-    frames = FrameBatch(cfg.source, np.empty(export_shape, dtype=np.int8)) if cfg.export_frames else None
-    sift_parts: list[SiftedBits] = []
+    # One emission per trial; the chunks are spans of it, and so is the export.
+    emission = generate_frames(cfg.source, cfg.frames_per_trial, rngs.bits)
     bob_parts: list[DetectionLog] = []
     eve_parts: list[DetectionLog] = []
     dead_until = 0
-    done = 0
-    while done < cfg.frames_per_trial:
-        n = min(CHUNK_FRAMES, cfg.frames_per_trial - done)
-        batch = generate_frames(cfg.source, n, rngs.bits, start_frame=done)
-        if done < cfg.export_frames:
-            frames.bits[done:done + n] = batch.bits[:cfg.export_frames - done]
+    for done in range(0, cfg.frames_per_trial, CHUNK_FRAMES):
+        batch = emission.span(done, min(CHUNK_FRAMES, cfg.frames_per_trial - done))
         res = spad_detect(batch, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
         dead_until = res.dead_until_ps
         bob_parts.append(res.clicks)
-        sift_parts.append(sift(res.clicks.time_ps, batch))
         if cfg.attack_enabled:
-            eve_parts.append(snspd_detect(res.eve, cfg.snspd, [batch.start_ps], batch.end_ps - batch.start_ps, rngs))
-        done += n
+            eve_parts.append(snspd_detect(res.eve, cfg.snspd, [done * period], len(batch) * period, rngs))
 
-    sifted = SiftedBits.concat(sift_parts)
     bob_log = DetectionLog.merge(bob_parts)
     eve_log = DetectionLog.merge(eve_parts) if cfg.attack_enabled else DetectionLog.empty("eve")
+    sifted = sift(bob_log.time_ps, emission)
+    frames = emission.span(0, cfg.export_frames) if cfg.export_frames else None
 
     pairs, leftover = distill_mod.form_blocks(sifted, cfg.distill, rngs.disclose)
     blocks = [BlockOutcome(transcript=t, retained=r) for t, r in pairs]
@@ -325,12 +314,19 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         calibrated = eve_raw + calibration.offset_ps
 
         # Eve's backflash counts whose avalanche is a retained click, and a
-        # click in any block (retained or disclosed).
+        # click in any block (retained or disclosed): one search per
+        # avalanche in the sorted clicks, which may repeat.
         av = eve_log.source_ps[eve_log.cause == Cause.BACKFLASH]
+
+        def hits(clicks: np.ndarray) -> int:
+            clicks = np.sort(clicks)
+            at = np.minimum(np.searchsorted(clicks, av), clicks.size - 1)
+            return int(np.count_nonzero(clicks[at] == av))
+
         retained = np.concatenate([b.retained.time_ps for b in blocks])
         in_blocks = np.concatenate([retained] + [b.transcript.disclosed_time_ps for b in blocks])
-        n_eve_backflash = int(np.isin(av, retained).sum())
-        n_eve_backflash_blocks = int(np.isin(av, in_blocks).sum())
+        n_eve_backflash = hits(retained)
+        n_eve_backflash_blocks = hits(in_blocks)
 
         margin = 2 * period
         for b in blocks:

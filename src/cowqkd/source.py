@@ -9,6 +9,7 @@ occupies both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,38 +93,79 @@ def channel_transmittance(channel: ChannelConfig) -> float:
     return 10.0 ** (-total_db / 10.0)
 
 
-class FrameBatch:
-    """Columnar batch of frames laid out by ``source``: one row of slot bits per frame."""
+# Slots or darks hashed or mapped per step: no second array of them all is held.
+DARK_BLOCK = 2**16
 
-    def __init__(self, source: SourceConfig, bits: np.ndarray, start_frame: int = 0):
-        bits = np.asarray(bits, dtype=np.int8)
-        if bits.ndim != 2 or bits.shape[1] != source.bits_per_frame:
-            raise ConfigError("bits array must be (n_frames, bits_per_frame)")
+
+def _splitmix64(slot: np.ndarray, key: np.uint64) -> np.ndarray:
+    """Output ``slot`` of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded with
+    ``key``, for a uint64 array ``slot``, which wraps on overflow without a warning."""
+    z = (slot + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + key
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    return z ^ (z >> np.uint64(31))
+
+
+class FrameBatch:
+    """Frames ``[start_frame, start_frame + n_frames)`` of one emission, whose
+    uint64 decoy and bit keys fix Alice's value in every slot (:meth:`values`)."""
+
+    def __init__(self, source: SourceConfig, keys: np.ndarray, start_frame: int, n_frames: int):
         self.source = source
-        self.bits = bits
+        self.keys = keys
         self.start_frame = int(start_frame)
-        check_time_range((self.start_frame + len(bits) + 1) * source.frame_period_ps)
+        self.n_frames = int(n_frames)
+        check_time_range((self.start_frame + self.n_frames + 1) * source.frame_period_ps)
 
     def __len__(self) -> int:
-        return self.bits.shape[0]
+        return self.n_frames
+
+    def span(self, start_frame: int, n_frames: int) -> "FrameBatch":
+        """Frames ``[start_frame, start_frame + n_frames)`` of the same emission."""
+        return FrameBatch(self.source, self.keys, start_frame, n_frames)
+
+    def values(self, slot: np.ndarray) -> np.ndarray:
+        """Alice's value (0, 1 or :data:`DECOY`) in each global slot (frame f's
+        slot j is f * bits_per_frame + j) of the array ``slot``: a decoy when the
+        slot's decoy-key hash lies below decoy_probability * 2**64, else
+        slot % bits_per_frame % 2 (alternating) or its bit-key hash's low bit."""
+        cfg = self.source
+        slot = np.asarray(slot, dtype=np.uint64)
+        if cfg.pattern == PATTERN_ALTERNATING:
+            out = (slot % cfg.bits_per_frame % 2).astype(np.int8)
+        else:
+            out = (_splitmix64(slot, self.keys[1]) & np.uint64(1)).astype(np.int8)
+        if cfg.decoy_probability > 0:
+            out[self._is_decoy(slot)] = DECOY
+        return out
+
+    def _is_decoy(self, slot: np.ndarray) -> np.ndarray:
+        # A whole number lies below x exactly when it is at most ceil(x) - 1.
+        return _splitmix64(slot, self.keys[0]) <= np.uint64(math.ceil(self.source.decoy_probability * 2**64) - 1)
 
     @property
-    def start_ps(self) -> int:
-        return self.start_frame * self.source.frame_period_ps
-
-    @property
-    def end_ps(self) -> int:
-        return (self.start_frame + len(self)) * self.source.frame_period_ps
+    def bits(self) -> np.ndarray:
+        """The values, one row of ``bits_per_frame`` per frame, built when read."""
+        k = self.source.bits_per_frame
+        return self.values(np.arange(self.start_frame * k, (self.start_frame + len(self)) * k)).reshape(-1, k)
 
     @cached_property
-    def _decoy_second_pulses(self) -> np.ndarray:
-        """Pulse index of the sub-bin-1 pulse of every decoy slot, ascending."""
-        slots = np.flatnonzero(self.bits.reshape(-1) == DECOY)
+    def _decoy_pulses(self) -> np.ndarray:
+        """Pulse index of the sub-bin-1 pulse of every decoy slot, ascending;
+        slots are hashed :data:`DARK_BLOCK` at a time, and only if decoys are on."""
+        k = self.source.bits_per_frame
+        first, n = self.start_frame * k, len(self) * k
+        slots = [np.empty(0, dtype=np.int64)]
+        for lo in range(0, n if self.source.decoy_probability > 0 else 0, DARK_BLOCK):
+            block = np.arange(first + lo, first + min(lo + DARK_BLOCK, n), dtype=np.uint64)
+            slots.append(lo + np.flatnonzero(self._is_decoy(block)))
+        slots = np.concatenate(slots)
         return slots + np.arange(1, slots.size + 1, dtype=np.int64)
 
     def n_pulses(self) -> int:
         """Number of emitted pulses: one per slot, two per decoy slot."""
-        return self.bits.size + self._decoy_second_pulses.size
+        return len(self) * self.source.bits_per_frame + self._decoy_pulses.size
 
     def pulse_times(self, idx: np.ndarray) -> np.ndarray:
         """Global occupied-bin start ``time_ps`` of the pulses at ``idx``.
@@ -135,37 +177,24 @@ class FrameBatch:
         cfg = self.source
         idx = np.asarray(idx, dtype=np.int64)
         slot = idx
-        second = self._decoy_second_pulses
+        second = self._decoy_pulses
         if second.size:
             before = np.searchsorted(second, idx, side="right")
             slot = idx - before
             is_second = (before > 0) & (second[np.maximum(before - 1, 0)] == idx)
         # Bit 0 and a decoy open in sub-bin 0, bit 1 in sub-bin 1.
-        sub = np.bitwise_and(self.bits.reshape(-1)[slot], 1, dtype=np.int64)
+        sub = np.bitwise_and(self.values(self.start_frame * cfg.bits_per_frame + slot), 1, dtype=np.int64)
         if second.size:
             sub[is_second] = 1
         frame, k = np.divmod(slot, cfg.bits_per_frame)
         return (self.start_frame + frame) * cfg.frame_period_ps + (2 * k + sub) * cfg.bin_width_ps
 
-    def bit_at(self, frame: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        local = np.asarray(frame, dtype=np.int64) - self.start_frame
-        return self.bits[local, np.asarray(slot, dtype=np.int64)]
-
 
 def generate_frames(cfg: SourceConfig, count: int, rng: np.random.Generator, start_frame: int = 0) -> FrameBatch:
-    """Draw ``count`` frames starting at global frame index ``start_frame``."""
+    """Frames ``[start_frame, start_frame + count)`` of an emission keyed by two draws from ``rng``."""
     if count < 0:
         raise ConfigError("frame count must be >= 0")
-    k = cfg.bits_per_frame
-    if cfg.pattern == PATTERN_ALTERNATING:
-        row = np.arange(k, dtype=np.int8) % 2
-        bits = np.tile(row, (count, 1))
-    else:
-        bits = rng.integers(0, 2, size=(count, k), dtype=np.int8)
-    if cfg.decoy_probability > 0 and count > 0:
-        decoy = rng.random(size=(count, k)) < cfg.decoy_probability
-        bits[decoy] = DECOY
-    return FrameBatch(cfg, bits, start_frame=start_frame)
+    return FrameBatch(cfg, rng.integers(2**64, size=2, dtype=np.uint64), start_frame, count)
 
 
 class _SliceColumn:
@@ -191,7 +220,7 @@ def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = N
     it, so memory does not grow with the number of frames.
     """
     cfg = batch.source
-    n, k = batch.bits.shape
+    n, k = len(batch), cfg.bits_per_frame
     # bins[j][b]: the occupied bins of slot j holding logical bit b, after
     # the ";" that follows slot j - 1.
     bins = [
@@ -203,10 +232,10 @@ def write_frames_csv(batch: FrameBatch, path, header_lines: list[str] | None = N
         return (batch.start_frame + np.arange(lo, hi, dtype=np.int64)) * cfg.frame_period_ps
 
     def digits(lo: int, hi: int) -> np.ndarray:
-        return np.ascontiguousarray(batch.bits[lo:hi].astype(np.uint8) + 48).view(f"S{k}")[:, 0]
+        return (batch.span(batch.start_frame + lo, hi - lo).bits.astype(np.uint8) + 48).view(f"S{k}")[:, 0]
 
     def pulse_bins(lo: int, hi: int) -> np.ndarray:
-        bits = batch.bits[lo:hi]
+        bits = batch.span(batch.start_frame + lo, hi - lo).bits
         out = bins[0][bits[:, 0]]
         for j in range(1, k):
             out = np.char.add(out, bins[j][bits[:, j]])

@@ -21,6 +21,10 @@ Poisson count of uniform times over the whole exposure and histograms them
 by searching every start into the stops; the library draws darks only where
 a stop can count, as skips over those picoseconds, so the two agree in law.
 
+Drawing Alice's values slot by slot, a uniform bit and a uniform decoy
+draw per slot, is a distributional reference for the library's values,
+which are keyed hashes of the slot index.
+
 The row-at-a-time ``csv.writer`` artifact writer and the per-shift
 coincidence count must match the library's columnar writer and its
 interval-union calibration scan exactly.
@@ -100,6 +104,20 @@ def poisson_dark_times(spad, period_ps, rng, start_frame, gates):
     gate = rng.integers(0, gates, size=n, dtype=np.int64)
     offset = rng.integers(0, spad.gate_width_ps, size=n, dtype=np.int64)
     return np.sort((start_frame + gate) * period_ps + spad.gate_phase_ps + offset)
+
+
+def per_slot_values(cfg, count, rng):
+    """Alice's values for ``count`` frames, drawn slot by slot: the
+    alternating row or one uniform bit per slot, then one uniform draw per
+    slot that makes it a decoy below ``decoy_probability``."""
+    k = cfg.bits_per_frame
+    if cfg.pattern == "alternating":
+        bits = np.tile(np.arange(k, dtype=np.int8) % 2, (count, 1))
+    else:
+        bits = rng.integers(0, 2, size=(count, k), dtype=np.int8)
+    if cfg.decoy_probability > 0 and count > 0:
+        bits[rng.random(size=(count, k)) < cfg.decoy_probability] = DECOY
+    return bits
 
 
 def sorted_pulse_times(batch):

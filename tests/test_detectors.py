@@ -23,7 +23,7 @@ from cowqkd.detectors import (
     spad_detect,
     spad_preset,
 )
-from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames
+from cowqkd.source import ChannelConfig, SourceConfig, generate_frames
 from cowqkd.timebase import ConfigError, DeviceRngs
 from oracles import (
     dense_spad_detect,
@@ -174,6 +174,16 @@ def test_dark_lattice_at_one_fills_every_open_gate_picosecond(monkeypatch, block
     assert got.tolist() == [f * 10 + 2 + o for f in range(5, 9) for o in range(3)]
     assert rng.spad_dark.random() == DeviceRngs(1).spad_dark.random()
 
+@pytest.mark.parametrize("block", [1, 3, 2**16])
+def test_dark_lattice_of_a_gate_past_the_frame_end_stays_in_the_frame(monkeypatch, block):
+    # A 4 ps gate that opens 8 ps into a 10 ps frame runs 2 ps past its end;
+    # it opens that frame's first 2 ps instead, so frame f's darks lie in
+    # [10 f, 10 f + 10).
+    monkeypatch.setattr(detectors, "DARK_BLOCK", block)
+    spad = SpadConfig(gate_width_ps=4, gate_phase_ps=8, dark_count_rate_cps=1e12)
+    got = _dark_times(spad, 10, DeviceRngs(1), 5, 4)
+    assert got.tolist() == [f * 10 + o for f in range(5, 9) for o in (0, 1, 8, 9)]
+
 def test_dark_lattice_has_the_poisson_oracles_law():
     # 2e5 gates of 1 ns at 0.05 darks per gate: about 1e4 darks each from
     # the lattice and from the oracle's Poisson count of uniform times.  Five
@@ -280,7 +290,8 @@ def _pooled_run(case, sampler, seeds):
             photon_t = c.time_ps[c.cause == Cause.PHOTON]
             out["offsets"].append((photon_t - spad.gate_phase_ps) % source.frame_period_ps)
             times.append(c.time_ps)
-            eve = snspd_detect(res.eve, snspd, [batch.start_ps], batch.end_ps - batch.start_ps, rngs)
+            period = source.frame_period_ps
+            eve = snspd_detect(res.eve, snspd, [start * period], len(batch) * period, rngs)
             out["eve_reflection"] += int(np.sum(eve.cause == Cause.REFLECTION))
             out["pulses"] += batch.n_pulses()
         out["gaps"].append(np.diff(np.concatenate(times)))
@@ -501,8 +512,9 @@ def test_backflash_cap_is_one_gate_width_after_the_avalanche():
     # a click late in the gate can leak after the gate has shut.
     spad = SpadConfig(gate_width_ps=3500, hold_off_s=0.0, backflash_probability=1.0,
                       dark_count_rate_cps=0.0)
-    batch = FrameBatch(SourceConfig(mean_photon_number=0.5), np.full((40_000, 2), 1, dtype=np.int8))
-    res = spad_detect(batch, spad, ChannelConfig(), DeviceRngs(14))
+    rngs = DeviceRngs(14)
+    batch = generate_frames(SourceConfig(mean_photon_number=0.5), 40_000, rngs.bits)
+    res = spad_detect(batch, spad, ChannelConfig(), rngs)
     av, em = res.eve.avalanche_ps, res.eve.backflash_ps
     period = batch.source.frame_period_ps
     late = (av % period) >= 3000
@@ -578,7 +590,7 @@ def test_snspd_thins_backflash():
     batch, res = run_spad(n_frames=200_000, spad=spad, seed=10)
     rngs = DeviceRngs(10)
     log = snspd_detect(res.eve, SnspdConfig(dark_count_rate_cps=0.0),
-                       [batch.start_ps], batch.end_ps - batch.start_ps, rngs)
+                       [0], len(batch) * batch.source.frame_period_ps, rngs)
     n_emitted = res.eve.backflash_ps.size
     n_detected = int(np.sum(log.cause == Cause.BACKFLASH))
     sigma = math.sqrt(n_emitted * 0.74 * 0.26)

@@ -33,12 +33,15 @@ def test_sift_decodes_hand_built_clicks():
     assert out.excluded_outside == 1
     assert out.excluded_decoy == 0
 
-def test_sift_drops_out_of_range_frames():
+def test_sift_reads_the_emission_past_the_batch():
+    # A batch is a span of its emission: a click in a later frame sifts
+    # against that frame's values; a click before frame 0 falls in no slot.
     frames = alternating_frames(5)
-    clicks = np.array([-100, 5 * 32000 + 500], dtype=np.int64)
+    clicks = np.array([-100, 5 * 32000 + 500, 9 * 32000 + 3500], dtype=np.int64)
     out = sift(clicks, frames)
-    assert len(out) == 0
-    assert out.excluded_outside == 2
+    assert out.time_ps.tolist() == [5 * 32000 + 500, 9 * 32000 + 3500]
+    assert out.alice_bit.tolist() == [0, 1]
+    assert out.excluded_outside == 1
 
 def test_sift_excludes_decoy_slots():
     cfg = SourceConfig(decoy_probability=1.0, pattern="random")
@@ -48,14 +51,17 @@ def test_sift_excludes_decoy_slots():
     assert len(out) == 0
     assert out.excluded_decoy == 4
 
-def test_sifted_concat():
-    frames = alternating_frames(2)
-    a = sift(np.array([500, 40_000], dtype=np.int64), frames)
-    b = sift(np.array([3500], dtype=np.int64), frames)
-    both = SiftedBits.concat([a, b])
-    assert both.bit.tolist() == [0, 1]
-    assert both.excluded_outside == 1
-    assert len(SiftedBits.concat([b])) == 1
+def test_one_sift_of_the_trial_is_the_sifts_of_its_spans():
+    cfg = SourceConfig(pattern="random", decoy_probability=0.3)
+    emission = generate_frames(cfg, 4000, DeviceRngs(2).bits)
+    clicks = np.sort(DeviceRngs(3).bits.integers(0, 4000 * 32000, size=3000))
+    whole = sift(clicks, emission)
+    cut = 1500 * 32000
+    parts = [sift(clicks[clicks < cut], emission.span(0, 1500)), sift(clicks[clicks >= cut], emission.span(1500, 2500))]
+    for name in ("time_ps", "bit", "alice_bit"):
+        assert np.array_equal(getattr(whole, name), np.concatenate([getattr(p, name) for p in parts]))
+    assert whole.excluded_outside == sum(p.excluded_outside for p in parts) > 0
+    assert whole.excluded_decoy == sum(p.excluded_decoy for p in parts) > 0
 
 
 # --- QBER ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from cowqkd.experiment import (
     write_sweep_csv,
 )
 from cowqkd.rates import McCounts, count_interval
-from cowqkd.source import ChannelConfig, FrameBatch, SourceConfig, generate_frames, write_frames_csv
+from cowqkd.source import ChannelConfig, SourceConfig, generate_frames, write_frames_csv
 from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream
 from oracles import csv_writer_rows, full_exposure_correlation, stream_rng
 
@@ -297,16 +297,26 @@ class TestRuns:
     def test_leak_tallies_recount_with_sets(self):
         # Each backflash count Eve logs names its avalanche.  The tallies count
         # those whose avalanche is a retained click, and a click in any block.
-        run = run_simulation(small_attack_cfg(trials=2))
-        want_retained = want_blocks = 0
-        for t in run.trials:
+        def recount(t):
             retained = {x for b in t.blocks for x in b.retained.time_ps.tolist()}
             in_blocks = retained | {x for b in t.blocks for x in b.transcript.disclosed_time_ps.tolist()}
             avalanches = t.eve_log.source_ps[t.eve_log.cause == Cause.BACKFLASH].tolist()
-            want_retained += sum(a in retained for a in avalanches)
-            want_blocks += sum(a in in_blocks for a in avalanches)
+            return sum(a in retained for a in avalanches), sum(a in in_blocks for a in avalanches)
+
+        run = run_simulation(small_attack_cfg(trials=2))
+        want_retained, want_blocks = map(sum, zip(*map(recount, run.trials)))
         assert run.counts.n_eve_backflash == want_retained > 0
         assert run.counts.n_eve_backflash_blocks == want_blocks > want_retained
+
+        # With no hold-off, a photon and a dark on one picosecond are both
+        # kept, and both emit: click times and avalanches repeat.
+        spad = replace(spad_preset("5v"), dark_count_rate_cps=1e11, gate_width_ps=1000, hold_off_s=0.0,
+                       backflash_probability=1.0)
+        t = run_trial(small_attack_cfg(spad=spad, frames_per_trial=5000, distill=DistillConfig(20_000, 2000)), 0)
+        clicks = np.concatenate([b.retained.time_ps for b in t.blocks] + [b.transcript.disclosed_time_ps for b in t.blocks])
+        avalanches = t.eve_log.source_ps[t.eve_log.cause == Cause.BACKFLASH]
+        assert clicks.size - np.unique(clicks).size > 0 and avalanches.size - np.unique(avalanches).size > 0
+        assert (t.counts.n_eve_backflash, t.counts.n_eve_backflash_blocks) == recount(t)
 
     def test_run_counts_sum_the_trials(self):
         run = run_simulation(small_attack_cfg(trials=3))
@@ -324,11 +334,12 @@ class TestRuns:
             assert t.counts.n_eve_backflash > 0 and t.counts.n_eve_correct > 0
 
     def test_merged_logs_hold_backflash_that_leaves_after_its_chunk(self, monkeypatch):
-        # The gate opens 1 ns before each frame ends, so a chunk's last gate
-        # runs 3 ns into the next chunk.  It holds a dark about one time in
-        # three, no hold-off parts the clicks, and every avalanche emits: an
-        # avalanche near the end of a chunk's last frame sends backflash past
-        # the chunk's end, and the parts of both logs interleave in time.
+        # The gate opens 1 ns before each frame ends and runs 3 ns past it,
+        # which opens the frame's first 3 ns instead, so a chunk's clicks lie
+        # in its frames.  A gate holds about four darks, no hold-off parts
+        # the clicks and every avalanche emits: an avalanche near the end of
+        # a chunk's last frame sends backflash past the chunk's end, and the
+        # parts of Eve's log interleave in time.
         chunk = 100
         monkeypatch.setattr(experiment, "CHUNK_FRAMES", chunk)
         parts = {}
@@ -339,20 +350,35 @@ class TestRuns:
             return merge(cls, logs)
 
         monkeypatch.setattr(DetectionLog, "merge", classmethod(recording))
-        spad = replace(spad_preset("5v"), dark_count_rate_cps=1e8, gate_phase_ps=31_000,
+        spad = replace(spad_preset("5v"), dark_count_rate_cps=1e9, gate_phase_ps=31_000,
                        backflash_probability=1.0, hold_off_s=0.0)
-        cfg = small_attack_cfg(spad=spad, frames_per_trial=100_000)
+        cfg = small_attack_cfg(spad=spad, frames_per_trial=10_000)
         t = run_trial(cfg, 0)
 
         chunk_ps = chunk * cfg.source.frame_period_ps
         eve = t.eve_log
         backflash = eve.cause == Cause.BACKFLASH
         assert np.sum(backflash & (eve.time_ps // chunk_ps > eve.source_ps // chunk_ps)) > 0
+        for i, p in enumerate(parts[t.bob_log.detector]):
+            assert len(p) and np.all(p.time_ps // chunk_ps == i)  # each Bob part lies in its chunk
         for log in (t.bob_log, eve):
             joined = np.concatenate([p.time_ps for p in parts[log.detector]])
-            assert np.any(np.diff(joined) < 0)  # the parts' times interleave
+            assert np.any(np.diff(joined) < 0) == (log is eve)  # only Eve's parts interleave
             assert np.array_equal(np.sort(joined), log.time_ps)
             assert np.array_equal(np.lexsort((log.cause, log.time_ps)), np.arange(len(log)))
+
+    def test_sifted_bits_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        # A dark on every open-gate picosecond, no light, no hold-off, and a
+        # gate that runs 3 ns past each frame's end: every frame opens its
+        # first 3 ns (sifted) and its last 1 ns (past the bit slots), whatever
+        # chunk it falls in.
+        spad = replace(spad_preset("5v"), dark_count_rate_cps=1e12, detection_efficiency=0.0,
+                       hold_off_s=0.0, gate_phase_ps=31_000)
+        cfg = ExperimentConfig(spad=spad, frames_per_trial=50, attack_enabled=False)
+        for chunk in (7, 50):
+            monkeypatch.setattr(experiment, "CHUNK_FRAMES", chunk)
+            t = run_trial(cfg, 0)
+            assert (len(t.sifted), t.sifted.excluded_outside) == (50 * 3000, 50 * 1000)
 
     def test_attack_disabled_zeroes_leak_rates(self):
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "50000"})
@@ -410,17 +436,20 @@ class TestArtifacts:
         {},
     ])
     def test_frames_csv_shows_the_frames_the_run_drew(self, tmp_path, monkeypatch, overrides):
-        # export_frames above one chunk takes the frames of every chunk it reaches.
-        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 3000)
+        # frames.csv holds the first export_frames frames of trial 0's
+        # emission, whatever the chunk size and the trial's length.
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "20000", "export_frames": "7500", **overrides})
-        run_simulation(cfg, out_dir=tmp_path / "run")
-        rng = DeviceRngs(cfg.seed).bits
-        drawn = [generate_frames(cfg.source, 3000, rng, start_frame=s).bits for s in (0, 3000, 6000)]
-        want = FrameBatch(cfg.source, np.concatenate(drawn)[:cfg.export_frames])
+        want = generate_frames(cfg.source, cfg.export_frames, DeviceRngs(cfg.seed).bits)
         write_frames_csv(want, tmp_path / "want.csv", artifact_headers(cfg))
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 3000)
+        run_simulation(cfg, out_dir=tmp_path / "run")
         got = (tmp_path / "run" / "frames.csv").read_bytes()
         assert got.count(b"\r\n") == 1 + cfg.export_frames
         assert got == (tmp_path / "want.csv").read_bytes()
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 10**6)
+        run_simulation(replace(cfg, frames_per_trial=cfg.export_frames), out_dir=tmp_path / "short")
+        rows = [(tmp_path / d / "frames.csv").read_text().split("\n", 1)[1] for d in ("run", "short")]
+        assert rows[0] == rows[1]
 
     # The bound, fixed before the first run: the export adds its own array
     # and less than half as much again to a trial's peak.

@@ -1,21 +1,23 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
+from cowqkd import source
 from cowqkd.source import (
     DECOY,
     ChannelConfig,
-    FrameBatch,
     SourceConfig,
     channel_transmittance,
     generate_frames,
     write_frames_csv,
 )
 from cowqkd.timebase import ConfigError, DeviceRngs
-from oracles import sorted_pulse_times
+from oracles import per_slot_values, sorted_pulse_times
 
 
 def make_rng(seed=0):
@@ -80,10 +82,24 @@ def test_decoy_rate():
 
 def test_pulse_positions_encode_bits():
     # bit 0 -> first bin of the slot, bit 1 -> second, decoy -> both
-    batch = FrameBatch(SourceConfig(), np.array([[0, 1], [2, 1], [1, 0]]))
-    assert batch.n_pulses() == 7
-    assert batch.pulse_times(np.arange(7)).tolist() == [0, 3000, 32000, 33000, 35000, 65000, 66000]
-    assert batch.pulse_times(np.array([2, 3, 6])).tolist() == [32000, 33000, 66000]
+    alternating = generate_frames(SourceConfig(), 3, make_rng(), start_frame=1)
+    assert alternating.n_pulses() == 6
+    assert alternating.pulse_times(np.arange(6)).tolist() == [32000, 35000, 64000, 67000, 96000, 99000]
+    decoys = generate_frames(SourceConfig(decoy_probability=1.0), 2, make_rng())
+    assert decoys.n_pulses() == 8
+    assert decoys.pulse_times(np.arange(8)).tolist() == [0, 1000, 2000, 3000, 32000, 33000, 34000, 35000]
+    assert decoys.pulse_times(np.array([2, 3, 6])).tolist() == [2000, 3000, 34000]
+    # A mixed batch, pulse by pulse from its values.
+    batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.4), 40, make_rng(4), start_frame=7)
+    want = []
+    for f, row in enumerate(batch.bits.tolist(), start=7):
+        for j, v in enumerate(row):
+            slot_ps = f * 32000 + 2 * j * 1000
+            want += [slot_ps, slot_ps + 1000] if v == DECOY else [slot_ps + 1000 * v]
+    n_decoys = len(want) - 80
+    assert 0 < n_decoys < 80
+    assert batch.n_pulses() == len(want)
+    assert batch.pulse_times(np.arange(len(want))).tolist() == want
 
 
 def test_decoy_contributes_two_pulses():
@@ -94,11 +110,91 @@ def test_decoy_contributes_two_pulses():
     assert np.all(np.diff(t) >= 0)
 
 
-def test_bit_at_and_is_decoy():
-    cfg = SourceConfig(pattern="alternating")
-    batch = generate_frames(cfg, 2, make_rng())
-    assert batch.bit_at(0, 0) == 0
-    assert batch.bit_at(1, 1) == 1
+@pytest.mark.parametrize("pattern", ["alternating", "random"])
+def test_values_are_a_function_of_the_slot(pattern):
+    # Every span of one emission, and every emission keyed by the same two
+    # draws, reads the same value in a slot, whatever its length or start.
+    cfg = SourceConfig(pattern=pattern, decoy_probability=0.3, bits_per_frame=3)
+    emission = generate_frames(cfg, 1000, make_rng(8))
+    whole = emission.bits
+    assert whole.shape == (1000, 3)
+    for start, n in ((0, 1), (1, 7), (333, 667), (999, 1)):
+        assert np.array_equal(emission.span(start, n).bits, whole[start:start + n])
+        assert np.array_equal(generate_frames(cfg, n, make_rng(8), start_frame=start).bits, whole[start:start + n])
+    slots = np.array([5, 2999, 0, 5])
+    assert emission.values(slots).tolist() == whole.reshape(-1)[slots].tolist()
+    if pattern == "alternating":
+        plain = generate_frames(replace(cfg, decoy_probability=0.0), 2, make_rng(8))
+        assert plain.bits.tolist() == [[0, 1, 0], [0, 1, 0]]
+    assert not np.array_equal(generate_frames(cfg, 1000, make_rng(9)).bits, whole)
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**16])
+def test_decoy_pulses_do_not_depend_on_the_hashing_step(monkeypatch, block):
+    cfg = SourceConfig(pattern="random", decoy_probability=0.3)
+    want = generate_frames(cfg, 5000, make_rng(6), start_frame=11)
+    want = want.pulse_times(np.arange(want.n_pulses()))
+    monkeypatch.setattr(source, "DARK_BLOCK", block)
+    batch = generate_frames(cfg, 5000, make_rng(6), start_frame=11)
+    assert batch.pulse_times(np.arange(batch.n_pulses())).tolist() == want.tolist()
+
+
+def test_decoy_probability_ends_are_exact(monkeypatch):
+    # p = 0 makes no decoy, p = 1 makes every slot one.
+    for pattern in ("alternating", "random"):
+        none = generate_frames(SourceConfig(pattern=pattern), 20_000, make_rng(2))
+        assert not np.any(none.bits == DECOY) and none.n_pulses() == 40_000
+        every = generate_frames(SourceConfig(pattern=pattern, decoy_probability=1.0), 20_000, make_rng(2))
+        assert np.all(every.bits == DECOY) and every.n_pulses() == 80_000
+    # Alternating frames without decoys hash nothing.
+    monkeypatch.setattr(source, "_splitmix64", lambda *a: pytest.fail("a slot was hashed"))
+    batch = generate_frames(SourceConfig(), 20_000, make_rng(2))
+    assert batch.n_pulses() == 40_000 and batch.pulse_times(np.array([1, 39_999])).tolist() == [3000, 19_999 * 32000 + 3000]
+
+
+# Exact tests of the keyed values, fixed before the first run: 2**20 slots
+# each, a family-wise false alarm rate of 1e-3 split evenly over the five
+# p-values below.
+KEYED_SLOTS = 2**20
+KEYED_ALPHA = 1e-3 / 5
+
+
+def _keyed_values(seed, **kw):
+    cfg = SourceConfig(pattern="random", **kw)
+    return generate_frames(cfg, KEYED_SLOTS // cfg.bits_per_frame, make_rng(seed)).bits.reshape(-1)
+
+
+def test_keyed_bits_are_balanced_and_adjacent_slots_independent():
+    v = _keyed_values(21)
+    # For independent fair bits, the XORs of adjacent slots are independent
+    # fair bits too, frame borders included.
+    pvalues = [
+        stats.binomtest(int(np.sum(v == 1)), v.size, 0.5).pvalue,
+        stats.binomtest(int(np.sum(v[1:] != v[:-1])), v.size - 1, 0.5).pvalue,
+    ]
+    assert min(pvalues) > KEYED_ALPHA, pvalues
+
+
+def test_keyed_decoys_have_their_share_and_leave_the_bits_alone():
+    v = _keyed_values(22, decoy_probability=0.2)
+    # The same keys without decoys show the bit under every decoy.
+    under = _keyed_values(22)
+    decoy = v == DECOY
+    assert np.array_equal(v[~decoy], under[~decoy])
+    table = [[int(np.sum(decoy & (under == b))), int(np.sum(~decoy & (under == b)))] for b in (0, 1)]
+    pvalues = [
+        stats.binomtest(int(decoy.sum()), v.size, 0.2).pvalue,
+        stats.fisher_exact(table).pvalue,
+    ]
+    assert min(pvalues) > KEYED_ALPHA, pvalues
+
+
+def test_keyed_values_have_the_per_slot_draws_law():
+    cfg = SourceConfig(pattern="random", decoy_probability=0.3)
+    keyed = _keyed_values(23, decoy_probability=0.3)
+    drawn = per_slot_values(cfg, KEYED_SLOTS // 2, make_rng(23)).reshape(-1)
+    table = [np.bincount(keyed, minlength=3), np.bincount(drawn, minlength=3)]
+    assert stats.chi2_contingency(table).pvalue > KEYED_ALPHA
 
 
 def test_pulses_within_signal_window():
@@ -143,16 +239,27 @@ def test_channel_transmittance_oracles():
 
 
 def test_write_frames_csv(tmp_path):
-    batch = FrameBatch(SourceConfig(), np.array([[2, 0], [0, 1], [1, 2]]), start_frame=4)
     out = tmp_path / "frames.csv"
-    write_frames_csv(batch, out, ["hdr=1"])
+    write_frames_csv(generate_frames(SourceConfig(), 2, make_rng(), start_frame=4), out, ["hdr=1"])
     assert out.read_bytes() == (
         b"# hdr=1\n"
         b"frame_start_ps,bits,pulse_bins_ps\r\n"
-        b"128000,20,0;1000;2000\r\n"
+        b"128000,01,0;3000\r\n"
         b"160000,01,0;3000\r\n"
-        b"192000,12,1000;2000;3000\r\n"
     )
+    write_frames_csv(generate_frames(SourceConfig(decoy_probability=1.0), 1, make_rng(), start_frame=4), out)
+    assert out.read_bytes() == b"frame_start_ps,bits,pulse_bins_ps\r\n128000,22,0;1000;2000;3000\r\n"
+    # A mixed batch, row by row from its values.
+    batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.4), 30, make_rng(5), start_frame=4)
+    write_frames_csv(batch, out)
+    bins = {0: ["{a}"], 1: ["{b}"], 2: ["{a}", "{b}"]}
+    rows = [
+        f"{f * 32000},{''.join(map(str, row))},"
+        + ";".join(c.format(a=2000 * j, b=2000 * j + 1000) for j, v in enumerate(row) for c in bins[v])
+        for f, row in enumerate(batch.bits.tolist(), start=4)
+    ]
+    assert {"0", "1", "2"} <= set("".join(r.split(",")[1] for r in rows))
+    assert out.read_text().splitlines() == ["frame_start_ps,bits,pulse_bins_ps"] + rows
 
 
 @pytest.mark.parametrize("pattern,decoy", [("alternating", 0.0), ("random", 0.2)])
