@@ -287,28 +287,6 @@ def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> tup
     return av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size)
 
 
-def dark_exposure(
-    spad: SpadConfig, period_ps: int, rngs: DeviceRngs, gates: int,
-) -> tuple[np.ndarray, EveArrivals]:
-    """Receiver clicks and the backflash they send toward the line over
-    ``gates`` gates, one per frame period ``period_ps``, with no input light
-    and so no reflection.
-
-    Draws exactly what :func:`spad_detect` draws for its dark counts and
-    backflash, without sampling any pulse: darks are skips over the
-    ``gates * gate_width_ps`` open-gate picoseconds and emitters skips over
-    the clicks (:func:`_dark_times`, :func:`_backflash`), so the cost grows
-    with the events, not the exposure.  A picosecond holds at most one dark,
-    so with a hold-off of 0 two darks never share a click time.
-    """
-    t = _dark_times(spad, period_ps, rngs, 0, gates)
-    keep, _ = _dead_time_filter(t, spad.hold_off_ps, 0)
-    clicks = t[keep]
-    # Only the clicks stay held while the backflash draws.
-    del t, keep
-    return clicks, EveArrivals(*_backflash(clicks, spad, rngs), np.empty(0, dtype=np.int64), 0.0)
-
-
 def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted indices in [0, n), each present independently with probability ``p``.
 
@@ -391,11 +369,13 @@ def spad_detect(
     1 - exp(-mu t eta), and a candidate counts if its arrival falls in the
     gate.  Only candidates are sampled: their pulse indices come from
     geometric skips and their arrival offsets are drawn one per candidate.
-    Dark candidates are skips over the open-gate picoseconds and backflash
-    emitters skips over the kept clicks, as in :func:`dark_exposure`; a
-    picosecond holds at most one dark, so with a hold-off of 0 two darks
-    never share a click time.  ``dead_until_ps`` carries hold-off state
-    across consecutive batches.
+    Dark candidates are skips over the open-gate picoseconds
+    (:func:`_dark_times`) and backflash emitters skips over the kept clicks
+    (:func:`_backflash`); a picosecond holds at most one dark, so with a
+    hold-off of 0 two darks never share a click time.  ``dead_until_ps``
+    carries hold-off state across consecutive batches.  A detection
+    efficiency and a facet reflectance of 0 block the light, as in the C8
+    study: both skips then have p = 0 and spend no draw.
     """
     source = frames.source
     mu = source.mean_photon_number
@@ -409,22 +389,34 @@ def spad_detect(
     in_gate = ((arrival - spad.gate_phase_ps) % source.frame_period_ps) < spad.gate_width_ps
     photon_t = arrival[in_gate]
 
-    # Photon and dark times are each sorted: insert the darks after any
-    # photon at the same time, which is the (time, cause) order.
+    # Photon and dark times are each sorted.  Photon i goes after the darks
+    # before its time and before any at it, which is the (time, cause)
+    # order: at position i plus the count of earlier darks.
     dark_t = _dark_times(spad, source.frame_period_ps, rngs, frames.start_frame, len(frames))
-    at = np.searchsorted(photon_t, dark_t, side="right")
-    t = np.insert(photon_t, at, dark_t)
-    cause = np.insert(np.full(photon_t.size, Cause.PHOTON, dtype=np.int8), at, Cause.DARK)
-    src = np.insert(pulse_ps[in_gate], at, -1)
+    at = np.searchsorted(dark_t, photon_t) + np.arange(photon_t.size)
+    is_dark = np.ones(photon_t.size + dark_t.size, dtype=bool)
+    is_dark[at] = False
+    t = np.empty(is_dark.size, dtype=np.int64)
+    t[at] = photon_t
+    t[is_dark] = dark_t
+    del dark_t
 
+    # Cause and provenance are built for the kept clicks alone, the latter
+    # after the backflash draws, whose scratch arrays are freed by then.
     keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
-    clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
+    t = t[keep]
+    photon_src = pulse_ps[in_gate][keep[at]]
+    # A bool read as int8 is Cause.DARK (1) for a dark, Cause.PHOTON (0) else.
+    cause = is_dark[keep].view(np.int8)
+    del is_dark, keep
 
     reflected_mu = mu * t_ch * spad.facet_reflectance
     reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
+    eve = EveArrivals(*_backflash(t, spad, rngs), reflection_ps, reflected_mu)
 
-    eve = EveArrivals(*_backflash(clicks.time_ps, spad, rngs), reflection_ps, reflected_mu)
-    return SpadResult(clicks=clicks, eve=eve, dead_until_ps=dead_after)
+    src = np.full(t.size, -1, dtype=np.int64)
+    src[cause == Cause.PHOTON] = photon_src
+    return SpadResult(clicks=DetectionLog(BOB, t, cause, src), eve=eve, dead_until_ps=dead_after)
 
 
 def snspd_detect(

@@ -23,11 +23,11 @@ from .attack import AttackConfig, CalibrationResult, EveInference, LearningMetri
 from .detectors import (
     Cause,
     DetectionLog,
+    EveArrivals,
     Histogram,
     SnspdConfig,
     SpadConfig,
     correlation_histogram,
-    dark_exposure,
     snspd_detect,
     spad_detect,
     spad_preset,
@@ -560,11 +560,11 @@ def emit_timing_correlation(
 ) -> dict[int, Histogram]:
     """Start-stop histograms between receiver clicks and leaked photons.
 
-    The source is blocked: every avalanche is dark-triggered, so the
-    histogram profiles the backflash delay alone.  The delay support is
-    capped at one gate width after the avalanche (not at the time left in
-    the gate), which is what makes the spread grow with width until the
-    intrinsic bound takes over.
+    The light is blocked (:func:`_dark_clicks`): every avalanche is
+    dark-triggered, so the histogram profiles the backflash delay alone.
+    The delay support is capped at one gate width after the avalanche (not
+    at the time left in the gate), which is what makes the spread grow with
+    width until the intrinsic bound takes over.
 
     The eavesdropper's dark counts are drawn only where a stop can count:
     in the window of :data:`CORRELATION_WINDOW_PS` after each click, whose
@@ -578,9 +578,10 @@ def emit_timing_correlation(
 
     Widths run one at a time, each in its own call, so a width's click-sized
     arrays are released before the next one draws.  The peak stays below
-    three click-sized int64 arrays: two held at once (the dark candidates
-    and the clicks kept from them, then the clicks and their spacings) and
-    less than one more for the rest (the backflash arrivals, the
+    three click-sized int64 arrays: two held at once in :func:`spad_detect`
+    (the dark candidates and the merged candidates, then those and their
+    spacings, then the clicks and their provenance, which the study drops)
+    and less than one more for the rest (the backflash arrivals, the
     eavesdropper's log and the masks).  Each width has its own RNG key, so
     the order of the widths changes no histogram.
     """
@@ -616,18 +617,24 @@ def _width_config(cfg: ExperimentConfig, gate_width_ps: int) -> ExperimentConfig
 def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Histogram, int]:
     """One width of :func:`emit_timing_correlation`, at the gate width of
     ``ran.spad``: its histogram and its number of clicks."""
-    spad = ran.spad
-    period = ran.source.frame_period_ps
-    rngs = DeviceRngs(ran.seed, trial=spad.gate_width_ps, study=TIMING_CORRELATION_STUDY)
-
-    p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
-    gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-    check_time_range(gates * period)
-
-    clicks, arrivals = dark_exposure(spad, period, rngs, gates)
+    rngs = DeviceRngs(ran.seed, trial=ran.spad.gate_width_ps, study=TIMING_CORRELATION_STUDY)
+    clicks, arrivals = _dark_clicks(ran, clicks_per_width, rngs)
     eve = snspd_detect(arrivals, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs)
     hist = correlation_histogram(clicks, eve.time_ps, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
     return hist, clicks.size
+
+
+def _dark_clicks(ran: ExperimentConfig, clicks_per_width: int, rngs: DeviceRngs) -> tuple[np.ndarray, EveArrivals]:
+    """Receiver click times and the light sent toward the line over enough
+    gates of ``ran`` to expect ``clicks_per_width`` darks and 5% more:
+    :func:`spad_detect` with the light blocked, on a span that sends no
+    decoy, so no pulse spends a draw and no slot is hashed."""
+    spad = ran.spad
+    p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
+    gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
+    frames = generate_frames(replace(ran.source, decoy_probability=0.0), gates, rngs.bits)
+    res = spad_detect(frames, replace(spad, detection_efficiency=0.0, facet_reflectance=0.0), ran.channel, rngs)
+    return res.clicks.time_ps, res.eve
 
 
 def correlation_law(cfg: ExperimentConfig, gate_width_ps: int, hist: Histogram) -> np.ndarray:

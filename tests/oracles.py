@@ -32,7 +32,6 @@ interval-union calibration scan exactly.
 
 import csv
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -45,9 +44,8 @@ from cowqkd.detectors import (
     SpadResult,
     _backflash,
     _dark_times,
-    dark_exposure,
 )
-from cowqkd.experiment import CORRELATION_BIN_PS, CORRELATION_WINDOW_PS
+from cowqkd.experiment import CORRELATION_BIN_PS, CORRELATION_WINDOW_PS, _dark_clicks, _width_config
 from cowqkd.rates import dark_probability_per_gate
 from cowqkd.source import DECOY, channel_transmittance
 from cowqkd.timebase import PS_PER_S, check_time_range
@@ -208,14 +206,14 @@ def start_search_correlation_histogram(start_ps, stop_ps, bin_width_ps, range_ps
 
 
 def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, rngs):
-    """One gate width of the dark-exposure study, with the eavesdropper's
-    darks drawn over the whole exposure [0, span)."""
-    spad = replace(cfg.spad, gate_width_ps=int(gate_width_ps), hold_off_s=1e-6)
-    p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
+    """One gate width of the dark-exposure study, its receiver run as the
+    study runs it, with the eavesdropper's darks drawn over the whole
+    exposure [0, span)."""
+    ran = _width_config(cfg, gate_width_ps)
+    p_dark_gate = dark_probability_per_gate(ran.spad.dark_count_rate_cps, ran.spad.gate_width_ps)
     gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-    period = cfg.source.frame_period_ps
-    span_ps = gates * period
-    clicks, arrivals = dark_exposure(spad, period, rngs, gates)
+    span_ps = gates * cfg.source.frame_period_ps
+    clicks, arrivals = _dark_clicks(ran, clicks_per_width, rngs)
     got = rngs.snspd.random(arrivals.backflash_ps.size) < cfg.snspd.detection_efficiency
     dark = single_interval_poisson_times(cfg.snspd.dark_count_rate_cps, (0, span_ps), rngs.snspd_dark)
     stops = np.concatenate([arrivals.backflash_ps[got], dark])

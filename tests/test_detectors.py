@@ -18,11 +18,11 @@ from cowqkd.detectors import (
     _dark_times,
     _dead_time_filter,
     correlation_histogram,
-    dark_exposure,
     snspd_detect,
     spad_detect,
     spad_preset,
 )
+from cowqkd.experiment import ExperimentConfig, _dark_clicks, _width_config
 from cowqkd.source import ChannelConfig, SourceConfig, generate_frames
 from cowqkd.timebase import ConfigError, DeviceRngs
 from oracles import (
@@ -146,22 +146,6 @@ def test_dark_rate_recovered():
     assert res.clicks.cause.tolist().count(int(Cause.PHOTON)) == 0
     assert abs(n - lam) < 3 * math.sqrt(lam)
 
-@pytest.mark.parametrize("seed,trial", [(3, 0), (8, 4000)])
-def test_dark_exposure_matches_spad_detect(seed, trial):
-    # One emitter: a dark-only exposure draws exactly what spad_detect draws
-    # for its dark counts, hold-off and backflash under the same RNG key.
-    spad = SpadConfig(detection_efficiency=0.0, dark_count_rate_cps=2e6, hold_off_s=1e-6,
-                      backflash_probability=0.5)
-    n = 20_000
-    _, res = run_spad(n_frames=n, spad=spad, seed=seed, trial=trial)
-    clicks, arrivals = dark_exposure(spad, SourceConfig().frame_period_ps, DeviceRngs(seed, trial=trial), n)
-    assert len(res.clicks) > 100 and arrivals.backflash_ps.size > 50
-    assert np.all(res.clicks.cause == Cause.DARK)
-    assert clicks.tolist() == res.clicks.time_ps.tolist()
-    assert arrivals.avalanche_ps.tolist() == res.eve.avalanche_ps.tolist()
-    assert arrivals.backflash_ps.tolist() == res.eve.backflash_ps.tolist()
-    assert arrivals.reflection_ps.size == 0
-
 @pytest.mark.parametrize("block", [1, 2, 5, 7, 2**16])
 def test_dark_lattice_at_one_fills_every_open_gate_picosecond(monkeypatch, block):
     # At one dark per picosecond, open-gate picosecond k lands at gate
@@ -211,13 +195,14 @@ def test_dark_lattice_has_the_poisson_oracles_law():
     ]
     assert min(pvalues) > 1e-3 / 5, pvalues
 
-def test_dark_exposure_on_a_lattice_near_two_to_the_sixty_does_not_wrap():
+def test_dark_study_on_a_lattice_near_two_to_the_sixty_does_not_wrap():
     # correlate --widths 32000 --clicks 1 at 1e-6 darks/s: 3.3e13 open gates
     # of 32000 ps, 1.05e18 lattice points and about 1.05 darks per exposure.
     # Gaps of up to 2**62 wrap an int64 cumulative sum after the walk ends;
     # a wrapped sum taken for an index draws hundreds of unsorted clicks.
-    spad = SpadConfig(gate_width_ps=32000, dark_count_rate_cps=1e-6, hold_off_s=1e-6)
-    period = 32000
+    ran = _width_config(ExperimentConfig(spad=SpadConfig(dark_count_rate_cps=1e-6)), 32000)
+    spad = ran.spad
+    period = ran.source.frame_period_ps
     gates = int(1 / (spad.dark_count_rate_cps * spad.gate_width_ps / 1e12) * 1.05) + 1
     span = gates * period
     assert 1.0e18 < gates * spad.gate_width_ps < 2**62
@@ -225,7 +210,7 @@ def test_dark_exposure_on_a_lattice_near_two_to_the_sixty_does_not_wrap():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for trial in range(40):
-            clicks, _ = dark_exposure(spad, period, DeviceRngs(5, trial=trial), gates)
+            clicks, _ = _dark_clicks(ran, 1, DeviceRngs(5, trial=trial))
             assert np.all(np.diff(clicks) > 0)
             assert clicks.size == 0 or (clicks[0] >= 0 and clicks[-1] < span)
             total += clicks.size

@@ -17,6 +17,8 @@ from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
     _apply_axis,
+    _width_config,
+    _width_correlation,
     apply_overrides,
     artifact_headers,
     config_hash,
@@ -451,13 +453,15 @@ class TestArtifacts:
         rows = [(tmp_path / d / "frames.csv").read_text().split("\n", 1)[1] for d in ("run", "short")]
         assert rows[0] == rows[1]
 
-    # The bound, fixed before the first run: the export adds its own array
-    # and less than half as much again to a trial's peak.
-    EXPORT_PEAK_ARRAYS = 1.5
+    # The bound, fixed before the first run: the export is a span of the
+    # emission, so it adds less than half of its own (export_frames,
+    # bits_per_frame) int8 array to a trial's peak, and a held copy of its
+    # bits fails.
+    EXPORT_PEAK_ARRAYS = 0.5
 
     def test_export_is_held_once(self, monkeypatch):
         # Chunks of 20,000 frames keep every other array small next to the
-        # 4 MB export of 2e6 frames.
+        # 4 MB of bits of a 2e6-frame export.
         monkeypatch.setattr(experiment, "CHUNK_FRAMES", 20_000)
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "2000000"})
         run_trial(replace(cfg, frames_per_trial=20_000, export_frames=10), 0)  # imports, outside the peaks
@@ -588,6 +592,39 @@ class TestTimingCorrelation:
         assert (tmp_path / "correlation_w2000.csv").exists()
         assert (tmp_path / "correlation_w4000.csv").exists()
 
+    def test_decoys_and_random_bits_cost_the_study_no_hash_and_no_light_draw(self, monkeypatch):
+        # The light is blocked, so the span's source sends no decoy and no
+        # pulse draws a click or a reflection: the pattern and the decoy
+        # probability leave the histogram as it is.  At 1e7 darks/s the
+        # span is about 1e6 frames, so a study that let light or decoys in
+        # would fail here, not run for hours.
+        cfg = small_attack_cfg(spad=replace(spad_preset("5v"), dark_count_rate_cps=1e7))
+        w = 2000
+        plain = emit_timing_correlation(cfg, [w], clicks_per_width=20_000)[w]
+        keyed = []
+        splitmix64 = source._splitmix64
+
+        def counted(slot, key):
+            assert slot.size == 0, f"{slot.size} slots hashed"
+            return splitmix64(slot, key)
+
+        class Recorded(DeviceRngs):
+            def __post_init__(self):
+                super().__post_init__()
+                keyed.append(self)
+
+        monkeypatch.setattr(source, "_splitmix64", counted)
+        monkeypatch.setattr(experiment, "DeviceRngs", Recorded)
+        mixed = apply_overrides(cfg, {"source.pattern": "random", "source.decoy_probability": "0.2"})
+        got = emit_timing_correlation(mixed, [w], clicks_per_width=20_000)[w]
+        (rngs,) = keyed
+        fresh = DeviceRngs(rngs.seed, trial=rngs.trial, study=rngs.study)
+        for name in ("spad", "arrival", "reflection"):
+            ahead = [getattr(g, name).bit_generator.random_raw(4).tolist() for g in (rngs, fresh)]
+            assert ahead[0] == ahead[1], name
+        assert plain.total() > 0
+        assert got.counts.tolist() == plain.counts.tolist()
+
     def test_study_keys_its_own_streams(self):
         # With no SNSPD darks the histogram is a fixed function of the RNG
         # key: the study's own key reproduces it and trial w's key does not.
@@ -647,14 +684,14 @@ class TestTimingCorrelation:
         assert stats.ks_2samp(new, old).pvalue > self.LAW_ALPHA
 
     # The bound, fixed before the first run: two click-sized int64 arrays
-    # (the dark candidates and the clicks kept from them, then the clicks
-    # and their spacings) and less than one more for all the rest (the
-    # backflash arrivals and the eavesdropper's log, about a tenth of the
-    # clicks each, and the bool masks).
+    # (the dark candidates and the merged candidates, then those and their
+    # spacings, then the clicks and their provenance) and less than one more
+    # for all the rest (the backflash arrivals and the eavesdropper's log,
+    # about a tenth of the clicks each, and the bool masks).
     PEAK_CLICK_ARRAYS = 3.0
 
     @pytest.mark.parametrize("snspd_dark_cps", [0.0, 2e6])
-    def test_one_width_peaks_below_three_click_arrays(self, monkeypatch, snspd_dark_cps):
+    def test_one_width_peaks_below_three_click_arrays(self, snspd_dark_cps):
         # At 2e6 counts/s the ~2e5 windows of 6 ns catch about 2,500 darks.
         cfg = ExperimentConfig(
             spad=spad_preset("5v"),
@@ -662,26 +699,17 @@ class TestTimingCorrelation:
             attack_enabled=False,
             seed=5,
         )
-        n_clicks = []
-
-        def counted(*args, **kwargs):
-            clicks, arrivals = detectors.dark_exposure(*args, **kwargs)
-            n_clicks.append(clicks.size)
-            return clicks, arrivals
-
         # The first draw imports modules (numpy's SeedSequence imports
         # secrets); they are no part of the study's peak.
         emit_timing_correlation(cfg, [4000], clicks_per_width=100)
-        monkeypatch.setattr(experiment, "dark_exposure", counted)
         tracemalloc.start()
         try:
-            hist = emit_timing_correlation(cfg, [4000], clicks_per_width=200_000)[4000]
+            hist, n_clicks = _width_correlation(_width_config(cfg, 4000), 200_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        monkeypatch.undo()
-        assert n_clicks[0] > 190_000
-        assert peak / (8 * n_clicks[0]) < self.PEAK_CLICK_ARRAYS
+        assert n_clicks > 190_000
+        assert peak / (8 * n_clicks) < self.PEAK_CLICK_ARRAYS
         if snspd_dark_cps:
             no_dark = replace(cfg, snspd=SnspdConfig(dark_count_rate_cps=0.0))
             no_dark_stops = emit_timing_correlation(no_dark, [4000], clicks_per_width=200_000)[4000].total()
