@@ -126,7 +126,8 @@ class DetectionLog:
     """Columnar click record for one detector.
 
     ``source_ps`` is ground truth provenance (originating avalanche or pulse
-    time, -1 for dark counts); it is kept out of exported transcripts.  The
+    time, -1 for dark counts; a read-only broadcast -1 on a receiver log of
+    darks alone); it is kept out of exported transcripts.  The
     leak tallies behind ``p_b`` and ``p_learn`` read it on the
     eavesdropper's log, to find the click behind each backflash count;
     otherwise only tests and diagnostics read it.
@@ -200,9 +201,10 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
 
     ``times`` must be sorted.  A candidate at or after ``dead_until_ps`` that
     follows the previous candidate by at least the hold-off is always kept,
-    so those are accepted in bulk.  Only runs of closer candidates are
-    walked, by a binary search from each kept click to the first candidate
-    one hold-off later.
+    so those are accepted in bulk, the spacings compared
+    :data:`DARK_BLOCK` at a time so that no array of them is held.  Only
+    runs of closer candidates are walked, by a binary search from each kept
+    click to the first candidate one hold-off later.
     """
     dead = int(dead_until_ps)
     if hold_off_ps <= 0:
@@ -211,8 +213,10 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
         return np.zeros(0, dtype=bool), dead
     keep = np.empty(times.size, dtype=bool)
     keep[0] = True
-    np.greater_equal(np.diff(times), hold_off_ps, out=keep[1:])
-    keep &= times >= dead
+    for lo in range(1, times.size, DARK_BLOCK):
+        hi = min(lo + DARK_BLOCK, times.size)
+        np.greater_equal(times[lo:hi] - times[lo - 1: hi - 1], hold_off_ps, out=keep[lo:hi])
+    keep[: np.searchsorted(times, dead)] = False
 
     close = np.flatnonzero(~keep)
     if close.size:
@@ -238,6 +242,22 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     if keep[last]:
         dead = int(times[last]) + hold_off_ps
     return keep, dead
+
+
+def _compress(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``t[keep]``.  When at least half of ``t`` is kept, the kept values
+    move to its front in place, :data:`DARK_BLOCK` at a time, and a view of
+    them returns; a smaller share is gathered anew, since a view would pin
+    all of ``t``."""
+    n = int(np.count_nonzero(keep))
+    if 2 * n < t.size:
+        return t[keep]
+    w = 0
+    for lo in range(0, t.size, DARK_BLOCK):
+        kept = t[lo: lo + DARK_BLOCK][keep[lo: lo + DARK_BLOCK]]
+        t[w: w + kept.size] = kept
+        w += kept.size
+    return t[:n]
 
 
 def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
@@ -296,7 +316,10 @@ def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray
     p < 1/3 this is numpy's own ``geometric``, draw for draw; p = 1 returns
     every index and spends no draw.  Each pass draws a batch of gaps and
     ends at the first partial sum at or past ``n``; a new pass restarts the
-    walk, which is exact because the geometric law is memoryless.
+    walk, which is exact because the geometric law is memoryless.  A pass
+    fills its int64 gaps :data:`DARK_BLOCK` at a time from one float64
+    buffer, so it holds one array of its size; split fills draw what one
+    fill would.
 
     Gaps are clipped at ``MAX_TIME_PS`` (2**62), which ends the walk for any
     ``n`` below it.  The partial sums up to the first one at or past ``n``
@@ -312,14 +335,17 @@ def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray
     last = -1
     while True:
         mean = (n - 1 - last) * p
-        gaps = rng.standard_exponential(int(mean + 4.0 * math.sqrt(mean)) + 16)
-        # A tiny p sends a gap to inf, which the clip below ends the walk on.
-        with np.errstate(over="ignore"):
-            gaps /= scale
-        np.ceil(gaps, out=gaps)
-        np.minimum(gaps, MAX_TIME_PS, out=gaps)
-        idx = gaps.astype(np.int64)
-        del gaps
+        idx = np.empty(int(mean + 4.0 * math.sqrt(mean)) + 16, dtype=np.int64)
+        buf = np.empty(min(idx.size, DARK_BLOCK))
+        for lo in range(0, idx.size, DARK_BLOCK):
+            gaps = rng.standard_exponential(out=buf[: idx.size - lo])
+            # A tiny p sends a gap to inf, which the clip below ends the walk on.
+            with np.errstate(over="ignore"):
+                gaps /= scale
+            np.ceil(gaps, out=gaps)
+            np.minimum(gaps, MAX_TIME_PS, out=gaps)
+            idx[lo: lo + gaps.size] = gaps
+        del buf, gaps
         idx[0] += last
         np.cumsum(idx, out=idx)
         end = int(np.argmax(idx >= n))
@@ -391,20 +417,22 @@ def spad_detect(
 
     # Photon and dark times are each sorted.  Photon i goes after the darks
     # before its time and before any at it, which is the (time, cause)
-    # order: at position i plus the count of earlier darks.
-    dark_t = _dark_times(spad, source.frame_period_ps, rngs, frames.start_frame, len(frames))
-    at = np.searchsorted(dark_t, photon_t) + np.arange(photon_t.size)
-    is_dark = np.ones(photon_t.size + dark_t.size, dtype=bool)
+    # order: at position i plus the count of earlier darks.  With no photon
+    # the darks are the candidates.
+    t = _dark_times(spad, source.frame_period_ps, rngs, frames.start_frame, len(frames))
+    at = np.searchsorted(t, photon_t) + np.arange(photon_t.size)
+    is_dark = np.ones(photon_t.size + t.size, dtype=bool)
     is_dark[at] = False
-    t = np.empty(is_dark.size, dtype=np.int64)
-    t[at] = photon_t
-    t[is_dark] = dark_t
-    del dark_t
+    if photon_t.size:
+        dark_t, t = t, np.empty(is_dark.size, dtype=np.int64)
+        t[at] = photon_t
+        t[is_dark] = dark_t
+        del dark_t
 
     # Cause and provenance are built for the kept clicks alone, the latter
     # after the backflash draws, whose scratch arrays are freed by then.
     keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
-    t = t[keep]
+    t = _compress(t, keep)
     photon_src = pulse_ps[in_gate][keep[at]]
     # A bool read as int8 is Cause.DARK (1) for a dark, Cause.PHOTON (0) else.
     cause = is_dark[keep].view(np.int8)
@@ -414,8 +442,10 @@ def spad_detect(
     reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
     eve = EveArrivals(*_backflash(t, spad, rngs), reflection_ps, reflected_mu)
 
-    src = np.full(t.size, -1, dtype=np.int64)
-    src[cause == Cause.PHOTON] = photon_src
+    src = np.broadcast_to(np.int64(-1), t.shape)  # all dark: a read-only -1 each
+    if photon_src.size:
+        src = np.full(t.size, -1, dtype=np.int64)
+        src[cause == Cause.PHOTON] = photon_src
     return SpadResult(clicks=DetectionLog(BOB, t, cause, src), eve=eve, dead_until_ps=dead_after)
 
 
@@ -538,16 +568,18 @@ def correlation_histogram(
     a hold-off (1 us) apart against a 6 ns range.  Then that interval holds
     at most one start, the last one at or before stop - lo, so one search
     per stop and one gather find every pair, and differences past the range
-    drop out of the bins.  One pass of differences over the starts checks
-    them and raises ValueError when they are out of order or closer; the
-    stops may come in any order.
+    drop out of the bins.  One pass of differences over the starts,
+    :data:`DARK_BLOCK` at a time, checks them and raises ValueError when
+    they are out of order or closer; the stops may come in any order.
     """
     lo, hi = int(range_ps[0]), int(range_ps[1])
     _check_bins(bin_width_ps, lo, hi)
     starts = np.asarray(start_ps, dtype=np.int64)
     stops = np.asarray(stop_ps, dtype=np.int64)
-    if starts.size > 1 and int(np.diff(starts).min()) < hi - lo:
-        raise ValueError(f"starts must be sorted and at least the range, {hi - lo} ps, apart")
+    for i in range(1, starts.size, DARK_BLOCK):
+        end = min(i + DARK_BLOCK, starts.size)
+        if int((starts[i:end] - starts[i - 1: end - 1]).min()) < hi - lo:
+            raise ValueError(f"starts must be sorted and at least the range, {hi - lo} ps, apart")
     if not starts.size:
         return Histogram.from_samples(starts, int(bin_width_ps), lo, hi)
     j = np.searchsorted(starts, stops - lo, side="right")

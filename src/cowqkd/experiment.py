@@ -578,11 +578,10 @@ def emit_timing_correlation(
 
     Widths run one at a time, each in its own call, so a width's click-sized
     arrays are released before the next one draws.  The peak stays below
-    three click-sized int64 arrays: two held at once in :func:`spad_detect`
-    (the dark candidates and the merged candidates, then those and their
-    spacings, then the clicks and their provenance, which the study drops)
-    and less than one more for the rest (the backflash arrivals, the
-    eavesdropper's log and the masks).  Each width has its own RNG key, so
+    two click-sized int64 arrays: one for the dark candidates, which
+    :func:`spad_detect` keeps in place as the clicks, and less than one more
+    for the rest (the backflash arrivals, the eavesdropper's log, the masks
+    and the temporaries of one block).  Each width has its own RNG key, so
     the order of the widths changes no histogram.
     """
     if clicks_per_width < 1:
@@ -619,8 +618,9 @@ def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Hi
     ``ran.spad``: its histogram and its number of clicks."""
     rngs = DeviceRngs(ran.seed, trial=ran.spad.gate_width_ps, study=TIMING_CORRELATION_STUDY)
     clicks, arrivals = _dark_clicks(ran, clicks_per_width, rngs)
-    eve = snspd_detect(arrivals, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs)
-    hist = correlation_histogram(clicks, eve.time_ps, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
+    stops = snspd_detect(arrivals, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs).time_ps
+    del arrivals  # the histogram's temporaries take their place
+    hist = correlation_histogram(clicks, stops, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
     return hist, clicks.size
 
 

@@ -93,7 +93,8 @@ def channel_transmittance(channel: ChannelConfig) -> float:
     return 10.0 ** (-total_db / 10.0)
 
 
-# Slots or darks hashed or mapped per step: no second array of them all is held.
+# Values per step wherever an array is hashed, mapped, drawn, compared or
+# compacted (slots, darks, skip gaps, spacings): no second array of them all is held.
 DARK_BLOCK = 2**16
 
 

@@ -108,9 +108,12 @@ def sample_delay(scale_ps: float, support_max_ps: int, rng: np.random.Generator,
     [0, support_max_ps], drawn by inverse CDF; no draw when the support is 0."""
     if support_max_ps == 0:
         return np.zeros(size, dtype=np.int64)
-    u = rng.random(size)
-    x = -scale_ps * np.log1p(-u * (1.0 - math.exp(-support_max_ps / scale_ps)))
-    return np.clip(np.rint(x).astype(np.int64), 0, support_max_ps)
+    x = rng.random(size)
+    x *= math.exp(-support_max_ps / scale_ps) - 1.0
+    np.log1p(x, out=x)
+    x *= -scale_ps
+    x = np.rint(x, out=x).astype(np.int64)
+    return np.clip(x, 0, support_max_ps, out=x)
 
 
 # Rows formatted and written per pass of ``write_csv``'s loop.  A pass makes

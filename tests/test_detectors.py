@@ -22,8 +22,8 @@ from cowqkd.detectors import (
     spad_detect,
     spad_preset,
 )
-from cowqkd.experiment import ExperimentConfig, _dark_clicks, _width_config
-from cowqkd.source import ChannelConfig, SourceConfig, generate_frames
+from cowqkd.experiment import CHUNK_FRAMES, ExperimentConfig, _dark_clicks, _width_config, preset_config
+from cowqkd.source import DARK_BLOCK, ChannelConfig, SourceConfig, generate_frames
 from cowqkd.timebase import ConfigError, DeviceRngs
 from oracles import (
     dense_spad_detect,
@@ -102,6 +102,21 @@ def test_dead_time_filter_large_mixed_runs():
     keep, dead_after = _dead_time_filter(t, 10_000, dead_until)
     expect_keep, expect_dead = sequential_dead_time(t, 10_000, dead_until)
     assert 0 < keep.sum() < t.size
+    assert np.array_equal(keep, expect_keep)
+    assert dead_after == expect_dead
+
+N_SEAM = 2 * DARK_BLOCK + 10
+
+
+@pytest.mark.parametrize("at", [DARK_BLOCK - 1, DARK_BLOCK, DARK_BLOCK + 1, N_SEAM - 1])
+def test_dead_time_filter_at_a_block_seam(at):
+    # Candidates a hold-off apart but for one close pair, (at - 1, at), next
+    # to where the spacings' blocks meet or at the end.
+    t = np.arange(N_SEAM, dtype=np.int64) * 100
+    t[at:] -= 1
+    keep, dead_after = _dead_time_filter(t, 100, 50)
+    expect_keep, expect_dead = sequential_dead_time(t, 100, 50)
+    assert np.count_nonzero(~keep) == 2  # the first candidate, then t[at]
     assert np.array_equal(keep, expect_keep)
     assert dead_after == expect_dead
 
@@ -336,6 +351,17 @@ def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
         assert got.dead_until_ps == want.dead_until_ps
         dead_fast, dead_dense = got.dead_until_ps, want.dead_until_ps
 
+def test_paper_chunk_clicks_pin_no_candidate_buffer():
+    # A `paper` chunk keeps a few thousand of its tens of thousands of
+    # candidates, so they are gathered anew: a view of the candidates would
+    # hold every chunk's candidate buffer until the chunks are merged.
+    cfg = preset_config("paper")
+    rngs = DeviceRngs(cfg.seed)
+    batch = generate_frames(cfg.source, CHUNK_FRAMES, rngs.bits)
+    t = spad_detect(batch, cfg.spad, cfg.channel, rngs).clicks.time_ps
+    assert t.size > 1000
+    assert t.base is None or t.base.nbytes <= 2 * t.nbytes
+
 
 # --- the geometric skip ----------------------------------------------------
 
@@ -367,10 +393,20 @@ def skip_walks(draw):
 @given(skip_walks(), st.integers(min_value=0, max_value=2**32))
 @example((float(np.nextafter(1 / 3, 0)), 4000), 0)
 @example((1e-18, 1_050_000_000_000_000_000), 5)
+# A pass of 1/4 over these n draws 65,535, 65,536 and 65,537 gaps (2**16 is
+# DARK_BLOCK), filled in one, one and two blocks.
+@example((0.25, 258_013), 1)
+@example((0.25, 258_017), 2)
+@example((0.25, 258_021), 3)
+# About 200,000 indices: one pass of 201,804 gaps, four blocks.
+@example((0.2, 1_000_000), 4)
+# At this seed the first pass's 71,074 gaps, two blocks, end short of n,
+# so a second pass draws the rest.
+@example((1e-9, 70_000_000_000_000), 33_817)
 def test_bernoulli_indices_match_numpy_geometric_below_one_third(walk, seed):
     # numpy's geometric inverts one exponential per draw for p < 1/3, so the
     # exponential skip gives the same indices and leaves the stream where
-    # rng.geometric leaves it.
+    # rng.geometric leaves it, however a pass is split into blocks.
     p, n = walk
     got_rng, want_rng = stream_rng(seed), stream_rng(seed)
     got = _bernoulli_indices(p, n, got_rng)
@@ -753,6 +789,21 @@ def test_correlation_histogram_matches_start_search_oracle(case):
     assert (h.start_ps, h.bin_width_ps) == (want.start_ps, want.bin_width_ps)
     assert h.counts.tolist() == want.counts.tolist()
     assert a.tolist() == starts and b.tolist() == stops
+
+@pytest.mark.parametrize("fault", ["swapped", "close"])
+@pytest.mark.parametrize("at", [DARK_BLOCK, DARK_BLOCK + 1, N_SEAM - 1])
+def test_correlation_histogram_checks_the_starts_across_block_seams(fault, at):
+    # Starts 100 ps apart, the range width, but for one pair (at - 1, at),
+    # out of order or 1 ps too close, on either side of where the checked
+    # blocks meet or at the end.
+    starts = np.arange(N_SEAM, dtype=np.int64) * 100
+    correlation_histogram(starts, [50], 10, (0, 100))
+    if fault == "swapped":
+        starts[[at - 1, at]] = starts[[at, at - 1]]
+    else:
+        starts[at:] -= 1
+    with pytest.raises(ValueError, match="apart"):
+        correlation_histogram(starts, [50], 10, (0, 100))
 
 def test_histogram_edges_end_at_its_stop():
     # 25 ps in 10 ps bins: the last bin is [20, 25), cut at the stop.
