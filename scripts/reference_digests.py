@@ -41,6 +41,16 @@ REFERENCE_RUNS = [
     "simulate --preset 5v --seed 3 --frames 300000 --set export_frames=1000",
     "simulate --preset 5v --seed 3 --frames 300000 --set export_frames=1000 "
     "--set source.pattern=random --set source.decoy_probability=0.2",
+    # The receiver's other branches, which the paper run never reaches: a
+    # gate that cuts a pulse, with darks among the photons, three slots a
+    # frame and RZ; a gate that wraps past the frame's end with no hold-off;
+    # and a 1 us hold-off, where bulk-kept clicks and short close runs mix.
+    "simulate --preset 5v --seed 3 --frames 300000 --set spad.gate_width_ps=2000 --set spad.gate_phase_ps=1500 "
+    "--set spad.dark_count_rate_cps=1e6 --set source.bits_per_frame=3 --set source.encoding=rz",
+    "replicate-paper --seed 11 --frames 2000000 --set spad.gate_phase_ps=30000 --set spad.hold_off_s=0 "
+    "--set distill.block_length=2000 --set distill.disclosure_size=200",
+    "replicate-paper --seed 11 --frames 2000000 --set spad.hold_off_s=1e-6 "
+    "--set distill.block_length=5000 --set distill.disclosure_size=500",
 ]
 
 
