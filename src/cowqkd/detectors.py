@@ -202,9 +202,11 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     ``times`` must be sorted.  A candidate at or after ``dead_until_ps`` that
     follows the previous candidate by at least the hold-off is always kept,
     so those are accepted in bulk, the spacings compared
-    :data:`DARK_BLOCK` at a time so that no array of them is held.  Only
-    runs of closer candidates are walked, by a binary search from each kept
-    click to the first candidate one hold-off later.
+    :data:`DARK_BLOCK` at a time so that no array of them is held.  The runs
+    of closer candidates lie between the edges of that mask, which are
+    found in blocks too.  Only the runs are walked, by a binary search in
+    ``times`` from each kept click to the first candidate one hold-off
+    later.
     """
     dead = int(dead_until_ps)
     if hold_off_ps <= 0:
@@ -218,25 +220,28 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
         np.greater_equal(times[lo:hi] - times[lo - 1: hi - 1], hold_off_ps, out=keep[lo:hi])
     keep[: np.searchsorted(times, dead)] = False
 
-    close = np.flatnonzero(~keep)
-    if close.size:
-        split = np.flatnonzero(np.diff(close) > 1) + 1
-        first = np.r_[0, split]
-        starts = close[first]
+    # A run of close candidates starts where keep turns False and ends,
+    # exclusive, where it turns True again or at the end of the batch.
+    edges = [np.array([] if keep[0] else [0], dtype=np.int64)]
+    for lo in range(1, times.size, DARK_BLOCK):
+        hi = min(lo + DARK_BLOCK, times.size)
+        edges.append(lo + np.flatnonzero(keep[lo:hi] != keep[lo - 1: hi - 1]))
+    if not keep[-1]:
+        edges.append(np.array([times.size]))
+    edges = np.concatenate(edges)
+    if edges.size:
+        starts, ends = edges[0::2], edges[1::2]
         # A run is entered from the kept candidate just before it, or from
         # dead_until_ps when it opens the batch.
         entry_ps = times[np.maximum(starts - 1, 0)] + hold_off_ps
         entry_ps[starts == 0] = dead
-        entry = np.searchsorted(times, entry_ps)
-        # Walk in positions of ``close``; run k holds positions [lo, hi).
-        close_ps = memoryview(times[close])
+        times_ps = memoryview(times)
         kept = []
-        for s, j, lo, hi in zip(starts.tolist(), entry.tolist(), first.tolist(), np.r_[split, close.size].tolist()):
-            j += lo - s
+        for j, hi in zip(np.searchsorted(times, entry_ps).tolist(), ends.tolist()):
             while j < hi:
                 kept.append(j)
-                j = bisect_left(close_ps, close_ps[j] + hold_off_ps, j, hi)
-        keep[close[kept]] = True
+                j = bisect_left(times_ps, times_ps[j] + hold_off_ps, j, hi)
+        keep[kept] = True
 
     last = times.size - 1 - int(np.argmax(keep[::-1]))
     if keep[last]:
@@ -257,7 +262,28 @@ def _compress(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
         kept = t[lo: lo + DARK_BLOCK][keep[lo: lo + DARK_BLOCK]]
         t[w: w + kept.size] = kept
         w += kept.size
+        del kept
     return t[:n]
+
+
+def _merge(photon_t: np.ndarray, dark_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Photon and dark times, each sorted, in one sorted array in (time,
+    cause) order, and the darks' positions in it.
+
+    Dark j goes after the photons at or before its time: at j plus their
+    count, so only dark-sized arrays are searched.  With no dark the photons
+    are the merged array.
+    """
+    dark_at = np.searchsorted(photon_t, dark_t, side="right")
+    dark_at += np.arange(dark_t.size)
+    if not dark_t.size:
+        return photon_t, dark_at
+    t = np.empty(photon_t.size + dark_t.size, dtype=np.int64)
+    is_photon = np.ones(t.size, dtype=bool)
+    is_photon[dark_at] = False
+    t[is_photon] = photon_t
+    t[dark_at] = dark_t
+    return t, dark_at
 
 
 def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
@@ -288,6 +314,7 @@ def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame:
         if tail:
             shift[block % w < tail] -= phase - tail
         block += shift
+        del shift
     return t
 
 
@@ -379,7 +406,8 @@ def _reflection_times(
     offset[clicked] = click_offset_ps[at[clicked]]
     n_other = idx.size - int(np.count_nonzero(clicked))
     offset[~clicked] = rngs.reflection.integers(0, occupied_ps, size=n_other, dtype=np.int64)
-    return frames.pulse_times(idx) + offset
+    offset += frames.pulse_times(idx)
+    return offset
 
 
 def spad_detect(
@@ -394,58 +422,74 @@ def spad_detect(
     Every pulse draws a click candidate on its own with probability
     1 - exp(-mu t eta), and a candidate counts if its arrival falls in the
     gate.  Only candidates are sampled: their pulse indices come from
-    geometric skips and their arrival offsets are drawn one per candidate.
-    Dark candidates are skips over the open-gate picoseconds
-    (:func:`_dark_times`) and backflash emitters skips over the kept clicks
-    (:func:`_backflash`); a picosecond holds at most one dark, so with a
-    hold-off of 0 two darks never share a click time.  ``dead_until_ps``
-    carries hold-off state across consecutive batches.  A detection
-    efficiency and a facet reflectance of 0 block the light, as in the C8
-    study: both skips then have p = 0 and spend no draw.
+    geometric skips and their arrival offsets are drawn one per candidate,
+    then added in place to their pulse times.  The reflections, on their own
+    stream, are drawn before that, as the last use of the pulse indices.
+    The gate test takes the time since the last gate opening by floor
+    division, and when every arrival lies in the gate the arrivals are the
+    photon candidates as they stand.  Dark candidates are skips over the
+    open-gate picoseconds (:func:`_dark_times`), placed among the photons
+    by their merged positions (:func:`_merge`); a kept click's cause and its
+    photon provenance (arrival less offset) are read from those positions.
+    Backflash emitters are skips over the kept clicks (:func:`_backflash`).
+    A picosecond holds at most one dark, so with a hold-off of 0 two darks
+    never share a click time.  ``dead_until_ps`` carries hold-off state
+    across consecutive batches.  A detection efficiency and a facet
+    reflectance of 0 block the light, as in the C8 study: both skips then
+    have p = 0 and spend no draw, and the darks, compacted in place, are
+    the clicks.
     """
     source = frames.source
     mu = source.mean_photon_number
     t_ch = channel_transmittance(channel)
+    period = source.frame_period_ps
 
     p_click = -math.expm1(-mu * t_ch * spad.detection_efficiency)
     cand = _bernoulli_indices(p_click, frames.n_pulses(), rngs.spad)
-    pulse_ps = frames.pulse_times(cand)
+    arrival = frames.pulse_times(cand)
     offset = rngs.arrival.integers(0, source.occupied_width_ps, size=cand.size, dtype=np.int64)
-    arrival = pulse_ps + offset
-    in_gate = ((arrival - spad.gate_phase_ps) % source.frame_period_ps) < spad.gate_width_ps
-    photon_t = arrival[in_gate]
-
-    # Photon and dark times are each sorted.  Photon i goes after the darks
-    # before its time and before any at it, which is the (time, cause)
-    # order: at position i plus the count of earlier darks.  With no photon
-    # the darks are the candidates.
-    t = _dark_times(spad, source.frame_period_ps, rngs, frames.start_frame, len(frames))
-    at = np.searchsorted(t, photon_t) + np.arange(photon_t.size)
-    is_dark = np.ones(photon_t.size + t.size, dtype=bool)
-    is_dark[at] = False
-    if photon_t.size:
-        dark_t, t = t, np.empty(is_dark.size, dtype=np.int64)
-        t[at] = photon_t
-        t[is_dark] = dark_t
-        del dark_t
-
-    # Cause and provenance are built for the kept clicks alone, the latter
-    # after the backflash draws, whose scratch arrays are freed by then.
-    keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
-    t = _compress(t, keep)
-    photon_src = pulse_ps[in_gate][keep[at]]
-    # A bool read as int8 is Cause.DARK (1) for a dark, Cause.PHOTON (0) else.
-    cause = is_dark[keep].view(np.int8)
-    del is_dark, keep
-
     reflected_mu = mu * t_ch * spad.facet_reflectance
     reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
-    eve = EveArrivals(*_backflash(t, spad, rngs), reflection_ps, reflected_mu)
+    del cand
+    arrival += offset
+    # The arrival less the last gate opening at or before it, which is
+    # (arrival - phase) % period without numpy's slow integer remainder.
+    since = arrival - spad.gate_phase_ps
+    since //= period
+    since *= period
+    since += spad.gate_phase_ps
+    np.subtract(arrival, since, out=since)
+    in_gate = since < spad.gate_width_ps
+    del since
+    if not in_gate.all():
+        arrival, offset = arrival[in_gate], offset[in_gate]
+    del in_gate
 
-    src = np.broadcast_to(np.int64(-1), t.shape)  # all dark: a read-only -1 each
-    if photon_src.size:
+    dark_t = _dark_times(spad, period, rngs, frames.start_frame, len(frames))
+    if not arrival.size:
+        keep, dead_after = _dead_time_filter(dark_t, spad.hold_off_ps, dead_until_ps)
+        t = _compress(dark_t, keep)
+        del dark_t, keep
+        cause = np.full(t.size, Cause.DARK, dtype=np.int8)
+        src = np.broadcast_to(np.int64(-1), t.shape)  # all dark: a read-only -1 each
+    else:
+        t, dark_at = _merge(arrival, dark_t)
+        del arrival, dark_t
+        keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
+        at = np.flatnonzero(keep)
+        del keep
+        t = t[at]
+        # A click is a dark when one sits at its position (Cause.DARK is 1,
+        # Cause.PHOTON 0); a photon's index is its position less the darks
+        # before it.
+        before = np.searchsorted(dark_at, at)
+        cause = (np.searchsorted(dark_at, at, side="right") - before).astype(np.int8)
+        photon = cause == Cause.PHOTON
+        at -= before
         src = np.full(t.size, -1, dtype=np.int64)
-        src[cause == Cause.PHOTON] = photon_src
+        src[photon] = t[photon] - offset[at[photon]]
+
+    eve = EveArrivals(*_backflash(t, spad, rngs), reflection_ps, reflected_mu)
     return SpadResult(clicks=DetectionLog(BOB, t, cause, src), eve=eve, dead_until_ps=dead_after)
 
 

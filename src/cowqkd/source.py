@@ -100,12 +100,17 @@ DARK_BLOCK = 2**16
 
 def _splitmix64(slot: np.ndarray, key: np.uint64) -> np.ndarray:
     """Output ``slot`` of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded with
-    ``key``, for a uint64 array ``slot``, which wraps on overflow without a warning."""
-    z = (slot + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15) + key
+    ``key``, for an array ``slot`` of non-negative integers.  It works in place
+    on one uint64 copy of ``slot``, which wraps on overflow without a warning."""
+    z = np.array(slot, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += key
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
         z *= np.uint64(mult)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(31)
+    return z
 
 
 class FrameBatch:
@@ -130,13 +135,20 @@ class FrameBatch:
         """Alice's value (0, 1 or :data:`DECOY`) in each global slot (frame f's
         slot j is f * bits_per_frame + j) of the array ``slot``: a decoy when the
         slot's decoy-key hash lies below decoy_probability * 2**64, else
-        slot % bits_per_frame % 2 (alternating) or its bit-key hash's low bit."""
+        slot % bits_per_frame % 2 (alternating) or its bit-key hash's low bit.
+        The alternating value is computed in place as the low bit of
+        slot - slot // bits_per_frame * bits_per_frame, because numpy's integer
+        remainder is several times slower than its floor division."""
         cfg = self.source
-        slot = np.asarray(slot, dtype=np.uint64)
+        slot = np.asarray(slot)
         if cfg.pattern == PATTERN_ALTERNATING:
-            out = (slot % cfg.bits_per_frame % 2).astype(np.int8)
+            out = slot // cfg.bits_per_frame
+            out *= cfg.bits_per_frame
+            np.subtract(slot, out, out=out)
         else:
-            out = (_splitmix64(slot, self.keys[1]) & np.uint64(1)).astype(np.int8)
+            out = _splitmix64(slot, self.keys[1])
+        out &= 1
+        out = out.astype(np.int8)
         if cfg.decoy_probability > 0:
             out[self._is_decoy(slot)] = DECOY
         return out
@@ -173,22 +185,37 @@ class FrameBatch:
 
         Pulses are numbered frame by frame, slot by slot, in sub-bin order; a
         decoy slot emits in sub-bin 0 and then in sub-bin 1.  Sorted indices
-        give sorted times.
+        give sorted times.  Global slot s = f k + j of frame f opens sub-bin
+        ``sub`` at f period + (2 j + sub) bin, which is computed as
+        (s // k) (period - 2 k bin) + (2 s + sub) bin: one floor division and
+        no remainder, in place on one slot-sized array.
         """
         cfg = self.source
+        k, width = cfg.bits_per_frame, cfg.bin_width_ps
         idx = np.asarray(idx, dtype=np.int64)
-        slot = idx
         second = self._decoy_pulses
         if second.size:
-            before = np.searchsorted(second, idx, side="right")
-            slot = idx - before
-            is_second = (before > 0) & (second[np.maximum(before - 1, 0)] == idx)
+            # A pulse follows this many decoy second pulses, and is one when
+            # the last of them is itself.
+            slot = np.searchsorted(second, idx, side="right")
+            is_second = slot > 0
+            is_second[is_second] = second[slot[is_second] - 1] == idx[is_second]
+            np.subtract(idx, slot, out=slot)
+            slot += self.start_frame * k
+        else:
+            slot = idx + self.start_frame * k
         # Bit 0 and a decoy open in sub-bin 0, bit 1 in sub-bin 1.
-        sub = np.bitwise_and(self.values(self.start_frame * cfg.bits_per_frame + slot), 1, dtype=np.int64)
+        sub = self.values(slot)
+        sub &= 1
         if second.size:
             sub[is_second] = 1
-        frame, k = np.divmod(slot, cfg.bits_per_frame)
-        return (self.start_frame + frame) * cfg.frame_period_ps + (2 * k + sub) * cfg.bin_width_ps
+        t = slot // k
+        t *= cfg.frame_period_ps - 2 * k * width
+        slot *= 2
+        slot += sub
+        slot *= width
+        t += slot
+        return t
 
 
 def generate_frames(cfg: SourceConfig, count: int, rng: np.random.Generator, start_frame: int = 0) -> FrameBatch:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from cowqkd.detectors import (
     spad_preset,
 )
 from cowqkd.experiment import CHUNK_FRAMES, ExperimentConfig, _dark_clicks, _width_config, preset_config
-from cowqkd.source import DARK_BLOCK, ChannelConfig, SourceConfig, generate_frames
+from cowqkd.source import DARK_BLOCK, ChannelConfig, SourceConfig, channel_transmittance, generate_frames
 from cowqkd.timebase import ConfigError, DeviceRngs
 from oracles import (
     dense_spad_detect,
@@ -361,6 +362,32 @@ def test_paper_chunk_clicks_pin_no_candidate_buffer():
     t = spad_detect(batch, cfg.spad, cfg.channel, rngs).clicks.time_ps
     assert t.size > 1000
     assert t.base is None or t.base.nbytes <= 2 * t.nbytes
+
+
+# The bound, fixed before the first run: six candidate-sized int64 arrays.
+# The candidate indices, their pulse times and their offsets are three; the
+# gate test's scratch, the merged times and the skip draw's buffer stay
+# below three more.  The candidate stage that built each temporary anew
+# peaked at 9.7.
+PEAK_CANDIDATE_ARRAYS = 6.0
+
+
+def test_paper_chunk_peaks_below_six_candidate_arrays():
+    cfg = preset_config("paper")
+    batch = generate_frames(cfg.source, CHUNK_FRAMES, DeviceRngs(cfg.seed).bits)
+    mu = cfg.source.mean_photon_number * channel_transmittance(cfg.channel) * cfg.spad.detection_efficiency
+    candidates = _bernoulli_indices(-math.expm1(-mu), batch.n_pulses(), DeviceRngs(cfg.seed).spad).size
+    # The first run imports what numpy loads lazily; it is no part of the peak.
+    spad_detect(batch, cfg.spad, cfg.channel, DeviceRngs(cfg.seed))
+    rngs = DeviceRngs(cfg.seed)
+    tracemalloc.start()
+    try:
+        clicks = spad_detect(batch, cfg.spad, cfg.channel, rngs).clicks
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert candidates > 70_000 and len(clicks) > 1000
+    assert peak / (8 * candidates) < PEAK_CANDIDATE_ARRAYS
 
 
 # --- the geometric skip ----------------------------------------------------

@@ -16,7 +16,7 @@ from cowqkd.source import (
     generate_frames,
     write_frames_csv,
 )
-from cowqkd.timebase import ConfigError, DeviceRngs
+from cowqkd.timebase import MAX_TIME_PS, ConfigError, DeviceRngs
 from oracles import per_slot_values, sorted_pulse_times
 
 
@@ -213,21 +213,39 @@ def test_pulse_count_matches_bits(n, seed):
     assert batch.pulse_times(np.arange(batch.n_pulses())).size == expected
 
 
+# The last start frame that FrameBatch admits for one frame at the default
+# 32 ns period: (start + n + 1) * period must stay below MAX_TIME_PS.
+LAST_START = (MAX_TIME_PS - 1) // SourceConfig().frame_period_ps - 2
+
+
 @given(
     st.integers(min_value=0, max_value=300),
     st.sampled_from([0.0, 0.2, 1.0]),
     st.integers(min_value=1, max_value=4),
     st.sampled_from(["nrz", "rz"]),
-    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["alternating", "random"]),
+    st.one_of(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=LAST_START),
+              st.just(LAST_START)),
     st.integers(min_value=0, max_value=30),
 )
-def test_pulse_times_match_sorted_oracle(n, decoy, bits_per_frame, encoding, start_frame, seed):
-    cfg = SourceConfig(pattern="random", decoy_probability=decoy, bits_per_frame=bits_per_frame,
+def test_pulse_times_match_sorted_oracle(n, decoy, bits_per_frame, encoding, pattern, start_frame, seed):
+    # Near the end of the time base the products in pulse_times are largest.
+    start_frame = min(start_frame, LAST_START + 1 - max(n, 1))
+    cfg = SourceConfig(pattern=pattern, decoy_probability=decoy, bits_per_frame=bits_per_frame,
                        encoding=encoding)
     batch = generate_frames(cfg, n, make_rng(seed), start_frame=start_frame)
+    if pattern == "alternating":
+        first = start_frame * bits_per_frame
+        assert all(v in (DECOY, (first + i) % bits_per_frame % 2) for i, v in enumerate(batch.bits.reshape(-1)))
     want = sorted_pulse_times(batch)
     assert batch.n_pulses() == want.size
     assert batch.pulse_times(np.arange(batch.n_pulses())).tolist() == want.tolist()
+
+
+def test_the_last_start_frame_is_the_last_admitted():
+    generate_frames(SourceConfig(), 1, make_rng(), start_frame=LAST_START)
+    with pytest.raises(ConfigError):
+        generate_frames(SourceConfig(), 1, make_rng(), start_frame=LAST_START + 1)
 
 
 def test_channel_transmittance_oracles():
