@@ -271,8 +271,8 @@ def _merge(photon_t: np.ndarray, dark_t: np.ndarray) -> tuple[np.ndarray, np.nda
     cause) order, and the darks' positions in it.
 
     Dark j goes after the photons at or before its time: at j plus their
-    count, so only dark-sized arrays are searched.  With no dark the photons
-    are the merged array.
+    count, one search per dark.  The photons fill the other places through
+    one bool mask.  With no dark the photons are the merged array.
     """
     dark_at = np.searchsorted(photon_t, dark_t, side="right")
     dark_at += np.arange(dark_t.size)
@@ -422,17 +422,15 @@ def spad_detect(
     Every pulse draws a click candidate on its own with probability
     1 - exp(-mu t eta), and a candidate counts if its arrival falls in the
     gate.  Only candidates are sampled: their pulse indices come from
-    geometric skips and their arrival offsets are drawn one per candidate,
-    then added in place to their pulse times.  The reflections, on their own
-    stream, are drawn before that, as the last use of the pulse indices.
-    The gate test takes the time since the last gate opening by floor
-    division, and when every arrival lies in the gate the arrivals are the
-    photon candidates as they stand.  Dark candidates are skips over the
-    open-gate picoseconds (:func:`_dark_times`), placed among the photons
-    by their merged positions (:func:`_merge`); a kept click's cause and its
-    photon provenance (arrival less offset) are read from those positions.
-    Backflash emitters are skips over the kept clicks (:func:`_backflash`).
-    A picosecond holds at most one dark, so with a hold-off of 0 two darks
+    geometric skips, and their arrival offsets, drawn one per candidate,
+    are added in place to their pulse times once the reflections (their own
+    stream) have read the indices.  When every arrival lies in the gate the
+    arrivals are the photon candidates as they stand.  Dark candidates are
+    skips over the open-gate picoseconds (:func:`_dark_times`), placed by
+    their merged positions (:func:`_merge`), from which a kept click's cause
+    and photon provenance (arrival less offset) are read.  Backflash
+    emitters are skips over the kept clicks (:func:`_backflash`).  A
+    picosecond holds at most one dark, so with a hold-off of 0 two darks
     never share a click time.  ``dead_until_ps`` carries hold-off state
     across consecutive batches.  A detection efficiency and a facet
     reflectance of 0 block the light, as in the C8 study: both skips then

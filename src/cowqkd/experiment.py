@@ -50,9 +50,9 @@ from .timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, check_t
 
 # Fixed so chunking never affects drawn sequences.  Chunks bound the arrays
 # over click candidates: peak RSS of `replicate-paper --seed 11`, chunked
-# against one chunk per run (2-vCPU Xeon, Python 3.11, numpy 2.4), is 44.2
-# against 86.8 MB; 54.4 against 235.9 MB at 31.2e6 frames; 45.9 against
-# 103.1 MB with random bits and 5% decoys; the unchunked runs are slower.
+# against one chunk per run (2-vCPU Xeon, Python 3.11, numpy 2.4), is 42.8
+# against 53.1 MB; 54.5 against 100.9 MB at 31.2e6 frames; 44.3 against
+# 68.7 MB with random bits and 5% decoys; the unchunked runs are slower.
 CHUNK_FRAMES = 1_000_000
 
 

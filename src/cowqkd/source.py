@@ -193,17 +193,12 @@ class FrameBatch:
         cfg = self.source
         k, width = cfg.bits_per_frame, cfg.bin_width_ps
         idx = np.asarray(idx, dtype=np.int64)
+        slot = idx + self.start_frame * k
         second = self._decoy_pulses
         if second.size:
-            # A pulse follows this many decoy second pulses, and is one when
-            # the last of them is itself.
-            slot = np.searchsorted(second, idx, side="right")
-            is_second = slot > 0
-            is_second[is_second] = second[slot[is_second] - 1] == idx[is_second]
-            np.subtract(idx, slot, out=slot)
-            slot += self.start_frame * k
-        else:
-            slot = idx + self.start_frame * k
+            before = np.searchsorted(second, idx, side="right")
+            slot -= before
+            is_second = (before > 0) & (second[np.maximum(before - 1, 0)] == idx)
         # Bit 0 and a decoy open in sub-bin 0, bit 1 in sub-bin 1.
         sub = self.values(slot)
         sub &= 1

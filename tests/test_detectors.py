@@ -352,6 +352,23 @@ def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
         assert got.dead_until_ps == want.dead_until_ps
         dead_fast, dead_dense = got.dead_until_ps, want.dead_until_ps
 
+@pytest.mark.parametrize("hold_off_s", [0.0, 1e-7])
+def test_click_provenance_with_darks_among_photons(hold_off_s):
+    # A cut gate at 1e8 darks/s puts darks between the photons of every
+    # few frames.  A photon click comes from one of the batch's pulses, an
+    # occupied-bin offset before the click; a dark has no pulse.
+    spad = SpadConfig(gate_width_ps=2000, gate_phase_ps=1500, dark_count_rate_cps=1e8, hold_off_s=hold_off_s)
+    source = SourceConfig(bits_per_frame=3, encoding="rz")
+    batch, res = run_spad(n_frames=20_000, seed=4, source=source, spad=spad)
+    log = res.clicks
+    dark = log.cause == Cause.DARK
+    assert 100 < np.count_nonzero(dark) < log.time_ps.size - 100
+    assert np.all(log.source_ps[dark] == -1)
+    src, t = log.source_ps[~dark], log.time_ps[~dark]
+    assert np.all(np.isin(src, batch.pulse_times(np.arange(batch.n_pulses()))))
+    assert np.all((t - src >= 0) & (t - src < source.occupied_width_ps))
+
+
 def test_paper_chunk_clicks_pin_no_candidate_buffer():
     # A `paper` chunk keeps a few thousand of its tens of thousands of
     # candidates, so they are gathered anew: a view of the candidates would
@@ -365,10 +382,11 @@ def test_paper_chunk_clicks_pin_no_candidate_buffer():
 
 
 # The bound, fixed before the first run: six candidate-sized int64 arrays.
-# The candidate indices, their pulse times and their offsets are three; the
-# gate test's scratch, the merged times and the skip draw's buffer stay
-# below three more.  The candidate stage that built each temporary anew
-# peaked at 9.7.
+# The candidate indices, their pulse times and their offsets, held together
+# until the reflections are drawn, are three; the scratch of pulse_times and
+# of the gate test, the merged times and one DARK_BLOCK of spacings or skip
+# gaps stay below three more.  A candidate stage that built each temporary
+# anew peaked at 9.7.
 PEAK_CANDIDATE_ARRAYS = 6.0
 
 
