@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -551,6 +552,14 @@ def _csv_cell(v) -> str:
 CORRELATION_WINDOW_PS = 6000
 CORRELATION_BIN_PS = 10
 
+# Expected receiver darks in one block of gates of a C8 width
+# (:func:`_dark_clicks`).  It is part of the study's draw scheme, as its RNG
+# key (TIMING_CORRELATION_STUDY) is: blocks start at multiples of their
+# length from gate 0, so a run with more clicks repeats every full block of
+# a shorter one, and another value draws other histograms of the same law.
+# A block's arrays are about 1 MB.
+STUDY_BLOCK_DARKS = 2**17
+
 
 def emit_timing_correlation(
     cfg: ExperimentConfig,
@@ -576,13 +585,16 @@ def emit_timing_correlation(
     :func:`correlation_histogram` finds it with one search per stop.
     :func:`correlation_law` is the histogram's closed-form law.
 
-    Widths run one at a time, each in its own call, so a width's click-sized
-    arrays are released before the next one draws.  The peak stays below
-    two click-sized int64 arrays: one for the dark candidates, which
-    :func:`spad_detect` keeps in place as the clicks, and less than one more
-    for the rest (the backflash arrivals, the eavesdropper's log, the masks
-    and the temporaries of one block).  Each width has its own RNG key, so
-    the order of the widths changes no histogram.
+    Widths run one at a time, each in its own call, and a width runs in
+    blocks of gates (:func:`_dark_clicks`): each block's clicks are the
+    windows' starts for its stops, and the width's histogram is the sum of
+    its blocks'.  That is exact: the hold-off carries across block seams,
+    and a stop lies within 6 ns of its click, far less than the 1 us
+    between clicks, so it pairs only with a click of its own block.  A
+    width holds about three block-sized int64 arrays (the block before is
+    kept while the next one draws, so the heap is not trimmed and refilled
+    each block), whatever ``clicks_per_width``.  Each width has its own RNG
+    key, so the order of the widths changes no histogram.
     """
     if clicks_per_width < 1:
         raise ConfigError("clicks_per_width must be >= 1")
@@ -617,24 +629,42 @@ def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Hi
     """One width of :func:`emit_timing_correlation`, at the gate width of
     ``ran.spad``: its histogram and its number of clicks."""
     rngs = DeviceRngs(ran.seed, trial=ran.spad.gate_width_ps, study=TIMING_CORRELATION_STUDY)
-    clicks, arrivals = _dark_clicks(ran, clicks_per_width, rngs)
-    stops = snspd_detect(arrivals, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs).time_ps
-    del arrivals  # the histogram's temporaries take their place
-    hist = correlation_histogram(clicks, stops, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
-    return hist, clicks.size
+    hist = Histogram.from_samples([], CORRELATION_BIN_PS, 0, CORRELATION_WINDOW_PS)
+    n_clicks = 0
+    for clicks, arrivals in _dark_clicks(ran, clicks_per_width, rngs):
+        stops = snspd_detect(arrivals, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs).time_ps
+        part = correlation_histogram(clicks, stops, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
+        hist.counts += part.counts
+        n_clicks += clicks.size
+    return hist, n_clicks
 
 
-def _dark_clicks(ran: ExperimentConfig, clicks_per_width: int, rngs: DeviceRngs) -> tuple[np.ndarray, EveArrivals]:
+def _dark_clicks(
+    ran: ExperimentConfig, clicks_per_width: int, rngs: DeviceRngs
+) -> Iterator[tuple[np.ndarray, EveArrivals]]:
     """Receiver click times and the light sent toward the line over enough
-    gates of ``ran`` to expect ``clicks_per_width`` darks and 5% more:
-    :func:`spad_detect` with the light blocked, on a span that sends no
-    decoy, so no pulse spends a draw and no slot is hashed."""
+    gates of ``ran`` to expect ``clicks_per_width`` darks and 5% more, one
+    block of gates at a time: :func:`spad_detect` with the light blocked,
+    on spans of one emission that sends no decoy, so no pulse spends a
+    draw and no slot is hashed.
+
+    A block is ``ceil(STUDY_BLOCK_DARKS / p_dark_gate)`` gates, counted from
+    gate 0, and the last block is cut where the gates end; each draws on
+    ``rngs`` after the block before, and the hold-off carries from one
+    block to the next as it does from one chunk of a trial to the next.
+    """
     spad = ran.spad
-    p_dark_gate = dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps)
-    gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
-    frames = generate_frames(replace(ran.source, decoy_probability=0.0), gates, rngs.bits)
-    res = spad_detect(frames, replace(spad, detection_efficiency=0.0, facet_reflectance=0.0), ran.channel, rngs)
-    return res.clicks.time_ps, res.eve
+    p_dark_gate = max(dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps), 1e-30)
+    gates = int(clicks_per_width / p_dark_gate * 1.05) + 1
+    block = math.ceil(STUDY_BLOCK_DARKS / p_dark_gate)
+    emission = generate_frames(replace(ran.source, decoy_probability=0.0), gates, rngs.bits)
+    blocked = replace(spad, detection_efficiency=0.0, facet_reflectance=0.0)
+    dead_until = 0
+    for start in range(0, gates, block):
+        span = emission.span(start, min(block, gates - start))
+        res = spad_detect(span, blocked, ran.channel, rngs, dead_until_ps=dead_until)
+        dead_until = res.dead_until_ps
+        yield res.clicks.time_ps, res.eve
 
 
 def correlation_law(cfg: ExperimentConfig, gate_width_ps: int, hist: Histogram) -> np.ndarray:

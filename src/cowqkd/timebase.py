@@ -58,7 +58,8 @@ class Stream(IntEnum):
 
 # Spawn-key tag of the dark-exposure timing study.  A trial's spawn key ends
 # in its Stream id and this tag is no Stream id, so no trial index, however
-# large, reproduces the study's draws.
+# large, reproduces the study's draws.  The study's block size,
+# experiment.STUDY_BLOCK_DARKS, is the other half of its draw scheme.
 TIMING_CORRELATION_STUDY = (2**32 - 1,)
 
 

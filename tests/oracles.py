@@ -208,15 +208,17 @@ def start_search_correlation_histogram(start_ps, stop_ps, bin_width_ps, range_ps
 def full_exposure_correlation(cfg, gate_width_ps, clicks_per_width, rngs):
     """One gate width of the dark-exposure study, its receiver run as the
     study runs it, with the eavesdropper's darks drawn over the whole
-    exposure [0, span)."""
+    exposure [0, span) and every block's clicks searched at once."""
     ran = _width_config(cfg, gate_width_ps)
     p_dark_gate = dark_probability_per_gate(ran.spad.dark_count_rate_cps, ran.spad.gate_width_ps)
     gates = int(clicks_per_width / max(p_dark_gate, 1e-30) * 1.05) + 1
     span_ps = gates * cfg.source.frame_period_ps
-    clicks, arrivals = _dark_clicks(ran, clicks_per_width, rngs)
-    got = rngs.snspd.random(arrivals.backflash_ps.size) < cfg.snspd.detection_efficiency
+    blocks = list(_dark_clicks(ran, clicks_per_width, rngs))
+    clicks = np.concatenate([c for c, _ in blocks])
+    backflash = np.concatenate([a.backflash_ps for _, a in blocks])
+    got = rngs.snspd.random(backflash.size) < cfg.snspd.detection_efficiency
     dark = single_interval_poisson_times(cfg.snspd.dark_count_rate_cps, (0, span_ps), rngs.snspd_dark)
-    stops = np.concatenate([arrivals.backflash_ps[got], dark])
+    stops = np.concatenate([backflash[got], dark])
     return start_search_correlation_histogram(clicks, stops, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
 
 

@@ -226,7 +226,7 @@ def test_dark_study_on_a_lattice_near_two_to_the_sixty_does_not_wrap():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for trial in range(40):
-            clicks, _ = _dark_clicks(ran, 1, DeviceRngs(5, trial=trial))
+            (clicks, _), = _dark_clicks(ran, 1, DeviceRngs(5, trial=trial))  # one block
             assert np.all(np.diff(clicks) > 0)
             assert clicks.size == 0 or (clicks[0] >= 0 and clicks[-1] < span)
             total += clicks.size

@@ -12,7 +12,16 @@ from scipy import stats
 
 from cowqkd import attack, detectors, distill, experiment, source
 from cowqkd.attack import AttackConfig
-from cowqkd.detectors import Cause, DetectionLog, Histogram, SnspdConfig, SpadConfig, spad_preset
+from cowqkd.detectors import (
+    Cause,
+    DetectionLog,
+    Histogram,
+    SnspdConfig,
+    SpadConfig,
+    correlation_histogram,
+    snspd_detect,
+    spad_preset,
+)
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
     ExperimentConfig,
@@ -683,16 +692,17 @@ class TestTimingCorrelation:
         assert stats.binomtest(new.size, new.size + old.size, 0.5).pvalue > self.LAW_ALPHA
         assert stats.ks_2samp(new, old).pvalue > self.LAW_ALPHA
 
-    # The bound, fixed before the first run: one click-sized int64 array
-    # (the dark candidates, which become the clicks where they lie) and less
-    # than one more for all the rest (the backflash arrivals and the
-    # eavesdropper's log, about a tenth of the clicks each, the bool masks,
-    # and the temporaries of one block of DARK_BLOCK values).
-    PEAK_CLICK_ARRAYS = 2.0
+    # The bound, fixed before the first run, in block-sized int64 arrays of
+    # STUDY_BLOCK_DARKS values: the block before (its clicks, about one
+    # array, and the light it sent and its stops, a tenth of one each),
+    # held while the next block draws its dark candidates (one array)
+    # through a float64 buffer of DARK_BLOCK values (half of one), and the
+    # masks and temporaries of one DARK_BLOCK step.
+    PEAK_BLOCK_ARRAYS = 4.0
 
-    @pytest.mark.parametrize("n_clicks", [200_000, 1_000_000])
+    @pytest.mark.parametrize("n_clicks", [200_000, 2_000_000])
     @pytest.mark.parametrize("snspd_dark_cps", [0.0, 2e6])
-    def test_one_width_peaks_below_two_click_arrays(self, snspd_dark_cps, n_clicks):
+    def test_one_width_peaks_below_four_block_arrays(self, snspd_dark_cps, n_clicks):
         # At 2e6 counts/s the windows of 6 ns after the clicks catch about
         # 2,500 darks per 200,000 clicks.
         cfg = ExperimentConfig(
@@ -711,8 +721,59 @@ class TestTimingCorrelation:
         finally:
             tracemalloc.stop()
         assert clicks > 0.95 * n_clicks
-        assert peak / (8 * clicks) < self.PEAK_CLICK_ARRAYS
+        assert peak / (8 * experiment.STUDY_BLOCK_DARKS) < self.PEAK_BLOCK_ARRAYS
         if snspd_dark_cps:
             no_dark = replace(cfg, snspd=SnspdConfig(dark_count_rate_cps=0.0))
             no_dark_stops = emit_timing_correlation(no_dark, [4000], clicks_per_width=n_clicks)[4000].total()
             assert hist.total() - no_dark_stops > n_clicks / 200
+
+    # Blocks of 300 expected darks at 2e9 SPAD darks/s: 2 darks a 2000 ps
+    # gate, so a block is 150 gates (4.8 us) and holds about five clicks
+    # under the 1 us hold-off, and nearly every seam falls inside the
+    # hold-off after a click.  The SNSPD's 1e9 darks/s put about six stops
+    # in every window.
+    SEAM_CFG = ExperimentConfig(
+        spad=replace(spad_preset("5v"), dark_count_rate_cps=1e9),
+        snspd=SnspdConfig(dark_count_rate_cps=1e9),
+        attack_enabled=False,
+        seed=4,
+    )
+
+    def seam_blocks(self, monkeypatch, clicks_per_width):
+        monkeypatch.setattr(experiment, "STUDY_BLOCK_DARKS", 300)
+        ran = _width_config(self.SEAM_CFG, 2000)
+        rngs = DeviceRngs(ran.seed, trial=2000, study=TIMING_CORRELATION_STUDY)
+        return ran, rngs, list(experiment._dark_clicks(ran, clicks_per_width, rngs))
+
+    def test_hold_off_carries_across_block_seams(self, monkeypatch):
+        ran, _, blocks = self.seam_blocks(monkeypatch, 20_000)
+        assert len(blocks) == 71
+        seams = [(a[-1], b[0]) for (a, _), (b, _) in zip(blocks, blocks[1:]) if a.size and b.size]
+        assert len(seams) > 60
+        gaps = np.array([b - a for a, b in seams])
+        assert gaps.min() >= ran.spad.hold_off_ps
+        # The clicks are dense enough that a seam inside the hold-off is the
+        # rule, so a block that forgot the one before would fail above.
+        assert np.count_nonzero(gaps < ran.spad.hold_off_ps + ran.source.frame_period_ps) > len(seams) / 2
+
+    def test_width_histogram_is_the_sum_of_its_blocks(self, monkeypatch):
+        ran, rngs, blocks = self.seam_blocks(monkeypatch, 20_000)
+        hist, n_clicks = _width_correlation(ran, 20_000)
+        window = (0, experiment.CORRELATION_WINDOW_PS)
+        stops = [snspd_detect(a, ran.snspd, c, window[1], rngs).time_ps for c, a in blocks]
+        parts = [correlation_histogram(c, s, experiment.CORRELATION_BIN_PS, window) for (c, _), s in zip(blocks, stops)]
+        whole = correlation_histogram(np.concatenate([c for c, _ in blocks]), np.concatenate(stops),
+                                      experiment.CORRELATION_BIN_PS, window)
+        assert n_clicks == sum(c.size for c, _ in blocks)
+        assert hist.total() > 3 * n_clicks
+        assert hist.counts.tolist() == sum(p.counts for p in parts).tolist() == whole.counts.tolist()
+
+    def test_full_blocks_are_a_prefix_of_a_longer_run(self, monkeypatch):
+        _, _, short = self.seam_blocks(monkeypatch, 20_001)
+        _, _, long = self.seam_blocks(monkeypatch, 40_002)
+        # 10,502 gates: 70 full blocks of 150 and one of 2.
+        full = short[:70]
+        assert len(short) == 71 and len(long) > 2 * len(full)
+        for (c, a), (c_long, a_long) in zip(full, long):
+            assert c.tolist() == c_long.tolist()
+            assert a.backflash_ps.tolist() == a_long.backflash_ps.tolist()
