@@ -196,6 +196,12 @@ class SpadResult:
     dead_until_ps: int
 
 
+# Candidates that the hold-off walk searches first from a kept click, before
+# the rest of its run: in a `paper` chunk the next kept click lies a median
+# of 25 and at most 46 candidates on, in a run of about 78,000.
+_WALK_REACH = 64
+
+
 def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -> tuple[np.ndarray, int]:
     """Non-paralyzable dead time: suppressed candidates do not extend it.
 
@@ -206,7 +212,8 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     of closer candidates lie between the edges of that mask, which are
     found in blocks too.  Only the runs are walked, by a binary search in
     ``times`` from each kept click to the first candidate one hold-off
-    later.
+    later: first over the next :data:`_WALK_REACH` candidates, and over the
+    rest of the run only when that one ends at its bound.
     """
     dead = int(dead_until_ps)
     if hold_off_ps <= 0:
@@ -240,7 +247,11 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
         for j, hi in zip(np.searchsorted(times, entry_ps).tolist(), ends.tolist()):
             while j < hi:
                 kept.append(j)
-                j = bisect_left(times_ps, times_ps[j] + hold_off_ps, j, hi)
+                x = times_ps[j] + hold_off_ps
+                near = min(j + _WALK_REACH, hi)
+                j = bisect_left(times_ps, x, j, near)
+                if j == near:
+                    j = bisect_left(times_ps, x, near, hi)
         keep[kept] = True
 
     last = times.size - 1 - int(np.argmax(keep[::-1]))
