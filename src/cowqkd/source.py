@@ -131,24 +131,31 @@ class FrameBatch:
         """Frames ``[start_frame, start_frame + n_frames)`` of the same emission."""
         return FrameBatch(self.source, self.keys, start_frame, n_frames)
 
-    def values(self, slot: np.ndarray) -> np.ndarray:
+    def values(self, slot: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
         """Alice's value (0, 1 or :data:`DECOY`) in each global slot (frame f's
         slot j is f * bits_per_frame + j) of the array ``slot``: a decoy when the
         slot's decoy-key hash lies below decoy_probability * 2**64, else
         slot % bits_per_frame % 2 (alternating) or its bit-key hash's low bit.
-        The alternating value is computed in place as the low bit of
-        slot - slot // bits_per_frame * bits_per_frame, because numpy's integer
-        remainder is several times slower than its floor division."""
+        The alternating value is the low bit of slot - frame * bits_per_frame
+        for frame = slot // bits_per_frame, because numpy's integer remainder
+        is several times slower than its floor division; that bit is the low
+        bit of slot ^ (frame & bits_per_frame), since frame * bits_per_frame
+        is odd exactly when both factors are, and it is written straight
+        into the int8 output.  A caller that holds ``frame`` passes it, and
+        it is read, not divided again."""
         cfg = self.source
         slot = np.asarray(slot)
         if cfg.pattern == PATTERN_ALTERNATING:
-            out = slot // cfg.bits_per_frame
-            out *= cfg.bits_per_frame
-            np.subtract(slot, out, out=out)
+            if frame is None:
+                frame = slot // cfg.bits_per_frame
+            out = np.empty(slot.shape, dtype=np.int8)
+            np.bitwise_and(frame, cfg.bits_per_frame, out=out, casting="unsafe")
+            np.bitwise_xor(out, slot, out=out, casting="unsafe")
+            out &= 1
         else:
             out = _splitmix64(slot, self.keys[1])
-        out &= 1
-        out = out.astype(np.int8)
+            out &= 1
+            out = out.astype(np.int8)
         if cfg.decoy_probability > 0:
             out[self._is_decoy(slot)] = DECOY
         return out
@@ -187,8 +194,9 @@ class FrameBatch:
         decoy slot emits in sub-bin 0 and then in sub-bin 1.  Sorted indices
         give sorted times.  Global slot s = f k + j of frame f opens sub-bin
         ``sub`` at f period + (2 j + sub) bin, which is computed as
-        (s // k) (period - 2 k bin) + (2 s + sub) bin: one floor division and
-        no remainder, in place on one slot-sized array.
+        (s // k) (period - 2 k bin) + (2 s + sub) bin: one floor division,
+        which the alternating value reads too, and no remainder, in place on
+        one slot-sized array.
         """
         cfg = self.source
         k, width = cfg.bits_per_frame, cfg.bin_width_ps
@@ -200,11 +208,11 @@ class FrameBatch:
             slot -= before
             is_second = (before > 0) & (second[np.maximum(before - 1, 0)] == idx)
         # Bit 0 and a decoy open in sub-bin 0, bit 1 in sub-bin 1.
-        sub = self.values(slot)
+        t = slot // k
+        sub = self.values(slot, t)
         sub &= 1
         if second.size:
             sub[is_second] = 1
-        t = slot // k
         t *= cfg.frame_period_ps - 2 * k * width
         slot *= 2
         slot += sub
