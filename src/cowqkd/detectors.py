@@ -16,7 +16,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .source import DARK_BLOCK, ChannelConfig, FrameBatch, channel_transmittance
+from .source import ChannelConfig, FrameBatch, channel_transmittance
 from .timebase import (
     MAX_TIME_PS,
     PS_PER_S,
@@ -29,6 +29,10 @@ from .timebase import (
 
 BOB = "bob"
 EVE = "eve"
+
+# Values per step wherever an array is drawn, mapped, compared or compacted
+# (darks, skip gaps, spacings, clicks): no second array of them all is held.
+DARK_BLOCK = 2**16
 
 
 class Cause(IntEnum):
@@ -394,6 +398,34 @@ def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray
         last = int(idx[-1])
 
 
+def _pulse_hits(frames: FrameBatch, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted lattice positions (:meth:`FrameBatch.pulse_times`) of the
+    pulses of ``frames`` that each hit on their own with probability ``p``.
+
+    One skip walk over the slots picks the slots whose first pulse hits;
+    that pulse lies in sub-bin ``values(s) & 1``, as a decoy opens sub-bin
+    0.  Only with decoys on, a second walk over the slots on the same
+    stream, kept where it lands on a decoy slot, picks the decoys' sub-bin-1
+    pulses.  Only the walks' hits are hashed, and a run without decoys draws
+    one walk.
+    """
+    k = frames.source.bits_per_frame
+    first, n = frames.start_frame * k, len(frames) * k
+    hits = _bernoulli_indices(p, n, rng)
+    hits += first
+    sub = frames.values(hits)
+    sub &= 1
+    hits *= 2
+    hits += sub
+    if frames.source.decoy_probability <= 0:
+        return hits
+    second = _bernoulli_indices(p, n, rng)
+    second += first
+    second = 2 * second[frames.is_decoy(second)] + 1
+    # A stable sort is a timsort, which merges the two sorted runs in one pass.
+    return np.sort(np.concatenate([hits, second]), kind="stable")
+
+
 def _reflection_times(
     frames: FrameBatch,
     reflected_mu: float,
@@ -405,11 +437,12 @@ def _reflection_times(
     """Arrival times at the facet of the pulses that send a photon back.
 
     Each pulse returns at least one photon with probability
-    1 - exp(-reflected_mu).  A returning pulse that also drew a click candidate arrived at that
-    candidate's offset; every other one draws its offset on the reflection
-    stream, so reflections never shift a receiver draw.
+    1 - exp(-reflected_mu).  A returning pulse that also drew a click
+    candidate (``click_idx`` holds their sorted lattice positions) arrived
+    at that candidate's offset; every other one draws its offset on the
+    reflection stream, so reflections never shift a receiver draw.
     """
-    idx = _bernoulli_indices(-math.expm1(-reflected_mu), frames.n_pulses(), rngs.reflection)
+    idx = _pulse_hits(frames, -math.expm1(-reflected_mu), rngs.reflection)
     at = np.searchsorted(click_idx, idx)
     clicked = at < click_idx.size
     clicked[clicked] = click_idx[at[clicked]] == idx[clicked]
@@ -432,21 +465,22 @@ def spad_detect(
 
     Every pulse draws a click candidate on its own with probability
     1 - exp(-mu t eta), and a candidate counts if its arrival falls in the
-    gate.  Only candidates are sampled: their pulse indices come from
-    geometric skips, and their arrival offsets, drawn one per candidate,
-    are added in place to their pulse times once the reflections (their own
-    stream) have read the indices.  When every arrival lies in the gate the
-    arrivals are the photon candidates as they stand.  Dark candidates are
-    skips over the open-gate picoseconds (:func:`_dark_times`), placed by
-    their merged positions (:func:`_merge`), from which a kept click's cause
-    and photon provenance (arrival less offset) are read.  Backflash
-    emitters are skips over the kept clicks (:func:`_backflash`).  A
-    picosecond holds at most one dark, so with a hold-off of 0 two darks
-    never share a click time.  ``dead_until_ps`` carries hold-off state
-    across consecutive batches.  A detection efficiency and a facet
-    reflectance of 0 block the light, as in the C8 study: both skips then
-    have p = 0 and spend no draw, and the darks, compacted in place, are
-    the clicks.
+    gate.  Only candidates are sampled: pulses are named by lattice
+    position, the candidates' positions come from skip walks over the slots
+    (:func:`_pulse_hits`), and their arrival offsets, drawn one per
+    candidate, are added in place to their pulse times once the reflections
+    (their own stream) have read the positions.  When every arrival lies in
+    the gate the arrivals are the photon candidates as they stand.  Dark
+    candidates are skips over the open-gate picoseconds
+    (:func:`_dark_times`), placed by their merged positions
+    (:func:`_merge`), from which a kept click's cause and photon provenance
+    (arrival less offset) are read.  Backflash emitters are skips over the
+    kept clicks (:func:`_backflash`).  A picosecond holds at most one dark,
+    so with a hold-off of 0 two darks never share a click time.
+    ``dead_until_ps`` carries hold-off state across consecutive batches.  A
+    detection efficiency and a facet reflectance of 0 block the light, as
+    in the C8 study: every skip walk over the slots then has p = 0 and
+    spends no draw, and the darks, compacted in place, are the clicks.
     """
     source = frames.source
     mu = source.mean_photon_number
@@ -454,7 +488,7 @@ def spad_detect(
     period = source.frame_period_ps
 
     p_click = -math.expm1(-mu * t_ch * spad.detection_efficiency)
-    cand = _bernoulli_indices(p_click, frames.n_pulses(), rngs.spad)
+    cand = _pulse_hits(frames, p_click, rngs.spad)
     arrival = frames.pulse_times(cand)
     offset = rngs.arrival.integers(0, source.occupied_width_ps, size=cand.size, dtype=np.int64)
     reflected_mu = mu * t_ch * spad.facet_reflectance

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -93,11 +92,6 @@ def channel_transmittance(channel: ChannelConfig) -> float:
     return 10.0 ** (-total_db / 10.0)
 
 
-# Values per step wherever an array is hashed, mapped, drawn, compared or
-# compacted (slots, darks, skip gaps, spacings): no second array of them all is held.
-DARK_BLOCK = 2**16
-
-
 def _splitmix64(slot: np.ndarray, key: np.uint64) -> np.ndarray:
     """Output ``slot`` of SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) seeded with
     ``key``, for an array ``slot`` of non-negative integers.  It works in place
@@ -115,7 +109,9 @@ def _splitmix64(slot: np.ndarray, key: np.uint64) -> np.ndarray:
 
 class FrameBatch:
     """Frames ``[start_frame, start_frame + n_frames)`` of one emission, whose
-    uint64 decoy and bit keys fix Alice's value in every slot (:meth:`values`)."""
+    uint64 decoy and bit keys fix Alice's value in every slot (:meth:`values`).
+    A pulse is named by its lattice position 2 s + b, for global slot s and
+    sub-bin b (:meth:`pulse_times`)."""
 
     def __init__(self, source: SourceConfig, keys: np.ndarray, start_frame: int, n_frames: int):
         self.source = source
@@ -131,25 +127,21 @@ class FrameBatch:
         """Frames ``[start_frame, start_frame + n_frames)`` of the same emission."""
         return FrameBatch(self.source, self.keys, start_frame, n_frames)
 
-    def values(self, slot: np.ndarray, frame: np.ndarray | None = None) -> np.ndarray:
+    def values(self, slot: np.ndarray) -> np.ndarray:
         """Alice's value (0, 1 or :data:`DECOY`) in each global slot (frame f's
-        slot j is f * bits_per_frame + j) of the array ``slot``: a decoy when the
-        slot's decoy-key hash lies below decoy_probability * 2**64, else
-        slot % bits_per_frame % 2 (alternating) or its bit-key hash's low bit.
-        The alternating value is the low bit of slot - frame * bits_per_frame
-        for frame = slot // bits_per_frame, because numpy's integer remainder
-        is several times slower than its floor division; that bit is the low
-        bit of slot ^ (frame & bits_per_frame), since frame * bits_per_frame
-        is odd exactly when both factors are, and it is written straight
-        into the int8 output.  A caller that holds ``frame`` passes it, and
-        it is read, not divided again."""
+        slot j is f * bits_per_frame + j) of the array ``slot``: a decoy when
+        :meth:`is_decoy`, else slot % bits_per_frame % 2 (alternating) or its
+        bit-key hash's low bit.  The alternating value is the low bit of
+        slot - frame * bits_per_frame for frame = slot // bits_per_frame,
+        because numpy's integer remainder is several times slower than its
+        floor division; that bit is the low bit of slot ^ (frame &
+        bits_per_frame), since frame * bits_per_frame is odd exactly when
+        both factors are, and it is written straight into the int8 output."""
         cfg = self.source
         slot = np.asarray(slot)
         if cfg.pattern == PATTERN_ALTERNATING:
-            if frame is None:
-                frame = slot // cfg.bits_per_frame
             out = np.empty(slot.shape, dtype=np.int8)
-            np.bitwise_and(frame, cfg.bits_per_frame, out=out, casting="unsafe")
+            np.bitwise_and(slot // cfg.bits_per_frame, cfg.bits_per_frame, out=out, casting="unsafe")
             np.bitwise_xor(out, slot, out=out, casting="unsafe")
             out &= 1
         else:
@@ -157,10 +149,12 @@ class FrameBatch:
             out &= 1
             out = out.astype(np.int8)
         if cfg.decoy_probability > 0:
-            out[self._is_decoy(slot)] = DECOY
+            out[self.is_decoy(slot)] = DECOY
         return out
 
-    def _is_decoy(self, slot: np.ndarray) -> np.ndarray:
+    def is_decoy(self, slot: np.ndarray) -> np.ndarray:
+        """Whether each global slot of ``slot`` is a decoy: its decoy-key hash
+        lies below decoy_probability * 2**64."""
         # A whole number lies below x exactly when it is at most ceil(x) - 1.
         return _splitmix64(slot, self.keys[0]) <= np.uint64(math.ceil(self.source.decoy_probability * 2**64) - 1)
 
@@ -170,54 +164,24 @@ class FrameBatch:
         k = self.source.bits_per_frame
         return self.values(np.arange(self.start_frame * k, (self.start_frame + len(self)) * k)).reshape(-1, k)
 
-    @cached_property
-    def _decoy_pulses(self) -> np.ndarray:
-        """Pulse index of the sub-bin-1 pulse of every decoy slot, ascending;
-        slots are hashed :data:`DARK_BLOCK` at a time, and only if decoys are on."""
-        k = self.source.bits_per_frame
-        first, n = self.start_frame * k, len(self) * k
-        slots = [np.empty(0, dtype=np.int64)]
-        for lo in range(0, n if self.source.decoy_probability > 0 else 0, DARK_BLOCK):
-            block = np.arange(first + lo, first + min(lo + DARK_BLOCK, n), dtype=np.uint64)
-            slots.append(lo + np.flatnonzero(self._is_decoy(block)))
-        slots = np.concatenate(slots)
-        return slots + np.arange(1, slots.size + 1, dtype=np.int64)
+    def pulse_times(self, lattice: np.ndarray) -> np.ndarray:
+        """Global occupied-bin start ``time_ps`` of the pulses at lattice
+        positions ``lattice``.
 
-    def n_pulses(self) -> int:
-        """Number of emitted pulses: one per slot, two per decoy slot."""
-        return len(self) * self.source.bits_per_frame + self._decoy_pulses.size
-
-    def pulse_times(self, idx: np.ndarray) -> np.ndarray:
-        """Global occupied-bin start ``time_ps`` of the pulses at ``idx``.
-
-        Pulses are numbered frame by frame, slot by slot, in sub-bin order; a
-        decoy slot emits in sub-bin 0 and then in sub-bin 1.  Sorted indices
-        give sorted times.  Global slot s = f k + j of frame f opens sub-bin
-        ``sub`` at f period + (2 j + sub) bin, which is computed as
-        (s // k) (period - 2 k bin) + (2 s + sub) bin: one floor division,
-        which the alternating value reads too, and no remainder, in place on
-        one slot-sized array.
+        The pulse in sub-bin b of global slot s = f k + j (frame f) sits at
+        lattice position 2 s + b and starts at f period + (2 j + b) bin.  Bit
+        0 fills sub-bin 0, bit 1 sub-bin 1 and a decoy both.  With
+        f = lattice // 2k that time is lattice bin + f (period - 2 k bin):
+        one floor division and no remainder.  Sorted positions give sorted
+        times.
         """
         cfg = self.source
         k, width = cfg.bits_per_frame, cfg.bin_width_ps
-        idx = np.asarray(idx, dtype=np.int64)
-        slot = idx + self.start_frame * k
-        second = self._decoy_pulses
-        if second.size:
-            before = np.searchsorted(second, idx, side="right")
-            slot -= before
-            is_second = (before > 0) & (second[np.maximum(before - 1, 0)] == idx)
-        # Bit 0 and a decoy open in sub-bin 0, bit 1 in sub-bin 1.
-        t = slot // k
-        sub = self.values(slot, t)
-        sub &= 1
-        if second.size:
-            sub[is_second] = 1
-        t *= cfg.frame_period_ps - 2 * k * width
-        slot *= 2
-        slot += sub
-        slot *= width
-        t += slot
+        lattice = np.asarray(lattice, dtype=np.int64)
+        t = lattice * width
+        frame = lattice // (2 * k)
+        frame *= cfg.frame_period_ps - 2 * k * width
+        t += frame
         return t
 
 

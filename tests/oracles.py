@@ -118,6 +118,18 @@ def per_slot_values(cfg, count, rng):
     return bits
 
 
+def pulse_lattice(batch):
+    """Lattice position 2 s + b of every pulse, built per global slot s from
+    its value (sub-bin b of the value's bit, both sub-bins for a decoy) and
+    then sorted."""
+    k = batch.source.bits_per_frame
+    flat = batch.bits.reshape(-1)
+    slot = batch.start_frame * k + np.arange(flat.size, dtype=np.int64)
+    is_decoy = flat == DECOY
+    lattice = np.concatenate([2 * slot + np.where(is_decoy, 0, flat), 2 * slot[is_decoy] + 1])
+    return np.sort(lattice)
+
+
 def sorted_pulse_times(batch):
     """Occupied-bin start of every pulse, built per slot and then sorted."""
     source = batch.source

@@ -8,29 +8,33 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from cowqkd import detectors
+from cowqkd import detectors, source
 from cowqkd.detectors import (
+    DARK_BLOCK,
     Cause,
     DetectionLog,
     Histogram,
     SnspdConfig,
     SpadConfig,
     _bernoulli_indices,
+    _compress,
     _dark_times,
     _dead_time_filter,
+    _pulse_hits,
     correlation_histogram,
     snspd_detect,
     spad_detect,
     spad_preset,
 )
 from cowqkd.experiment import CHUNK_FRAMES, ExperimentConfig, _dark_clicks, _width_config, preset_config
-from cowqkd.source import DARK_BLOCK, ChannelConfig, SourceConfig, channel_transmittance, generate_frames
+from cowqkd.source import DECOY, ChannelConfig, SourceConfig, channel_transmittance, generate_frames
 from cowqkd.timebase import ConfigError, DeviceRngs
 from oracles import (
     dense_spad_detect,
     geometric_bernoulli_indices,
     poisson_dark_times,
     sequential_dead_time,
+    sorted_pulse_times,
     start_search_correlation_histogram,
     stream_rng,
 )
@@ -120,6 +124,38 @@ def test_dead_time_filter_at_a_block_seam(at):
     assert np.count_nonzero(~keep) == 2  # the first candidate, then t[at]
     assert np.array_equal(keep, expect_keep)
     assert dead_after == expect_dead
+
+
+def _kept(drop=(), add=(), base=None):
+    """A keep mask over N_SEAM values: ``base`` (all kept) less ``drop``
+    plus ``add``."""
+    keep = np.ones(N_SEAM, dtype=bool) if base is None else base.copy()
+    keep[list(drop)] = False
+    keep[list(add)] = True
+    return keep
+
+
+EVEN = np.arange(N_SEAM) % 2 == 0
+
+
+@pytest.mark.parametrize("keep", [
+    _kept(),
+    ~_kept(),
+    EVEN,  # exactly half
+    _kept(add=[1], base=EVEN),
+    _kept(drop=[0], base=EVEN),
+    _kept(drop=[DARK_BLOCK - 1, DARK_BLOCK]),
+    _kept(drop=[0, DARK_BLOCK - 2, DARK_BLOCK + 1, 2 * DARK_BLOCK, N_SEAM - 1]),
+], ids=["all", "none", "half", "half-and-one", "half-less-one", "seam-pair", "seam-sides"])
+def test_compress_is_the_kept_values(keep):
+    # The kept values move to the front of t in place, a block at a time,
+    # when at least half is kept, and a view of them returns; a smaller share
+    # is gathered anew, so it pins none of t.
+    t = np.arange(N_SEAM, dtype=np.int64) * 7 + 3
+    want = t[keep]
+    got = _compress(t, keep)
+    assert got.tolist() == want.tolist()
+    assert np.shares_memory(got, t) == (2 * int(keep.sum()) >= t.size)
 
 
 # --- gate membership and click statistics ---------------------------------
@@ -294,7 +330,7 @@ def _pooled_run(case, sampler, seeds):
             period = source.frame_period_ps
             eve = snspd_detect(res.eve, snspd, [start * period], len(batch) * period, rngs)
             out["eve_reflection"] += int(np.sum(eve.cause == Cause.REFLECTION))
-            out["pulses"] += batch.n_pulses()
+            out["pulses"] += sorted_pulse_times(batch).size
         out["gaps"].append(np.diff(np.concatenate(times)))
     out["offsets"] = np.concatenate(out["offsets"])
     out["gaps"] = np.concatenate(out["gaps"])
@@ -365,7 +401,7 @@ def test_click_provenance_with_darks_among_photons(hold_off_s):
     assert 100 < np.count_nonzero(dark) < log.time_ps.size - 100
     assert np.all(log.source_ps[dark] == -1)
     src, t = log.source_ps[~dark], log.time_ps[~dark]
-    assert np.all(np.isin(src, batch.pulse_times(np.arange(batch.n_pulses()))))
+    assert np.all(np.isin(src, sorted_pulse_times(batch)))
     assert np.all((t - src >= 0) & (t - src < source.occupied_width_ps))
 
 
@@ -382,7 +418,7 @@ def test_paper_chunk_clicks_pin_no_candidate_buffer():
 
 
 # The bound, fixed before the first run: six candidate-sized int64 arrays.
-# The candidate indices, their pulse times and their offsets, held together
+# The candidates' lattice positions, their pulse times and their offsets, held
 # until the reflections are drawn, are three; the scratch of pulse_times and
 # of the gate test, the merged times and one DARK_BLOCK of spacings or skip
 # gaps stay below three more.  A candidate stage that built each temporary
@@ -394,7 +430,7 @@ def test_paper_chunk_peaks_below_six_candidate_arrays():
     cfg = preset_config("paper")
     batch = generate_frames(cfg.source, CHUNK_FRAMES, DeviceRngs(cfg.seed).bits)
     mu = cfg.source.mean_photon_number * channel_transmittance(cfg.channel) * cfg.spad.detection_efficiency
-    candidates = _bernoulli_indices(-math.expm1(-mu), batch.n_pulses(), DeviceRngs(cfg.seed).spad).size
+    candidates = _pulse_hits(batch, -math.expm1(-mu), DeviceRngs(cfg.seed).spad).size
     # The first run imports what numpy loads lazily; it is no part of the peak.
     spad_detect(batch, cfg.spad, cfg.channel, DeviceRngs(cfg.seed))
     rngs = DeviceRngs(cfg.seed)
@@ -406,6 +442,61 @@ def test_paper_chunk_peaks_below_six_candidate_arrays():
         tracemalloc.stop()
     assert candidates > 70_000 and len(clicks) > 1000
     assert peak / (8 * candidates) < PEAK_CANDIDATE_ARRAYS
+
+
+# --- pulses by lattice position --------------------------------------------
+
+def test_pulse_hits_put_first_pulses_by_value_and_second_pulses_on_decoys():
+    # One walk over the slots puts each hit slot's first pulse in sub-bin
+    # values(s) & 1; a second walk on the same stream keeps its decoy slots
+    # and puts their second pulse in sub-bin 1.
+    cfg = SourceConfig(pattern="random", decoy_probability=0.2, bits_per_frame=3)
+    start, n_frames, p = 777, 20_000, 0.3
+    batch = generate_frames(cfg, n_frames, stream_rng(5), start_frame=start)
+    rng = stream_rng(6)
+    lattice = _pulse_hits(batch, p, rng)
+    by_hand = stream_rng(6)
+    first = start * 3 + _bernoulli_indices(p, n_frames * 3, by_hand)
+    second = start * 3 + _bernoulli_indices(p, n_frames * 3, by_hand)
+    on_decoy = batch.values(second) == DECOY
+    assert 0 < on_decoy.sum() < second.size
+    want = np.sort(np.concatenate([2 * first + (batch.values(first) & 1), 2 * second[on_decoy] + 1]))
+    assert lattice.tolist() == want.tolist()
+    assert rng.random() == by_hand.random()
+    # So every position is a pulse that the slot's value emits: sub-bin 0
+    # holds bit 0 or a decoy, sub-bin 1 bit 1 or a decoy's second pulse.
+    value, sub = batch.values(lattice // 2), lattice & 1
+    assert np.all(np.diff(lattice) > 0)
+    assert np.all(np.where(sub == 1, value != 0, value != 1))
+    assert np.any((sub == 1) & (value == DECOY)) and np.any((sub == 0) & (value == DECOY))
+
+
+def test_decoys_hash_only_the_walks_hits(monkeypatch):
+    # The receiver hashes a slot only where a skip walk lands: at most a bit
+    # and a decoy hash per hit, where listing the decoys hashed every slot.
+    # With darks and backflash off, every skip walk of the detection is a
+    # pulse walk.
+    cfg = SourceConfig(pattern="random", decoy_probability=0.2)
+    spad = SpadConfig(dark_count_rate_cps=0.0, backflash_probability=0.0)
+    rngs = DeviceRngs(12)
+    batch = generate_frames(cfg, 200_000, rngs.bits)
+    hashed, hits = [], []
+    splitmix64, walk = source._splitmix64, detectors._bernoulli_indices
+
+    def spy_hash(slot, key):
+        hashed.append(np.size(slot))
+        return splitmix64(slot, key)
+
+    def spy_walk(*args):
+        out = walk(*args)
+        hits.append(out.size)
+        return out
+
+    monkeypatch.setattr(source, "_splitmix64", spy_hash)
+    monkeypatch.setattr(detectors, "_bernoulli_indices", spy_walk)
+    res = spad_detect(batch, spad, ChannelConfig(), rngs)
+    assert len(res.clicks) > 100 and res.eve.reflection_ps.size > 100 and sum(hits) > 10_000
+    assert sum(hashed) <= 2 * sum(hits), (sum(hashed), sum(hits), 2 * len(batch))
 
 
 # --- the geometric skip ----------------------------------------------------
@@ -596,7 +687,7 @@ def test_reflections_return_from_a_binomial_share_of_pulses():
     m = 0.2 * 1.0 * 1e-2
     assert res.eve.reflected_mean_photon == pytest.approx(m)
     p = -math.expm1(-m)
-    lo, hi = stats.binom.ppf([0.00135, 0.99865], batch.n_pulses(), p)
+    lo, hi = stats.binom.ppf([0.00135, 0.99865], sorted_pulse_times(batch).size, p)
     assert lo <= res.eve.reflection_ps.size <= hi
     assert np.all(np.diff(res.eve.reflection_ps) > 0)
     local = res.eve.reflection_ps % 32000

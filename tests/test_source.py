@@ -17,7 +17,8 @@ from cowqkd.source import (
     write_frames_csv,
 )
 from cowqkd.timebase import MAX_TIME_PS, ConfigError, DeviceRngs
-from oracles import per_slot_values, sorted_pulse_times
+from cowqkd.detectors import _pulse_hits
+from oracles import per_slot_values, pulse_lattice, sorted_pulse_times, stream_rng
 
 
 def make_rng(seed=0):
@@ -81,33 +82,37 @@ def test_decoy_rate():
 
 
 def test_pulse_positions_encode_bits():
-    # bit 0 -> first bin of the slot, bit 1 -> second, decoy -> both
+    # bit 0 -> first bin of the slot, bit 1 -> second, decoy -> both; the
+    # pulse in sub-bin b of global slot s sits at lattice position 2 s + b.
     alternating = generate_frames(SourceConfig(), 3, make_rng(), start_frame=1)
-    assert alternating.n_pulses() == 6
-    assert alternating.pulse_times(np.arange(6)).tolist() == [32000, 35000, 64000, 67000, 96000, 99000]
+    assert pulse_lattice(alternating).tolist() == [4, 7, 8, 11, 12, 15]
+    t = alternating.pulse_times(pulse_lattice(alternating))
+    assert t.tolist() == [32000, 35000, 64000, 67000, 96000, 99000]
     decoys = generate_frames(SourceConfig(decoy_probability=1.0), 2, make_rng())
-    assert decoys.n_pulses() == 8
+    assert pulse_lattice(decoys).tolist() == list(range(8))
     assert decoys.pulse_times(np.arange(8)).tolist() == [0, 1000, 2000, 3000, 32000, 33000, 34000, 35000]
     assert decoys.pulse_times(np.array([2, 3, 6])).tolist() == [2000, 3000, 34000]
     # A mixed batch, pulse by pulse from its values.
     batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.4), 40, make_rng(4), start_frame=7)
-    want = []
+    lattice, want = [], []
     for f, row in enumerate(batch.bits.tolist(), start=7):
         for j, v in enumerate(row):
             slot_ps = f * 32000 + 2 * j * 1000
+            lattice += [2 * (2 * f + j), 2 * (2 * f + j) + 1] if v == DECOY else [2 * (2 * f + j) + v]
             want += [slot_ps, slot_ps + 1000] if v == DECOY else [slot_ps + 1000 * v]
     n_decoys = len(want) - 80
     assert 0 < n_decoys < 80
-    assert batch.n_pulses() == len(want)
-    assert batch.pulse_times(np.arange(len(want))).tolist() == want
+    assert pulse_lattice(batch).tolist() == lattice
+    assert batch.pulse_times(np.array(lattice)).tolist() == want
 
 
 def test_decoy_contributes_two_pulses():
     cfg = SourceConfig(decoy_probability=1.0)
     batch = generate_frames(cfg, 4, make_rng())
-    t = batch.pulse_times(np.arange(batch.n_pulses()))
+    t = batch.pulse_times(pulse_lattice(batch))
     assert t.size == 4 * 2 * 2
-    assert np.all(np.diff(t) >= 0)
+    assert np.all(np.diff(t) > 0)
+    assert t.tolist() == sorted_pulse_times(batch).tolist()
 
 
 @pytest.mark.parametrize("pattern", ["alternating", "random"])
@@ -129,27 +134,20 @@ def test_values_are_a_function_of_the_slot(pattern):
     assert not np.array_equal(generate_frames(cfg, 1000, make_rng(9)).bits, whole)
 
 
-@pytest.mark.parametrize("block", [1, 7, 2**16])
-def test_decoy_pulses_do_not_depend_on_the_hashing_step(monkeypatch, block):
-    cfg = SourceConfig(pattern="random", decoy_probability=0.3)
-    want = generate_frames(cfg, 5000, make_rng(6), start_frame=11)
-    want = want.pulse_times(np.arange(want.n_pulses()))
-    monkeypatch.setattr(source, "DARK_BLOCK", block)
-    batch = generate_frames(cfg, 5000, make_rng(6), start_frame=11)
-    assert batch.pulse_times(np.arange(batch.n_pulses())).tolist() == want.tolist()
-
-
 def test_decoy_probability_ends_are_exact(monkeypatch):
-    # p = 0 makes no decoy, p = 1 makes every slot one.
+    # p = 0 makes no decoy, p = 1 makes every slot one; a hit on every pulse
+    # finds one pulse a slot or two.
     for pattern in ("alternating", "random"):
         none = generate_frames(SourceConfig(pattern=pattern), 20_000, make_rng(2))
-        assert not np.any(none.bits == DECOY) and none.n_pulses() == 40_000
+        assert not np.any(none.bits == DECOY) and _pulse_hits(none, 1.0, stream_rng(2)).size == 40_000
         every = generate_frames(SourceConfig(pattern=pattern, decoy_probability=1.0), 20_000, make_rng(2))
-        assert np.all(every.bits == DECOY) and every.n_pulses() == 80_000
+        assert np.all(every.bits == DECOY) and _pulse_hits(every, 1.0, stream_rng(2)).tolist() == list(range(80_000))
     # Alternating frames without decoys hash nothing.
     monkeypatch.setattr(source, "_splitmix64", lambda *a: pytest.fail("a slot was hashed"))
     batch = generate_frames(SourceConfig(), 20_000, make_rng(2))
-    assert batch.n_pulses() == 40_000 and batch.pulse_times(np.array([1, 39_999])).tolist() == [3000, 19_999 * 32000 + 3000]
+    lattice = _pulse_hits(batch, 1.0, stream_rng(2))
+    assert lattice.size == 40_000 and lattice[[1, -1]].tolist() == [3, 79_999]
+    assert batch.pulse_times(lattice[[1, -1]]).tolist() == [3000, 19_999 * 32000 + 3000]
 
 
 # Exact tests of the keyed values, fixed before the first run: 2**20 slots
@@ -198,8 +196,9 @@ def test_keyed_values_have_the_per_slot_draws_law():
 
 
 def test_pulses_within_signal_window():
-    batch = generate_frames(SourceConfig(pattern="random"), 500, make_rng(9))
-    t = batch.pulse_times(np.arange(batch.n_pulses()))
+    # Both sub-bins of every slot, whether a pulse fills them or not.
+    batch = generate_frames(SourceConfig(pattern="random"), 500, make_rng(9), start_frame=3)
+    t = batch.pulse_times(np.arange(3 * 4, 503 * 4))
     offset = t - (t // 32000) * 32000
     assert np.all(offset >= 0)
     assert np.all(offset < 4000)
@@ -207,10 +206,12 @@ def test_pulses_within_signal_window():
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=30))
 def test_pulse_count_matches_bits(n, seed):
+    # A hit on every pulse finds each slot's pulses as its value places them.
     batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.2), n, make_rng(seed))
     expected = int(np.sum(batch.bits == DECOY)) * 2 + int(np.sum(batch.bits != DECOY))
-    assert batch.n_pulses() == expected
-    assert batch.pulse_times(np.arange(batch.n_pulses())).size == expected
+    lattice = _pulse_hits(batch, 1.0, stream_rng(seed))
+    assert lattice.size == expected
+    assert lattice.tolist() == pulse_lattice(batch).tolist()
 
 
 # The last start frame that FrameBatch admits for one frame at the default
@@ -237,9 +238,7 @@ def test_pulse_times_match_sorted_oracle(n, decoy, bits_per_frame, encoding, pat
     if pattern == "alternating":
         first = start_frame * bits_per_frame
         assert all(v in (DECOY, (first + i) % bits_per_frame % 2) for i, v in enumerate(batch.bits.reshape(-1)))
-    want = sorted_pulse_times(batch)
-    assert batch.n_pulses() == want.size
-    assert batch.pulse_times(np.arange(batch.n_pulses())).tolist() == want.tolist()
+    assert batch.pulse_times(pulse_lattice(batch)).tolist() == sorted_pulse_times(batch).tolist()
 
 
 def test_the_last_start_frame_is_the_last_admitted():
