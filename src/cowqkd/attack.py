@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .detectors import Histogram
-from .distill import ClassicalTranscript, SiftedKey
+from .distill import ClassicalTranscript, SiftedBits
 from .timebase import ConfigError, write_csv
 
 
@@ -508,7 +508,7 @@ class EveInference:
 def infer_bits(
     calibrated_ps: np.ndarray,
     clusters: ClusterMap,
-    retained: SiftedKey,
+    retained: SiftedBits,
 ) -> EveInference:
     """Assign a bit to every count in the backflash window and score it."""
     t = np.asarray(calibrated_ps, dtype=np.int64)
@@ -544,29 +544,18 @@ def infer_bits(
     )
 
 
-@dataclass(frozen=True)
-class LearningMetrics:
-    """Attack quality figures; both accuracy denominators are reported."""
-
-    accuracy_matched: float
-    accuracy_all: float
-    learning_rate: float
-    matched_fraction: float
-
-
-def learning_metrics(inference: EveInference, retained: SiftedKey) -> LearningMetrics:
-    """Per-detection accuracy and the fraction of the key the attacker got."""
+def learning_metrics(inference: EveInference, retained: SiftedBits) -> dict[str, float]:
+    """Attack quality figures: per-detection accuracy over the matched counts
+    and over all of them, the fraction of the key the attacker got, and the
+    fraction of her counts matched to a retained click."""
     n = len(inference)
     scored = inference.correct_count + inference.incorrect_count
-    acc_m = inference.correct_count / scored if scored else 0.0
-    acc_a = inference.correct_count / n if n else 0.0
-    lr = inference.correct_count / len(retained) if len(retained) else 0.0
-    return LearningMetrics(
-        accuracy_matched=acc_m,
-        accuracy_all=acc_a,
-        learning_rate=lr,
-        matched_fraction=scored / n if n else 0.0,
-    )
+    return {
+        "accuracy_matched": inference.correct_count / scored if scored else 0.0,
+        "accuracy_all": inference.correct_count / n if n else 0.0,
+        "learning_rate": inference.correct_count / len(retained) if len(retained) else 0.0,
+        "matched_fraction": scored / n if n else 0.0,
+    }
 
 
 # ---------------------------------------------------------------------------

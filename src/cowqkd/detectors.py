@@ -176,8 +176,9 @@ def write_detections_csv(logs: list[DetectionLog], path, header_lines: list[str]
 
 
 @dataclass
-class EveArrivals:
-    """Light leaving the receiver toward the line.
+class SpadResult:
+    """Receiver clicks, the end of the last click's hold-off (for the next
+    batch), and the light the receiver sends back toward the line.
 
     Backflash photon ``i`` leaves at ``backflash_ps[i]``, emitted by the
     avalanche at ``avalanche_ps[i]``.  ``reflection_ps`` lists only the
@@ -185,19 +186,12 @@ class EveArrivals:
     probability 1 - exp(-reflected_mean_photon), at the pulse's arrival time.
     """
 
+    clicks: DetectionLog
+    dead_until_ps: int
     avalanche_ps: np.ndarray
     backflash_ps: np.ndarray
     reflection_ps: np.ndarray
     reflected_mean_photon: float
-
-
-@dataclass
-class SpadResult:
-    """Receiver clicks plus the light it sends back toward the line."""
-
-    clicks: DetectionLog
-    eve: EveArrivals
-    dead_until_ps: int
 
 
 # Candidates that the hold-off walk searches first from a kept click, before
@@ -532,12 +526,12 @@ def spad_detect(
         src = np.full(t.size, -1, dtype=np.int64)
         src[photon] = t[photon] - offset[at[photon]]
 
-    eve = EveArrivals(*_backflash(t, spad, rngs), reflection_ps, reflected_mu)
-    return SpadResult(clicks=DetectionLog(BOB, t, cause, src), eve=eve, dead_until_ps=dead_after)
+    clicks = DetectionLog(BOB, t, cause, src)
+    return SpadResult(clicks, dead_after, *_backflash(t, spad, rngs), reflection_ps, reflected_mu)
 
 
 def snspd_detect(
-    arrivals: EveArrivals,
+    arrivals: SpadResult,
     snspd: SnspdConfig,
     window_starts_ps: np.ndarray,
     window_ps: int,

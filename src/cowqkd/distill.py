@@ -103,22 +103,8 @@ class ClassicalTranscript:
         return self.disclosed_time_ps.size
 
 
-@dataclass
-class SiftedKey:
-    """Retained portion of one block."""
-
-    block_id: int
-    time_ps: np.ndarray
-    bit: np.ndarray
-    alice_bit: np.ndarray
-    qber: float
-
-    def __len__(self) -> int:
-        return self.time_ps.size
-
-
-def disclose(block: SiftedBits, cfg: DistillConfig, rng: np.random.Generator, block_id: int = 0) -> tuple[ClassicalTranscript, SiftedKey]:
-    """Split one full block into a public transcript and retained key."""
+def disclose(block: SiftedBits, cfg: DistillConfig, rng: np.random.Generator, block_id: int = 0) -> tuple[ClassicalTranscript, SiftedBits]:
+    """Split one full block into a public transcript and the retained key bits."""
     n = len(block)
     if n != cfg.block_length:
         raise ConfigError(f"block has {n} bits, expected {cfg.block_length}")
@@ -134,17 +120,10 @@ def disclose(block: SiftedBits, cfg: DistillConfig, rng: np.random.Generator, bl
         disclosed_bit=block.bit[mask],
         announced_qber=announced,
     )
-    retained = SiftedKey(
-        block_id=block_id,
-        time_ps=block.time_ps[~mask],
-        bit=block.bit[~mask],
-        alice_bit=block.alice_bit[~mask],
-        qber=compute_qber(block.bit[~mask], block.alice_bit[~mask]),
-    )
-    return transcript, retained
+    return transcript, SiftedBits(block.time_ps[~mask], block.bit[~mask], block.alice_bit[~mask])
 
 
-def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: np.random.Generator) -> tuple[list[tuple[ClassicalTranscript, SiftedKey]], int]:
+def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: np.random.Generator) -> tuple[list[tuple[ClassicalTranscript, SiftedBits]], int]:
     """Cut the sifted stream into full blocks; returns (blocks, leftover bits)."""
     out = []
     n_full = len(sifted) // cfg.block_length
@@ -170,9 +149,10 @@ def write_transcript(transcript: ClassicalTranscript, path, header_lines: list[s
     write_csv(path, header_lines, ["record_type", "timestamp_ps", "bit"], cols)
 
 
-def write_key_file(key: SiftedKey, path, header_lines: list[str] | None = None) -> None:
+def write_key_file(key: SiftedBits, block_id: int, path, header_lines: list[str] | None = None) -> None:
+    """The retained bits of block ``block_id``, headed by their error rate."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
-        fh.write(f"# block_id={key.block_id} qber={key.qber:.10g} n={len(key)}\n")
+        fh.write(f"# block_id={block_id} qber={compute_qber(key.bit, key.alice_bit):.10g} n={len(key)}\n")
         fh.write((key.bit.astype(np.uint8) + 48).tobytes().decode() + "\n")

@@ -20,21 +20,21 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import distill as distill_mod
-from .attack import AttackConfig, CalibrationResult, EveInference, LearningMetrics
+from .attack import AttackConfig, CalibrationResult, EveInference
 from .detectors import (
     Cause,
     DetectionLog,
-    EveArrivals,
     Histogram,
     SnspdConfig,
     SpadConfig,
+    SpadResult,
     correlation_histogram,
     snspd_detect,
     spad_detect,
     spad_preset,
     write_detections_csv,
 )
-from .distill import ClassicalTranscript, DistillConfig, SiftedBits, SiftedKey, sift
+from .distill import ClassicalTranscript, DistillConfig, SiftedBits, sift
 from .rates import (
     McCounts,
     RateInputs,
@@ -261,10 +261,9 @@ def preset_config(name: str) -> ExperimentConfig:
 @dataclass
 class BlockOutcome:
     transcript: ClassicalTranscript
-    retained: SiftedKey
+    retained: SiftedBits
     clusters: attack_mod.ClusterMap | None = None
     inference: EveInference | None = None
-    metrics: LearningMetrics | None = None
 
 
 @dataclass
@@ -280,6 +279,23 @@ class TrialResult:
     counts: McCounts  # this trial's tallies; n_frames_covered is left unset
 
 
+def _receiver_spans(
+    emission: FrameBatch, spad: SpadConfig, channel: ChannelConfig, rngs: DeviceRngs, span_frames: int
+) -> Iterator[tuple[FrameBatch, SpadResult]]:
+    """:func:`spad_detect` on ``emission``, from frame 0 as
+    :func:`generate_frames` makes it, in consecutive spans of ``span_frames``
+    frames, the last one cut where the emission ends: each span with its
+    result, the hold-off carried from one span to the next.  Each span draws
+    on ``rngs`` when it is asked for, after whatever the caller drew on the
+    span before."""
+    dead_until = 0
+    for start in range(0, len(emission), span_frames):
+        span = emission.span(start, min(span_frames, len(emission) - start))
+        res = spad_detect(span, spad, channel, rngs, dead_until_ps=dead_until)
+        dead_until = res.dead_until_ps
+        yield span, res
+
+
 def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     rngs = DeviceRngs(cfg.seed, trial=trial)
     period = cfg.source.frame_period_ps
@@ -288,14 +304,10 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     emission = generate_frames(cfg.source, cfg.frames_per_trial, rngs.bits)
     bob_parts: list[DetectionLog] = []
     eve_parts: list[DetectionLog] = []
-    dead_until = 0
-    for done in range(0, cfg.frames_per_trial, CHUNK_FRAMES):
-        batch = emission.span(done, min(CHUNK_FRAMES, cfg.frames_per_trial - done))
-        res = spad_detect(batch, cfg.spad, cfg.channel, rngs, dead_until_ps=dead_until)
-        dead_until = res.dead_until_ps
+    for span, res in _receiver_spans(emission, cfg.spad, cfg.channel, rngs, CHUNK_FRAMES):
         bob_parts.append(res.clicks)
         if cfg.attack_enabled:
-            eve_parts.append(snspd_detect(res.eve, cfg.snspd, [done * period], len(batch) * period, rngs))
+            eve_parts.append(snspd_detect(res, cfg.snspd, [span.start_frame * period], len(span) * period, rngs))
 
     bob_log = DetectionLog.merge(bob_parts)
     eve_log = DetectionLog.merge(eve_parts) if cfg.attack_enabled else DetectionLog.empty("eve")
@@ -339,7 +351,6 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
                 continue
             b.clusters = attack_mod.fold_and_cluster(sub, b.transcript, period, cfg.attack)
             b.inference = attack_mod.infer_bits(sub, b.clusters, b.retained)
-            b.metrics = attack_mod.learning_metrics(b.inference, b.retained)
             n_eve_correct += b.inference.correct_count
 
     counts = McCounts(
@@ -405,8 +416,8 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "blocks": sum(len(t.blocks) for t in trials),
         "report": report.as_dict(),
         "learning": [
-            dataclasses.asdict(b.metrics)
-            for t in trials for b in t.blocks if b.metrics is not None
+            attack_mod.learning_metrics(b.inference, b.retained)
+            for t in trials for b in t.blocks if b.inference is not None
         ],
         "calibration_offsets_ps": [
             t.calibration.offset_ps for t in trials if t.calibration is not None
@@ -443,15 +454,15 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
         p = out_dir / f"transcript_block{b.transcript.block_id}.csv"
         distill_mod.write_transcript(b.transcript, p, heads)
         art["transcript"] = p.name
-        p = out_dir / f"key_block{b.retained.block_id}.txt"
-        distill_mod.write_key_file(b.retained, p, heads)
+        p = out_dir / f"key_block{b.transcript.block_id}.txt"
+        distill_mod.write_key_file(b.retained, b.transcript.block_id, p, heads)
         art["key"] = p.name
         if b.clusters is not None:
-            p = out_dir / f"attack_histogram_block{b.retained.block_id}.csv"
+            p = out_dir / f"attack_histogram_block{b.transcript.block_id}.csv"
             attack_mod.write_clusters_csv(b.clusters, p, heads)
             art["attack_histogram"] = p.name
         if b.inference is not None:
-            p = out_dir / f"inference_block{b.retained.block_id}.csv"
+            p = out_dir / f"inference_block{b.transcript.block_id}.csv"
             attack_mod.write_inference_csv(b.inference, p, heads)
             art["inference"] = p.name
 
@@ -518,9 +529,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
             row[f"{r.name}_lo"] = r.lo
             row[f"{r.name}_hi"] = r.hi
         row["insecure"] = run.report.insecure
-        learning = [b.metrics for t in run.trials for b in t.blocks if b.metrics is not None]
+        learning = run.manifest["learning"]
         row["learning_rate_mc"] = (
-            sum(m.learning_rate for m in learning) / len(learning) if learning else None
+            sum(m["learning_rate"] for m in learning) / len(learning) if learning else None
         )
         rows.append(row)
     if out_path is not None:
@@ -631,8 +642,8 @@ def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Hi
     rngs = DeviceRngs(ran.seed, trial=ran.spad.gate_width_ps, study=TIMING_CORRELATION_STUDY)
     hist = Histogram.from_samples([], CORRELATION_BIN_PS, 0, CORRELATION_WINDOW_PS)
     n_clicks = 0
-    for clicks, arrivals in _dark_clicks(ran, clicks_per_width, rngs):
-        stops = snspd_detect(arrivals, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs).time_ps
+    for clicks, res in _dark_clicks(ran, clicks_per_width, rngs):
+        stops = snspd_detect(res, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs).time_ps
         part = correlation_histogram(clicks, stops, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
         hist.counts += part.counts
         n_clicks += clicks.size
@@ -641,17 +652,18 @@ def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Hi
 
 def _dark_clicks(
     ran: ExperimentConfig, clicks_per_width: int, rngs: DeviceRngs
-) -> Iterator[tuple[np.ndarray, EveArrivals]]:
-    """Receiver click times and the light sent toward the line over enough
-    gates of ``ran`` to expect ``clicks_per_width`` darks and 5% more, one
-    block of gates at a time: :func:`spad_detect` with the light blocked,
-    on spans of one emission that sends no decoy, so no pulse spends a
-    draw and no slot is hashed.
+) -> Iterator[tuple[np.ndarray, SpadResult]]:
+    """Receiver click times and their :func:`spad_detect` result, with the
+    light sent toward the line, over enough gates of ``ran`` to expect
+    ``clicks_per_width`` darks and 5% more, one block of gates at a time:
+    the light is blocked, and the spans are of one emission that sends no
+    decoy, so no pulse spends a draw and no slot is hashed.
 
     A block is ``ceil(STUDY_BLOCK_DARKS / p_dark_gate)`` gates, counted from
-    gate 0, and the last block is cut where the gates end; each draws on
-    ``rngs`` after the block before, and the hold-off carries from one
-    block to the next as it does from one chunk of a trial to the next.
+    gate 0, and the last block is cut where the gates end; the blocks are
+    the spans of :func:`_receiver_spans`, as a trial's chunks are, so each
+    draws on ``rngs`` after the block before and the hold-off carries
+    across their seams.
     """
     spad = ran.spad
     p_dark_gate = max(dark_probability_per_gate(spad.dark_count_rate_cps, spad.gate_width_ps), 1e-30)
@@ -659,12 +671,8 @@ def _dark_clicks(
     block = math.ceil(STUDY_BLOCK_DARKS / p_dark_gate)
     emission = generate_frames(replace(ran.source, decoy_probability=0.0), gates, rngs.bits)
     blocked = replace(spad, detection_efficiency=0.0, facet_reflectance=0.0)
-    dead_until = 0
-    for start in range(0, gates, block):
-        span = emission.span(start, min(block, gates - start))
-        res = spad_detect(span, blocked, ran.channel, rngs, dead_until_ps=dead_until)
-        dead_until = res.dead_until_ps
-        yield res.clicks.time_ps, res.eve
+    for _, res in _receiver_spans(emission, blocked, ran.channel, rngs, block):
+        yield res.clicks.time_ps, res
 
 
 def correlation_law(cfg: ExperimentConfig, gate_width_ps: int, hist: Histogram) -> np.ndarray:

@@ -185,11 +185,11 @@ class FrameBatch:
         return t
 
 
-def generate_frames(cfg: SourceConfig, count: int, rng: np.random.Generator, start_frame: int = 0) -> FrameBatch:
-    """Frames ``[start_frame, start_frame + count)`` of an emission keyed by two draws from ``rng``."""
+def generate_frames(cfg: SourceConfig, count: int, rng: np.random.Generator) -> FrameBatch:
+    """Frames ``[0, count)`` of an emission keyed by two draws from ``rng``."""
     if count < 0:
         raise ConfigError("frame count must be >= 0")
-    return FrameBatch(cfg, rng.integers(2**64, size=2, dtype=np.uint64), start_frame, count)
+    return FrameBatch(cfg, rng.integers(2**64, size=2, dtype=np.uint64), 0, count)
 
 
 class _SliceColumn:

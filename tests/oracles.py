@@ -39,7 +39,6 @@ from cowqkd.detectors import (
     BOB,
     Cause,
     DetectionLog,
-    EveArrivals,
     Histogram,
     SpadResult,
     _backflash,
@@ -182,8 +181,7 @@ def dense_spad_detect(frames, spad, channel, rngs, dead_until_ps=0):
     clicks = DetectionLog(BOB, t[keep], cause[keep], src[keep])
     reflected_mu = mu * t_ch * spad.facet_reflectance
     returned = rngs.reflection.random(n_pulses) < 1.0 - np.exp(-reflected_mu)
-    eve = EveArrivals(*_backflash(clicks.time_ps, spad, rngs), arrival[returned], reflected_mu)
-    return SpadResult(clicks=clicks, eve=eve, dead_until_ps=dead_after)
+    return SpadResult(clicks, dead_after, *_backflash(clicks.time_ps, spad, rngs), arrival[returned], reflected_mu)
 
 
 def single_interval_poisson_times(rate_per_s, window_ps, rng):

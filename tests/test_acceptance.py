@@ -234,7 +234,7 @@ def test_c7_property_gate(tmp_path, capsys):
     phase = (res.clicks.time_ps - spad.gate_phase_ps) % source.frame_period_ps
     if not np.all(phase < spad.gate_width_ps):
         failures.append("click outside gate")
-    delays = res.eve.backflash_ps - res.eve.avalanche_ps
+    delays = res.backflash_ps - res.avalanche_ps
     if delays.size == 0:
         failures.append("no backflashes drawn")
     elif np.any(delays < 0) or np.any(delays > min(5000, spad.gate_width_ps)):

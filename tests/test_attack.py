@@ -24,7 +24,7 @@ from cowqkd.attack import (
     write_clusters_csv,
     write_inference_csv,
 )
-from cowqkd.distill import ClassicalTranscript, SiftedKey
+from cowqkd.distill import ClassicalTranscript, SiftedBits
 from cowqkd.timebase import ConfigError
 from oracles import per_shift_scores
 
@@ -61,13 +61,7 @@ def make_scene(n_frames=400, reflect=True, seed=0, swap_positions=False, disclos
         disclosed_bit=bits[disc],
         announced_qber=0.0,
     )
-    retained = SiftedKey(
-        block_id=0,
-        time_ps=bob_t[~disc],
-        bit=bits[~disc],
-        alice_bit=bits[~disc],
-        qber=0.0,
-    )
+    retained = SiftedBits(time_ps=bob_t[~disc], bit=bits[~disc], alice_bit=bits[~disc])
     truth = {"backflash_t": backflash_t, "bits": bits}
     return transcript, retained, eve_t, truth
 
@@ -257,8 +251,7 @@ class TestFoldAndCluster:
         cfg = AttackConfig(boundary=boundary, **extra)
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
         inf = infer_bits(eve_t, cmap, retained)
-        m = learning_metrics(inf, retained)
-        assert m.accuracy_matched == 1.0
+        assert learning_metrics(inf, retained)["accuracy_matched"] == 1.0
 
     def test_empty_stream_raises(self):
         transcript, _, _, _ = make_scene(10)
@@ -348,21 +341,21 @@ class TestInference:
             discarded_reflection=3,
             discarded_outside=4,
         )
-        key = SiftedKey(0, np.arange(20, dtype=np.int64), np.zeros(20, dtype=np.int8),
-                        np.zeros(20, dtype=np.int8), 0.0)
-        m = learning_metrics(inf, key)
-        assert m.accuracy_matched == 6 / 8
-        assert m.accuracy_all == 6 / 10
-        assert m.learning_rate == 6 / 20
-        assert m.matched_fraction == 8 / 10
+        key = SiftedBits(np.arange(20, dtype=np.int64), np.zeros(20, dtype=np.int8), np.zeros(20, dtype=np.int8))
+        assert learning_metrics(inf, key) == {
+            "accuracy_matched": 6 / 8,
+            "accuracy_all": 6 / 10,
+            "learning_rate": 6 / 20,
+            "matched_fraction": 8 / 10,
+        }
 
     def test_metrics_empty_inference(self):
         inf = EveInference(*(np.empty(0, dtype=np.int64) for _ in range(3)),
                            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0, 0)
-        key = SiftedKey(0, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8),
-                        np.empty(0, dtype=np.int8), 0.0)
-        m = learning_metrics(inf, key)
-        assert m == type(m)(0.0, 0.0, 0.0, 0.0)
+        key = SiftedBits(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int8))
+        assert learning_metrics(inf, key) == dict.fromkeys(
+            ["accuracy_matched", "accuracy_all", "learning_rate", "matched_fraction"], 0.0
+        )
 
 
 # --- artifacts -------------------------------------------------------------

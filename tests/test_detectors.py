@@ -16,6 +16,7 @@ from cowqkd.detectors import (
     Histogram,
     SnspdConfig,
     SpadConfig,
+    SpadResult,
     _bernoulli_indices,
     _compress,
     _dark_times,
@@ -317,24 +318,24 @@ def _pooled_run(case, sampler, seeds):
         dead = 0
         times = []
         for start in (0, 3_000):
-            batch = generate_frames(source, 3_000, rngs.bits, start_frame=start)
+            batch = generate_frames(source, start + 3_000, rngs.bits).span(start, 3_000)
             res = sampler(batch, spad, channel, rngs, dead_until_ps=dead)
             dead = res.dead_until_ps
             c = res.clicks
             out["photon"] += int(np.sum(c.cause == Cause.PHOTON))
             out["dark"] += int(np.sum(c.cause == Cause.DARK))
-            out["backflash"] += res.eve.backflash_ps.size
+            out["backflash"] += res.backflash_ps.size
             photon_t = c.time_ps[c.cause == Cause.PHOTON]
             out["offsets"].append((photon_t - spad.gate_phase_ps) % source.frame_period_ps)
             times.append(c.time_ps)
             period = source.frame_period_ps
-            eve = snspd_detect(res.eve, snspd, [start * period], len(batch) * period, rngs)
+            eve = snspd_detect(res, snspd, [start * period], len(batch) * period, rngs)
             out["eve_reflection"] += int(np.sum(eve.cause == Cause.REFLECTION))
             out["pulses"] += sorted_pulse_times(batch).size
         out["gaps"].append(np.diff(np.concatenate(times)))
     out["offsets"] = np.concatenate(out["offsets"])
     out["gaps"] = np.concatenate(out["gaps"])
-    out["m_eve"] = res.eve.reflected_mean_photon * snspd.detection_efficiency
+    out["m_eve"] = res.reflected_mean_photon * snspd.detection_efficiency
     return out
 
 
@@ -375,16 +376,16 @@ def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
     fast, dense = DeviceRngs(31, trial=2), DeviceRngs(31, trial=2)
     dead_fast = dead_dense = 0
     for start in (0, 3_000):
-        batch = generate_frames(source, 3_000, fast.bits, start_frame=start)
-        assert np.array_equal(batch.bits, generate_frames(source, 3_000, dense.bits, start_frame=start).bits)
+        batch = generate_frames(source, start + 3_000, fast.bits).span(start, 3_000)
+        assert np.array_equal(batch.bits, generate_frames(source, start + 3_000, dense.bits).span(start, 3_000).bits)
         got = spad_detect(batch, spad, channel, fast, dead_until_ps=dead_fast)
         want = dense_spad_detect(batch, spad, channel, dense, dead_until_ps=dead_dense)
         assert len(got.clicks) >= 5
         for name in ("time_ps", "cause", "source_ps"):
             assert np.array_equal(getattr(got.clicks, name), getattr(want.clicks, name)), name
-        assert np.array_equal(got.eve.avalanche_ps, want.eve.avalanche_ps)
-        assert np.array_equal(got.eve.backflash_ps, want.eve.backflash_ps)
-        assert got.eve.reflected_mean_photon == want.eve.reflected_mean_photon
+        assert np.array_equal(got.avalanche_ps, want.avalanche_ps)
+        assert np.array_equal(got.backflash_ps, want.backflash_ps)
+        assert got.reflected_mean_photon == want.reflected_mean_photon
         assert got.dead_until_ps == want.dead_until_ps
         dead_fast, dead_dense = got.dead_until_ps, want.dead_until_ps
 
@@ -452,7 +453,7 @@ def test_pulse_hits_put_first_pulses_by_value_and_second_pulses_on_decoys():
     # and puts their second pulse in sub-bin 1.
     cfg = SourceConfig(pattern="random", decoy_probability=0.2, bits_per_frame=3)
     start, n_frames, p = 777, 20_000, 0.3
-    batch = generate_frames(cfg, n_frames, stream_rng(5), start_frame=start)
+    batch = generate_frames(cfg, start + n_frames, stream_rng(5)).span(start, n_frames)
     rng = stream_rng(6)
     lattice = _pulse_hits(batch, p, rng)
     by_hand = stream_rng(6)
@@ -495,7 +496,7 @@ def test_decoys_hash_only_the_walks_hits(monkeypatch):
     monkeypatch.setattr(source, "_splitmix64", spy_hash)
     monkeypatch.setattr(detectors, "_bernoulli_indices", spy_walk)
     res = spad_detect(batch, spad, ChannelConfig(), rngs)
-    assert len(res.clicks) > 100 and res.eve.reflection_ps.size > 100 and sum(hits) > 10_000
+    assert len(res.clicks) > 100 and res.reflection_ps.size > 100 and sum(hits) > 10_000
     assert sum(hashed) <= 2 * sum(hits), (sum(hashed), sum(hits), 2 * len(batch))
 
 
@@ -605,7 +606,7 @@ def test_hold_off_enforced_across_chunks():
     dead = 0
     all_clicks = []
     for chunk in range(3):
-        batch = generate_frames(src, 5000, rngs.bits, start_frame=chunk * 5000)
+        batch = generate_frames(src, (chunk + 1) * 5000, rngs.bits).span(chunk * 5000, 5000)
         res = spad_detect(batch, spad, ChannelConfig(), rngs, dead_until_ps=dead)
         dead = res.dead_until_ps
         all_clicks.append(res.clicks.time_ps)
@@ -635,17 +636,17 @@ def test_backflash_probability_and_causality():
     spad = SpadConfig(hold_off_s=0.0, backflash_probability=0.12)
     _, res = run_spad(n_frames=100_000, spad=spad, seed=5)
     n_clicks = len(res.clicks)
-    n_bf = res.eve.avalanche_ps.size
+    n_bf = res.avalanche_ps.size
     sigma = math.sqrt(n_clicks * 0.12 * 0.88)
     assert abs(n_bf - 0.12 * n_clicks) < 3 * sigma
-    delay = res.eve.backflash_ps - res.eve.avalanche_ps
+    delay = res.backflash_ps - res.avalanche_ps
     assert np.all(delay >= 0)
     assert np.all(delay <= min(5000, spad.gate_width_ps))
 
 def test_backflash_delay_capped_by_narrow_gate():
     spad = SpadConfig(hold_off_s=0.0, gate_width_ps=2000)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.eve.backflash_ps - res.eve.avalanche_ps
+    delay = res.backflash_ps - res.avalanche_ps
     assert delay.size > 100
     assert np.all(delay <= 2000)
 
@@ -654,13 +655,13 @@ def test_backflash_delay_keys_are_honoured():
     # the mean in.
     spad = SpadConfig(hold_off_s=0.0, backflash_delay_max_ps=1000)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.eve.backflash_ps - res.eve.avalanche_ps
+    delay = res.backflash_ps - res.avalanche_ps
     assert delay.size > 100
     assert np.all(delay <= 1000)
     assert delay.max() > 900
     spad = SpadConfig(hold_off_s=0.0, backflash_delay_scale_ps=100.0)
     _, res = run_spad(n_frames=50_000, spad=spad, seed=6)
-    delay = res.eve.backflash_ps - res.eve.avalanche_ps
+    delay = res.backflash_ps - res.avalanche_ps
     assert delay.size > 100
     assert 80 < float(delay.mean()) < 120
 
@@ -672,7 +673,7 @@ def test_backflash_cap_is_one_gate_width_after_the_avalanche():
     rngs = DeviceRngs(14)
     batch = generate_frames(SourceConfig(mean_photon_number=0.5), 40_000, rngs.bits)
     res = spad_detect(batch, spad, ChannelConfig(), rngs)
-    av, em = res.eve.avalanche_ps, res.eve.backflash_ps
+    av, em = res.avalanche_ps, res.backflash_ps
     period = batch.source.frame_period_ps
     late = (av % period) >= 3000
     gate_close = av - av % period + spad.gate_width_ps
@@ -685,12 +686,12 @@ def test_reflections_return_from_a_binomial_share_of_pulses():
     # Each of the 4e5 pulses sends a photon back with probability 1 - exp(-m).
     batch, res = run_spad(n_frames=200_000, seed=7)
     m = 0.2 * 1.0 * 1e-2
-    assert res.eve.reflected_mean_photon == pytest.approx(m)
+    assert res.reflected_mean_photon == pytest.approx(m)
     p = -math.expm1(-m)
     lo, hi = stats.binom.ppf([0.00135, 0.99865], sorted_pulse_times(batch).size, p)
-    assert lo <= res.eve.reflection_ps.size <= hi
-    assert np.all(np.diff(res.eve.reflection_ps) > 0)
-    local = res.eve.reflection_ps % 32000
+    assert lo <= res.reflection_ps.size <= hi
+    assert np.all(np.diff(res.reflection_ps) > 0)
+    local = res.reflection_ps % 32000
     assert np.all(local < batch.source.signal_window_ps)
 
 def test_reflectance_leaves_receiver_draws_alone():
@@ -698,11 +699,11 @@ def test_reflectance_leaves_receiver_draws_alone():
     # bit-identical with and without a reflecting facet.
     _, with_r = run_spad(n_frames=50_000, seed=8)
     _, without = run_spad(n_frames=50_000, spad=SpadConfig(facet_reflectance=0.0), seed=8)
-    assert with_r.eve.reflection_ps.size > 50 and without.eve.reflection_ps.size == 0
+    assert with_r.reflection_ps.size > 50 and without.reflection_ps.size == 0
     for name in ("time_ps", "cause", "source_ps"):
         assert np.array_equal(getattr(with_r.clicks, name), getattr(without.clicks, name)), name
-    assert np.array_equal(with_r.eve.avalanche_ps, without.eve.avalanche_ps)
-    assert np.array_equal(with_r.eve.backflash_ps, without.eve.backflash_ps)
+    assert np.array_equal(with_r.avalanche_ps, without.avalanche_ps)
+    assert np.array_equal(with_r.backflash_ps, without.backflash_ps)
     assert with_r.dead_until_ps == without.dead_until_ps
 
 def test_clicked_reflections_reuse_the_click_arrival():
@@ -712,20 +713,20 @@ def test_clicked_reflections_reuse_the_click_arrival():
     spad = SpadConfig(detection_efficiency=1.0, facet_reflectance=1.0, hold_off_s=0.0,
                       dark_count_rate_cps=0.0)
     _, res = run_spad(n_frames=2_000, spad=spad, source=SourceConfig(mean_photon_number=0.99), seed=15)
-    both = np.intersect1d(res.clicks.time_ps, res.eve.reflection_ps)
-    shared_src = np.intersect1d(res.clicks.source_ps, res.eve.reflection_ps - res.eve.reflection_ps % 1000)
+    both = np.intersect1d(res.clicks.time_ps, res.reflection_ps)
+    shared_src = np.intersect1d(res.clicks.source_ps, res.reflection_ps - res.reflection_ps % 1000)
     assert both.size > 1000
     assert both.size == shared_src.size
 
 def test_reflectance_zero_disables_reflections():
     spad = SpadConfig(facet_reflectance=0.0)
     _, res = run_spad(n_frames=1000, spad=spad, seed=8)
-    assert res.eve.reflection_ps.size == 0
+    assert res.reflection_ps.size == 0
 
 def test_reflected_power_scales_with_channel():
     ch = ChannelConfig(length_km=50.0)  # 10 dB
     _, res = run_spad(n_frames=100, channel=ch, seed=9)
-    assert res.eve.reflected_mean_photon == pytest.approx(0.2 * 0.1 * 1e-2)
+    assert res.reflected_mean_photon == pytest.approx(0.2 * 0.1 * 1e-2)
 
 
 # --- presets ---------------------------------------------------------------
@@ -746,24 +747,23 @@ def test_snspd_thins_backflash():
     spad = SpadConfig(hold_off_s=0.0)
     batch, res = run_spad(n_frames=200_000, spad=spad, seed=10)
     rngs = DeviceRngs(10)
-    log = snspd_detect(res.eve, SnspdConfig(dark_count_rate_cps=0.0),
+    log = snspd_detect(res, SnspdConfig(dark_count_rate_cps=0.0),
                        [0], len(batch) * batch.source.frame_period_ps, rngs)
-    n_emitted = res.eve.backflash_ps.size
+    n_emitted = res.backflash_ps.size
     n_detected = int(np.sum(log.cause == Cause.BACKFLASH))
     sigma = math.sqrt(n_emitted * 0.74 * 0.26)
     assert abs(n_detected - 0.74 * n_emitted) < 3 * sigma
 
 def test_snspd_dark_rate():
-    from cowqkd.detectors import EveArrivals
     none = np.empty(0, dtype=np.int64)
-    arrivals = EveArrivals(none, none, none, 0.0)
+    arrivals = SpadResult(DetectionLog.empty("bob"), 0, none, none, none, 0.0)
     log = snspd_detect(arrivals, SnspdConfig(), [0], 10**12, DeviceRngs(11))  # one second
     lam = 16.4
     assert abs(len(log) - lam) < 3 * math.sqrt(lam) + 1
 
 def test_snspd_log_sorted():
     _, res = run_spad(n_frames=50_000, seed=12)
-    log = snspd_detect(res.eve, SnspdConfig(), [0], 50_000 * 32000, DeviceRngs(12))
+    log = snspd_detect(res, SnspdConfig(), [0], 50_000 * 32000, DeviceRngs(12))
     assert np.all(np.diff(log.time_ps) >= 0)
 
 

@@ -98,7 +98,7 @@ def test_disclose_qber_bookkeeping():
     n_err_disc = int(np.sum(transcript.disclosed_bit))
     n_err_kept = int(np.sum(key.bit))
     assert transcript.announced_qber == n_err_disc / 4
-    assert key.qber == n_err_kept / 4
+    assert compute_qber(key.bit, key.alice_bit) == n_err_kept / 4
     assert n_err_disc + n_err_kept == 4
 
 def test_disclose_wrong_size_rejected():
@@ -148,8 +148,11 @@ def test_key_file_contents(tmp_path):
     cfg = DistillConfig(block_length=10, disclosure_size=2)
     _, key = disclose(block_of(10, wrong_every=5), cfg, DeviceRngs(6).disclose)
     path = tmp_path / "k.txt"
-    write_key_file(key, path)
+    write_key_file(key, 3, path)
     lines = path.read_text().splitlines()
-    assert lines[0].startswith("# block_id=0 qber=")
+    # The header's qber is the retained bits' own error rate.
+    n_err = int(np.sum(key.bit != key.alice_bit))
+    assert n_err > 0
+    assert lines[0] == f"# block_id=3 qber={n_err / 8:.10g} n=8"
     assert lines[1] == "".join(str(int(b)) for b in key.bit)
     assert set(lines[1]) <= {"0", "1"}

@@ -305,6 +305,17 @@ class TestRuns:
         metrics = run.manifest["learning"]
         assert metrics and all(m["accuracy_matched"] > 0.7 for m in metrics)
 
+    def test_manifest_learning_lists_each_inferred_blocks_metrics(self, tmp_path):
+        # perfbench's run check reads accuracy_matched from these entries.
+        run = run_simulation(small_attack_cfg(trials=2), tmp_path)
+        blocks = [b for t in run.trials for b in t.blocks if b.inference is not None]
+        assert len(blocks) >= 2
+        want = [attack.learning_metrics(b.inference, b.retained) for b in blocks]
+        written = json.loads((tmp_path / "manifest.json").read_text())["learning"]
+        assert run.manifest["learning"] == written == want
+        keys = {"accuracy_matched", "accuracy_all", "learning_rate", "matched_fraction"}
+        assert all(m.keys() == keys for m in written)
+
     def test_leak_tallies_recount_with_sets(self):
         # Each backflash count Eve logs names its avalanche.  The tallies count
         # those whose avalanche is a retained click, and a click in any block.

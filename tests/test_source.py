@@ -84,7 +84,7 @@ def test_decoy_rate():
 def test_pulse_positions_encode_bits():
     # bit 0 -> first bin of the slot, bit 1 -> second, decoy -> both; the
     # pulse in sub-bin b of global slot s sits at lattice position 2 s + b.
-    alternating = generate_frames(SourceConfig(), 3, make_rng(), start_frame=1)
+    alternating = generate_frames(SourceConfig(), 4, make_rng()).span(1, 3)
     assert pulse_lattice(alternating).tolist() == [4, 7, 8, 11, 12, 15]
     t = alternating.pulse_times(pulse_lattice(alternating))
     assert t.tolist() == [32000, 35000, 64000, 67000, 96000, 99000]
@@ -93,7 +93,7 @@ def test_pulse_positions_encode_bits():
     assert decoys.pulse_times(np.arange(8)).tolist() == [0, 1000, 2000, 3000, 32000, 33000, 34000, 35000]
     assert decoys.pulse_times(np.array([2, 3, 6])).tolist() == [2000, 3000, 34000]
     # A mixed batch, pulse by pulse from its values.
-    batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.4), 40, make_rng(4), start_frame=7)
+    batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.4), 47, make_rng(4)).span(7, 40)
     lattice, want = [], []
     for f, row in enumerate(batch.bits.tolist(), start=7):
         for j, v in enumerate(row):
@@ -125,7 +125,7 @@ def test_values_are_a_function_of_the_slot(pattern):
     assert whole.shape == (1000, 3)
     for start, n in ((0, 1), (1, 7), (333, 667), (999, 1)):
         assert np.array_equal(emission.span(start, n).bits, whole[start:start + n])
-        assert np.array_equal(generate_frames(cfg, n, make_rng(8), start_frame=start).bits, whole[start:start + n])
+        assert np.array_equal(generate_frames(cfg, start + n, make_rng(8)).span(start, n).bits, whole[start:start + n])
     slots = np.array([5, 2999, 0, 5])
     assert emission.values(slots).tolist() == whole.reshape(-1)[slots].tolist()
     if pattern == "alternating":
@@ -197,7 +197,7 @@ def test_keyed_values_have_the_per_slot_draws_law():
 
 def test_pulses_within_signal_window():
     # Both sub-bins of every slot, whether a pulse fills them or not.
-    batch = generate_frames(SourceConfig(pattern="random"), 500, make_rng(9), start_frame=3)
+    batch = generate_frames(SourceConfig(pattern="random"), 503, make_rng(9)).span(3, 500)
     t = batch.pulse_times(np.arange(3 * 4, 503 * 4))
     offset = t - (t // 32000) * 32000
     assert np.all(offset >= 0)
@@ -234,7 +234,7 @@ def test_pulse_times_match_sorted_oracle(n, decoy, bits_per_frame, encoding, pat
     start_frame = min(start_frame, LAST_START + 1 - max(n, 1))
     cfg = SourceConfig(pattern=pattern, decoy_probability=decoy, bits_per_frame=bits_per_frame,
                        encoding=encoding)
-    batch = generate_frames(cfg, n, make_rng(seed), start_frame=start_frame)
+    batch = generate_frames(cfg, start_frame + n, make_rng(seed)).span(start_frame, n)
     if pattern == "alternating":
         first = start_frame * bits_per_frame
         assert all(v in (DECOY, (first + i) % bits_per_frame % 2) for i, v in enumerate(batch.bits.reshape(-1)))
@@ -242,9 +242,9 @@ def test_pulse_times_match_sorted_oracle(n, decoy, bits_per_frame, encoding, pat
 
 
 def test_the_last_start_frame_is_the_last_admitted():
-    generate_frames(SourceConfig(), 1, make_rng(), start_frame=LAST_START)
+    generate_frames(SourceConfig(), LAST_START + 1, make_rng()).span(LAST_START, 1)
     with pytest.raises(ConfigError):
-        generate_frames(SourceConfig(), 1, make_rng(), start_frame=LAST_START + 1)
+        generate_frames(SourceConfig(), LAST_START + 2, make_rng())
 
 
 def test_channel_transmittance_oracles():
@@ -257,17 +257,17 @@ def test_channel_transmittance_oracles():
 
 def test_write_frames_csv(tmp_path):
     out = tmp_path / "frames.csv"
-    write_frames_csv(generate_frames(SourceConfig(), 2, make_rng(), start_frame=4), out, ["hdr=1"])
+    write_frames_csv(generate_frames(SourceConfig(), 6, make_rng()).span(4, 2), out, ["hdr=1"])
     assert out.read_bytes() == (
         b"# hdr=1\n"
         b"frame_start_ps,bits,pulse_bins_ps\r\n"
         b"128000,01,0;3000\r\n"
         b"160000,01,0;3000\r\n"
     )
-    write_frames_csv(generate_frames(SourceConfig(decoy_probability=1.0), 1, make_rng(), start_frame=4), out)
+    write_frames_csv(generate_frames(SourceConfig(decoy_probability=1.0), 5, make_rng()).span(4, 1), out)
     assert out.read_bytes() == b"frame_start_ps,bits,pulse_bins_ps\r\n128000,22,0;1000;2000;3000\r\n"
     # A mixed batch, row by row from its values.
-    batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.4), 30, make_rng(5), start_frame=4)
+    batch = generate_frames(SourceConfig(pattern="random", decoy_probability=0.4), 34, make_rng(5)).span(4, 30)
     write_frames_csv(batch, out)
     bins = {0: ["{a}"], 1: ["{b}"], 2: ["{a}", "{b}"]}
     rows = [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from cowqkd.detectors import Cause, EveArrivals, SnspdConfig, SpadConfig, _backflash, snspd_detect
+from cowqkd.detectors import Cause, DetectionLog, SnspdConfig, SpadConfig, SpadResult, _backflash, snspd_detect
 from cowqkd.timebase import (
     CSV_SLICE_ROWS,
     MAX_TIME_PS,
@@ -142,8 +142,8 @@ def window_darks(rate, starts, window_ps, seed):
     with no light arriving, and the generator they were drawn from."""
     none = np.empty(0, dtype=np.int64)
     rngs = DeviceRngs(seed)
-    log = snspd_detect(EveArrivals(none, none, none, 0.0), SnspdConfig(dark_count_rate_cps=rate),
-                       np.array(starts, dtype=np.int64), window_ps, rngs)
+    dark_only = SpadResult(DetectionLog.empty("bob"), 0, none, none, none, 0.0)
+    log = snspd_detect(dark_only, SnspdConfig(dark_count_rate_cps=rate), np.array(starts, dtype=np.int64), window_ps, rngs)
     assert np.all(log.cause == Cause.DARK) and np.all(log.source_ps == -1)
     return log.time_ps, rngs.snspd_dark
 
