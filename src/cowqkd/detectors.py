@@ -553,7 +553,8 @@ def snspd_detect(
     windows' picoseconds holds a dark with probability
     ``dark_count_rate_cps / PS_PER_S``, picosecond k lies in window
     k // window_ps at offset k % window_ps, and the skips over them come out
-    sorted, one exponential draw per dark.
+    sorted, one exponential draw per dark.  The counts come in order of
+    cause, not time: :meth:`DetectionLog.merge` sorts a trial's chunks.
     """
     eff = snspd.detection_efficiency
     got_bf = rngs.snspd.random(arrivals.backflash_ps.size) < eff
@@ -571,8 +572,7 @@ def snspd_detect(
     t = np.concatenate([arrivals.backflash_ps[got_bf], refl_t, dark_t])
     cause = np.repeat(np.array([Cause.BACKFLASH, Cause.REFLECTION, Cause.DARK], dtype=np.int8), sizes)
     src = np.concatenate([arrivals.avalanche_ps[got_bf], refl_t, np.full(dark_t.size, -1, dtype=np.int64)])
-    order = np.lexsort((cause, t))
-    return DetectionLog(EVE, t[order], cause[order], src[order])
+    return DetectionLog(EVE, t, cause, src)
 
 
 @dataclass
@@ -622,7 +622,7 @@ class Histogram:
         return float(np.sqrt(np.sum(self.counts * (self.centers_ps - m) ** 2) / n))
 
     def write_csv(self, path, header_lines: list[str] | None = None) -> None:
-        norm = [f"{v:.10g}" for v in self.normalized().tolist()]
+        norm = np.array([f"{v:.10g}" for v in self.normalized().tolist()], dtype="S")
         write_csv(path, header_lines, ["bin_start_ps", "count", "normalized"], [self.bin_starts_ps, self.counts, norm])
 
     @classmethod

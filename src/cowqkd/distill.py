@@ -141,10 +141,11 @@ def form_blocks(sifted: SiftedBits, cfg: DistillConfig, rng: np.random.Generator
 def write_transcript(transcript: ClassicalTranscript, path, header_lines: list[str] | None = None) -> None:
     """Line records: record_type,timestamp_ps,bit."""
     n = transcript.disclosed_time_ps.size
+    qber = f"{transcript.announced_qber:.10g}"
     cols = [
-        ["block-start"] + ["disclosed"] * n + ["qber"],
-        [transcript.block_id, *transcript.disclosed_time_ps.tolist(), ""],
-        [transcript.block_length, *transcript.disclosed_bit.tolist(), f"{transcript.announced_qber:.10g}"],
+        np.repeat(np.array([b"block-start", b"disclosed", b"qber"]), [1, n, 1]),
+        np.array([transcript.block_id, *transcript.disclosed_time_ps.tolist(), ""], dtype="S"),
+        np.array([transcript.block_length, *transcript.disclosed_bit.tolist(), qber], dtype="S"),
     ]
     write_csv(path, header_lines, ["record_type", "timestamp_ps", "bit"], cols)
 

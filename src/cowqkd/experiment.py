@@ -479,7 +479,8 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
 
 def write_rates_csv(report: RateReport, path, header_lines: list[str] | None = None) -> None:
     cols = ["name", "analytic", "empirical", "lo", "hi", "ok"]
-    write_csv(path, header_lines, cols, [[_csv_cell(getattr(r, c)) for r in report.rows] for c in cols])
+    cells = [np.array([_csv_cell(getattr(r, c)) for r in report.rows], dtype="S") for c in cols]
+    write_csv(path, header_lines, cols, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +543,18 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
 
 def write_sweep_csv(rows: list[dict], path, header_lines: list[str] | None = None) -> None:
     cols = list(rows[0].keys())
-    write_csv(path, header_lines, cols, [[_csv_cell(row.get(c)) for row in rows] for c in cols])
+    cells = [np.array([_csv_cell(row.get(c)) for row in rows], dtype="S") for c in cols]
+    write_csv(path, header_lines, cols, cells)
 
 
-def _csv_cell(v) -> str:
+def _csv_cell(v) -> bytes:
     if v is None:
-        return ""
+        return b""
     if isinstance(v, bool):
-        return str(int(v))
+        return b"%d" % v
     if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
+        return f"{v:.10g}".encode()
+    return str(v).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,6 @@ def sample_delay(scale_ps: float, support_max_ps: int, rng: np.random.Generator,
 # peak RSS.
 CSV_SLICE_ROWS = 2**13
 
-# A cell holding one of these is quoted, as csv.writer's minimal quoting does.
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-
 
 @functools.cache  # built on first use: set-up time counts on every run
 def _digit_groups() -> np.ndarray:
@@ -146,31 +143,6 @@ def _digit_groups() -> np.ndarray:
     units = lead.copy()
     units[0] = ord("0") << 24
     return np.concatenate([full, lead, units])
-
-
-def _csv_cells(col, lone: bool) -> list[str]:
-    """One column slice as csv.writer's cells (excel dialect, minimal quoting).
-
-    Cells are str, int or float; an object array holds str and an ``S``
-    array UTF-8 bytes.  Int arrays need no quoting check.  ``lone`` marks a
-    one-column file, where csv.writer also quotes an empty cell.
-    """
-    is_array = isinstance(col, np.ndarray)
-    if is_array and col.dtype.kind == "S":
-        cells = [c.decode() for c in col.tolist()]
-    elif is_array and col.dtype == object:
-        cells = col.tolist()
-    else:
-        cells = list(map(str, col.tolist() if is_array else col))
-    if is_array and col.dtype.kind in "iu":
-        return cells
-    joined = "".join(cells)
-    if any(ch in joined for ch in _CSV_SPECIAL) or (lone and "" in cells):
-        cells = [
-            '"' + c.replace('"', '""') + '"' if (lone and not c) or any(ch in c for ch in _CSV_SPECIAL) else c
-            for c in cells
-        ]
-    return cells
 
 
 def _int_matrix(col: np.ndarray) -> np.ndarray:
@@ -197,42 +169,26 @@ def _int_matrix(col: np.ndarray) -> np.ndarray:
     return np.concatenate([(neg * ord("-")).astype(np.uint8)[:, None], digits], axis=1)
 
 
-def _text_matrix(col, lone: bool) -> np.ndarray | None:
-    """A text column slice as csv.writer's UTF-8 cells, left-aligned in one
-    ``(rows, width)`` uint8 matrix with NUL bytes after each cell; None when
-    a cell holds a NUL.
-
-    An ``S`` array is used as it is unless a cell needs quoting or holds a
-    NUL; everything else goes through :func:`_csv_cells`.
-    """
-    if isinstance(col, np.ndarray) and col.dtype.kind == "S":
-        m = np.ascontiguousarray(col).view(np.uint8).reshape(len(col), col.dtype.itemsize)
-        lengths = np.char.str_len(col)  # up to the trailing NULs
-        raw = m.tobytes()
-        if not (any(ch.encode() in raw for ch in _CSV_SPECIAL) or np.count_nonzero(m) != lengths.sum()
-                or (lone and not lengths.all())):
-            return m
-    cells = _csv_cells(col, lone)
-    if "\0" in "".join(cells):
-        return None
-    cells = np.array([c.encode() for c in cells], dtype="S")
-    return cells.view(np.uint8).reshape(len(cells), cells.dtype.itemsize)
-
-
-def _slice_bytes(cols, lone: bool):
+def _slice_bytes(cols) -> np.ndarray:
     r"""The csv.writer rows of one slice of ``cols``: each column's cell
-    matrix, joined by ``,`` and ``\r\n`` columns, with the NUL padding
-    dropped.  A slice with no integer or ``S`` array, or with a NUL in a
-    text cell, is joined as str."""
-    mats = None
-    if any(isinstance(c, np.ndarray) and c.dtype.kind in "iuS" for c in cols):
-        mats = [
-            _int_matrix(c) if isinstance(c, np.ndarray) and c.dtype.kind in "iu" else _text_matrix(c, lone)
-            for c in cols
-        ]
-    if mats is None or any(m is None for m in mats):
-        str_cols = [_csv_cells(c, lone) for c in cols]
-        return ("\r\n".join(map(",".join, zip(*str_cols))) + "\r\n").encode()
+    matrix, from :func:`_int_matrix` or an ``S`` array's bytes, joined by
+    ``,`` and ``\r\n`` columns, with the NUL padding dropped.  A slice that
+    is not an integer or ``S`` array, or a text cell that csv.writer would
+    quote (one holding ``,``, ``"``, ``\r`` or ``\n``) or that holds a NUL,
+    raises ValueError."""
+    mats = []
+    for c in cols:
+        if not isinstance(c, np.ndarray) or c.dtype.kind not in "iuS":
+            raise ValueError(f"a CSV column slice of {getattr(c, 'dtype', type(c).__name__)}, not integers or S")
+        if c.dtype.kind != "S":
+            mats.append(_int_matrix(c))
+            continue
+        m = np.ascontiguousarray(c).view(np.uint8).reshape(len(c), c.dtype.itemsize)
+        raw = m.tobytes()
+        # str_len stops at the NUL padding, so it counts a NUL inside a cell.
+        if any(b in raw for b in b',"\r\n') or np.count_nonzero(m) != np.char.str_len(c).sum():
+            raise ValueError("a CSV text cell holds one of ',', '\"', CR, LF or NUL")
+        mats.append(m)
     rows = np.full((len(mats[0]), sum(m.shape[1] + 1 for m in mats) + 1), ord(","), dtype=np.uint8)
     at = 0
     for m in mats:
@@ -248,21 +204,22 @@ def write_csv(path, header_lines: list[str] | None, columns: list[str], cols) ->
     r"""Artifact CSV in UTF-8: one ``# line`` comment per header line, the
     column names, then one row per index of ``cols``.
 
-    ``cols`` holds one column per name, all of one length: an array, a
-    list, or any sized column whose slices are arrays or lists.  The
-    bytes are those of ``csv.writer`` with its defaults (``\r\n`` after every
-    row, a cell quoted when it holds ``,``, ``"``, ``\r`` or ``\n``), written
-    :data:`CSV_SLICE_ROWS` rows at a time.  An ``S`` array's cells are their
-    UTF-8 text.
+    ``cols`` holds two or more columns, one per name, all of one length: an
+    integer or ``S`` array, or any sized column whose slices are such arrays.
+    The bytes are those of ``csv.writer`` with its defaults, written
+    :data:`CSV_SLICE_ROWS` rows at a time; an ``S`` array's cells are their
+    UTF-8 text.  A name or cell that csv.writer would quote, or a NUL, raises
+    ValueError (see :func:`_slice_bytes`) when its slice is built.
     """
-    if len(cols) != len(columns):
-        raise ValueError(f"{len(columns)} column names for {len(cols)} columns")
     n = len(cols[0]) if cols else 0
-    if any(len(c) != n for c in cols):
-        raise ValueError("columns differ in length")
-    lone = len(columns) == 1
-    head = "".join(f"# {line}\n" for line in header_lines or []) + ",".join(_csv_cells(columns, lone)) + "\r\n"
+    if len(cols) != len(columns) or len(cols) < 2 or any(len(c) != n for c in cols):
+        raise ValueError(f"{len(columns)} names, column lengths {[len(c) for c in cols]}: need two or more of one length")
+    if "\0" in "".join(columns):  # numpy would drop a NUL at a name's end as padding
+        raise ValueError("a CSV column name holds a NUL")
+    names = np.array([name.encode() for name in columns], dtype="S")
+    head = "".join(f"# {line}\n" for line in header_lines or []).encode() + _slice_bytes(names[:, None]).tobytes()
     with open(path, "wb") as fh:
-        fh.write(head.encode("utf-8"))
-        for i in range(0, n, CSV_SLICE_ROWS):
-            fh.write(_slice_bytes([c[i:i + CSV_SLICE_ROWS] for c in cols], lone))
+        fh.write(head)
+        # One slice at least, so that a column with no rows is checked too.
+        for i in range(0, max(n, 1), CSV_SLICE_ROWS):
+            fh.write(_slice_bytes([c[i:i + CSV_SLICE_ROWS] for c in cols]))

@@ -761,11 +761,6 @@ def test_snspd_dark_rate():
     lam = 16.4
     assert abs(len(log) - lam) < 3 * math.sqrt(lam) + 1
 
-def test_snspd_log_sorted():
-    _, res = run_spad(n_frames=50_000, seed=12)
-    log = snspd_detect(res, SnspdConfig(), [0], 50_000 * 32000, DeviceRngs(12))
-    assert np.all(np.diff(log.time_ps) >= 0)
-
 
 # --- detection log ---------------------------------------------------------
 

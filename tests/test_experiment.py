@@ -294,6 +294,14 @@ class TestRuns:
         assert Cause.BACKFLASH in light[0][1] and Cause.REFLECTION in light[0][1]
         assert darks[0] == 0 and darks[2] > 5
 
+    def test_eve_log_in_time_then_cause_order(self, monkeypatch):
+        # snspd_detect leaves each chunk's counts grouped by cause; the one
+        # sort is DetectionLog.merge's, over all three chunks together.
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 200_000)
+        log = run_trial(small_attack_cfg(snspd=SnspdConfig(dark_count_rate_cps=1000.0)), 0).eve_log
+        assert {Cause.BACKFLASH, Cause.REFLECTION, Cause.DARK} <= set(log.cause.tolist())
+        assert np.array_equal(np.lexsort((log.cause, log.time_ps)), np.arange(len(log)))
+
     def test_attack_run_end_to_end(self):
         run = run_simulation(small_attack_cfg())
         assert next(r for r in run.report.rows if r.name == "p_sift").ok
