@@ -16,7 +16,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .source import ChannelConfig, FrameBatch, channel_transmittance
+from .source import ChannelConfig, FrameBatch, SourceConfig, channel_transmittance
 from .timebase import (
     MAX_TIME_PS,
     PS_PER_S,
@@ -196,7 +196,8 @@ class SpadResult:
 
 # Candidates that the hold-off walk searches first from a kept click, before
 # the rest of its run: in a `paper` chunk the next kept click lies a median
-# of 25 and at most 46 candidates on, in a run of about 78,000.
+# of 25 and at most 46 candidates on, in a run of about 78,000.  A run that
+# ends within this reach of the click is searched once, to its end.
 _WALK_REACH = 64
 
 
@@ -211,7 +212,8 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
     found in blocks too.  Only the runs are walked, by a binary search in
     ``times`` from each kept click to the first candidate one hold-off
     later: first over the next :data:`_WALK_REACH` candidates, and over the
-    rest of the run only when that one ends at its bound.
+    rest of the run only when that one ends at its bound.  A run that ends
+    within that reach takes one search, to its end.
     """
     dead = int(dead_until_ps)
     if hold_off_ps <= 0:
@@ -242,14 +244,18 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
         entry_ps[starts == 0] = dead
         times_ps = memoryview(times)
         kept = []
+        append = kept.append
         for j, hi in zip(np.searchsorted(times, entry_ps).tolist(), ends.tolist()):
             while j < hi:
-                kept.append(j)
+                append(j)
                 x = times_ps[j] + hold_off_ps
-                near = min(j + _WALK_REACH, hi)
-                j = bisect_left(times_ps, x, j, near)
-                if j == near:
-                    j = bisect_left(times_ps, x, near, hi)
+                near = j + _WALK_REACH
+                if near < hi:
+                    j = bisect_left(times_ps, x, j, near)
+                    if j == near:
+                        j = bisect_left(times_ps, x, near, hi)
+                else:
+                    j = bisect_left(times_ps, x, j, hi)
         keep[kept] = True
 
     last = times.size - 1 - int(np.argmax(keep[::-1]))
@@ -448,6 +454,17 @@ def _reflection_times(
     return offset
 
 
+def _gate_holds_window(spad: SpadConfig, source: SourceConfig) -> bool:
+    """Whether the gate is open at every offset in ``[0, signal_window_ps)``
+    of a frame, where every pulse arrives, for a gate phase below the frame
+    period and a width at most it: the gate opens at the frame start and
+    lasts the window, or lasts the whole period, or runs past the frame end
+    by at least the window."""
+    phase, width = spad.gate_phase_ps, spad.gate_width_ps
+    period, window = source.frame_period_ps, source.signal_window_ps
+    return (phase == 0 and width >= window) or width == period or phase + width - period >= window
+
+
 def spad_detect(
     frames: FrameBatch,
     spad: SpadConfig,
@@ -463,8 +480,11 @@ def spad_detect(
     position, the candidates' positions come from skip walks over the slots
     (:func:`_pulse_hits`), and their arrival offsets, drawn one per
     candidate, are added in place to their pulse times once the reflections
-    (their own stream) have read the positions.  When every arrival lies in
-    the gate the arrivals are the photon candidates as they stand.  Dark
+    (their own stream) have read the positions.  Every arrival lies in the
+    frame's signal window, so when the gate holds that window
+    (:func:`_gate_holds_window`, as on the `paper` layout) no candidate is
+    tested; otherwise each is, and when every arrival lies in the gate the
+    arrivals are the photon candidates as they stand.  Dark
     candidates are skips over the open-gate picoseconds
     (:func:`_dark_times`), placed by their merged positions
     (:func:`_merge`), from which a kept click's cause and photon provenance
@@ -489,18 +509,19 @@ def spad_detect(
     reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
     del cand
     arrival += offset
-    # The arrival less the last gate opening at or before it, which is
-    # (arrival - phase) % period without numpy's slow integer remainder.
-    since = arrival - spad.gate_phase_ps
-    since //= period
-    since *= period
-    since += spad.gate_phase_ps
-    np.subtract(arrival, since, out=since)
-    in_gate = since < spad.gate_width_ps
-    del since
-    if not in_gate.all():
-        arrival, offset = arrival[in_gate], offset[in_gate]
-    del in_gate
+    if not _gate_holds_window(spad, source):
+        # The arrival less the last gate opening at or before it, which is
+        # (arrival - phase) % period without numpy's slow integer remainder.
+        since = arrival - spad.gate_phase_ps
+        since //= period
+        since *= period
+        since += spad.gate_phase_ps
+        np.subtract(arrival, since, out=since)
+        in_gate = since < spad.gate_width_ps
+        del since
+        if not in_gate.all():
+            arrival, offset = arrival[in_gate], offset[in_gate]
+        del in_gate
 
     dark_t = _dark_times(spad, period, rngs, frames.start_frame, len(frames))
     if not arrival.size:

@@ -131,19 +131,25 @@ class FrameBatch:
         """Alice's value (0, 1 or :data:`DECOY`) in each global slot (frame f's
         slot j is f * bits_per_frame + j) of the array ``slot``: a decoy when
         :meth:`is_decoy`, else slot % bits_per_frame % 2 (alternating) or its
-        bit-key hash's low bit.  The alternating value is the low bit of
-        slot - frame * bits_per_frame for frame = slot // bits_per_frame,
-        because numpy's integer remainder is several times slower than its
-        floor division; that bit is the low bit of slot ^ (frame &
-        bits_per_frame), since frame * bits_per_frame is odd exactly when
-        both factors are, and it is written straight into the int8 output."""
+        bit-key hash's low bit.  For an even bits_per_frame the alternating
+        value is the low bit of the slot, which differs from slot %
+        bits_per_frame by a multiple of it, computed in one pass.  For an odd
+        one it is the low bit of slot - frame * bits_per_frame for frame =
+        slot // bits_per_frame, because numpy's integer remainder is several
+        times slower than its floor division; that bit is the low bit of
+        slot ^ (frame & bits_per_frame), since frame * bits_per_frame is odd
+        exactly when both factors are.  Either is written straight into the
+        int8 output."""
         cfg = self.source
         slot = np.asarray(slot)
         if cfg.pattern == PATTERN_ALTERNATING:
             out = np.empty(slot.shape, dtype=np.int8)
-            np.bitwise_and(slot // cfg.bits_per_frame, cfg.bits_per_frame, out=out, casting="unsafe")
-            np.bitwise_xor(out, slot, out=out, casting="unsafe")
-            out &= 1
+            if cfg.bits_per_frame % 2 == 0:
+                np.bitwise_and(slot, 1, out=out, casting="unsafe")
+            else:
+                np.bitwise_and(slot // cfg.bits_per_frame, cfg.bits_per_frame, out=out, casting="unsafe")
+                np.bitwise_xor(out, slot, out=out, casting="unsafe")
+                out &= 1
         else:
             out = _splitmix64(slot, self.keys[1])
             out &= 1

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from cowqkd.detectors import (
     _compress,
     _dark_times,
     _dead_time_filter,
+    _gate_holds_window,
     _pulse_hits,
     correlation_histogram,
     snspd_detect,
@@ -123,6 +124,40 @@ def test_dead_time_filter_at_a_block_seam(at):
     keep, dead_after = _dead_time_filter(t, 100, 50)
     expect_keep, expect_dead = sequential_dead_time(t, 100, 50)
     assert np.count_nonzero(~keep) == 2  # the first candidate, then t[at]
+    assert np.array_equal(keep, expect_keep)
+    assert dead_after == expect_dead
+
+
+REACH = detectors._WALK_REACH
+
+
+def _groups(sizes, hold=1000, step=10):
+    """One run of close candidates: group i holds ``sizes[i]`` candidates
+    ``step`` apart from ``i * hold`` on, so the walk keeps a group's first
+    candidate and finds the next one exactly ``sizes[i]`` candidates on."""
+    return np.concatenate([i * hold + step * np.arange(g) for i, g in enumerate(sizes)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("sizes", [
+    [REACH - 1] * 3 + [1],
+    [REACH] * 3 + [REACH - 1],
+    [REACH + 1] * 3 + [5],
+    [REACH + 1, REACH, REACH - 1, REACH, REACH + 1, 2],
+], ids=["reach-less-one", "at-reach", "reach-plus-one", "mixed"])
+@pytest.mark.parametrize("dead", ["before", "inside"])
+def test_dead_time_filter_walks_to_its_reach(sizes, dead):
+    # The next kept click lies REACH - 1, REACH or REACH + 1 candidates on,
+    # so the walk's first search finds it, or ends at its bound and the
+    # second finds it there or one further.  The run ends fewer than
+    # REACH candidates after a kept click, where one search reaches its end.
+    # The run is entered from its first candidate, or from a dead_until_ps
+    # that falls inside it.
+    t = _groups(sizes)
+    assert np.all(np.diff(t) < 1000)  # one run
+    dead_until = -5 if dead == "before" else int(t[2]) + 1
+    keep, dead_after = _dead_time_filter(t, 1000, dead_until)
+    expect_keep, expect_dead = sequential_dead_time(t, 1000, dead_until)
+    assert np.count_nonzero(expect_keep) >= len(sizes) - 1
     assert np.array_equal(keep, expect_keep)
     assert dead_after == expect_dead
 
@@ -612,6 +647,87 @@ def test_hold_off_enforced_across_chunks():
         all_clicks.append(res.clicks.time_ps)
     t = np.concatenate(all_clicks)
     assert np.all(np.diff(t) >= spad.hold_off_ps)
+
+def test_gate_holds_window_exactly_when_every_window_offset_is_in_the_gate():
+    # Over every small layout with the phase below the period and the width
+    # at most it, the predicate holds exactly when every offset of the signal
+    # window lies in the gate: where it holds, skipping the gate test drops
+    # nothing, and where it fails, some offset lies outside the gate.
+    for k, bin_ps in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
+        for period in range(2 * k * bin_ps, 2 * k * bin_ps + 6):
+            src = SourceConfig(bin_width_ps=bin_ps, frame_period_ps=period, bits_per_frame=k)
+            for phase in range(period):
+                for width in range(1, period + 1):
+                    spad = SpadConfig(gate_phase_ps=phase, gate_width_ps=width)
+                    inside = all((o - phase) % period < width for o in range(src.signal_window_ps))
+                    assert _gate_holds_window(spad, src) == inside, (src, spad)
+
+
+@st.composite
+def window_holding_layouts(draw):
+    """A source and a receiver whose gate holds the signal window: it opens
+    at the frame start, lasts the whole period, or runs past the frame end
+    by at least the window."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    bin_ps = draw(st.sampled_from([1, 7, 250]))
+    window = 2 * k * bin_ps
+    kind = draw(st.sampled_from(["frame-start", "whole-period", "past-frame-end"]))
+    period = window + draw(st.integers(min_value=int(kind == "past-frame-end"), max_value=3 * window))
+    if kind == "frame-start":
+        phase, width = 0, draw(st.integers(min_value=window, max_value=period))
+    elif kind == "whole-period":
+        phase, width = draw(st.integers(min_value=0, max_value=period - 1)), period
+    else:
+        tail = draw(st.integers(min_value=window, max_value=period - 1))
+        width = draw(st.integers(min_value=tail + 1, max_value=period))
+        phase = period + tail - width
+    src = SourceConfig(
+        mean_photon_number=0.5, bin_width_ps=bin_ps, frame_period_ps=period, bits_per_frame=k,
+        encoding=draw(st.sampled_from(["nrz", "rz"])), pattern=draw(st.sampled_from(["alternating", "random"])),
+        decoy_probability=draw(st.sampled_from([0.0, 0.3, 1.0])),
+    )
+    spad = SpadConfig(
+        gate_phase_ps=phase, gate_width_ps=width,
+        dark_count_rate_cps=draw(st.sampled_from([0.0, 0.05, 0.5])) * 1e12 / width,
+        hold_off_s=draw(st.sampled_from([0, 1, 3])) * period / 1e12,
+    )
+    return src, spad
+
+
+def _result_fields(res):
+    """Every field of a SpadResult, its click log's fields in place of the log."""
+    out = {f.name: getattr(res, f.name) for f in fields(SpadResult) if f.name != "clicks"}
+    out.update({f"clicks.{f.name}": getattr(res.clicks, f.name) for f in fields(DetectionLog)})
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(window_holding_layouts(), st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=50))
+def test_gate_skip_is_exact(layout, seed, dead_frames):
+    # Skipping the gate test on a layout whose gate holds the window leaves
+    # every field of the result as the test would have left it.
+    src, spad = layout
+    assert _gate_holds_window(spad, src)
+    start = 40
+    batch = generate_frames(src, start + 600, DeviceRngs(seed).bits).span(start, 600)
+    dead_until = (start + dead_frames) * src.frame_period_ps
+
+    def detect():
+        return spad_detect(batch, spad, ChannelConfig(), DeviceRngs(seed), dead_until_ps=dead_until)
+
+    skipped = detect()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "_gate_holds_window", lambda *a: False)
+        tested = detect()
+    assert len(tested.clicks) > 0
+    got, want = _result_fields(skipped), _result_fields(tested)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].dtype == value.dtype and np.array_equal(got[name], value), name
+        else:
+            assert got[name] == value, name
+
 
 def test_gate_width_and_phase_bounds():
     # The upper bounds need the frame period; ExperimentConfig checks those.

@@ -241,6 +241,24 @@ def test_pulse_times_match_sorted_oracle(n, decoy, bits_per_frame, encoding, pat
     assert batch.pulse_times(pulse_lattice(batch)).tolist() == sorted_pulse_times(batch).tolist()
 
 
+@pytest.mark.parametrize("decoy", [0.0, 0.3])
+@pytest.mark.parametrize("bits_per_frame", [1, 2, 3, 4])
+def test_alternating_values_are_the_slot_in_its_frame_mod_two(bits_per_frame, decoy):
+    # An even k reads the slot's low bit and an odd one divides by k; both
+    # give slot % k % 2 outside the decoys, from the first slots to those of
+    # the last start frame, in any order.
+    k = bits_per_frame
+    emission = generate_frames(SourceConfig(bits_per_frame=k, decoy_probability=decoy), LAST_START + 1, make_rng(6))
+    slot = np.concatenate([np.arange(3000), np.arange((LAST_START - 1000) * k, (LAST_START + 1) * k)])
+    slot = np.random.default_rng(k).permutation(slot)
+    got = emission.values(slot)
+    decoys = emission.is_decoy(slot) if decoy else np.zeros(slot.size, dtype=bool)
+    assert got.dtype == np.int8
+    assert np.array_equal(got[~decoys], slot[~decoys] % k % 2)
+    assert np.all(got[decoys] == DECOY)
+    assert decoys.any() == (decoy > 0)
+
+
 def test_the_last_start_frame_is_the_last_admitted():
     generate_frames(SourceConfig(), LAST_START + 1, make_rng()).span(LAST_START, 1)
     with pytest.raises(ConfigError):
