@@ -62,7 +62,6 @@ class CalibrationResult:
     score: int
     matched_fraction: float
     candidate_scores: list[tuple[int, int]]
-    ties: list[int] = field(default_factory=list)
 
 
 def _coincidence_scores(
@@ -135,17 +134,17 @@ def calibrate(
     coarse_window = max(CALIBRATION_WINDOW_PS, bin_width_ps)
     scanned: list[tuple[int, int]] = []
 
-    def best(candidates: np.ndarray, step: int, window: int) -> tuple[int, int, list[int]]:
+    def best(candidates: np.ndarray, step: int, window: int) -> tuple[int, int]:
+        # The top-scoring shift nearest 0, the negative one first on a tie.
         scores = _coincidence_scores(eve, disclosed, window, int(candidates[0]), step, candidates.size)
         scanned.extend(zip(candidates.tolist(), scores.tolist()))
         top = int(scores.max())
-        tied = sorted((int(s) for s in candidates[scores == top]), key=lambda s: (abs(s), s))
-        return tied[0], top, tied[1:]
+        return min((int(s) for s in candidates[scores == top]), key=lambda s: (abs(s), s)), top
 
     coarse = np.arange(-period, period + 1, bin_width_ps, dtype=np.int64)
-    c_best, _, _ = best(coarse, bin_width_ps, coarse_window)
+    c_best, _ = best(coarse, bin_width_ps, coarse_window)
     fine = np.arange(c_best - bin_width_ps, c_best + bin_width_ps + 1, 10, dtype=np.int64)
-    s0, score, ties = best(fine, 10, CALIBRATION_WINDOW_PS)
+    s0, score = best(fine, 10, CALIBRATION_WINDOW_PS)
 
     frac = score / disclosed.size
     if frac < CALIBRATION_FLOOR:
@@ -165,7 +164,6 @@ def calibrate(
         score=score,
         matched_fraction=frac,
         candidate_scores=scanned,
-        ties=ties,
     )
 
 
@@ -194,33 +192,19 @@ class ClusterMap:
     one_mode_ps: int
     run_summary: list[dict] = field(default_factory=list)
 
-    def arc_position(self, folded_ps: np.ndarray) -> np.ndarray:
-        return (folded_ps - self.backflash_start_ps) % self.frame_period_ps
-
-    def in_backflash(self, folded_ps: np.ndarray) -> np.ndarray:
-        return self.arc_position(folded_ps) < self.backflash_len_ps
-
-    def in_reflection(self, folded_ps: np.ndarray) -> np.ndarray:
-        if self.reflection_start_ps is None:
-            return np.zeros(np.asarray(folded_ps).shape, dtype=bool)
-        return (folded_ps - self.reflection_start_ps) % self.frame_period_ps < self.reflection_len_ps
-
     def classify(self, folded_ps: np.ndarray) -> np.ndarray:
-        """Bit per folded timestamp: 0/1, -1 outside, -2 reflection."""
-        folded_ps = np.asarray(folded_ps, dtype=np.int64)
-        out = np.full(folded_ps.shape, -1, dtype=np.int8)
-        refl = self.in_reflection(folded_ps)
-        out[refl] = -2
-        inside = self.in_backflash(folded_ps) & ~refl
-        arc = self.arc_position(folded_ps)
-        zero_from = (self.zero_boundary_ps - self.backflash_start_ps) % self.frame_period_ps
-        one_from = (self.one_boundary_ps - self.backflash_start_ps) % self.frame_period_ps
-        if zero_from <= one_from:
-            is_zero = (arc >= zero_from) & (arc < one_from)
-        else:
-            is_zero = (arc >= zero_from) | (arc < one_from)
-        out[inside & is_zero] = 0
-        out[inside & ~is_zero] = 1
+        """Bit per folded timestamp: 0/1, -1 outside, -2 reflection.
+
+        A position x lies in the arc (start, length) when (x - start) %
+        period < length; the zero region is the arc [zero_boundary,
+        one_boundary), empty when the two are equal.
+        """
+        x = np.asarray(folded_ps, dtype=np.int64)
+        p = self.frame_period_ps
+        is_zero = (x - self.zero_boundary_ps) % p < (self.one_boundary_ps - self.zero_boundary_ps) % p
+        out = np.where((x - self.backflash_start_ps) % p < self.backflash_len_ps, ~is_zero, -1).astype(np.int8)
+        if self.reflection_start_ps is not None:
+            out[(x - self.reflection_start_ps) % p < self.reflection_len_ps] = -2
         return out
 
 
@@ -232,56 +216,33 @@ def _circular_smooth(counts: np.ndarray, half: int) -> np.ndarray:
     return np.convolve(padded, np.ones(k) / k, mode="valid")
 
 
-def _circular_runs(active: np.ndarray) -> list[tuple[int, int]]:
-    """(start, length) runs of True, treating the array as a ring."""
+def _ring_runs(active: np.ndarray, max_gap: int) -> list[tuple[int, int]]:
+    """(start, length) runs of active bins on the ring, in order of start.
+
+    A gap of at most ``max_gap`` inactive bins joins its neighbours, across
+    bin 0 too, so the runs do not depend on where the ring starts; a ring
+    with no wider gap is one run, the whole ring.
+    """
     n = active.size
-    if not np.any(active):
+    on = np.flatnonzero(active)
+    if on.size == 0:
         return []
-    if np.all(active):
+    # Inactive bins after each active one, up to the next around the ring.
+    last = np.flatnonzero(np.diff(on, append=on[0] + n) > max_gap + 1)
+    if last.size == 0:
         return [(0, n)]
-    start = int(np.argmin(active))  # rotate so position 0 is inactive
-    rolled = np.roll(active, -start)
-    idx = np.flatnonzero(rolled)
-    splits = np.flatnonzero(np.diff(idx) > 1) + 1
-    return [(int((g[0] + start) % n), int(g.size)) for g in np.split(idx, splits)]
-
-
-def _merge_runs(runs: list[tuple[int, int]], n: int, max_gap: int) -> list[tuple[int, int]]:
-    if len(runs) <= 1:
-        return runs
-    runs = sorted(runs)
-    merged = [list(runs[0])]
-    for s, ln in runs[1:]:
-        ps, pl = merged[-1]
-        if s - (ps + pl) <= max_gap:
-            merged[-1][1] = s + ln - ps
-        else:
-            merged.append([s, ln])
-    # wrap-around merge between last and first
-    if len(merged) > 1:
-        fs, fl = merged[0]
-        ls, ll = merged[-1]
-        if (fs + n) - (ls + ll) <= max_gap:
-            merged[0] = [ls, min((fs + n - ls) + fl, n)]
-            merged.pop()
-    return [(int(s) % n, int(ln)) for s, ln in merged]
+    starts = on[(np.roll(last, 1) + 1) % on.size]
+    lengths = (on[last] - starts) % n + 1
+    return sorted(zip(starts.tolist(), lengths.tolist()))
 
 
 def _span_covering(runs: list[tuple[int, int]], n: int) -> tuple[int, int]:
-    """Shortest circular arc containing every run."""
-    if len(runs) == 1:
-        return runs[0]
+    """Shortest arc containing every run: the ring less the widest gap
+    between neighbouring runs, the last one in order of start if tied."""
     runs = sorted(runs)
-    # largest gap between consecutive runs (circularly) is left outside
-    gaps = []
-    for i, (s, ln) in enumerate(runs):
-        ns, _ = runs[(i + 1) % len(runs)]
-        if i + 1 == len(runs):
-            ns += n
-        gaps.append((ns - (s + ln), i))
-    gap, idx = max(gaps)
-    start = runs[(idx + 1) % len(runs)][0]
-    return start, n - gap
+    k = len(runs)
+    gap, i = max(((runs[(i + 1) % k][0] - s - ln) % n, i) for i, (s, ln) in enumerate(runs))
+    return runs[(i + 1) % k][0], n - gap
 
 
 def fold_and_cluster(
@@ -312,85 +273,70 @@ def fold_and_cluster(
     if peak <= 0:
         raise CalibrationError("empty folded histogram")
     active = sm >= max(CLUSTER_THRESHOLD * peak, 1e-12)
-    gap_bins = max(1, CLUSTER_MIN_GAP_PS // FOLD_BIN_WIDTH_PS)
-    runs = _merge_runs(_circular_runs(active), nbins, gap_bins)
+    runs = _ring_runs(active, max(1, CLUSTER_MIN_GAP_PS // FOLD_BIN_WIDTH_PS))
     if not runs:
         raise CalibrationError("no clusters found")
 
     disclosed = np.sort(transcript.disclosed_time_ps)
     bin_idx = folded // FOLD_BIN_WIDTH_PS
 
-    def correlation(run: tuple[int, int]) -> float:
+    summary = []
+    corr_runs, other_runs = [], []
+    for s, ln in runs:
+        members = t[(bin_idx - s) % nbins < ln]
         # Fraction of disclosed receiver clicks with a cluster member nearby
         # in unfolded time.  Backflash trails the receiver's avalanches, so
         # its clusters score near the per-click leak probability; reflection
         # clusters track transmitted pulses and score near accidental level.
-        if disclosed.size == 0:
-            return 0.0
-        s, ln = run
-        mt = np.sort(t[(bin_idx - s) % nbins < ln])
-        return int(_coincidence_scores(mt, disclosed, CORR_WINDOW_PS, 0, 1, 1)[0]) / disclosed.size
-
-    summary = []
-    corr_runs, other_runs = [], []
-    for run in runs:
-        c = correlation(run)
-        mass = int(_run_mass(counts, run, nbins))
+        c = 0.0
+        if disclosed.size:
+            c = int(_coincidence_scores(np.sort(members), disclosed, CORR_WINDOW_PS, 0, 1, 1)[0]) / disclosed.size
         summary.append({
-            "start_ps": run[0] * FOLD_BIN_WIDTH_PS,
-            "len_ps": run[1] * FOLD_BIN_WIDTH_PS,
-            "mass": mass,
+            "start_ps": s * FOLD_BIN_WIDTH_PS,
+            "len_ps": ln * FOLD_BIN_WIDTH_PS,
+            "mass": members.size,
             "correlation": c,
         })
-        (corr_runs if c >= cfg.corr_floor else other_runs).append((run, mass))
+        (corr_runs if c >= cfg.corr_floor else other_runs).append((s, ln, members.size))
 
     if not corr_runs:
         raise CalibrationError("no cluster correlates with the disclosed samples")
 
-    bf_start_bin, bf_len_bin = _span_covering([r for r, _ in corr_runs], nbins)
-    bf_start = bf_start_bin * FOLD_BIN_WIDTH_PS
-    bf_len = min(bf_len_bin * FOLD_BIN_WIDTH_PS, period)
+    # The backflash window is an arc (start, length) of bins; a bin x lies
+    # at arc index (x - start) % nbins, inside when that is below length.
+    start, length = _span_covering([(s, ln) for s, ln, _ in corr_runs], nbins)
+    bf_start = start * FOLD_BIN_WIDTH_PS
+    bf_len = min(length * FOLD_BIN_WIDTH_PS, period)
 
     refl_start = refl_len = None
-    outside = [
-        (run, mass) for run, mass in other_runs
-        if (run[0] - bf_start_bin) % nbins >= bf_len_bin
-    ]
+    outside = [r for r in other_runs if (r[0] - start) % nbins >= length]
     if outside:
-        run, _ = max(outside, key=lambda rm: rm[1])
-        refl_start = run[0] * FOLD_BIN_WIDTH_PS
-        refl_len = run[1] * FOLD_BIN_WIDTH_PS
+        s, ln, _ = max(outside, key=lambda r: r[2])
+        refl_start, refl_len = s * FOLD_BIN_WIDTH_PS, ln * FOLD_BIN_WIDTH_PS
 
-    zero_mode, one_mode = _find_modes(sm, bf_start_bin, bf_len_bin, nbins)
-    zero_mode_ps = zero_mode * FOLD_BIN_WIDTH_PS
-    one_mode_ps = one_mode * FOLD_BIN_WIDTH_PS
+    arc = np.roll(sm, -start)[:length]
+    a, b = _find_modes(arc)
+    mode_a, mode_b = (start + a) % nbins * FOLD_BIN_WIDTH_PS, (start + b) % nbins * FOLD_BIN_WIDTH_PS
 
     # Which mode carries which bit comes from the disclosed samples: the
-    # attacker knows where the receiver's zero and one clicks fold to.
+    # attacker knows where the receiver's zero and one clicks fold to.  The
+    # zero region is the arc [start, start + cut) when the first mode is the
+    # zero, else [start + cut, start).
     zero_ref = _circular_center(disclosed[transcript.disclosed_bit == 0] % period, period)
     one_ref = _circular_center(disclosed[transcript.disclosed_bit == 1] % period, period)
-    m_first_ps, m_second_ps = zero_mode_ps, one_mode_ps
-    if _circular_dist(m_first_ps, zero_ref, period) + _circular_dist(m_second_ps, one_ref, period) > \
-       _circular_dist(m_first_ps, one_ref, period) + _circular_dist(m_second_ps, zero_ref, period):
-        zero_mode_ps, one_mode_ps = one_mode_ps, zero_mode_ps
-
-    if zero_mode_ps == one_mode_ps:
-        # Single mode: the whole window carries whichever bit the disclosed
-        # references place nearer, instead of defaulting to zero.
-        if _circular_dist(zero_mode_ps, one_ref, period) < _circular_dist(zero_mode_ps, zero_ref, period):
-            zero_boundary = one_boundary = bf_start
-        else:
-            zero_boundary, one_boundary = bf_start, (bf_start + bf_len) % period
+    if a == b:
+        # Single mode: the zero region is the whole window or none of it,
+        # whichever bit the disclosed references place nearer.
+        first_is_zero = True
+        cut = 0 if _circular_dist(mode_a, one_ref, period) < _circular_dist(mode_a, zero_ref, period) else bf_len
     else:
-        cut_ps = _decision_cut(sm, zero_mode_ps, one_mode_ps, bf_start, period, cfg)
-
-        # Region starts: the arc runs [window start .. cut .. window end); the
-        # mode nearer the window start owns the first region.
-        first_is_zero = _arc(zero_mode_ps, bf_start, period) <= _arc(one_mode_ps, bf_start, period)
-        if first_is_zero:
-            zero_boundary, one_boundary = bf_start, cut_ps
-        else:
-            zero_boundary, one_boundary = cut_ps, bf_start
+        first_is_zero = _circular_dist(mode_a, zero_ref, period) + _circular_dist(mode_b, one_ref, period) <= \
+            _circular_dist(mode_a, one_ref, period) + _circular_dist(mode_b, zero_ref, period)
+        # The modes' offsets in ps: a period that is not a whole number of
+        # bins ends in a short bin, which the offsets measure as it is.
+        cut = _decision_cut(arc, (mode_a - bf_start) % period, (mode_b - bf_start) % period, cfg.boundary)
+    zero_mode, one_mode = (mode_a, mode_b) if first_is_zero else (mode_b, mode_a)
+    zero_boundary, one_boundary = (bf_start, bf_start + cut) if first_is_zero else (bf_start + cut, bf_start)
 
     return ClusterMap(
         frame_period_ps=period,
@@ -401,20 +347,10 @@ def fold_and_cluster(
         reflection_len_ps=refl_len,
         zero_boundary_ps=int(zero_boundary % period),
         one_boundary_ps=int(one_boundary % period),
-        zero_mode_ps=int(zero_mode_ps),
-        one_mode_ps=int(one_mode_ps),
+        zero_mode_ps=int(zero_mode),
+        one_mode_ps=int(one_mode),
         run_summary=summary,
     )
-
-
-def _run_mass(counts: np.ndarray, run: tuple[int, int], nbins: int) -> int:
-    s, ln = run
-    idx = (np.arange(s, s + ln)) % nbins
-    return int(counts[idx].sum())
-
-
-def _arc(pos: int, start: int, period: int) -> int:
-    return (pos - start) % period
 
 
 def _circular_dist(a: int, b: int, period: int) -> int:
@@ -436,38 +372,29 @@ def _circular_center(values: np.ndarray, period: int) -> int:
     return int(np.median(rolled)) % period
 
 
-def _find_modes(sm: np.ndarray, start_bin: int, len_bin: int, nbins: int) -> tuple[int, int]:
-    idx = (start_bin + np.arange(len_bin)) % nbins
-    vals = sm[idx]
-    first = int(np.argmax(vals))
+def _find_modes(arc: np.ndarray) -> tuple[int, int]:
+    """Arc indices a <= b of the window's two highest modes, at least
+    MODE_MIN_SEPARATION_PS apart; a == b when there is one."""
+    first = int(np.argmax(arc))
     sep = max(1, MODE_MIN_SEPARATION_PS // FOLD_BIN_WIDTH_PS)
-    masked = vals.copy()
-    lo = max(0, first - sep)
-    masked[lo: first + sep + 1] = -1.0
-    if np.all(masked < 0) or masked.max() <= 0:
-        m = int(idx[first])
-        return m, m
-    second = int(np.argmax(masked))
-    a, b = sorted((first, second))
-    return int(idx[a]), int(idx[b])
+    masked = arc.copy()
+    masked[max(0, first - sep): first + sep + 1] = -1.0
+    if masked.max() <= 0:
+        return first, first
+    a, b = sorted((first, int(np.argmax(masked))))
+    return a, b
 
 
-def _decision_cut(sm, zero_mode_ps, one_mode_ps, bf_start, period, cfg) -> int:
-    """Folded position of the cut between two distinct modes."""
-    a0, a1 = sorted((_arc(zero_mode_ps, bf_start, period), _arc(one_mode_ps, bf_start, period)))
-    if cfg.boundary == "midpoint":
-        return (bf_start + (a0 + a1) // 2) % period
-    # valley: minimum of the smoothed histogram strictly between the modes
-    b0 = a0 // FOLD_BIN_WIDTH_PS
-    b1 = a1 // FOLD_BIN_WIDTH_PS
-    if b1 - b0 < 2:
-        return (bf_start + (a0 + a1) // 2) % period
-    nbins = sm.size
-    idx = (bf_start // FOLD_BIN_WIDTH_PS + np.arange(b0 + 1, b1)) % nbins
-    vals = sm[idx]
-    argmins = np.flatnonzero(vals == vals.min())
-    pick = int(argmins[len(argmins) // 2])
-    return (bf_start + (b0 + 1 + pick) * FOLD_BIN_WIDTH_PS) % period
+def _decision_cut(arc: np.ndarray, lo: int, hi: int, boundary: str) -> int:
+    """Offset in ps from the window start of the cut between the modes at
+    offsets lo < hi ps."""
+    b0, b1 = lo // FOLD_BIN_WIDTH_PS, hi // FOLD_BIN_WIDTH_PS
+    if boundary == "valley" and b1 - b0 >= 2:
+        # minimum of the smoothed histogram strictly between the modes
+        between = arc[b0 + 1: b1]
+        argmins = np.flatnonzero(between == between.min())
+        return (b0 + 1 + int(argmins[argmins.size // 2])) * FOLD_BIN_WIDTH_PS
+    return (lo + hi) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -328,18 +328,17 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
 
         # Eve's backflash counts whose avalanche is a retained click, and a
         # click in any block (retained or disclosed): one search per
-        # avalanche in the sorted clicks, which may repeat.
+        # avalanche in the clicks, which may repeat.  Both are in time order:
+        # the blocks are consecutive slices of the sifted clicks, and each
+        # keeps its retained clicks in order.
         av = eve_log.source_ps[eve_log.cause == Cause.BACKFLASH]
 
         def hits(clicks: np.ndarray) -> int:
-            clicks = np.sort(clicks)
             at = np.minimum(np.searchsorted(clicks, av), clicks.size - 1)
             return int(np.count_nonzero(clicks[at] == av))
 
-        retained = np.concatenate([b.retained.time_ps for b in blocks])
-        in_blocks = np.concatenate([retained] + [b.transcript.disclosed_time_ps for b in blocks])
-        n_eve_backflash = hits(retained)
-        n_eve_backflash_blocks = hits(in_blocks)
+        n_eve_backflash = hits(np.concatenate([b.retained.time_ps for b in blocks]))
+        n_eve_backflash_blocks = hits(sifted.time_ps[: len(blocks) * cfg.distill.block_length])
 
         margin = 2 * period
         for b in blocks:

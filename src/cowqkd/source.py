@@ -161,8 +161,11 @@ class FrameBatch:
     def is_decoy(self, slot: np.ndarray) -> np.ndarray:
         """Whether each global slot of ``slot`` is a decoy: its decoy-key hash
         lies below decoy_probability * 2**64."""
+        p = self.source.decoy_probability
+        if p <= 0:
+            return np.zeros(np.shape(slot), dtype=bool)
         # A whole number lies below x exactly when it is at most ceil(x) - 1.
-        return _splitmix64(slot, self.keys[0]) <= np.uint64(math.ceil(self.source.decoy_probability * 2**64) - 1)
+        return _splitmix64(slot, self.keys[0]) <= np.uint64(math.ceil(p * 2**64) - 1)
 
     @property
     def bits(self) -> np.ndarray:

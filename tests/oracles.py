@@ -27,7 +27,9 @@ which are keyed hashes of the slot index.
 
 The row-at-a-time ``csv.writer`` artifact writer and the per-shift
 coincidence count must match the library's columnar writer and its
-interval-union calibration scan exactly.
+interval-union calibration scan exactly, and so must the bin-by-bin walk
+around the fold and the per-count window test match the attacker's ring
+runs and her classification.
 """
 
 import csv
@@ -253,3 +255,39 @@ def per_shift_scores(eve_sorted, disclosed, window, shifts):
         hi = np.searchsorted(eve_sorted, disclosed - s + window, side="right")
         out.append(int(np.sum(hi > lo)))
     return out
+
+
+def ring_same_run(active, max_gap, i, j):
+    """Whether active bins ``i`` and ``j`` of the ring ``active`` share a
+    run: one of the two ways around from i to j, walked bin by bin, meets
+    no stretch of more than ``max_gap`` inactive bins."""
+    n = len(active)
+    for step in (1, -1):
+        stretch = longest = 0
+        k = i
+        while k != j:
+            k = (k + step) % n
+            stretch = 0 if active[k] else stretch + 1
+            longest = max(longest, stretch)
+        if longest <= max_gap:
+            return True
+    return False
+
+
+def classify_count(x, cmap):
+    """The attacker's label for one folded position ``x``: -2 in the
+    reflection window, else 0 or 1 in the backflash window by the zero
+    region [zero_boundary, one_boundary), else -1.  A window (start,
+    length) holds x when x or x + period lies in [start, start + length)."""
+    p = cmap.frame_period_ps
+
+    def within(start, length):
+        return start <= x < start + length or start <= x + p < start + length
+
+    if cmap.reflection_start_ps is not None and within(cmap.reflection_start_ps, cmap.reflection_len_ps):
+        return -2
+    if not within(cmap.backflash_start_ps, cmap.backflash_len_ps):
+        return -1
+    z, o = cmap.zero_boundary_ps, cmap.one_boundary_ps
+    is_zero = z <= x < o if z <= o else (x >= z or x < o)
+    return 0 if is_zero else 1

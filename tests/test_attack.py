@@ -1,5 +1,7 @@
 """Attacker pipeline tests on hand-built streams with known geometry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,13 +11,13 @@ from cowqkd.attack import (
     FOLD_BIN_WIDTH_PS,
     AttackConfig,
     CalibrationError,
+    ClusterMap,
     EveInference,
     _circular_center,
     _circular_dist,
-    _circular_runs,
     _coincidence_scores,
-    _merge_runs,
     _nearest,
+    _ring_runs,
     _span_covering,
     calibrate,
     fold_and_cluster,
@@ -26,7 +28,7 @@ from cowqkd.attack import (
 )
 from cowqkd.distill import ClassicalTranscript, SiftedBits
 from cowqkd.timebase import ConfigError
-from oracles import per_shift_scores
+from oracles import classify_count, per_shift_scores, ring_same_run
 
 PERIOD = 32000
 
@@ -167,25 +169,71 @@ def test_coincidence_scores_match_per_shift_count(eve, disclosed, window, start,
 
 # --- circular helpers ------------------------------------------------------
 
+# Fixed rings as (active, max_gap, runs): a run wrapping bin 0, no run,
+# the whole ring, gaps that join or do not, a join across bin 0, and a
+# ring that gives a different answer rolled when the join is cut at bin 0.
+FIXED_RINGS = [
+    ([0, 1, 1, 0], 0, [(1, 2)]),
+    ([1, 0, 0, 1], 0, [(3, 2)]),
+    ([0, 0], 0, []),
+    ([1, 1, 1], 0, [(0, 3)]),
+    ([1, 0, 1, 1, 0, 0, 1], 0, [(2, 2), (6, 2)]),
+    ([1, 1, 0, 0, 1, 1, 0, 0, 0, 0], 2, [(0, 6)]),
+    ([1, 1, 0, 0, 0, 1, 1, 0, 0, 0], 2, [(0, 2), (5, 2)]),
+    ([1, 1, 0, 0, 0, 0, 0, 0, 1, 0], 1, [(8, 4)]),
+    ([1, 1, 0, 1, 0, 1, 1, 1, 0], 3, [(0, 9)]),
+    ([1, 0, 0, 1, 0, 0], 2, [(0, 6)]),
+]
+
+RINGS = st.lists(st.booleans(), min_size=1, max_size=40)
+GAPS = st.integers(min_value=0, max_value=6)
+
+
+def _run_of(runs, n, x):
+    return [k for k, (s, ln) in enumerate(runs) if (x - s) % n < ln]
+
+
+def _rolled(runs, n, k):
+    """Runs moved k bins round the ring; the whole ring stays (0, n)."""
+    return runs if runs == [(0, n)] else sorted(((s + k) % n, ln) for s, ln in runs)
+
+
+class TestRingRuns:
+    @pytest.mark.parametrize("active,max_gap,want", FIXED_RINGS)
+    def test_fixed_rings(self, active, max_gap, want):
+        a = np.array(active, dtype=bool)
+        for k in range(a.size):
+            assert _ring_runs(np.roll(a, k), max_gap) == _rolled(want, a.size, k)
+
+    @settings(max_examples=300)
+    @given(active=RINGS, max_gap=GAPS)
+    def test_runs_match_the_bin_walk(self, active, max_gap):
+        # Runs in order of start, each but the whole ring starting and ending
+        # on an active bin; every active bin lies in exactly one, and two
+        # share one exactly when a walk round the ring between them finds no
+        # wider gap.
+        a = np.array(active, dtype=bool)
+        n = a.size
+        runs = _ring_runs(a, max_gap)
+        assert runs == sorted(runs)
+        for s, ln in runs:
+            assert ln == n or (a[s] and a[(s + ln - 1) % n] and 1 <= ln < n)
+        on = np.flatnonzero(a).tolist()
+        label = {x: _run_of(runs, n, x) for x in on}
+        assert all(len(v) == 1 for v in label.values())
+        for i in on:
+            for j in on:
+                assert (label[i] == label[j]) == ring_same_run(active, max_gap, i, j)
+
+    @settings(max_examples=300)
+    @given(active=RINGS, max_gap=GAPS, k=st.integers(min_value=0, max_value=40))
+    @example(active=[True, True, False, True, False, True, True, True, False], max_gap=3, k=6)
+    def test_rolling_the_ring_moves_every_start(self, active, max_gap, k):
+        a = np.array(active, dtype=bool)
+        assert _ring_runs(np.roll(a, k), max_gap) == _rolled(_ring_runs(a, max_gap), a.size, k)
+
+
 class TestCircularHelpers:
-    def test_runs_plain_and_wrapping(self):
-        assert _circular_runs(np.array([False, True, True, False])) == [(1, 2)]
-        assert _circular_runs(np.array([True, False, False, True])) == [(3, 2)]
-        assert _circular_runs(np.array([False, False])) == []
-        assert _circular_runs(np.array([True, True, True])) == [(0, 3)]
-
-    def test_runs_multiple_islands(self):
-        active = np.array([True, False, True, True, False, False, True])
-        runs = sorted(_circular_runs(active))
-        assert runs == [(2, 2), (6, 2)]  # 6 wraps onto 0
-
-    def test_merge_within_gap(self):
-        assert _merge_runs([(0, 2), (4, 2)], 10, 2) == [(0, 6)]
-        assert _merge_runs([(0, 2), (5, 2)], 10, 2) == [(0, 2), (5, 2)]
-
-    def test_merge_wraps(self):
-        assert _merge_runs([(0, 2), (8, 1)], 10, 1) == [(8, 4)]
-
     def test_span_covering(self):
         assert _span_covering([(2, 3)], 100) == (2, 3)
         assert _span_covering([(10, 5), (30, 5)], 100) == (10, 25)
@@ -212,16 +260,17 @@ class TestFoldAndCluster:
         transcript, _, eve_t, truth = make_scene()
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
         folded_bf = truth["backflash_t"] % PERIOD
-        assert bool(np.all(cmap.in_backflash(folded_bf)))
+        assert bool(np.all(cmap.classify(folded_bf) >= 0))
         assert cmap.reflection_start_ps is not None
-        assert cmap.in_reflection(np.array([20200]))[0]
-        assert not cmap.in_backflash(np.array([20200]))[0]
+        assert cmap.classify(np.array([20200]))[0] == -2
+        # without its reflection window, 20200 lies outside the backflash one
+        assert replace(cmap, reflection_start_ps=None).classify(np.array([20200]))[0] == -1
 
     def test_no_reflection_cluster_when_absent(self):
         transcript, _, eve_t, _ = make_scene(reflect=False)
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
         assert cmap.reflection_start_ps is None
-        assert not cmap.in_reflection(np.array([20200]))[0]
+        assert cmap.classify(np.array([20200]))[0] == -1
 
     def test_modes_follow_disclosed_bits(self):
         transcript, _, eve_t, _ = make_scene()
@@ -284,6 +333,34 @@ class TestFoldAndCluster:
             members = eve_t[((eve_t % PERIOD) // bw - s) % nbins < ln]
             near = np.abs(disclosed[:, None] - members[None, :]) <= window
             assert run["correlation"] == np.mean(near.any(axis=1))
+
+
+@st.composite
+def cluster_maps(draw):
+    """Windows on a short ring: arcs that wrap past 0, the whole ring, an
+    empty zero region (equal boundaries) and a reflection arc that may
+    overlap the backflash one or be absent."""
+    p = draw(st.integers(min_value=1, max_value=60))
+    pos = st.integers(min_value=0, max_value=p - 1)
+    arc_len = st.integers(min_value=1, max_value=p)
+    zero = draw(pos)
+    one = draw(st.one_of(st.just(zero), pos))
+    refl = draw(st.one_of(st.none(), st.tuples(pos, arc_len)))
+    return ClusterMap(
+        frame_period_ps=p, counts=np.zeros(0, dtype=np.int64),
+        backflash_start_ps=draw(pos), backflash_len_ps=draw(arc_len),
+        reflection_start_ps=None if refl is None else refl[0],
+        reflection_len_ps=None if refl is None else refl[1],
+        zero_boundary_ps=zero, one_boundary_ps=one, zero_mode_ps=0, one_mode_ps=0,
+    )
+
+
+@settings(max_examples=300)
+@given(cmap=cluster_maps())
+def test_classify_matches_the_per_count_window_test(cmap):
+    # Every position of the ring, one count at a time.
+    ring = np.arange(cmap.frame_period_ps)
+    assert cmap.classify(ring).tolist() == [classify_count(int(x), cmap) for x in ring]
 
 
 @given(st.integers(min_value=0, max_value=40))

@@ -142,9 +142,11 @@ def test_decoy_probability_ends_are_exact(monkeypatch):
         assert not np.any(none.bits == DECOY) and _pulse_hits(none, 1.0, stream_rng(2)).size == 40_000
         every = generate_frames(SourceConfig(pattern=pattern, decoy_probability=1.0), 20_000, make_rng(2))
         assert np.all(every.bits == DECOY) and _pulse_hits(every, 1.0, stream_rng(2)).tolist() == list(range(80_000))
-    # Alternating frames without decoys hash nothing.
+        assert every.is_decoy(np.array([0, 1, 7, 39_999])).tolist() == [True] * 4
+    # Alternating frames without decoys hash nothing, and no slot is a decoy.
     monkeypatch.setattr(source, "_splitmix64", lambda *a: pytest.fail("a slot was hashed"))
     batch = generate_frames(SourceConfig(), 20_000, make_rng(2))
+    assert batch.is_decoy(np.array([0, 1, 7, 39_999])).tolist() == [False] * 4
     lattice = _pulse_hits(batch, 1.0, stream_rng(2))
     assert lattice.size == 40_000 and lattice[[1, -1]].tolist() == [3, 79_999]
     assert batch.pulse_times(lattice[[1, -1]]).tolist() == [3000, 19_999 * 32000 + 3000]
