@@ -220,17 +220,21 @@ def _ring_runs(active: np.ndarray, max_gap: int) -> list[tuple[int, int]]:
     """(start, length) runs of active bins on the ring, in order of start.
 
     A gap of at most ``max_gap`` inactive bins joins its neighbours, across
-    bin 0 too, so the runs do not depend on where the ring starts; a ring
-    with no wider gap is one run, the whole ring.
+    bin 0 too, so the runs do not depend on where the ring starts.  A ring
+    with no wider gap is one run that leaves out its widest gap (the one
+    before the lowest start on a tie): the whole ring only when every bin
+    is active.
     """
     n = active.size
     on = np.flatnonzero(active)
     if on.size == 0:
         return []
     # Inactive bins after each active one, up to the next around the ring.
-    last = np.flatnonzero(np.diff(on, append=on[0] + n) > max_gap + 1)
+    gaps = np.diff(on, append=on[0] + n) - 1
+    last = np.flatnonzero(gaps > max_gap)
     if last.size == 0:
-        return [(0, n)]
+        # One run, after the widest gap: the first one before an active bin.
+        last = np.array([int(np.argmax(np.roll(gaps, 1))) - 1]) % on.size
     starts = on[(np.roll(last, 1) + 1) % on.size]
     lengths = (on[last] - starts) % n + 1
     return sorted(zip(starts.tolist(), lengths.tolist()))

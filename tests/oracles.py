@@ -274,6 +274,22 @@ def ring_same_run(active, max_gap, i, j):
     return False
 
 
+def ring_gaps(active):
+    """The stretches of inactive bins on the ring ``active``, walked bin by
+    bin from an active one: (the active bin after the stretch, its length)."""
+    n = len(active)
+    first = next(k for k in range(n) if active[k])
+    out, stretch = [], 0
+    for step in range(1, n + 1):
+        k = (first + step) % n
+        if not active[k]:
+            stretch += 1
+        elif stretch:
+            out.append((k, stretch))
+            stretch = 0
+    return out
+
+
 def classify_count(x, cmap):
     """The attacker's label for one folded position ``x``: -2 in the
     reflection window, else 0 or 1 in the backflash window by the zero

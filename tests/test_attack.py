@@ -28,7 +28,7 @@ from cowqkd.attack import (
 )
 from cowqkd.distill import ClassicalTranscript, SiftedBits
 from cowqkd.timebase import ConfigError
-from oracles import classify_count, per_shift_scores, ring_same_run
+from oracles import classify_count, per_shift_scores, ring_gaps, ring_same_run
 
 PERIOD = 32000
 
@@ -170,8 +170,9 @@ def test_coincidence_scores_match_per_shift_count(eve, disclosed, window, start,
 # --- circular helpers ------------------------------------------------------
 
 # Fixed rings as (active, max_gap, runs): a run wrapping bin 0, no run,
-# the whole ring, gaps that join or do not, a join across bin 0, and a
-# ring that gives a different answer rolled when the join is cut at bin 0.
+# the whole ring, gaps that join or do not, a join across bin 0, and rings
+# with no gap wider than max_gap, whose one run leaves out the widest gap
+# (the old pair left out the gap at bin 0, so its answer moved when rolled).
 FIXED_RINGS = [
     ([0, 1, 1, 0], 0, [(1, 2)]),
     ([1, 0, 0, 1], 0, [(3, 2)]),
@@ -181,8 +182,8 @@ FIXED_RINGS = [
     ([1, 1, 0, 0, 1, 1, 0, 0, 0, 0], 2, [(0, 6)]),
     ([1, 1, 0, 0, 0, 1, 1, 0, 0, 0], 2, [(0, 2), (5, 2)]),
     ([1, 1, 0, 0, 0, 0, 0, 0, 1, 0], 1, [(8, 4)]),
-    ([1, 1, 0, 1, 0, 1, 1, 1, 0], 3, [(0, 9)]),
-    ([1, 0, 0, 1, 0, 0], 2, [(0, 6)]),
+    ([1, 1, 0, 1, 0, 0, 1, 1, 1, 0], 3, [(6, 8)]),
+    ([1, 0, 0, 1, 0, 0, 0], 3, [(0, 4)]),
 ]
 
 RINGS = st.lists(st.booleans(), min_size=1, max_size=40)
@@ -208,16 +209,22 @@ class TestRingRuns:
     @settings(max_examples=300)
     @given(active=RINGS, max_gap=GAPS)
     def test_runs_match_the_bin_walk(self, active, max_gap):
-        # Runs in order of start, each but the whole ring starting and ending
-        # on an active bin; every active bin lies in exactly one, and two
-        # share one exactly when a walk round the ring between them finds no
-        # wider gap.
+        # Runs in order of start, each starting and ending on an active bin;
+        # every active bin lies in exactly one, and two share one exactly
+        # when a walk round the ring between them finds no wider gap.  One
+        # run leaves out the widest gap, the one before the lowest start on
+        # a tie, and is the whole ring only when every bin is active.
         a = np.array(active, dtype=bool)
         n = a.size
         runs = _ring_runs(a, max_gap)
         assert runs == sorted(runs)
         for s, ln in runs:
-            assert ln == n or (a[s] and a[(s + ln - 1) % n] and 1 <= ln < n)
+            assert a[s] and a[(s + ln - 1) % n] and 1 <= ln <= n
+        if len(runs) == 1:
+            gaps = ring_gaps(active)
+            widest = max((g for _, g in gaps), default=0)
+            start = min((x for x, g in gaps if g == widest), default=0)
+            assert runs == [(start, n - widest)]
         on = np.flatnonzero(a).tolist()
         label = {x: _run_of(runs, n, x) for x in on}
         assert all(len(v) == 1 for v in label.values())
@@ -227,10 +234,22 @@ class TestRingRuns:
 
     @settings(max_examples=300)
     @given(active=RINGS, max_gap=GAPS, k=st.integers(min_value=0, max_value=40))
+    @example(active=[True, True, False, True, False, False, True, True, True, False], max_gap=3, k=4)
     @example(active=[True, True, False, True, False, True, True, True, False], max_gap=3, k=6)
     def test_rolling_the_ring_moves_every_start(self, active, max_gap, k):
         a = np.array(active, dtype=bool)
-        assert _ring_runs(np.roll(a, k), max_gap) == _rolled(_ring_runs(a, max_gap), a.size, k)
+        runs, rolled = _ring_runs(a, max_gap), _ring_runs(np.roll(a, k), max_gap)
+        gaps = [g for _, g in ring_gaps(active)] if a.any() else []
+        if len(runs) == 1 and gaps.count(max(gaps, default=0)) > 1:
+            # A tie for the widest gap goes by where bin 0 falls.
+            assert len(rolled) == 1 and rolled[0][1] == runs[0][1]
+        else:
+            assert rolled == _rolled(runs, a.size, k)
+
+    def test_a_tie_leaves_out_the_gap_before_the_lowest_start(self):
+        a = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
+        for k in range(a.size):
+            assert _ring_runs(np.roll(a, k), 2) == [(k % 3, 4)]
 
 
 class TestCircularHelpers:
@@ -301,6 +320,30 @@ class TestFoldAndCluster:
         cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
         inf = infer_bits(eve_t, cmap, retained)
         assert learning_metrics(inf, retained)["accuracy_matched"] == 1.0
+
+    @pytest.mark.parametrize("zero_at,want", [(700, 0), (2000, 1)])
+    def test_short_ring_with_one_mode(self, zero_at, want):
+        # A 25-bin ring whose smoothed fold is active on bins 0-15: the
+        # 9-bin gap is narrower than the cluster gap, so the window is the
+        # ring less that gap, and its one mode near 900 ps takes the bit
+        # whose disclosed clicks fold nearer.
+        period, n = 2500, 400
+        rng = np.random.default_rng(0)
+        frames = np.arange(n, dtype=np.int64)
+        bits = (frames % 2).astype(np.int8)
+        bob_t = frames * period + np.where(bits == 0, zero_at, 2700 - zero_at)
+        eve_t = np.sort(np.concatenate([
+            frames * period + rng.integers(200, 1400, n),
+            frames * period + rng.integers(700, 800, n),
+        ]))
+        transcript = ClassicalTranscript(
+            block_id=0, block_length=n, disclosed_time_ps=bob_t[::3],
+            disclosed_bit=bits[::3], announced_qber=0.0,
+        )
+        cmap = fold_and_cluster(eve_t, transcript, period, AttackConfig())
+        assert (cmap.backflash_start_ps, cmap.backflash_len_ps) == (0, 1600)
+        assert cmap.zero_mode_ps == cmap.one_mode_ps == 900
+        assert cmap.classify(eve_t % period).tolist() == [want] * eve_t.size
 
     def test_empty_stream_raises(self):
         transcript, _, _, _ = make_scene(10)
