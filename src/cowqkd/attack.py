@@ -175,9 +175,9 @@ class ClusterMap:
     """Folded histogram with the windows and boundaries the attacker uses.
 
     ``counts`` has one bin per ``FOLD_BIN_WIDTH_PS``.  Windows are half-open
-    circular arcs (start, length) on [0, frame period).  ``zero_boundary_ps``
-    and ``one_boundary_ps`` are the arc positions where the zero and one
-    decision regions begin inside the backflash window.
+    circular arcs (start, length) on [0, frame period).  The backflash
+    window's first ``cut_ps``, in [0, ``backflash_len_ps``], is the zero
+    region when ``zero_first``, else the one region.
     """
 
     frame_period_ps: int
@@ -186,23 +186,20 @@ class ClusterMap:
     backflash_len_ps: int
     reflection_start_ps: int | None
     reflection_len_ps: int | None
-    zero_boundary_ps: int
-    one_boundary_ps: int
+    cut_ps: int
+    zero_first: bool
     zero_mode_ps: int
     one_mode_ps: int
     run_summary: list[dict] = field(default_factory=list)
 
     def classify(self, folded_ps: np.ndarray) -> np.ndarray:
-        """Bit per folded timestamp: 0/1, -1 outside, -2 reflection.
-
-        A position x lies in the arc (start, length) when (x - start) %
-        period < length; the zero region is the arc [zero_boundary,
-        one_boundary), empty when the two are equal.
-        """
+        """Bit per folded timestamp: 0/1, -1 outside, -2 reflection.  A
+        position x lies at offset (x - start) % period along an arc (start,
+        length), inside it when that is below length."""
         x = np.asarray(folded_ps, dtype=np.int64)
         p = self.frame_period_ps
-        is_zero = (x - self.zero_boundary_ps) % p < (self.one_boundary_ps - self.zero_boundary_ps) % p
-        out = np.where((x - self.backflash_start_ps) % p < self.backflash_len_ps, ~is_zero, -1).astype(np.int8)
+        off = (x - self.backflash_start_ps) % p
+        out = np.where(off < self.backflash_len_ps, (off >= self.cut_ps) == self.zero_first, -1).astype(np.int8)
         if self.reflection_start_ps is not None:
             out[(x - self.reflection_start_ps) % p < self.reflection_len_ps] = -2
         return out
@@ -216,37 +213,27 @@ def _circular_smooth(counts: np.ndarray, half: int) -> np.ndarray:
     return np.convolve(padded, np.ones(k) / k, mode="valid")
 
 
-def _ring_runs(active: np.ndarray, max_gap: int) -> list[tuple[int, int]]:
-    """(start, length) runs of active bins on the ring, in order of start.
+def _ring_runs(on: np.ndarray, n: int, max_gap: int) -> list[tuple[int, int]]:
+    """(start, length) runs of the sorted, distinct positions ``on`` on a
+    ring of ``n``, in order of start.
 
-    A gap of at most ``max_gap`` inactive bins joins its neighbours, across
-    bin 0 too, so the runs do not depend on where the ring starts.  A ring
-    with no wider gap is one run that leaves out its widest gap (the one
-    before the lowest start on a tie): the whole ring only when every bin
-    is active.
+    A gap of at most ``max_gap`` missing positions joins its neighbours,
+    across 0 too, so the runs do not depend on where the ring starts.  A
+    ring with no wider gap is one run that leaves out its widest gap (the
+    one before the lowest start on a tie): the whole ring only when ``on``
+    holds every position.
     """
-    n = active.size
-    on = np.flatnonzero(active)
     if on.size == 0:
         return []
-    # Inactive bins after each active one, up to the next around the ring.
+    # Missing positions after each one in ``on``, up to the next round the ring.
     gaps = np.diff(on, append=on[0] + n) - 1
     last = np.flatnonzero(gaps > max_gap)
     if last.size == 0:
-        # One run, after the widest gap: the first one before an active bin.
+        # One run, after the widest gap: the first one before a position.
         last = np.array([int(np.argmax(np.roll(gaps, 1))) - 1]) % on.size
     starts = on[(np.roll(last, 1) + 1) % on.size]
     lengths = (on[last] - starts) % n + 1
     return sorted(zip(starts.tolist(), lengths.tolist()))
-
-
-def _span_covering(runs: list[tuple[int, int]], n: int) -> tuple[int, int]:
-    """Shortest arc containing every run: the ring less the widest gap
-    between neighbouring runs, the last one in order of start if tied."""
-    runs = sorted(runs)
-    k = len(runs)
-    gap, i = max(((runs[(i + 1) % k][0] - s - ln) % n, i) for i, (s, ln) in enumerate(runs))
-    return runs[(i + 1) % k][0], n - gap
 
 
 def fold_and_cluster(
@@ -277,7 +264,7 @@ def fold_and_cluster(
     if peak <= 0:
         raise CalibrationError("empty folded histogram")
     active = sm >= max(CLUSTER_THRESHOLD * peak, 1e-12)
-    runs = _ring_runs(active, max(1, CLUSTER_MIN_GAP_PS // FOLD_BIN_WIDTH_PS))
+    runs = _ring_runs(np.flatnonzero(active), nbins, max(1, CLUSTER_MIN_GAP_PS // FOLD_BIN_WIDTH_PS))
     if not runs:
         raise CalibrationError("no clusters found")
 
@@ -306,9 +293,11 @@ def fold_and_cluster(
     if not corr_runs:
         raise CalibrationError("no cluster correlates with the disclosed samples")
 
-    # The backflash window is an arc (start, length) of bins; a bin x lies
-    # at arc index (x - start) % nbins, inside when that is below length.
-    start, length = _span_covering([(s, ln) for s, ln, _ in corr_runs], nbins)
+    # The backflash window is the shortest arc (start, length) of bins that
+    # holds every correlated run; a bin x lies at arc index (x - start) %
+    # nbins, inside when that is below length.
+    corr_bins = np.sort(np.concatenate([(s + np.arange(ln)) % nbins for s, ln, _ in corr_runs]))
+    [(start, length)] = _ring_runs(corr_bins, nbins, nbins)
     bf_start = start * FOLD_BIN_WIDTH_PS
     bf_len = min(length * FOLD_BIN_WIDTH_PS, period)
 
@@ -323,14 +312,12 @@ def fold_and_cluster(
     mode_a, mode_b = (start + a) % nbins * FOLD_BIN_WIDTH_PS, (start + b) % nbins * FOLD_BIN_WIDTH_PS
 
     # Which mode carries which bit comes from the disclosed samples: the
-    # attacker knows where the receiver's zero and one clicks fold to.  The
-    # zero region is the arc [start, start + cut) when the first mode is the
-    # zero, else [start + cut, start).
+    # attacker knows where the receiver's zero and one clicks fold to.
     zero_ref = _circular_center(disclosed[transcript.disclosed_bit == 0] % period, period)
     one_ref = _circular_center(disclosed[transcript.disclosed_bit == 1] % period, period)
     if a == b:
-        # Single mode: the zero region is the whole window or none of it,
-        # whichever bit the disclosed references place nearer.
+        # Single mode: the whole window is the zero region or the one
+        # region, whichever bit the disclosed references place nearer.
         first_is_zero = True
         cut = 0 if _circular_dist(mode_a, one_ref, period) < _circular_dist(mode_a, zero_ref, period) else bf_len
     else:
@@ -340,7 +327,6 @@ def fold_and_cluster(
         # bins ends in a short bin, which the offsets measure as it is.
         cut = _decision_cut(arc, (mode_a - bf_start) % period, (mode_b - bf_start) % period, cfg.boundary)
     zero_mode, one_mode = (mode_a, mode_b) if first_is_zero else (mode_b, mode_a)
-    zero_boundary, one_boundary = (bf_start, bf_start + cut) if first_is_zero else (bf_start + cut, bf_start)
 
     return ClusterMap(
         frame_period_ps=period,
@@ -349,8 +335,8 @@ def fold_and_cluster(
         backflash_len_ps=int(bf_len),
         reflection_start_ps=refl_start,
         reflection_len_ps=refl_len,
-        zero_boundary_ps=int(zero_boundary % period),
-        one_boundary_ps=int(one_boundary % period),
+        cut_ps=int(cut),
+        zero_first=bool(first_is_zero),
         zero_mode_ps=int(zero_mode),
         one_mode_ps=int(one_mode),
         run_summary=summary,
@@ -363,17 +349,12 @@ def _circular_dist(a: int, b: int, period: int) -> int:
 
 
 def _circular_center(values: np.ndarray, period: int) -> int:
-    """Median position of folded values, robust to wrap-around."""
+    """Median position of folded values, robust to wrap-around: the median
+    offset from the start of the shortest arc that holds them all."""
     if values.size == 0:
         return 0
-    # rotate so the largest empty arc straddles the cut point
-    v = np.sort(values % period)
-    if v.size == 1:
-        return int(v[0])
-    gaps = np.diff(np.append(v, v[0] + period))
-    cut = int(np.argmax(gaps))
-    rolled = np.where(np.arange(v.size) <= cut, v + period, v)
-    return int(np.median(rolled)) % period
+    [(start, _)] = _ring_runs(np.unique(values % period), period, period)
+    return (start + int(np.median((values - start) % period))) % period
 
 
 def _find_modes(arc: np.ndarray) -> tuple[int, int]:
@@ -499,10 +480,12 @@ def write_inference_csv(inference: EveInference, path, header_lines: list[str] |
 
 
 def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | None = None) -> None:
+    start, cut, p = clusters.backflash_start_ps, clusters.cut_ps, clusters.frame_period_ps
+    zero, one = (start, start + cut) if clusters.zero_first else (start + cut, start)
     meta = [
         f"backflash_window_start_ps={clusters.backflash_start_ps} len_ps={clusters.backflash_len_ps}",
         f"reflection_window_start_ps={clusters.reflection_start_ps} len_ps={clusters.reflection_len_ps}",
-        f"zero_boundary_ps={clusters.zero_boundary_ps} one_boundary_ps={clusters.one_boundary_ps}",
+        f"zero_boundary_ps={zero % p} one_boundary_ps={one % p}",
         f"zero_mode_ps={clusters.zero_mode_ps} one_mode_ps={clusters.one_mode_ps}",
     ]
     Histogram(0, FOLD_BIN_WIDTH_PS, clusters.counts, clusters.frame_period_ps).write_csv(path, (header_lines or []) + meta)

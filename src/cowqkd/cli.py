@@ -23,7 +23,7 @@ from .experiment import (
     read_config_file,
     run_simulation,
     run_sweep,
-    write_rates_csv,
+    write_table_csv,
 )
 from .rates import McCounts, RateReport, compare
 from .timebase import ConfigError
@@ -143,7 +143,7 @@ def _rates(args, cfg: ExperimentConfig) -> RateReport:
     report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs(args.qber))
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-        write_rates_csv(report, args.out / "rates.csv", artifact_headers(cfg))
+        write_table_csv([vars(r) for r in report.rows], args.out / "rates.csv", artifact_headers(cfg))
     return report
 
 

@@ -22,6 +22,7 @@ from . import attack as attack_mod
 from . import distill as distill_mod
 from .attack import AttackConfig, CalibrationResult, EveInference
 from .detectors import (
+    SPAD_BIAS_TABLE,
     Cause,
     DetectionLog,
     Histogram,
@@ -107,21 +108,26 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Flat dotted-key config mapping (config files and --set overrides).
+# Flat dotted-key config mapping (config files and --set overrides).  The
+# keys are the fields of ExperimentConfig and of its section dataclasses.
 
-_SECTIONS = ("source", "channel", "spad", "snspd", "distill", "attack")
-_TOP_FIELDS = ("seed", "trials", "frames_per_trial", "attack_enabled", "export_frames")
+def _flat_fields(cfg: ExperimentConfig) -> Iterator[tuple[str, str | None, dataclasses.Field]]:
+    """(key, section, field) for every config key: a top-level field has no
+    section and is its own key; a section's field is ``section.field``."""
+    for f in dataclasses.fields(cfg):
+        sub = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(sub):
+            for g in dataclasses.fields(sub):
+                yield f"{f.name}.{g.name}", f.name, g
+        else:
+            yield f.name, None, f
 
 
 def config_to_flat(cfg: ExperimentConfig) -> dict[str, str]:
-    flat: dict[str, str] = {}
-    for name in _TOP_FIELDS:
-        flat[name] = _fmt(getattr(cfg, name))
-    for sec in _SECTIONS:
-        obj = getattr(cfg, sec)
-        for f in dataclasses.fields(obj):
-            flat[f"{sec}.{f.name}"] = _fmt(getattr(obj, f.name))
-    return flat
+    return {
+        key: _fmt(getattr(getattr(cfg, sec) if sec else cfg, f.name))
+        for key, sec, f in _flat_fields(cfg)
+    }
 
 
 def _fmt(v) -> str:
@@ -134,72 +140,50 @@ def _fmt(v) -> str:
 
 def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> ExperimentConfig:
     """Return a new config with dotted-key overrides applied."""
-    by_section: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
-    top: dict[str, str] = {}
+    fields = {key: (sec, f) for key, sec, f in _flat_fields(cfg)}
+    by_section: dict[str | None, dict] = {}
     for key, raw in overrides.items():
-        parts = key.split(".")
-        if len(parts) == 1:
-            if key not in _TOP_FIELDS:
-                raise ConfigError(f"unknown config key {key!r}")
-            top[key] = raw
-        elif len(parts) == 2:
-            sec, name = parts
-            if sec not in _SECTIONS:
-                raise ConfigError(f"unknown config section {sec!r}")
-            by_section[sec][name] = raw
-        else:
-            raise ConfigError(f"malformed config key {key!r}")
-
-    kwargs: dict = {}
-    for name, raw in top.items():
-        kwargs[name] = _parse_field(ExperimentConfig, name, raw)
-    for sec, vals in by_section.items():
-        if not vals:
-            continue
-        obj = getattr(cfg, sec)
-        sec_kwargs = {}
-        for name, raw in vals.items():
-            sec_kwargs[name] = _parse_field(type(obj), name, raw)
-        if sec == "spad" and "excess_bias_label" in sec_kwargs:
-            # The label selects a tabulated bias point; an efficiency or dark
-            # rate named in the same override set wins over the table.
-            point = spad_preset(str(sec_kwargs["excess_bias_label"]))
-            sec_kwargs = {
-                "detection_efficiency": point.detection_efficiency,
-                "dark_count_rate_cps": point.dark_count_rate_cps,
-                **sec_kwargs,
-                "excess_bias_label": point.excess_bias_label,
-            }
-        kwargs[sec] = replace(obj, **sec_kwargs)
-    return replace(cfg, **kwargs)
+        if key not in fields:
+            raise ConfigError(f"unknown config key {key!r}")
+        sec, f = fields[key]
+        by_section.setdefault(sec, {})[f.name] = _parse_value(f.type, raw, key)
+    spad = by_section.get("spad", {})
+    if "excess_bias_label" in spad:
+        # The label selects a tabulated bias point; an efficiency or dark
+        # rate named in the same override set wins over the table.
+        point = spad_preset(spad["excess_bias_label"])
+        by_section["spad"] = {
+            "detection_efficiency": point.detection_efficiency,
+            "dark_count_rate_cps": point.dark_count_rate_cps,
+            **spad,
+            "excess_bias_label": point.excess_bias_label,
+        }
+    top = by_section.pop(None, {})
+    sections = {sec: replace(getattr(cfg, sec), **vals) for sec, vals in by_section.items()}
+    return replace(cfg, **top, **sections)
 
 
-def _parse_field(cls, name: str, raw: str):
-    for f in dataclasses.fields(cls):
-        if f.name == name:
-            return _parse_value(f.type, raw, name)
-    raise ConfigError(f"unknown config key {cls.__name__}.{name}")
-
-
-def _parse_value(type_str, raw: str, name: str):
+def _parse_value(annotation: str, raw: str, key: str):
+    """``raw`` read as a value of a field annotated ``annotation``, one of
+    bool, int, float and str."""
     raw = raw.strip()
-    t = str(type_str)
-    if "bool" in t:
+    if annotation == "bool":
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    if annotation == "str":
+        return raw
+    if annotation not in ("int", "float"):
+        raise TypeError(f"{key}: no parser for a field annotated {annotation!r}")
     try:
-        if "int" in t:
-            return int(raw)
-        if "float" in t and math.isfinite(value := float(raw)):
-            return value
+        value = int(raw) if annotation == "int" else float(raw)
     except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse {raw!r}") from exc
-    if "float" in t:
-        raise ConfigError(f"{name}: expected a finite number, got {raw!r}")
-    return raw
+        raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
+    if annotation == "float" and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -228,7 +212,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # Presets.
 
-PRESETS = ("2v", "5v", "7v", "paper")
+PRESETS = (*SPAD_BIAS_TABLE, "paper")
 
 
 def preset_config(name: str) -> ExperimentConfig:
@@ -340,12 +324,11 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         n_eve_backflash = hits(np.concatenate([b.retained.time_ps for b in blocks]))
         n_eve_backflash_blocks = hits(sifted.time_ps[: len(blocks) * cfg.distill.block_length])
 
-        margin = 2 * period
-        for b in blocks:
-            # A block retains at least one bit: disclosure_size < block_length.
-            lo = int(b.retained.time_ps.min()) - margin
-            hi = int(b.retained.time_ps.max()) + margin
-            sub = calibrated[(calibrated >= lo) & (calibrated <= hi)]
+        # Each block's counts within two frames of its retained clicks (at
+        # least one: disclosure_size < block_length); both are in time order.
+        ends = [(b.retained.time_ps[0] - 2 * period, b.retained.time_ps[-1] + 2 * period + 1) for b in blocks]
+        for b, (lo, hi) in zip(blocks, np.searchsorted(calibrated, ends).tolist()):
+            sub = calibrated[lo:hi]
             if sub.size == 0:
                 continue
             b.clusters = attack_mod.fold_and_cluster(sub, b.transcript, period, cfg.attack)
@@ -413,7 +396,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "qber": counts.n_err / counts.n_sift if counts.n_sift else 0.0,
         "leftover_bits": sum(t.leftover for t in trials),
         "blocks": sum(len(t.blocks) for t in trials),
-        "report": report.as_dict(),
+        "report": dataclasses.asdict(report),
         "learning": [
             attack_mod.learning_metrics(b.inference, b.retained)
             for t in trials for b in t.blocks if b.inference is not None
@@ -441,7 +424,7 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
     art: dict[str, str] = {}
 
     p = out_dir / "rates.csv"
-    write_rates_csv(result.report, p, heads)
+    write_table_csv([vars(r) for r in result.report.rows], p, heads)
     art["rates"] = p.name
 
     t0 = result.trials[0]
@@ -476,10 +459,22 @@ def write_run_artifacts(result: RunResult, out_dir: Path) -> None:
     )
 
 
-def write_rates_csv(report: RateReport, path, header_lines: list[str] | None = None) -> None:
-    cols = ["name", "analytic", "empirical", "lo", "hi", "ok"]
-    cells = [np.array([_csv_cell(getattr(r, c)) for r in report.rows], dtype="S") for c in cols]
+def write_table_csv(rows: list[dict], path, header_lines: list[str] | None = None) -> None:
+    """One CSV row per dict, with the first row's keys as the columns; a key
+    a row lacks, or a None, is an empty cell."""
+    cols = list(rows[0].keys())
+    cells = [np.array([_csv_cell(row.get(c)) for row in rows], dtype="S") for c in cols]
     write_csv(path, header_lines, cols, cells)
+
+
+def _csv_cell(v) -> bytes:
+    if v is None:
+        return b""
+    if isinstance(v, bool):
+        return b"%d" % v
+    if isinstance(v, float):
+        return f"{v:.10g}".encode()
+    return str(v).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -536,24 +531,8 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
         rows.append(row)
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        write_sweep_csv(rows, out_path, artifact_headers(cfg))
+        write_table_csv(rows, out_path, artifact_headers(cfg))
     return rows
-
-
-def write_sweep_csv(rows: list[dict], path, header_lines: list[str] | None = None) -> None:
-    cols = list(rows[0].keys())
-    cells = [np.array([_csv_cell(row.get(c)) for row in rows], dtype="S") for c in cols]
-    write_csv(path, header_lines, cols, cells)
-
-
-def _csv_cell(v) -> bytes:
-    if v is None:
-        return b""
-    if isinstance(v, bool):
-        return b"%d" % v
-    if isinstance(v, float):
-        return f"{v:.10g}".encode()
-    return str(v).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,6 @@ class RateReport:
     rows: list[RateRow]
     insecure: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "rows": [vars(r) for r in self.rows],
-            "insecure": self.insecure,
-        }
-
 
 def count_interval(n: int, p: float) -> tuple[int, int]:
     """Two-sided 99.7% (3-sigma-equivalent) binomial count interval.

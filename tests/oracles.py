@@ -292,9 +292,10 @@ def ring_gaps(active):
 
 def classify_count(x, cmap):
     """The attacker's label for one folded position ``x``: -2 in the
-    reflection window, else 0 or 1 in the backflash window by the zero
-    region [zero_boundary, one_boundary), else -1.  A window (start,
-    length) holds x when x or x + period lies in [start, start + length)."""
+    reflection window, else 0 or 1 in the backflash window, else -1.  In
+    the backflash window, its first ``cut_ps`` is the zero region when
+    ``zero_first``, the rest of it when not.  A window (start, length)
+    holds x when x or x + period lies in [start, start + length)."""
     p = cmap.frame_period_ps
 
     def within(start, length):
@@ -304,6 +305,5 @@ def classify_count(x, cmap):
         return -2
     if not within(cmap.backflash_start_ps, cmap.backflash_len_ps):
         return -1
-    z, o = cmap.zero_boundary_ps, cmap.one_boundary_ps
-    is_zero = z <= x < o if z <= o else (x >= z or x < o)
-    return 0 if is_zero else 1
+    before_cut = within(cmap.backflash_start_ps, cmap.cut_ps)
+    return 0 if before_cut == cmap.zero_first else 1

@@ -18,7 +18,6 @@ from cowqkd.attack import (
     _coincidence_scores,
     _nearest,
     _ring_runs,
-    _span_covering,
     calibrate,
     fold_and_cluster,
     infer_bits,
@@ -190,6 +189,11 @@ RINGS = st.lists(st.booleans(), min_size=1, max_size=40)
 GAPS = st.integers(min_value=0, max_value=6)
 
 
+def _runs(a, max_gap):
+    """The runs of the boolean ring ``a``."""
+    return _ring_runs(np.flatnonzero(a), a.size, max_gap)
+
+
 def _run_of(runs, n, x):
     return [k for k, (s, ln) in enumerate(runs) if (x - s) % n < ln]
 
@@ -204,7 +208,7 @@ class TestRingRuns:
     def test_fixed_rings(self, active, max_gap, want):
         a = np.array(active, dtype=bool)
         for k in range(a.size):
-            assert _ring_runs(np.roll(a, k), max_gap) == _rolled(want, a.size, k)
+            assert _runs(np.roll(a, k), max_gap) == _rolled(want, a.size, k)
 
     @settings(max_examples=300)
     @given(active=RINGS, max_gap=GAPS)
@@ -216,7 +220,7 @@ class TestRingRuns:
         # a tie, and is the whole ring only when every bin is active.
         a = np.array(active, dtype=bool)
         n = a.size
-        runs = _ring_runs(a, max_gap)
+        runs = _runs(a, max_gap)
         assert runs == sorted(runs)
         for s, ln in runs:
             assert a[s] and a[(s + ln - 1) % n] and 1 <= ln <= n
@@ -238,7 +242,7 @@ class TestRingRuns:
     @example(active=[True, True, False, True, False, True, True, True, False], max_gap=3, k=6)
     def test_rolling_the_ring_moves_every_start(self, active, max_gap, k):
         a = np.array(active, dtype=bool)
-        runs, rolled = _ring_runs(a, max_gap), _ring_runs(np.roll(a, k), max_gap)
+        runs, rolled = _runs(a, max_gap), _runs(np.roll(a, k), max_gap)
         gaps = [g for _, g in ring_gaps(active)] if a.any() else []
         if len(runs) == 1 and gaps.count(max(gaps, default=0)) > 1:
             # A tie for the widest gap goes by where bin 0 falls.
@@ -249,16 +253,22 @@ class TestRingRuns:
     def test_a_tie_leaves_out_the_gap_before_the_lowest_start(self):
         a = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
         for k in range(a.size):
-            assert _ring_runs(np.roll(a, k), 2) == [(k % 3, 4)]
+            assert _runs(np.roll(a, k), 2) == [(k % 3, 4)]
+
+    @pytest.mark.parametrize("runs,want", [
+        ([(2, 3)], (2, 3)),
+        ([(10, 5), (30, 5)], (10, 25)),
+        # runs near the wrap point: the short arc crosses zero
+        ([(90, 5), (2, 4)], (90, 16)),
+    ])
+    def test_shortest_arc_holding_every_run(self, runs, want):
+        # With a gap as wide as the ring, the runs' positions are one run:
+        # the ring less the widest gap between them.
+        on = np.sort(np.concatenate([(s + np.arange(ln)) % 100 for s, ln in runs]))
+        assert _ring_runs(on, 100, 100) == [want]
 
 
 class TestCircularHelpers:
-    def test_span_covering(self):
-        assert _span_covering([(2, 3)], 100) == (2, 3)
-        assert _span_covering([(10, 5), (30, 5)], 100) == (10, 25)
-        # runs near the wrap point: the short arc crosses zero
-        assert _span_covering([(90, 5), (2, 4)], 100) == (90, 16)
-
     def test_circular_center(self):
         assert _circular_center(np.array([100, 200, 300]), PERIOD) == 200
         wrapped = _circular_center(np.array([31900, 50, 100]), PERIOD)
@@ -345,6 +355,30 @@ class TestFoldAndCluster:
         assert cmap.zero_mode_ps == cmap.one_mode_ps == 900
         assert cmap.classify(eve_t % period).tolist() == [want] * eve_t.size
 
+    @pytest.mark.parametrize("zero_at,one_at,want", [(1100, 2300, 0), (2300, 1100, 1)])
+    def test_whole_ring_with_one_mode(self, zero_at, one_at, want):
+        # A 25-bin ring with counts in every bin and a bump at 1100-1200 ps:
+        # every bin is active, so the window is the whole ring, and its one
+        # mode takes the bit whose disclosed clicks fold nearer, the zero
+        # bit too.
+        period, n = 2500, 400
+        rng = np.random.default_rng(0)
+        frames = np.arange(n, dtype=np.int64)
+        bits = (frames % 2).astype(np.int8)
+        bob_t = frames * period + np.where(bits == 0, zero_at, one_at)
+        eve_t = np.sort(np.concatenate([
+            np.repeat(frames, 2) * period + rng.integers(0, period, 2 * n),
+            frames * period + rng.integers(1100, 1200, n),
+        ]))
+        transcript = ClassicalTranscript(
+            block_id=0, block_length=n, disclosed_time_ps=bob_t[::3],
+            disclosed_bit=bits[::3], announced_qber=0.0,
+        )
+        cmap = fold_and_cluster(eve_t, transcript, period, AttackConfig())
+        assert (cmap.backflash_start_ps, cmap.backflash_len_ps) == (0, period)
+        assert cmap.zero_mode_ps == cmap.one_mode_ps
+        assert cmap.classify(eve_t % period).tolist() == [want] * 1200
+
     def test_empty_stream_raises(self):
         transcript, _, _, _ = make_scene(10)
         with pytest.raises(CalibrationError):
@@ -380,21 +414,21 @@ class TestFoldAndCluster:
 
 @st.composite
 def cluster_maps(draw):
-    """Windows on a short ring: arcs that wrap past 0, the whole ring, an
-    empty zero region (equal boundaries) and a reflection arc that may
-    overlap the backflash one or be absent."""
+    """Windows on a short ring: arcs that wrap past 0, the whole ring, a
+    cut at either end of the window (one region empty) and a reflection arc
+    that may overlap the backflash one or be absent."""
     p = draw(st.integers(min_value=1, max_value=60))
     pos = st.integers(min_value=0, max_value=p - 1)
     arc_len = st.integers(min_value=1, max_value=p)
-    zero = draw(pos)
-    one = draw(st.one_of(st.just(zero), pos))
+    length = draw(arc_len)
+    cut = draw(st.one_of(st.sampled_from([0, length]), st.integers(min_value=0, max_value=length)))
     refl = draw(st.one_of(st.none(), st.tuples(pos, arc_len)))
     return ClusterMap(
         frame_period_ps=p, counts=np.zeros(0, dtype=np.int64),
-        backflash_start_ps=draw(pos), backflash_len_ps=draw(arc_len),
+        backflash_start_ps=draw(pos), backflash_len_ps=length,
         reflection_start_ps=None if refl is None else refl[0],
         reflection_len_ps=None if refl is None else refl[1],
-        zero_boundary_ps=zero, one_boundary_ps=one, zero_mode_ps=0, one_mode_ps=0,
+        cut_ps=cut, zero_first=draw(st.booleans()), zero_mode_ps=0, one_mode_ps=0,
     )
 
 

@@ -24,8 +24,11 @@ from cowqkd.detectors import (
 )
 from cowqkd.distill import DistillConfig
 from cowqkd.experiment import (
+    PRESETS,
     ExperimentConfig,
     _apply_axis,
+    _flat_fields,
+    _parse_value,
     _width_config,
     _width_correlation,
     apply_overrides,
@@ -39,7 +42,7 @@ from cowqkd.experiment import (
     run_simulation,
     run_sweep,
     run_trial,
-    write_sweep_csv,
+    write_table_csv,
 )
 from cowqkd.rates import McCounts, count_interval
 from cowqkd.source import ChannelConfig, SourceConfig, generate_frames, write_frames_csv
@@ -98,11 +101,24 @@ class TestConfigMapping:
         assert {"source.mean_photon_number", "attack.boundary", "seed"} <= set(keys)
         assert set(keys) <= set(config_to_flat(preset_config("paper")))
 
-    def test_roundtrip_through_overrides(self):
-        cfg = preset_config("paper")
-        rebuilt = apply_overrides(ExperimentConfig(attack_enabled=False), config_to_flat(cfg))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_roundtrip_through_overrides(self, preset, tmp_path):
+        # Every key of the preset, written to a config file and read back.
+        cfg = preset_config(preset)
+        p = tmp_path / "run.cfg"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in config_to_flat(cfg).items()))
+        rebuilt = apply_overrides(ExperimentConfig(attack_enabled=False), read_config_file(p))
         assert rebuilt == cfg
         assert config_hash(rebuilt) == config_hash(cfg)
+
+    def test_every_field_has_a_parser(self):
+        # A field of a type the parser does not know would be a key no file
+        # or --set could give.
+        cfg = preset_config("paper")
+        for key, _, f in _flat_fields(cfg):
+            assert f.type in ("bool", "int", "float", "str"), key
+        with pytest.raises(TypeError):
+            _parse_value("int | None", "1", "x")
 
     def test_override_basic_fields(self):
         cfg = preset_config("2v")
@@ -449,6 +465,8 @@ class TestArtifacts:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(cfg)
         assert manifest["artifacts"]["rates"] == "rates.csv"
+        assert manifest["report"].keys() == {"rows", "insecure"}
+        assert manifest["report"]["rows"][0]["name"] == "p_sift"
 
     def test_artifacts_byte_identical_across_runs(self, tmp_path):
         cfg = small_attack_cfg(export_frames=10)
@@ -587,11 +605,11 @@ class TestSweeps:
         two_volt = _apply_axis(self.quick(), "bias", "2v")
         assert _apply_axis(self.quick(), "bias", 2) == _apply_axis(self.quick(), "bias", 2.0) == two_volt
 
-    def test_write_sweep_csv_handles_missing_cells(self, tmp_path):
-        rows = [{"a": 1, "b": None, "c": True}, {"a": 2.5, "b": 3.0, "c": False}]
+    def test_write_table_csv_handles_missing_cells(self, tmp_path):
+        rows = [{"a": 1, "b": None, "c": True}, {"a": 2.5, "b": 3.0, "c": False}, {"a": 4}]
         p = tmp_path / "s.csv"
-        write_sweep_csv(rows, p)
-        assert p.read_text().splitlines() == ["a,b,c", "1,,1", "2.5,3,0"]
+        write_table_csv(rows, p)
+        assert p.read_text().splitlines() == ["a,b,c", "1,,1", "2.5,3,0", "4,,"]
 
 
 # --- dark-exposure timing correlation --------------------------------------

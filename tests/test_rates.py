@@ -260,11 +260,6 @@ class TestCompare:
         report = compare(McCounts(0, 0, 0), self.make_inputs())
         assert [r.name for r in report.rows] == ["p_sift", "p_err", "p_b", "p_learn", "p_sec"]
 
-    def test_as_dict_shape(self):
-        d = compare(McCounts(0, 0, 0), self.make_inputs()).as_dict()
-        assert d.keys() == {"rows", "insecure"}
-        assert d["rows"][0]["name"] == "p_sift"
-
 
 # --- dark-exposure stop law ------------------------------------------------
 
