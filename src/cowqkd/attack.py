@@ -214,8 +214,8 @@ def _circular_smooth(counts: np.ndarray, half: int) -> np.ndarray:
 
 
 def _ring_runs(on: np.ndarray, n: int, max_gap: int) -> list[tuple[int, int]]:
-    """(start, length) runs of the sorted, distinct positions ``on`` on a
-    ring of ``n``, in order of start.
+    """(start, length) runs of the sorted positions ``on`` (a position may
+    repeat) on a ring of ``n``, in order of start.
 
     A gap of at most ``max_gap`` missing positions joins its neighbours,
     across 0 too, so the runs do not depend on where the ring starts.  A
@@ -353,7 +353,7 @@ def _circular_center(values: np.ndarray, period: int) -> int:
     offset from the start of the shortest arc that holds them all."""
     if values.size == 0:
         return 0
-    [(start, _)] = _ring_runs(np.unique(values % period), period, period)
+    [(start, _)] = _ring_runs(np.sort(values % period), period, period)
     return (start + int(np.median((values - start) % period))) % period
 
 

@@ -229,6 +229,8 @@ class TestRingRuns:
             widest = max((g for _, g in gaps), default=0)
             start = min((x for x, g in gaps if g == widest), default=0)
             assert runs == [(start, n - widest)]
+        # A repeated position changes no run.
+        assert _ring_runs(np.repeat(np.flatnonzero(a), 2), n, max_gap) == runs
         on = np.flatnonzero(a).tolist()
         label = {x: _run_of(runs, n, x) for x in on}
         assert all(len(v) == 1 for v in label.values())
