@@ -96,6 +96,12 @@ class SpadConfig:
     def hold_off_ps(self) -> int:
         return int(round(self.hold_off_s * PS_PER_S))
 
+    @property
+    def backflash_delay_cap_ps(self) -> int:
+        """The most a backflash photon leaves after its avalanche: one gate
+        width, or ``backflash_delay_max_ps`` if that is less."""
+        return min(self.backflash_delay_max_ps, self.gate_width_ps)
+
 
 def _check_dark_rate(rate_cps: float) -> None:
     # Darks are skips over picoseconds, each of which holds at most one.
@@ -132,9 +138,9 @@ class DetectionLog:
     ``source_ps`` is ground truth provenance (originating avalanche or pulse
     time, -1 for dark counts; a read-only broadcast -1 on a receiver log of
     darks alone); it is kept out of exported transcripts.  The
-    leak tallies behind ``p_b`` and ``p_learn`` read it on the
-    eavesdropper's log, to find the click behind each backflash count;
-    otherwise only tests and diagnostics read it.
+    leak tallies behind ``p_b`` and ``p_learn`` and the C8 start-stop study
+    read it on the eavesdropper's log, to find the click behind each
+    backflash count; otherwise only tests and diagnostics read it.
     """
 
     detector: str
@@ -345,8 +351,8 @@ def _backflash(clicks_ps: np.ndarray, spad: SpadConfig, rngs: DeviceRngs) -> tup
     late in the gate can emit after the gate has closed.
     """
     av = clicks_ps[_bernoulli_indices(spad.backflash_probability, clicks_ps.size, rngs.backflash)]
-    cap = min(spad.backflash_delay_max_ps, spad.gate_width_ps)
-    return av, av + sample_delay(spad.backflash_delay_scale_ps, cap, rngs.backflash, av.size)
+    delay = sample_delay(spad.backflash_delay_scale_ps, spad.backflash_delay_cap_ps, rngs.backflash, av.size)
+    return av, av + delay
 
 
 def _bernoulli_indices(p: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -670,9 +676,11 @@ def correlation_histogram(
     a hold-off (1 us) apart against a 6 ns range.  Then that interval holds
     at most one start, the last one at or before stop - lo, so one search
     per stop and one gather find every pair, and differences past the range
-    drop out of the bins.  One pass of differences over the starts,
-    :data:`DARK_BLOCK` at a time, checks them and raises ValueError when
-    they are out of order or closer; the stops may come in any order.
+    drop out of the bins.  The study pairs each backflash stop with its own
+    avalanche and passes only the other stops here (the eavesdropper's
+    darks).  One pass of differences over the starts, :data:`DARK_BLOCK` at
+    a time, checks them and raises ValueError when they are out of order or
+    closer; the stops may come in any order.
     """
     lo, hi = int(range_ps[0]), int(range_ps[1])
     _check_bins(bin_width_ps, lo, hi)

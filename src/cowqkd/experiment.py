@@ -572,9 +572,15 @@ def emit_timing_correlation(
     is Poisson on that set, so the histogram's law is that of darks over the
     whole exposure, at a cost that grows with the clicks, not the exposure
     time.  The clicks lie a hold-off (1 us) apart, so the windows are
-    disjoint, each stop has at most one click in range, and
-    :func:`correlation_histogram` finds it with one search per stop.
-    :func:`correlation_law` is the histogram's closed-form law.
+    disjoint and each stop has at most one click in range.  A backflash
+    stop pairs with its own avalanche, the click its log names as its
+    source, at its delay: it leaves at most the delay cap
+    ``min(backflash_delay_max_ps, gate width)`` after that click, so while
+    the cap lies below the hold-off no later click comes first, and a width
+    whose cap reaches the hold-off is refused before any draw.  Only the
+    stops without a source (darks) go to :func:`correlation_histogram`,
+    which searches each among the clicks.  :func:`correlation_law` is the
+    histogram's closed-form law.
 
     Widths run one at a time, each in its own call, and a width runs in
     blocks of gates (:func:`_dark_clicks`): each block's clicks are the
@@ -598,6 +604,12 @@ def emit_timing_correlation(
     for w in gate_widths_ps:
         if not 0 < w <= period or w != int(w):
             raise ConfigError(f"gate width {w:g} must be a whole number of ps in (0, {period}]")
+        spad = _width_config(cfg, int(w)).spad
+        if spad.backflash_delay_cap_ps >= spad.hold_off_ps:
+            raise ConfigError(
+                f"gate width {int(w)} caps the backflash delay at {spad.backflash_delay_cap_ps} ps, "
+                f"which must lie below the {spad.hold_off_ps} ps hold-off"
+            )
     out: dict[int, Histogram] = {}
     for w in map(int, gate_widths_ps):
         ran = _width_config(cfg, w)
@@ -623,11 +635,23 @@ def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Hi
     hist = Histogram.from_samples([], CORRELATION_BIN_PS, 0, CORRELATION_WINDOW_PS)
     n_clicks = 0
     for clicks, res in _dark_clicks(ran, clicks_per_width, rngs):
-        stops = snspd_detect(res, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs).time_ps
-        part = correlation_histogram(clicks, stops, CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
-        hist.counts += part.counts
+        stops = snspd_detect(res, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs)
+        hist.counts += _block_correlation(clicks, stops).counts
         n_clicks += clicks.size
     return hist, n_clicks
+
+
+def _block_correlation(clicks: np.ndarray, stops: DetectionLog) -> Histogram:
+    """One block's start-stop histogram: each backflash stop at its delay
+    from the avalanche that emitted it, and the other stops as
+    :func:`correlation_histogram` pairs them with ``clicks``, whose spacing
+    it checks.  The two agree on a backflash stop while the delay cap lies
+    below the clicks' spacing (:func:`emit_timing_correlation`)."""
+    paired = stops.cause == Cause.BACKFLASH
+    hist = correlation_histogram(clicks, stops.time_ps[~paired], CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
+    delays = stops.time_ps[paired] - stops.source_ps[paired]
+    hist.counts += Histogram.from_samples(delays, CORRELATION_BIN_PS, 0, CORRELATION_WINDOW_PS).counts
+    return hist
 
 
 def _dark_clicks(
@@ -666,7 +690,7 @@ def correlation_law(cfg: ExperimentConfig, gate_width_ps: int, hist: Histogram) 
     hold-off] and the cap is below the hold-off; other bins are refused.
     """
     spad = _width_config(cfg, gate_width_ps).spad
-    cap = min(spad.backflash_delay_max_ps, spad.gate_width_ps)
+    cap = spad.backflash_delay_cap_ps
     if hist.start_ps < 0 or hist.stop_ps > spad.hold_off_ps or cap >= spad.hold_off_ps:
         raise ConfigError(
             f"the stop law needs bins within [0, {spad.hold_off_ps}] ps and a delay cap below it, "

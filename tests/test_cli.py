@@ -168,6 +168,17 @@ def test_correlate_rejects_bad_widths_before_any_draw(capsys, tmp_path, widths):
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
+@pytest.mark.parametrize("width", ["1000000", "1500000"])
+def test_correlate_rejects_a_delay_cap_at_the_hold_off(capsys, tmp_path, width):
+    # A backflash stop pairs with its own avalanche only while the delay cap
+    # lies below the 1 us between clicks.
+    out = tmp_path / "corr"
+    code = main(["correlate", "--widths", f"2000,{width}", "--clicks", "100", "--out", str(out),
+                 "--set", "source.frame_period_ps=2000000", "--set", "spad.backflash_delay_max_ps=1500000"])
+    assert code == EXIT_CONFIG
+    assert "must lie below the 1000000 ps hold-off" in capsys.readouterr().err
+    assert not out.exists()
+
 @pytest.mark.parametrize("key", ["snspd.dark_count_rate_cps", "spad.dark_count_rate_cps"])
 def test_correlate_rejects_more_than_one_dark_per_picosecond(capsys, tmp_path, key):
     # Darks are skips over picoseconds, and a picosecond holds one.

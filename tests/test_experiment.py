@@ -47,7 +47,7 @@ from cowqkd.experiment import (
 from cowqkd.rates import McCounts, count_interval
 from cowqkd.source import ChannelConfig, SourceConfig, generate_frames, write_frames_csv
 from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream
-from oracles import csv_writer_rows, full_exposure_correlation, stream_rng
+from oracles import csv_writer_rows, full_exposure_correlation, start_search_correlation_histogram, stream_rng
 
 
 def small_attack_cfg(**kw):
@@ -776,10 +776,10 @@ class TestTimingCorrelation:
         seed=4,
     )
 
-    def seam_blocks(self, monkeypatch, clicks_per_width):
+    def seam_blocks(self, monkeypatch, clicks_per_width, width=2000, **spad):
         monkeypatch.setattr(experiment, "STUDY_BLOCK_DARKS", 300)
-        ran = _width_config(self.SEAM_CFG, 2000)
-        rngs = DeviceRngs(ran.seed, trial=2000, study=TIMING_CORRELATION_STUDY)
+        ran = _width_config(replace(self.SEAM_CFG, spad=replace(self.SEAM_CFG.spad, **spad)), width)
+        rngs = DeviceRngs(ran.seed, trial=width, study=TIMING_CORRELATION_STUDY)
         return ran, rngs, list(experiment._dark_clicks(ran, clicks_per_width, rngs))
 
     def test_hold_off_carries_across_block_seams(self, monkeypatch):
@@ -804,6 +804,25 @@ class TestTimingCorrelation:
         assert n_clicks == sum(c.size for c, _ in blocks)
         assert hist.total() > 3 * n_clicks
         assert hist.counts.tolist() == sum(p.counts for p in parts).tolist() == whole.counts.tolist()
+
+    def test_block_pairs_backflash_with_its_avalanche(self, monkeypatch):
+        # A 6000 ps cap on a 6000 ps gate: a delay of 6000 ps falls just
+        # outside the range whichever way the stop is paired.  Every click
+        # emits, and the windows hold darks, which go through the search, as
+        # well as backflash stops.
+        ran, rngs, blocks = self.seam_blocks(monkeypatch, 100_000, width=6000, backflash_delay_max_ps=6000,
+                                             backflash_probability=1.0)
+        assert ran.spad.backflash_delay_cap_ps == experiment.CORRELATION_WINDOW_PS
+        window = (0, experiment.CORRELATION_WINDOW_PS)
+        causes = np.zeros(len(Cause), dtype=np.int64)
+        for clicks, res in blocks:
+            stops = snspd_detect(res, ran.snspd, clicks, window[1], rngs)
+            causes += np.bincount(stops.cause, minlength=len(Cause))
+            got = experiment._block_correlation(clicks, stops).counts.tolist()
+            assert got == correlation_histogram(clicks, stops.time_ps, experiment.CORRELATION_BIN_PS, window).counts.tolist()
+            assert got == start_search_correlation_histogram(
+                clicks, stops.time_ps, experiment.CORRELATION_BIN_PS, window).counts.tolist()
+        assert causes[Cause.BACKFLASH] > 200 and causes[Cause.DARK] > 3 * causes[Cause.BACKFLASH]
 
     def test_full_blocks_are_a_prefix_of_a_longer_run(self, monkeypatch):
         _, _, short = self.seam_blocks(monkeypatch, 20_001)
