@@ -38,6 +38,9 @@ REFERENCE_RUNS = [
     "sweep --preset paper --axis bias --values 2v,7v",
     "correlate --widths 2000,4000,6000 --clicks 1000000 --seed 5",
     "correlate --widths 2000,4000,6000 --clicks 1000000 --seed 17",
+    # The two above hold about 0.1 eavesdropper's dark per width; at 1e9
+    # counts/s nearly every stop is a dark, so this one pins their pairing.
+    "correlate --widths 2000,6000 --clicks 20000 --seed 4 --set snspd.dark_count_rate_cps=1e9",
     "simulate --preset 5v --seed 3 --frames 300000 --set export_frames=1000",
     "simulate --preset 5v --seed 3 --frames 300000 --set export_frames=1000 "
     "--set source.pattern=random --set source.decoy_probability=0.2",
