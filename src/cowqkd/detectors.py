@@ -135,12 +135,14 @@ class SnspdConfig:
 class DetectionLog:
     """Columnar click record for one detector.
 
-    ``source_ps`` is ground truth provenance (originating avalanche or pulse
-    time, -1 for dark counts; a read-only broadcast -1 on a receiver log of
-    darks alone); it is kept out of exported transcripts.  The
-    leak tallies behind ``p_b`` and ``p_learn`` and the C8 start-stop study
-    read it on the eavesdropper's log, to find the click behind each
-    backflash count; otherwise only tests and diagnostics read it.
+    ``source_ps`` is ground truth provenance: the originating avalanche or
+    pulse time; for a receiver's dark count -1 (a read-only broadcast -1 on
+    a log of darks alone), and for an eavesdropper's dark count the start of
+    the window it was drawn in (:func:`snspd_detect`).  It is kept out of
+    exported transcripts.  The leak tallies behind ``p_b`` and ``p_learn``
+    read it on the eavesdropper's log to find the click behind each
+    backflash count, and the C8 start-stop study to place every stop at its
+    delay from its source; otherwise only tests and diagnostics read it.
     """
 
     detector: str
@@ -575,13 +577,16 @@ def snspd_detect(
     Dark counts are drawn only in the windows [s, s + window_ps) for each s
     in ``window_starts_ps``, which must be sorted and at least ``window_ps``
     apart: a trial passes its chunk as one window, the start-stop study the
-    window after each click where a stop can count.  They are drawn as the
-    receiver's are (:func:`_dark_times`), on their own stream: each of the
-    windows' picoseconds holds a dark with probability
+    window after each click where a stop can count.  One pass of
+    differences over the starts, :data:`DARK_BLOCK` at a time, checks them
+    and raises ValueError when they are out of order or closer.  The darks
+    are drawn as the receiver's are (:func:`_dark_times`), on their own
+    stream: each of the windows' picoseconds holds a dark with probability
     ``dark_count_rate_cps / PS_PER_S``, picosecond k lies in window
     k // window_ps at offset k % window_ps, and the skips over them come out
-    sorted, one exponential draw per dark.  The counts come in order of
-    cause, not time: :meth:`DetectionLog.merge` sorts a trial's chunks.
+    sorted, one exponential draw per dark.  A dark's source is the start of
+    its window.  The counts come in order of cause, not time:
+    :meth:`DetectionLog.merge` sorts a trial's chunks.
     """
     eff = snspd.detection_efficiency
     got_bf = rngs.snspd.random(arrivals.backflash_ps.size) < eff
@@ -592,13 +597,19 @@ def snspd_detect(
         refl_t = refl_t[rngs.snspd.random(refl_t.size) < math.expm1(-m * eff) / math.expm1(-m)]
 
     starts = np.asarray(window_starts_ps, dtype=np.int64)
+    for lo in range(1, starts.size, DARK_BLOCK):
+        hi = min(lo + DARK_BLOCK, starts.size)
+        if int((starts[lo:hi] - starts[lo - 1: hi - 1]).min()) < window_ps:
+            raise ValueError(f"window starts must be sorted and at least the window, {window_ps} ps, apart")
     k = _bernoulli_indices(snspd.dark_count_rate_cps / PS_PER_S, starts.size * window_ps, rngs.snspd_dark)
-    dark_t = starts[k // window_ps] + k % window_ps
+    dark_src = starts[k // window_ps]
+    dark_t = k % window_ps
+    dark_t += dark_src
 
     sizes = [int(np.count_nonzero(got_bf)), refl_t.size, dark_t.size]
     t = np.concatenate([arrivals.backflash_ps[got_bf], refl_t, dark_t])
     cause = np.repeat(np.array([Cause.BACKFLASH, Cause.REFLECTION, Cause.DARK], dtype=np.int8), sizes)
-    src = np.concatenate([arrivals.avalanche_ps[got_bf], refl_t, np.full(dark_t.size, -1, dtype=np.int64)])
+    src = np.concatenate([arrivals.avalanche_ps[got_bf], refl_t, dark_src])
     return DetectionLog(EVE, t, cause, src)
 
 
@@ -654,51 +665,11 @@ class Histogram:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, bin_width_ps: int, start_ps: int, stop_ps: int) -> "Histogram":
-        _check_bins(bin_width_ps, start_ps, stop_ps)
+        if bin_width_ps <= 0 or stop_ps <= start_ps:
+            raise ConfigError("histogram needs positive bin width and a non-empty range")
         nbins = -(-(stop_ps - start_ps) // bin_width_ps)
         s = np.asarray(samples, dtype=np.int64)
         s = s[(s >= start_ps) & (s < stop_ps)]
         counts = np.bincount((s - start_ps) // bin_width_ps, minlength=nbins)
         return cls(int(start_ps), int(bin_width_ps), counts.astype(np.int64), int(stop_ps))
 
-
-def correlation_histogram(
-    start_ps: np.ndarray,
-    stop_ps: np.ndarray,
-    bin_width_ps: int,
-    range_ps: tuple[int, int],
-) -> Histogram:
-    """Start-stop histogram: every stop within range of every start counts.
-
-    ``range_ps`` is a (lo, hi) pair; differences d satisfy lo <= d < hi, so
-    a stop pairs with the starts in (stop - hi, stop - lo].  The starts must
-    be sorted and at least ``hi - lo`` apart, as the C8 study's clicks are:
-    a hold-off (1 us) apart against a 6 ns range.  Then that interval holds
-    at most one start, the last one at or before stop - lo, so one search
-    per stop and one gather find every pair, and differences past the range
-    drop out of the bins.  The study pairs each backflash stop with its own
-    avalanche and passes only the other stops here (the eavesdropper's
-    darks).  One pass of differences over the starts, :data:`DARK_BLOCK` at
-    a time, checks them and raises ValueError when they are out of order or
-    closer; the stops may come in any order.
-    """
-    lo, hi = int(range_ps[0]), int(range_ps[1])
-    _check_bins(bin_width_ps, lo, hi)
-    starts = np.asarray(start_ps, dtype=np.int64)
-    stops = np.asarray(stop_ps, dtype=np.int64)
-    for i in range(1, starts.size, DARK_BLOCK):
-        end = min(i + DARK_BLOCK, starts.size)
-        if int((starts[i:end] - starts[i - 1: end - 1]).min()) < hi - lo:
-            raise ValueError(f"starts must be sorted and at least the range, {hi - lo} ps, apart")
-    if not starts.size:
-        return Histogram.from_samples(starts, int(bin_width_ps), lo, hi)
-    j = np.searchsorted(starts, stops - lo, side="right")
-    # A stop before every start + lo gets j = -1 and reads the last start,
-    # so its difference lies below lo and drops out of the bins.
-    j -= 1
-    return Histogram.from_samples(stops - starts[j], int(bin_width_ps), lo, hi)
-
-
-def _check_bins(bin_width_ps: int, start_ps: int, stop_ps: int) -> None:
-    if bin_width_ps <= 0 or stop_ps <= start_ps:
-        raise ConfigError("histogram needs positive bin width and a non-empty range")

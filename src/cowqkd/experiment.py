@@ -29,7 +29,6 @@ from .detectors import (
     SnspdConfig,
     SpadConfig,
     SpadResult,
-    correlation_histogram,
     snspd_detect,
     spad_detect,
     spad_preset,
@@ -572,15 +571,16 @@ def emit_timing_correlation(
     is Poisson on that set, so the histogram's law is that of darks over the
     whole exposure, at a cost that grows with the clicks, not the exposure
     time.  The clicks lie a hold-off (1 us) apart, so the windows are
-    disjoint and each stop has at most one click in range.  A backflash
-    stop pairs with its own avalanche, the click its log names as its
-    source, at its delay: it leaves at most the delay cap
-    ``min(backflash_delay_max_ps, gate width)`` after that click, so while
-    the cap lies below the hold-off no later click comes first, and a width
-    whose cap reaches the hold-off is refused before any draw.  Only the
-    stops without a source (darks) go to :func:`correlation_histogram`,
-    which searches each among the clicks.  :func:`correlation_law` is the
-    histogram's closed-form law.
+    disjoint and each stop has at most one click in range.  Every stop is
+    binned at its delay from the source its log names
+    (:func:`snspd_detect`, which checks the windows' spacing): a backflash
+    stop's avalanche, a dark's window start, each a click.  That is the
+    click an experimenter's search would pair it with: a dark lies in its
+    own click's window, and a backflash stop leaves at most the delay cap
+    ``min(backflash_delay_max_ps, gate width)`` after its avalanche, so
+    while the cap lies below the hold-off no later click comes first; a
+    width whose cap reaches the hold-off is refused before any draw.
+    :func:`correlation_law` is the histogram's closed-form law.
 
     Widths run one at a time, each in its own call, and a width runs in
     blocks of gates (:func:`_dark_clicks`): each block's clicks are the
@@ -636,22 +636,10 @@ def _width_correlation(ran: ExperimentConfig, clicks_per_width: int) -> tuple[Hi
     n_clicks = 0
     for clicks, res in _dark_clicks(ran, clicks_per_width, rngs):
         stops = snspd_detect(res, ran.snspd, clicks, CORRELATION_WINDOW_PS, rngs)
-        hist.counts += _block_correlation(clicks, stops).counts
+        delays = stops.time_ps - stops.source_ps
+        hist.counts += Histogram.from_samples(delays, CORRELATION_BIN_PS, 0, CORRELATION_WINDOW_PS).counts
         n_clicks += clicks.size
     return hist, n_clicks
-
-
-def _block_correlation(clicks: np.ndarray, stops: DetectionLog) -> Histogram:
-    """One block's start-stop histogram: each backflash stop at its delay
-    from the avalanche that emitted it, and the other stops as
-    :func:`correlation_histogram` pairs them with ``clicks``, whose spacing
-    it checks.  The two agree on a backflash stop while the delay cap lies
-    below the clicks' spacing (:func:`emit_timing_correlation`)."""
-    paired = stops.cause == Cause.BACKFLASH
-    hist = correlation_histogram(clicks, stops.time_ps[~paired], CORRELATION_BIN_PS, (0, CORRELATION_WINDOW_PS))
-    delays = stops.time_ps[paired] - stops.source_ps[paired]
-    hist.counts += Histogram.from_samples(delays, CORRELATION_BIN_PS, 0, CORRELATION_WINDOW_PS).counts
-    return hist
 
 
 def _dark_clicks(

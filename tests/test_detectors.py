@@ -23,7 +23,6 @@ from cowqkd.detectors import (
     _dead_time_filter,
     _gate_holds_window,
     _pulse_hits,
-    correlation_histogram,
     snspd_detect,
     spad_detect,
     spad_preset,
@@ -37,7 +36,6 @@ from oracles import (
     poisson_dark_times,
     sequential_dead_time,
     sorted_pulse_times,
-    start_search_correlation_histogram,
     stream_rng,
 )
 
@@ -877,6 +875,23 @@ def test_snspd_dark_rate():
     lam = 16.4
     assert abs(len(log) - lam) < 3 * math.sqrt(lam) + 1
 
+@pytest.mark.parametrize("fault", ["swapped", "close"])
+@pytest.mark.parametrize("at", [DARK_BLOCK, DARK_BLOCK + 1, N_SEAM - 1])
+def test_snspd_detect_checks_the_window_starts_across_block_seams(fault, at):
+    # Windows of 100 ps that touch, but for one pair of starts (at - 1, at),
+    # out of order or 1 ps too close, on either side of where the checked
+    # blocks meet or at the end.
+    none = np.empty(0, dtype=np.int64)
+    arrivals = SpadResult(DetectionLog.empty("bob"), 0, none, none, none, 0.0)
+    starts = np.arange(N_SEAM, dtype=np.int64) * 100
+    snspd_detect(arrivals, SnspdConfig(), starts, 100, DeviceRngs(0))
+    if fault == "swapped":
+        starts[[at - 1, at]] = starts[[at, at - 1]]
+    else:
+        starts[at:] -= 1
+    with pytest.raises(ValueError, match="apart"):
+        snspd_detect(arrivals, SnspdConfig(), starts, 100, DeviceRngs(0))
+
 
 # --- detection log ---------------------------------------------------------
 
@@ -919,138 +934,10 @@ def test_histogram_normalized_peak_is_one():
     assert norm.max() == 1.0
     assert norm.tolist() == [1.0, 0.5, 0.0]
 
-def test_correlation_histogram_against_brute_force():
-    rng = np.random.default_rng(1)
-    # Starts at least the 5000 ps range apart, as the study's clicks are.
-    starts = np.cumsum(5000 + rng.integers(0, 3000, size=300))
-    stops = np.sort(rng.integers(0, int(starts[-1]) + 5000, size=400))
-    h = correlation_histogram(starts, stops, bin_width_ps=50, range_ps=(0, 5000))
-    brute = np.zeros(100, dtype=int)
-    for s in starts:
-        for p in stops:
-            d = p - s
-            if 0 <= d < 5000:
-                brute[d // 50] += 1
-    assert h.total() > 100
-    assert h.counts.tolist() == brute.tolist()
-    # 300 starts over 1e6 ps lie closer than the range.
-    close = np.sort(rng.integers(0, 10**6, size=300))
-    with pytest.raises(ValueError, match="apart"):
-        correlation_histogram(close, stops, bin_width_ps=50, range_ps=(0, 5000))
-
-def test_correlation_histogram_negative_range():
-    starts = np.array([100])
-    stops = np.array([40, 120])
-    h = correlation_histogram(starts, stops, bin_width_ps=20, range_ps=(-100, 100))
-    assert h.total() == 2
-    assert h.counts[(40 - 100 - -100) // 20] == 1
-    assert h.counts[(120 - 100 - -100) // 20] == 1
-
 @pytest.mark.parametrize("bin_width,range_ps", [(10, (60, 0)), (10, (60, 60)), (0, (0, 100))])
-def test_correlation_histogram_rejects_empty_bins(bin_width, range_ps):
-    # The same ConfigError the histogram gives, before any array work.
+def test_histogram_rejects_empty_bins(bin_width, range_ps):
     with pytest.raises(ConfigError, match="non-empty range"):
-        correlation_histogram([0, 100], [50], bin_width, range_ps)
-
-def brute_force_correlation(starts, stops, bin_width_ps, lo, hi):
-    counts = np.zeros(-(-(hi - lo) // bin_width_ps), dtype=np.int64)
-    for s in starts:
-        for p in stops:
-            if lo <= p - s < hi:
-                counts[(p - s - lo) // bin_width_ps] += 1
-    return counts.tolist()
-
-DENSE = list(range(0, 3000, 7))
-SPARSE = [40, 1500, 2990]
-
-
-def spaced(starts, width):
-    """Whether ``starts`` are in order and at least ``width`` apart."""
-    return all(b - a >= width for a, b in zip(starts, starts[1:]))
-
-
-@given(
-    starts=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
-    stops=st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
-    lo=st.integers(min_value=-600, max_value=600),
-    width=st.integers(min_value=1, max_value=900),
-    bin_width=st.integers(min_value=1, max_value=70),
-)
-@example(starts=DENSE, stops=SPARSE[::-1], lo=-3, width=7, bin_width=2)
-@example(starts=SPARSE, stops=DENSE, lo=-40, width=300, bin_width=10)
-@example(starts=[5, 5, 3], stops=[5, 3, 5, 8], lo=0, width=6, bin_width=2)
-@example(starts=[], stops=[1, 2], lo=0, width=10, bin_width=1)
-@example(starts=[1, 2], stops=[], lo=-5, width=10, bin_width=1)
-def test_correlation_histogram_matches_brute_force_property(starts, stops, lo, width, bin_width):
-    # Stops in any order, tied times, negative lo, empty sides and lopsided
-    # sizes; starts out of order or closer than the range raise.
-    a = np.array(starts, dtype=np.int64)
-    b = np.array(stops, dtype=np.int64)
-    if not spaced(starts, width):
-        with pytest.raises(ValueError, match="apart"):
-            correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
-        return
-    h = correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
-    assert h.start_ps == lo
-    assert h.counts.tolist() == brute_force_correlation(starts, stops, bin_width, lo, lo + width)
-    assert a.tolist() == starts and b.tolist() == stops
-
-@st.composite
-def spaced_starts(draw):
-    """(starts, stops, lo, width, bin_width): starts whose least spacing is
-    the range width plus a small offset (below, at or above the width) or
-    any spacing at all, with ties, in any order, either side possibly
-    empty, and stops near and between the starts."""
-    lo = draw(st.integers(min_value=-600, max_value=600))
-    width = draw(st.integers(min_value=1, max_value=900))
-    least = max(0, width + draw(st.integers(min_value=-3, max_value=3) | st.integers(min_value=-900, max_value=900)))
-    extra = draw(st.lists(st.integers(min_value=0, max_value=2 * width), max_size=30))
-    gaps = [least] + [least + e for e in extra]
-    first = draw(st.integers(min_value=-3000, max_value=3000))
-    starts = draw(st.permutations((first + np.cumsum([0] + gaps)).tolist())) if draw(st.booleans()) else []
-    near = st.sampled_from(starts) if starts else st.just(first)
-    offset = st.integers(min_value=-2 * width - abs(lo), max_value=2 * width + abs(lo))
-    stops = draw(st.lists(st.builds(int.__add__, near, offset), max_size=40))
-    bin_width = draw(st.integers(min_value=1, max_value=70))
-    return starts, stops, lo, width, bin_width
-
-
-@given(case=spaced_starts())
-@example(case=([0, 100, 200], [0, 50, 100, 150, 250, 300], 0, 100, 10))
-@example(case=([0, 99, 198], [99, 100, 150, 198, 250], 0, 100, 10))
-@example(case=([300, 0, 100, 200], [350, 120, 5, 150], -50, 100, 7))
-@example(case=([5, 5, 105], [5, 6, 104, 105], 0, 100, 1))
-@example(case=([7], [7, 8, 106, 107, -5], 0, 100, 10))
-def test_correlation_histogram_matches_start_search_oracle(case):
-    # Starts in order and at least the range width apart must count every
-    # pair; starts out of order or closer raise.
-    starts, stops, lo, width, bin_width = case
-    a = np.array(starts, dtype=np.int64)
-    b = np.array(stops, dtype=np.int64)
-    if not spaced(starts, width):
-        with pytest.raises(ValueError, match="apart"):
-            correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
-        return
-    h = correlation_histogram(a, b, bin_width_ps=bin_width, range_ps=(lo, lo + width))
-    want = start_search_correlation_histogram(starts, stops, bin_width, (lo, lo + width))
-    assert (h.start_ps, h.bin_width_ps) == (want.start_ps, want.bin_width_ps)
-    assert h.counts.tolist() == want.counts.tolist()
-    assert a.tolist() == starts and b.tolist() == stops
-
-@pytest.mark.parametrize("fault", ["swapped", "close"])
-@pytest.mark.parametrize("at", [DARK_BLOCK, DARK_BLOCK + 1, N_SEAM - 1])
-def test_correlation_histogram_checks_the_starts_across_block_seams(fault, at):
-    # Starts 100 ps apart, the range width, but for one pair (at - 1, at),
-    # out of order or 1 ps too close, on either side of where the checked
-    # blocks meet or at the end.
-    starts = np.arange(N_SEAM, dtype=np.int64) * 100
-    correlation_histogram(starts, [50], 10, (0, 100))
-    if fault == "swapped":
-        starts[[at - 1, at]] = starts[[at, at - 1]]
-    else:
-        starts[at:] -= 1
-    with pytest.raises(ValueError, match="apart"):
-        correlation_histogram(starts, [50], 10, (0, 100))
+        Histogram.from_samples([50], bin_width, *range_ps)
 
 def test_histogram_edges_end_at_its_stop():
     # 25 ps in 10 ps bins: the last bin is [20, 25), cut at the stop.

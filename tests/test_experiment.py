@@ -18,7 +18,6 @@ from cowqkd.detectors import (
     Histogram,
     SnspdConfig,
     SpadConfig,
-    correlation_histogram,
     snspd_detect,
     spad_preset,
 )
@@ -798,30 +797,32 @@ class TestTimingCorrelation:
         hist, n_clicks = _width_correlation(ran, 20_000)
         window = (0, experiment.CORRELATION_WINDOW_PS)
         stops = [snspd_detect(a, ran.snspd, c, window[1], rngs).time_ps for c, a in blocks]
-        parts = [correlation_histogram(c, s, experiment.CORRELATION_BIN_PS, window) for (c, _), s in zip(blocks, stops)]
-        whole = correlation_histogram(np.concatenate([c for c, _ in blocks]), np.concatenate(stops),
-                                      experiment.CORRELATION_BIN_PS, window)
+        parts = [start_search_correlation_histogram(c, s, experiment.CORRELATION_BIN_PS, window)
+                 for (c, _), s in zip(blocks, stops)]
+        whole = start_search_correlation_histogram(np.concatenate([c for c, _ in blocks]), np.concatenate(stops),
+                                                   experiment.CORRELATION_BIN_PS, window)
         assert n_clicks == sum(c.size for c, _ in blocks)
         assert hist.total() > 3 * n_clicks
         assert hist.counts.tolist() == sum(p.counts for p in parts).tolist() == whole.counts.tolist()
 
-    def test_block_pairs_backflash_with_its_avalanche(self, monkeypatch):
+    def test_backflash_and_darks_pair_as_the_start_search_does(self, monkeypatch):
         # A 6000 ps cap on a 6000 ps gate: a delay of 6000 ps falls just
         # outside the range whichever way the stop is paired.  Every click
-        # emits, and the windows hold darks, which go through the search, as
-        # well as backflash stops.
+        # emits, and the windows hold more than three darks per backflash
+        # stop, so a dark placed from any source but its window's start
+        # moves the histogram.
         ran, rngs, blocks = self.seam_blocks(monkeypatch, 100_000, width=6000, backflash_delay_max_ps=6000,
                                              backflash_probability=1.0)
         assert ran.spad.backflash_delay_cap_ps == experiment.CORRELATION_WINDOW_PS
+        hist, _ = _width_correlation(ran, 100_000)
         window = (0, experiment.CORRELATION_WINDOW_PS)
+        want = np.zeros_like(hist.counts)
         causes = np.zeros(len(Cause), dtype=np.int64)
         for clicks, res in blocks:
             stops = snspd_detect(res, ran.snspd, clicks, window[1], rngs)
             causes += np.bincount(stops.cause, minlength=len(Cause))
-            got = experiment._block_correlation(clicks, stops).counts.tolist()
-            assert got == correlation_histogram(clicks, stops.time_ps, experiment.CORRELATION_BIN_PS, window).counts.tolist()
-            assert got == start_search_correlation_histogram(
-                clicks, stops.time_ps, experiment.CORRELATION_BIN_PS, window).counts.tolist()
+            want += start_search_correlation_histogram(clicks, stops.time_ps, experiment.CORRELATION_BIN_PS, window).counts
+        assert hist.counts.tolist() == want.tolist()
         assert causes[Cause.BACKFLASH] > 200 and causes[Cause.DARK] > 3 * causes[Cause.BACKFLASH]
 
     def test_full_blocks_are_a_prefix_of_a_longer_run(self, monkeypatch):

@@ -139,12 +139,16 @@ class TestDelayDistribution:
 
 def window_darks(rate, starts, window_ps, seed):
     """The eavesdropper's dark counts on the windows [s, s + window_ps),
-    with no light arriving, and the generator they were drawn from."""
+    with no light arriving, and the generator they were drawn from.  Each
+    dark names the start of the window holding it as its source."""
     none = np.empty(0, dtype=np.int64)
     rngs = DeviceRngs(seed)
     dark_only = SpadResult(DetectionLog.empty("bob"), 0, none, none, none, 0.0)
-    log = snspd_detect(dark_only, SnspdConfig(dark_count_rate_cps=rate), np.array(starts, dtype=np.int64), window_ps, rngs)
-    assert np.all(log.cause == Cause.DARK) and np.all(log.source_ps == -1)
+    starts = np.array(starts, dtype=np.int64)
+    log = snspd_detect(dark_only, SnspdConfig(dark_count_rate_cps=rate), starts, window_ps, rngs)
+    assert np.all(log.cause == Cause.DARK)
+    delay = log.time_ps - log.source_ps
+    assert np.all((0 <= delay) & (delay < window_ps)) and np.all(np.isin(log.source_ps, starts))
     return log.time_ps, rngs.snspd_dark
 
 
