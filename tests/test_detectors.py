@@ -36,6 +36,7 @@ from oracles import (
     poisson_dark_times,
     sequential_dead_time,
     sorted_pulse_times,
+    start_search_correlation_histogram,
     stream_rng,
 )
 
@@ -892,6 +893,74 @@ def test_snspd_detect_checks_the_window_starts_across_block_seams(fault, at):
     with pytest.raises(ValueError, match="apart"):
         snspd_detect(arrivals, SnspdConfig(), starts, 100, DeviceRngs(0))
 
+def spaced(starts, width):
+    """Whether ``starts`` are in order and at least ``width`` apart."""
+    return all(b - a >= width for a, b in zip(starts, starts[1:]))
+
+
+@st.composite
+def window_starts(draw):
+    """(starts, window_ps): starts whose least spacing is the window plus a
+    small offset (below, at or above it) or any spacing at all, with ties,
+    in order or permuted, possibly empty."""
+    width = draw(st.integers(min_value=1, max_value=900))
+    least = max(0, width + draw(st.integers(min_value=-3, max_value=3) | st.integers(min_value=-900, max_value=900)))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=2 * width), max_size=30))
+    first = draw(st.integers(min_value=0, max_value=3000))
+    starts = (first + np.cumsum([0, least] + [least + e for e in extra])).tolist()
+    if draw(st.booleans()):
+        starts = draw(st.permutations(starts))
+    return (starts if draw(st.booleans()) else []), width
+
+
+def window_dark_log(starts, width, seed=0):
+    """The eavesdropper's log over windows of ``width`` ps at ``starts``, no
+    light arriving, about one dark per 200 ps."""
+    none = np.empty(0, dtype=np.int64)
+    dark_only = SpadResult(DetectionLog.empty("bob"), 0, none, none, none, 0.0)
+    return snspd_detect(dark_only, SnspdConfig(dark_count_rate_cps=5e9), np.array(starts, dtype=np.int64),
+                        width, DeviceRngs(seed))
+
+
+@given(case=window_starts())
+@example(case=([0, 100, 200], 100))
+@example(case=([0, 99, 198], 100))
+@example(case=([5, 5, 105], 100))
+@example(case=([100, 0], 100))
+@example(case=([], 10))
+def test_snspd_detect_names_each_dark_its_window_start(case):
+    # Starts in order and at least the window apart give each dark the
+    # latest start at or before it as its source, less than a window back;
+    # starts out of order or closer raise.
+    starts, width = case
+    if not spaced(starts, width):
+        with pytest.raises(ValueError, match="apart"):
+            window_dark_log(starts, width)
+        return
+    log = window_dark_log(starts, width)
+    assert np.all(log.cause == Cause.DARK)
+    owner = np.searchsorted(np.array(starts, dtype=np.int64), log.time_ps, side="right") - 1
+    assert np.all(owner >= 0)
+    assert log.source_ps.tolist() == np.array(starts, dtype=np.int64)[owner].tolist()
+    assert np.all(log.time_ps - log.source_ps < width)
+
+
+@given(case=window_starts(), bin_width=st.integers(min_value=1, max_value=70), seed=st.integers(0, 3))
+@example(case=([0, 100, 200], 100), bin_width=10, seed=0)
+@example(case=([7, 1000], 900), bin_width=7, seed=1)
+def test_snspd_darks_binned_by_source_match_the_start_search(case, bin_width, seed):
+    # The study bins each dark at its delay from its source; over windows
+    # at least the range apart that is the histogram the search of every
+    # start into the stops gives.
+    starts, width = case
+    if not spaced(starts, width):
+        return
+    log = window_dark_log(starts, width, seed)
+    h = Histogram.from_samples(log.time_ps - log.source_ps, bin_width, 0, width)
+    want = start_search_correlation_histogram(starts, log.time_ps, bin_width, (0, width))
+    assert h.total() == len(log)
+    assert h.counts.tolist() == want.counts.tolist()
+
 
 # --- detection log ---------------------------------------------------------
 
@@ -938,6 +1007,35 @@ def test_histogram_normalized_peak_is_one():
 def test_histogram_rejects_empty_bins(bin_width, range_ps):
     with pytest.raises(ConfigError, match="non-empty range"):
         Histogram.from_samples([50], bin_width, *range_ps)
+
+def test_histogram_negative_range():
+    # Delays of -60 and 20 ps, from a start at 100 ps to stops at 40 and 120.
+    h = Histogram.from_samples(np.array([40, 120]) - 100, 20, -100, 100)
+    assert h.total() == 2
+    assert h.counts[(-60 - -100) // 20] == 1
+    assert h.counts[(20 - -100) // 20] == 1
+
+@given(
+    samples=st.lists(st.integers(min_value=-1500, max_value=1500), max_size=60),
+    lo=st.integers(min_value=-600, max_value=600),
+    width=st.integers(min_value=1, max_value=900),
+    bin_width=st.integers(min_value=1, max_value=70),
+)
+@example(samples=[-3, -2, 3, 4, 5], lo=-3, width=7, bin_width=2)
+@example(samples=[0, 99, 100, -1], lo=0, width=100, bin_width=100)
+@example(samples=[], lo=0, width=10, bin_width=1)
+def test_histogram_matches_brute_force_property(samples, lo, width, bin_width):
+    # Samples in any order, tied, on either edge and outside the range; a
+    # negative start; a last bin cut at the stop.
+    a = np.array(samples, dtype=np.int64)
+    h = Histogram.from_samples(a, bin_width, lo, lo + width)
+    brute = [0] * -(-width // bin_width)
+    for d in samples:
+        if lo <= d < lo + width:
+            brute[(d - lo) // bin_width] += 1
+    assert (h.start_ps, h.bin_width_ps, h.stop_ps) == (lo, bin_width, lo + width)
+    assert h.counts.tolist() == brute
+    assert a.tolist() == samples
 
 def test_histogram_edges_end_at_its_stop():
     # 25 ps in 10 ps bins: the last bin is [20, 25), cut at the stop.
