@@ -135,14 +135,16 @@ class SnspdConfig:
 class DetectionLog:
     """Columnar click record for one detector.
 
-    ``source_ps`` is ground truth provenance: the originating avalanche or
-    pulse time; for a receiver's dark count -1 (a read-only broadcast -1 on
-    a log of darks alone), and for an eavesdropper's dark count the start of
-    the window it was drawn in (:func:`snspd_detect`).  It is kept out of
-    exported transcripts.  The leak tallies behind ``p_b`` and ``p_learn``
-    read it on the eavesdropper's log to find the click behind each
-    backflash count, and the C8 start-stop study to place every stop at its
-    delay from its source; otherwise only tests and diagnostics read it.
+    ``source_ps`` is the eavesdropper's ground truth provenance: the
+    originating avalanche for a backflash count, the pulse's arrival for a
+    reflection, and for a dark count the start of the window it was drawn
+    in (:func:`snspd_detect`).  On the receiver's log it is a read-only
+    broadcast -1: a photon click's pulse starts the bin the click lies in,
+    as the arrival offset stays below the occupied width, at most one bin.
+    It is kept out of exported transcripts.  The leak tallies behind
+    ``p_b`` and ``p_learn`` read it on the eavesdropper's log to find the
+    click behind each backflash count, and the C8 start-stop study to place
+    every stop at its delay from its source; otherwise only tests read it.
     """
 
     detector: str
@@ -273,11 +275,14 @@ def _dead_time_filter(times: np.ndarray, hold_off_ps: int, dead_until_ps: int) -
 
 
 def _compress(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``t[keep]``.  When at least half of ``t`` is kept, the kept values
-    move to its front in place, :data:`DARK_BLOCK` at a time, and a view of
-    them returns; a smaller share is gathered anew, since a view would pin
-    all of ``t``."""
+    """``t[keep]``.  A broadcast ``t``, one read-only value repeated, gives
+    its first n values.  When at least half of ``t`` is kept, the kept
+    values move to its front in place, :data:`DARK_BLOCK` at a time, and a
+    view of them returns; a smaller share is gathered anew, since a view
+    would pin all of ``t``."""
     n = int(np.count_nonzero(keep))
+    if not t.strides[0]:
+        return t[:n]
     if 2 * n < t.size:
         return t[keep]
     w = 0
@@ -291,22 +296,25 @@ def _compress(t: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _merge(photon_t: np.ndarray, dark_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Photon and dark times, each sorted, in one sorted array in (time,
-    cause) order, and the darks' positions in it.
+    cause) order, and the int8 :class:`Cause` of each.
 
-    Dark j goes after the photons at or before its time: at j plus their
-    count, one search per dark.  The photons fill the other places through
-    one bool mask.  With no dark the photons are the merged array.
+    When one kind is missing, the other's array is the merged one as it
+    stands, and its cause a read-only broadcast: nothing candidate-sized is
+    copied.  Otherwise dark j goes after the photons at or before its time,
+    at j plus their count, one search per dark, and the photons fill the
+    places that the cause column leaves at :attr:`Cause.PHOTON`.
     """
+    if not photon_t.size or not dark_t.size:
+        t, cause = (dark_t, Cause.DARK) if dark_t.size else (photon_t, Cause.PHOTON)
+        return t, np.broadcast_to(np.int8(cause), t.shape)
     dark_at = np.searchsorted(photon_t, dark_t, side="right")
     dark_at += np.arange(dark_t.size)
-    if not dark_t.size:
-        return photon_t, dark_at
     t = np.empty(photon_t.size + dark_t.size, dtype=np.int64)
-    is_photon = np.ones(t.size, dtype=bool)
-    is_photon[dark_at] = False
-    t[is_photon] = photon_t
+    cause = np.full(t.size, Cause.PHOTON, dtype=np.int8)
+    cause[dark_at] = Cause.DARK
+    t[cause == Cause.PHOTON] = photon_t
     t[dark_at] = dark_t
-    return t, dark_at
+    return t, cause
 
 
 def _dark_times(spad: SpadConfig, period_ps: int, rngs: DeviceRngs, start_frame: int, gates: int) -> np.ndarray:
@@ -494,15 +502,17 @@ def spad_detect(
     tested; otherwise each is, and when every arrival lies in the gate the
     arrivals are the photon candidates as they stand.  Dark
     candidates are skips over the open-gate picoseconds
-    (:func:`_dark_times`), placed by their merged positions
-    (:func:`_merge`), from which a kept click's cause and photon provenance
-    (arrival less offset) are read.  Backflash emitters are skips over the
-    kept clicks (:func:`_backflash`).  A picosecond holds at most one dark,
-    so with a hold-off of 0 two darks never share a click time.
-    ``dead_until_ps`` carries hold-off state across consecutive batches.  A
-    detection efficiency and a facet reflectance of 0 block the light, as
-    in the C8 study: every skip walk over the slots then has p = 0 and
-    spends no draw, and the darks, compacted in place, are the clicks.
+    (:func:`_dark_times`).  :func:`_merge` gives the candidates' times and
+    causes, and both columns go through the hold-off filter and
+    :func:`_compress` together, the one path from candidates to clicks.
+    The clicks' provenance is -1 (see :class:`DetectionLog`).  Backflash
+    emitters are skips over the kept clicks (:func:`_backflash`).  A
+    picosecond holds at most one dark, so with a hold-off of 0 two darks
+    never share a click time.  ``dead_until_ps`` carries hold-off state
+    across consecutive batches.  A detection efficiency and a facet
+    reflectance of 0 block the light, as in the C8 study: every skip walk
+    over the slots then has p = 0 and spends no draw, and the darks,
+    compacted in place, are the clicks.
     """
     source = frames.source
     mu = source.mean_photon_number
@@ -517,6 +527,7 @@ def spad_detect(
     reflection_ps = _reflection_times(frames, reflected_mu, source.occupied_width_ps, cand, offset, rngs)
     del cand
     arrival += offset
+    del offset
     if not _gate_holds_window(spad, source):
         # The arrival less the last gate opening at or before it, which is
         # (arrival - phase) % period without numpy's slow integer remainder.
@@ -528,34 +539,16 @@ def spad_detect(
         in_gate = since < spad.gate_width_ps
         del since
         if not in_gate.all():
-            arrival, offset = arrival[in_gate], offset[in_gate]
+            arrival = arrival[in_gate]
         del in_gate
 
     dark_t = _dark_times(spad, period, rngs, frames.start_frame, len(frames))
-    if not arrival.size:
-        keep, dead_after = _dead_time_filter(dark_t, spad.hold_off_ps, dead_until_ps)
-        t = _compress(dark_t, keep)
-        del dark_t, keep
-        cause = np.full(t.size, Cause.DARK, dtype=np.int8)
-        src = np.broadcast_to(np.int64(-1), t.shape)  # all dark: a read-only -1 each
-    else:
-        t, dark_at = _merge(arrival, dark_t)
-        del arrival, dark_t
-        keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
-        at = np.flatnonzero(keep)
-        del keep
-        t = t[at]
-        # A click is a dark when one sits at its position (Cause.DARK is 1,
-        # Cause.PHOTON 0); a photon's index is its position less the darks
-        # before it.
-        before = np.searchsorted(dark_at, at)
-        cause = (np.searchsorted(dark_at, at, side="right") - before).astype(np.int8)
-        photon = cause == Cause.PHOTON
-        at -= before
-        src = np.full(t.size, -1, dtype=np.int64)
-        src[photon] = t[photon] - offset[at[photon]]
-
-    clicks = DetectionLog(BOB, t, cause, src)
+    t, cause = _merge(arrival, dark_t)
+    del arrival, dark_t
+    keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
+    t, cause = _compress(t, keep), _compress(cause, keep)
+    del keep
+    clicks = DetectionLog(BOB, t, cause, np.broadcast_to(np.int64(-1), t.shape))
     return SpadResult(clicks, dead_after, *_backflash(t, spad, rngs), reflection_ps, reflected_mu)
 
 

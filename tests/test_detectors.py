@@ -191,6 +191,12 @@ def test_compress_is_the_kept_values(keep):
     got = _compress(t, keep)
     assert got.tolist() == want.tolist()
     assert np.shares_memory(got, t) == (2 * int(keep.sum()) >= t.size)
+    # A broadcast column, one read-only value repeated, gives its first n
+    # values as a broadcast too, whatever share is kept.
+    col = np.broadcast_to(np.int8(Cause.DARK), keep.shape)
+    got = _compress(col, keep)
+    assert got.tolist() == col[keep].tolist()
+    assert got.strides == (0,) and not got.flags.writeable
 
 
 # --- gate membership and click statistics ---------------------------------
@@ -426,18 +432,51 @@ def test_spad_detect_without_photons_matches_dense_oracle_exactly(case):
 @pytest.mark.parametrize("hold_off_s", [0.0, 1e-7])
 def test_click_provenance_with_darks_among_photons(hold_off_s):
     # A cut gate at 1e8 darks/s puts darks between the photons of every
-    # few frames.  A photon click comes from one of the batch's pulses, an
-    # occupied-bin offset before the click; a dark has no pulse.
+    # few frames.  A photon click lies in the occupied part of a bin that
+    # one of the batch's pulses starts; the receiver's provenance is -1.
     spad = SpadConfig(gate_width_ps=2000, gate_phase_ps=1500, dark_count_rate_cps=1e8, hold_off_s=hold_off_s)
     source = SourceConfig(bits_per_frame=3, encoding="rz")
     batch, res = run_spad(n_frames=20_000, seed=4, source=source, spad=spad)
     log = res.clicks
     dark = log.cause == Cause.DARK
     assert 100 < np.count_nonzero(dark) < log.time_ps.size - 100
-    assert np.all(log.source_ps[dark] == -1)
-    src, t = log.source_ps[~dark], log.time_ps[~dark]
-    assert np.all(np.isin(src, sorted_pulse_times(batch)))
-    assert np.all((t - src >= 0) & (t - src < source.occupied_width_ps))
+    assert np.all(log.source_ps == -1)
+    t = log.time_ps[~dark]
+    start = _bin_start(t, source)
+    assert np.all(np.isin(start, sorted_pulse_times(batch)))
+    assert np.all(t - start < source.occupied_width_ps)
+
+
+def _bin_start(t, source):
+    """Start of the frame's bin that each time lies in."""
+    return t - t % source.frame_period_ps % source.bin_width_ps
+
+
+CAUSE_LAYOUTS = {
+    "paper": dict(),
+    "cut-gate": dict(spad=dict(gate_width_ps=2000, gate_phase_ps=1500),
+                     source=dict(bits_per_frame=3, encoding="rz")),
+    "wrapped-gate": dict(spad=dict(gate_phase_ps=30000, gate_width_ps=6000)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(CAUSE_LAYOUTS))
+def test_merge_names_each_click_cause(layout):
+    # With no hold-off every candidate is a click.  Darks draw on their own
+    # stream, so the photon clicks are the clicks of the same batch without
+    # darks, and the dark clicks are the darks that stream draws.
+    cfg = preset_config("paper")
+    kw = CAUSE_LAYOUTS[layout]
+    source = replace(cfg.source, **kw.get("source", {}))
+    spad = replace(cfg.spad, hold_off_s=0.0, dark_count_rate_cps=1e8, **kw.get("spad", {}))
+    batch = generate_frames(source, 20_000, DeviceRngs(6).bits).span(5_000, 15_000)
+    log = spad_detect(batch, spad, cfg.channel, DeviceRngs(6)).clicks
+    lit = spad_detect(batch, replace(spad, dark_count_rate_cps=0.0), cfg.channel, DeviceRngs(6)).clicks
+    darks = _dark_times(spad, source.frame_period_ps, DeviceRngs(6), batch.start_frame, len(batch))
+    assert np.all(lit.cause == Cause.PHOTON) and lit.time_ps.size > 400 and darks.size > 1000
+    assert np.array_equal(np.lexsort((log.cause, log.time_ps)), np.arange(len(log)))
+    assert np.array_equal(log.time_ps[log.cause == Cause.PHOTON], lit.time_ps)
+    assert np.array_equal(log.time_ps[log.cause == Cause.DARK], darks)
 
 
 def test_paper_chunk_clicks_pin_no_candidate_buffer():
@@ -823,15 +862,17 @@ def test_reflectance_leaves_receiver_draws_alone():
 
 def test_clicked_reflections_reuse_the_click_arrival():
     # A pulse that both clicks and reflects arrives once: with a reflectance
-    # of 1 and a near-unit click probability, almost every click source is a
-    # reflected pulse, and its reflection time equals the click time.
+    # of 1 and a near-unit click probability, almost every photon click's
+    # bin holds a reflection, and its reflection time equals the click time.
     spad = SpadConfig(detection_efficiency=1.0, facet_reflectance=1.0, hold_off_s=0.0,
                       dark_count_rate_cps=0.0)
-    _, res = run_spad(n_frames=2_000, spad=spad, source=SourceConfig(mean_photon_number=0.99), seed=15)
-    both = np.intersect1d(res.clicks.time_ps, res.reflection_ps)
-    shared_src = np.intersect1d(res.clicks.source_ps, res.reflection_ps - res.reflection_ps % 1000)
+    source = SourceConfig(mean_photon_number=0.99)
+    _, res = run_spad(n_frames=2_000, spad=spad, source=source, seed=15)
+    photon_t = res.clicks.time_ps[res.clicks.cause == Cause.PHOTON]
+    both = np.intersect1d(photon_t, res.reflection_ps)
+    shared_bin = np.intersect1d(_bin_start(photon_t, source), _bin_start(res.reflection_ps, source))
     assert both.size > 1000
-    assert both.size == shared_src.size
+    assert both.size == shared_bin.size
 
 def test_reflectance_zero_disables_reflections():
     spad = SpadConfig(facet_reflectance=0.0)
