@@ -4,9 +4,11 @@
 Each command of ``REFERENCE_RUNS`` runs through ``cowqkd.cli`` with
 ``--out`` set to a fresh temporary directory, and every file it writes is
 hashed.  The digests go to ``tests/reference_digests.json`` with the numpy
-and Python versions they were made under; ``tests/test_reference_digests.py``
-recomputes them and compares only under those versions, because numpy may
-change its Generator streams between releases (NEP 19).
+and Python versions they were made under and the draw scheme, the bit
+generator under every stream; ``tests/test_reference_digests.py`` recomputes
+them and compares only under those versions, because numpy may change its
+Generator streams between releases (NEP 19), and fails when the draw scheme
+is no longer the code's.
 
 A change that moves draws on purpose regenerates the file in the same
 commit and names the artifacts that moved:
@@ -25,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from cowqkd import cli
+from cowqkd.timebase import DRAW_SCHEME
 
 DIGEST_FILE = Path(__file__).resolve().parents[1] / "tests" / "reference_digests.json"
 
@@ -74,7 +77,11 @@ def artifact_digests(command: str) -> dict[str, str]:
 
 
 def main() -> int:
-    record = {**versions(), "runs": {command: artifact_digests(command) for command in REFERENCE_RUNS}}
+    record = {
+        **versions(),
+        "draw_scheme": DRAW_SCHEME,
+        "runs": {command: artifact_digests(command) for command in REFERENCE_RUNS},
+    }
     DIGEST_FILE.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {sum(map(len, record['runs'].values()))} digests of {len(REFERENCE_RUNS)} commands to {DIGEST_FILE}")
     return 0

@@ -164,12 +164,18 @@ class DetectionLog:
     def merge(cls, parts: list["DetectionLog"]) -> "DetectionLog":
         """One log in (time, cause) order from one detector's chunk logs;
         ``parts`` holds at least one.  A chunk's backflash can leave after
-        the next chunk's first counts, so the parts are sorted together."""
+        the next chunk's first counts, so the parts are sorted together.
+        When every part's provenance is a broadcast of one value, as the
+        receiver's -1 is, the merged provenance is that broadcast too."""
         t = np.concatenate([p.time_ps for p in parts])
         c = np.concatenate([p.cause for p in parts])
-        s = np.concatenate([p.source_ps for p in parts])
         order = np.lexsort((c, t))
-        return cls(parts[0].detector, t[order], c[order], s[order])
+        heads = np.concatenate([p.source_ps[:1] for p in parts])
+        if not any(p.source_ps.strides[0] for p in parts) and (heads == heads[:1]).all():
+            s = np.broadcast_to(heads[:1], t.shape)
+        else:
+            s = np.concatenate([p.source_ps for p in parts])[order]
+        return cls(parts[0].detector, t[order], c[order], s)
 
     def counts_by_cause(self) -> dict[str, int]:
         return {CAUSE_NAMES[c]: int(np.sum(self.cause == c)) for c in Cause}

@@ -47,7 +47,7 @@ from .rates import (
     stops_per_start,
 )
 from .source import ChannelConfig, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
-from .timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, check_time_range, write_csv
+from .timebase import DRAW_SCHEME, TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, check_time_range, write_csv
 
 # Fixed so chunking never affects drawn sequences.  Chunks bound the arrays
 # over click candidates: peak RSS of `replicate-paper --seed 11`, chunked
@@ -391,6 +391,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "config_hash": config_hash(cfg),
         "config": config_to_flat(cfg),
         "seeds": [cfg.seed] * cfg.trials,
+        "draw_scheme": DRAW_SCHEME,
         "counts": dataclasses.asdict(counts),
         "qber": counts.n_err / counts.n_sift if counts.n_sift else 0.0,
         "leftover_bits": sum(t.leftover for t in trials),

@@ -63,16 +63,38 @@ class Stream(IntEnum):
 TIMING_CORRELATION_STUDY = (2**32 - 1,)
 
 
+# The numpy bit generator under every stream, by name.  The name is the draw
+# scheme that ``manifest.json`` and ``tests/reference_digests.json`` record:
+# a change of it moves every draw, and the config hash, a hash of the
+# physics, does not move.  It is looked up when the first stream is made,
+# since numpy 2 imports ``numpy.random`` (14-18 ms) on first access.
+DRAW_SCHEME = "SFC64"
+
+
+def stream_generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
+    """The generator of one stream: the :data:`DRAW_SCHEME` bit generator
+    seeded by ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.Generator(getattr(np.random, DRAW_SCHEME)(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 @dataclass
 class DeviceRngs:
-    """One independent Philox generator per :class:`Stream` for a single
-    trial, or for one setting of a study (see :data:`TIMING_CORRELATION_STUDY`).
+    """One independent generator per :class:`Stream` for a single trial, or
+    for one setting of a study (see :data:`TIMING_CORRELATION_STUDY`).
 
-    Each is keyed by ``SeedSequence(seed, spawn_key=(trial, stream, *study))``,
+    Each is :func:`stream_generator` on ``(seed, (trial, stream, *study))``,
     so identical keys reproduce bit-identical draw sequences.  A detector's
     dark counts draw apart from its other draws: ``spad_dark`` and
     ``snspd_dark`` hold the darks, ``spad`` the photon clicks and ``snspd``
     the thinning of the light that reaches the eavesdropper.
+
+    The bit generator is SFC64 (:data:`DRAW_SCHEME`), for its cost per
+    draw: on Philox an exponential draw costs about 1.4 times as much and a
+    uniform one 2.3 times (2-vCPU x86, numpy 2.4), and about half of the C8
+    study's time goes to such draws, one exponential per receiver dark.
+    Philox's counter-based ``advance`` would be of no use: every stream is
+    reached through its ``SeedSequence`` spawn key, never by advancing
+    another, and a keyed SFC64 generator takes about 12 us to make.
     """
 
     seed: int
@@ -90,8 +112,7 @@ class DeviceRngs:
 
     def __post_init__(self) -> None:
         def generator(stream: Stream) -> np.random.Generator:
-            key = (int(self.trial), int(stream), *map(int, self.study))
-            return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(self.seed), spawn_key=key)))
+            return stream_generator(int(self.seed), (int(self.trial), int(stream), *map(int, self.study)))
 
         self.bits = generator(Stream.BITS)
         self.arrival = generator(Stream.ARRIVAL)

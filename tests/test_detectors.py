@@ -1016,6 +1016,19 @@ def test_log_merge_sorts_and_counts():
     assert counts["photon"] == 1
     assert counts["dark"] == 2
 
+def test_log_merge_keeps_a_broadcast_provenance():
+    def part(times, value):
+        t = np.array(times, dtype=np.int64)
+        return DetectionLog("bob", t, np.full(t.size, Cause.DARK, dtype=np.int8), np.broadcast_to(np.int64(value), t.shape))
+
+    m = DetectionLog.merge([part([30, 40], -1), part([], -1), part([10], -1)])
+    assert m.time_ps.tolist() == [10, 30, 40]
+    assert m.source_ps.strides == (0,) and not m.source_ps.flags.writeable and m.source_ps.tolist() == [-1] * 3
+    # Broadcasts of two values are no one broadcast: they are gathered.
+    m = DetectionLog.merge([part([30, 40], -1), part([10], 5)])
+    assert m.source_ps.tolist() == [5, -1, -1] and m.source_ps.flags.writeable
+
+
 def test_write_detections_csv(tmp_path):
     _, res = run_spad(n_frames=500, seed=13)
     path = tmp_path / "det.csv"

@@ -412,6 +412,19 @@ class TestRuns:
             assert np.array_equal(np.sort(joined), log.time_ps)
             assert np.array_equal(np.lexsort((log.cause, log.time_ps)), np.arange(len(log)))
 
+    def test_receiver_provenance_stays_a_broadcast_when_merged(self, monkeypatch):
+        # Each chunk's receiver log carries a broadcast -1 as its provenance;
+        # the merge keeps one, rather than a writable int64 column per click.
+        monkeypatch.setattr(experiment, "CHUNK_FRAMES", 200_000)
+        cfg = small_attack_cfg()
+        t = run_trial(cfg, 0)
+        bob, eve = t.bob_log, t.eve_log
+        assert bob.time_ps[-1] >= 2 * 200_000 * cfg.source.frame_period_ps  # the last of three chunks clicks
+        assert bob.source_ps.strides == (0,) and not bob.source_ps.flags.writeable
+        assert bob.source_ps.shape == bob.time_ps.shape and np.all(bob.source_ps == -1)
+        # The eavesdropper's provenance is a column of its own values.
+        assert eve.source_ps.strides == (8,) and len(np.unique(eve.source_ps)) > 1
+
     def test_sifted_bits_do_not_depend_on_the_chunk_size(self, monkeypatch):
         # A dark on every open-gate picosecond, no light, no hold-off, and a
         # gate that runs 3 ns past each frame's end: every frame opens its

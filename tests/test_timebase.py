@@ -17,6 +17,7 @@ from cowqkd.timebase import (
     Stream,
     check_time_range,
     sample_delay,
+    stream_generator,
     write_csv,
 )
 from oracles import csv_writer_rows, stream_rng
@@ -29,12 +30,22 @@ def trunc_exp_mean(scale, cap):
 
 
 class TestRngStreams:
-    def test_same_key_same_sequence(self):
-        a = DeviceRngs(42, trial=3).spad.random(100)
-        b = DeviceRngs(42, trial=3).spad.random(100)
+    @pytest.mark.parametrize("study", [(), TIMING_CORRELATION_STUDY])
+    def test_same_key_same_sequence(self, study):
+        a = DeviceRngs(42, trial=3, study=study).spad.random(100)
+        b = DeviceRngs(42, trial=3, study=study).spad.random(100)
         assert np.array_equal(a, b)
-        # The key is SeedSequence(seed, spawn_key=(trial, stream id)).
-        assert np.array_equal(a, stream_rng(42, Stream.SPAD, trial=3).random(100))
+        if not study:
+            # The key is SeedSequence(seed, spawn_key=(trial, stream id)).
+            assert np.array_equal(a, stream_rng(42, Stream.SPAD, trial=3).random(100))
+        # Every stream is the shared constructor on (trial, stream id, *study),
+        # and that constructor is SFC64: a silent swap of the draw scheme fails.
+        rngs = DeviceRngs(42, trial=3, study=study)
+        for stream in Stream:
+            rng = getattr(rngs, stream.name.lower())
+            assert type(rng.bit_generator) is np.random.SFC64, stream.name
+            want = stream_generator(42, (3, int(stream), *study)).random(100)
+            assert np.array_equal(rng.random(100), want), stream.name
 
     def test_streams_differ(self):
         a = DeviceRngs(42).spad.random(100)
