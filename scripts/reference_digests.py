@@ -35,7 +35,7 @@ REFERENCE_RUNS = [
     "replicate-paper --seed 11",
     "replicate-paper --seed 23",
     "simulate --trials 2 --frames 600000 --seed 3 --set distill.block_length=500 "
-    "--set distill.disclosure_size=150 --set attack.corr_floor=0.005",
+    "--set distill.disclosure_size=150",
     "rates --preset 5v",
     "rates --preset paper",
     "sweep --preset paper --axis bias --values 2v,7v",

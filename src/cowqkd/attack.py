@@ -18,7 +18,7 @@ import numpy as np
 
 from .detectors import Histogram
 from .distill import ClassicalTranscript, SiftedBits
-from .timebase import ConfigError, write_csv
+from .timebase import write_csv
 
 
 class CalibrationError(RuntimeError):
@@ -29,7 +29,9 @@ class CalibrationError(RuntimeError):
 FOLD_BIN_WIDTH_PS = 100
 CALIBRATION_WINDOW_PS = 1000
 CALIBRATION_FLOOR = 0.01  # least matched fraction of the disclosed samples
-CORR_WINDOW_PS = 6000  # reach of a cluster's correlation with the disclosed clicks
+CORR_WINDOW_PS = 6000  # reach of a cluster's coincidence with a disclosed click
+CORR_SHIFTS = 20  # whole frames each way that the disclosed clicks move to score accidentals
+CLUSTER_ALPHA = 0.02  # significance at which a cluster's coincidences mark it backflash
 MATCH_WINDOW_PS = 6000  # reach of scoring an inferred bit against the retained key
 CLUSTER_THRESHOLD = 0.05  # of the smoothed folded peak
 CLUSTER_MIN_GAP_PS = 1000
@@ -39,13 +41,9 @@ MODE_MIN_SEPARATION_PS = 1500
 
 @dataclass(frozen=True)
 class AttackConfig:
-    corr_floor: float = 0.02
-    boundary: str = "midpoint"
-    clock_offset_ps: int = 0
+    """The attacker's one setting; her cluster test and cut are fixed rules."""
 
-    def __post_init__(self) -> None:
-        if self.boundary not in ("midpoint", "valley"):
-            raise ConfigError(f"unknown boundary mode {self.boundary!r}")
+    clock_offset_ps: int = 0
 
 
 @dataclass
@@ -177,7 +175,9 @@ class ClusterMap:
     ``counts`` has one bin per ``FOLD_BIN_WIDTH_PS``.  Windows are half-open
     circular arcs (start, length) on [0, frame period).  The backflash
     window's first ``cut_ps``, in [0, ``backflash_len_ps``], is the zero
-    region when ``zero_first``, else the one region.
+    region when ``zero_first``, else the one region.  ``run_summary`` gives
+    each cluster's arc, mass, and shift-0 coincidences, their mean at the
+    other shifts and p-value (see :func:`fold_and_cluster`).
     """
 
     frame_period_ps: int
@@ -236,20 +236,34 @@ def _ring_runs(on: np.ndarray, n: int, max_gap: int) -> list[tuple[int, int]]:
     return sorted(zip(starts.tolist(), lengths.tolist()))
 
 
+def _binomial_sf(k: int, n: int, p: float) -> float:
+    """P(X >= k) for X ~ Bin(n, p), summed over the upper tail."""
+    if k <= 0:
+        return 1.0
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, n + 1)))])
+    i = np.arange(k, n + 1)
+    log_pmf = log_fact[n] - log_fact[i] - log_fact[n - i] + i * np.log(p) + (n - i) * np.log1p(-p)
+    return float(np.exp(log_pmf).sum())
+
+
 def fold_and_cluster(
     calibrated_ps: np.ndarray,
     transcript: ClassicalTranscript,
     frame_period_ps: int,
-    cfg: AttackConfig,
 ) -> ClusterMap:
     """Fold the calibrated stream and locate the attack windows.
 
-    Clusters whose members sit near disclosed timestamps are backflash (they
-    follow the receiver's avalanches); remaining clusters are facet
-    reflections, which track every transmitted pulse instead and so show no
-    such correlation.  With the default geometry the reflections land inside
-    the backflash arc and simply merge into it, leaving the reflection
-    window empty.
+    A cluster is backflash when it follows the disclosed clicks.  It counts
+    its coincidences with them moved by k whole frames, |k| <=
+    ``CORR_SHIFTS``: backflash scores only at k = 0, reflections and darks
+    alike at every k.  Given the N coincidences over all 41 shifts, c0 at
+    k = 0 is Bin(N, 1/41) for a cluster that does not follow the clicks,
+    and the cluster is kept when P(X >= c0) <= ``CLUSTER_ALPHA``.  The
+    shifts span 640 ns, inside the receiver's 10 us hold-off on every
+    preset, so his other clicks do not reach them; under a shorter hold-off
+    their backflash adds to the shifted counts, and the test only grows
+    conservative.  With the default geometry the reflections merge into
+    the backflash arc, leaving the reflection window empty.
     """
     period = int(frame_period_ps)
     t = np.asarray(calibrated_ps, dtype=np.int64)
@@ -270,34 +284,38 @@ def fold_and_cluster(
 
     disclosed = np.sort(transcript.disclosed_time_ps)
     bin_idx = folded // FOLD_BIN_WIDTH_PS
+    n_shifts = 2 * CORR_SHIFTS + 1
 
     summary = []
     corr_runs, other_runs = [], []
     for s, ln in runs:
         members = t[(bin_idx - s) % nbins < ln]
-        # Fraction of disclosed receiver clicks with a cluster member nearby
-        # in unfolded time.  Backflash trails the receiver's avalanches, so
-        # its clusters score near the per-click leak probability; reflection
-        # clusters track transmitted pulses and score near accidental level.
-        c = 0.0
-        if disclosed.size:
-            c = int(_coincidence_scores(np.sort(members), disclosed, CORR_WINDOW_PS, 0, 1, 1)[0]) / disclosed.size
+        scores = _coincidence_scores(
+            np.sort(members), disclosed, CORR_WINDOW_PS, -CORR_SHIFTS * period, period, n_shifts)
+        c0, n = int(scores[CORR_SHIFTS]), int(scores.sum())
+        p = _binomial_sf(c0, n, 1 / n_shifts)
         summary.append({
             "start_ps": s * FOLD_BIN_WIDTH_PS,
             "len_ps": ln * FOLD_BIN_WIDTH_PS,
             "mass": members.size,
-            "correlation": c,
+            "coincidences": c0,
+            "shifted_mean": (n - c0) / (n_shifts - 1),
+            "p": p,
         })
-        (corr_runs if c >= cfg.corr_floor else other_runs).append((s, ln, members.size))
+        (corr_runs if p <= CLUSTER_ALPHA else other_runs).append((s, ln, members.size))
 
     if not corr_runs:
         raise CalibrationError("no cluster correlates with the disclosed samples")
 
     # The backflash window is the shortest arc (start, length) of bins that
     # holds every correlated run; a bin x lies at arc index (x - start) %
-    # nbins, inside when that is below length.
+    # nbins, inside when that is below length.  The whole ring starts in
+    # the fold's valley, its lowest bin on a tie, so that the window, like
+    # the runs, does not depend on where the frame starts.
     corr_bins = np.sort(np.concatenate([(s + np.arange(ln)) % nbins for s, ln, _ in corr_runs]))
     [(start, length)] = _ring_runs(corr_bins, nbins, nbins)
+    if length == nbins:
+        start = int(np.argmin(sm))
     bf_start = start * FOLD_BIN_WIDTH_PS
     bf_len = min(length * FOLD_BIN_WIDTH_PS, period)
 
@@ -308,7 +326,7 @@ def fold_and_cluster(
         refl_start, refl_len = s * FOLD_BIN_WIDTH_PS, ln * FOLD_BIN_WIDTH_PS
 
     arc = np.roll(sm, -start)[:length]
-    a, b = _find_modes(arc)
+    a, b = _find_modes(arc, length == nbins)
     mode_a, mode_b = (start + a) % nbins * FOLD_BIN_WIDTH_PS, (start + b) % nbins * FOLD_BIN_WIDTH_PS
 
     # Which mode carries which bit comes from the disclosed samples: the
@@ -325,7 +343,7 @@ def fold_and_cluster(
             _circular_dist(mode_a, one_ref, period) + _circular_dist(mode_b, zero_ref, period)
         # The modes' offsets in ps: a period that is not a whole number of
         # bins ends in a short bin, which the offsets measure as it is.
-        cut = _decision_cut(arc, (mode_a - bf_start) % period, (mode_b - bf_start) % period, cfg.boundary)
+        cut = _decision_cut(arc, (mode_a - bf_start) % period, (mode_b - bf_start) % period)
     zero_mode, one_mode = (mode_a, mode_b) if first_is_zero else (mode_b, mode_a)
 
     return ClusterMap(
@@ -357,29 +375,30 @@ def _circular_center(values: np.ndarray, period: int) -> int:
     return (start + int(np.median((values - start) % period))) % period
 
 
-def _find_modes(arc: np.ndarray) -> tuple[int, int]:
+def _find_modes(arc: np.ndarray, ring: bool) -> tuple[int, int]:
     """Arc indices a <= b of the window's two highest modes, at least
-    MODE_MIN_SEPARATION_PS apart; a == b when there is one."""
+    MODE_MIN_SEPARATION_PS apart, measured round the ring when the window is
+    the whole ring (``ring``); a == b when there is one."""
     first = int(np.argmax(arc))
     sep = max(1, MODE_MIN_SEPARATION_PS // FOLD_BIN_WIDTH_PS)
-    masked = arc.copy()
-    masked[max(0, first - sep): first + sep + 1] = -1.0
+    d = np.abs(np.arange(arc.size) - first)
+    if ring:
+        d = np.minimum(d, arc.size - d)
+    masked = np.where(d <= sep, -1.0, arc)
     if masked.max() <= 0:
         return first, first
     a, b = sorted((first, int(np.argmax(masked))))
     return a, b
 
 
-def _decision_cut(arc: np.ndarray, lo: int, hi: int, boundary: str) -> int:
+def _decision_cut(arc: np.ndarray, lo: int, hi: int) -> int:
     """Offset in ps from the window start of the cut between the modes at
-    offsets lo < hi ps."""
+    offsets lo < hi ps, which :func:`_find_modes` keeps bins apart: the
+    smoothed fold's minimum between them, the middle one on a tie."""
     b0, b1 = lo // FOLD_BIN_WIDTH_PS, hi // FOLD_BIN_WIDTH_PS
-    if boundary == "valley" and b1 - b0 >= 2:
-        # minimum of the smoothed histogram strictly between the modes
-        between = arc[b0 + 1: b1]
-        argmins = np.flatnonzero(between == between.min())
-        return (b0 + 1 + int(argmins[argmins.size // 2])) * FOLD_BIN_WIDTH_PS
-    return (lo + hi) // 2
+    between = arc[b0 + 1: b1]
+    argmins = np.flatnonzero(between == between.min())
+    return (b0 + 1 + int(argmins[argmins.size // 2])) * FOLD_BIN_WIDTH_PS
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +499,14 @@ def write_inference_csv(inference: EveInference, path, header_lines: list[str] |
 
 
 def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | None = None) -> None:
-    start, cut, p = clusters.backflash_start_ps, clusters.cut_ps, clusters.frame_period_ps
-    zero, one = (start, start + cut) if clusters.zero_first else (start + cut, start)
+    start, cut, length = clusters.backflash_start_ps, clusters.cut_ps, clusters.backflash_len_ps
+    first, second = (start, cut), ((start + cut) % clusters.frame_period_ps, length - cut)
+    zero, one = (first, second) if clusters.zero_first else (second, first)
     meta = [
-        f"backflash_window_start_ps={clusters.backflash_start_ps} len_ps={clusters.backflash_len_ps}",
+        f"backflash_window_start_ps={start} len_ps={length}",
         f"reflection_window_start_ps={clusters.reflection_start_ps} len_ps={clusters.reflection_len_ps}",
-        f"zero_boundary_ps={zero % p} one_boundary_ps={one % p}",
+        f"zero_region_start_ps={zero[0]} len_ps={zero[1]}",
+        f"one_region_start_ps={one[0]} len_ps={one[1]}",
         f"zero_mode_ps={clusters.zero_mode_ps} one_mode_ps={clusters.one_mode_ps}",
     ]
     Histogram(0, FOLD_BIN_WIDTH_PS, clusters.counts, clusters.frame_period_ps).write_csv(path, (header_lines or []) + meta)

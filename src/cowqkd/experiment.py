@@ -226,7 +226,6 @@ def preset_config(name: str) -> ExperimentConfig:
             source=SourceConfig(mean_photon_number=0.2, pattern="alternating"),
             channel=ChannelConfig(length_km=0.0),
             distill=DistillConfig(block_length=20000, disclosure_size=2000),
-            attack=AttackConfig(boundary="valley"),
             frames_per_trial=7_800_000,
             attack_enabled=True,
         )
@@ -330,7 +329,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
             sub = calibrated[lo:hi]
             if sub.size == 0:
                 continue
-            b.clusters = attack_mod.fold_and_cluster(sub, b.transcript, period, cfg.attack)
+            b.clusters = attack_mod.fold_and_cluster(sub, b.transcript, period)
             b.inference = attack_mod.infer_bits(sub, b.clusters, b.retained)
             n_eve_correct += b.inference.correct_count
 

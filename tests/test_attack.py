@@ -1,19 +1,23 @@
 """Attacker pipeline tests on hand-built streams with known geometry."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from cowqkd import attack
 from cowqkd.attack import (
+    CLUSTER_ALPHA,
+    CORR_SHIFTS,
     FOLD_BIN_WIDTH_PS,
     AttackConfig,
     CalibrationError,
     ClusterMap,
     EveInference,
     _circular_center,
+    _circular_smooth,
     _circular_dist,
     _coincidence_scores,
     _nearest,
@@ -26,38 +30,43 @@ from cowqkd.attack import (
     write_inference_csv,
 )
 from cowqkd.distill import ClassicalTranscript, SiftedBits
-from cowqkd.timebase import ConfigError
 from oracles import classify_count, per_shift_scores, ring_gaps, ring_same_run
 
 PERIOD = 32000
+# Frames from one receiver click to the next, past the attacker's shifts of
+# the disclosed clicks, as the receiver's hold-off spaces them.
+STRIDE = 25
 
 
-def make_scene(n_frames=400, reflect=True, seed=0, swap_positions=False, disclose_every=3):
+def make_scene(n_clicks=400, reflect=True, seed=0, swap_positions=False, disclose_every=3, reflect_at=20000):
     # an odd disclosure stride keeps both bit parities in the transcript
-    """One receiver click per frame, alternating bits, plus eavesdropper light.
+    """A receiver click every ``STRIDE`` frames, alternating bits, plus
+    eavesdropper light: a backflash after each click, and a facet
+    reflection at ``reflect_at`` ps that any frame sends with probability
+    1/``STRIDE``, as many as the clicks on average.
 
     Returns (transcript, retained_key, eve_times, truth) where truth maps each
     backflash sample to the bit that caused it.
     """
     rng = np.random.default_rng(seed)
-    frames = np.arange(n_frames, dtype=np.int64)
-    bits = (frames % 2).astype(np.int8)
+    frames = np.arange(n_clicks, dtype=np.int64) * STRIDE
+    bits = (np.arange(n_clicks) % 2).astype(np.int8)
     pos0, pos1 = (3500, 500) if swap_positions else (500, 3500)
     bob_t = frames * PERIOD + np.where(bits == 0, pos0, pos1)
 
-    delays = rng.integers(200, 800, size=n_frames)
+    delays = rng.integers(200, 800, size=n_clicks)
     backflash_t = bob_t + delays
     eve_parts = [backflash_t]
     if reflect:
-        jitter = rng.integers(0, 400, size=n_frames)
-        eve_parts.append(frames * PERIOD + 20000 + jitter)
+        lit = np.flatnonzero(rng.random(n_clicks * STRIDE) < 1 / STRIDE)
+        eve_parts.append(lit * PERIOD + reflect_at + rng.integers(0, 400, size=lit.size))
     eve_t = np.sort(np.concatenate(eve_parts))
 
-    disc = np.zeros(n_frames, dtype=bool)
+    disc = np.zeros(n_clicks, dtype=bool)
     disc[::disclose_every] = True
     transcript = ClassicalTranscript(
         block_id=0,
-        block_length=n_frames,
+        block_length=n_clicks,
         disclosed_time_ps=bob_t[disc],
         disclosed_bit=bits[disc],
         announced_qber=0.0,
@@ -67,13 +76,28 @@ def make_scene(n_frames=400, reflect=True, seed=0, swap_positions=False, disclos
     return transcript, retained, eve_t, truth
 
 
+def flat_fold_scene(roll_ps, seed, noise, period=4000, n=400):
+    """A fold of a 40-bin ring with every bin active: a click every
+    ``STRIDE`` frames, zeros at 600 ps and ones at 2600 ps, a backflash
+    200-600 ps after each, and ``noise`` counts spread over each click's
+    frame.  Every time is moved by ``roll_ps``.  Returns (transcript,
+    eve_times)."""
+    rng = np.random.default_rng(seed)
+    frames = np.arange(n, dtype=np.int64) * STRIDE
+    bits = (np.arange(n) % 2).astype(np.int8)
+    bob_t = frames * period + np.where(bits == 0, 600, 2600) + roll_ps
+    eve_t = np.sort(np.concatenate([
+        bob_t + rng.integers(200, 600, n),
+        np.repeat(frames, noise) * period + rng.integers(0, period, n * noise) + roll_ps,
+    ]))
+    return ClassicalTranscript(0, n, bob_t[::3], bits[::3], 0.0), eve_t
+
+
 # --- config ----------------------------------------------------------------
 
-def test_attack_config_validation():
-    with pytest.raises(ConfigError):
-        AttackConfig(boundary="nearest")
-    with pytest.raises(ConfigError):
-        AttackConfig(boundary="cut")
+def test_attack_config_holds_only_the_clock_offset():
+    # The cluster test and the cut are fixed rules, not settings.
+    assert [f.name for f in fields(AttackConfig)] == ["clock_offset_ps"]
 
 
 # --- calibration -----------------------------------------------------------
@@ -252,6 +276,29 @@ class TestRingRuns:
         else:
             assert rolled == _rolled(runs, a.size, k)
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(min_value=0, max_value=39), seed=st.integers(min_value=0, max_value=20),
+           noise=st.integers(min_value=2, max_value=8))
+    def test_rolling_an_all_active_fold_moves_the_window(self, k, seed, noise):
+        # The rotation test above, carried to the attacker's window: on a
+        # fold where every bin is active the window is the whole ring from
+        # the smoothed minimum, so rolling the fold k bins moves the window
+        # start by k bins and leaves the cut and every count's bit, unless
+        # the minimum is tied.
+        period = 4000
+        transcript, eve_t = flat_fold_scene(0, seed, noise)
+        rolled_transcript, rolled_eve = flat_fold_scene(k * FOLD_BIN_WIDTH_PS, seed, noise)
+        base = fold_and_cluster(eve_t, transcript, period)
+        rolled = fold_and_cluster(rolled_eve, rolled_transcript, period)
+        assert base.backflash_len_ps == rolled.backflash_len_ps == period
+        assert base.zero_mode_ps != base.one_mode_ps
+        sm = _circular_smooth(base.counts, 2)
+        if np.count_nonzero(sm == sm.min()) > 1:
+            return
+        assert rolled.backflash_start_ps == (base.backflash_start_ps + k * FOLD_BIN_WIDTH_PS) % period
+        assert (rolled.cut_ps, rolled.zero_first) == (base.cut_ps, base.zero_first)
+        assert np.array_equal(rolled.classify(rolled_eve % period), base.classify(eve_t % period))
+
     def test_a_tie_leaves_out_the_gap_before_the_lowest_start(self):
         a = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
         for k in range(a.size):
@@ -289,7 +336,7 @@ class TestCircularHelpers:
 class TestFoldAndCluster:
     def test_windows_cover_truth(self):
         transcript, _, eve_t, truth = make_scene()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         folded_bf = truth["backflash_t"] % PERIOD
         assert bool(np.all(cmap.classify(folded_bf) >= 0))
         assert cmap.reflection_start_ps is not None
@@ -299,37 +346,35 @@ class TestFoldAndCluster:
 
     def test_no_reflection_cluster_when_absent(self):
         transcript, _, eve_t, _ = make_scene(reflect=False)
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         assert cmap.reflection_start_ps is None
         assert cmap.classify(np.array([20200]))[0] == -1
 
     def test_modes_follow_disclosed_bits(self):
         transcript, _, eve_t, _ = make_scene()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         # zeros click around 500 and trail into ~700-1300; ones around 3500
         assert _circular_dist(cmap.zero_mode_ps, 1000, PERIOD) < 800
         assert _circular_dist(cmap.one_mode_ps, 4000, PERIOD) < 800
 
     def test_modes_swap_with_swapped_positions(self):
         transcript, _, eve_t, _ = make_scene(swap_positions=True)
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         assert _circular_dist(cmap.zero_mode_ps, 4000, PERIOD) < 800
         assert _circular_dist(cmap.one_mode_ps, 1000, PERIOD) < 800
 
     def test_classify_ring_regions(self):
         transcript, _, eve_t, truth = make_scene()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         folded = truth["backflash_t"] % PERIOD
         got = cmap.classify(folded)
         assert np.array_equal(got, truth["bits"])
         assert cmap.classify(np.array([20100]))[0] == -2
         assert cmap.classify(np.array([15000]))[0] == -1
 
-    @pytest.mark.parametrize("boundary,extra", [("midpoint", {}), ("valley", {})])
-    def test_boundary_modes_all_separate_the_clusters(self, boundary, extra):
+    def test_valley_cut_separates_the_clusters(self):
         transcript, retained, eve_t, _ = make_scene()
-        cfg = AttackConfig(boundary=boundary, **extra)
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         inf = infer_bits(eve_t, cmap, retained)
         assert learning_metrics(inf, retained)["accuracy_matched"] == 1.0
 
@@ -341,8 +386,8 @@ class TestFoldAndCluster:
         # whose disclosed clicks fold nearer.
         period, n = 2500, 400
         rng = np.random.default_rng(0)
-        frames = np.arange(n, dtype=np.int64)
-        bits = (frames % 2).astype(np.int8)
+        frames = np.arange(n, dtype=np.int64) * STRIDE
+        bits = (np.arange(n) % 2).astype(np.int8)
         bob_t = frames * period + np.where(bits == 0, zero_at, 2700 - zero_at)
         eve_t = np.sort(np.concatenate([
             frames * period + rng.integers(200, 1400, n),
@@ -352,7 +397,7 @@ class TestFoldAndCluster:
             block_id=0, block_length=n, disclosed_time_ps=bob_t[::3],
             disclosed_bit=bits[::3], announced_qber=0.0,
         )
-        cmap = fold_and_cluster(eve_t, transcript, period, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, period)
         assert (cmap.backflash_start_ps, cmap.backflash_len_ps) == (0, 1600)
         assert cmap.zero_mode_ps == cmap.one_mode_ps == 900
         assert cmap.classify(eve_t % period).tolist() == [want] * eve_t.size
@@ -360,13 +405,13 @@ class TestFoldAndCluster:
     @pytest.mark.parametrize("zero_at,one_at,want", [(1100, 2300, 0), (2300, 1100, 1)])
     def test_whole_ring_with_one_mode(self, zero_at, one_at, want):
         # A 25-bin ring with counts in every bin and a bump at 1100-1200 ps:
-        # every bin is active, so the window is the whole ring, and its one
-        # mode takes the bit whose disclosed clicks fold nearer, the zero
-        # bit too.
+        # every bin is active, so the window is the whole ring, started at
+        # the smoothed fold's minimum, and its one mode takes the bit whose
+        # disclosed clicks fold nearer, the zero bit too.
         period, n = 2500, 400
         rng = np.random.default_rng(0)
-        frames = np.arange(n, dtype=np.int64)
-        bits = (frames % 2).astype(np.int8)
+        frames = np.arange(n, dtype=np.int64) * STRIDE
+        bits = (np.arange(n) % 2).astype(np.int8)
         bob_t = frames * period + np.where(bits == 0, zero_at, one_at)
         eve_t = np.sort(np.concatenate([
             np.repeat(frames, 2) * period + rng.integers(0, period, 2 * n),
@@ -376,42 +421,69 @@ class TestFoldAndCluster:
             block_id=0, block_length=n, disclosed_time_ps=bob_t[::3],
             disclosed_bit=bits[::3], announced_qber=0.0,
         )
-        cmap = fold_and_cluster(eve_t, transcript, period, AttackConfig())
-        assert (cmap.backflash_start_ps, cmap.backflash_len_ps) == (0, period)
+        cmap = fold_and_cluster(eve_t, transcript, period)
+        valley = int(np.argmin(_circular_smooth(cmap.counts, 2))) * FOLD_BIN_WIDTH_PS
+        assert (cmap.backflash_start_ps, cmap.backflash_len_ps) == (valley, period)
         assert cmap.zero_mode_ps == cmap.one_mode_ps
         assert cmap.classify(eve_t % period).tolist() == [want] * 1200
 
     def test_empty_stream_raises(self):
         transcript, _, _, _ = make_scene(10)
         with pytest.raises(CalibrationError):
-            fold_and_cluster(np.empty(0, dtype=np.int64), transcript, PERIOD, AttackConfig())
+            fold_and_cluster(np.empty(0, dtype=np.int64), transcript, PERIOD)
 
     def test_uncorrelated_only_raises(self):
         transcript, _, _, _ = make_scene(200)
-        frames = np.arange(200, dtype=np.int64)
-        reflections_only = frames * PERIOD + 20000
-        with pytest.raises(CalibrationError):
-            fold_and_cluster(reflections_only, transcript, PERIOD, AttackConfig())
+        frames = np.arange(200 * STRIDE, dtype=np.int64)
+        for reflect_at in (20000, 3700):
+            # Out of reach of the disclosed clicks, and within it on every frame.
+            with pytest.raises(CalibrationError):
+                fold_and_cluster(frames * PERIOD + reflect_at, transcript, PERIOD)
 
     def test_run_summary_reports_all_clusters(self):
         transcript, _, eve_t, _ = make_scene()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
-        assert len(cmap.run_summary) >= 2
-        corr = sorted(r["correlation"] for r in cmap.run_summary)
-        assert corr[0] < 0.02 <= corr[-1]
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
+        assert len(cmap.run_summary) == 3
+        for r in cmap.run_summary:
+            # Only the reflection, the run that holds 20200 ps, is dropped.
+            holds_reflection = (20200 - r["start_ps"]) % PERIOD < r["len_ps"]
+            assert (r["p"] <= CLUSTER_ALPHA) != holds_reflection
+        # Each disclosed click's backflash lands in its bit's cluster, and
+        # no count of another click lies within the shifts.
+        assert sorted(r["coincidences"] for r in cmap.run_summary) == [0, 67, 67]
+        assert all(r["shifted_mean"] == 0 for r in cmap.run_summary)
 
     @pytest.mark.parametrize("window", [300, 6000, 13000])
-    def test_run_correlation_counts_disclosed_clicks_within_the_window(self, window, monkeypatch):
-        transcript, _, eve_t, _ = make_scene()
+    def test_run_scores_count_disclosed_clicks_within_the_window(self, window, monkeypatch):
+        # Shift k moves the disclosed clicks k frames; each run's count at
+        # shift 0, its mean over the other 40 shifts and the binomial tail of
+        # the first given their sum, against the per-shift count.
+        transcript, _, eve_t, _ = make_scene(reflect_at=7000)
         monkeypatch.setattr(attack, "CORR_WINDOW_PS", window)
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         bw, nbins = FOLD_BIN_WIDTH_PS, PERIOD // FOLD_BIN_WIDTH_PS
-        disclosed = transcript.disclosed_time_ps
+        disclosed = np.sort(transcript.disclosed_time_ps)
+        shifts = [k * PERIOD for k in range(-CORR_SHIFTS, CORR_SHIFTS + 1)]
         for run in cmap.run_summary:
             s, ln = run["start_ps"] // bw, run["len_ps"] // bw
             members = eve_t[((eve_t % PERIOD) // bw - s) % nbins < ln]
-            near = np.abs(disclosed[:, None] - members[None, :]) <= window
-            assert run["correlation"] == np.mean(near.any(axis=1))
+            scores = per_shift_scores(members, disclosed, window, shifts)
+            c0, n = scores[CORR_SHIFTS], sum(scores)
+            assert run["coincidences"] == c0
+            assert run["shifted_mean"] == (n - c0) / (len(shifts) - 1)
+            assert run["p"] == pytest.approx(stats.binom.sf(c0 - 1, n, 1 / len(shifts)), rel=1e-9, abs=1e-300)
+
+    def test_periodic_reflection_is_rarely_kept(self):
+        # A reflection that any frame may send, within reach of the disclosed
+        # one clicks, scores alike at every shift: over 1000 scenes the test
+        # keeps it, widening the backflash window over it, at most
+        # CLUSTER_ALPHA of the time.
+        kept = 0
+        for seed in range(1000):
+            transcript, _, eve_t, _ = make_scene(200, seed=seed, reflect_at=7000)
+            cmap = fold_and_cluster(eve_t, transcript, PERIOD)
+            kept += int(cmap.classify(np.array([7200]))[0] != -2)
+        assert kept <= CLUSTER_ALPHA * 1000
 
 
 @st.composite
@@ -445,8 +517,7 @@ def test_classify_matches_the_per_count_window_test(cmap):
 @given(st.integers(min_value=0, max_value=40))
 def test_folding_invariance_under_whole_frame_shifts(k):
     transcript, retained, eve_t, _ = make_scene(150, seed=5)
-    cfg = AttackConfig()
-    cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
+    cmap = fold_and_cluster(eve_t, transcript, PERIOD)
     base = cmap.classify(eve_t % PERIOD)
     shifted = cmap.classify((eve_t + k * PERIOD) % PERIOD)
     assert np.array_equal(base, shifted)
@@ -457,8 +528,7 @@ def test_folding_invariance_under_whole_frame_shifts(k):
 class TestInference:
     def test_scores_against_retained_key(self):
         transcript, retained, eve_t, truth = make_scene()
-        cfg = AttackConfig()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         inf = infer_bits(eve_t, cmap, retained)
         # every backflash is kept, every reflection discarded
         assert len(inf) == truth["backflash_t"].size
@@ -472,7 +542,7 @@ class TestInference:
     def test_unmatched_when_key_has_gaps(self, monkeypatch):
         monkeypatch.setattr(attack, "MATCH_WINDOW_PS", 100)
         transcript, retained, eve_t, truth = make_scene()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         inf = infer_bits(eve_t, cmap, retained)
         # delays are 200..800 ps, so a 100 ps window matches nothing
         assert np.sum(inf.correct == -1) == len(inf)
@@ -480,8 +550,7 @@ class TestInference:
 
     def test_bit_tallies_balanced_for_alternating_truth(self):
         transcript, retained, eve_t, _ = make_scene()
-        cfg = AttackConfig()
-        cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
+        cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         inf = infer_bits(eve_t, cmap, retained)
         zeros, ones = inf.bit_tallies()
         assert zeros + ones == len(inf)
@@ -518,8 +587,7 @@ class TestInference:
 
 def test_inference_csv(tmp_path):
     transcript, retained, eve_t, _ = make_scene(50)
-    cfg = AttackConfig()
-    cmap = fold_and_cluster(eve_t, transcript, PERIOD, cfg)
+    cmap = fold_and_cluster(eve_t, transcript, PERIOD)
     inf = infer_bits(eve_t, cmap, retained)
     path = tmp_path / "inf.csv"
     write_inference_csv(inf, path, ["seed=50"])
@@ -530,7 +598,7 @@ def test_inference_csv(tmp_path):
 
 def test_clusters_csv(tmp_path):
     transcript, _, eve_t, _ = make_scene(50)
-    cmap = fold_and_cluster(eve_t, transcript, PERIOD, AttackConfig())
+    cmap = fold_and_cluster(eve_t, transcript, PERIOD)
     path = tmp_path / "cl.csv"
     write_clusters_csv(cmap, path)
     text = path.read_text()

@@ -18,7 +18,6 @@ SMALL = [
     "--frames", "600000",
     "--set", "distill.block_length=500",
     "--set", "distill.disclosure_size=150",
-    "--set", "attack.corr_floor=0.005",
     "--set", "source.mean_photon_number=0.2",
     "--seed", "3",
 ]
@@ -111,7 +110,9 @@ def test_exit_config_on_malformed_set(capsys):
     ["--set", "spad.dark_count_rate_cps=inf"],
     ["--set", "spad.backflash_delay_scale_ps=nan"],
     ["--seed", "-1"],
-    ["--set", "attack.boundary=cut"],
+    ["--set", "attack.clock_offset_ps=1.5"],
+    ["--set", "attack.corr_floor=0.02"],
+    ["--set", "attack.boundary=valley"],
     ["--set", "workers=2"],
 ])
 def test_exit_config_on_bad_delay_or_run_length(capsys, args):

@@ -50,14 +50,12 @@ from oracles import csv_writer_rows, full_exposure_correlation, start_search_cor
 
 
 def small_attack_cfg(**kw):
-    # Shrunk blocks need a denser disclosure and a lower correlation floor:
-    # with ~150 disclosed samples the per-cluster match count is a small
-    # Poisson draw, and the full-scale floor of 0.02 would drop real clusters.
+    # Shrunk blocks need a denser disclosure: with ~150 disclosed samples a
+    # cluster's coincidences are a small Poisson draw.
     base = dict(
         spad=spad_preset("5v"),
         source=SourceConfig(mean_photon_number=0.2),
         distill=DistillConfig(block_length=500, disclosure_size=150),
-        attack=AttackConfig(corr_floor=0.005),
         frames_per_trial=600_000,
         seed=3,
     )
@@ -76,7 +74,7 @@ class TestConfigMapping:
         assert flat["spad.backflash_delay_scale_ps"] == "600"
         assert flat["spad.backflash_delay_max_ps"] == "5000"
         assert not any(k.startswith("spad.backflash_delay.") for k in flat)
-        assert flat["attack.boundary"] == "midpoint"
+        assert flat["attack.clock_offset_ps"] == "0"
 
     def test_flat_holds_exactly_every_field(self):
         # A field added to a config dataclass cannot be left out of the hash.
@@ -97,7 +95,7 @@ class TestConfigMapping:
         for line in block.splitlines():
             if line.startswith("    ") and not line.startswith("     "):
                 keys += [k.strip() for k in line.strip().split("  ")[0].split(",")]
-        assert {"source.mean_photon_number", "attack.boundary", "seed"} <= set(keys)
+        assert {"source.mean_photon_number", "attack.clock_offset_ps", "seed"} <= set(keys)
         assert set(keys) <= set(config_to_flat(preset_config("paper")))
 
     @pytest.mark.parametrize("preset", PRESETS)
@@ -205,7 +203,6 @@ class TestConfigValidation:
         paper = preset_config("paper")
         assert paper.attack_enabled
         assert paper.distill.block_length == 20000
-        assert paper.attack.boundary == "valley"
         with pytest.raises(ConfigError):
             preset_config("3v")
 
@@ -339,7 +336,7 @@ class TestRuns:
         keys = {"accuracy_matched", "accuracy_all", "learning_rate", "matched_fraction"}
         assert all(m.keys() == keys for m in written)
 
-    def test_leak_tallies_recount_with_sets(self):
+    def test_leak_tallies_recount_with_sets(self, monkeypatch):
         # Each backflash count Eve logs names its avalanche.  The tallies count
         # those whose avalanche is a retained click, and a click in any block.
         def recount(t):
@@ -354,7 +351,11 @@ class TestRuns:
         assert run.counts.n_eve_backflash_blocks == want_blocks > want_retained
 
         # With no hold-off, a photon and a dark on one picosecond are both
-        # kept, and both emit: click times and avalanches repeat.
+        # kept, and both emit: click times and avalanches repeat.  Every
+        # frame then clicks, so no fold cluster follows the disclosed clicks
+        # alone; the tallies, not the attack, are under test, so the attack
+        # keeps every cluster and the trial runs to its counts.
+        monkeypatch.setattr(attack, "CLUSTER_ALPHA", 1.0)
         spad = replace(spad_preset("5v"), dark_count_rate_cps=1e11, gate_width_ps=1000, hold_off_s=0.0,
                        backflash_probability=1.0)
         t = run_trial(small_attack_cfg(spad=spad, frames_per_trial=5000, distill=DistillConfig(20_000, 2000)), 0)
@@ -362,6 +363,25 @@ class TestRuns:
         avalanches = t.eve_log.source_ps[t.eve_log.cause == Cause.BACKFLASH]
         assert clicks.size - np.unique(clicks).size > 0 and avalanches.size - np.unique(avalanches).size > 0
         assert (t.counts.n_eve_backflash, t.counts.n_eve_backflash_blocks) == recount(t)
+
+    def test_a_sparse_disclosure_keeps_every_cluster(self):
+        # Blocks of 2000 bits with 200 disclosures: at seed 11 block 0's one
+        # cluster meets 3 disclosed clicks at shift 0 against 0.23 at each
+        # other shift, which a fixed floor of 4 would drop.  Every block
+        # keeps both clusters, so block 0's learning rate lies with the
+        # others'.
+        cfg = apply_overrides(preset_config("paper"), {
+            "seed": "11", "frames_per_trial": "2000000",
+            "distill.block_length": "2000", "distill.disclosure_size": "200",
+        })
+        t = run_trial(cfg, 0)
+        assert len(t.blocks) == 3
+        for b in t.blocks:
+            assert len(b.clusters.run_summary) == 2
+            assert all(r["p"] <= attack.CLUSTER_ALPHA for r in b.clusters.run_summary)
+            assert b.clusters.zero_mode_ps != b.clusters.one_mode_ps
+        rates = [attack.learning_metrics(b.inference, b.retained)["learning_rate"] for b in t.blocks]
+        assert min(rates[1:]) <= rates[0] <= max(rates[1:])
 
     def test_run_counts_sum_the_trials(self):
         run = run_simulation(small_attack_cfg(trials=3))
@@ -398,15 +418,19 @@ class TestRuns:
         spad = replace(spad_preset("5v"), dark_count_rate_cps=1e9, gate_phase_ps=31_000,
                        backflash_probability=1.0, hold_off_s=0.0)
         cfg = small_attack_cfg(spad=spad, frames_per_trial=10_000)
-        t = run_trial(cfg, 0)
+        # Every frame clicks, so each fold cluster scores alike at every
+        # whole-frame shift of the disclosed clicks and the attack finds no
+        # backflash cluster; the logs are merged before it looks.
+        with pytest.raises(attack.CalibrationError, match="no cluster correlates"):
+            run_trial(cfg, 0)
+        bob, eve = (merge(DetectionLog, parts[d]) for d in (detectors.BOB, detectors.EVE))
 
         chunk_ps = chunk * cfg.source.frame_period_ps
-        eve = t.eve_log
         backflash = eve.cause == Cause.BACKFLASH
         assert np.sum(backflash & (eve.time_ps // chunk_ps > eve.source_ps // chunk_ps)) > 0
-        for i, p in enumerate(parts[t.bob_log.detector]):
+        for i, p in enumerate(parts[bob.detector]):
             assert len(p) and np.all(p.time_ps // chunk_ps == i)  # each Bob part lies in its chunk
-        for log in (t.bob_log, eve):
+        for log in (bob, eve):
             joined = np.concatenate([p.time_ps for p in parts[log.detector]])
             assert np.any(np.diff(joined) < 0) == (log is eve)  # only Eve's parts interleave
             assert np.array_equal(np.sort(joined), log.time_ps)
@@ -448,7 +472,7 @@ class TestRuns:
     @pytest.mark.parametrize("offset", [12345, -20000])
     def test_clock_offset_is_calibrated_away(self, offset):
         base = run_simulation(small_attack_cfg())
-        shifted = run_simulation(small_attack_cfg(attack=AttackConfig(corr_floor=0.005, clock_offset_ps=offset)))
+        shifted = run_simulation(small_attack_cfg(attack=AttackConfig(clock_offset_ps=offset)))
         assert shifted.manifest["calibration_offsets_ps"] == [base.manifest["calibration_offsets_ps"][0] - offset]
         assert shifted.counts.n_eve_correct == base.counts.n_eve_correct > 0
 

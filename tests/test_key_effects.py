@@ -23,12 +23,11 @@ from cowqkd.experiment import ExperimentConfig, apply_overrides, config_to_flat,
 # A small attack run: one 300-bit block with a dense disclosure.
 BASE = {
     "seed": "3", "frames_per_trial": "200000", "channel.length_km": "2", "spad.dark_count_rate_cps": "1000",
-    "distill.block_length": "300", "distill.disclosure_size": "100", "attack.corr_floor": "0.005",
+    "distill.block_length": "300", "distill.disclosure_size": "100",
 }
 
-# One new value per key.  Thresholds are pushed past the point where the
-# attack fails, and the SNSPD dark rate high enough to reach the few
-# stop windows of a small correlation run.
+# One new value per key.  The SNSPD dark rate is high enough to reach the
+# few stop windows of a small correlation run.
 PERTURB = {
     "seed": "4", "trials": "2", "frames_per_trial": "210000", "attack_enabled": "false", "export_frames": "20",
     "source.mean_photon_number": "0.25", "source.bin_width_ps": "800", "source.frame_period_ps": "16000",
@@ -41,7 +40,7 @@ PERTURB = {
     "spad.backflash_delay_max_ps": "1500", "spad.facet_reflectance": "0.02",
     "snspd.detection_efficiency": "0.6", "snspd.dark_count_rate_cps": "1e6",
     "distill.block_length": "250", "distill.disclosure_size": "80",
-    "attack.corr_floor": "0.5", "attack.boundary": "midpoint", "attack.clock_offset_ps": "1234",
+    "attack.clock_offset_ps": "1234",
 }
 
 COMMANDS = {
@@ -50,7 +49,7 @@ COMMANDS = {
     "correlate": ["correlate", "--widths", "2000", "--clicks", "1000"],
 }
 
-ATTACKER = {"attack.corr_floor", "attack.boundary", "attack.clock_offset_ps"}
+ATTACKER = {"attack.clock_offset_ps"}
 INERT = {
     "simulate": set(),
     "rates": {
@@ -111,7 +110,7 @@ def signature(command: str, key: str | None = None):
 def test_every_key_is_perturbed_to_a_new_value():
     base = config_to_flat(apply_overrides(preset_config("paper"), BASE))
     assert PERTURB.keys() == base.keys() == config_to_flat(ExperimentConfig()).keys()
-    assert len(PERTURB) == 32
+    assert len(PERTURB) == 30
     for key, value in PERTURB.items():
         assert config_to_flat(apply_overrides(preset_config("paper"), {**BASE, key: value}))[key] != base[key]
     # The simulate base runs the attack to the end.
