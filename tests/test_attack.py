@@ -1,10 +1,11 @@
 """Attacker pipeline tests on hand-built streams with known geometry."""
 
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import stats
 
 from cowqkd import attack
@@ -19,7 +20,10 @@ from cowqkd.attack import (
     _circular_center,
     _circular_smooth,
     _circular_dist,
+    _binomial_sf,
     _coincidence_scores,
+    _decision_cut,
+    _find_modes,
     _nearest,
     _ring_runs,
     calibrate,
@@ -486,6 +490,35 @@ class TestFoldAndCluster:
         assert kept <= CLUSTER_ALPHA * 1000
 
 
+@given(
+    n=st.integers(min_value=0, max_value=400),
+    k=st.integers(min_value=-2, max_value=402),
+    p=st.floats(min_value=1e-3, max_value=1 - 1e-3),
+)
+@example(n=820, k=30, p=1 / 41)
+def test_binomial_sf_matches_the_scipy_tail(n, k, p):
+    # P(X >= k) is scipy's sf at k - 1: one below k <= 0, zero above k > n.
+    assert _binomial_sf(k, n, p) == pytest.approx(stats.binom.sf(k - 1, n, p), rel=1e-9, abs=1e-300)
+
+
+def test_find_modes_measures_the_separation_round_a_whole_ring():
+    # Peaks at bins 2 and 315 of a 320-bin arc are 313 bins apart along
+    # it but 7 round the ring, inside the 15-bin separation.
+    arc = np.zeros(320)
+    arc[2], arc[315] = 3.0, 2.0
+    assert _find_modes(arc, ring=False) == (2, 315)
+    assert _find_modes(arc, ring=True) == (2, 2)
+
+
+@pytest.mark.parametrize("arc,want", [
+    ([5, 1, 1, 1, 1, 5], 300),  # a flat valley: its middle bin of the four
+    ([5, 3, 1, 2, 4, 5], 200),
+    ([5, 0, 4, 4, 0, 5], 400),  # two minima: the later of the two
+])
+def test_decision_cut_is_the_smoothed_minimum_between_the_modes(arc, want):
+    assert _decision_cut(np.array(arc, dtype=float), 0, 5 * FOLD_BIN_WIDTH_PS) == want
+
+
 @st.composite
 def cluster_maps(draw):
     """Windows on a short ring: arcs that wrap past 0, the whole ring, a
@@ -606,3 +639,26 @@ def test_clusters_csv(tmp_path):
     assert "bin_start_ps,count,normalized" in text
     n_bins = -(-PERIOD // 100)
     assert len([l for l in text.splitlines() if not l.startswith("#")]) == 1 + n_bins
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cmap=cluster_maps())
+def test_clusters_csv_regions_label_the_ring_as_classify_does(cmap, tmp_path):
+    # The written zero and one regions are arcs that tile the backflash
+    # window; away from the reflection window a position is labelled by the
+    # region that holds it, -1 by neither.
+    path = tmp_path / "cl.csv"
+    write_clusters_csv(cmap, path)
+    regions = {}
+    for line in path.read_text().splitlines():
+        m = re.fullmatch(r"# (zero|one)_region_start_ps=(\d+) len_ps=(\d+)", line)
+        if m:
+            regions[m[1]] = (int(m[2]), int(m[3]))
+    p = cmap.frame_period_ps
+    assert regions["zero"][1] + regions["one"][1] == cmap.backflash_len_ps
+    bare = replace(cmap, reflection_start_ps=None, reflection_len_ps=None)
+    for x in range(p):
+        held = [bit for bit, name in enumerate(("zero", "one"))
+                if (x - regions[name][0]) % p < regions[name][1]]
+        assert len(held) <= 1
+        assert classify_count(x, bare) == (held[0] if held else -1)
