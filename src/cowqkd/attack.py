@@ -260,10 +260,13 @@ def fold_and_cluster(
     k = 0 is Bin(N, 1/41) for a cluster that does not follow the clicks,
     and the cluster is kept when P(X >= c0) <= ``CLUSTER_ALPHA``.  The
     shifts span 640 ns, inside the receiver's 10 us hold-off on every
-    preset, so his other clicks do not reach them; under a shorter hold-off
-    their backflash adds to the shifted counts, and the test only grows
-    conservative.  With the default geometry the reflections merge into
-    the backflash arc, leaving the reflection window empty.
+    preset, so the receiver's other clicks do not reach them.  Under a
+    shorter hold-off their backflash adds to the shifted counts; where the
+    receiver clicks every few frames every shift scores like shift 0, no
+    cluster is kept and this raises :class:`CalibrationError`, which leaves
+    the block without an attack result.  With the default geometry the
+    reflections merge into the backflash arc, leaving the reflection
+    window empty.
     """
     period = int(frame_period_ps)
     t = np.asarray(calibrated_ps, dtype=np.int64)
@@ -317,7 +320,14 @@ def fold_and_cluster(
     if length == nbins:
         start = int(np.argmin(sm))
     bf_start = start * FOLD_BIN_WIDTH_PS
-    bf_len = min(length * FOLD_BIN_WIDTH_PS, period)
+
+    def arc_ps(j: int) -> int:
+        # Offset in ps from the window start to the start of arc index j <=
+        # length: a period that is not a whole number of bins ends in a
+        # short bin, which the offset measures as it is.
+        return period if j == nbins else ((start + j) % nbins * FOLD_BIN_WIDTH_PS - bf_start) % period
+
+    bf_len = arc_ps(length)
 
     refl_start = refl_len = None
     outside = [r for r in other_runs if (r[0] - start) % nbins >= length]
@@ -341,9 +351,7 @@ def fold_and_cluster(
     else:
         first_is_zero = _circular_dist(mode_a, zero_ref, period) + _circular_dist(mode_b, one_ref, period) <= \
             _circular_dist(mode_a, one_ref, period) + _circular_dist(mode_b, zero_ref, period)
-        # The modes' offsets in ps: a period that is not a whole number of
-        # bins ends in a short bin, which the offsets measure as it is.
-        cut = _decision_cut(arc, (mode_a - bf_start) % period, (mode_b - bf_start) % period)
+        cut = arc_ps(_decision_cut(arc, a, b))
     zero_mode, one_mode = (mode_a, mode_b) if first_is_zero else (mode_b, mode_a)
 
     return ClusterMap(
@@ -392,13 +400,12 @@ def _find_modes(arc: np.ndarray, ring: bool) -> tuple[int, int]:
 
 
 def _decision_cut(arc: np.ndarray, lo: int, hi: int) -> int:
-    """Offset in ps from the window start of the cut between the modes at
-    offsets lo < hi ps, which :func:`_find_modes` keeps bins apart: the
-    smoothed fold's minimum between them, the middle one on a tie."""
-    b0, b1 = lo // FOLD_BIN_WIDTH_PS, hi // FOLD_BIN_WIDTH_PS
-    between = arc[b0 + 1: b1]
+    """Arc index of the bin that starts the second region: the smoothed
+    fold's minimum strictly between the modes at arc indices lo < hi, which
+    :func:`_find_modes` keeps bins apart, the middle one on a tie."""
+    between = arc[lo + 1: hi]
     argmins = np.flatnonzero(between == between.min())
-    return (b0 + 1 + int(argmins[argmins.size // 2])) * FOLD_BIN_WIDTH_PS
+    return lo + 1 + int(argmins[argmins.size // 2])
 
 
 # ---------------------------------------------------------------------------

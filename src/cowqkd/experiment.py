@@ -324,12 +324,15 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
 
         # Each block's counts within two frames of its retained clicks (at
         # least one: disclosure_size < block_length); both are in time order.
+        # A block with no counts, or whose fold holds no backflash cluster,
+        # gets no attack result; the other blocks and the tallies stand.
         ends = [(b.retained.time_ps[0] - 2 * period, b.retained.time_ps[-1] + 2 * period + 1) for b in blocks]
         for b, (lo, hi) in zip(blocks, np.searchsorted(calibrated, ends).tolist()):
             sub = calibrated[lo:hi]
-            if sub.size == 0:
+            try:
+                b.clusters = attack_mod.fold_and_cluster(sub, b.transcript, period)
+            except attack_mod.CalibrationError:
                 continue
-            b.clusters = attack_mod.fold_and_cluster(sub, b.transcript, period)
             b.inference = attack_mod.infer_bits(sub, b.clusters, b.retained)
             n_eve_correct += b.inference.correct_count
 

@@ -42,12 +42,16 @@ PERIOD = 32000
 STRIDE = 25
 
 
-def make_scene(n_clicks=400, reflect=True, seed=0, swap_positions=False, disclose_every=3, reflect_at=20000):
+def make_scene(n_clicks=400, reflect=True, seed=0, disclose_every=3, reflect_at=20000, period=PERIOD,
+               click_at=(500, 3500), delay=(200, 800), noise=(), roll_ps=0):
     # an odd disclosure stride keeps both bit parities in the transcript
-    """A receiver click every ``STRIDE`` frames, alternating bits, plus
-    eavesdropper light: a backflash after each click, and a facet
-    reflection at ``reflect_at`` ps that any frame sends with probability
-    1/``STRIDE``, as many as the clicks on average.
+    """A receiver click every ``STRIDE`` frames of ``period`` ps,
+    alternating bits, the zeros ``click_at[0]`` ps into their frame and the
+    ones ``click_at[1]``, plus eavesdropper light: a backflash ``delay`` ps
+    after each click (none when None), one count in each ps range of
+    ``noise`` in each click's frame, and a facet reflection at
+    ``reflect_at`` ps that any frame sends with probability 1/``STRIDE``,
+    as many as the clicks on average.  Every time is moved by ``roll_ps``.
 
     Returns (transcript, retained_key, eve_times, truth) where truth maps each
     backflash sample to the bit that caused it.
@@ -55,15 +59,14 @@ def make_scene(n_clicks=400, reflect=True, seed=0, swap_positions=False, disclos
     rng = np.random.default_rng(seed)
     frames = np.arange(n_clicks, dtype=np.int64) * STRIDE
     bits = (np.arange(n_clicks) % 2).astype(np.int8)
-    pos0, pos1 = (3500, 500) if swap_positions else (500, 3500)
-    bob_t = frames * PERIOD + np.where(bits == 0, pos0, pos1)
+    bob_t = frames * period + np.where(bits == 0, *click_at) + roll_ps
 
-    delays = rng.integers(200, 800, size=n_clicks)
-    backflash_t = bob_t + delays
+    backflash_t = bob_t + rng.integers(*delay, size=n_clicks) if delay else np.empty(0, dtype=np.int64)
     eve_parts = [backflash_t]
     if reflect:
         lit = np.flatnonzero(rng.random(n_clicks * STRIDE) < 1 / STRIDE)
-        eve_parts.append(lit * PERIOD + reflect_at + rng.integers(0, 400, size=lit.size))
+        eve_parts.append(lit * period + reflect_at + rng.integers(0, 400, size=lit.size) + roll_ps)
+    eve_parts += [frames * period + rng.integers(lo, hi, n_clicks) + roll_ps for lo, hi in noise]
     eve_t = np.sort(np.concatenate(eve_parts))
 
     disc = np.zeros(n_clicks, dtype=bool)
@@ -80,21 +83,15 @@ def make_scene(n_clicks=400, reflect=True, seed=0, swap_positions=False, disclos
     return transcript, retained, eve_t, truth
 
 
-def flat_fold_scene(roll_ps, seed, noise, period=4000, n=400):
-    """A fold of a 40-bin ring with every bin active: a click every
-    ``STRIDE`` frames, zeros at 600 ps and ones at 2600 ps, a backflash
-    200-600 ps after each, and ``noise`` counts spread over each click's
-    frame.  Every time is moved by ``roll_ps``.  Returns (transcript,
-    eve_times)."""
-    rng = np.random.default_rng(seed)
-    frames = np.arange(n, dtype=np.int64) * STRIDE
-    bits = (np.arange(n) % 2).astype(np.int8)
-    bob_t = frames * period + np.where(bits == 0, 600, 2600) + roll_ps
-    eve_t = np.sort(np.concatenate([
-        bob_t + rng.integers(200, 600, n),
-        np.repeat(frames, noise) * period + rng.integers(0, period, n * noise) + roll_ps,
-    ]))
-    return ClassicalTranscript(0, n, bob_t[::3], bits[::3], 0.0), eve_t
+def flat_fold_scene(roll_ps, seed, noise, period=4000):
+    """A fold with every 100 ps bin active: zeros at 600 ps and ones at
+    2600 ps, a backflash 200-600 ps after each, and ``noise`` counts spread
+    over each click's frame, every time moved by ``roll_ps``.  Returns
+    (transcript, eve_times)."""
+    transcript, _, eve_t, _ = make_scene(
+        reflect=False, seed=seed, period=period, click_at=(600, 2600), delay=(200, 600),
+        noise=[(0, period)] * noise, roll_ps=roll_ps)
+    return transcript, eve_t
 
 
 # --- config ----------------------------------------------------------------
@@ -303,6 +300,29 @@ class TestRingRuns:
         assert (rolled.cut_ps, rolled.zero_first) == (base.cut_ps, base.zero_first)
         assert np.array_equal(rolled.classify(rolled_eve % period), base.classify(eve_t % period))
 
+    @pytest.mark.parametrize("k", range(41))
+    def test_cut_on_a_ring_with_a_short_bin_is_the_valley(self, k):
+        # At 4050 ps the fold's last bin is 50 ps wide, and as the scene
+        # rolls, the whole-ring window started in the valley takes it inside,
+        # between the modes too: the cut still falls on a bin start, at the
+        # smoothed minimum strictly between the modes along the window.
+        period = 4050
+        transcript, eve_t = flat_fold_scene(k * FOLD_BIN_WIDTH_PS, 0, 4, period)
+        cmap = fold_and_cluster(eve_t, transcript, period)
+        nbins = cmap.counts.size
+        assert (nbins, cmap.backflash_len_ps) == (41, period)
+        start = cmap.backflash_start_ps // FOLD_BIN_WIDTH_PS
+        arc = np.roll(_circular_smooth(cmap.counts, 2), -start)
+
+        def index(ps):
+            return (ps // FOLD_BIN_WIDTH_PS - start) % nbins
+
+        cut_at = (cmap.backflash_start_ps + cmap.cut_ps) % period
+        lo, hi = sorted((index(cmap.zero_mode_ps), index(cmap.one_mode_ps)))
+        assert cut_at % FOLD_BIN_WIDTH_PS == 0
+        assert lo < index(cut_at) < hi and arc[index(cut_at)] == arc[lo + 1: hi].min()
+        assert cmap.classify(np.array([cmap.zero_mode_ps, cmap.one_mode_ps])).tolist() == [0, 1]
+
     def test_a_tie_leaves_out_the_gap_before_the_lowest_start(self):
         a = np.array([1, 0, 0, 1, 0, 0], dtype=bool)
         for k in range(a.size):
@@ -362,7 +382,7 @@ class TestFoldAndCluster:
         assert _circular_dist(cmap.one_mode_ps, 4000, PERIOD) < 800
 
     def test_modes_swap_with_swapped_positions(self):
-        transcript, _, eve_t, _ = make_scene(swap_positions=True)
+        transcript, _, eve_t, _ = make_scene(click_at=(3500, 500))
         cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         assert _circular_dist(cmap.zero_mode_ps, 4000, PERIOD) < 800
         assert _circular_dist(cmap.one_mode_ps, 1000, PERIOD) < 800
@@ -388,19 +408,10 @@ class TestFoldAndCluster:
         # 9-bin gap is narrower than the cluster gap, so the window is the
         # ring less that gap, and its one mode near 900 ps takes the bit
         # whose disclosed clicks fold nearer.
-        period, n = 2500, 400
-        rng = np.random.default_rng(0)
-        frames = np.arange(n, dtype=np.int64) * STRIDE
-        bits = (np.arange(n) % 2).astype(np.int8)
-        bob_t = frames * period + np.where(bits == 0, zero_at, 2700 - zero_at)
-        eve_t = np.sort(np.concatenate([
-            frames * period + rng.integers(200, 1400, n),
-            frames * period + rng.integers(700, 800, n),
-        ]))
-        transcript = ClassicalTranscript(
-            block_id=0, block_length=n, disclosed_time_ps=bob_t[::3],
-            disclosed_bit=bits[::3], announced_qber=0.0,
-        )
+        period = 2500
+        transcript, _, eve_t, _ = make_scene(
+            reflect=False, period=period, click_at=(zero_at, 2700 - zero_at), delay=None,
+            noise=[(200, 1400), (700, 800)])
         cmap = fold_and_cluster(eve_t, transcript, period)
         assert (cmap.backflash_start_ps, cmap.backflash_len_ps) == (0, 1600)
         assert cmap.zero_mode_ps == cmap.one_mode_ps == 900
@@ -412,19 +423,10 @@ class TestFoldAndCluster:
         # every bin is active, so the window is the whole ring, started at
         # the smoothed fold's minimum, and its one mode takes the bit whose
         # disclosed clicks fold nearer, the zero bit too.
-        period, n = 2500, 400
-        rng = np.random.default_rng(0)
-        frames = np.arange(n, dtype=np.int64) * STRIDE
-        bits = (np.arange(n) % 2).astype(np.int8)
-        bob_t = frames * period + np.where(bits == 0, zero_at, one_at)
-        eve_t = np.sort(np.concatenate([
-            np.repeat(frames, 2) * period + rng.integers(0, period, 2 * n),
-            frames * period + rng.integers(1100, 1200, n),
-        ]))
-        transcript = ClassicalTranscript(
-            block_id=0, block_length=n, disclosed_time_ps=bob_t[::3],
-            disclosed_bit=bits[::3], announced_qber=0.0,
-        )
+        period = 2500
+        transcript, _, eve_t, _ = make_scene(
+            reflect=False, period=period, click_at=(zero_at, one_at), delay=None,
+            noise=[(0, period), (0, period), (1100, 1200)])
         cmap = fold_and_cluster(eve_t, transcript, period)
         valley = int(np.argmin(_circular_smooth(cmap.counts, 2))) * FOLD_BIN_WIDTH_PS
         assert (cmap.backflash_start_ps, cmap.backflash_len_ps) == (valley, period)
@@ -511,12 +513,12 @@ def test_find_modes_measures_the_separation_round_a_whole_ring():
 
 
 @pytest.mark.parametrize("arc,want", [
-    ([5, 1, 1, 1, 1, 5], 300),  # a flat valley: its middle bin of the four
-    ([5, 3, 1, 2, 4, 5], 200),
-    ([5, 0, 4, 4, 0, 5], 400),  # two minima: the later of the two
+    ([5, 1, 1, 1, 1, 5], 3),  # a flat valley: its middle bin of the four
+    ([5, 3, 1, 2, 4, 5], 2),
+    ([5, 0, 4, 4, 0, 5], 4),  # two minima: the later of the two
 ])
 def test_decision_cut_is_the_smoothed_minimum_between_the_modes(arc, want):
-    assert _decision_cut(np.array(arc, dtype=float), 0, 5 * FOLD_BIN_WIDTH_PS) == want
+    assert _decision_cut(np.array(arc, dtype=float), 0, 5) == want
 
 
 @st.composite

@@ -336,7 +336,7 @@ class TestRuns:
         keys = {"accuracy_matched", "accuracy_all", "learning_rate", "matched_fraction"}
         assert all(m.keys() == keys for m in written)
 
-    def test_leak_tallies_recount_with_sets(self, monkeypatch):
+    def test_leak_tallies_recount_with_sets(self):
         # Each backflash count Eve logs names its avalanche.  The tallies count
         # those whose avalanche is a retained click, and a click in any block.
         def recount(t):
@@ -351,11 +351,7 @@ class TestRuns:
         assert run.counts.n_eve_backflash_blocks == want_blocks > want_retained
 
         # With no hold-off, a photon and a dark on one picosecond are both
-        # kept, and both emit: click times and avalanches repeat.  Every
-        # frame then clicks, so no fold cluster follows the disclosed clicks
-        # alone; the tallies, not the attack, are under test, so the attack
-        # keeps every cluster and the trial runs to its counts.
-        monkeypatch.setattr(attack, "CLUSTER_ALPHA", 1.0)
+        # kept, and both emit: click times and avalanches repeat.
         spad = replace(spad_preset("5v"), dark_count_rate_cps=1e11, gate_width_ps=1000, hold_off_s=0.0,
                        backflash_probability=1.0)
         t = run_trial(small_attack_cfg(spad=spad, frames_per_trial=5000, distill=DistillConfig(20_000, 2000)), 0)
@@ -363,6 +359,31 @@ class TestRuns:
         avalanches = t.eve_log.source_ps[t.eve_log.cause == Cause.BACKFLASH]
         assert clicks.size - np.unique(clicks).size > 0 and avalanches.size - np.unique(avalanches).size > 0
         assert (t.counts.n_eve_backflash, t.counts.n_eve_backflash_blocks) == recount(t)
+
+    def test_a_block_with_no_backflash_cluster_gets_no_attack_result(self, tmp_path):
+        # At seed 103 the second trial's first block keeps neither of its
+        # fold clusters.  That block gets no attack result; the run finishes
+        # with the other blocks' results, the tallies and the artifacts.
+        run = run_simulation(small_attack_cfg(seed=103, trials=2), tmp_path)
+        attacked = [[b.inference is not None for b in t.blocks] for t in run.trials]
+        assert attacked == [[True] * 3, [False, True, True]]
+        assert all((b.clusters is None) == (b.inference is None) for t in run.trials for b in t.blocks)
+        assert run.counts.n_eve_backflash > 0 and run.counts.n_eve_correct > 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert (manifest["blocks"], len(manifest["learning"])) == (6, 5)
+
+    def test_dense_clicks_leave_blocks_without_an_attack_result(self):
+        # With no hold-off and 1e11 darks a second the receiver clicks in
+        # every frame, so a fold cluster scores alike at every whole-frame
+        # shift of the disclosed clicks: most blocks keep no cluster and get
+        # no attack result, and the trial still returns its tallies.
+        spad = replace(spad_preset("5v"), dark_count_rate_cps=1e11, gate_width_ps=1000, hold_off_s=0.0,
+                       backflash_probability=1.0)
+        t = run_trial(small_attack_cfg(spad=spad, frames_per_trial=5000, distill=DistillConfig(20_000, 2000)), 0)
+        attacked = [b.inference is not None for b in t.blocks]
+        assert attacked == [b.clusters is not None for b in t.blocks]
+        assert 0 < sum(attacked) < len(t.blocks) / 2
+        assert t.counts.n_eve_backflash > 0
 
     def test_a_sparse_disclosure_keeps_every_cluster(self):
         # Blocks of 2000 bits with 200 disclosures: at seed 11 block 0's one
@@ -418,19 +439,15 @@ class TestRuns:
         spad = replace(spad_preset("5v"), dark_count_rate_cps=1e9, gate_phase_ps=31_000,
                        backflash_probability=1.0, hold_off_s=0.0)
         cfg = small_attack_cfg(spad=spad, frames_per_trial=10_000)
-        # Every frame clicks, so each fold cluster scores alike at every
-        # whole-frame shift of the disclosed clicks and the attack finds no
-        # backflash cluster; the logs are merged before it looks.
-        with pytest.raises(attack.CalibrationError, match="no cluster correlates"):
-            run_trial(cfg, 0)
-        bob, eve = (merge(DetectionLog, parts[d]) for d in (detectors.BOB, detectors.EVE))
+        t = run_trial(cfg, 0)
 
         chunk_ps = chunk * cfg.source.frame_period_ps
+        eve = t.eve_log
         backflash = eve.cause == Cause.BACKFLASH
         assert np.sum(backflash & (eve.time_ps // chunk_ps > eve.source_ps // chunk_ps)) > 0
-        for i, p in enumerate(parts[bob.detector]):
+        for i, p in enumerate(parts[t.bob_log.detector]):
             assert len(p) and np.all(p.time_ps // chunk_ps == i)  # each Bob part lies in its chunk
-        for log in (bob, eve):
+        for log in (t.bob_log, eve):
             joined = np.concatenate([p.time_ps for p in parts[log.detector]])
             assert np.any(np.diff(joined) < 0) == (log is eve)  # only Eve's parts interleave
             assert np.array_equal(np.sort(joined), log.time_ps)
