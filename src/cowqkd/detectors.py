@@ -66,7 +66,6 @@ class SpadConfig:
     gate_width_ps: int = 4000
     gate_phase_ps: int = 0
     hold_off_s: float = 10e-6
-    excess_bias_label: str = "5v"
     backflash_probability: float = 0.12
     # Avalanche-to-emission delay: exponential of this scale, truncated at max.
     backflash_delay_scale_ps: float = 600.0
@@ -115,7 +114,7 @@ def spad_preset(label: str) -> SpadConfig:
     if key not in SPAD_BIAS_TABLE:
         raise ConfigError(f"unknown bias preset {label!r}; expected one of {sorted(SPAD_BIAS_TABLE)}")
     eff, dcr = SPAD_BIAS_TABLE[key]
-    return SpadConfig(detection_efficiency=eff, dark_count_rate_cps=dcr, excess_bias_label=key)
+    return SpadConfig(detection_efficiency=eff, dark_count_rate_cps=dcr)
 
 
 @dataclass(frozen=True)
@@ -161,21 +160,19 @@ class DetectionLog:
         return cls(detector, z, np.empty(0, dtype=np.int8), z.copy())
 
     @classmethod
+    def receiver(cls, time_ps: np.ndarray, cause: np.ndarray) -> "DetectionLog":
+        """The receiver's log of these clicks, its provenance a read-only -1."""
+        return cls(BOB, time_ps, cause, np.broadcast_to(np.int64(-1), time_ps.shape))
+
+    @classmethod
     def merge(cls, parts: list["DetectionLog"]) -> "DetectionLog":
-        """One log in (time, cause) order from one detector's chunk logs;
+        """One log in (time, cause) order from the eavesdropper's chunk logs;
         ``parts`` holds at least one.  A chunk's backflash can leave after
-        the next chunk's first counts, so the parts are sorted together.
-        When every part's provenance is a broadcast of one value, as the
-        receiver's -1 is, the merged provenance is that broadcast too."""
+        the next chunk's first counts, so the parts are sorted together."""
         t = np.concatenate([p.time_ps for p in parts])
         c = np.concatenate([p.cause for p in parts])
         order = np.lexsort((c, t))
-        heads = np.concatenate([p.source_ps[:1] for p in parts])
-        if not any(p.source_ps.strides[0] for p in parts) and (heads == heads[:1]).all():
-            s = np.broadcast_to(heads[:1], t.shape)
-        else:
-            s = np.concatenate([p.source_ps for p in parts])[order]
-        return cls(parts[0].detector, t[order], c[order], s)
+        return cls(parts[0].detector, t[order], c[order], np.concatenate([p.source_ps for p in parts])[order])
 
     def counts_by_cause(self) -> dict[str, int]:
         return {CAUSE_NAMES[c]: int(np.sum(self.cause == c)) for c in Cause}
@@ -554,7 +551,7 @@ def spad_detect(
     keep, dead_after = _dead_time_filter(t, spad.hold_off_ps, dead_until_ps)
     t, cause = _compress(t, keep), _compress(cause, keep)
     del keep
-    clicks = DetectionLog(BOB, t, cause, np.broadcast_to(np.int64(-1), t.shape))
+    clicks = DetectionLog.receiver(t, cause)
     return SpadResult(clicks, dead_after, *_backflash(t, spad, rngs), reflection_ps, reflected_mu)
 
 

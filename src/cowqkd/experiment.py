@@ -146,17 +146,6 @@ def apply_overrides(cfg: ExperimentConfig, overrides: dict[str, str]) -> Experim
             raise ConfigError(f"unknown config key {key!r}")
         sec, f = fields[key]
         by_section.setdefault(sec, {})[f.name] = _parse_value(f.type, raw, key)
-    spad = by_section.get("spad", {})
-    if "excess_bias_label" in spad:
-        # The label selects a tabulated bias point; an efficiency or dark
-        # rate named in the same override set wins over the table.
-        point = spad_preset(spad["excess_bias_label"])
-        by_section["spad"] = {
-            "detection_efficiency": point.detection_efficiency,
-            "dark_count_rate_cps": point.dark_count_rate_cps,
-            **spad,
-            "excess_bias_label": point.excess_bias_label,
-        }
     top = by_section.pop(None, {})
     sections = {sec: replace(getattr(cfg, sec), **vals) for sec, vals in by_section.items()}
     return replace(cfg, **top, **sections)
@@ -291,7 +280,10 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
         if cfg.attack_enabled:
             eve_parts.append(snspd_detect(res, cfg.snspd, [span.start_frame * period], len(span) * period, rngs))
 
-    bob_log = DetectionLog.merge(bob_parts)
+    # Each click lies in its own frame, so the spans' clicks join in (time, cause) order.
+    bob_log = DetectionLog.receiver(
+        np.concatenate([p.time_ps for p in bob_parts]), np.concatenate([p.cause for p in bob_parts])
+    )
     eve_log = DetectionLog.merge(eve_parts) if cfg.attack_enabled else DetectionLog.empty("eve")
     sifted = sift(bob_log.time_ps, emission)
     frames = emission.span(0, cfg.export_frames) if cfg.export_frames else None
@@ -482,11 +474,13 @@ def _csv_cell(v) -> bytes:
 # ---------------------------------------------------------------------------
 # Sweeps.
 
+# The keys each axis sets: a bias value is a point of SPAD_BIAS_TABLE, by
+# label (7v) or in whole volts (7), and sets both of its numbers.
 _AXIS_KEYS = {
-    "distance": "channel.length_km",
-    "bias": "spad.excess_bias_label",
-    "mu": "source.mean_photon_number",
-    "backflash-probability": "spad.backflash_probability",
+    "distance": ("channel.length_km",),
+    "bias": ("spad.detection_efficiency", "spad.dark_count_rate_cps"),
+    "mu": ("source.mean_photon_number",),
+    "backflash-probability": ("spad.backflash_probability",),
 }
 SWEEP_AXES = tuple(_AXIS_KEYS)
 
@@ -494,11 +488,15 @@ SWEEP_AXES = tuple(_AXIS_KEYS)
 def _apply_axis(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     if axis not in _AXIS_KEYS:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    if axis == "bias" and not isinstance(value, str):
-        if not float(value).is_integer():
-            raise ConfigError(f"bias value {value!r} is not a whole number of volts")
-        value = f"{int(float(value))}v"
-    return apply_overrides(cfg, {_AXIS_KEYS[axis]: str(value)})
+    values = [value]
+    if axis == "bias":
+        if not isinstance(value, str):
+            if not float(value).is_integer():
+                raise ConfigError(f"bias value {value!r} is not a whole number of volts")
+            value = f"{int(float(value))}v"
+        point = spad_preset(value)
+        values = [point.detection_efficiency, point.dark_count_rate_cps]
+    return apply_overrides(cfg, {key: str(v) for key, v in zip(_AXIS_KEYS[axis], values)})
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Path | None = None) -> list[dict]:
@@ -513,9 +511,11 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values: list, out_path: str | Pa
     rows = []
     for value, point in zip(values, points):
         run = run_simulation(point)
+        pair = (point.spad.detection_efficiency, point.spad.dark_count_rate_cps)
         row = {
             "distance_km": point.channel.length_km,
-            "bias_v": point.spad.excess_bias_label,
+            # The label of the table point whose pair ran, or empty.
+            "bias_v": next((label for label, p in SPAD_BIAS_TABLE.items() if p == pair), ""),
             "axis": axis,
             "value": value,
             "config_hash": config_hash(point),

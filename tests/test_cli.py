@@ -13,6 +13,7 @@ from cowqkd import experiment
 from cowqkd.cli import EXIT_CALIBRATION, EXIT_CONFIG, EXIT_INSECURE, EXIT_OK, build_parser, load_config, main
 from cowqkd.detectors import spad_preset
 from cowqkd.experiment import ExperimentConfig, apply_overrides, config_hash
+from cowqkd.timebase import ConfigError
 
 SMALL = [
     "--frames", "600000",
@@ -113,6 +114,7 @@ def test_exit_config_on_malformed_set(capsys):
     ["--set", "attack.clock_offset_ps=1.5"],
     ["--set", "attack.corr_floor=0.02"],
     ["--set", "attack.boundary=valley"],
+    ["--set", "spad.excess_bias_label=7v"],
     ["--set", "workers=2"],
 ])
 def test_exit_config_on_bad_delay_or_run_length(capsys, args):
@@ -287,16 +289,17 @@ def test_sources_are_validated_once_merged(capsys, tmp_path, file_text, argv):
 def test_precedence_and_bias_label_rule(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 4\nspad.detection_efficiency = 0.3\nspad.hold_off_s = 2e-6\n")
-    args = build_parser().parse_args([
-        "simulate", "--preset", "2v", "--config", str(cfg), "--seed", "9",
-        "--set", "spad.excess_bias_label=7v", "--set", "spad.hold_off_s=3e-6"])
-    got = load_config(args)
-    seven = spad_preset("7v")
+    argv = ["simulate", "--preset", "2v", "--config", str(cfg), "--seed", "9", "--set", "spad.hold_off_s=3e-6"]
+    got = load_config(build_parser().parse_args(argv))
     assert got.seed == 9 and got.spad.hold_off_s == 3e-6
-    # The label sets what is not given explicitly, in any source.
-    assert got.spad.excess_bias_label == "7v"
+    # A bias point is its two numbers: each comes from its own source, and
+    # no source may name the point by its label.
     assert got.spad.detection_efficiency == 0.3
-    assert got.spad.dark_count_rate_cps == seven.dark_count_rate_cps
+    assert got.spad.dark_count_rate_cps == spad_preset("2v").dark_count_rate_cps
+    with pytest.raises(ConfigError, match="unknown config key 'spad.excess_bias_label'"):
+        load_config(build_parser().parse_args([*argv, "--set", "spad.excess_bias_label=7v"]))
+    cfg.write_text("spad.excess_bias_label = 7v\n")
+    assert main(argv) == EXIT_CONFIG
 
 
 def test_correlation_files_carry_the_hash_of_the_config_that_ran(capsys, tmp_path):

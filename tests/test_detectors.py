@@ -1006,28 +1006,16 @@ def test_snspd_darks_binned_by_source_match_the_start_search(case, bin_width, se
 # --- detection log ---------------------------------------------------------
 
 def test_log_merge_sorts_and_counts():
-    a = DetectionLog("bob", np.array([30, 10], dtype=np.int64)[::-1],
-                     np.array([0, 1], dtype=np.int8)[::-1], np.array([30, -1], dtype=np.int64)[::-1])
-    b = DetectionLog("bob", np.array([20], dtype=np.int64),
-                     np.array([1], dtype=np.int8), np.array([-1], dtype=np.int64))
+    a = DetectionLog("eve", np.array([30, 10], dtype=np.int64)[::-1],
+                     np.array([2, 1], dtype=np.int8)[::-1], np.array([30, 4], dtype=np.int64)[::-1])
+    b = DetectionLog("eve", np.array([20], dtype=np.int64),
+                     np.array([1], dtype=np.int8), np.array([5], dtype=np.int64))
     m = DetectionLog.merge([a, b])
     assert m.time_ps.tolist() == [10, 20, 30]
+    assert m.source_ps.tolist() == [4, 5, 30]
     counts = m.counts_by_cause()
-    assert counts["photon"] == 1
+    assert counts["backflash"] == 1
     assert counts["dark"] == 2
-
-def test_log_merge_keeps_a_broadcast_provenance():
-    def part(times, value):
-        t = np.array(times, dtype=np.int64)
-        return DetectionLog("bob", t, np.full(t.size, Cause.DARK, dtype=np.int8), np.broadcast_to(np.int64(value), t.shape))
-
-    m = DetectionLog.merge([part([30, 40], -1), part([], -1), part([10], -1)])
-    assert m.time_ps.tolist() == [10, 30, 40]
-    assert m.source_ps.strides == (0,) and not m.source_ps.flags.writeable and m.source_ps.tolist() == [-1] * 3
-    # Broadcasts of two values are no one broadcast: they are gathered.
-    m = DetectionLog.merge([part([30, 40], -1), part([10], 5)])
-    assert m.source_ps.tolist() == [5, -1, -1] and m.source_ps.flags.writeable
-
 
 def test_write_detections_csv(tmp_path):
     _, res = run_spad(n_frames=500, seed=13)

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import stats
 
-from cowqkd import attack, detectors, distill, experiment, source
+from cowqkd import attack, cli, detectors, distill, experiment, source
 from cowqkd.attack import AttackConfig
 from cowqkd.detectors import (
+    SPAD_BIAS_TABLE,
     Cause,
     DetectionLog,
     Histogram,
@@ -131,23 +133,47 @@ class TestConfigMapping:
         assert cfg.spad.detection_efficiency == 0.07  # original untouched
 
     def test_bias_label_sets_efficiency_and_dark_rate(self):
-        out = apply_overrides(preset_config("paper"), {"spad.excess_bias_label": "7v"})
-        assert out.spad.excess_bias_label == "7v"
-        assert out.spad.detection_efficiency == 0.25
-        assert out.spad.dark_count_rate_cps == 350.0
+        # A bias point on the sweep axis, by label or in whole volts, sets
+        # both numbers of its table row and nothing else.
+        paper = preset_config("paper")
+        out = _apply_axis(paper, "bias", "7v")
+        assert (out.spad.detection_efficiency, out.spad.dark_count_rate_cps) == SPAD_BIAS_TABLE["7v"] == (0.25, 350.0)
+        assert out == replace(paper, spad=replace(paper.spad, detection_efficiency=0.25, dark_count_rate_cps=350.0))
+        assert _apply_axis(paper, "bias", 7) == _apply_axis(paper, "bias", 7.0) == out
+        assert "spad.excess_bias_label" not in config_to_flat(out)
 
     def test_bias_label_yields_to_explicit_keys(self):
-        out = apply_overrides(preset_config("paper"), {
-            "spad.excess_bias_label": "7v",
-            "spad.detection_efficiency": "0.3",
-        })
-        assert out.spad.excess_bias_label == "7v"
-        assert out.spad.detection_efficiency == 0.3
-        assert out.spad.dark_count_rate_cps == 350.0
+        # A sweep row's bias_v is derived from the numbers that ran: the
+        # table label whose pair they are, or empty for an off-table pair.
+        base = apply_overrides(preset_config("paper"), {"frames_per_trial": "50000", "attack_enabled": "false"})
+        off = apply_overrides(base, {"spad.detection_efficiency": "0.3"})
+        rows = run_sweep(base, "mu", [0.2]) + run_sweep(off, "mu", [0.2])
+        assert [r["bias_v"] for r in rows] == ["5v", ""]
+        rows = run_sweep(off, "bias", ["2v", 7])
+        assert [r["bias_v"] for r in rows] == ["2v", "7v"]
 
-    def test_unknown_bias_label_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(preset_config("paper"), {"spad.excess_bias_label": "9v"})
+    def test_unknown_bias_label_rejected(self, capsys):
+        with pytest.raises(ConfigError, match="unknown bias preset"):
+            _apply_axis(preset_config("paper"), "bias", "9v")
+        assert cli.main(["sweep", "--preset", "5v", "--axis", "bias", "--values", "2v,9v"]) == cli.EXIT_CONFIG
+        assert "unknown bias preset '9v'" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="unknown config key"):
+            apply_overrides(preset_config("paper"), {"spad.excess_bias_label": "7v"})
+
+    def test_a_bias_preset_and_its_pair_set_by_hand_run_alike(self, tmp_path):
+        # The 7 V preset and the 5 V preset given the 7 V pair are one config:
+        # one hash, and byte-identical artifacts.
+        frames = {"frames_per_trial": "100000", "seed": "1"}
+        seven = apply_overrides(preset_config("7v"), frames)
+        by_hand = apply_overrides(preset_config("5v"), {
+            **frames, "spad.detection_efficiency": "0.25", "spad.dark_count_rate_cps": "350",
+        })
+        assert config_hash(seven) == config_hash(by_hand)
+        run_simulation(seven, tmp_path / "a")
+        run_simulation(by_hand, tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir()) and "rates.csv" in names
+        assert filecmp.cmpfiles(tmp_path / "a", tmp_path / "b", names, shallow=False)[0] == names
 
     def test_override_delay_subkeys(self):
         cfg = preset_config("2v")
@@ -428,14 +454,21 @@ class TestRuns:
         # parts of Eve's log interleave in time.
         chunk = 100
         monkeypatch.setattr(experiment, "CHUNK_FRAMES", chunk)
-        parts = {}
+        parts = {"bob": []}
         merge = DetectionLog.merge.__func__
+        spans = experiment._receiver_spans
 
         def recording(cls, logs):
             parts[logs[0].detector] = logs
             return merge(cls, logs)
 
+        def receiver_parts(*args):
+            for span, res in spans(*args):
+                parts["bob"].append(res.clicks)
+                yield span, res
+
         monkeypatch.setattr(DetectionLog, "merge", classmethod(recording))
+        monkeypatch.setattr(experiment, "_receiver_spans", receiver_parts)
         spad = replace(spad_preset("5v"), dark_count_rate_cps=1e9, gate_phase_ps=31_000,
                        backflash_probability=1.0, hold_off_s=0.0)
         cfg = small_attack_cfg(spad=spad, frames_per_trial=10_000)
@@ -615,6 +648,44 @@ class TestArtifacts:
         key = attack_run.trials[0].blocks[0].retained
         digits = (cols / "attack/key_block0.txt").read_text().splitlines()[-1]
         assert digits == "".join(str(int(b)) for b in key.bit)
+
+
+@st.composite
+def chunked_receivers(draw):
+    """A config whose receiver clicks in most frames or once a hold-off, its
+    gate anywhere in the frame or running past the frame's end, with or
+    without decoys and RZ, and a chunk size that cuts its frames into 3 or 4
+    spans."""
+    period = SourceConfig().frame_period_ps
+    width = draw(st.integers(min_value=1000, max_value=period))
+    if draw(st.booleans()):  # the gate runs past the frame's end
+        phase = draw(st.integers(min_value=period - width + 1, max_value=period - 1))
+    else:
+        phase = draw(st.integers(min_value=0, max_value=period - width))
+    src = SourceConfig(mean_photon_number=0.5, encoding=draw(st.sampled_from(["nrz", "rz"])),
+                       decoy_probability=draw(st.sampled_from([0.0, 0.3])))
+    spad = SpadConfig(gate_phase_ps=phase, gate_width_ps=width, dark_count_rate_cps=draw(st.sampled_from([1e8, 1e9])),
+                      hold_off_s=draw(st.sampled_from([0.0, 10e-6])))
+    chunk = draw(st.integers(min_value=200, max_value=1000))
+    frames = chunk * draw(st.sampled_from([2, 3])) + draw(st.integers(min_value=1, max_value=chunk))
+    cfg = ExperimentConfig(source=src, spad=spad, frames_per_trial=frames, attack_enabled=False,
+                           seed=draw(st.integers(min_value=0, max_value=2**32)))
+    return cfg, chunk
+
+
+@given(chunked_receivers())
+@example((ExperimentConfig(spad=SpadConfig(gate_phase_ps=31_000, dark_count_rate_cps=1e9, hold_off_s=0.0),
+                           frames_per_trial=1000, attack_enabled=False), 300))
+def test_receiver_spans_join_in_time_then_cause_order(case):
+    # Each click lies in its own frame, so the spans' logs, joined as they
+    # are, are in (time, cause) order.
+    cfg, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "CHUNK_FRAMES", chunk)
+        bob = run_trial(cfg, 0).bob_log
+    assert len(bob) > 0
+    assert np.array_equal(np.lexsort((bob.cause, bob.time_ps)), np.arange(len(bob)))
+    assert bob.source_ps.strides == (0,) and not bob.source_ps.flags.writeable and np.all(bob.source_ps == -1)
 
 
 # --- sweeps ----------------------------------------------------------------

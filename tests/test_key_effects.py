@@ -35,7 +35,7 @@ PERTURB = {
     "source.decoy_probability": "0.1",
     "channel.length_km": "5", "channel.attenuation_db_per_km": "0.3", "channel.excess_loss_db": "1",
     "spad.detection_efficiency": "0.25", "spad.dark_count_rate_cps": "3000", "spad.gate_width_ps": "3000",
-    "spad.gate_phase_ps": "500", "spad.hold_off_s": "5e-6", "spad.excess_bias_label": "7v",
+    "spad.gate_phase_ps": "500", "spad.hold_off_s": "5e-6",
     "spad.backflash_probability": "0.2", "spad.backflash_delay_scale_ps": "400",
     "spad.backflash_delay_max_ps": "1500", "spad.facet_reflectance": "0.02",
     "snspd.detection_efficiency": "0.6", "snspd.dark_count_rate_cps": "1e6",
@@ -76,8 +76,8 @@ INERT = {
         # Each run sets the width from --widths and a 1 us hold-off.
         "spad.gate_width_ps", "spad.hold_off_s",
         # The exposure is sized to --clicks dark clicks, so the dark rate
-        # (and the bias point that sets it) only sets its length.
-        "spad.dark_count_rate_cps", "spad.excess_bias_label",
+        # only sets its length.
+        "spad.dark_count_rate_cps",
         # Delays count from each click, and clicks lie far more than the
         # hold-off apart, so these only shift or rescale time.
         "spad.gate_phase_ps", "source.frame_period_ps",
@@ -110,7 +110,7 @@ def signature(command: str, key: str | None = None):
 def test_every_key_is_perturbed_to_a_new_value():
     base = config_to_flat(apply_overrides(preset_config("paper"), BASE))
     assert PERTURB.keys() == base.keys() == config_to_flat(ExperimentConfig()).keys()
-    assert len(PERTURB) == 30
+    assert len(PERTURB) == 29
     for key, value in PERTURB.items():
         assert config_to_flat(apply_overrides(preset_config("paper"), {**BASE, key: value}))[key] != base[key]
     # The simulate base runs the attack to the end.
