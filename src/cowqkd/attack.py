@@ -25,7 +25,7 @@ class CalibrationError(RuntimeError):
     """Offset recovery or cluster identification failed."""
 
 
-# The attacker's fixed analysis settings.
+# The attacker's fixed analysis settings; none of them is a config key.
 FOLD_BIN_WIDTH_PS = 100
 CALIBRATION_WINDOW_PS = 1000
 CALIBRATION_FLOOR = 0.01  # least matched fraction of the disclosed samples
@@ -37,13 +37,6 @@ CLUSTER_THRESHOLD = 0.05  # of the smoothed folded peak
 CLUSTER_MIN_GAP_PS = 1000
 SMOOTH_BINS = 5
 MODE_MIN_SEPARATION_PS = 1500
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """The attacker's one setting; her cluster test and cut are fixed rules."""
-
-    clock_offset_ps: int = 0
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import distill as distill_mod
-from .attack import AttackConfig, CalibrationResult, EveInference
+from .attack import CalibrationResult, EveInference
 from .detectors import (
     SPAD_BIAS_TABLE,
     Cause,
@@ -43,7 +43,6 @@ from .rates import (
     composite_efficiency,
     dark_probability_per_gate,
     gate_mean_photon,
-    p_sift_holdoff,
     stops_per_start,
 )
 from .source import ChannelConfig, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
@@ -64,7 +63,6 @@ class ExperimentConfig:
     spad: SpadConfig = field(default_factory=SpadConfig)
     snspd: SnspdConfig = field(default_factory=SnspdConfig)
     distill: DistillConfig = field(default_factory=DistillConfig)
-    attack: AttackConfig = field(default_factory=AttackConfig)
     seed: int = 0
     trials: int = 1
     frames_per_trial: int = 7_800_000
@@ -100,10 +98,6 @@ class ExperimentConfig:
             p_b=self.spad.backflash_probability * self.snspd.detection_efficiency if self.attack_enabled else 0.0,
             qber=qber,
         )
-
-    def analytic_p_sift(self) -> float:
-        r = self.rate_inputs()
-        return p_sift_holdoff(r.mu, r.eta, r.p_dark, r.opportunity_rate_hz, r.hold_off_s)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +290,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialResult:
     if cfg.attack_enabled:
         if not blocks:
             raise attack_mod.CalibrationError("no full block available for the attack pipeline")
-        eve_raw = eve_log.time_ps + cfg.attack.clock_offset_ps
-        calibration = attack_mod.calibrate(eve_raw, blocks[0].transcript, period, cfg.source.bin_width_ps)
-        calibrated = eve_raw + calibration.offset_ps
+        calibration = attack_mod.calibrate(eve_log.time_ps, blocks[0].transcript, period, cfg.source.bin_width_ps)
+        calibrated = eve_log.time_ps + calibration.offset_ps
 
         # Eve's backflash counts whose avalanche is a retained click, and a
         # click in any block (retained or disclosed): one search per
@@ -356,9 +349,9 @@ def _check_before_draw(cfg: ExperimentConfig) -> None:
     """What a run of ``cfg`` must pass before any draw: the closed forms take
     its inputs, and, since the attack reads each trial's first full block,
     every trial expects to fill one."""
-    compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs())
+    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs())
     if cfg.attack_enabled:
-        expected = cfg.frames_per_trial * cfg.analytic_p_sift()
+        expected = cfg.frames_per_trial * next(r.analytic for r in report.rows if r.name == "p_sift")
         if expected < cfg.distill.block_length:
             raise ConfigError(
                 f"expected {expected:.0f} sifted detections per trial cannot fill a "

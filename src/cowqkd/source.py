@@ -69,17 +69,19 @@ class SourceConfig:
         return self.bin_width_ps if self.encoding == ENCODING_NRZ else max(1, self.bin_width_ps // 2)
 
 
+# Standard single-mode fibre at 1550 nm.
+FIBER_LOSS_DB_PER_KM = 0.2
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Fiber between transmitter and receiver."""
 
     length_km: float = 0.0
-    attenuation_db_per_km: float = 0.2
-    excess_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length_km < 0 or self.attenuation_db_per_km < 0 or self.excess_loss_db < 0:
-            raise ConfigError("channel losses must be non-negative")
+        if self.length_km < 0:
+            raise ConfigError("channel length must be non-negative")
 
 
 def channel_transmittance(channel: ChannelConfig) -> float:
@@ -88,8 +90,7 @@ def channel_transmittance(channel: ChannelConfig) -> float:
     >>> channel_transmittance(ChannelConfig(length_km=0.0))
     1.0
     """
-    total_db = channel.length_km * channel.attenuation_db_per_km + channel.excess_loss_db
-    return 10.0 ** (-total_db / 10.0)
+    return 10.0 ** (-channel.length_km * FIBER_LOSS_DB_PER_KM / 10.0)
 
 
 def _splitmix64(slot: np.ndarray, key: np.uint64) -> np.ndarray:

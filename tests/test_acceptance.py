@@ -109,7 +109,7 @@ def test_c3_secure_rate_penalty(replicate_run, capsys):
     counts = replicate_run.counts
     qber = counts.n_err / counts.n_sift
     inputs = replicate_run.config.rate_inputs()
-    sift = replicate_run.config.analytic_p_sift()
+    sift = next(r.analytic for r in replicate_run.report.rows if r.name == "p_sift")
     attacked, insecure_a = p_sec(sift, inputs.p_b, qber)
     clean, insecure_c = p_sec(sift, 0.0, qber)
     if insecure_a or insecure_c:

@@ -1,7 +1,7 @@
 """Attacker pipeline tests on hand-built streams with known geometry."""
 
 import re
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from cowqkd.attack import (
     CLUSTER_ALPHA,
     CORR_SHIFTS,
     FOLD_BIN_WIDTH_PS,
-    AttackConfig,
     CalibrationError,
     ClusterMap,
     EveInference,
@@ -92,13 +91,6 @@ def flat_fold_scene(roll_ps, seed, noise, period=4000):
         reflect=False, seed=seed, period=period, click_at=(600, 2600), delay=(200, 600),
         noise=[(0, period)] * noise, roll_ps=roll_ps)
     return transcript, eve_t
-
-
-# --- config ----------------------------------------------------------------
-
-def test_attack_config_holds_only_the_clock_offset():
-    # The cluster test and the cut are fixed rules, not settings.
-    assert [f.name for f in fields(AttackConfig)] == ["clock_offset_ps"]
 
 
 # --- calibration -----------------------------------------------------------

@@ -15,6 +15,10 @@ from cowqkd.detectors import spad_preset
 from cowqkd.experiment import ExperimentConfig, apply_overrides, config_hash
 from cowqkd.timebase import ConfigError
 
+# Not config keys: the fibre loses a fixed 0.2 dB/km, and the eavesdropper
+# aligns her clock to the disclosed samples, which cancels any offset.
+REMOVED_KEYS = ["channel.attenuation_db_per_km", "channel.excess_loss_db", "attack.clock_offset_ps"]
+
 SMALL = [
     "--frames", "600000",
     "--set", "distill.block_length=500",
@@ -111,10 +115,11 @@ def test_exit_config_on_malformed_set(capsys):
     ["--set", "spad.dark_count_rate_cps=inf"],
     ["--set", "spad.backflash_delay_scale_ps=nan"],
     ["--seed", "-1"],
-    ["--set", "attack.clock_offset_ps=1.5"],
+    ["--set", "distill.block_length=1.5"],
     ["--set", "attack.corr_floor=0.02"],
     ["--set", "attack.boundary=valley"],
     ["--set", "spad.excess_bias_label=7v"],
+    *[["--set", f"{key}=1"] for key in REMOVED_KEYS],
     ["--set", "workers=2"],
 ])
 def test_exit_config_on_bad_delay_or_run_length(capsys, args):
@@ -300,6 +305,14 @@ def test_precedence_and_bias_label_rule(tmp_path):
         load_config(build_parser().parse_args([*argv, "--set", "spad.excess_bias_label=7v"]))
     cfg.write_text("spad.excess_bias_label = 7v\n")
     assert main(argv) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_a_removed_key_in_a_config_file_is_unknown(capsys, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert main(["simulate", "--preset", "5v", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_correlation_files_carry_the_hash_of_the_config_that_ran(capsys, tmp_path):

@@ -12,7 +12,6 @@ from hypothesis import example, given, strategies as st
 from scipy import stats
 
 from cowqkd import attack, cli, detectors, distill, experiment, source
-from cowqkd.attack import AttackConfig
 from cowqkd.detectors import (
     SPAD_BIAS_TABLE,
     Cause,
@@ -45,10 +44,16 @@ from cowqkd.experiment import (
     run_trial,
     write_table_csv,
 )
-from cowqkd.rates import McCounts, count_interval
+from cowqkd.rates import McCounts, compare, count_interval
 from cowqkd.source import ChannelConfig, SourceConfig, generate_frames, write_frames_csv
 from cowqkd.timebase import TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, Stream
 from oracles import csv_writer_rows, full_exposure_correlation, start_search_correlation_histogram, stream_rng
+
+
+def analytic_p_sift(cfg):
+    """The closed-form sifting rate of a run of ``cfg``."""
+    report = compare(McCounts(n_frames=0, n_sift=0, n_err=0), cfg.rate_inputs())
+    return next(r.analytic for r in report.rows if r.name == "p_sift")
 
 
 def small_attack_cfg(**kw):
@@ -76,7 +81,7 @@ class TestConfigMapping:
         assert flat["spad.backflash_delay_scale_ps"] == "600"
         assert flat["spad.backflash_delay_max_ps"] == "5000"
         assert not any(k.startswith("spad.backflash_delay.") for k in flat)
-        assert flat["attack.clock_offset_ps"] == "0"
+        assert flat["distill.block_length"] == "20000"
 
     def test_flat_holds_exactly_every_field(self):
         # A field added to a config dataclass cannot be left out of the hash.
@@ -97,7 +102,7 @@ class TestConfigMapping:
         for line in block.splitlines():
             if line.startswith("    ") and not line.startswith("     "):
                 keys += [k.strip() for k in line.strip().split("  ")[0].split(",")]
-        assert {"source.mean_photon_number", "attack.clock_offset_ps", "seed"} <= set(keys)
+        assert {"source.mean_photon_number", "channel.length_km", "seed"} <= set(keys)
         assert set(keys) <= set(config_to_flat(preset_config("paper")))
 
     @pytest.mark.parametrize("preset", PRESETS)
@@ -274,7 +279,7 @@ class TestConfigValidation:
         assert replace(cfg, attack_enabled=True).rate_inputs().p_b == pytest.approx(0.12 * 0.74)
         q = 1 - math.exp(-r.mu * r.eta) * (1 - r.p_dark)
         want = q / (1 + 31.25e6 * q * 10e-6)
-        assert cfg.analytic_p_sift() == pytest.approx(want)
+        assert analytic_p_sift(cfg) == pytest.approx(want)
 
 
 # --- runs ------------------------------------------------------------------
@@ -312,7 +317,7 @@ class TestRuns:
     def test_trial_counts_match_analytic(self):
         cfg = apply_overrides(preset_config("5v"), {"frames_per_trial": "200000"})
         t = run_trial(cfg, 0)
-        lo, hi = count_interval(cfg.frames_per_trial, cfg.analytic_p_sift())
+        lo, hi = count_interval(cfg.frames_per_trial, analytic_p_sift(cfg))
         assert lo <= len(t.sifted) <= hi
         assert np.all(np.diff(t.bob_log.time_ps) >= cfg.spad.hold_off_ps)
         assert len(t.eve_log) == 0  # attack disabled
@@ -519,12 +524,33 @@ class TestRuns:
         assert next(r for r in run.report.rows if r.name == "p_learn").analytic == 0.0
         assert run.manifest["calibration_offsets_ps"] == []
 
-    @pytest.mark.parametrize("offset", [12345, -20000])
-    def test_clock_offset_is_calibrated_away(self, offset):
-        base = run_simulation(small_attack_cfg())
-        shifted = run_simulation(small_attack_cfg(attack=AttackConfig(clock_offset_ps=offset)))
-        assert shifted.manifest["calibration_offsets_ps"] == [base.manifest["calibration_offsets_ps"][0] - offset]
-        assert shifted.counts.n_eve_correct == base.counts.n_eve_correct > 0
+    @pytest.mark.parametrize("shift", [12345, -20000])
+    def test_clock_offset_is_calibrated_away(self, monkeypatch, shift):
+        # Eve's clock may read any offset from Bob's: she calibrates on the
+        # first block's disclosure, so the offset moves by minus the shift
+        # and every block keeps its clusters and inferences.
+        cfg = small_attack_cfg()
+        base = run_trial(cfg, 0)
+
+        def shifted_snspd_detect(*args):
+            log = snspd_detect(*args)
+            return replace(log, time_ps=log.time_ps + shift)
+
+        monkeypatch.setattr(experiment, "snspd_detect", shifted_snspd_detect)
+        moved = run_trial(cfg, 0)
+        assert np.array_equal(moved.eve_log.time_ps, base.eve_log.time_ps + shift)
+        assert moved.calibration.offset_ps == base.calibration.offset_ps - shift
+
+        def same(x, y):
+            if x is None or y is None:
+                return x is y
+            return all(np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v
+                       for u, v in zip(vars(x).values(), vars(y).values(), strict=True))
+
+        assert sum(b.inference is not None for b in base.blocks) > 0
+        for a, b in zip(base.blocks, moved.blocks, strict=True):
+            assert same(a.clusters, b.clusters) and same(a.inference, b.inference)
+        assert moved.counts == base.counts
 
     def test_runs_are_reproducible(self):
         a = run_simulation(small_attack_cfg())

@@ -33,14 +33,13 @@ PERTURB = {
     "source.mean_photon_number": "0.25", "source.bin_width_ps": "800", "source.frame_period_ps": "16000",
     "source.bits_per_frame": "3", "source.encoding": "rz", "source.pattern": "random",
     "source.decoy_probability": "0.1",
-    "channel.length_km": "5", "channel.attenuation_db_per_km": "0.3", "channel.excess_loss_db": "1",
+    "channel.length_km": "5",
     "spad.detection_efficiency": "0.25", "spad.dark_count_rate_cps": "3000", "spad.gate_width_ps": "3000",
     "spad.gate_phase_ps": "500", "spad.hold_off_s": "5e-6",
     "spad.backflash_probability": "0.2", "spad.backflash_delay_scale_ps": "400",
     "spad.backflash_delay_max_ps": "1500", "spad.facet_reflectance": "0.02",
     "snspd.detection_efficiency": "0.6", "snspd.dark_count_rate_cps": "1e6",
     "distill.block_length": "250", "distill.disclosure_size": "80",
-    "attack.clock_offset_ps": "1234",
 }
 
 COMMANDS = {
@@ -49,13 +48,11 @@ COMMANDS = {
     "correlate": ["correlate", "--widths", "2000", "--clicks", "1000"],
 }
 
-ATTACKER = {"attack.clock_offset_ps"}
 INERT = {
     "simulate": set(),
     "rates": {
         # Closed forms only: nothing is drawn, run or distilled.
         "seed", "trials", "frames_per_trial", "export_frames", "distill.block_length", "distill.disclosure_size",
-        *ATTACKER,
         # The forms count clicks per gate, not where they fall in it.
         "source.bin_width_ps", "source.encoding", "source.pattern", "spad.gate_phase_ps",
         # The leak counts backflash emissions, not their timing; reflections
@@ -68,11 +65,11 @@ INERT = {
     "correlate": {
         # No trial, sifting or attack runs.
         "trials", "frames_per_trial", "export_frames", "attack_enabled", "distill.block_length",
-        "distill.disclosure_size", *ATTACKER,
+        "distill.disclosure_size",
         # The source is blocked.
         "source.mean_photon_number", "source.bin_width_ps", "source.bits_per_frame", "source.encoding",
-        "source.pattern", "source.decoy_probability", "channel.length_km", "channel.attenuation_db_per_km",
-        "channel.excess_loss_db", "spad.detection_efficiency", "spad.facet_reflectance",
+        "source.pattern", "source.decoy_probability", "channel.length_km", "spad.detection_efficiency",
+        "spad.facet_reflectance",
         # Each run sets the width from --widths and a 1 us hold-off.
         "spad.gate_width_ps", "spad.hold_off_s",
         # The exposure is sized to --clicks dark clicks, so the dark rate
@@ -110,7 +107,7 @@ def signature(command: str, key: str | None = None):
 def test_every_key_is_perturbed_to_a_new_value():
     base = config_to_flat(apply_overrides(preset_config("paper"), BASE))
     assert PERTURB.keys() == base.keys() == config_to_flat(ExperimentConfig()).keys()
-    assert len(PERTURB) == 29
+    assert len(PERTURB) == 26
     for key, value in PERTURB.items():
         assert config_to_flat(apply_overrides(preset_config("paper"), {**BASE, key: value}))[key] != base[key]
     # The simulate base runs the attack to the end.

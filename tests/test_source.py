@@ -271,7 +271,7 @@ def test_channel_transmittance_oracles():
     # 0.2 dB/km over 50 km = 10 dB = factor 10
     assert channel_transmittance(ChannelConfig(length_km=50)) == pytest.approx(0.1)
     assert channel_transmittance(ChannelConfig(length_km=0)) == 1.0
-    half = ChannelConfig(length_km=0, excess_loss_db=10 * math.log10(2))
+    half = ChannelConfig(length_km=50 * math.log10(2))  # 3.01 dB
     assert channel_transmittance(half) == pytest.approx(0.5)
 
 
