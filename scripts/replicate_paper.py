@@ -10,6 +10,7 @@ eavesdropper sees only avalanche light.
 import sys
 
 from cowqkd import cli
+from cowqkd.attack import learning_metrics
 
 DEFAULTS = ["replicate-paper", "--seed", "11", "--out", "out/replicate"]
 
@@ -22,7 +23,7 @@ def summary(args, cfg, res) -> None:
     b = res.trials[0].blocks[0]
     z, o = b.inference.bit_tallies()
     print(f"assigned zeros/ones    {z}/{o}")
-    print(f"attack metrics         {res.manifest['learning'][0]}")
+    print(f"attack metrics         {learning_metrics(b.inference, b.retained)}")
     for r in res.report.rows:
         emp = "-" if r.empirical is None else f"{r.empirical:.6g}"
         print(f"{r.name:<14} analytic {r.analytic:.6g}  empirical {emp}  ok={r.ok}")

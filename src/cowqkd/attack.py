@@ -163,22 +163,20 @@ def calibrate(
 
 @dataclass
 class ClusterMap:
-    """Folded histogram with the windows and boundaries the attacker uses.
+    """Folded histogram with the window and cut the attacker uses.
 
-    ``counts`` has one bin per ``FOLD_BIN_WIDTH_PS``.  Windows are half-open
-    circular arcs (start, length) on [0, frame period).  The backflash
-    window's first ``cut_ps``, in [0, ``backflash_len_ps``], is the zero
-    region when ``zero_first``, else the one region.  ``run_summary`` gives
-    each cluster's arc, mass, and shift-0 coincidences, their mean at the
-    other shifts and p-value (see :func:`fold_and_cluster`).
+    ``counts`` has one bin per ``FOLD_BIN_WIDTH_PS``.  The backflash window
+    is a half-open circular arc (start, length) on [0, frame period); its
+    first ``cut_ps``, in [0, ``backflash_len_ps``], is the zero region when
+    ``zero_first``, else the one region.  ``run_summary`` gives each
+    cluster's arc, mass, and shift-0 coincidences, their mean at the other
+    shifts and p-value (see :func:`fold_and_cluster`), kept or not.
     """
 
     frame_period_ps: int
     counts: np.ndarray
     backflash_start_ps: int
     backflash_len_ps: int
-    reflection_start_ps: int | None
-    reflection_len_ps: int | None
     cut_ps: int
     zero_first: bool
     zero_mode_ps: int
@@ -186,16 +184,11 @@ class ClusterMap:
     run_summary: list[dict] = field(default_factory=list)
 
     def classify(self, folded_ps: np.ndarray) -> np.ndarray:
-        """Bit per folded timestamp: 0/1, -1 outside, -2 reflection.  A
-        position x lies at offset (x - start) % period along an arc (start,
-        length), inside it when that is below length."""
-        x = np.asarray(folded_ps, dtype=np.int64)
-        p = self.frame_period_ps
-        off = (x - self.backflash_start_ps) % p
-        out = np.where(off < self.backflash_len_ps, (off >= self.cut_ps) == self.zero_first, -1).astype(np.int8)
-        if self.reflection_start_ps is not None:
-            out[(x - self.reflection_start_ps) % p < self.reflection_len_ps] = -2
-        return out
+        """Bit per folded timestamp: 0/1 in the backflash window, -1
+        outside it.  A position x lies at offset (x - start) % period along
+        an arc (start, length), inside it when that is below length."""
+        off = (np.asarray(folded_ps, dtype=np.int64) - self.backflash_start_ps) % self.frame_period_ps
+        return np.where(off < self.backflash_len_ps, (off >= self.cut_ps) == self.zero_first, -1).astype(np.int8)
 
 
 def _circular_smooth(counts: np.ndarray, half: int) -> np.ndarray:
@@ -257,9 +250,10 @@ def fold_and_cluster(
     shorter hold-off their backflash adds to the shifted counts; where the
     receiver clicks every few frames every shift scores like shift 0, no
     cluster is kept and this raises :class:`CalibrationError`, which leaves
-    the block without an attack result.  With the default geometry the
-    reflections merge into the backflash arc, leaving the reflection
-    window empty.
+    the block without an attack result.  A cluster the test does not
+    keep, such as a reflection, stays in ``run_summary``, and its counts
+    classify as -1 unless it lies within the window that spans the kept
+    ones.
     """
     period = int(frame_period_ps)
     t = np.asarray(calibrated_ps, dtype=np.int64)
@@ -282,8 +276,7 @@ def fold_and_cluster(
     bin_idx = folded // FOLD_BIN_WIDTH_PS
     n_shifts = 2 * CORR_SHIFTS + 1
 
-    summary = []
-    corr_runs, other_runs = [], []
+    summary, corr_bins = [], []
     for s, ln in runs:
         members = t[(bin_idx - s) % nbins < ln]
         scores = _coincidence_scores(
@@ -298,9 +291,10 @@ def fold_and_cluster(
             "shifted_mean": (n - c0) / (n_shifts - 1),
             "p": p,
         })
-        (corr_runs if p <= CLUSTER_ALPHA else other_runs).append((s, ln, members.size))
+        if p <= CLUSTER_ALPHA:
+            corr_bins.append((s + np.arange(ln)) % nbins)
 
-    if not corr_runs:
+    if not corr_bins:
         raise CalibrationError("no cluster correlates with the disclosed samples")
 
     # The backflash window is the shortest arc (start, length) of bins that
@@ -308,8 +302,7 @@ def fold_and_cluster(
     # nbins, inside when that is below length.  The whole ring starts in
     # the fold's valley, its lowest bin on a tie, so that the window, like
     # the runs, does not depend on where the frame starts.
-    corr_bins = np.sort(np.concatenate([(s + np.arange(ln)) % nbins for s, ln, _ in corr_runs]))
-    [(start, length)] = _ring_runs(corr_bins, nbins, nbins)
+    [(start, length)] = _ring_runs(np.sort(np.concatenate(corr_bins)), nbins, nbins)
     if length == nbins:
         start = int(np.argmin(sm))
     bf_start = start * FOLD_BIN_WIDTH_PS
@@ -321,12 +314,6 @@ def fold_and_cluster(
         return period if j == nbins else ((start + j) % nbins * FOLD_BIN_WIDTH_PS - bf_start) % period
 
     bf_len = arc_ps(length)
-
-    refl_start = refl_len = None
-    outside = [r for r in other_runs if (r[0] - start) % nbins >= length]
-    if outside:
-        s, ln, _ = max(outside, key=lambda r: r[2])
-        refl_start, refl_len = s * FOLD_BIN_WIDTH_PS, ln * FOLD_BIN_WIDTH_PS
 
     arc = np.roll(sm, -start)[:length]
     a, b = _find_modes(arc, length == nbins)
@@ -352,8 +339,6 @@ def fold_and_cluster(
         counts=counts,
         backflash_start_ps=int(bf_start),
         backflash_len_ps=int(bf_len),
-        reflection_start_ps=refl_start,
-        reflection_len_ps=refl_len,
         cut_ps=int(cut),
         zero_first=bool(first_is_zero),
         zero_mode_ps=int(zero_mode),
@@ -418,8 +403,6 @@ class EveInference:
     bit: np.ndarray
     matched_bob_ps: np.ndarray
     correct: np.ndarray
-    discarded_reflection: int
-    discarded_outside: int
 
     def __len__(self) -> int:
         return self.eve_time_ps.size
@@ -447,8 +430,6 @@ def infer_bits(
     cls = clusters.classify(folded)
 
     keep = cls >= 0
-    discarded_reflection = int(np.sum(cls == -2))
-    discarded_outside = int(np.sum(cls == -1))
     t, folded, bits = t[keep], folded[keep], cls[keep]
 
     bob_t = np.asarray(retained.time_ps, dtype=np.int64)
@@ -470,8 +451,6 @@ def infer_bits(
         bit=bits,
         matched_bob_ps=matched,
         correct=correct,
-        discarded_reflection=discarded_reflection,
-        discarded_outside=discarded_outside,
     )
 
 
@@ -504,7 +483,6 @@ def write_clusters_csv(clusters: ClusterMap, path, header_lines: list[str] | Non
     zero, one = (first, second) if clusters.zero_first else (second, first)
     meta = [
         f"backflash_window_start_ps={start} len_ps={length}",
-        f"reflection_window_start_ps={clusters.reflection_start_ps} len_ps={clusters.reflection_len_ps}",
         f"zero_region_start_ps={zero[0]} len_ps={zero[1]}",
         f"one_region_start_ps={one[0]} len_ps={one[1]}",
         f"zero_mode_ps={clusters.zero_mode_ps} one_mode_ps={clusters.one_mode_ps}",

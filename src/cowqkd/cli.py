@@ -1,7 +1,8 @@
 """Command-line front end, and the one entry path of the study scripts.
 
-Exit codes: 0 success, 2 configuration error, 3 attack calibration failure,
-4 the requested key rate clamped to zero (insecure).
+Exit codes: 0 success, 2 configuration error or an ``--out`` that cannot
+be written, 3 attack calibration failure, 4 the requested key rate clamped
+to zero (insecure).
 """
 
 from __future__ import annotations
@@ -187,6 +188,9 @@ def main(argv: list[str] | None = None, show=None) -> int:
     except CalibrationError as exc:
         print(f"calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     (show or args.show)(args, cfg, result)
     report = getattr(result, "report", result)
     if isinstance(report, RateReport) and report.insecure:

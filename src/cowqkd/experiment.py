@@ -48,11 +48,15 @@ from .rates import (
 from .source import ChannelConfig, FrameBatch, SourceConfig, channel_transmittance, generate_frames, write_frames_csv
 from .timebase import DRAW_SCHEME, TIMING_CORRELATION_STUDY, ConfigError, DeviceRngs, check_time_range, write_csv
 
-# Fixed so chunking never affects drawn sequences.  Chunks bound the arrays
-# over click candidates: peak RSS of `replicate-paper --seed 11`, chunked
-# against one chunk per run (2-vCPU Xeon, Python 3.11, numpy 2.4), is 42.8
-# against 53.1 MB; 54.5 against 100.9 MB at 31.2e6 frames; 44.3 against
-# 68.7 MB with random bits and 5% decoys; the unchunked runs are slower.
+# Part of a trial's draw scheme, as STUDY_BLOCK_DARKS is of the study's: the
+# streams are walked chunk by chunk, so another value draws other sequences
+# of the same law under the same config hash.  At 500_000, `replicate-paper
+# --seed 11` writes all 7 artifacts differently (ROADMAP item 8: keys by
+# block, not by chunk).  Chunks bound the arrays over click candidates:
+# peak RSS of `replicate-paper --seed 11`, chunked against one chunk per run
+# (2-vCPU Xeon, Python 3.11, numpy 2.4), is 42.8 against 53.1 MB; 54.5
+# against 100.9 MB at 31.2e6 frames; 44.3 against 68.7 MB with random bits
+# and 5% decoys; the unchunked runs are slower.
 CHUNK_FRAMES = 1_000_000
 
 
@@ -385,7 +389,7 @@ def run_simulation(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         "blocks": sum(len(t.blocks) for t in trials),
         "report": dataclasses.asdict(report),
         "learning": [
-            attack_mod.learning_metrics(b.inference, b.retained)
+            attack_mod.learning_metrics(b.inference, b.retained) | {"clusters": b.clusters.run_summary}
             for t in trials for b in t.blocks if b.inference is not None
         ],
         "calibration_offsets_ps": [

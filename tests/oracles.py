@@ -294,18 +294,16 @@ def ring_gaps(active):
 
 
 def classify_count(x, cmap):
-    """The attacker's label for one folded position ``x``: -2 in the
-    reflection window, else 0 or 1 in the backflash window, else -1.  In
-    the backflash window, its first ``cut_ps`` is the zero region when
-    ``zero_first``, the rest of it when not.  A window (start, length)
-    holds x when x or x + period lies in [start, start + length)."""
+    """The attacker's label for one folded position ``x``: 0 or 1 in the
+    backflash window, else -1.  In the backflash window, its first
+    ``cut_ps`` is the zero region when ``zero_first``, the rest of it when
+    not.  A window (start, length) holds x when x or x + period lies in
+    [start, start + length)."""
     p = cmap.frame_period_ps
 
     def within(start, length):
         return start <= x < start + length or start <= x + p < start + length
 
-    if cmap.reflection_start_ps is not None and within(cmap.reflection_start_ps, cmap.reflection_len_ps):
-        return -2
     if not within(cmap.backflash_start_ps, cmap.backflash_len_ps):
         return -1
     before_cut = within(cmap.backflash_start_ps, cmap.cut_ps)

@@ -1,7 +1,6 @@
 """Attacker pipeline tests on hand-built streams with known geometry."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,19 +350,21 @@ class TestCircularHelpers:
 
 class TestFoldAndCluster:
     def test_windows_cover_truth(self):
-        transcript, _, eve_t, truth = make_scene()
+        transcript, retained, eve_t, truth = make_scene()
         cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         folded_bf = truth["backflash_t"] % PERIOD
         assert bool(np.all(cmap.classify(folded_bf) >= 0))
-        assert cmap.reflection_start_ps is not None
-        assert cmap.classify(np.array([20200]))[0] == -2
-        # without its reflection window, 20200 lies outside the backflash one
-        assert replace(cmap, reflection_start_ps=None).classify(np.array([20200]))[0] == -1
+        # The reflection's cluster, 20000-20400 ps, is not kept and lies
+        # outside the backflash window: none of its counts is inferred.
+        assert cmap.classify(np.array([20200]))[0] == -1
+        inferred = infer_bits(eve_t, cmap, retained).folded_ps
+        assert not np.any((inferred >= 20000) & (inferred < 20400))
 
     def test_no_reflection_cluster_when_absent(self):
         transcript, _, eve_t, _ = make_scene(reflect=False)
         cmap = fold_and_cluster(eve_t, transcript, PERIOD)
-        assert cmap.reflection_start_ps is None
+        assert len(cmap.run_summary) == 2
+        assert all(r["p"] <= CLUSTER_ALPHA for r in cmap.run_summary)
         assert cmap.classify(np.array([20200]))[0] == -1
 
     def test_modes_follow_disclosed_bits(self):
@@ -380,13 +381,15 @@ class TestFoldAndCluster:
         assert _circular_dist(cmap.one_mode_ps, 1000, PERIOD) < 800
 
     def test_classify_ring_regions(self):
-        transcript, _, eve_t, truth = make_scene()
+        transcript, retained, eve_t, truth = make_scene()
         cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         folded = truth["backflash_t"] % PERIOD
         got = cmap.classify(folded)
         assert np.array_equal(got, truth["bits"])
-        assert cmap.classify(np.array([20100]))[0] == -2
-        assert cmap.classify(np.array([15000]))[0] == -1
+        assert cmap.classify(np.array([20100, 15000])).tolist() == [-1, -1]
+        # Every count but the backflash is a reflection, and none is inferred.
+        reflected = np.setdiff1d(eve_t, truth["backflash_t"])
+        assert reflected.size and not np.isin(reflected, infer_bits(eve_t, cmap, retained).eve_time_ps).any()
 
     def test_valley_cut_separates_the_clusters(self):
         transcript, retained, eve_t, _ = make_scene()
@@ -480,7 +483,7 @@ class TestFoldAndCluster:
         for seed in range(1000):
             transcript, _, eve_t, _ = make_scene(200, seed=seed, reflect_at=7000)
             cmap = fold_and_cluster(eve_t, transcript, PERIOD)
-            kept += int(cmap.classify(np.array([7200]))[0] != -2)
+            kept += int(cmap.classify(np.array([7200]))[0] >= 0)
         assert kept <= CLUSTER_ALPHA * 1000
 
 
@@ -515,20 +518,16 @@ def test_decision_cut_is_the_smoothed_minimum_between_the_modes(arc, want):
 
 @st.composite
 def cluster_maps(draw):
-    """Windows on a short ring: arcs that wrap past 0, the whole ring, a
-    cut at either end of the window (one region empty) and a reflection arc
-    that may overlap the backflash one or be absent."""
+    """Windows on a short ring: arcs that wrap past 0, the whole ring and a
+    cut at either end of the window (one region empty)."""
     p = draw(st.integers(min_value=1, max_value=60))
     pos = st.integers(min_value=0, max_value=p - 1)
     arc_len = st.integers(min_value=1, max_value=p)
     length = draw(arc_len)
     cut = draw(st.one_of(st.sampled_from([0, length]), st.integers(min_value=0, max_value=length)))
-    refl = draw(st.one_of(st.none(), st.tuples(pos, arc_len)))
     return ClusterMap(
         frame_period_ps=p, counts=np.zeros(0, dtype=np.int64),
         backflash_start_ps=draw(pos), backflash_len_ps=length,
-        reflection_start_ps=None if refl is None else refl[0],
-        reflection_len_ps=None if refl is None else refl[1],
         cut_ps=cut, zero_first=draw(st.booleans()), zero_mode_ps=0, one_mode_ps=0,
     )
 
@@ -558,9 +557,8 @@ class TestInference:
         cmap = fold_and_cluster(eve_t, transcript, PERIOD)
         inf = infer_bits(eve_t, cmap, retained)
         # every backflash is kept, every reflection discarded
-        assert len(inf) == truth["backflash_t"].size
-        assert inf.discarded_reflection > 0
-        assert inf.discarded_outside == 0
+        assert np.array_equal(inf.eve_time_ps, np.sort(truth["backflash_t"]))
+        assert eve_t.size > len(inf)
         # backflashes on disclosed frames have no retained partner, and the
         # nearest other click sits a whole frame away
         assert np.sum(inf.correct == -1) == len(transcript)
@@ -590,8 +588,6 @@ class TestInference:
             bit=np.zeros(10, dtype=np.int8),
             matched_bob_ps=np.where(np.arange(10) < 8, np.arange(10), -1),
             correct=np.array([1, 1, 1, 1, 1, 1, 0, 0, -1, -1], dtype=np.int8),
-            discarded_reflection=3,
-            discarded_outside=4,
         )
         key = SiftedBits(np.arange(20, dtype=np.int64), np.zeros(20, dtype=np.int8), np.zeros(20, dtype=np.int8))
         assert learning_metrics(inf, key) == {
@@ -603,7 +599,7 @@ class TestInference:
 
     def test_metrics_empty_inference(self):
         inf = EveInference(*(np.empty(0, dtype=np.int64) for _ in range(3)),
-                           np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), 0, 0)
+                           np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
         key = SiftedBits(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int8))
         assert learning_metrics(inf, key) == dict.fromkeys(
             ["accuracy_matched", "accuracy_all", "learning_rate", "matched_fraction"], 0.0
@@ -629,7 +625,9 @@ def test_clusters_csv(tmp_path):
     path = tmp_path / "cl.csv"
     write_clusters_csv(cmap, path)
     text = path.read_text()
-    assert "backflash_window_start_ps=" in text
+    # The header names the backflash window, its two regions and the modes.
+    assert [line.split("=")[0] for line in text.splitlines() if line.startswith("#")] == [
+        "# backflash_window_start_ps", "# zero_region_start_ps", "# one_region_start_ps", "# zero_mode_ps"]
     assert "bin_start_ps,count,normalized" in text
     n_bins = -(-PERIOD // 100)
     assert len([l for l in text.splitlines() if not l.startswith("#")]) == 1 + n_bins
@@ -639,8 +637,8 @@ def test_clusters_csv(tmp_path):
 @given(cmap=cluster_maps())
 def test_clusters_csv_regions_label_the_ring_as_classify_does(cmap, tmp_path):
     # The written zero and one regions are arcs that tile the backflash
-    # window; away from the reflection window a position is labelled by the
-    # region that holds it, -1 by neither.
+    # window; a position is labelled by the region that holds it, -1 by
+    # neither.
     path = tmp_path / "cl.csv"
     write_clusters_csv(cmap, path)
     regions = {}
@@ -650,9 +648,8 @@ def test_clusters_csv_regions_label_the_ring_as_classify_does(cmap, tmp_path):
             regions[m[1]] = (int(m[2]), int(m[3]))
     p = cmap.frame_period_ps
     assert regions["zero"][1] + regions["one"][1] == cmap.backflash_len_ps
-    bare = replace(cmap, reflection_start_ps=None, reflection_len_ps=None)
     for x in range(p):
         held = [bit for bit, name in enumerate(("zero", "one"))
                 if (x - regions[name][0]) % p < regions[name][1]]
         assert len(held) <= 1
-        assert classify_count(x, bare) == (held[0] if held else -1)
+        assert classify_count(x, cmap) == (held[0] if held else -1)

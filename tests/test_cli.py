@@ -210,6 +210,24 @@ def test_unreadable_config_file_is_a_configuration_error(capsys, tmp_path):
     assert "configuration error: cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rates", "--preset", "5v"],
+    ["simulate", "--preset", "5v", "--frames", "50000"],
+    ["sweep", "--preset", "5v", "--frames", "50000", "--axis", "mu", "--values", "0.2"],
+    ["correlate", "--widths", "2000", "--clicks", "1000"],
+])
+@pytest.mark.parametrize("under", [False, True])
+def test_an_out_that_cannot_be_a_directory_is_a_configuration_error(capsys, tmp_path, argv, under):
+    # An existing file, or a path under one: one line on stderr, exit 2,
+    # and the file left as it was.
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    assert main(argv + ["--out", str(blocker / "sub" if under else blocker)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert blocker.read_text() == "kept\n"
+
+
 def test_config_file_not_in_utf8_is_a_configuration_error(capsys, tmp_path):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes("# r\u00e9glage\nseed = 3\n".encode("latin-1"))

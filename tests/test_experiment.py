@@ -361,11 +361,34 @@ class TestRuns:
         run = run_simulation(small_attack_cfg(trials=2), tmp_path)
         blocks = [b for t in run.trials for b in t.blocks if b.inference is not None]
         assert len(blocks) >= 2
-        want = [attack.learning_metrics(b.inference, b.retained) for b in blocks]
+        want = [attack.learning_metrics(b.inference, b.retained) | {"clusters": b.clusters.run_summary}
+                for b in blocks]
         written = json.loads((tmp_path / "manifest.json").read_text())["learning"]
         assert run.manifest["learning"] == written == want
-        keys = {"accuracy_matched", "accuracy_all", "learning_rate", "matched_fraction"}
+        keys = {"accuracy_matched", "accuracy_all", "learning_rate", "matched_fraction", "clusters"}
         assert all(m.keys() == keys for m in written)
+
+    def test_manifest_learning_records_every_fold_cluster(self, tmp_path):
+        # Each entry's clusters are its block's run summary, kept or not.  A
+        # kept cluster lies inside the backflash window; one the coincidence
+        # test drops that starts outside it lies wholly outside, and none of
+        # its counts is inferred.  At seed 3 two of the six blocks drop one.
+        run = run_simulation(small_attack_cfg(trials=2), tmp_path)
+        blocks = [b for t in run.trials for b in t.blocks if b.inference is not None]
+        written = json.loads((tmp_path / "manifest.json").read_text())["learning"]
+        assert [m["clusters"] for m in written] == [b.clusters.run_summary for b in blocks]
+        dropped = 0
+        for b in blocks:
+            cmap = b.clusters
+            for r in cmap.run_summary:
+                arc = (r["start_ps"] + np.arange(r["len_ps"])) % cmap.frame_period_ps
+                if r["p"] <= attack.CLUSTER_ALPHA:
+                    assert np.all(cmap.classify(arc) >= 0)
+                elif cmap.classify(arc[:1])[0] == -1:
+                    dropped += 1
+                    assert np.all(cmap.classify(arc) == -1)
+                    assert not np.isin(b.inference.folded_ps, arc).any()
+        assert dropped == 2
 
     def test_leak_tallies_recount_with_sets(self):
         # Each backflash count Eve logs names its avalanche.  The tallies count
